@@ -1,9 +1,6 @@
 // Ablation: the paper's three-phase search heuristic (§3.5, operation
 // starts -> data starts -> slots) vs a single first-fail phase over all
-// decision variables, plus the propagation-engine ablation (legacy
-// flat-FIFO/full-snapshot engine vs the event/priority/delta-trail
-// engine — identical trees by construction, so the delta is pure
-// per-node engine overhead).
+// decision variables, and a diversified 4-worker portfolio.
 #include "common.hpp"
 
 #include "revec/sched/model.hpp"
@@ -28,11 +25,9 @@ int main(int argc, char** argv) {
         const char* label;
         bool three_phase;
         int threads;
-        bool legacy_engine;
-    } strategies[] = {{"3-phase (paper)", true, 1, false},
-                      {"3-phase legacy-engine", true, 1, true},
-                      {"single first-fail", false, 1, false},
-                      {"portfolio x4", true, 4, false}};
+    } strategies[] = {{"3-phase (paper)", true, 1},
+                      {"single first-fail", false, 1},
+                      {"portfolio x4", true, 4}};
 
     bench::JsonWriter json;
     json.begin_object();
@@ -48,7 +43,6 @@ int main(int argc, char** argv) {
             opts.three_phase_search = strat.three_phase;
             opts.timeout_ms = 15000;
             opts.solver.threads = strat.threads;
-            if (strat.legacy_engine) opts.solver.engine = cp::EngineConfig::legacy();
             sched::Schedule s;
             const double med_ms =
                 bench::median_of_3_ms([&] { s = sched::schedule_kernel(k.g, opts); });
@@ -80,8 +74,6 @@ int main(int argc, char** argv) {
                 "With that constraint removed the 3-phase order is what keeps the "
                 "slot phase backtrack-free, as §3.5 argues. The portfolio row runs "
                 "4 diversified workers over the 3-phase model with a shared best "
-                "bound; its node count sums every worker's tree. The legacy-engine "
-                "row replays the identical tree on the pre-event engine, so its "
-                "time delta is pure propagation-engine overhead.");
+                "bound; its node count sums every worker's tree.");
     return 0;
 }

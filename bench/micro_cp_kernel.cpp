@@ -3,11 +3,11 @@
 // end-to-end kernel scheduling. These are engineering benchmarks (no paper
 // counterpart); they guard the solver's performance envelope.
 //
-// Before the google-benchmark suite runs, an engine-comparison pass pits
-// the legacy flat-FIFO/full-snapshot engine against the event/priority/
-// delta-trail engine on a hole-heavy workload and on kernel scheduling;
-// `--json <path>` writes those counters (the checked-in BENCH_cp_engine
-// .json baseline). Remaining flags pass through to google-benchmark.
+// Before the google-benchmark suite runs, an engine probe solves a
+// hole-heavy workload, checks its deterministic search and propagation
+// counters against golden values, and times kernel scheduling; `--json
+// <path>` writes those numbers (the checked-in BENCH_cp_engine.json
+// baseline). Remaining flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -112,14 +112,13 @@ void BM_ModuloMatmul(benchmark::State& state) {
 BENCHMARK(BM_ModuloMatmul)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Engine comparison: legacy vs event-driven on identical search trees.
+// Engine probe: a hole-heavy search whose counters are pinned exactly.
 
 /// Hole-heavy CSP: disequalities and an alldifferent punch interior holes
-/// into domains watched by bounds-consistent linear/cumulative propagators.
-/// The legacy engine wakes every watcher on every hole; the event engine
-/// filters them by subscription mask.
-cp::SolveResult solve_hole_heavy(const cp::EngineConfig& engine) {
-    cp::Store s{engine};
+/// into domains watched by bounds-consistent linear/cumulative propagators,
+/// so event masks filter most wakeups and the domains pack.
+cp::SolveResult solve_hole_heavy() {
+    cp::Store s;
     constexpr int kN = 9;
     std::vector<cp::IntVar> xs;
     for (int i = 0; i < kN; ++i) xs.push_back(s.new_var(0, 2 * kN));
@@ -149,133 +148,75 @@ cp::SolveResult solve_hole_heavy(const cp::EngineConfig& engine) {
                      obj);
 }
 
-/// Median-of-3 wall-clock of a warm-started matmul schedule under the
-/// given engine.
-double time_schedule_matmul(const cp::EngineConfig& engine) {
+/// Median-of-3 wall-clock of a warm-started matmul schedule.
+double time_schedule_matmul() {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
     sched::ScheduleOptions opts;
     opts.timeout_ms = 60000;
-    opts.solver.engine = engine;
     return bench::median_of_3_ms([&] {
         const sched::Schedule s = sched::schedule_kernel(g, opts);
         REVEC_EXPECTS(s.proven_optimal());
     });
 }
 
-void emit_engine_stats(bench::JsonWriter& json, const char* key,
-                       const cp::SolveResult& r) {
-    json.begin_object(key)
-        .field("nodes", r.stats.nodes)
-        .field("failures", r.stats.failures)
-        .field("time_ms", r.stats.time_ms)
-        .field("propagations", r.prop_stats.propagations)
-        .field("wakeups", r.prop_stats.wakeups)
-        .field("wakeups_filtered", r.prop_stats.wakeups_filtered)
-        .field("self_wakeups_suppressed", r.prop_stats.self_wakeups_suppressed)
-        .field("trail_saves", r.prop_stats.trail_saves)
-        .field("trail_snapshots", r.prop_stats.trail_snapshots)
-        .field("trail_word_diffs", r.prop_stats.trail_word_diffs)
-        .field("trail_bytes", r.prop_stats.trail_bytes)
-        .field("packed_converts", r.prop_stats.packed_converts)
-        .end_object();
+/// One deterministic counter of the hole-heavy solve and its golden value.
+struct PinnedCounter {
+    const char* key;  ///< JSON key (BENCH_cp_engine.json "hole_heavy")
+    std::int64_t got;
+    std::int64_t golden;
+};
+
+/// Every deterministic counter of the hole-heavy solve. The search tree
+/// (nodes, failures) is the one the original wake-on-any-change,
+/// full-snapshot engine explored; the rest pin the event engine's work on
+/// packed domains.
+std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
+    const cp::PropagationStats& p = r.prop_stats;
+    return {{"nodes", r.stats.nodes, 73550},
+            {"failures", r.stats.failures, 36776},
+            {"propagations", p.propagations, 1430655},
+            {"wakeups", p.wakeups, 3121392},
+            {"wakeups_filtered", p.wakeups_filtered, 4098588},
+            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 24181},
+            {"trail_saves", p.trail_saves, 426867},
+            {"trail_snapshots", p.trail_snapshots, 0},
+            {"trail_word_diffs", p.trail_word_diffs, 360380},
+            {"trail_bytes", p.trail_bytes, 6563924},
+            {"packed_converts", p.packed_converts, 502}};
 }
 
-/// The event engine with the interval (PR 3) domain representation.
-cp::EngineConfig interval_config() {
-    cp::EngineConfig cfg;
-    cfg.packed_domains = false;
-    return cfg;
-}
+/// Solve the hole-heavy probe, time kernel scheduling, print both, fill
+/// the JSON document, and check every counter against the golden values.
+bool run_engine_probe(bench::JsonWriter& json) {
+    // The solve is deterministic (counters identical run to run), so only
+    // the wall clock needs damping: keep one run's stats and replace its
+    // time with the median over three runs (bench::median_of_3_ms).
+    cp::SolveResult r;
+    const double ms = bench::median_of_3_ms([&] { r = solve_hole_heavy(); });
+    r.stats.time_ms = ms;
+    const double matmul_ms = time_schedule_matmul();
 
-/// Run the representation-ablation comparison (legacy engine, event engine
-/// on interval domains, event engine on packed domains), print it,
-/// self-check three-way node parity plus the >= 2x wakeup-reduction and
-/// trail-shrink acceptance bounds, and fill the JSON document.
-bool run_engine_comparison(bench::JsonWriter& json) {
-    // The solves are deterministic (counters identical run to run), so
-    // only the wall clock needs damping: keep one run's stats and replace
-    // its time with the median over three runs (bench::median_of_3_ms).
-    const auto solve_median = [](const cp::EngineConfig& engine) {
-        cp::SolveResult r;
-        const double ms = bench::median_of_3_ms([&] { r = solve_hole_heavy(engine); });
-        r.stats.time_ms = ms;
-        return r;
-    };
-    const cp::SolveResult legacy = solve_median(cp::EngineConfig::legacy());
-    const cp::SolveResult interval = solve_median(interval_config());
-    const cp::SolveResult packed = solve_median(cp::EngineConfig{});
-
-    const double wakeup_ratio =
-        static_cast<double>(legacy.prop_stats.wakeups) /
-        static_cast<double>(std::max<std::int64_t>(1, packed.prop_stats.wakeups));
-    const double rep_speedup =
-        interval.stats.time_ms / std::max(1e-9, packed.stats.time_ms);
-    const double trail_ratio =
-        static_cast<double>(interval.prop_stats.trail_bytes) /
-        static_cast<double>(std::max<std::int64_t>(1, packed.prop_stats.trail_bytes));
-    const double matmul_legacy_ms = time_schedule_matmul(cp::EngineConfig::legacy());
-    const double matmul_interval_ms = time_schedule_matmul(interval_config());
-    const double matmul_packed_ms = time_schedule_matmul(cp::EngineConfig{});
-
-    Table t({"workload", "engine", "nodes", "wakeups", "propagations", "trail bytes",
-             "time (ms)"});
-    const auto hole_row = [&](const char* engine, const cp::SolveResult& r) {
-        t.add_row({"hole-heavy CSP", engine, std::to_string(r.stats.nodes),
-                   std::to_string(r.prop_stats.wakeups),
-                   std::to_string(r.prop_stats.propagations),
-                   std::to_string(r.prop_stats.trail_bytes),
-                   format_fixed(r.stats.time_ms, 1)});
-    };
-    hole_row("legacy", legacy);
-    hole_row("event+interval", interval);
-    hole_row("event+packed", packed);
-    t.add_row({"matmul schedule", "legacy", "-", "-", "-", "-",
-               format_fixed(matmul_legacy_ms, 1)});
-    t.add_row({"matmul schedule", "event+interval", "-", "-", "-", "-",
-               format_fixed(matmul_interval_ms, 1)});
-    t.add_row({"matmul schedule", "event+packed", "-", "-", "-", "-",
-               format_fixed(matmul_packed_ms, 1)});
+    Table t({"workload", "nodes", "wakeups", "propagations", "trail bytes", "time (ms)"});
+    t.add_row({"hole-heavy CSP", std::to_string(r.stats.nodes),
+               std::to_string(r.prop_stats.wakeups),
+               std::to_string(r.prop_stats.propagations),
+               std::to_string(r.prop_stats.trail_bytes), format_fixed(r.stats.time_ms, 1)});
+    t.add_row({"matmul schedule", "-", "-", "-", "-", format_fixed(matmul_ms, 1)});
     t.print(std::cout);
-    bench::note("wakeup reduction (legacy/packed): " + format_fixed(wakeup_ratio, 2) +
-                "x");
-    bench::note("packed-domain speedup over interval (hole-heavy time): " +
-                format_fixed(rep_speedup, 2) + "x");
-    bench::note("packed-domain trail shrink over interval: " +
-                format_fixed(trail_ratio, 2) + "x");
 
-    json.begin_object("engine_comparison");
-    emit_engine_stats(json, "hole_heavy_legacy", legacy);
-    emit_engine_stats(json, "hole_heavy_interval", interval);
-    emit_engine_stats(json, "hole_heavy_packed", packed);
-    json.field("wakeup_ratio", wakeup_ratio)
-        .field("representation_speedup", rep_speedup)
-        .field("trail_shrink_ratio", trail_ratio)
-        .field("matmul_schedule_legacy_ms", matmul_legacy_ms)
-        .field("matmul_schedule_interval_ms", matmul_interval_ms)
-        .field("matmul_schedule_packed_ms", matmul_packed_ms)
-        .end_object();
-
-    // Self-checks: the representation is pure data layout, so all three
-    // configurations must traverse identical trees; the event engine must
-    // still halve wakeups; and packed trailing must strictly shrink the
-    // trail on this hole-heavy workload.
-    const auto parity = [&](const cp::SolveResult& a, const cp::SolveResult& b) {
-        return a.stats.nodes == b.stats.nodes && a.stats.failures == b.stats.failures &&
-               a.best == b.best;
-    };
-    if (!parity(legacy, interval) || !parity(interval, packed)) {
-        std::cout << "ERROR: representation node parity violated\n";
-        return false;
+    bool ok = true;
+    json.begin_object("hole_heavy");
+    for (const PinnedCounter& c : hole_heavy_counters(r)) {
+        json.field(c.key, c.got);
+        if (c.got != c.golden) {
+            std::cout << "ERROR: hole_heavy." << c.key << " = " << c.got << ", golden "
+                      << c.golden << "\n";
+            ok = false;
+        }
     }
-    if (wakeup_ratio < 2.0) {
-        std::cout << "ERROR: wakeup reduction below the 2x acceptance bound\n";
-        return false;
-    }
-    if (packed.prop_stats.trail_bytes >= interval.prop_stats.trail_bytes) {
-        std::cout << "ERROR: packed trail bytes did not shrink vs interval\n";
-        return false;
-    }
-    return true;
+    json.field("time_ms", r.stats.time_ms).end_object();
+    json.field("matmul_schedule_ms", matmul_ms);
+    return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +305,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry metrics;
     json.begin_object();
     json.field("bench", "micro_cp_kernel");
-    bool ok = run_engine_comparison(json);
+    bool ok = run_engine_probe(json);
     ok = run_trace_overhead_guard(json, metrics) && ok;
     json.end_object();
     bench::write_json(json_path, json);

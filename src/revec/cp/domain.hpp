@@ -3,12 +3,11 @@
 // intervals (small-buffer optimized: up to kInlineIvs intervals inline, so a
 // fixed value or a plain range never touches the heap). Hole-rich domains
 // whose span fits kPackedMaxWords 64-bit words switch — when packing is
-// enabled for the instance — into a word-packed bitmap: a 64-aligned base
-// offset plus a fixed-stride word array, with min/max/size cached and
-// maintained branch-free via ctz/clz/popcount so bound queries never walk
-// an interval list. Domains whose span exceeds the packed budget keep the
-// interval representation, which is also the legacy representation
-// (EngineConfig::legacy() never enables packing).
+// enabled for the instance, as the solver store does for every variable —
+// into a word-packed bitmap: a 64-aligned base offset plus a fixed-stride
+// word array, with min/max/size cached and maintained branch-free via
+// ctz/clz/popcount so bound queries never walk an interval list. Domains
+// whose span exceeds the packed budget keep the interval representation.
 //
 // This is the value type trailed by the solver store; all operations are
 // value-semantic. Packing is pure representation: every query and mutation
@@ -117,8 +116,8 @@ public:
 
     /// Allow this instance to switch hole-rich content into the packed
     /// representation (repacks immediately when already eligible). Off by
-    /// default so raw Domain values behave exactly like the legacy type;
-    /// the store enables it per EngineConfig::packed_domains.
+    /// default so raw Domain values stay interval-represented; the store
+    /// enables it for every variable it creates.
     void enable_packing();
 
     /// Number of maximal runs of consecutive values (intervals for the

@@ -59,9 +59,8 @@ struct SharedIncumbent {
 /// One portfolio worker: rebuild the model, run the (possibly restarting)
 /// DFS against the shared bound, and fill `slot`.
 void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
-                const SearchOptions& base, const RestartPolicy& policy,
-                const EngineConfig& engine, bool profile, obs::TraceBuffer* trace,
-                std::int64_t trace_rid, std::atomic<bool>& stop,
+                const SearchOptions& base, const RestartPolicy& policy, bool profile,
+                obs::TraceBuffer* trace, std::int64_t trace_rid, std::atomic<bool>& stop,
                 std::atomic<std::int64_t>& shared, SharedIncumbent* incumbent,
                 WorkerSlot& slot) {
     try {
@@ -69,7 +68,7 @@ void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
         // standalone traces stay byte-identical with rid plumbing in place.
         obs::SpanScope worker_span(trace, obs::TraceLevel::Phase, "worker",
                                    trace_rid != 0 ? "rid" : nullptr, trace_rid);
-        Store store{engine};
+        Store store;
         if (profile) store.enable_profiling();
         const PostedModel model = build(store);
         const std::vector<Phase> phases = apply_config(model.phases, cfg);
@@ -361,9 +360,8 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
 
     SharedIncumbent* const inc = lns > 0 ? &incumbent : nullptr;
     if (total == 1) {
-        run_worker(build, cfgs[0], options, config.restart_policy, config.engine,
-                   config.profile, tracks[0], config.trace_rid, stop, shared, inc,
-                   slots[0]);
+        run_worker(build, cfgs[0], options, config.restart_policy, config.profile,
+                   tracks[0], config.trace_rid, stop, shared, inc, slots[0]);
         cp_active.store(0, std::memory_order_release);
     } else {
         std::vector<std::thread> threads;
@@ -371,7 +369,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
         for (int k = 0; k < n; ++k) {
             threads.emplace_back([&, k] {
                 run_worker(build, cfgs[static_cast<std::size_t>(k)], options,
-                           config.restart_policy, config.engine, config.profile,
+                           config.restart_policy, config.profile,
                            tracks[static_cast<std::size_t>(k)], config.trace_rid, stop,
                            shared, inc, slots[static_cast<std::size_t>(k)]);
                 cp_active.fetch_sub(1, std::memory_order_release);
@@ -434,7 +432,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
             config.trace != nullptr ? config.trace->main() : nullptr;
         obs::SpanScope replay_span(main_track, obs::TraceLevel::Phase,
                                    "canonical_replay");
-        Store store{config.engine};
+        Store store;
         if (config.profile) store.enable_profiling();
         const PostedModel model = build(store);
         if (model.objective.valid() && store.set_max(model.objective, best_obj)) {

@@ -103,11 +103,6 @@ struct SolverConfig {
     /// before any CP worker finds a first solution of its own.
     std::vector<int> lns_seed_assignment;
 
-    /// Propagation-engine feature toggles, applied to every worker store and
-    /// to the canonical-replay store. EngineConfig::legacy() reproduces the
-    /// pre-event-engine behavior for differential testing.
-    EngineConfig engine;
-
     /// Re-derive a proven-optimal parallel result with a deterministic
     /// bounded sequential pass so repeated runs return identical
     /// assignments, not just identical objectives.

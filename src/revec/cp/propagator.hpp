@@ -25,8 +25,7 @@ class Store;
 // -- modification events ----------------------------------------------------
 
 /// Bitmask of domain modification events. DOMAIN fires on *every* change,
-/// so subscribing kEventAll is exactly the legacy wake-on-any-change
-/// behavior; MIN/MAX/FIXED refine it.
+/// so subscribing kEventAll wakes on any change; MIN/MAX/FIXED refine it.
 using EventMask = std::uint32_t;
 
 inline constexpr EventMask kEventMin = 1u << 0;    ///< lower bound increased

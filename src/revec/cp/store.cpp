@@ -23,15 +23,30 @@ int clamp_value(std::int64_t v) {
     return static_cast<int>(v);
 }
 
-/// Approximate trailed payload bytes of a full domain snapshot: the record
-/// header plus any heap-resident interval or bitmap storage.
+/// Approximate trailed payload bytes of a full interval-domain snapshot:
+/// the record header plus any heap-resident interval storage.
 std::int64_t snapshot_bytes(const Domain& d) {
-    if (d.packed()) {
-        return 16 + static_cast<std::int64_t>(d.packed_words().size()) * 8;
-    }
     const auto n = static_cast<std::int64_t>(d.num_intervals());
     return 16 + (n > static_cast<std::int64_t>(Domain::kInlineIvs) ? n * 8 : 0);
 }
+
+/// Queue escalation tuning (see Store::pop_runnable). Ordinarily an episode
+/// (one propagate() call) drains in strict priority order — wakeups
+/// coalesce on the queued costlier propagators, which then run once against
+/// the settled cheap fixpoint. But an episode whose cheapest-first pop count
+/// reaches kEscalationPops while each popped propagator has run only ~once
+/// (pops*100 <= distinct propagators * kEscalationRerunPct) is creeping
+/// through a long spatial chain of one-shot bound nudges that one run of a
+/// waiting costlier propagator would collapse — or probing a doomed node
+/// only a global can refute. While that holds, after kStarvationLimit
+/// consecutive pops that bypassed a waiting costlier bucket, the costliest
+/// waiting bucket is interleaved once. A settle that keeps re-running the
+/// same few propagators (legitimate iterative convergence) fails the ratio
+/// test and drains strictly. Any drain order reaches the same fixpoint, so
+/// this only affects work, never the search tree.
+constexpr int kStarvationLimit = 1;
+constexpr std::int64_t kEscalationPops = 32;
+constexpr std::int64_t kEscalationRerunPct = 150;
 
 }  // namespace
 
@@ -122,7 +137,7 @@ IntVar Store::new_var(Domain dom, std::string name) {
     REVEC_EXPECTS(!dom.empty());
     REVEC_EXPECTS(level_ == 0);  // variables are created before search starts
     const auto idx = static_cast<std::int32_t>(doms_.size());
-    if (engine_.packed_domains) dom.enable_packing();
+    dom.enable_packing();
     doms_.push_back(std::move(dom));
     if (name.empty()) name = "_v" + std::to_string(idx);
     names_.push_back(std::move(name));
@@ -142,7 +157,7 @@ void Store::pre_mutate(std::size_t idx, bool pure_lo_clip, bool pure_hi_clip) {
     if (level_ == 0) return;  // root-level changes are permanent
     if (last_saved_level_[idx] == level_) return;  // full restore trailed
     const Domain& d = doms_[idx];
-    if (d.packed() && engine_.delta_trail) {
+    if (d.packed()) {
         record_trail_words(idx, d.packed_words());
         return;
     }
@@ -185,7 +200,7 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
     const auto var = static_cast<std::int32_t>(idx);
     ++stats_.trail_saves;
 
-    if (engine_.delta_trail && !d.packed() && d.is_range()) {
+    if (d.is_range()) {
         // Hole-free pre-state: a 16-byte record reinstates it wholesale,
         // whatever the mutation does — this is the dominant case and it
         // also marks the variable fully saved for this level.
@@ -195,7 +210,7 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
         stats_.trail_bytes += 12;
         return;
     }
-    if (engine_.delta_trail && !d.packed() && (pure_lo_clip || pure_hi_clip)) {
+    if (pure_lo_clip || pure_hi_clip) {
         // Bound clip of a hole-carrying domain: the clipped end interval
         // survives, so restoring its old bound undoes the mutation.
         const auto kind = pure_lo_clip ? TrailEntry::Kind::Min : TrailEntry::Kind::Max;
@@ -209,8 +224,7 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
         stats_.trail_bytes += 8;
         return;
     }
-    // Hole structure changes (or legacy mode, including packed domains when
-    // the delta trail is off): full snapshot.
+    // Hole structure changes: full snapshot.
     trail_.push_back({TrailEntry::Kind::Snapshot, var, 0, 0, last_saved_level_[idx], d});
     last_saved_level_[idx] = level_;
     ++stats_.trail_snapshots;
@@ -236,10 +250,8 @@ void Store::on_change(std::size_t idx, int old_min, int old_max, bool was_fixed)
     for (int k = 0; k < kNumEventKinds; ++k) {
         if (fired & (1u << k)) ++stats_.events[static_cast<std::size_t>(k)];
     }
-    // Legacy engines wake every watcher on any change.
-    const EventMask effective = engine_.event_masks ? fired : kEventAll;
     for (const Watcher& w : watchers_[idx]) {
-        if ((w.mask & effective) == 0) {
+        if ((w.mask & fired) == 0) {
             ++stats_.wakeups_filtered;
             continue;
         }
@@ -250,16 +262,16 @@ void Store::on_change(std::size_t idx, int old_min, int old_max, bool was_fixed)
 
 void Store::schedule(int prop_id) {
     const auto p = static_cast<std::size_t>(prop_id);
-    if (engine_.idempotence && prop_id == running_ && prop_idem_[p] != 0) {
+    if (prop_id == running_ && prop_idem_[p] != 0) {
         ++stats_.self_wakeups_suppressed;
         return;
     }
     if (queued_[p]) return;
     queued_[p] = 1;
-    const int bucket = engine_.priority_queue ? prop_bucket_[p] : 0;
-    queue_[static_cast<std::size_t>(bucket)].push(prop_id);
+    const std::uint8_t bucket = prop_bucket_[p];
+    queue_[bucket].push(prop_id);
     ++queued_count_;
-    ++stats_.queue_pushes[static_cast<std::size_t>(bucket)];
+    ++stats_.queue_pushes[bucket];
     stats_.max_queue_depth =
         std::max(stats_.max_queue_depth, static_cast<std::int64_t>(queued_count_));
 }
@@ -277,15 +289,13 @@ int Store::pop_runnable() {
     // order (waking watchers coalesce while a costlier propagator waits)
     // unless chain-creep detection currently holds — a long episode of
     // one-shot pops — in which case the costliest waiting bucket is
-    // interleaved every starvation_limit pops (see
-    // EngineConfig::starvation_limit).
+    // interleaved every kStarvationLimit pops.
     int pick = cheapest;
-    const bool creeping =
-        engine_.starvation_limit > 0 && organic_pops_ >= engine_.escalation_pops &&
-        organic_pops_ * 100 <= episode_distinct_ * engine_.escalation_rerun_pct;
+    const bool creeping = organic_pops_ >= kEscalationPops &&
+                          organic_pops_ * 100 <= episode_distinct_ * kEscalationRerunPct;
     if (cheapest == costliest) {
         cheap_streak_ = 0;
-    } else if (creeping && cheap_streak_ >= engine_.starvation_limit) {
+    } else if (creeping && cheap_streak_ >= kStarvationLimit) {
         cheap_streak_ = 0;
         pick = costliest;
         ++stats_.starvation_runs;
@@ -409,7 +419,7 @@ bool Store::intersect(IntVar x, const Domain& nd) {
     if (failed_) return false;
     const std::size_t i = check(x);
     Domain& d = doms_[i];
-    if (d.packed() && engine_.delta_trail) {
+    if (d.packed()) {
         // In-place path: no pre-mutation Domain copy. Whether the intersect
         // changes anything is only known afterwards, so the bitmap is
         // captured into scratch first and trailed only on change — a no-op
@@ -492,7 +502,7 @@ bool Store::propagate() {
             const std::int64_t changes_before = stats_.domain_changes;
             const auto t0 = std::chrono::steady_clock::now();
             ok = props_[static_cast<std::size_t>(id)]->propagate(*this);
-            pc.time_us += std::chrono::duration_cast<std::chrono::microseconds>(
+            pc.time_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
             ++pc.runs;
@@ -521,7 +531,8 @@ void Store::enable_profiling() {
 
 std::vector<PropProfile> Store::profile_by_class() const {
     // Aggregate per-id counters by class name; std::map keys give the
-    // sorted-by-class output order directly.
+    // sorted-by-class output order directly. time_us sums nanoseconds until
+    // the single conversion below, so sub-microsecond runs still add up.
     std::map<std::string_view, PropProfile> by_class;
     for (std::size_t id = 0; id < prof_.size(); ++id) {
         const PropCounters& pc = prof_[id];
@@ -531,11 +542,14 @@ std::vector<PropProfile> Store::profile_by_class() const {
         agg.runs += pc.runs;
         agg.domain_changes += pc.domain_changes;
         agg.failures += pc.failures;
-        agg.time_us += pc.time_us;
+        agg.time_us += pc.time_ns;
     }
     std::vector<PropProfile> out;
     out.reserve(by_class.size());
-    for (const auto& [cls, p] : by_class) out.push_back(p);
+    for (auto& [cls, p] : by_class) {
+        p.time_us /= 1000;
+        out.push_back(p);
+    }
     return out;
 }
 

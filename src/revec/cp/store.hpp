@@ -8,11 +8,11 @@
 //  * the runnable queue is bucketed by propagator priority and drained
 //    cheapest-first, with self-wakeups suppressed for propagators that
 //    declare idempotence;
-//  * the trail records compact bound-change deltas — a full domain
-//    snapshot is taken only when a hole-carrying domain changes shape.
-// All three mechanisms are fixpoint-preserving, so the search tree is
-// identical to the legacy flat-FIFO/full-snapshot engine (EngineConfig
-// can re-enable the legacy behaviors for differential testing).
+//  * the trail records compact bound-change deltas and packed-bitmap word
+//    diffs — a full domain snapshot is taken only when an
+//    interval-represented holed domain changes hole structure.
+// All three mechanisms are fixpoint-preserving; golden search counters in
+// the tests pin the resulting search trees.
 #pragma once
 
 #include <array>
@@ -32,42 +32,6 @@ class MetricsRegistry;
 }  // namespace revec::obs
 
 namespace revec::cp {
-
-/// Engine feature toggles. Defaults are the event-driven engine; legacy()
-/// reproduces the original engine (wake on any change, single FIFO, full
-/// domain snapshots) for node-parity differential tests and benchmarks.
-struct EngineConfig {
-    bool event_masks = true;      ///< filter wakeups by subscription mask
-    bool priority_queue = true;   ///< bucket the queue by Propagator::priority()
-    bool idempotence = true;      ///< suppress self-wakeups of idempotent props
-    bool delta_trail = true;      ///< trail bound deltas instead of snapshots
-    bool packed_domains = true;   ///< word-packed bitmaps for hole-rich domains
-
-    /// Starvation bound for chain-creep propagation episodes. Ordinarily
-    /// an episode (one propagate() call) drains in strict priority order —
-    /// wakeups coalesce on the queued costlier propagators, which then run
-    /// once against the settled cheap fixpoint. But an episode whose
-    /// cheapest-first pop count reaches escalation_pops while each popped
-    /// propagator has run only ~once (pops*100 <= distinct propagators *
-    /// escalation_rerun_pct) is creeping through a long spatial chain of
-    /// one-shot bound nudges that one run of a waiting costlier propagator
-    /// would collapse — or probing a doomed node only a global can refute.
-    /// While that holds, after starvation_limit consecutive pops that
-    /// bypassed a waiting costlier bucket, the costliest waiting bucket is
-    /// interleaved once. A settle that keeps re-running the same few
-    /// propagators (legitimate iterative convergence) fails the ratio test
-    /// and drains strictly. Any drain order reaches the same fixpoint, so
-    /// this only affects work, never the search tree. starvation_limit 0 =
-    /// always strict cheapest-first.
-    int starvation_limit = 1;
-    int escalation_pops = 32;
-    int escalation_rerun_pct = 150;
-
-    static EngineConfig legacy() {
-        return {.event_masks = false, .priority_queue = false, .idempotence = false,
-                .delta_trail = false, .packed_domains = false};
-    }
-};
 
 /// Counters describing the work a store (and the search on top of it) did.
 struct PropagationStats {
@@ -125,11 +89,8 @@ void export_prop_profile_metrics(const std::vector<PropProfile>& profiles,
 class Store {
 public:
     Store() = default;
-    explicit Store(const EngineConfig& engine) : engine_(engine) {}
     Store(const Store&) = delete;
     Store& operator=(const Store&) = delete;
-
-    const EngineConfig& engine() const { return engine_; }
 
     // -- variables -----------------------------------------------------------
     IntVar new_var(int lo, int hi, std::string name = {});
@@ -245,10 +206,10 @@ private:
 
     /// One trail record. Bound deltas and word diffs are 16-byte payloads;
     /// Snapshot carries a full pre-mutation Domain (taken only when an
-    /// interval-represented domain changes hole structure, or in legacy
-    /// mode). Packed domains never take the Min/Max/Bounds paths: their
-    /// per-level record stream is word diffs only, so reverse replay never
-    /// mixes bitmap restores with interval-storage restores.
+    /// interval-represented domain changes hole structure). Packed domains
+    /// never take the Min/Max/Bounds/Snapshot paths: their per-level record
+    /// stream is word diffs only, so reverse replay never mixes bitmap
+    /// restores with interval-storage restores.
     struct TrailEntry {
         enum class Kind : std::uint8_t {
             Min,       ///< undo a pure lower-bound clip; a = old min
@@ -293,8 +254,6 @@ private:
             head = 0;
         }
     };
-
-    EngineConfig engine_;
 
     std::vector<Domain> doms_;
     std::vector<std::string> names_;
@@ -341,7 +300,7 @@ private:
         std::int64_t runs = 0;
         std::int64_t domain_changes = 0;
         std::int64_t failures = 0;
-        std::int64_t time_us = 0;
+        std::int64_t time_ns = 0;  ///< converted to time_us once, on read
     };
     bool profile_ = false;
     std::vector<PropCounters> prof_;

@@ -90,7 +90,7 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
     lo.modulo = model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget};
     const model::KernelModel km = model::lower_ir(spec, g, lo);
 
-    cp::Store store{solver.engine};
+    cp::Store store;
     const model::VarTable m = model::emit_cp(store, km);
 
     IiAttempt attempt;

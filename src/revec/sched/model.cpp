@@ -253,7 +253,7 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     // store for the sequential path. Portfolio workers re-emit the same
     // model into their own stores through the builder hook (emission is
     // deterministic, so any table's handles index any worker's solution).
-    cp::Store store{options.solver.engine};
+    cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
     const model::VarTable m = model::emit_cp(store, *km);
     obs::span_end(trace, obs::TraceLevel::Phase, "emit_cp", "vars",

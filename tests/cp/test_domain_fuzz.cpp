@@ -297,47 +297,34 @@ TEST(DomainFuzz, TrailUnwindsRepresentationConversion) {
     EXPECT_TRUE(s.dom(x) == root);
 }
 
-// Word diffs must beat snapshots on hole-churning workloads: same mutation
-// sequence, strictly fewer trail bytes than the interval-representation
-// delta trail, which in turn beats legacy snapshots.
+// Hole churn on packed domains trails one 16-byte word record per nonzero
+// bitmap word at first touch per level, and nothing after. The golden
+// 9 008 bytes are 3.7x less than the same churn cost on interval domains
+// (32 912) or full snapshots (32 928) when those were still selectable.
+// Unwinding every level must restore the root domain.
 TEST(DomainFuzz, WordDiffTrailShrinksTrailBytes) {
-    EngineConfig icfg;
-    icfg.packed_domains = false;
     Store packed;
-    Store interval{icfg};
-    Store legacy{EngineConfig::legacy()};
     std::vector<IntVar> xs;
-    for (int i = 0; i < 4; ++i) {
-        xs.push_back(packed.new_var(0, 300));
-        interval.new_var(0, 300);
-        legacy.new_var(0, 300);
-    }
+    for (int i = 0; i < 4; ++i) xs.push_back(packed.new_var(0, 300));
+    const Domain root = packed.dom(xs[0]);
 
     std::mt19937 rng(7);
     for (int round = 0; round < 30; ++round) {
         packed.push_level();
-        interval.push_level();
-        legacy.push_level();
         for (int k = 0; k < 20; ++k) {
             const IntVar x = xs[rng() % xs.size()];
             const int at = 3 + static_cast<int>(rng() % 290);
             ASSERT_TRUE(packed.remove_range(x, at, at + 1));
-            ASSERT_TRUE(interval.remove_range(x, at, at + 1));
-            ASSERT_TRUE(legacy.remove_range(x, at, at + 1));
         }
     }
-    for (int round = 0; round < 30; ++round) {
-        packed.pop_level();
-        interval.pop_level();
-        legacy.pop_level();
-    }
+    for (int round = 0; round < 30; ++round) packed.pop_level();
     for (const IntVar x : xs) {
-        EXPECT_TRUE(packed.dom(x) == legacy.dom(x));
+        EXPECT_TRUE(packed.dom(x) == root);
         EXPECT_EQ(packed.size(x), 301);
     }
-    EXPECT_GT(packed.stats().trail_word_diffs, 0);
-    EXPECT_LT(packed.stats().trail_bytes, interval.stats().trail_bytes);
-    EXPECT_LT(interval.stats().trail_bytes, legacy.stats().trail_bytes);
+    EXPECT_EQ(packed.stats().trail_snapshots, 0);
+    EXPECT_EQ(packed.stats().trail_word_diffs, 560);
+    EXPECT_EQ(packed.stats().trail_bytes, 9008);
 }
 
 }  // namespace

@@ -238,7 +238,7 @@ TEST(Store, BoundQueriesOnFailedVarThrow) {
 // rebuild mutations, whose snapshot/bounds records restore representation
 // wholesale and unwind LIFO before the clip records replay.
 TEST(Store, WideHoledDomainClipIntoPackedBudgetRestores) {
-    Store s;  // default engine: packed domains + delta trail on
+    Store s;
     const IntVar x = s.new_var(0, 7000);
     ASSERT_TRUE(s.remove_range(x, 6001, 6499));  // root: {0..6000, 6500..7000}
     const Domain root = s.dom(x);
@@ -266,6 +266,35 @@ TEST(Store, WideHoledDomainClipIntoPackedBudgetRestores) {
     EXPECT_EQ(s.min(x), 0);
     EXPECT_EQ(s.max(x), 7000);
     EXPECT_EQ(s.size(x), 6502);
+}
+
+// A propagator that prunes nothing: each run takes well under a
+// microsecond, so per-run truncation to whole microseconds would report no
+// time at all however often it ran.
+class Noop final : public Propagator {
+public:
+    bool propagate(Store&) override { return true; }
+    std::string describe() const override { return "noop"; }
+    const char* class_name() const override { return "Noop"; }
+};
+
+TEST(Store, ProfileCountsSubMicrosecondRuns) {
+    Store s;
+    s.enable_profiling();
+    const IntVar x = s.new_var(0, 1);
+    s.post(std::make_unique<Noop>(), {x});
+    ASSERT_TRUE(s.propagate());
+    for (int i = 0; i < 10000; ++i) {
+        s.push_level();
+        ASSERT_TRUE(s.set_min(x, 1));
+        ASSERT_TRUE(s.propagate());
+        s.pop_level();
+    }
+    const std::vector<PropProfile> prof = s.profile_by_class();
+    ASSERT_EQ(prof.size(), 1u);
+    EXPECT_STREQ(prof[0].cls, "Noop");
+    EXPECT_EQ(prof[0].runs, 10001);
+    EXPECT_GT(prof[0].time_us, 0);
 }
 
 }  // namespace

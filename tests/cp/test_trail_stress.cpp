@@ -1,10 +1,10 @@
 // Trail stress test: deeply nested push/pop with randomized mixed
-// mutations (bound clips, hole punches, assignments, intersections) must
-// restore every domain bit-exactly at every level, under the word-diff
-// trail over packed domains, the delta trail over interval domains, and
-// the legacy full-snapshot trail. The three engines are run in lockstep on
-// the same mutation sequence and must agree on every intermediate domain
-// and on every mutation's success flag.
+// mutations (bound clips, hole punches, assignments) must restore every
+// domain bit-exactly at every level. The oracle is independent of the
+// trail: a deep copy of every domain taken when each level is opened.
+// Narrow domains pack, so the main walk exercises the word-diff trail; the
+// wide-span walk keeps holed domains beyond the packed budget, which is
+// the only way to reach the interval Min/Max/Snapshot records.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -39,6 +39,16 @@ void expect_equal(const Store& s, const std::vector<Domain>& want, unsigned seed
     }
 }
 
+/// Pop `levels` levels, checking each restore against its checkpoint.
+void unwind(Store& s, std::vector<std::vector<Domain>>& checkpoints, int levels,
+            unsigned seed) {
+    for (int k = 0; k < levels; ++k) {
+        s.pop_level();
+        expect_equal(s, checkpoints.back(), seed);
+        checkpoints.pop_back();
+    }
+}
+
 class TrailStress : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
@@ -48,167 +58,168 @@ TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
         return lo + static_cast<int>(rng() % static_cast<unsigned>(hi - lo + 1));
     };
 
-    // Three stores driven in lockstep: word-diff trail over packed domains
-    // (default engine), delta trail over interval domains, and legacy full
-    // snapshots. Domain comparisons are semantic, so the packed store is
-    // checked value-for-value against the interval checkpoints.
-    Store delta;  // default engine: packed domains + word-diff trail
-    EngineConfig icfg;
-    icfg.packed_domains = false;
-    Store interval{icfg};
-    Store legacy{EngineConfig::legacy()};
+    Store s;
     std::vector<IntVar> xs;
     for (int i = 0; i < kNumVars; ++i) {
         if (rng() % 2 == 0) {
             const int lo = pick(kLo, kHi);
             const int hi = pick(lo, kHi);
-            xs.push_back(delta.new_var(lo, hi));
-            interval.new_var(lo, hi);
-            legacy.new_var(lo, hi);
+            xs.push_back(s.new_var(lo, hi));
         } else {
             std::vector<int> values;
             const int n = pick(1, 20);
             for (int k = 0; k < n; ++k) values.push_back(pick(kLo, kHi));
-            xs.push_back(delta.new_var(Domain::of_values(values)));
-            interval.new_var(Domain::of_values(values));
-            legacy.new_var(Domain::of_values(values));
+            xs.push_back(s.new_var(Domain::of_values(values)));
         }
     }
 
     // checkpoints[d] is the full domain state when level d was opened.
     std::vector<std::vector<Domain>> checkpoints;
-    int depth = 0;
 
     for (int step = 0; step < 300; ++step) {
         const unsigned action = rng() % 10;
+        const int depth = static_cast<int>(checkpoints.size());
         if (action < 4 && depth < 40) {  // push
-            checkpoints.push_back(snapshot(interval));
-            delta.push_level();
-            interval.push_level();
-            legacy.push_level();
-            ++depth;
+            checkpoints.push_back(snapshot(s));
+            s.push_level();
         } else if (action < 6 && depth > 0) {  // pop (sometimes several)
-            const int pops = pick(1, depth);
-            for (int k = 0; k < pops; ++k) {
-                delta.pop_level();
-                interval.pop_level();
-                legacy.pop_level();
-                expect_equal(delta, checkpoints.back(), seed);
-                expect_equal(interval, checkpoints.back(), seed);
-                expect_equal(legacy, checkpoints.back(), seed);
-                checkpoints.pop_back();
-                --depth;
-            }
-        } else {  // mutate (identically in both stores)
+            unwind(s, checkpoints, pick(1, depth), seed);
+        } else {  // mutate
             const IntVar x = xs[static_cast<std::size_t>(pick(0, kNumVars - 1))];
-            if (delta.dom(x).empty()) continue;  // a failed mutation emptied it
-            bool ok_delta = true;
-            bool ok_interval = true;
-            bool ok_legacy = true;
+            if (s.dom(x).empty()) continue;  // a failed mutation emptied it
+            bool ok = true;
             switch (rng() % 5) {
-                case 0: {
-                    const int v = pick(kLo - 1, kHi + 1);
-                    ok_delta = delta.set_min(x, v);
-                    ok_interval = interval.set_min(x, v);
-                    ok_legacy = legacy.set_min(x, v);
+                case 0:
+                    ok = s.set_min(x, pick(kLo - 1, kHi + 1));
                     break;
-                }
-                case 1: {
-                    const int v = pick(kLo - 1, kHi + 1);
-                    ok_delta = delta.set_max(x, v);
-                    ok_interval = interval.set_max(x, v);
-                    ok_legacy = legacy.set_max(x, v);
+                case 1:
+                    ok = s.set_max(x, pick(kLo - 1, kHi + 1));
                     break;
-                }
-                case 2: {
-                    const int v = pick(kLo, kHi);
-                    ok_delta = delta.remove(x, v);
-                    ok_interval = interval.remove(x, v);
-                    ok_legacy = legacy.remove(x, v);
+                case 2:
+                    ok = s.remove(x, pick(kLo, kHi));
                     break;
-                }
                 case 3: {
                     const int lo = pick(kLo, kHi);
-                    const int hi = pick(lo, kHi);
-                    ok_delta = delta.remove_range(x, lo, hi);
-                    ok_interval = interval.remove_range(x, lo, hi);
-                    ok_legacy = legacy.remove_range(x, lo, hi);
+                    ok = s.remove_range(x, lo, pick(lo, kHi));
                     break;
                 }
                 default: {
-                    const Domain& d = delta.dom(x);
+                    const Domain& d = s.dom(x);
                     const int v = pick(d.min(), d.max());
                     if (!d.contains(v)) continue;
-                    ok_delta = delta.assign(x, v);
-                    ok_interval = interval.assign(x, v);
-                    ok_legacy = legacy.assign(x, v);
+                    ok = s.assign(x, v);
                     break;
                 }
             }
-            ASSERT_EQ(ok_delta, ok_legacy) << "seed " << seed << " step " << step;
-            ASSERT_EQ(ok_delta, ok_interval) << "seed " << seed << " step " << step;
-            expect_equal(legacy, snapshot(interval), seed);
-            expect_equal(delta, snapshot(interval), seed);
-            if (!ok_delta) {
+            if (!ok) {
                 // A failure poisons the store until the level unwinds; pop
                 // everything and verify the full restore, then stop.
-                while (depth > 0) {
-                    delta.pop_level();
-                    interval.pop_level();
-                    legacy.pop_level();
-                    expect_equal(delta, checkpoints.back(), seed);
-                    expect_equal(interval, checkpoints.back(), seed);
-                    expect_equal(legacy, checkpoints.back(), seed);
-                    checkpoints.pop_back();
-                    --depth;
-                }
+                unwind(s, checkpoints, depth, seed);
                 return;
             }
         }
     }
 
     // Unwind whatever is left.
-    while (depth > 0) {
-        delta.pop_level();
-        interval.pop_level();
-        legacy.pop_level();
-        expect_equal(delta, checkpoints.back(), seed);
-        expect_equal(interval, checkpoints.back(), seed);
-        expect_equal(legacy, checkpoints.back(), seed);
-        checkpoints.pop_back();
-        --depth;
-    }
+    unwind(s, checkpoints, static_cast<int>(checkpoints.size()), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWalks, TrailStress, ::testing::Range(0u, 80u));
 
-// The delta trail must spend far fewer snapshot bytes than the legacy
-// trail on a pure bound-tightening workload (the search's dominant case).
+// Holed domains whose span exceeds the packed budget (64 x 64 values) stay
+// interval-represented, so their mutations trail Bounds, Min/Max clip and
+// Snapshot records. The walk keeps every span above the budget (clips
+// stay within 2000 of each end of a 16001-value range), so no domain ever
+// packs, and checks every restore against the checkpoints.
+TEST(TrailStress, WideSpanWalkRestoresIntervalRecords) {
+    constexpr int kWide = 8000;
+    constexpr int kClip = 2000;
+    std::int64_t snapshots = 0;
+    for (unsigned seed = 0; seed < 20; ++seed) {
+        std::mt19937 rng(seed);
+        const auto pick = [&](int lo, int hi) {
+            return lo + static_cast<int>(rng() % static_cast<unsigned>(hi - lo + 1));
+        };
+
+        Store s;
+        std::vector<IntVar> xs;
+        for (int i = 0; i < kNumVars; ++i) {
+            xs.push_back(s.new_var(-kWide, kWide));
+            // Root-level holes are permanent and need no trail.
+            for (int h = pick(0, 3); h > 0; --h) {
+                const int lo = pick(-kWide + kClip + 1, kWide - kClip - 100);
+                ASSERT_TRUE(s.remove_range(xs.back(), lo, lo + pick(0, 50)));
+            }
+        }
+
+        std::vector<std::vector<Domain>> checkpoints;
+        for (int step = 0; step < 300; ++step) {
+            const unsigned action = rng() % 10;
+            const int depth = static_cast<int>(checkpoints.size());
+            if (action < 4 && depth < 40) {
+                checkpoints.push_back(snapshot(s));
+                s.push_level();
+            } else if (action < 6 && depth > 0) {
+                unwind(s, checkpoints, pick(1, depth), seed);
+            } else {
+                const IntVar x = xs[static_cast<std::size_t>(pick(0, kNumVars - 1))];
+                if (s.fixed(x)) continue;
+                bool ok = true;
+                switch (rng() % 10) {
+                    case 0:
+                    case 1:
+                        ok = s.set_min(x, pick(-kWide, -kWide + kClip));
+                        break;
+                    case 2:
+                    case 3:
+                        ok = s.set_max(x, pick(kWide - kClip, kWide));
+                        break;
+                    case 4:
+                    case 5:
+                        ok = s.remove(x, pick(-kWide, kWide));
+                        break;
+                    case 6:
+                    case 7:
+                    case 8: {
+                        const int lo = pick(-kWide, kWide);
+                        ok = s.remove_range(x, lo, lo + pick(0, 50));
+                        break;
+                    }
+                    default: {
+                        const int v = pick(s.min(x), s.max(x));
+                        if (!s.dom(x).contains(v)) continue;
+                        ok = s.assign(x, v);
+                        break;
+                    }
+                }
+                ASSERT_TRUE(ok) << "seed " << seed << " step " << step;
+            }
+        }
+        unwind(s, checkpoints, static_cast<int>(checkpoints.size()), seed);
+        EXPECT_EQ(s.stats().packed_converts, 0) << "seed " << seed;
+        snapshots += s.stats().trail_snapshots;
+    }
+    EXPECT_GT(snapshots, 0);
+}
+
+// Pure bound tightening (the search's dominant case) trails one 12-byte
+// Bounds record per level and never a snapshot.
 TEST(TrailStress, DeltaTrailAvoidsSnapshotsOnBoundClips) {
     Store delta;
-    Store legacy{EngineConfig::legacy()};
     const IntVar a = delta.new_var(0, 1000);
-    legacy.new_var(0, 1000);
 
     for (int lvl = 0; lvl < 50; ++lvl) {
         delta.push_level();
-        legacy.push_level();
         ASSERT_TRUE(delta.set_min(a, 2 * lvl + 1));
-        ASSERT_TRUE(legacy.set_min(a, 2 * lvl + 1));
         ASSERT_TRUE(delta.set_max(a, 1000 - 2 * lvl));
-        ASSERT_TRUE(legacy.set_max(a, 1000 - 2 * lvl));
     }
     EXPECT_EQ(delta.stats().trail_snapshots, 0);
-    EXPECT_GT(legacy.stats().trail_snapshots, 0);
-    EXPECT_LT(delta.stats().trail_bytes, legacy.stats().trail_bytes);
+    EXPECT_EQ(delta.stats().trail_bytes, 600);
 
-    for (int lvl = 0; lvl < 50; ++lvl) {
-        delta.pop_level();
-        legacy.pop_level();
-    }
+    for (int lvl = 0; lvl < 50; ++lvl) delta.pop_level();
     EXPECT_EQ(delta.min(a), 0);
     EXPECT_EQ(delta.max(a), 1000);
-    EXPECT_TRUE(delta.dom(a) == legacy.dom(a));
+    EXPECT_TRUE(delta.dom(a) == Domain(0, 1000));
 }
 
 }  // namespace

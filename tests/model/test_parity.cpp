@@ -76,7 +76,7 @@ TEST_P(FlatNodeParity, ReplaysLegacySearchTree) {
     options.memory_allocation = c.memory;
     options.three_phase_search = c.three_phase;
 
-    cp::Store old_store{options.solver.engine};
+    cp::Store old_store;
     const legacy::BuiltModel old_model =
         legacy::build_model(old_store, g, options, num_slots, horizon);
     const cp::SolveResult old_result =
@@ -87,7 +87,7 @@ TEST_P(FlatNodeParity, ReplaysLegacySearchTree) {
     lo.horizon = horizon;
     lo.memory_allocation = c.memory;
     lo.three_phase_search = c.three_phase;
-    cp::Store new_store{options.solver.engine};
+    cp::Store new_store;
     const KernelModel km = lower_ir(kSpec, g, lo);
     const VarTable new_model = emit_cp(new_store, km);
     const cp::SolveResult new_result =
@@ -147,6 +147,10 @@ struct ModuloCase {
     int budget;     // reconfig budget when minimizing
     const char* tag;
 };
+
+void PrintTo(const ModuloCase& c, std::ostream* os) {
+    *os << c.kernel << "_" << c.tag;
+}
 
 class ModuloNodeParity : public ::testing::TestWithParam<ModuloCase> {};
 

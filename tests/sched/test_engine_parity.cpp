@@ -1,12 +1,14 @@
-// Node-parity acceptance suite for the event-driven propagation engine at
-// the application level: scheduling the paper kernels (matmul from Listing
-// 1 / Table 1, QRD §4.1, ARF) and the modulo pipeliner must explore the
-// identical search tree — same node and failure counts, same optimum, same
-// assignment — whether the CP store runs the legacy flat-FIFO/full-snapshot
-// engine or the event/priority/delta-trail engine.
+// Search-tree golden suite for the propagation engine at the application
+// level: scheduling the paper kernels (matmul from Listing 1 / Table 1,
+// QRD §4.1, ARF) and the modulo pipeliner must explore exactly the tree
+// recorded below — same node, failure and solution counts, same optimum —
+// and return verify-clean schedules. The counts were recorded while the
+// original wake-on-any-change, single-FIFO, full-snapshot engine still
+// existed and a differential test proved it explored the identical trees.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
@@ -29,76 +31,71 @@ ir::Graph kernel_by_name(const std::string& name) {
     throw revec::Error("unknown kernel " + name);
 }
 
-class EngineParity : public ::testing::TestWithParam<const char*> {};
+/// One recorded proof.
+struct GoldenProof {
+    const char* kernel;
+    std::int64_t nodes;
+    std::int64_t failures;
+    std::int64_t solutions;
+    int makespan;
+};
 
-TEST_P(EngineParity, ScheduleKernelIsNodeIdenticalAcrossEngines) {
-    const ir::Graph g = kernel_by_name(GetParam());
+void PrintTo(const GoldenProof& c, std::ostream* os) { *os << '"' << c.kernel << '"'; }
 
-    ScheduleOptions legacy;
-    legacy.timeout_ms = 60000;
-    legacy.solver.engine = cp::EngineConfig::legacy();
-    const Schedule ls = schedule_kernel(g, legacy);
-    ASSERT_TRUE(ls.proven_optimal()) << GetParam();
-
-    ScheduleOptions event = legacy;
-    event.solver.engine = cp::EngineConfig{};
-    const Schedule es = schedule_kernel(g, event);
-    ASSERT_TRUE(es.proven_optimal()) << GetParam();
-
-    EXPECT_EQ(es.makespan, ls.makespan) << GetParam();
-    EXPECT_EQ(es.stats.nodes, ls.stats.nodes) << GetParam();
-    EXPECT_EQ(es.stats.failures, ls.stats.failures) << GetParam();
-    EXPECT_EQ(es.stats.solutions, ls.stats.solutions) << GetParam();
-    EXPECT_EQ(es.start, ls.start) << GetParam();
-    EXPECT_EQ(es.slot, ls.slot) << GetParam();
-    EXPECT_TRUE(verify_schedule(kSpec, g, es).empty()) << GetParam();
+/// Schedule `g` under `options` and check the proof against `want`.
+void expect_golden(const ir::Graph& g, const ScheduleOptions& options,
+                   const GoldenProof& want) {
+    SCOPED_TRACE(want.kernel);
+    const Schedule s = schedule_kernel(g, options);
+    ASSERT_TRUE(s.proven_optimal());
+    EXPECT_EQ(s.makespan, want.makespan);
+    EXPECT_EQ(s.stats.nodes, want.nodes);
+    EXPECT_EQ(s.stats.failures, want.failures);
+    EXPECT_EQ(s.stats.solutions, want.solutions);
+    EXPECT_TRUE(verify_schedule(kSpec, g, s).empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, EngineParity, ::testing::Values("matmul", "qrd", "arf"));
+class EngineParity : public ::testing::TestWithParam<GoldenProof> {};
+
+TEST_P(EngineParity, ScheduleKernelIsNodeIdenticalAcrossEngines) {
+    ScheduleOptions options;
+    options.timeout_ms = 60000;
+    expect_golden(kernel_by_name(GetParam().kernel), options, GetParam());
+}
+
+// Warm-started: the heuristic incumbent prunes these trees heavily.
+INSTANTIATE_TEST_SUITE_P(Kernels, EngineParity,
+                         ::testing::Values(GoldenProof{"matmul", 25168, 12585, 0, 11},
+                                           GoldenProof{"qrd", 2, 2, 0, 142},
+                                           GoldenProof{"arf", 2, 2, 0, 57}));
 
 TEST(EngineParity, ColdSearchIsNodeIdenticalToo) {
-    // Without the heuristic warm start the exact search runs the full tree;
-    // parity must hold there as well (the warm-started trees above are
-    // heavily incumbent-pruned).
-    const ir::Graph g = kernel_by_name("matmul");
-
-    ScheduleOptions legacy;
-    legacy.timeout_ms = 60000;
-    legacy.warm_start = false;
-    legacy.solver.engine = cp::EngineConfig::legacy();
-    const Schedule ls = schedule_kernel(g, legacy);
-    ASSERT_TRUE(ls.proven_optimal());
-
-    ScheduleOptions event = legacy;
-    event.solver.engine = cp::EngineConfig{};
-    const Schedule es = schedule_kernel(g, event);
-    ASSERT_TRUE(es.proven_optimal());
-
-    EXPECT_EQ(es.makespan, ls.makespan);
-    EXPECT_EQ(es.stats.nodes, ls.stats.nodes);
-    EXPECT_EQ(es.stats.failures, ls.stats.failures);
-    EXPECT_EQ(es.start, ls.start);
-    EXPECT_EQ(es.slot, ls.slot);
+    // Without the heuristic warm start the exact search runs the full tree.
+    ScheduleOptions options;
+    options.timeout_ms = 60000;
+    options.warm_start = false;
+    expect_golden(kernel_by_name("matmul"), options, {"matmul", 25208, 12605, 1, 11});
 }
 
 TEST(EngineParity, ModuloPipelinerIsNodeIdenticalAcrossEngines) {
-    const ir::Graph g = kernel_by_name("arf");
-
-    pipeline::ModuloOptions legacy;
-    legacy.solver.engine = cp::EngineConfig::legacy();
-    const pipeline::ModuloResult lr = pipeline::modulo_schedule(g, legacy);
-    ASSERT_TRUE(lr.feasible());
-
-    pipeline::ModuloOptions event;
-    event.solver.engine = cp::EngineConfig{};
-    const pipeline::ModuloResult er = pipeline::modulo_schedule(g, event);
-    ASSERT_TRUE(er.feasible());
-
-    EXPECT_EQ(er.initial_ii, lr.initial_ii);
-    EXPECT_EQ(er.actual_ii, lr.actual_ii);
-    EXPECT_EQ(er.reconfigs, lr.reconfigs);
-    EXPECT_EQ(er.residue, lr.residue);
-    EXPECT_EQ(er.stage, lr.stage);
+    const pipeline::ModuloResult r =
+        pipeline::modulo_schedule(kernel_by_name("arf"), pipeline::ModuloOptions{});
+    ASSERT_TRUE(r.feasible());
+    EXPECT_EQ(r.initial_ii, 7);
+    EXPECT_EQ(r.actual_ii, 13);
+    EXPECT_EQ(r.reconfigs, 6);
+    const std::vector<int> residue = {
+        -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 1, -1, -1,
+        -1, 1, -1, -1, -1, 1, -1, -1, -1, 1, -1, 2, -1, 2, -1, 2, -1, 2, -1, -1, 3, -1,
+        -1, 3, -1, -1, 3, -1, -1, 3, -1, -1, 4, -1, -1, 4, -1, -1, 4, -1, -1, 4, -1, 5,
+        -1, 5, -1, -1, 6, -1, -1, 6, -1, -1, 5, -1, -1, 5, -1, -1, 6, -1, -1, 6, -1};
+    const std::vector<int> stage = {
+        -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, -1,
+        -1, 0, -1, -1, -1, 0, -1, -1, -1, 0, -1, 1, -1, 1, -1, 1, -1, 1, -1, -1, 2, -1,
+        -1, 2, -1, -1, 2, -1, -1, 2, -1, -1, 3, -1, -1, 3, -1, -1, 3, -1, -1, 3, -1, 4,
+        -1, 4, -1, -1, 5, -1, -1, 5, -1, -1, 7, -1, -1, 7, -1, -1, 8, -1, -1, 8, -1};
+    EXPECT_EQ(r.residue, residue);
+    EXPECT_EQ(r.stage, stage);
 }
 
 }  // namespace

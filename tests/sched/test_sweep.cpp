@@ -4,6 +4,7 @@
 // outputs exactly.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "revec/apps/arf.hpp"
@@ -31,7 +32,7 @@ ir::Graph kernel_by_name(const std::string& name) {
     throw revec::Error("unknown kernel " + name);
 }
 
-using SweepParam = std::tuple<const char* /*kernel*/, int /*slots*/, bool /*inclusive life*/>;
+using SweepParam = std::tuple<std::string /*kernel*/, int /*slots*/, bool /*inclusive life*/>;
 
 class ScheduleSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -76,11 +77,12 @@ TEST_P(ScheduleSweep, VerifiedAndSimulated) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, ScheduleSweep,
-    ::testing::Combine(::testing::Values("matmul", "qrd", "arf", "detect"),
+    ::testing::Combine(::testing::Values(std::string("matmul"), std::string("qrd"),
+                                         std::string("arf"), std::string("detect")),
                        ::testing::Values(64, 16, 9),
                        ::testing::Values(true, false)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-        return std::string(std::get<0>(info.param)) + "_slots" +
+        return std::get<0>(info.param) + "_slots" +
                std::to_string(std::get<1>(info.param)) +
                (std::get<2>(info.param) ? "_incl" : "_excl");
     });
