@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
             if (threads == 4 && speedup > best_speedup_4t) best_speedup_4t = speedup;
             const std::string prefix =
                 std::string(k.name) + "." + std::to_string(threads) + "t.";
-            r.schedule.stats.export_metrics(metrics, prefix);
+            cp::export_counters(r.schedule.stats, metrics, prefix);
             metrics.set(prefix + "makespan", r.schedule.makespan);
             metrics.gauge(prefix + "wall_ms", r.wall_ms);
             t.add_row({k.name, std::to_string(threads),

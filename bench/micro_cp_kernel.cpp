@@ -255,9 +255,7 @@ bool run_trace_overhead_guard(bench::JsonWriter& json, obs::MetricsRegistry& met
             traced[static_cast<std::size_t>(rep)] = watch.elapsed_ms();
             if (rep == kReps - 1) {
                 // Archive the instrumented run's counters (--metrics).
-                s.stats.export_metrics(metrics, "solve.");
-                s.prop_stats.export_metrics(metrics, "engine.");
-                cp::export_prop_profile_metrics(s.prop_profile, metrics);
+                s.export_metrics(metrics);
                 metrics.set("solve.makespan", s.makespan);
                 metrics.set("trace.events", static_cast<std::int64_t>(
                                                 sink.main()->size()));

@@ -19,6 +19,13 @@ namespace {
 
 constexpr std::int64_t kNoBound = std::numeric_limits<std::int64_t>::max();
 
+/// Failure-limited restarts of the restart-flavored workers: the first
+/// solve gets kRestartFailures failures, each restart kRestartGrowth times
+/// more. Geometric growth keeps restart workers complete: the limit
+/// eventually exceeds any finite search space.
+constexpr std::int64_t kRestartFailures = 512;
+constexpr double kRestartGrowth = 2.0;
+
 /// Rewrite the builder's phases according to one diversification row.
 std::vector<Phase> apply_config(std::vector<Phase> phases, const WorkerConfig& cfg) {
     if (cfg.flatten_phases) {
@@ -59,7 +66,7 @@ struct SharedIncumbent {
 /// One portfolio worker: rebuild the model, run the (possibly restarting)
 /// DFS against the shared bound, and fill `slot`.
 void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
-                const SearchOptions& base, const RestartPolicy& policy, bool profile,
+                const SearchOptions& base, bool profile,
                 obs::TraceBuffer* trace, std::int64_t trace_rid, std::atomic<bool>& stop,
                 std::atomic<std::int64_t>& shared, SharedIncumbent* incumbent,
                 WorkerSlot& slot) {
@@ -89,7 +96,7 @@ void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
         }
 
         XorShift reseed(cfg.jitter_seed == 0 ? 0x7f4a7c15u : cfg.jitter_seed);
-        std::int64_t restart_limit = cfg.restarts ? policy.initial_failures : -1;
+        std::int64_t restart_limit = cfg.restarts ? kRestartFailures : -1;
         std::int64_t local_best = kNoBound;
 
         while (true) {
@@ -104,7 +111,9 @@ void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
             opts.max_failures = limit;
 
             const SolveResult r = solve(store, phases, model.objective, opts);
-            slot.report.stats.absorb(r.stats);
+            // Search counters per solve; the engine counters and profile
+            // accumulate in the one store and are read once at the end.
+            merge_counters(slot.report.stats, r.stats);
             slot.report.status = r.status;
             if (r.has_solution()) {
                 const std::int64_t obj =
@@ -135,7 +144,7 @@ void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
             obs::instant(trace, obs::TraceLevel::Phase, "restart", "limit",
                          restart_limit);
             restart_limit =
-                static_cast<std::int64_t>(static_cast<double>(restart_limit) * policy.growth) +
+                static_cast<std::int64_t>(static_cast<double>(restart_limit) * kRestartGrowth) +
                 1;
             opts.value_jitter_seed = reseed.next() | 1u;
         }
@@ -159,7 +168,7 @@ constexpr std::int64_t kLnsIdleLimit = 16;
 /// accepted improvements through the shared bound + incumbent }. Never sets
 /// `proved` — LNS only improves, proofs come from CP workers.
 void run_lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
-                    const SearchOptions& base, obs::TraceBuffer* trace,
+                    const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
                     std::int64_t trace_rid, std::atomic<bool>& stop,
                     std::atomic<std::int64_t>& shared, SharedIncumbent& incumbent,
                     const std::atomic<int>& cp_active, WorkerSlot& slot) {
@@ -194,9 +203,10 @@ void run_lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
             ctx.stop = &stop;
             ctx.trace = trace;
             ctx.trace_rid = trace_rid;
+            ctx.profile = profile;
             const LnsRoundResult r = round(ctx);
             ++slot.report.lns_rounds;
-            slot.report.stats.absorb(r.stats);
+            slot.report.absorb(r);
 
             bool accepted = false;
             if (r.improved && !r.assignment.empty() && r.objective < snapshot_obj) {
@@ -240,7 +250,7 @@ void run_lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
 
 }  // namespace
 
-WorkerConfig diversified_config(int k, std::uint32_t seed, const RestartPolicy& policy) {
+WorkerConfig diversified_config(int k, std::uint32_t seed) {
     REVEC_EXPECTS(k >= 0);
     WorkerConfig c;
     if (k == 0) {
@@ -271,7 +281,7 @@ WorkerConfig diversified_config(int k, std::uint32_t seed, const RestartPolicy& 
             c.label = "flat/first-fail";
             break;
         case 3:
-            c.restarts = policy.enabled;
+            c.restarts = true;
             c.jitter_seed = rng.next() | 1u;
             c.label = "baseline/restart-jitter";
             break;
@@ -285,7 +295,7 @@ WorkerConfig diversified_config(int k, std::uint32_t seed, const RestartPolicy& 
             c.var_select = VarSelect::MinDomain;
             c.val_select = ValSelect::Median;
             c.keep_phase_heuristics = false;
-            c.restarts = policy.enabled;
+            c.restarts = true;
             c.jitter_seed = rng.next() | 1u;
             c.label = "first-fail/median/restart";
             break;
@@ -296,16 +306,6 @@ WorkerConfig diversified_config(int k, std::uint32_t seed, const RestartPolicy& 
         c.label += "#" + std::to_string(k);
     }
     return c;
-}
-
-SolveResult PortfolioResult::to_solve_result() const {
-    SolveResult r;
-    r.status = status;
-    r.stats = stats;
-    r.prop_stats = prop_stats;
-    r.prop_profile = prop_profile;
-    r.best = best;
-    return r;
 }
 
 PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& config,
@@ -338,7 +338,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
     std::vector<WorkerConfig> cfgs;
     cfgs.reserve(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) {
-        cfgs.push_back(diversified_config(k, config.seed, config.restart_policy));
+        cfgs.push_back(diversified_config(k, config.seed));
     }
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(total));
 
@@ -360,7 +360,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
 
     SharedIncumbent* const inc = lns > 0 ? &incumbent : nullptr;
     if (total == 1) {
-        run_worker(build, cfgs[0], options, config.restart_policy, config.profile,
+        run_worker(build, cfgs[0], options, config.profile,
                    tracks[0], config.trace_rid, stop, shared, inc, slots[0]);
         cp_active.store(0, std::memory_order_release);
     } else {
@@ -368,8 +368,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
         threads.reserve(static_cast<std::size_t>(total));
         for (int k = 0; k < n; ++k) {
             threads.emplace_back([&, k] {
-                run_worker(build, cfgs[static_cast<std::size_t>(k)], options,
-                           config.restart_policy, config.profile,
+                run_worker(build, cfgs[static_cast<std::size_t>(k)], options, config.profile,
                            tracks[static_cast<std::size_t>(k)], config.trace_rid, stop,
                            shared, inc, slots[static_cast<std::size_t>(k)]);
                 cp_active.fetch_sub(1, std::memory_order_release);
@@ -379,7 +378,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
         for (int j = 0; j < lns; ++j) {
             const std::uint32_t seed = lns_seeds.next() | 1u;
             threads.emplace_back([&, j, seed] {
-                run_lns_worker(config.lns_round, j, seed, options,
+                run_lns_worker(config.lns_round, j, seed, options, config.profile,
                                tracks[static_cast<std::size_t>(n + j)], config.trace_rid,
                                stop, shared, incumbent, cp_active,
                                slots[static_cast<std::size_t>(n + j)]);
@@ -404,9 +403,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
             slot.report.label = "lns-" + std::to_string(k - n);
             slot.report.is_lns = true;
         }
-        out.stats.absorb(slot.report.stats);
-        out.prop_stats.absorb(slot.report.prop_stats);
-        absorb_prop_profiles(out.prop_profile, slot.report.prop_profile);
+        out.absorb(slot.report);
         any_proof = any_proof || slot.report.proved;
         // Deterministic merge: best objective first, then lowest config
         // index (strict < keeps the earlier worker on ties).
@@ -426,12 +423,10 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
     // even though the objective cannot. Re-derive it deterministically with
     // the baseline configuration under the proven bound. (LNS workers make
     // even a 1-CP-thread portfolio timing-dependent, hence `total`.)
-    if (config.canonical_replay && total > 1 && out.status == SolveStatus::Optimal &&
-        out.has_solution()) {
+    if (total > 1 && out.status == SolveStatus::Optimal && out.has_solution()) {
         obs::TraceBuffer* const main_track =
             config.trace != nullptr ? config.trace->main() : nullptr;
-        obs::SpanScope replay_span(main_track, obs::TraceLevel::Phase,
-                                   "canonical_replay");
+        obs::SpanScope replay_span(main_track, obs::TraceLevel::Phase, "replay");
         Store store;
         if (config.profile) store.enable_profiling();
         const PostedModel model = build(store);
@@ -441,9 +436,7 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
             replay_opts.stop_at_first_solution = true;
             replay_opts.trace = main_track;
             const SolveResult replay = solve(store, model.phases, model.objective, replay_opts);
-            out.stats.absorb(replay.stats);
-            out.prop_stats.absorb(replay.prop_stats);
-            absorb_prop_profiles(out.prop_profile, replay.prop_profile);
+            out.absorb(replay);
             replay_span.result("nodes", replay.stats.nodes);
             if (replay.has_solution() && replay.value_of(model.objective) == best_obj) {
                 out.best = replay.best;

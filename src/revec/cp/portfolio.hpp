@@ -17,12 +17,16 @@
 //
 // Determinism: the merged result picks the best objective, breaking ties
 // toward the lowest configuration index. Which worker *reports* the winning
-// objective can still vary with thread timing, so after a proven-optimal
-// parallel run the reported assignment is re-derived by a deterministic
-// bounded sequential pass over the baseline configuration (canonical
-// replay); repeated runs with the same seed and thread count then return
-// bit-identical solutions. With one worker the portfolio is bit-compatible
-// with the sequential solver (same tree, same node counts).
+// objective can still vary with thread timing, so every proven-optimal
+// parallel run re-derives the reported assignment by a deterministic
+// bounded sequential pass over the baseline configuration (the canonical
+// replay, always on); repeated runs with the same seed and thread count then
+// return bit-identical solutions. With one worker the portfolio is
+// bit-compatible with the sequential solver (same tree, same node counts).
+//
+// Solver work: every worker report, LNS round and the replay is a
+// cp::SolveWork, and the merged result sums them through SolveWork::absorb
+// alone — LNS repair solves included.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +42,6 @@ class TraceSink;
 }  // namespace revec::obs
 
 namespace revec::cp {
-
-/// Failure-limited restart policy for the restart-flavored workers.
-/// Geometric growth keeps restart workers complete: the limit eventually
-/// exceeds any finite search space.
-struct RestartPolicy {
-    bool enabled = true;
-    std::int64_t initial_failures = 512;
-    double growth = 2.0;
-};
 
 /// One large-neighbourhood-search round request, handed to the LnsRoundFn
 /// hook by an LNS worker. The portfolio knows nothing about scheduling
@@ -65,27 +60,27 @@ struct LnsRoundContext {
     const std::atomic<bool>* stop = nullptr;  ///< cooperative cancel
     obs::TraceBuffer* trace = nullptr;        ///< this worker's track
     std::int64_t trace_rid = 0;  ///< request id stamped on round spans; 0 = none
+    bool profile = false;        ///< SolverConfig::profile: profile the repair store
 };
 
-/// What one LNS round produced. `improved` implies a verified assignment
-/// strictly better than the round's incumbent snapshot; the worker then
-/// publishes it through the shared bound and the shared incumbent.
-struct LnsRoundResult {
+/// What one LNS round produced: the repair solve's work, absorbed into the
+/// worker's report, and — when `improved` — a verified assignment strictly
+/// better than the round's incumbent snapshot, which the worker publishes
+/// through the shared bound and the shared incumbent.
+struct LnsRoundResult : SolveWork {
     bool improved = false;
     std::vector<int> assignment;  ///< full store assignment when improved
     std::int64_t objective = 0;
-    SearchStats stats;  ///< repair-search work, absorbed into the worker's
 };
 
 /// The LNS round hook. Must be safe to invoke concurrently from several
 /// LNS worker threads (each call gets its own context and seed).
 using LnsRoundFn = std::function<LnsRoundResult(const LnsRoundContext&)>;
 
-/// Portfolio knob threaded through the scheduling layers: how many workers,
-/// how restart workers behave, and the seed feeding the jitter RNGs.
+/// Portfolio knob threaded through the scheduling layers: how many workers
+/// and the seed feeding the jitter RNGs.
 struct SolverConfig {
     int threads = 1;
-    RestartPolicy restart_policy;
     std::uint32_t seed = 0x5eedu;
 
     /// Large-neighbourhood-search workers raced alongside the CP workers
@@ -102,11 +97,6 @@ struct SolverConfig {
     /// completed heuristic schedule), so LNS workers can start relaxing
     /// before any CP worker finds a first solution of its own.
     std::vector<int> lns_seed_assignment;
-
-    /// Re-derive a proven-optimal parallel result with a deterministic
-    /// bounded sequential pass so repeated runs return identical
-    /// assignments, not just identical objectives.
-    bool canonical_replay = true;
 
     /// Warm start: seed the shared incumbent bound with the objective value
     /// of an externally known feasible solution (e.g. a heuristic
@@ -130,9 +120,9 @@ struct SolverConfig {
     std::int64_t trace_rid = 0;
 
     /// Attribute propagation work (runs, time, domain changes, failures) to
-    /// propagator classes on every worker store; results surface as
-    /// prop_profile on the merged outcome. Adds a timer read per propagator
-    /// execution.
+    /// propagator classes on every worker and LNS repair store; results
+    /// surface as prop_profile on the merged outcome. Adds a timer read per
+    /// propagator execution.
     bool profile = false;
 };
 
@@ -163,16 +153,15 @@ struct WorkerConfig {
 /// Configuration for worker `k`. Worker 0 is always the baseline (the
 /// builder's own heuristics, no restarts) so a 1-thread portfolio explores
 /// exactly the sequential tree.
-WorkerConfig diversified_config(int k, std::uint32_t seed, const RestartPolicy& policy);
+WorkerConfig diversified_config(int k, std::uint32_t seed);
 
-/// Per-worker outcome, kept for diagnostics and the scaling bench.
-struct WorkerReport {
+/// Per-worker outcome, kept for diagnostics and the scaling bench. The
+/// SolveWork part is the worker store's work (CP workers) or the summed
+/// repair work of every round (LNS workers).
+struct WorkerReport : SolveWork {
     int config_index = 0;
     std::string label;
     SolveStatus status = SolveStatus::Timeout;
-    SearchStats stats;
-    PropagationStats prop_stats;       ///< engine counters of the worker store
-    std::vector<PropProfile> prop_profile;  ///< per-class work (profile mode)
     std::int64_t best_objective = -1;  ///< -1 = this worker found no solution
     bool proved = false;               ///< exhausted its bound-pruned tree
 
@@ -183,22 +172,12 @@ struct WorkerReport {
     std::int64_t lns_rejected = 0;
 };
 
-/// Merged portfolio outcome. `best` holds the winning assignment indexed by
+/// Merged portfolio outcome. The SolveWork part is merged over all workers
+/// (plus the replay pass); `best` holds the winning assignment indexed by
 /// IntVar::index() against any store the builder produces.
-struct PortfolioResult {
-    SolveStatus status = SolveStatus::Unsat;
-    SearchStats stats;       ///< merged over all workers (plus the replay pass)
-    PropagationStats prop_stats;  ///< engine counters, merged likewise
-    std::vector<PropProfile> prop_profile;  ///< per-class work, merged likewise
-    std::vector<int> best;   ///< empty when no worker found a solution
-    int winner = -1;         ///< config index that produced `best`
+struct PortfolioResult : SolveResult {
+    int winner = -1;  ///< config index that produced `best`
     std::vector<WorkerReport> workers;
-
-    bool has_solution() const { return !best.empty(); }
-    int value_of(IntVar x) const { return best.at(static_cast<std::size_t>(x.index())); }
-
-    /// Adapter for call sites written against the sequential solver.
-    SolveResult to_solve_result() const;
 };
 
 /// Minimize the built model's objective (or find a first solution when the

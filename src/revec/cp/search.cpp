@@ -1,6 +1,7 @@
 #include "revec/cp/search.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "revec/obs/metrics.hpp"
@@ -83,13 +84,62 @@ struct Frame {
 
 }  // namespace
 
-void SearchStats::export_metrics(obs::MetricsRegistry& m, const std::string& prefix) const {
-    m.add(prefix + "nodes", nodes);
-    m.add(prefix + "failures", failures);
-    m.add(prefix + "solutions", solutions);
-    m.add(prefix + "cutoff_prunes", cutoff_prunes);
-    m.add(prefix + "restarts", restarts);
-    m.gauge(prefix + "time_ms", time_ms);
+namespace {
+
+void export_counter(obs::MetricsRegistry& m, const std::string& name, MergeRule rule,
+                    std::int64_t v) {
+    REVEC_EXPECTS(rule != MergeRule::Gauge);
+    m.set(name, rule == MergeRule::Sum ? m.counter(name) + v : std::max(m.counter(name), v));
+}
+
+void export_counter(obs::MetricsRegistry& m, const std::string& name, MergeRule rule,
+                    double v) {
+    REVEC_EXPECTS(rule == MergeRule::Gauge);
+    m.gauge(name, v);
+}
+
+}  // namespace
+
+template <typename Stats>
+void export_counters(const Stats& s, obs::MetricsRegistry& m, const std::string& prefix) {
+    Stats::for_each_field(
+        [&](const char* name, MergeRule rule, const auto& v) {
+            export_counter(m, prefix + name, rule, v);
+        },
+        s);
+}
+
+template void export_counters(const SearchStats&, obs::MetricsRegistry&, const std::string&);
+template void export_counters(const PropagationStats&, obs::MetricsRegistry&,
+                              const std::string&);
+template void export_counters(const PropProfile&, obs::MetricsRegistry&, const std::string&);
+
+void SolveWork::absorb(const SolveWork& other) {
+    merge_counters(stats, other.stats);
+    merge_counters(prop_stats, other.prop_stats);
+    for (const PropProfile& p : other.prop_profile) {
+        const auto it = std::find_if(prop_profile.begin(), prop_profile.end(),
+                                     [&](const PropProfile& q) {
+                                         return std::strcmp(q.cls, p.cls) == 0;
+                                     });
+        if (it == prop_profile.end()) {
+            prop_profile.push_back(p);
+        } else {
+            merge_counters(*it, p);
+        }
+    }
+    std::sort(prop_profile.begin(), prop_profile.end(),
+              [](const PropProfile& a, const PropProfile& b) {
+                  return std::strcmp(a.cls, b.cls) < 0;
+              });
+}
+
+void SolveWork::export_metrics(obs::MetricsRegistry& m) const {
+    export_counters(stats, m, "solve.");
+    export_counters(prop_stats, m, "engine.");
+    for (const PropProfile& p : prop_profile) {
+        export_counters(p, m, std::string("prop.") + p.cls + ".");
+    }
 }
 
 SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objective,

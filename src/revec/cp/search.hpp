@@ -99,33 +99,45 @@ struct SearchStats {
     std::int64_t solutions = 0;
     std::int64_t cutoff_prunes = 0;  ///< branches cut by the incumbent bound
     std::int64_t restarts = 0;       ///< failure-limited restarts (portfolio)
-    double time_ms = 0.0;
+    double time_ms = 0.0;            ///< wall clock of the solve
 
-    /// Accumulate another worker's counters (portfolio merge). time_ms is
-    /// wall-clock, not CPU time, so the caller sets it separately.
-    void absorb(const SearchStats& other) {
-        nodes += other.nodes;
-        failures += other.failures;
-        solutions += other.solutions;
-        cutoff_prunes += other.cutoff_prunes;
-        restarts += other.restarts;
+    /// The field table (counters.hpp): f(metric name, merge rule, member...)
+    /// once per counter, in lockstep over the given structs.
+    template <typename F, typename... S>
+    static constexpr void for_each_field(F&& f, S&... s) {
+        f("nodes", MergeRule::Sum, s.nodes...);
+        f("failures", MergeRule::Sum, s.failures...);
+        f("solutions", MergeRule::Sum, s.solutions...);
+        f("cutoff_prunes", MergeRule::Sum, s.cutoff_prunes...);
+        f("restarts", MergeRule::Sum, s.restarts...);
+        f("time_ms", MergeRule::Gauge, s.time_ms...);
     }
-
-    /// Export every counter into `m` under `prefix` (e.g. "solve.").
-    /// Additive counters add into any existing value; time_ms becomes a
-    /// gauge (wall clock — last writer wins, matching absorb()).
-    void export_metrics(obs::MetricsRegistry& m, const std::string& prefix) const;
 };
 
-/// The outcome of a solve: status, statistics, and (when a solution was
-/// found) the values of all store variables in the best solution.
-struct SolveResult {
-    SolveStatus status = SolveStatus::Unsat;
+/// The solver work behind a result: search counters, engine counters and
+/// the per-propagator-class profile. Every result that carries solver work
+/// derives from it, and absorb()/export_metrics() are the only places that
+/// work is merged and exported.
+struct SolveWork {
     SearchStats stats;
-    PropagationStats prop_stats;  ///< engine counters at the end of the search
-    /// Per-propagator-class work attribution; empty unless the store had
-    /// profiling enabled (Store::enable_profiling).
+    PropagationStats prop_stats;  ///< engine counters of the store(s)
+    /// Per-propagator-class work attribution, sorted by class; empty unless
+    /// the store had profiling enabled (Store::enable_profiling).
     std::vector<PropProfile> prop_profile;
+
+    /// Merge another solve's work (portfolio workers, LNS repairs, per-II
+    /// attempts): every counter by its MergeRule, profiles by class name.
+    void absorb(const SolveWork& other);
+
+    /// Export as "solve.*", "engine.*" and "prop.<Class>.*"; repeated
+    /// exports into one registry combine like absorb().
+    void export_metrics(obs::MetricsRegistry& m) const;
+};
+
+/// The outcome of a solve: status, solver work, and (when a solution was
+/// found) the values of all store variables in the best solution.
+struct SolveResult : SolveWork {
+    SolveStatus status = SolveStatus::Unsat;
     std::vector<int> best;  ///< indexed by IntVar::index(); empty when no solution
 
     bool has_solution() const { return !best.empty(); }

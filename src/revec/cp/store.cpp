@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string_view>
 
-#include "revec/obs/metrics.hpp"
 #include "revec/obs/trace.hpp"
 #include "revec/support/assert.hpp"
 
@@ -49,85 +47,6 @@ constexpr std::int64_t kEscalationPops = 32;
 constexpr std::int64_t kEscalationRerunPct = 150;
 
 }  // namespace
-
-void PropagationStats::absorb(const PropagationStats& o) {
-    propagations += o.propagations;
-    domain_changes += o.domain_changes;
-    for (int k = 0; k < kNumEventKinds; ++k) events[static_cast<std::size_t>(k)] +=
-        o.events[static_cast<std::size_t>(k)];
-    wakeups += o.wakeups;
-    wakeups_filtered += o.wakeups_filtered;
-    self_wakeups_suppressed += o.self_wakeups_suppressed;
-    starvation_runs += o.starvation_runs;
-    for (int b = 0; b < kNumPriorities; ++b) queue_pushes[static_cast<std::size_t>(b)] +=
-        o.queue_pushes[static_cast<std::size_t>(b)];
-    max_queue_depth = std::max(max_queue_depth, o.max_queue_depth);
-    trail_saves += o.trail_saves;
-    trail_snapshots += o.trail_snapshots;
-    trail_word_diffs += o.trail_word_diffs;
-    trail_bytes += o.trail_bytes;
-    packed_converts += o.packed_converts;
-}
-
-void PropagationStats::export_metrics(obs::MetricsRegistry& m,
-                                      const std::string& prefix) const {
-    m.add(prefix + "propagations", propagations);
-    m.add(prefix + "domain_changes", domain_changes);
-    static const char* const kEventNames[kNumEventKinds] = {"min", "max", "fixed",
-                                                            "domain"};
-    for (int k = 0; k < kNumEventKinds; ++k) {
-        m.add(prefix + "events." + kEventNames[k], events[static_cast<std::size_t>(k)]);
-    }
-    m.add(prefix + "wakeups", wakeups);
-    m.add(prefix + "wakeups_filtered", wakeups_filtered);
-    m.add(prefix + "self_wakeups_suppressed", self_wakeups_suppressed);
-    m.add(prefix + "starvation_runs", starvation_runs);
-    static const char* const kBucketNames[kNumPriorities] = {"unary", "linear",
-                                                             "global"};
-    for (int b = 0; b < kNumPriorities; ++b) {
-        m.add(prefix + "queue_pushes." + kBucketNames[b],
-              queue_pushes[static_cast<std::size_t>(b)]);
-    }
-    // High-water mark: max-merge against any prior export, matching absorb().
-    const std::string depth = prefix + "max_queue_depth";
-    m.set(depth, std::max(m.counter(depth), max_queue_depth));
-    m.add(prefix + "trail_saves", trail_saves);
-    m.add(prefix + "trail_snapshots", trail_snapshots);
-    m.add(prefix + "trail_word_diffs", trail_word_diffs);
-    m.add(prefix + "trail_bytes", trail_bytes);
-    m.add(prefix + "packed_converts", packed_converts);
-}
-
-void absorb_prop_profiles(std::vector<PropProfile>& into,
-                          const std::vector<PropProfile>& from) {
-    for (const PropProfile& p : from) {
-        const auto it = std::find_if(into.begin(), into.end(), [&](const PropProfile& q) {
-            return std::strcmp(q.cls, p.cls) == 0;
-        });
-        if (it == into.end()) {
-            into.push_back(p);
-        } else {
-            it->runs += p.runs;
-            it->domain_changes += p.domain_changes;
-            it->failures += p.failures;
-            it->time_us += p.time_us;
-        }
-    }
-    std::sort(into.begin(), into.end(), [](const PropProfile& a, const PropProfile& b) {
-        return std::strcmp(a.cls, b.cls) < 0;
-    });
-}
-
-void export_prop_profile_metrics(const std::vector<PropProfile>& profiles,
-                                 obs::MetricsRegistry& m) {
-    for (const PropProfile& p : profiles) {
-        const std::string prefix = std::string("prop.") + p.cls + ".";
-        m.add(prefix + "runs", p.runs);
-        m.add(prefix + "domain_changes", p.domain_changes);
-        m.add(prefix + "failures", p.failures);
-        m.add(prefix + "time_us", p.time_us);
-    }
-}
 
 IntVar Store::new_var(int lo, int hi, std::string name) {
     return new_var(Domain(lo, hi), std::move(name));

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "revec/cp/counters.hpp"
 #include "revec/cp/domain.hpp"
 #include "revec/cp/propagator.hpp"
 #include "revec/cp/var.hpp"
@@ -28,7 +29,6 @@
 
 namespace revec::obs {
 class TraceBuffer;
-class MetricsRegistry;
 }  // namespace revec::obs
 
 namespace revec::cp {
@@ -58,13 +58,31 @@ struct PropagationStats {
                                        ///< count their interval storage)
     std::int64_t packed_converts = 0;  ///< interval-to-bitmap representation switches
 
-    /// Accumulate another store's counters (portfolio merge).
-    void absorb(const PropagationStats& o);
-
-    /// Export every counter into `m` under `prefix` (e.g. "engine.").
-    /// Additive counters add into any existing value, so repeated exports
-    /// from several workers sum like absorb(); max_queue_depth max-merges.
-    void export_metrics(obs::MetricsRegistry& m, const std::string& prefix) const;
+    /// The field table (counters.hpp): f(metric name, merge rule, member...)
+    /// once per counter, in lockstep over the given structs.
+    template <typename F, typename... S>
+    static constexpr void for_each_field(F&& f, S&... s) {
+        static_assert(kNumEventKinds == 4 && kNumPriorities == 3);
+        f("propagations", MergeRule::Sum, s.propagations...);
+        f("domain_changes", MergeRule::Sum, s.domain_changes...);
+        f("events.min", MergeRule::Sum, s.events[0]...);
+        f("events.max", MergeRule::Sum, s.events[1]...);
+        f("events.fixed", MergeRule::Sum, s.events[2]...);
+        f("events.domain", MergeRule::Sum, s.events[3]...);
+        f("wakeups", MergeRule::Sum, s.wakeups...);
+        f("wakeups_filtered", MergeRule::Sum, s.wakeups_filtered...);
+        f("self_wakeups_suppressed", MergeRule::Sum, s.self_wakeups_suppressed...);
+        f("starvation_runs", MergeRule::Sum, s.starvation_runs...);
+        f("queue_pushes.unary", MergeRule::Sum, s.queue_pushes[0]...);
+        f("queue_pushes.linear", MergeRule::Sum, s.queue_pushes[1]...);
+        f("queue_pushes.global", MergeRule::Sum, s.queue_pushes[2]...);
+        f("max_queue_depth", MergeRule::Max, s.max_queue_depth...);
+        f("trail_saves", MergeRule::Sum, s.trail_saves...);
+        f("trail_snapshots", MergeRule::Sum, s.trail_snapshots...);
+        f("trail_word_diffs", MergeRule::Sum, s.trail_word_diffs...);
+        f("trail_bytes", MergeRule::Sum, s.trail_bytes...);
+        f("packed_converts", MergeRule::Sum, s.packed_converts...);
+    }
 };
 
 /// Per-propagator-class profile: how much work a class of propagators did
@@ -75,16 +93,17 @@ struct PropProfile {
     std::int64_t domain_changes = 0;  ///< prunings performed by those runs
     std::int64_t failures = 0;        ///< failures detected by those runs
     std::int64_t time_us = 0;         ///< wall time spent inside propagate()
+
+    /// The field table of the counters (cls is the merge key, not a field);
+    /// exported as "prop.<cls>.<name>".
+    template <typename F, typename... S>
+    static constexpr void for_each_field(F&& f, S&... s) {
+        f("runs", MergeRule::Sum, s.runs...);
+        f("domain_changes", MergeRule::Sum, s.domain_changes...);
+        f("failures", MergeRule::Sum, s.failures...);
+        f("time_us", MergeRule::Sum, s.time_us...);
+    }
 };
-
-/// Merge `from` into `into` by class name (portfolio merge).
-void absorb_prop_profiles(std::vector<PropProfile>& into,
-                          const std::vector<PropProfile>& from);
-
-/// Export profiles as "prop.<Class>.runs" / ".domain_changes" / ".failures"
-/// / ".time_us" counters (additive across repeated exports).
-void export_prop_profile_metrics(const std::vector<PropProfile>& profiles,
-                                 obs::MetricsRegistry& m);
 
 class Store {
 public:

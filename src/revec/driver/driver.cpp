@@ -328,16 +328,14 @@ int emit_modulo(const Options& options, const arch::ArchSpec& spec, const ir::Gr
 
 obs::MetricsRegistry collect_metrics(const sched::Schedule& s) {
     obs::MetricsRegistry m;
-    s.stats.export_metrics(m, "solve.");
-    s.prop_stats.export_metrics(m, "engine.");
-    cp::export_prop_profile_metrics(s.prop_profile, m);
+    s.export_metrics(m);
     m.set("solve.makespan", s.makespan);
     m.set("solve.slots_used", s.slots_used);
     m.label("solve.status", status_word(s.status));
     std::int64_t lns_workers = 0;
     for (const cp::WorkerReport& w : s.workers) {
         const std::string prefix = "worker." + std::to_string(w.config_index) + ".";
-        w.stats.export_metrics(m, prefix);
+        cp::export_counters(w.stats, m, prefix);
         m.set(prefix + "proved", w.proved ? 1 : 0);
         m.set(prefix + "best_objective", w.best_objective);
         m.label(prefix + "label", w.label);
@@ -357,9 +355,7 @@ obs::MetricsRegistry collect_metrics(const sched::Schedule& s) {
 
 obs::MetricsRegistry collect_metrics(const pipeline::ModuloResult& r) {
     obs::MetricsRegistry m;
-    r.stats.export_metrics(m, "solve.");
-    r.prop_stats.export_metrics(m, "engine.");
-    cp::export_prop_profile_metrics(r.prop_profile, m);
+    r.export_metrics(m);
     m.set("modulo.ii_lower_bound", r.ii_lower_bound);
     m.set("modulo.initial_ii", r.initial_ii);
     m.set("modulo.reconfigs", r.reconfigs);

@@ -1,6 +1,7 @@
 #include "revec/lns/lns.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -16,23 +17,31 @@ namespace revec::lns {
 
 namespace {
 
+/// Selector rotation: round r uses kSelectors[r % 3].
+constexpr Selector kSelectors[] = {Selector::RandomSlice, Selector::CriticalPathWindow,
+                                   Selector::ResourceHotRow};
+
+Selector selector_for(std::int64_t round) {
+    return kSelectors[static_cast<std::size_t>(round) % std::size(kSelectors)];
+}
+
 /// One relax/repair round. `best` is the repair solve's full store
 /// assignment (var parity with the unfrozen emission), which the portfolio
-/// hook publishes as the shared incumbent.
-struct RoundOutcome {
+/// hook publishes as the shared incumbent. The SolveWork part is the
+/// repair solve's work.
+struct RoundOutcome : cp::SolveWork {
     bool accepted = false;
     std::vector<int> start;
     std::vector<int> slot;
     std::vector<int> best;
     int makespan = 0;
-    cp::SearchStats stats;
 };
 
 RoundOutcome run_round(const model::KernelModel& base, const std::vector<int>& inc_start,
                        int inc_makespan, Selector selector, const LnsTuning& tuning,
                        XorShift& rng, const Deadline& deadline,
-                       const std::atomic<bool>* stop, obs::TraceBuffer* trace,
-                       std::int64_t trace_rid) {
+                       const std::atomic<bool>* stop, bool profile,
+                       obs::TraceBuffer* trace, std::int64_t trace_rid) {
     RoundOutcome out;
     const int n = base.num_nodes();
     // Rounds on a service request's behalf carry its rid; standalone runs
@@ -59,6 +68,7 @@ RoundOutcome run_round(const model::KernelModel& base, const std::vector<int>& i
     {
         obs::SpanScope repair_span(trace, obs::TraceLevel::Phase, "repair");
         cp::Store store;
+        if (profile) store.enable_profiling();
         model::VarTable vt = model::emit_cp(store, sub);
         // A frozen value outside the model bounds, or no room below the
         // incumbent, just rejects the round — the incumbent stays.
@@ -69,7 +79,7 @@ RoundOutcome run_round(const model::KernelModel& base, const std::vector<int>& i
             opts.stop = stop;
             opts.trace = trace;
             cp::SolveResult r = cp::solve(store, vt.phases, vt.makespan, opts);
-            out.stats = r.stats;
+            out.absorb(r);
             if (r.has_solution()) {
                 out.start.resize(static_cast<std::size_t>(n));
                 out.slot.assign(static_cast<std::size_t>(n), -1);
@@ -109,7 +119,7 @@ void LnsResult::export_metrics(obs::MetricsRegistry& m, const std::string& prefi
     m.add(prefix + "rejected", rejected);
     m.set(prefix + "improved", improved ? 1 : 0);
     m.set(prefix + "makespan", makespan);
-    stats.export_metrics(m, prefix + "repair.");
+    cp::export_counters(stats, m, prefix + "repair.");
 }
 
 LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& start,
@@ -119,7 +129,6 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
     REVEC_EXPECTS(m.fixed_starts.empty());
     REVEC_EXPECTS(m.frozen_starts.empty());
     REVEC_EXPECTS(start.size() == static_cast<std::size_t>(m.num_nodes()));
-    REVEC_EXPECTS(!options.tuning.selectors.empty());
 
     LnsResult res;
     res.start = start;
@@ -128,20 +137,17 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
     res.makespan = makespan;
 
     XorShift rng(options.seed);
-    const std::vector<Selector>& sels = options.tuning.selectors;
     while (options.max_rounds < 0 || res.rounds < options.max_rounds) {
         if (options.deadline.expired()) break;
         if (options.stop != nullptr && options.stop->load(std::memory_order_relaxed)) break;
         // The critical path is a proven lower bound: once reached, no round
         // can accept, so stop instead of burning the budget.
         if (res.makespan <= m.critical_path) break;
-        const Selector sel =
-            sels[static_cast<std::size_t>(res.rounds) % sels.size()];
-        RoundOutcome out = run_round(m, res.start, res.makespan, sel, options.tuning, rng,
-                                     options.deadline, options.stop, options.trace,
-                                     /*trace_rid=*/0);
+        RoundOutcome out = run_round(m, res.start, res.makespan, selector_for(res.rounds),
+                                     options.tuning, rng, options.deadline, options.stop,
+                                     /*profile=*/false, options.trace, /*trace_rid=*/0);
         ++res.rounds;
-        res.stats.absorb(out.stats);
+        cp::merge_counters(res.stats, out.stats);
         if (out.accepted) {
             ++res.accepted;
             res.improved = true;
@@ -161,7 +167,6 @@ cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning
     REVEC_EXPECTS(!m.modulo.has_value());
     REVEC_EXPECTS(m.fixed_starts.empty());
     REVEC_EXPECTS(m.frozen_starts.empty());
-    REVEC_EXPECTS(!tuning.selectors.empty());
 
     // Capture the model plus one scratch emission's handle table up front:
     // emission is deterministic, so these handles index the incumbent
@@ -201,11 +206,10 @@ cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning
         if (inc_makespan <= state->m.critical_path) return out;  // proven floor
 
         XorShift rng(ctx.seed);
-        const std::vector<Selector>& sels = state->tuning.selectors;
-        const Selector sel = sels[static_cast<std::size_t>(ctx.round) % sels.size()];
-        RoundOutcome r = run_round(state->m, inc_start, inc_makespan, sel, state->tuning,
-                                   rng, ctx.deadline, ctx.stop, ctx.trace, ctx.trace_rid);
-        out.stats = r.stats;
+        RoundOutcome r = run_round(state->m, inc_start, inc_makespan, selector_for(ctx.round),
+                                   state->tuning, rng, ctx.deadline, ctx.stop, ctx.profile,
+                                   ctx.trace, ctx.trace_rid);
+        out.absorb(r);
         if (r.accepted) {
             out.improved = true;
             out.assignment = std::move(r.best);

@@ -33,7 +33,9 @@ class TraceBuffer;
 namespace revec::lns {
 
 /// Shape of the moves: how much to relax and how hard to repair. Shared by
-/// the standalone loop and the portfolio hook.
+/// the standalone loop and the portfolio hook. Round r relaxes with the
+/// selectors in fixed rotation: random slice, critical-path window,
+/// resource hot row.
 struct LnsTuning {
     /// Fraction of the op nodes each round un-freezes (before the
     /// DataProduce closure). Small slices repair fast but move little;
@@ -43,12 +45,6 @@ struct LnsTuning {
     /// Failure budget of one repair solve. Keeps every round cheap and —
     /// unlike a wall-clock budget — deterministic.
     std::int64_t repair_failures = 2000;
-
-    /// Selector rotation; round r uses selectors[r % size]. Must not be
-    /// empty.
-    std::vector<Selector> selectors = {Selector::RandomSlice,
-                                       Selector::CriticalPathWindow,
-                                       Selector::ResourceHotRow};
 };
 
 /// Control of one standalone improve_schedule run.

@@ -4,14 +4,13 @@
 // "prop.Cumulative.time_us", "worker.2.failures"), serialized as a
 // deterministic JSON document the benches and CI can diff.
 //
-// The registry is the reporting currency that absorbs the solver's ad-hoc
-// counter structs: cp::SearchStats / cp::PropagationStats / the per-
-// propagator-class profiles all export into it (see their export_metrics
-// methods), and anything downstream — `revecc --metrics=F`, the bench
-// harnesses, revec-stats — reads the one JSON shape instead of each struct.
-// Not thread-safe: each worker fills its own registry (or its own counter
-// structs) and the merge goes through absorb() after the join, mirroring
-// the SearchStats::absorb portfolio merge.
+// The registry is the reporting currency of the solver's counter structs:
+// cp::SolveWork exports its search, engine and per-propagator-class
+// counters into it (cp/counters.hpp), and anything downstream — `revecc
+// --metrics=F`, the bench harnesses, revec-stats — reads the one JSON shape
+// instead of each struct. Not thread-safe: each worker fills its own
+// registry (or its own counter structs) and the merge goes through absorb()
+// after the join, mirroring the SolveWork::absorb portfolio merge.
 #pragma once
 
 #include <array>

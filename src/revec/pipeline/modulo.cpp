@@ -17,6 +17,9 @@ namespace {
 
 using cp::IntVar;
 
+/// The II scan gives up beyond this initiation interval.
+constexpr int kMaxIi = 512;
+
 int ii_lower_bound_for(const model::KernelModel& m) {
     // Each residue cycle hosts a single vector configuration with at most
     // vector_lanes lanes, one scalar issue per scalar unit, and one
@@ -118,17 +121,15 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
         span.result("solved", attempt.result.has_solution() ? 1 : 0);
         return attempt;
     }
-    attempt.result =
-        cp::solve_portfolio(
-            [&](cp::Store& s) {
-                model::VarTable worker = model::emit_cp(s, km);
-                const IntVar obj = minimize_reconfigs && worker.reconfig_count.valid()
-                                       ? worker.reconfig_count
-                                       : IntVar();
-                return cp::PostedModel{std::move(worker.phases), obj};
-            },
-            solver, opts)
-            .to_solve_result();
+    attempt.result = cp::solve_portfolio(
+        [&](cp::Store& s) {
+            model::VarTable worker = model::emit_cp(s, km);
+            const IntVar obj = minimize_reconfigs && worker.reconfig_count.valid()
+                                   ? worker.reconfig_count
+                                   : IntVar();
+            return cp::PostedModel{std::move(worker.phases), obj};
+        },
+        solver, opts);
     span.result("solved", attempt.result.has_solution() ? 1 : 0);
     return attempt;
 }
@@ -187,16 +188,10 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         obs::SpanScope ims_span(trace, obs::TraceLevel::Phase, "ims");
         heur::ImsOptions ims_opts;
         ims_opts.min_ii = best.ii_lower_bound;
-        ims_opts.max_ii = options.max_ii;
+        ims_opts.max_ii = kMaxIi;
         ims = heur::iterative_modulo_schedule(base, ims_opts);
         ims_span.result("ii", ims.ok ? ims.ii : -1);
     }
-    /// Every per-II attempt bills its solver work to the scan's totals.
-    const auto bill_attempt = [&](const IiAttempt& attempt) {
-        best.stats.absorb(attempt.result.stats);
-        best.prop_stats.absorb(attempt.result.prop_stats);
-        cp::absorb_prop_profiles(best.prop_profile, attempt.result.prop_profile);
-    };
     const auto extract_ims = [&](cp::SolveStatus status) {
         best.initial_ii = ims.ii;
         best.residue = ims.residue;
@@ -224,7 +219,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         // Smallest feasible II, reconfigurations post-processed. With an
         // IMS kernel in hand only IIs strictly below it need the exact
         // solver; exhausting them all proves the IMS kernel optimal.
-        const int scan_end = ims.ok ? ims.ii - 1 : options.max_ii;
+        const int scan_end = ims.ok ? ims.ii - 1 : kMaxIi;
         bool timed_out = false;
         for (int ii = best.ii_lower_bound; ii <= scan_end; ++ii) {
             if (deadline.expired()) {
@@ -233,7 +228,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
             }
             const IiAttempt attempt =
                 try_ii(spec, g, ii, horizon, false, 0, deadline, options.solver);
-            bill_attempt(attempt);
+            best.absorb(attempt.result);
             if (attempt.result.has_solution()) {
                 extract(attempt, ii);
                 best.status = cp::SolveStatus::Optimal;
@@ -266,7 +261,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         best_actual = best.actual_ii;
         best_is_ims = true;
     }
-    for (int ii = best.ii_lower_bound; ii <= options.max_ii; ++ii) {
+    for (int ii = best.ii_lower_bound; ii <= kMaxIi; ++ii) {
         if (ii >= best_actual) break;  // R >= 0: no larger II can win
         if (deadline.expired()) break;
         // Only R values that could improve on the incumbent are relevant.
@@ -276,7 +271,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 : std::max(0, (best_actual - 1 - ii) / std::max(1, spec.reconfig_cycles));
         const IiAttempt attempt =
             try_ii(spec, g, ii, horizon, true, budget, deadline, options.solver);
-        bill_attempt(attempt);
+        best.absorb(attempt.result);
         if (!attempt.result.has_solution()) continue;
         const int r = attempt.result.value_of(attempt.reconfig_count);
         const int actual = ii + r * spec.reconfig_cycles;

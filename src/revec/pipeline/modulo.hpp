@@ -26,8 +26,6 @@ struct ModuloOptions {
     bool include_reconfigs = false;
     /// Wall-clock budget; -1 = unlimited. The paper used a 10-minute cap.
     std::int64_t timeout_ms = -1;
-    /// Give up beyond this initiation interval.
-    int max_ii = 512;
     /// Parallel portfolio search for each per-II solve (threads = 1 keeps
     /// the sequential solver); see cp/portfolio.hpp.
     cp::SolverConfig solver;
@@ -45,7 +43,10 @@ struct ModuloOptions {
     bool heuristic_only = false;
 };
 
-struct ModuloResult {
+/// The SolveWork part accumulates the solver work of every per-II attempt
+/// of the scan (the scan is the unit of work the caller pays for, not one
+/// solve); its profile is empty unless SolverConfig::profile was set.
+struct ModuloResult : cp::SolveWork {
     int ii_lower_bound = 0;   ///< resource-based minimum II
     int initial_ii = 0;       ///< feasible II of the core model
     int reconfigs = 0;        ///< configuration changes around the kernel
@@ -53,14 +54,6 @@ struct ModuloResult {
     double throughput = 0.0;  ///< 1 / actual_ii
     double time_ms = 0.0;
     cp::SolveStatus status = cp::SolveStatus::Unsat;
-
-    /// Solver work accumulated over every per-II attempt of the scan (the
-    /// scan is the unit of work the caller pays for, not one solve).
-    cp::SearchStats stats;
-    cp::PropagationStats prop_stats;
-    /// Per-propagator-class attribution, likewise accumulated; empty unless
-    /// SolverConfig::profile was set.
-    std::vector<cp::PropProfile> prop_profile;
 
     /// Per-node steady-state schedule (op nodes; data nodes follow eq. 4):
     /// start of iteration-0 copy is stage * initial_ii + residue.
@@ -83,7 +76,8 @@ int ii_lower_bound(const arch::ArchSpec& spec, const ir::Graph& g);
 int count_kernel_reconfigs(const arch::ArchSpec& spec, const ir::Graph& g,
                            const std::vector<int>& residue, int ii);
 
-/// Solve the modulo scheduling problem.
+/// Solve the modulo scheduling problem, scanning II upward from the
+/// resource lower bound; the scan gives up beyond II 512.
 ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options = {});
 
 }  // namespace revec::pipeline

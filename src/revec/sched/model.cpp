@@ -36,15 +36,12 @@ int derive_horizon(const arch::ArchSpec& spec, const ir::Graph& g) {
     return total;
 }
 
-/// Fill a Schedule from any solver result exposing has_solution/value_of.
-template <typename Result>
+/// Fill a Schedule (solution and solver work) from a solver result.
 Schedule extract_schedule(const model::KernelModel& km, const model::VarTable& m,
-                          const Result& result) {
+                          const cp::SolveResult& result) {
     Schedule sched;
     sched.status = result.status;
-    sched.stats = result.stats;
-    sched.prop_stats = result.prop_stats;
-    sched.prop_profile = result.prop_profile;
+    static_cast<cp::SolveWork&>(sched) = result;
     if (!result.has_solution()) return sched;
 
     const auto n = static_cast<std::size_t>(km.num_nodes());
@@ -311,6 +308,8 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     //  * a solution of its own wins (it beats the heuristic);
     //  * Unsat means nothing better exists -- the heuristic was optimal;
     //  * Timeout means nothing proved either way -- anytime fallback.
+    // The heuristic schedule returned in the other cases carries the
+    // exact search's work and worker reports.
     switch (sched.status) {
         case cp::SolveStatus::Optimal:
         case cp::SolveStatus::SatTimeout:
@@ -320,27 +319,17 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
             heuristic->status = sched.status == cp::SolveStatus::Optimal
                                     ? cp::SolveStatus::Optimal
                                     : cp::SolveStatus::HeuristicFallback;
-            heuristic->stats = sched.stats;
-            heuristic->prop_stats = sched.prop_stats;
-            heuristic->prop_profile = std::move(sched.prop_profile);
-            heuristic->workers = std::move(sched.workers);
-            return *heuristic;
+            break;
         case cp::SolveStatus::Unsat:
             heuristic->status = cp::SolveStatus::Optimal;
-            heuristic->stats = sched.stats;
-            heuristic->prop_stats = sched.prop_stats;
-            heuristic->prop_profile = std::move(sched.prop_profile);
-            heuristic->workers = std::move(sched.workers);
-            return *heuristic;
+            break;
         case cp::SolveStatus::Timeout:
         case cp::SolveStatus::HeuristicFallback:
-            heuristic->stats = sched.stats;
-            heuristic->prop_stats = sched.prop_stats;
-            heuristic->prop_profile = std::move(sched.prop_profile);
-            heuristic->workers = std::move(sched.workers);
-            return *heuristic;
+            break;
     }
-    REVEC_UNREACHABLE("bad SolveStatus");
+    heuristic->workers = std::move(sched.workers);
+    static_cast<cp::SolveWork&>(*heuristic) = std::move(sched);
+    return *heuristic;
 }
 
 Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options) {

@@ -13,18 +13,15 @@
 namespace revec::sched {
 
 /// A complete scheduling + memory allocation result for one kernel
-/// iteration. Vectors are indexed by IR node id.
-struct Schedule {
+/// iteration. Vectors are indexed by IR node id. The SolveWork part is the
+/// solver work, merged over all portfolio workers (profile empty unless
+/// SolverConfig::profile was set).
+struct Schedule : cp::SolveWork {
     std::vector<int> start;  ///< start cycle per node (data nodes too)
     std::vector<int> slot;   ///< memory slot per vector data node; -1 elsewhere
     int makespan = 0;        ///< latest completion time over all nodes
     int slots_used = 0;      ///< distinct memory slots referenced
     cp::SolveStatus status = cp::SolveStatus::Unsat;
-    cp::SearchStats stats;          ///< merged over all portfolio workers
-    cp::PropagationStats prop_stats;  ///< engine counters, merged likewise
-    /// Per-propagator-class work attribution, merged likewise; empty unless
-    /// SolverConfig::profile was set.
-    std::vector<cp::PropProfile> prop_profile;
 
     /// Per-worker node/failure/cutoff-prune counters when the portfolio
     /// solver ran (empty for a sequential solve).

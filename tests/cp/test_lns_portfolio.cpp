@@ -18,6 +18,7 @@
 #include "revec/cp/portfolio.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/lns/lns.hpp"
+#include "revec/model/emit_cp.hpp"
 #include "revec/sched/model.hpp"
 
 namespace revec {
@@ -75,6 +76,57 @@ TEST(LnsPortfolio, CpLayerReportsLnsWorkersAndBalancedCounters) {
         EXPECT_EQ(w.lns_accepted, 0);  // the hook never improves
     }
     EXPECT_EQ(lns_reports, 2);
+}
+
+TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
+    // MATMUL's optimum (11) sits above its critical path (8), so every LNS
+    // round runs a repair solve. The CP worker's failure budget is far
+    // below the proof's, so it never cancels the LNS worker, which then
+    // runs until its idle limit.
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
+    const lns::testing::Incumbent inc =
+        lns::testing::ladder_incumbent(kSpec, g, heur::ladder().size() - 1);
+    ASSERT_TRUE(inc.ok);
+    ASSERT_GT(inc.makespan, inc.km.critical_path);
+
+    cp::SolverConfig config;
+    config.threads = 1;
+    config.lns_workers = 1;
+    config.profile = true;
+    config.initial_incumbent = inc.makespan;
+    config.lns_round = lns::make_portfolio_round(inc.km, lns::LnsTuning{});
+    config.lns_seed_assignment = lns::complete_assignment(inc.km, inc.start, inc.slot);
+    ASSERT_FALSE(config.lns_seed_assignment.empty());
+    cp::SearchOptions opts;
+    opts.max_failures = 200;
+    opts.deadline = Deadline::after_ms(20000);
+    const cp::PortfolioResult r = cp::solve_portfolio(
+        [&inc](cp::Store& s) {
+            model::VarTable vt = model::emit_cp(s, inc.km);
+            return cp::PostedModel{std::move(vt.phases), vt.makespan};
+        },
+        config, opts);
+
+    ASSERT_EQ(r.workers.size(), 2u);
+    const cp::WorkerReport& cp_report = r.workers[0];
+    const cp::WorkerReport& lns_report = r.workers[1];
+    ASSERT_TRUE(lns_report.is_lns);
+    EXPECT_GT(lns_report.lns_rounds, 0);
+    // The repair solves' engine counters and per-class profile reach the
+    // LNS worker's report...
+    EXPECT_GT(lns_report.prop_stats.propagations, 0);
+    const auto profile_runs = [](const cp::SolveWork& w) {
+        std::int64_t runs = 0;
+        for (const cp::PropProfile& p : w.prop_profile) runs += p.runs;
+        return runs;
+    };
+    EXPECT_EQ(profile_runs(lns_report), lns_report.prop_stats.propagations);
+    // ...and the merged totals (no replay: nothing was proved).
+    EXPECT_FALSE(cp_report.proved);
+    EXPECT_EQ(r.prop_stats.propagations,
+              cp_report.prop_stats.propagations + lns_report.prop_stats.propagations);
+    EXPECT_EQ(r.stats.failures, cp_report.stats.failures + lns_report.stats.failures);
+    EXPECT_EQ(profile_runs(r), r.prop_stats.propagations);
 }
 
 TEST(LnsPortfolio, NeverWorseOnApplicationKernelsFullProof) {

@@ -98,25 +98,20 @@ TEST(PortfolioDeterminism, FailureLimitAppliesPerWorker) {
 }
 
 TEST(PortfolioDeterminism, DiversificationTableIsStable) {
-    const RestartPolicy policy;
-    const WorkerConfig w0 = diversified_config(0, 42, policy);
+    const WorkerConfig w0 = diversified_config(0, 42);
     EXPECT_EQ(w0.label, "baseline");
     EXPECT_TRUE(w0.keep_phase_heuristics);
     EXPECT_FALSE(w0.restarts);
     EXPECT_EQ(w0.jitter_seed, 0u);
 
     for (int k = 1; k < 16; ++k) {
-        const WorkerConfig a = diversified_config(k, 42, policy);
-        const WorkerConfig b = diversified_config(k, 42, policy);
+        const WorkerConfig a = diversified_config(k, 42);
+        const WorkerConfig b = diversified_config(k, 42);
         EXPECT_EQ(a.label, b.label) << k;
         EXPECT_EQ(a.jitter_seed, b.jitter_seed) << k;
         EXPECT_EQ(a.var_select, b.var_select) << k;
         EXPECT_EQ(a.val_select, b.val_select) << k;
     }
-    // Restart rows honor a disabled policy.
-    RestartPolicy off;
-    off.enabled = false;
-    EXPECT_FALSE(diversified_config(4, 42, off).restarts);
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
                 open.pop_back();
                 // Phase-level traces carry the node count on the search /
                 // portfolio / worker span-end payload instead of per-node
-                // events. (canonical_replay nodes are already included in
+                // events. (The replay span's nodes are already included in
                 // the enclosing portfolio span's payload.)
                 if (!node_instants && (e.name == "search" || e.name == "portfolio" ||
                                        e.name == "worker")) {
