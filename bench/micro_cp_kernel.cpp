@@ -5,15 +5,17 @@
 //
 // Before the google-benchmark suite runs, an engine probe solves a
 // hole-heavy workload, checks its deterministic search and propagation
-// counters against golden values, and times kernel scheduling; `--json
-// <path>` writes those numbers (the checked-in BENCH_cp_engine.json
-// baseline). Remaining flags pass through to google-benchmark.
+// counters against golden values, and times DETECT's warm sequential
+// optimality proof; `--json <path>` writes those numbers (the checked-in
+// BENCH_cp_engine.json baseline). Remaining flags pass through to
+// google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 
 #include "common.hpp"
+#include "revec/apps/detect.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
 #include "revec/cp/alldifferent.hpp"
@@ -148,9 +150,11 @@ cp::SolveResult solve_hole_heavy() {
                      obj);
 }
 
-/// Median-of-3 wall-clock of a warm-started matmul schedule.
-double time_schedule_matmul() {
-    const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
+/// Median-of-3 wall-clock of a warm-started DETECT schedule — the paper
+/// kernel whose sequential optimality proof is still search-bound (MATMUL's
+/// takes ~2 ms since the §3.5 op phase branches first-fail).
+double time_schedule_detect() {
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_detect());
     sched::ScheduleOptions opts;
     opts.timeout_ms = 60000;
     return bench::median_of_3_ms([&] {
@@ -194,14 +198,14 @@ bool run_engine_probe(bench::JsonWriter& json) {
     cp::SolveResult r;
     const double ms = bench::median_of_3_ms([&] { r = solve_hole_heavy(); });
     r.stats.time_ms = ms;
-    const double matmul_ms = time_schedule_matmul();
+    const double detect_ms = time_schedule_detect();
 
     Table t({"workload", "nodes", "wakeups", "propagations", "trail bytes", "time (ms)"});
     t.add_row({"hole-heavy CSP", std::to_string(r.stats.nodes),
                std::to_string(r.prop_stats.wakeups),
                std::to_string(r.prop_stats.propagations),
                std::to_string(r.prop_stats.trail_bytes), format_fixed(r.stats.time_ms, 1)});
-    t.add_row({"matmul schedule", "-", "-", "-", "-", format_fixed(matmul_ms, 1)});
+    t.add_row({"detect schedule", "-", "-", "-", "-", format_fixed(detect_ms, 1)});
     t.print(std::cout);
 
     bool ok = true;
@@ -215,20 +219,21 @@ bool run_engine_probe(bench::JsonWriter& json) {
         }
     }
     json.field("time_ms", r.stats.time_ms).end_object();
-    json.field("matmul_schedule_ms", matmul_ms);
+    json.field("detect_schedule_ms", detect_ms);
     return ok;
 }
 
 // ---------------------------------------------------------------------------
 // Tracing-overhead guard: every obs event site in the solver's hot loops is
 // one branch on a nullptr buffer when tracing is off. Guard that contract
-// on the MATMUL optimality proof by interleaving untraced solves with
-// fully instrumented ones (node-level trace + per-class profiling): the
-// best untraced run must not exceed the median instrumented run by more
-// than 2%, or the "disabled tracing is free" claim has regressed.
+// on DETECT's warm sequential optimality proof by interleaving untraced
+// solves with fully instrumented ones (node-level trace + per-class
+// profiling): the best untraced run must not exceed the median
+// instrumented run by more than 2%, or the "disabled tracing is free"
+// claim has regressed.
 
 bool run_trace_overhead_guard(bench::JsonWriter& json, obs::MetricsRegistry& metrics) {
-    const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_detect());
     constexpr int kReps = 5;
     std::array<double, kReps> disabled{};
     std::array<double, kReps> traced{};

@@ -337,7 +337,7 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
 
     std::vector<cp::Phase> phases;
     if (m.three_phase_search) {
-        phases.push_back({op_starts, cp::VarSelect::SmallestMin, cp::ValSelect::Min, "ops"});
+        phases.push_back({op_starts, cp::VarSelect::MinDomain, cp::ValSelect::Min, "ops"});
         phases.push_back({data_starts, cp::VarSelect::SmallestMin, cp::ValSelect::Min, "data"});
         phases.push_back({slot_vars, cp::VarSelect::InputOrder, cp::ValSelect::Min, "slots"});
     } else {

@@ -80,9 +80,9 @@ TEST(LnsPortfolio, CpLayerReportsLnsWorkersAndBalancedCounters) {
 
 TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
     // MATMUL's optimum (11) sits above its critical path (8), so every LNS
-    // round runs a repair solve. The CP worker's failure budget is far
-    // below the proof's, so it never cancels the LNS worker, which then
-    // runs until its idle limit.
+    // round runs a repair solve. The CP worker's failure budget is below
+    // the proof's (66 failures under the first-fail op phase), so it never
+    // cancels the LNS worker, which then runs until its idle limit.
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
     const lns::testing::Incumbent inc =
         lns::testing::ladder_incumbent(kSpec, g, heur::ladder().size() - 1);
@@ -98,7 +98,7 @@ TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
     config.lns_seed_assignment = lns::complete_assignment(inc.km, inc.start, inc.slot);
     ASSERT_FALSE(config.lns_seed_assignment.empty());
     cp::SearchOptions opts;
-    opts.max_failures = 200;
+    opts.max_failures = 20;
     opts.deadline = Deadline::after_ms(20000);
     const cp::PortfolioResult r = cp::solve_portfolio(
         [&inc](cp::Store& s) {

@@ -28,7 +28,10 @@ public:
     explicit EqBoolCache(cp::Store& store) : store_(store) {}
 
     cp::BoolVar get(IntVar x, IntVar y) {
-        auto key = std::minmax(x.index(), y.index());
+        // std::minmax returns references into its argument temporaries;
+        // copy into a value pair before they die.
+        const std::pair<std::int32_t, std::int32_t> key =
+            std::minmax(x.index(), y.index());
         const auto it = cache_.find(key);
         if (it != cache_.end()) return it->second;
         const cp::BoolVar b = store_.new_bool();
@@ -355,7 +358,9 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
 
     std::vector<cp::Phase> phases;
     if (options.three_phase_search) {
-        phases.push_back({op_starts, cp::VarSelect::SmallestMin, cp::ValSelect::Min, "ops"});
+        // The op phase follows emit_flat's first-fail order so both sides
+        // still branch identically; every other line here stays frozen.
+        phases.push_back({op_starts, cp::VarSelect::MinDomain, cp::ValSelect::Min, "ops"});
         phases.push_back({data_starts, cp::VarSelect::SmallestMin, cp::ValSelect::Min, "data"});
         phases.push_back({slot_vars, cp::VarSelect::InputOrder, cp::ValSelect::Min, "slots"});
     } else {

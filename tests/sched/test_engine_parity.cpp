@@ -1,16 +1,20 @@
 // Search-tree golden suite for the propagation engine at the application
 // level: scheduling the paper kernels (matmul from Listing 1 / Table 1,
-// QRD §4.1, ARF) and the modulo pipeliner must explore exactly the tree
-// recorded below — same node, failure and solution counts, same optimum —
-// and return verify-clean schedules. The counts were recorded while the
-// original wake-on-any-change, single-FIFO, full-snapshot engine still
-// existed and a differential test proved it explored the identical trees.
+// QRD §4.1, ARF, DETECT) and the modulo pipeliner must explore exactly the
+// tree recorded below — same node, failure and solution counts, same
+// optimum — and return verify-clean schedules. The flat counts are the
+// trees of the §3.5 search with a first-fail op phase (ops -> data ->
+// slots), recorded when the op phase switched from smallest-min to
+// first-fail. The modulo vectors predate that switch (emit_modulo's phases
+// did not change) and were recorded while the original wake-on-any-change,
+// single-FIFO, full-snapshot engine still existed.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "revec/apps/arf.hpp"
+#include "revec/apps/detect.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
 #include "revec/ir/passes.hpp"
@@ -28,6 +32,7 @@ ir::Graph kernel_by_name(const std::string& name) {
     if (name == "matmul") return ir::merge_pipeline_ops(apps::build_matmul());
     if (name == "qrd") return ir::merge_pipeline_ops(apps::build_qrd());
     if (name == "arf") return ir::merge_pipeline_ops(apps::build_arf());
+    if (name == "detect") return ir::merge_pipeline_ops(apps::build_detect());
     throw revec::Error("unknown kernel " + name);
 }
 
@@ -65,16 +70,17 @@ TEST_P(EngineParity, ScheduleKernelIsNodeIdenticalAcrossEngines) {
 
 // Warm-started: the heuristic incumbent prunes these trees heavily.
 INSTANTIATE_TEST_SUITE_P(Kernels, EngineParity,
-                         ::testing::Values(GoldenProof{"matmul", 25168, 12585, 0, 11},
+                         ::testing::Values(GoldenProof{"matmul", 130, 66, 0, 11},
                                            GoldenProof{"qrd", 2, 2, 0, 142},
-                                           GoldenProof{"arf", 2, 2, 0, 57}));
+                                           GoldenProof{"arf", 2, 2, 0, 57},
+                                           GoldenProof{"detect", 23482, 11742, 0, 34}));
 
 TEST(EngineParity, ColdSearchIsNodeIdenticalToo) {
     // Without the heuristic warm start the exact search runs the full tree.
     ScheduleOptions options;
     options.timeout_ms = 60000;
     options.warm_start = false;
-    expect_golden(kernel_by_name("matmul"), options, {"matmul", 25208, 12605, 1, 11});
+    expect_golden(kernel_by_name("matmul"), options, {"matmul", 170, 86, 1, 11});
 }
 
 TEST(EngineParity, ModuloPipelinerIsNodeIdenticalAcrossEngines) {
