@@ -96,10 +96,12 @@ int main(int argc, char** argv) {
     bench::note("the shared incumbent is what scales: a diversified worker finds a "
                 "near-optimal makespan early, and every other worker's tree collapses "
                 "under the tightened bound. The sequential search's first-fail op "
-                "phase already proves these kernels in a few hundred nodes, so extra "
-                "workers mostly add duplicate work here; with a smallest-min op phase "
-                "MATMUL's cold proof took 25208 nodes and the portfolio was 28-38x "
-                "faster.");
+                "phase already proves these kernels in ~170 nodes, so the parallel "
+                "cost here is model emission, not nodes: each extra worker and the "
+                "canonical replay re-emit the model (~3 ms per QRD emission), which "
+                "is why QRD at 2 threads takes 2-3x the 1-thread time at about the "
+                "same node count. With a smallest-min op phase MATMUL's cold proof "
+                "took 25208 nodes and the portfolio was 28-38x faster.");
     std::cout << (all_ok ? "\nall thread counts prove the sequential optimum\n"
                          : "\nPARITY FAILURES PRESENT\n");
     bench::write_metrics(metrics_path, metrics);

@@ -63,100 +63,95 @@ struct SharedIncumbent {
     std::int64_t objective = kNoBound;
 };
 
-/// One portfolio worker: rebuild the model, run the (possibly restarting)
-/// DFS against the shared bound, and fill `slot`.
-void run_worker(const ModelBuilder& build, const WorkerConfig& cfg,
-                const SearchOptions& base, bool profile,
-                obs::TraceBuffer* trace, std::int64_t trace_rid, std::atomic<bool>& stop,
-                std::atomic<std::int64_t>& shared, SharedIncumbent* incumbent,
-                WorkerSlot& slot) {
+/// Run one worker thread's body, parking any exception in its slot and
+/// cancelling the other workers.
+template <typename Body>
+void guarded(WorkerSlot& slot, std::atomic<bool>& stop, Body&& body) {
     try {
-        // The rid payload only appears for service-correlated solves, so
-        // standalone traces stay byte-identical with rid plumbing in place.
-        obs::SpanScope worker_span(trace, obs::TraceLevel::Phase, "worker",
-                                   trace_rid != 0 ? "rid" : nullptr, trace_rid);
-        Store store;
-        if (profile) store.enable_profiling();
-        const PostedModel model = build(store);
-        const std::vector<Phase> phases = apply_config(model.phases, cfg);
-
-        SearchOptions opts = base;
-        opts.stop = &stop;
-        opts.shared_bound = model.objective.valid() ? &shared : nullptr;
-        opts.value_jitter_seed = cfg.jitter_seed;
-        opts.trace = trace;
-        if (incumbent != nullptr && model.objective.valid()) {
-            opts.on_solution = [incumbent](const std::vector<int>& a, std::int64_t obj) {
-                const std::lock_guard<std::mutex> lock(incumbent->mu);
-                if (obj < incumbent->objective) {
-                    incumbent->objective = obj;
-                    incumbent->best = a;
-                }
-            };
-        }
-
-        XorShift reseed(cfg.jitter_seed == 0 ? 0x7f4a7c15u : cfg.jitter_seed);
-        std::int64_t restart_limit = cfg.restarts ? kRestartFailures : -1;
-        std::int64_t local_best = kNoBound;
-
-        while (true) {
-            // Per-solve failure budget: the restart limit, clipped so the
-            // caller's overall per-worker limit is still honored.
-            std::int64_t limit = restart_limit;
-            if (base.max_failures >= 0) {
-                const std::int64_t remaining =
-                    std::max<std::int64_t>(0, base.max_failures - slot.report.stats.failures);
-                limit = limit < 0 ? remaining : std::min(limit, remaining);
-            }
-            opts.max_failures = limit;
-
-            const SolveResult r = solve(store, phases, model.objective, opts);
-            // Search counters per solve; the engine counters and profile
-            // accumulate in the one store and are read once at the end.
-            merge_counters(slot.report.stats, r.stats);
-            slot.report.status = r.status;
-            if (r.has_solution()) {
-                const std::int64_t obj =
-                    model.objective.valid() ? r.value_of(model.objective) : 0;
-                if (slot.best.empty() || obj < local_best) {
-                    slot.best = r.best;
-                    local_best = obj;
-                    slot.report.best_objective = obj;
-                }
-            }
-
-            if (r.status == SolveStatus::Optimal || r.status == SolveStatus::Unsat) {
-                // Genuine exhaustion of the bound-pruned tree: with any
-                // incumbent (ours or shared) this proves global optimality.
-                slot.report.proved = true;
-                break;
-            }
-            // Timeout / SatTimeout: cancelled, out of wall clock, out of the
-            // caller's failure budget, or (restart workers) out of the
-            // per-restart failure limit. Only the last one restarts.
-            if (stop.load(std::memory_order_relaxed) || base.deadline.expired()) break;
-            if (base.max_failures >= 0 &&
-                slot.report.stats.failures > base.max_failures) {
-                break;
-            }
-            if (restart_limit < 0) break;
-            ++slot.report.stats.restarts;
-            obs::instant(trace, obs::TraceLevel::Phase, "restart", "limit",
-                         restart_limit);
-            restart_limit =
-                static_cast<std::int64_t>(static_cast<double>(restart_limit) * kRestartGrowth) +
-                1;
-            opts.value_jitter_seed = reseed.next() | 1u;
-        }
-        slot.report.prop_stats = store.stats();
-        if (profile) slot.report.prop_profile = store.profile_by_class();
-        worker_span.result("nodes", slot.report.stats.nodes, "proved",
-                           slot.report.proved ? 1 : 0);
-        if (slot.report.proved) stop.store(true, std::memory_order_release);
+        body();
     } catch (...) {
         slot.error = std::current_exception();
         stop.store(true, std::memory_order_release);
     }
+}
+
+/// One CP worker: run the (possibly restarting) DFS over `store` — the
+/// caller's emission for worker 0, a re-emission for the others — against
+/// the shared bound, and fill `slot`.
+void search_worker(Store& store, const PostedModel& model, const WorkerConfig& cfg,
+                   const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
+                   std::atomic<bool>& stop, std::atomic<std::int64_t>& shared,
+                   SharedIncumbent* incumbent, WorkerSlot& slot) {
+    if (profile) store.enable_profiling();
+    const std::vector<Phase> phases = apply_config(model.phases, cfg);
+
+    SearchOptions opts = base;
+    opts.stop = &stop;
+    opts.shared_bound = model.objective.valid() ? &shared : nullptr;
+    opts.value_jitter_seed = cfg.jitter_seed;
+    opts.trace = trace;
+    if (incumbent != nullptr && model.objective.valid()) {
+        opts.on_solution = [incumbent](const std::vector<int>& a, std::int64_t obj) {
+            const std::lock_guard<std::mutex> lock(incumbent->mu);
+            if (obj < incumbent->objective) {
+                incumbent->objective = obj;
+                incumbent->best = a;
+            }
+        };
+    }
+
+    XorShift reseed(cfg.jitter_seed == 0 ? 0x7f4a7c15u : cfg.jitter_seed);
+    std::int64_t restart_limit = cfg.restarts ? kRestartFailures : -1;
+    std::int64_t local_best = kNoBound;
+
+    while (true) {
+        // Per-solve failure budget: the restart limit, clipped so the
+        // caller's overall per-worker limit is still honored.
+        std::int64_t limit = restart_limit;
+        if (base.max_failures >= 0) {
+            const std::int64_t remaining =
+                std::max<std::int64_t>(0, base.max_failures - slot.report.stats.failures);
+            limit = limit < 0 ? remaining : std::min(limit, remaining);
+        }
+        opts.max_failures = limit;
+
+        const SolveResult r = solve(store, phases, model.objective, opts);
+        // Search counters per solve; the engine counters and profile
+        // accumulate in the one store and are read once at the end.
+        merge_counters(slot.report.stats, r.stats);
+        slot.report.status = r.status;
+        if (r.has_solution()) {
+            const std::int64_t obj = model.objective.valid() ? r.value_of(model.objective) : 0;
+            if (slot.best.empty() || obj < local_best) {
+                slot.best = r.best;
+                local_best = obj;
+                slot.report.best_objective = obj;
+            }
+        }
+
+        if (r.status == SolveStatus::Optimal || r.status == SolveStatus::Unsat) {
+            // Genuine exhaustion of the bound-pruned tree: with any
+            // incumbent (ours or shared) this proves global optimality.
+            slot.report.proved = true;
+            break;
+        }
+        // Timeout / SatTimeout: cancelled, out of wall clock, out of the
+        // caller's failure budget, or (restart workers) out of the
+        // per-restart failure limit. Only the last one restarts.
+        if (stop.load(std::memory_order_relaxed) || base.deadline.expired()) break;
+        if (base.max_failures >= 0 && slot.report.stats.failures > base.max_failures) {
+            break;
+        }
+        if (restart_limit < 0) break;
+        ++slot.report.stats.restarts;
+        obs::instant(trace, obs::TraceLevel::Phase, "restart", "limit", restart_limit);
+        restart_limit =
+            static_cast<std::int64_t>(static_cast<double>(restart_limit) * kRestartGrowth) + 1;
+        opts.value_jitter_seed = reseed.next() | 1u;
+    }
+    slot.report.prop_stats = store.stats();
+    if (profile) slot.report.prop_profile = store.profile_by_class();
+    if (slot.report.proved) stop.store(true, std::memory_order_release);
 }
 
 /// Once every CP worker has returned, this many consecutive non-improving
@@ -167,84 +162,75 @@ constexpr std::int64_t kLnsIdleLimit = 16;
 /// One LNS worker: loop { snapshot incumbent, run one lns_round, publish
 /// accepted improvements through the shared bound + incumbent }. Never sets
 /// `proved` — LNS only improves, proofs come from CP workers.
-void run_lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
-                    const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
-                    std::int64_t trace_rid, std::atomic<bool>& stop,
-                    std::atomic<std::int64_t>& shared, SharedIncumbent& incumbent,
-                    const std::atomic<int>& cp_active, WorkerSlot& slot) {
-    try {
-        obs::SpanScope worker_span(trace, obs::TraceLevel::Phase, "worker",
-                                   trace_rid != 0 ? "rid" : nullptr, trace_rid);
-        XorShift rng(seed);
-        std::int64_t idle = 0;
-        int round_no = 0;
-        while (!stop.load(std::memory_order_relaxed) && !base.deadline.expired()) {
-            std::vector<int> snapshot;
-            std::int64_t snapshot_obj = kNoBound;
-            {
-                const std::lock_guard<std::mutex> lock(incumbent.mu);
-                snapshot = incumbent.best;
-                snapshot_obj = incumbent.objective;
-            }
-            if (snapshot.empty()) {
-                // Cold start without a seed assignment: wait for some CP
-                // worker's first solution; give up when none can come.
-                if (cp_active.load(std::memory_order_acquire) == 0) break;
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                continue;
-            }
-            LnsRoundContext ctx;
-            ctx.incumbent = &snapshot;
-            ctx.objective = snapshot_obj;
-            ctx.seed = rng.next() | 1u;
-            ctx.worker = lns_index;
-            ctx.round = round_no++;
-            ctx.deadline = base.deadline;
-            ctx.stop = &stop;
-            ctx.trace = trace;
-            ctx.trace_rid = trace_rid;
-            ctx.profile = profile;
-            const LnsRoundResult r = round(ctx);
-            ++slot.report.lns_rounds;
-            slot.report.absorb(r);
+void lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
+                const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
+                std::int64_t trace_rid, std::atomic<bool>& stop,
+                std::atomic<std::int64_t>& shared, SharedIncumbent& incumbent,
+                const std::atomic<int>& cp_active, WorkerSlot& slot) {
+    XorShift rng(seed);
+    std::int64_t idle = 0;
+    int round_no = 0;
+    while (!stop.load(std::memory_order_relaxed) && !base.deadline.expired()) {
+        std::vector<int> snapshot;
+        std::int64_t snapshot_obj = kNoBound;
+        {
+            const std::lock_guard<std::mutex> lock(incumbent.mu);
+            snapshot = incumbent.best;
+            snapshot_obj = incumbent.objective;
+        }
+        if (snapshot.empty()) {
+            // Cold start without a seed assignment: wait for some CP
+            // worker's first solution; give up when none can come.
+            if (cp_active.load(std::memory_order_acquire) == 0) break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            continue;
+        }
+        LnsRoundContext ctx;
+        ctx.incumbent = &snapshot;
+        ctx.objective = snapshot_obj;
+        ctx.seed = rng.next() | 1u;
+        ctx.worker = lns_index;
+        ctx.round = round_no++;
+        ctx.deadline = base.deadline;
+        ctx.stop = &stop;
+        ctx.trace = trace;
+        ctx.trace_rid = trace_rid;
+        ctx.profile = profile;
+        const LnsRoundResult r = round(ctx);
+        ++slot.report.lns_rounds;
+        slot.report.absorb(r);
 
-            bool accepted = false;
-            if (r.improved && !r.assignment.empty() && r.objective < snapshot_obj) {
-                const std::lock_guard<std::mutex> lock(incumbent.mu);
-                if (r.objective < incumbent.objective) {
-                    incumbent.objective = r.objective;
-                    incumbent.best = r.assignment;
-                    accepted = true;
-                }
-            }
-            if (accepted) {
-                ++slot.report.lns_accepted;
-                idle = 0;
-                slot.best = r.assignment;
-                slot.report.best_objective = r.objective;
-                slot.report.status = SolveStatus::SatTimeout;
-                // Publish through the shared bound so every CP worker prunes
-                // against the LNS incumbent from its next node on.
-                std::int64_t cur = shared.load(std::memory_order_relaxed);
-                while (r.objective < cur &&
-                       !shared.compare_exchange_weak(cur, r.objective,
-                                                     std::memory_order_relaxed)) {
-                }
-                obs::instant(trace, obs::TraceLevel::Phase, "bound", "obj", r.objective);
-            } else {
-                ++slot.report.lns_rejected;
-                ++idle;
-                if (cp_active.load(std::memory_order_acquire) == 0 &&
-                    idle >= kLnsIdleLimit) {
-                    break;
-                }
+        bool accepted = false;
+        if (r.improved && !r.assignment.empty() && r.objective < snapshot_obj) {
+            const std::lock_guard<std::mutex> lock(incumbent.mu);
+            if (r.objective < incumbent.objective) {
+                incumbent.objective = r.objective;
+                incumbent.best = r.assignment;
+                accepted = true;
             }
         }
-        worker_span.result("rounds", slot.report.lns_rounds, "accepted",
-                           slot.report.lns_accepted);
-    } catch (...) {
-        slot.error = std::current_exception();
-        stop.store(true, std::memory_order_release);
+        if (accepted) {
+            ++slot.report.lns_accepted;
+            idle = 0;
+            slot.best = r.assignment;
+            slot.report.best_objective = r.objective;
+            slot.report.status = SolveStatus::SatTimeout;
+            // Publish through the shared bound so every CP worker prunes
+            // against the LNS incumbent from its next node on.
+            std::int64_t cur = shared.load(std::memory_order_relaxed);
+            while (r.objective < cur &&
+                   !shared.compare_exchange_weak(cur, r.objective,
+                                                 std::memory_order_relaxed)) {
+            }
+            obs::instant(trace, obs::TraceLevel::Phase, "bound", "obj", r.objective);
+        } else {
+            ++slot.report.lns_rejected;
+            ++idle;
+            if (cp_active.load(std::memory_order_acquire) == 0 &&
+                idle >= kLnsIdleLimit) {
+                break;
+            }
+        }
     }
 }
 
@@ -308,7 +294,8 @@ WorkerConfig diversified_config(int k, std::uint32_t seed) {
     return c;
 }
 
-PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& config,
+PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
+                                const ModelBuilder& build, const SolverConfig& config,
                                 const SearchOptions& options) {
     REVEC_EXPECTS(config.threads >= 1);
     REVEC_EXPECTS(config.lns_workers >= 0);
@@ -342,35 +329,55 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
     }
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(total));
 
-    // Register one trace track per worker up front (on this thread, in
-    // worker order, CP workers then LNS workers) so the serialized track
-    // order is deterministic whatever the thread scheduling does.
-    std::vector<obs::TraceBuffer*> tracks(static_cast<std::size_t>(total), nullptr);
-    if (config.trace != nullptr) {
-        for (int k = 0; k < n; ++k) {
-            tracks[static_cast<std::size_t>(k)] =
-                config.trace->new_track("worker-" + std::to_string(k) + " (" +
-                                        cfgs[static_cast<std::size_t>(k)].label + ")");
-        }
-        for (int j = 0; j < lns; ++j) {
-            tracks[static_cast<std::size_t>(n + j)] =
-                config.trace->new_track("lns-" + std::to_string(j));
-        }
-    }
-
     SharedIncumbent* const inc = lns > 0 ? &incumbent : nullptr;
     if (total == 1) {
-        run_worker(build, cfgs[0], options, config.profile,
-                   tracks[0], config.trace_rid, stop, shared, inc, slots[0]);
-        cp_active.store(0, std::memory_order_release);
+        // One worker searches inline on the caller's store and trace track:
+        // exactly the sequential tree, with no worker span or track.
+        search_worker(store, model, cfgs[0], options, config.profile, options.trace, stop,
+                      shared, inc, slots[0]);
     } else {
+        // Register one trace track per worker up front (on this thread, in
+        // worker order, CP workers then LNS workers) so the serialized track
+        // order is deterministic whatever the thread scheduling does.
+        std::vector<obs::TraceBuffer*> tracks(static_cast<std::size_t>(total), nullptr);
+        if (config.trace != nullptr) {
+            for (int k = 0; k < n; ++k) {
+                tracks[static_cast<std::size_t>(k)] = config.trace->new_track(
+                    "worker-" + std::to_string(k) + " (" +
+                    cfgs[static_cast<std::size_t>(k)].label + ")");
+            }
+            for (int j = 0; j < lns; ++j) {
+                tracks[static_cast<std::size_t>(n + j)] =
+                    config.trace->new_track("lns-" + std::to_string(j));
+            }
+        }
+        // The rid payload only appears for service-correlated solves, so
+        // standalone traces stay byte-identical with rid plumbing in place.
+        const char* const rid_key = config.trace_rid != 0 ? "rid" : nullptr;
+
         std::vector<std::thread> threads;
         threads.reserve(static_cast<std::size_t>(total));
         for (int k = 0; k < n; ++k) {
             threads.emplace_back([&, k] {
-                run_worker(build, cfgs[static_cast<std::size_t>(k)], options, config.profile,
-                           tracks[static_cast<std::size_t>(k)], config.trace_rid, stop,
-                           shared, inc, slots[static_cast<std::size_t>(k)]);
+                const auto i = static_cast<std::size_t>(k);
+                WorkerSlot& slot = slots[i];
+                guarded(slot, stop, [&] {
+                    obs::SpanScope span(tracks[i], obs::TraceLevel::Phase, "worker", rid_key,
+                                        config.trace_rid);
+                    if (k == 0) {
+                        search_worker(store, model, cfgs[i], options, config.profile,
+                                      tracks[i], stop, shared, inc, slot);
+                    } else {
+                        // Workers 1..N-1 re-emit the model into stores of
+                        // their own, on their own threads.
+                        Store own;
+                        const PostedModel own_model = build(own);
+                        search_worker(own, own_model, cfgs[i], options, config.profile,
+                                      tracks[i], stop, shared, inc, slot);
+                    }
+                    span.result("nodes", slot.report.stats.nodes, "proved",
+                                slot.report.proved ? 1 : 0);
+                });
                 cp_active.fetch_sub(1, std::memory_order_release);
             });
         }
@@ -378,10 +385,16 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
         for (int j = 0; j < lns; ++j) {
             const std::uint32_t seed = lns_seeds.next() | 1u;
             threads.emplace_back([&, j, seed] {
-                run_lns_worker(config.lns_round, j, seed, options, config.profile,
-                               tracks[static_cast<std::size_t>(n + j)], config.trace_rid,
-                               stop, shared, incumbent, cp_active,
-                               slots[static_cast<std::size_t>(n + j)]);
+                const auto i = static_cast<std::size_t>(n + j);
+                WorkerSlot& slot = slots[i];
+                guarded(slot, stop, [&] {
+                    obs::SpanScope span(tracks[i], obs::TraceLevel::Phase, "worker", rid_key,
+                                        config.trace_rid);
+                    lns_worker(config.lns_round, j, seed, options, config.profile, tracks[i],
+                               config.trace_rid, stop, shared, incumbent, cp_active, slot);
+                    span.result("rounds", slot.report.lns_rounds, "accepted",
+                                slot.report.lns_accepted);
+                });
             });
         }
         for (std::thread& t : threads) t.join();
@@ -424,21 +437,21 @@ PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& c
     // the baseline configuration under the proven bound. (LNS workers make
     // even a 1-CP-thread portfolio timing-dependent, hence `total`.)
     if (total > 1 && out.status == SolveStatus::Optimal && out.has_solution()) {
-        obs::TraceBuffer* const main_track =
-            config.trace != nullptr ? config.trace->main() : nullptr;
-        obs::SpanScope replay_span(main_track, obs::TraceLevel::Phase, "replay");
-        Store store;
-        if (config.profile) store.enable_profiling();
-        const PostedModel model = build(store);
-        if (model.objective.valid() && store.set_max(model.objective, best_obj)) {
+        obs::SpanScope replay_span(options.trace, obs::TraceLevel::Phase, "replay");
+        Store replay_store;
+        if (config.profile) replay_store.enable_profiling();
+        const PostedModel replay_model = build(replay_store);
+        if (replay_model.objective.valid() &&
+            replay_store.set_max(replay_model.objective, best_obj)) {
             SearchOptions replay_opts;
             replay_opts.deadline = options.deadline;
             replay_opts.stop_at_first_solution = true;
-            replay_opts.trace = main_track;
-            const SolveResult replay = solve(store, model.phases, model.objective, replay_opts);
+            replay_opts.trace = options.trace;
+            const SolveResult replay =
+                solve(replay_store, replay_model.phases, replay_model.objective, replay_opts);
             out.absorb(replay);
             replay_span.result("nodes", replay.stats.nodes);
-            if (replay.has_solution() && replay.value_of(model.objective) == best_obj) {
+            if (replay.has_solution() && replay.value_of(replay_model.objective) == best_obj) {
                 out.best = replay.best;
             }
         }

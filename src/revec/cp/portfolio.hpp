@@ -1,12 +1,20 @@
-// Parallel portfolio branch-and-bound (tentpole of the solver-parallelism
-// work): N workers run the sequential DFS of search.hpp over *diversified*
-// configurations of the same model — permuted variable/value-selection
-// heuristics, flattened phases, failure-limited restarts with RNG-jittered
-// value ordering — against independent stores rebuilt through a re-posting
-// hook. All workers share a single atomic incumbent objective, so any
-// worker's improvement immediately prunes every other worker; the first
-// worker to exhaust its (bound-pruned) search space proves optimality for
-// the whole portfolio and cooperatively cancels the rest.
+// Parallel portfolio branch-and-bound: the one entry point through which
+// the scheduling layers (sched::schedule_model, the pipeline's modulo scan)
+// run an exact search, whatever the thread count. N workers run the
+// sequential DFS of search.hpp over *diversified* configurations of the
+// same model — permuted variable/value-selection heuristics, flattened
+// phases, failure-limited restarts with RNG-jittered value ordering. All
+// workers share a single atomic incumbent objective, so any worker's
+// improvement immediately prunes every other worker; the first worker to
+// exhaust its (bound-pruned) search space proves optimality for the whole
+// portfolio and cooperatively cancels the rest.
+//
+// Emission: the caller emits the model once — it needs the variable table
+// to read the solution back anyway — and hands that store over. Worker 0
+// searches it; only workers 1..N-1 and the canonical replay re-emit the
+// model through the builder hook, each into a store of its own. One worker
+// (and no LNS workers) runs inline on the caller's thread and trace track:
+// the sequential solver's tree, node for node, with no worker track.
 //
 // A second worker kind (SolverConfig::lns_workers, DESIGN §5h) runs
 // large-neighbourhood search over the shared incumbent *assignment*: each
@@ -21,8 +29,7 @@
 // parallel run re-derives the reported assignment by a deterministic
 // bounded sequential pass over the baseline configuration (the canonical
 // replay, always on); repeated runs with the same seed and thread count then
-// return bit-identical solutions. With one worker the portfolio is
-// bit-compatible with the sequential solver (same tree, same node counts).
+// return bit-identical solutions.
 //
 // Solver work: every worker report, LNS round and the replay is a
 // cp::SolveWork, and the merged result sums them through SolveWork::absorb
@@ -106,11 +113,11 @@ struct SolverConfig {
     /// optimal. INT64_MAX (the default) means "no incumbent".
     std::int64_t initial_incumbent = INT64_MAX;
 
-    /// Trace sink for the solve. nullptr = tracing off (every event site is
-    /// one branch). The portfolio registers one track per worker (in worker
-    /// order, before the threads spawn, so serialization order is
-    /// deterministic); the sequential layers write into the sink's main
-    /// track.
+    /// Trace sink for parallel solves. nullptr = no worker tracks. With more
+    /// than one worker the portfolio registers one track per worker (in
+    /// worker order, before the threads spawn, so serialization order is
+    /// deterministic); a single worker writes into SearchOptions::trace,
+    /// as do the replay and the scheduling layers around the search.
     obs::TraceSink* trace = nullptr;
 
     /// Service request id stamped onto worker span begins (and LNS round
@@ -135,8 +142,8 @@ struct PostedModel {
 
 /// Re-posting hook: build the model into the given (fresh) store. Must be
 /// deterministic — every call creates identical variables (same indices in
-/// creation order) and constraints — and safe to invoke concurrently on
-/// distinct stores.
+/// creation order) and constraints, the same ones the caller's own emission
+/// holds — and safe to invoke concurrently on distinct stores.
 using ModelBuilder = std::function<PostedModel(Store&)>;
 
 /// One row of the diversification table.
@@ -180,14 +187,20 @@ struct PortfolioResult : SolveResult {
     std::vector<WorkerReport> workers;
 };
 
-/// Minimize the built model's objective (or find a first solution when the
+/// Minimize the model's objective (or find a first solution when the
 /// objective is invalid) with `config.threads` diversified workers sharing
 /// one incumbent bound, plus `config.lns_workers` LNS workers improving the
-/// shared incumbent assignment through the lns_round hook. `options.deadline`
-/// and `options.max_failures` apply to every worker individually;
+/// shared incumbent assignment through the lns_round hook. `store` holds the
+/// caller's emission of the model (at root level, not yet searched) and
+/// `model` its phases and objective; worker 0 searches it and leaves it at
+/// root level. `build` re-emits the same model for workers 1..N-1 and the
+/// replay, so a 1-worker solve never calls it. `options.deadline` and
+/// `options.max_failures` apply to every worker individually;
+/// `options.trace` receives the 1-worker search and the replay;
 /// `options.stop`/`shared_bound`/`on_solution` must be null — the portfolio
 /// owns those.
-PortfolioResult solve_portfolio(const ModelBuilder& build, const SolverConfig& config,
+PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
+                                const ModelBuilder& build, const SolverConfig& config,
                                 const SearchOptions& options = {});
 
 }  // namespace revec::cp

@@ -44,7 +44,8 @@ options:
   --portfolio        shorthand for --threads=<hardware concurrency, max 8>
   --lns=MODE         on races large-neighbourhood-search workers alongside
                      the portfolio (default 2 unless --lns-workers says
-                     otherwise); off (default) disables them
+                     otherwise); off (default) disables them. Flat
+                     schedules only: rejected with --emit=modulo
   --lns-workers=N    number of LNS workers (implies --lns=on)
   --lns-relax-pct=P  percent of the ops each LNS round relaxes (1-100,
                      default 30)
@@ -367,6 +368,11 @@ obs::MetricsRegistry collect_metrics(const pipeline::ModuloResult& r) {
 }
 
 int run(const Options& options, std::ostream& out) {
+    if (options.emit == "modulo" && options.lns_workers > 0) {
+        // LNS relaxes flat, unpinned schedules; the modulo scan has none.
+        out << "--lns/--lns-workers apply to flat schedules, not --emit=modulo\n";
+        return 1;
+    }
     const arch::ArchSpec spec = spec_for(options);
     ir::Graph g = ir::load_xml(options.input_path);
     if (options.merge_pass) g = ir::merge_pipeline_ops(g);

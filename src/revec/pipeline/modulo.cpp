@@ -85,16 +85,17 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
         solver.trace != nullptr ? solver.trace->main() : nullptr;
     obs::SpanScope span(trace, obs::TraceLevel::Phase, "try_ii", "ii", ii);
 
-    // Lower once per candidate II (the wrap is part of the model), then emit
-    // into as many stores as the search needs: emission is deterministic, so
-    // the reference table's handles index any worker's solution.
+    // Lower once per candidate II (the wrap is part of the model) and emit
+    // it for worker 0; further portfolio workers re-emit it into stores of
+    // their own. Emission is deterministic, so this table's handles index
+    // any worker's solution.
     model::LowerOptions lo;
     lo.horizon = horizon;
     lo.modulo = model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget};
     const model::KernelModel km = model::lower_ir(spec, g, lo);
 
     cp::Store store;
-    const model::VarTable m = model::emit_cp(store, km);
+    model::VarTable m = model::emit_cp(store, km);
 
     IiAttempt attempt;
     attempt.residue_vars = m.residue;
@@ -107,27 +108,15 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
 
     cp::SearchOptions opts;
     opts.deadline = deadline;
-    const IntVar objective =
-        minimize_reconfigs && m.reconfig_count.valid() ? m.reconfig_count : IntVar();
-
-    if (solver.threads <= 1) {
-        if (solver.profile) store.enable_profiling();
-        opts.trace = trace;
-        if (objective.valid()) {
-            attempt.result = cp::solve(store, m.phases, objective, opts);
-        } else {
-            attempt.result = cp::satisfy(store, m.phases, opts);
-        }
-        span.result("solved", attempt.result.has_solution() ? 1 : 0);
-        return attempt;
-    }
+    opts.trace = trace;
+    const auto objective_of = [minimize_reconfigs](const model::VarTable& t) {
+        return minimize_reconfigs && t.reconfig_count.valid() ? t.reconfig_count : IntVar();
+    };
     attempt.result = cp::solve_portfolio(
+        store, cp::PostedModel{std::move(m.phases), objective_of(m)},
         [&](cp::Store& s) {
             model::VarTable worker = model::emit_cp(s, km);
-            const IntVar obj = minimize_reconfigs && worker.reconfig_count.valid()
-                                   ? worker.reconfig_count
-                                   : IntVar();
-            return cp::PostedModel{std::move(worker.phases), obj};
+            return cp::PostedModel{std::move(worker.phases), objective_of(worker)};
         },
         solver, opts);
     span.result("solved", attempt.result.has_solution() ? 1 : 0);
@@ -155,6 +144,11 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         options.solver.trace != nullptr ? options.solver.trace->main() : nullptr;
     obs::SpanScope modulo_span(trace, obs::TraceLevel::Phase, "modulo", "nodes",
                                g.num_nodes());
+
+    // LNS relaxes flat, unpinned schedules only: the per-II searches run
+    // CP workers alone.
+    cp::SolverConfig solver = options.solver;
+    solver.lns_workers = 0;
 
     // One base lowering (no wrap) feeds the bound, the IMS warm start, and
     // the reconfiguration counting; the per-II exact models are lowered
@@ -227,7 +221,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 break;
             }
             const IiAttempt attempt =
-                try_ii(spec, g, ii, horizon, false, 0, deadline, options.solver);
+                try_ii(spec, g, ii, horizon, false, 0, deadline, solver);
             best.absorb(attempt.result);
             if (attempt.result.has_solution()) {
                 extract(attempt, ii);
@@ -270,7 +264,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 ? g.num_nodes()
                 : std::max(0, (best_actual - 1 - ii) / std::max(1, spec.reconfig_cycles));
         const IiAttempt attempt =
-            try_ii(spec, g, ii, horizon, true, budget, deadline, options.solver);
+            try_ii(spec, g, ii, horizon, true, budget, deadline, solver);
         best.absorb(attempt.result);
         if (!attempt.result.has_solution()) continue;
         const int r = attempt.result.value_of(attempt.reconfig_count);

@@ -26,8 +26,10 @@ struct ModuloOptions {
     bool include_reconfigs = false;
     /// Wall-clock budget; -1 = unlimited. The paper used a 10-minute cap.
     std::int64_t timeout_ms = -1;
-    /// Parallel portfolio search for each per-II solve (threads = 1 keeps
-    /// the sequential solver); see cp/portfolio.hpp.
+    /// Portfolio search for each per-II solve (threads = 1 walks the
+    /// sequential tree); see cp/portfolio.hpp. LNS runs only on flat,
+    /// unpinned models, so the scan runs no LNS workers: lns_workers is
+    /// treated as 0, as schedule_model does for slot-only solves.
     cp::SolverConfig solver;
 
     /// Warm start from heur::iterative_modulo_schedule: the greedy IMS

@@ -1,7 +1,6 @@
 #include "revec/sched/model.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <set>
 
@@ -111,6 +110,36 @@ std::optional<Schedule> heuristic_schedule(const model::KernelModel& km,
     return std::nullopt;
 }
 
+/// Merge the exact outcome with the seeded incumbent. The exact search
+/// only explored strictly better makespans, so:
+///  * a solution of its own wins (it beats the seed);
+///  * Unsat means nothing better exists -- the seed was optimal;
+///  * Timeout means nothing proved either way -- anytime fallback.
+/// The seed returned in the other cases carries the exact search's work and
+/// worker reports.
+Schedule merge_with_seed(Schedule seed, Schedule exact) {
+    switch (exact.status) {
+        case cp::SolveStatus::Optimal:
+        case cp::SolveStatus::SatTimeout:
+            if (!exact.start.empty() && exact.makespan <= seed.makespan) return exact;
+            // Defensive: a root-propagated solution records before the
+            // cutoff applies; never return anything worse than the seed.
+            seed.status = exact.status == cp::SolveStatus::Optimal
+                              ? cp::SolveStatus::Optimal
+                              : cp::SolveStatus::HeuristicFallback;
+            break;
+        case cp::SolveStatus::Unsat:
+            seed.status = cp::SolveStatus::Optimal;
+            break;
+        case cp::SolveStatus::Timeout:
+        case cp::SolveStatus::HeuristicFallback:
+            break;
+    }
+    seed.workers = std::move(exact.workers);
+    static_cast<cp::SolveWork&>(seed) = std::move(exact);
+    return seed;
+}
+
 }  // namespace
 
 model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions& options) {
@@ -121,7 +150,7 @@ model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions&
         throw Error("num_slots exceeds the architecture's memory");
     }
 
-    int horizon = options.horizon > 0 ? options.horizon : derive_horizon(spec, g);
+    int horizon = derive_horizon(spec, g);
     if (!options.fixed_starts.empty()) {
         // Slot-only mode: the horizon must cover the supplied schedule.
         int fixed_end = 0;
@@ -150,7 +179,6 @@ ModelSolveOptions model_solve_options(const ScheduleOptions& options) {
     mo.timeout_ms = options.timeout_ms;
     mo.warm_start = options.warm_start;
     mo.heuristic_only = options.heuristic_only;
-    mo.horizon_is_cap = options.horizon > 0;
     mo.solver = options.solver;
     mo.lns = options.lns;
     return mo;
@@ -181,14 +209,6 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     std::optional<Schedule> heuristic;
     if ((options.warm_start || options.heuristic_only) && model_in.fixed_starts.empty()) {
         heuristic = heuristic_schedule(model_in, trace);
-        if (heuristic.has_value() && options.horizon_is_cap &&
-            heuristic->makespan + 1 > model_in.horizon) {
-            // A caller-capped horizon below the heuristic makespan: the
-            // exact search's answers are relative to that cap, so the
-            // heuristic can neither seed the bound nor stand in as a
-            // result.
-            heuristic.reset();
-        }
     }
     if (options.heuristic_only) {
         if (heuristic.has_value()) return *heuristic;
@@ -208,7 +228,6 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
         const IncumbentSeed& seed = *options.incumbent;
         bool adopted = false;
         if (static_cast<int>(seed.start.size()) == model_in.num_nodes() &&
-            !(options.horizon_is_cap && seed.makespan + 1 > model_in.horizon) &&
             (!heuristic.has_value() || seed.makespan < heuristic->makespan)) {
             model::KernelModel checked = model_in;
             checked.enforce_port_limits = true;
@@ -235,101 +254,62 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     // shift, modulo max_stage recomputed).
     const model::KernelModel* km = &model_in;
     model::KernelModel raised;
-    if (heuristic.has_value() && !options.horizon_is_cap &&
-        heuristic->makespan + 1 > model_in.horizon) {
+    if (heuristic.has_value() && heuristic->makespan + 1 > model_in.horizon) {
         raised = model::with_horizon(
             model_in,
             std::max(heuristic->makespan + 1, model_in.critical_path));
         km = &raised;
     }
 
+    cp::SolverConfig solver = options.solver;
+    if (heuristic.has_value()) solver.initial_incumbent = heuristic->makespan;
+    if (!km->fixed_starts.empty()) {
+        // Slot-only mode: every start is pinned, so there is no
+        // neighbourhood to relax.
+        solver.lns_workers = 0;
+    }
+    if (solver.lns_workers > 0) {
+        // Build the round hook over the same lowered model the CP workers
+        // search; complete the heuristic schedule into a full store
+        // assignment so LNS rounds can start before any CP worker publishes
+        // a solution of its own.
+        solver.lns_round = lns::make_portfolio_round(*km, options.lns);
+        if (heuristic.has_value()) {
+            solver.lns_seed_assignment =
+                lns::complete_assignment(*km, heuristic->start, heuristic->slot);
+        }
+    }
+
     cp::SearchOptions search_opts;
     search_opts.deadline = Deadline::after_ms(options.timeout_ms);
+    search_opts.trace = trace;
 
     // One emission supplies the variable handles for extraction and the
-    // store for the sequential path. Portfolio workers re-emit the same
+    // store worker 0 searches. Further portfolio workers re-emit the same
     // model into their own stores through the builder hook (emission is
-    // deterministic, so any table's handles index any worker's solution).
+    // deterministic, so this table's handles index any worker's solution).
     cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
-    const model::VarTable m = model::emit_cp(store, *km);
+    model::VarTable m = model::emit_cp(store, *km);
     obs::span_end(trace, obs::TraceLevel::Phase, "emit_cp", "vars",
                   static_cast<std::int64_t>(store.num_vars()));
 
-    Schedule sched;
-    const bool sequential =
-        options.solver.threads <= 1 && options.solver.lns_workers <= 0;
-    const char* const search_span = sequential ? "search" : "portfolio";
-    obs::span_begin(trace, obs::TraceLevel::Phase, search_span, "threads",
-                    options.solver.threads, rid != 0 ? "rid" : nullptr, rid);
-    if (sequential) {
-        std::atomic<std::int64_t> incumbent{heuristic.has_value() ? heuristic->makespan
-                                                                  : INT64_MAX};
-        if (heuristic.has_value()) search_opts.shared_bound = &incumbent;
-        if (options.solver.profile) store.enable_profiling();
-        search_opts.trace = trace;
-        const cp::SolveResult result = cp::solve(store, m.phases, m.makespan, search_opts);
-        sched = extract_schedule(*km, m, result);
-    } else {
-        cp::SolverConfig solver = options.solver;
-        if (heuristic.has_value()) solver.initial_incumbent = heuristic->makespan;
-        if (solver.lns_workers > 0 && !km->fixed_starts.empty()) {
-            // Slot-only mode: every start is pinned, so there is no
-            // neighbourhood to relax.
-            solver.lns_workers = 0;
-        }
-        if (solver.lns_workers > 0) {
-            // Build the round hook over the same lowered model the CP
-            // workers re-emit; complete the heuristic schedule into a full
-            // store assignment so LNS rounds can start before any CP worker
-            // publishes a solution of its own.
-            solver.lns_round = lns::make_portfolio_round(*km, options.lns);
-            if (heuristic.has_value()) {
-                solver.lns_seed_assignment =
-                    lns::complete_assignment(*km, heuristic->start, heuristic->slot);
-            }
-        }
-        const model::KernelModel& worker_model = *km;
-        const cp::PortfolioResult result = cp::solve_portfolio(
-            [&worker_model](cp::Store& s) {
-                model::VarTable worker = model::emit_cp(s, worker_model);
-                return cp::PostedModel{std::move(worker.phases), worker.makespan};
-            },
-            solver, search_opts);
-        sched = extract_schedule(*km, m, result);
-        sched.workers = result.workers;
-    }
-    obs::span_end(trace, obs::TraceLevel::Phase, search_span, "nodes",
-                  sched.stats.nodes, "makespan", sched.makespan);
-    if (!heuristic.has_value()) return sched;
-
-    // Merge the exact outcome with the seeded incumbent. The exact search
-    // only explored strictly better makespans, so:
-    //  * a solution of its own wins (it beats the heuristic);
-    //  * Unsat means nothing better exists -- the heuristic was optimal;
-    //  * Timeout means nothing proved either way -- anytime fallback.
-    // The heuristic schedule returned in the other cases carries the
-    // exact search's work and worker reports.
-    switch (sched.status) {
-        case cp::SolveStatus::Optimal:
-        case cp::SolveStatus::SatTimeout:
-            if (!sched.start.empty() && sched.makespan <= heuristic->makespan) return sched;
-            // Defensive: a root-propagated solution records before the
-            // cutoff applies; never return anything worse than the seed.
-            heuristic->status = sched.status == cp::SolveStatus::Optimal
-                                    ? cp::SolveStatus::Optimal
-                                    : cp::SolveStatus::HeuristicFallback;
-            break;
-        case cp::SolveStatus::Unsat:
-            heuristic->status = cp::SolveStatus::Optimal;
-            break;
-        case cp::SolveStatus::Timeout:
-        case cp::SolveStatus::HeuristicFallback:
-            break;
-    }
-    heuristic->workers = std::move(sched.workers);
-    static_cast<cp::SolveWork&>(*heuristic) = std::move(sched);
-    return *heuristic;
+    obs::span_begin(trace, obs::TraceLevel::Phase, "search", "threads", solver.threads,
+                    rid != 0 ? "rid" : nullptr, rid);
+    const model::KernelModel& worker_model = *km;
+    cp::PortfolioResult result = cp::solve_portfolio(
+        store, cp::PostedModel{std::move(m.phases), m.makespan},
+        [&worker_model](cp::Store& s) {
+            model::VarTable worker = model::emit_cp(s, worker_model);
+            return cp::PostedModel{std::move(worker.phases), worker.makespan};
+        },
+        solver, search_opts);
+    Schedule sched = extract_schedule(*km, m, result);
+    sched.workers = std::move(result.workers);
+    if (heuristic.has_value()) sched = merge_with_seed(std::move(*heuristic), std::move(sched));
+    obs::span_end(trace, obs::TraceLevel::Phase, "search", "nodes", sched.stats.nodes,
+                  "makespan", sched.makespan);
+    return sched;
 }
 
 Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options) {
@@ -340,15 +320,6 @@ Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options) {
         options.solver.trace != nullptr ? options.solver.trace->main() : nullptr;
     obs::SpanScope schedule_span(trace, obs::TraceLevel::Phase, "schedule", "nodes",
                                  g.num_nodes());
-
-    const int num_slots =
-        options.num_slots < 0 ? options.spec.memory.slots() : options.num_slots;
-    if (options.memory_allocation && num_slots <= 0 &&
-        !g.nodes_of(ir::NodeCat::VectorData).empty()) {
-        Schedule infeasible;
-        infeasible.status = cp::SolveStatus::Unsat;
-        return infeasible;
-    }
 
     obs::span_begin(trace, obs::TraceLevel::Phase, "lower");
     const model::KernelModel km = lower_for_schedule(g, options);

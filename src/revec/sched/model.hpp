@@ -29,10 +29,6 @@ struct ScheduleOptions {
     /// Wall-clock budget in milliseconds; -1 = unlimited.
     std::int64_t timeout_ms = -1;
 
-    /// Schedule horizon (exclusive upper bound on completion times).
-    /// -1 derives it from a greedy list schedule plus slack.
-    int horizon = -1;
-
     /// Include the memory-allocation part of the model (eqs. 6-11).
     /// Disabling reproduces a pure scheduler (used by ablations and by the
     /// manual-baseline comparison, which the paper notes "does not include
@@ -65,9 +61,9 @@ struct ScheduleOptions {
     /// the Table 1 reproduction for comparison).
     bool lifetime_includes_last_read = true;
 
-    /// Parallel portfolio search (§3.5 search, N diversified workers with a
-    /// shared branch-and-bound incumbent). threads = 1 runs the sequential
-    /// solver unchanged; see cp/portfolio.hpp for the knobs. Setting
+    /// Exact search (§3.5), run through cp::solve_portfolio: N diversified
+    /// workers with a shared branch-and-bound incumbent; threads = 1 walks
+    /// the sequential tree. See cp/portfolio.hpp for the knobs. Setting
     /// solver.lns_workers > 0 races LNS workers alongside (the lns_round
     /// hook and seed assignment are wired here from the lowered model — the
     /// caller only sets the count and `lns` tuning).
@@ -120,12 +116,6 @@ struct ModelSolveOptions {
     /// Skip the exact solver and return the verified heuristic schedule.
     bool heuristic_only = false;
 
-    /// Treat the model's horizon as a hard caller-supplied cap: a
-    /// heuristic schedule that does not complete below it is discarded
-    /// instead of the horizon being raised to cover it. Mirrors
-    /// ScheduleOptions::horizon > 0.
-    bool horizon_is_cap = false;
-
     /// Solver configuration (threads, portfolio, LNS worker count, trace
     /// sink) — as ScheduleOptions::solver.
     cp::SolverConfig solver;
@@ -162,12 +152,12 @@ model::KernelModel lower_for_schedule(const ir::Graph& g,
                                       const ScheduleOptions& options = {});
 
 /// Map the schedule-level options onto ModelSolveOptions the way
-/// schedule_kernel does (horizon_is_cap tracks options.horizon > 0).
+/// schedule_kernel does.
 ModelSolveOptions model_solve_options(const ScheduleOptions& options);
 
 /// Solve an already-lowered KernelModel: verified heuristic warm start,
-/// exact CP search (sequential or portfolio with LNS workers), anytime
-/// merge — the body of schedule_kernel after lowering. Re-entrant: safe to
+/// exact CP search (cp::solve_portfolio at any thread count, LNS workers on
+/// unpinned models), anytime merge — the body of schedule_kernel after lowering. Re-entrant: safe to
 /// call concurrently from many threads given distinct trace tracks.
 Schedule schedule_model(const model::KernelModel& km,
                         const ModelSolveOptions& options = {});

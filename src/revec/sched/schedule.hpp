@@ -23,8 +23,8 @@ struct Schedule : cp::SolveWork {
     int slots_used = 0;      ///< distinct memory slots referenced
     cp::SolveStatus status = cp::SolveStatus::Unsat;
 
-    /// Per-worker node/failure/cutoff-prune counters when the portfolio
-    /// solver ran (empty for a sequential solve).
+    /// Per-worker node/failure/cutoff-prune counters of the exact search,
+    /// one per portfolio worker (empty when no exact search ran).
     std::vector<cp::WorkerReport> workers;
 
     bool feasible() const {

@@ -336,10 +336,6 @@ Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
     mo.timeout_ms = shed ? 0 : timeout_ms;
     mo.warm_start = request.params.warm_start;
     mo.heuristic_only = shed || request.params.heuristic_only;
-    // The wire model's horizon is the already-resolved lowering product
-    // (revecc --dump-model shape), not a user cap: let schedule_model
-    // raise it over the heuristic makespan exactly like a standalone run.
-    mo.horizon_is_cap = false;
     mo.solver.threads = request.params.threads;
     mo.solver.seed = request.params.seed;
     mo.solver.lns_workers = request.params.lns_workers;

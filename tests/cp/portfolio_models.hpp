@@ -100,4 +100,14 @@ inline ModelBuilder pigeonhole_unsat(int n) {
     };
 }
 
+/// Emit `build` into a fresh store and run the portfolio on it, the way
+/// the scheduling layers call it: the caller's emission is worker 0's store,
+/// `build` re-emits for the other workers and the replay.
+inline PortfolioResult run_portfolio(const ModelBuilder& build, const SolverConfig& config,
+                                     const SearchOptions& options = {}) {
+    Store store;
+    const PostedModel model = build(store);
+    return solve_portfolio(store, model, build, config, options);
+}
+
 }  // namespace revec::cp::testing

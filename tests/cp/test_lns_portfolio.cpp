@@ -49,13 +49,13 @@ TEST(LnsPortfolio, CpLayerReportsLnsWorkersAndBalancedCounters) {
         return cp::LnsRoundResult{};
     };
     const cp::PortfolioResult with_lns =
-        cp::solve_portfolio(cp::testing::random_rcpsp(/*seed=*/5, /*tasks=*/8), config);
+        cp::testing::run_portfolio(cp::testing::random_rcpsp(/*seed=*/5, /*tasks=*/8), config);
 
     cp::SolverConfig plain = config;
     plain.lns_workers = 0;
     plain.lns_round = nullptr;
     const cp::PortfolioResult without =
-        cp::solve_portfolio(cp::testing::random_rcpsp(/*seed=*/5, /*tasks=*/8), plain);
+        cp::testing::run_portfolio(cp::testing::random_rcpsp(/*seed=*/5, /*tasks=*/8), plain);
 
     // A hook that never improves cannot change the exact outcome.
     ASSERT_TRUE(with_lns.has_solution());
@@ -100,7 +100,7 @@ TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
     cp::SearchOptions opts;
     opts.max_failures = 20;
     opts.deadline = Deadline::after_ms(20000);
-    const cp::PortfolioResult r = cp::solve_portfolio(
+    const cp::PortfolioResult r = cp::testing::run_portfolio(
         [&inc](cp::Store& s) {
             model::VarTable vt = model::emit_cp(s, inc.km);
             return cp::PostedModel{std::move(vt.phases), vt.makespan};

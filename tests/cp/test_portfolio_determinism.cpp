@@ -14,6 +14,7 @@ namespace revec::cp {
 namespace {
 
 using testing::random_rcpsp;
+using testing::run_portfolio;
 
 TEST(PortfolioDeterminism, SameSeedSameThreadsSameSolution) {
     const ModelBuilder build = random_rcpsp(7, 12, 3);
@@ -21,11 +22,11 @@ TEST(PortfolioDeterminism, SameSeedSameThreadsSameSolution) {
     cfg.threads = 4;
     cfg.seed = 123;
 
-    const PortfolioResult first = solve_portfolio(build, cfg);
+    const PortfolioResult first = run_portfolio(build, cfg);
     ASSERT_EQ(first.status, SolveStatus::Optimal);
     ASSERT_TRUE(first.has_solution());
     for (int run = 1; run < 5; ++run) {
-        const PortfolioResult r = solve_portfolio(build, cfg);
+        const PortfolioResult r = run_portfolio(build, cfg);
         EXPECT_EQ(r.status, first.status) << "run " << run;
         // Canonical replay makes the assignment — not just the objective —
         // reproducible even though worker timing varies.
@@ -44,14 +45,14 @@ TEST(PortfolioDeterminism, DifferentThreadCountsAgreeOnObjective) {
     {
         SolverConfig cfg;
         cfg.threads = 2;
-        const PortfolioResult r = solve_portfolio(build, cfg);
+        const PortfolioResult r = run_portfolio(build, cfg);
         ASSERT_EQ(r.status, SolveStatus::Optimal);
         obj2 = r.value_of(m.objective);
     }
     {
         SolverConfig cfg;
         cfg.threads = 4;
-        const PortfolioResult r = solve_portfolio(build, cfg);
+        const PortfolioResult r = run_portfolio(build, cfg);
         ASSERT_EQ(r.status, SolveStatus::Optimal);
         obj4 = r.value_of(m.objective);
     }
@@ -69,7 +70,7 @@ TEST(PortfolioDeterminism, ZeroDeadlineTimesOutPromptlyWithoutThreadLeak) {
     // solve_portfolio joins every worker before returning, so merely
     // returning (quickly, with no work recorded) is the no-leak evidence;
     // the TSan CI job additionally checks the shared-bound path.
-    const PortfolioResult r = solve_portfolio(build, cfg, opts);
+    const PortfolioResult r = run_portfolio(build, cfg, opts);
     EXPECT_EQ(r.status, SolveStatus::Timeout);
     EXPECT_FALSE(r.has_solution());
     EXPECT_EQ(r.stats.nodes, 0);
@@ -87,7 +88,7 @@ TEST(PortfolioDeterminism, FailureLimitAppliesPerWorker) {
     cfg.threads = 4;
     SearchOptions opts;
     opts.max_failures = 10;
-    const PortfolioResult r = solve_portfolio(build, cfg, opts);
+    const PortfolioResult r = run_portfolio(build, cfg, opts);
     for (const WorkerReport& w : r.workers) {
         // A worker may finish (prove) under the limit; one that did not
         // must have respected it (restart workers re-check the cumulative

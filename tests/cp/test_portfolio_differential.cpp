@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "portfolio_models.hpp"
 #include "revec/cp/search.hpp"
 
@@ -15,6 +17,7 @@ namespace {
 
 using testing::pigeonhole_unsat;
 using testing::random_rcpsp;
+using testing::run_portfolio;
 
 SolveResult solve_sequentially(const ModelBuilder& build) {
     Store store;
@@ -37,7 +40,7 @@ void expect_differential_match(const ModelBuilder& build, const std::string& tag
         SolverConfig cfg;
         cfg.threads = threads;
         cfg.seed = 0xC0FFEEu;
-        const PortfolioResult par = solve_portfolio(build, cfg);
+        const PortfolioResult par = run_portfolio(build, cfg);
         ASSERT_EQ(par.status, seq.status) << tag << " threads=" << threads;
         ASSERT_EQ(par.has_solution(), seq.has_solution()) << tag << " threads=" << threads;
         if (seq.has_solution()) {
@@ -103,9 +106,31 @@ TEST(PortfolioDifferential, SatisfactionProblemsAgree) {
     for (const int threads : {1, 2, 4}) {
         SolverConfig cfg;
         cfg.threads = threads;
-        const PortfolioResult par = solve_portfolio(build, cfg);
+        const PortfolioResult par = run_portfolio(build, cfg);
         EXPECT_EQ(par.status, SolveStatus::Optimal) << threads;
         EXPECT_TRUE(par.has_solution()) << threads;
+    }
+}
+
+TEST(PortfolioDifferential, BuilderRunsOnlyForExtraWorkersAndReplay) {
+    // Worker 0 searches the caller's emission, so the builder re-emits once
+    // per further CP worker, plus once for the canonical replay that every
+    // proven parallel solve runs; a 1-worker solve never calls it.
+    const ModelBuilder model = random_rcpsp(3, 8, 3);
+    for (const int threads : {1, 2, 4}) {
+        std::atomic<int> calls{0};
+        const ModelBuilder counted = [&](Store& s) {
+            calls.fetch_add(1);
+            return model(s);
+        };
+        Store store;
+        const PostedModel posted = model(store);
+        SolverConfig cfg;
+        cfg.threads = threads;
+        const PortfolioResult r = solve_portfolio(store, posted, counted, cfg);
+        ASSERT_EQ(r.status, SolveStatus::Optimal) << threads;
+        ASSERT_TRUE(r.has_solution()) << threads;
+        EXPECT_EQ(calls.load(), threads > 1 ? threads : 0) << threads;
     }
 }
 
@@ -113,7 +138,7 @@ TEST(PortfolioDifferential, MergedStatsCoverAllWorkers) {
     const ModelBuilder build = random_rcpsp(11, 10, 3);
     SolverConfig cfg;
     cfg.threads = 4;
-    const PortfolioResult r = solve_portfolio(build, cfg);
+    const PortfolioResult r = run_portfolio(build, cfg);
     ASSERT_EQ(r.workers.size(), 4u);
     std::int64_t nodes = 0;
     for (const WorkerReport& w : r.workers) {

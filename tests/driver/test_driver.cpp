@@ -204,6 +204,20 @@ TEST(Run, SimulateRequiresMemory) {
     EXPECT_NE(out.str().find("requires memory allocation"), std::string::npos);
 }
 
+TEST(Run, LnsWithModuloIsAUsageError) {
+    // LNS relaxes flat schedules; the modulo scan has none to relax.
+    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul20.xml");
+    std::ostringstream parse_out;
+    const auto opts = parse_args({path, "--emit=modulo", "--lns=on"}, parse_out);
+    ASSERT_TRUE(opts.has_value());
+    std::ostringstream out;
+    EXPECT_EQ(run(*opts, out), 1);
+    EXPECT_NE(out.str().find("--emit=modulo"), std::string::npos);
+    const auto counted = parse_args({path, "--emit=modulo", "--lns-workers=1"}, parse_out);
+    ASSERT_TRUE(counted.has_value());
+    EXPECT_EQ(run(*counted, out), 1);
+}
+
 TEST(Run, MissingFileFails) {
     Options opts;
     opts.input_path = "/nonexistent/kernel.xml";

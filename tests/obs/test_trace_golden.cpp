@@ -118,7 +118,7 @@ TEST(TraceGolden, PortfolioTraceHasValidPerWorkerTracks) {
     config.trace = &sink;
     config.profile = true;
     const cp::PortfolioResult r =
-        cp::solve_portfolio(cp::testing::random_rcpsp(/*seed=*/7, /*tasks=*/8), config);
+        cp::testing::run_portfolio(cp::testing::random_rcpsp(/*seed=*/7, /*tasks=*/8), config);
     ASSERT_TRUE(r.has_solution());
     EXPECT_FALSE(r.prop_profile.empty());  // profile mode surfaces class totals
 
@@ -206,7 +206,7 @@ TEST(TraceGolden, PortfolioWithLnsWorkersHasValidLnsTracks) {
     config.trace = &sink;
     config.lns_round = [](const cp::LnsRoundContext&) { return cp::LnsRoundResult{}; };
     const cp::PortfolioResult r =
-        cp::solve_portfolio(cp::testing::random_rcpsp(/*seed=*/7, /*tasks=*/8), config);
+        cp::testing::run_portfolio(cp::testing::random_rcpsp(/*seed=*/7, /*tasks=*/8), config);
     ASSERT_TRUE(r.has_solution());
 
     std::ostringstream os;

@@ -180,6 +180,32 @@ TEST(Modulo, TimeoutWithWarmStartStillDeliversKernel) {
     EXPECT_FALSE(r.residue.empty());
 }
 
+TEST(Modulo, LnsWorkersNeverRunInTheScan) {
+    // LNS relaxes flat, unpinned schedules only: the scan runs no LNS
+    // workers at any thread count, so asking for one changes nothing (and
+    // never trips the portfolio's lns_round precondition). Cold, so the
+    // exact per-II search actually runs.
+    const ir::Graph g = apps::build_matmul();
+    for (const int threads : {1, 2}) {
+        ModuloOptions plain;
+        plain.warm_start = false;
+        plain.timeout_ms = 30000;
+        plain.solver.threads = threads;
+        ModuloOptions with_lns = plain;
+        with_lns.solver.lns_workers = 1;
+        const ModuloResult a = modulo_schedule(g, plain);
+        const ModuloResult b = modulo_schedule(g, with_lns);
+        expect_valid_modulo(g, b);
+        EXPECT_EQ(b.status, a.status) << threads;
+        EXPECT_EQ(b.initial_ii, a.initial_ii) << threads;
+        if (threads == 1) {
+            EXPECT_EQ(b.residue, a.residue);
+            EXPECT_EQ(b.stage, a.stage);
+            EXPECT_EQ(b.stats.nodes, a.stats.nodes);
+        }
+    }
+}
+
 TEST(Modulo, ScalarChainKernel) {
     // A chain of scalar ops: II bounded by the scalar unit (3 ops, cap 1).
     dsl::Program p("chain");

@@ -11,7 +11,6 @@
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
-#include "revec/ir/analysis.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/json.hpp"
@@ -87,30 +86,50 @@ TEST(ScheduleModel, HeuristicOnlyMatchesKernelPath) {
         "heuristic-only");
 }
 
-TEST(ScheduleModel, HorizonCapMatchesKernelPath) {
-    // A user horizon below the heuristic makespan forces the capped path
-    // (heuristic discarded); both entry points must agree there too.
-    const ir::Graph g = kernel_by_name("matmul");
-    ScheduleOptions opts;
-    opts.timeout_ms = 60000;
-    opts.horizon = ir::critical_path_length(arch::ArchSpec::eit(), g) + 1;
-    const ModelSolveOptions mo = model_solve_options(opts);
-    ASSERT_TRUE(mo.horizon_is_cap);
-    expect_same_schedule(schedule_kernel(g, opts),
-                         schedule_model(lower_for_schedule(g, opts), mo), "capped");
-}
-
 TEST(ScheduleModel, ZeroSlotsWithVectorDataIsUnsat) {
     ScheduleOptions opts;
     opts.num_slots = 0;
     const model::KernelModel km = lower_for_schedule(kernel_by_name("matmul"), opts);
     const Schedule s = schedule_model(km, ModelSolveOptions{});
     EXPECT_EQ(s.status, cp::SolveStatus::Unsat);
+    // schedule_kernel reaches the same answer through schedule_model.
+    EXPECT_EQ(schedule_kernel(kernel_by_name("matmul"), opts).status, cp::SolveStatus::Unsat);
+}
+
+TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
+    // The warm MATMUL proof finds nothing below the heuristic's 11 (the
+    // search itself reports Unsat); the span must still close with the
+    // makespan schedule_model returns, after one emission and one search.
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    ScheduleOptions opts;
+    opts.timeout_ms = 60000;
+    opts.solver.trace = &sink;
+    const Schedule s = schedule_kernel(kernel_by_name("matmul"), opts);
+    ASSERT_TRUE(s.proven_optimal());
+    EXPECT_EQ(s.makespan, 11);
+
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    const obs::ParsedTrace trace = obs::parse_trace(os.str());
+    ASSERT_EQ(trace.tracks.size(), 1u);  // one worker: no worker track
+    int emits = 0;
+    int searches = 0;
+    for (const obs::ParsedEvent& e : trace.tracks[0].events) {
+        if (e.kind != 'E') continue;
+        if (e.name == "emit_cp") ++emits;
+        if (e.name == "search") {
+            ++searches;
+            EXPECT_EQ(e.args.at("makespan"), s.makespan);
+            EXPECT_EQ(e.args.at("nodes"), s.stats.nodes);
+        }
+    }
+    EXPECT_EQ(emits, 1);
+    EXPECT_EQ(searches, 1);
 }
 
 TEST(ScheduleModel, TraceRidReachesPortfolioWorkerSpans) {
     // A service-correlated solve (solver.trace_rid != 0) must stamp the
-    // rid end to end: the rid instant and the portfolio span payload on
+    // rid end to end: the rid instant and the search span payload on
     // the driver track, and a "rid" arg on every worker span begin.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;

@@ -139,11 +139,10 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
                 s.total_us += e.ts_us - open.back()->ts_us;
                 open.pop_back();
                 // Phase-level traces carry the node count on the search /
-                // portfolio / worker span-end payload instead of per-node
-                // events. (The replay span's nodes are already included in
-                // the enclosing portfolio span's payload.)
-                if (!node_instants && (e.name == "search" || e.name == "portfolio" ||
-                                       e.name == "worker")) {
+                // worker span-end payload instead of per-node events. (The
+                // replay span's nodes are already included in the enclosing
+                // search span's payload.)
+                if (!node_instants && (e.name == "search" || e.name == "worker")) {
                     const auto it = e.args.find("nodes");
                     if (it != e.args.end()) agg.nodes += it->second;
                 }
