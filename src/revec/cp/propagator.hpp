@@ -81,6 +81,17 @@ public:
     /// doubt, leave it false.
     virtual bool idempotent() const { return false; }
 
+    /// Opt in to per-variable change notices. When true, every time a
+    /// watched variable fires a subscribed event the store first calls
+    /// advise() with that watch's position in the post() list, then
+    /// schedules the propagator as usual. An incremental propagator uses the
+    /// notices to revisit only what changed since its last run; it must
+    /// list each variable at most once. The store restores earlier domains
+    /// on backtracking without notices, which is sound because every level
+    /// it returns to was a propagation fixpoint.
+    virtual bool advised() const { return false; }
+    virtual void advise(int /*watch*/, EventMask /*fired*/) {}
+
     /// Identifier assigned by the Store at post time.
     int id() const { return id_; }
 

@@ -1,7 +1,10 @@
 // Reification machinery: boolean views of equalities, and clauses over
-// boolean variables. Together these express the paper's conditional memory
-// rules (eqs. 7-9):  s_i = s_j  =>  (page_d = page_e => line_d = line_e)
-// as the clause  !(s_i=s_j) \/ !(page_d=page_e) \/ (line_d=line_e).
+// boolean variables. The modulo model's reconfiguration count uses them.
+// They also decompose the paper's conditional memory rules (eqs. 7-9):
+//   s_i = s_j  =>  (page_d = page_e => line_d = line_e)
+// as the clause  !(s_i=s_j) \/ !(page_d=page_e) \/ (line_d=line_e). The
+// emitter posts cp/access_groups.hpp instead; the tests keep this
+// decomposition as its oracle.
 #pragma once
 
 #include <vector>

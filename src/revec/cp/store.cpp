@@ -175,6 +175,7 @@ void Store::on_change(std::size_t idx, int old_min, int old_max, bool was_fixed)
             continue;
         }
         ++stats_.wakeups;
+        if (w.watch >= 0) props_[static_cast<std::size_t>(w.prop)]->advise(w.watch, fired);
         schedule(w.prop);
     }
 }
@@ -379,13 +380,18 @@ void Store::post(std::unique_ptr<Propagator> p, const std::vector<Watch>& watche
     queued_.push_back(0);
     prop_run_ep_.push_back(0);
     if (profile_) prof_.resize(props_.size());
-    for (const Watch& w : watches) {
+    const bool advised = props_.back()->advised();
+    // Positions must fit Watcher::watch (signed, 32 - kNumEventKinds bits).
+    REVEC_EXPECTS(watches.size() <= (std::size_t{1} << (31 - kNumEventKinds)));
+    for (std::size_t k = 0; k < watches.size(); ++k) {
+        const Watch& w = watches[k];
         auto& list = watchers_[check(w.var)];
         const auto it = std::find_if(list.begin(), list.end(),
                                      [id](const Watcher& e) { return e.prop == id; });
         if (it == list.end()) {
-            list.push_back({id, w.events});
+            list.push_back({id, w.events, advised ? static_cast<std::int32_t>(k) : -1});
         } else {
+            REVEC_EXPECTS(!advised);  // an advice names exactly one watch
             it->mask |= w.events;  // duplicate watch: union of the masks
         }
     }

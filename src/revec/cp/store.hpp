@@ -117,6 +117,7 @@ public:
     BoolVar new_bool(std::string name = {});
 
     std::size_t num_vars() const { return doms_.size(); }
+    std::size_t num_propagators() const { return props_.size(); }
     const Domain& dom(IntVar x) const { return doms_[check(x)]; }
     const std::string& name(IntVar x) const { return names_[check(x)]; }
 
@@ -246,11 +247,14 @@ private:
         std::uint64_t w = 0;                 ///< Word only: pre-mutation word
     };
 
-    /// One watcher subscription on a variable.
+    /// One watcher subscription on a variable, packed into 8 bytes: every
+    /// domain change walks the variable's watcher list.
     struct Watcher {
         std::int32_t prop;
-        EventMask mask;
+        EventMask mask : kNumEventKinds;
+        std::int32_t watch : 32 - kNumEventKinds;  ///< post() list position; -1 = not advised
     };
+    static_assert(sizeof(Watcher) == 8);
 
     /// FIFO bucket with an amortized O(1) pop-front.
     struct Bucket {

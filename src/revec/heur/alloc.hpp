@@ -28,8 +28,9 @@ struct AllocOptions {
 
     /// Search budget: total slot trials (greedy probes + backtracking)
     /// before the allocator gives up. A trial scans at most the items
-    /// placed so far, so even an exhausted default budget costs well under
-    /// a second; kernels that thrash the chronological backtracking need a
+    /// placed so far, yet an exhausted default budget costs about a second
+    /// per failed ladder rung (70-op random kernels with matrix ops, 4-vCPU
+    /// host); kernels that thrash the chronological backtracking need a
     /// few million trials before the first-fit order untangles.
     std::int64_t max_nodes = 8000000;
 };

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "revec/cp/access_groups.hpp"
 #include "revec/cp/arith.hpp"
 #include "revec/cp/count.hpp"
 #include "revec/cp/cumulative.hpp"
@@ -17,29 +18,6 @@ namespace revec::model {
 namespace {
 
 using cp::IntVar;
-
-/// Caches reified equality booleans so shared pairs post one propagator.
-class EqBoolCache {
-public:
-    explicit EqBoolCache(cp::Store& store) : store_(store) {}
-
-    cp::BoolVar get(IntVar x, IntVar y) {
-        // std::minmax returns a pair of references into its argument
-        // temporaries; copy into a value pair before they die.
-        const std::pair<std::int32_t, std::int32_t> key =
-            std::minmax(x.index(), y.index());
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) return it->second;
-        const cp::BoolVar b = store_.new_bool();
-        cp::post_reified_eq(store_, b, x, y);
-        cache_.emplace(key, b);
-        return b;
-    }
-
-private:
-    cp::Store& store_;
-    std::map<std::pair<std::int32_t, std::int32_t>, cp::BoolVar> cache_;
-};
 
 /// The flat §3.3-§3.5 model: start times tightened by ASAP/ALAP, the
 /// makespan objective over completions (eq. 5), precedence and data-start
@@ -197,8 +175,6 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
     // -- memory allocation (eqs. 6-11) ------------------------------------------
     std::vector<IntVar> slot_vars;  // parallel to m.vdata
     std::map<int, IntVar> slot_of;  // node id -> slot var
-    std::map<int, IntVar> line_of;
-    std::map<int, IntVar> page_of;
 
     if (m.memory_allocation) {
         const int num_slots = m.num_slots;
@@ -209,6 +185,8 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
 
         std::vector<IntVar> lifetimes;
         std::vector<cp::Rect> rects;
+        cp::AccessGroups groups;
+        std::vector<int> vdata_index(static_cast<std::size_t>(n), -1);  // node id -> datum
         for (const int d : m.vdata) {
             const auto i = static_cast<std::size_t>(d);
             const IntVar slot = store.new_var(0, num_slots - 1, "slot" + std::to_string(d));
@@ -223,8 +201,9 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
                                "page=(slot mod banks)/pageSize");
             slot_vars.push_back(slot);
             slot_of.emplace(d, slot);
-            line_of.emplace(d, line);
-            page_of.emplace(d, page);
+            vdata_index[i] = static_cast<int>(groups.page.size());
+            groups.page.push_back(page);
+            groups.line.push_back(line);
 
             // eq. (10): lifetime = max(successor starts) - own start. Sinks
             // and program outputs stay live until one cycle past the
@@ -262,69 +241,33 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
             cp::post_cumulative(store, live_tasks, num_slots);
         }
 
-        EqBoolCache eq_start(store);
-        EqBoolCache eq_page(store);
-        EqBoolCache eq_line(store);
-
-        // eq. (7): inputs of one vector-core operation are accessed together.
+        // eqs. (7)-(9): data accessed together share page and line
+        // descriptors. Eq. (8) pairs only ops whose lanes fit side by side
+        // (a matrix op never shares a cycle). Eq. (9) is generalized: the
+        // paper groups writes by issue time over vector-core ops only, which
+        // leaves a hole our simulator caught — a merge-unit write (1-cycle
+        // latency) can land together with a vector-core write (7-cycle
+        // latency) from an earlier issue. We group by completion time
+        // across every vector-writing unit.
+        const auto index_of = [&vdata_index](const std::vector<int>& ids) {
+            std::vector<int> out;
+            for (const int d : ids) out.push_back(vdata_index[static_cast<std::size_t>(d)]);
+            return out;
+        };
+        groups.issue.lane_cap = m.caps.vector_lanes;
         for (const int op : m.vector_ops) {
-            const std::vector<int>& ins = m.node(op).vector_inputs;
-            for (std::size_t a = 0; a < ins.size(); ++a) {
-                for (std::size_t b = a + 1; b < ins.size(); ++b) {
-                    const cp::BoolVar bp = eq_page.get(page_of.at(ins[a]), page_of.at(ins[b]));
-                    const cp::BoolVar bl = eq_line.get(line_of.at(ins[a]), line_of.at(ins[b]));
-                    cp::post_implies(store, bp, bl);
-                }
-            }
+            const ModelNode& node = m.node(op);
+            const std::vector<int> ins = index_of(node.vector_inputs);
+            groups.operands.add(ins);
+            groups.issue.add(start[static_cast<std::size_t>(op)], node.lanes, ins);
         }
-
-        // eq. (8): simultaneously issued vector-core operations read their
-        // inputs together.
-        for (std::size_t a = 0; a < m.vector_ops.size(); ++a) {
-            for (std::size_t b = a + 1; b < m.vector_ops.size(); ++b) {
-                const ModelNode& oi = m.node(m.vector_ops[a]);
-                const ModelNode& oj = m.node(m.vector_ops[b]);
-                // Two matrix ops (or a matrix and anything else) can never
-                // share a cycle; skip the clauses entirely.
-                if (oi.lanes + oj.lanes > m.caps.vector_lanes) continue;
-                const cp::BoolVar bs = eq_start.get(start[static_cast<std::size_t>(oi.id)],
-                                                    start[static_cast<std::size_t>(oj.id)]);
-                for (const int d : oi.vector_inputs) {
-                    for (const int e : oj.vector_inputs) {
-                        if (d == e) continue;
-                        const cp::BoolVar bp = eq_page.get(page_of.at(d), page_of.at(e));
-                        const cp::BoolVar bl = eq_line.get(line_of.at(d), line_of.at(e));
-                        cp::post_clause(store, {cp::neg(bs), cp::neg(bp), cp::pos(bl)});
-                    }
-                }
-            }
-        }
-
-        // eq. (9), generalized: vector writes that *land* in the same cycle
-        // share the page descriptors. The paper groups by issue time over
-        // vector-core ops only, which leaves a hole our simulator caught:
-        // a merge-unit write (1-cycle latency) can land together with a
-        // vector-core write (7-cycle latency) from an earlier issue. We
-        // group by completion time across every vector-writing unit.
-        std::vector<int> writers;
         for (const int op : m.ops) {
-            if (!m.node(op).vector_outputs.empty()) writers.push_back(op);
+            const ModelNode& node = m.node(op);
+            if (node.vector_outputs.empty()) continue;
+            groups.landing.add(completions[static_cast<std::size_t>(op)], 0,
+                               index_of(node.vector_outputs));
         }
-        EqBoolCache eq_completion(store);
-        for (std::size_t a = 0; a < writers.size(); ++a) {
-            for (std::size_t b = a + 1; b < writers.size(); ++b) {
-                const cp::BoolVar bc =
-                    eq_completion.get(completions[static_cast<std::size_t>(writers[a])],
-                                      completions[static_cast<std::size_t>(writers[b])]);
-                for (const int d : m.node(writers[a]).vector_outputs) {
-                    for (const int e : m.node(writers[b]).vector_outputs) {
-                        const cp::BoolVar bp = eq_page.get(page_of.at(d), page_of.at(e));
-                        const cp::BoolVar bl = eq_line.get(line_of.at(d), line_of.at(e));
-                        cp::post_clause(store, {cp::neg(bc), cp::neg(bp), cp::pos(bl)});
-                    }
-                }
-            }
-        }
+        cp::post_access_groups(store, std::move(groups));
     }
 
     // -- search phases (§3.5) ----------------------------------------------------

@@ -292,7 +292,8 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
     model::VarTable m = model::emit_cp(store, *km);
     obs::span_end(trace, obs::TraceLevel::Phase, "emit_cp", "vars",
-                  static_cast<std::int64_t>(store.num_vars()));
+                  static_cast<std::int64_t>(store.num_vars()), "props",
+                  static_cast<std::int64_t>(store.num_propagators()));
 
     obs::span_begin(trace, obs::TraceLevel::Phase, "search", "threads", solver.threads,
                     rid != 0 ? "rid" : nullptr, rid);

@@ -51,6 +51,7 @@ SimResult simulate(const arch::ArchSpec& spec, const ir::Graph& g,
 
     const auto commit_group = [&](int upto_cycle) {
         // Commit (and rule-check) all writes due strictly before upto_cycle.
+        // pending is kept in landing order, so they commit in that order.
         std::map<int, std::vector<int>> slots_by_cycle;
         for (const PendingWrite& w : pending) {
             if (w.commit_cycle < upto_cycle && w.slot >= 0) {
@@ -192,7 +193,13 @@ SimResult simulate(const arch::ArchSpec& spec, const ir::Graph& g,
                 const int slot = g.node(d).cat == ir::NodeCat::VectorData
                                      ? prog.slot_of_data[static_cast<std::size_t>(d)]
                                      : -1;
-                pending.push_back({wb, slot, d, results[i]});
+                // Keep pending in landing order (issue order among writes
+                // landing together): a short-latency write issued later can
+                // land in a slot before a long-latency write issued earlier.
+                const auto at = std::upper_bound(
+                    pending.begin(), pending.end(), wb,
+                    [](int cycle, const PendingWrite& w) { return cycle < w.commit_cycle; });
+                pending.insert(at, {wb, slot, d, results[i]});
                 completion = std::max(completion, wb);
             }
         };

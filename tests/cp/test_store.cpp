@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "revec/support/assert.hpp"
 
@@ -295,6 +297,48 @@ TEST(Store, ProfileCountsSubMicrosecondRuns) {
     EXPECT_STREQ(prof[0].cls, "Noop");
     EXPECT_EQ(prof[0].runs, 10001);
     EXPECT_GT(prof[0].time_us, 0);
+}
+
+/// Records every advice it receives.
+class AdviceLog final : public Propagator {
+public:
+    explicit AdviceLog(std::vector<std::pair<int, EventMask>>& log) : log_(log) {}
+    bool propagate(Store&) override { return true; }
+    std::string describe() const override { return "advice log"; }
+    bool advised() const override { return true; }
+    void advise(int watch, EventMask fired) override { log_.push_back({watch, fired}); }
+
+private:
+    std::vector<std::pair<int, EventMask>>& log_;
+};
+
+TEST(Store, AdviceNamesTheWatchThatFired) {
+    Store s;
+    const IntVar x = s.new_var(0, 5);
+    const IntVar y = s.new_var(0, 5);
+    std::vector<std::pair<int, EventMask>> log;
+    s.post(std::make_unique<AdviceLog>(log), {Watch{x, kEventFixed}, Watch{y, kEventBounds}});
+    ASSERT_TRUE(s.propagate());
+    EXPECT_TRUE(log.empty());  // posting schedules, but nothing changed
+
+    ASSERT_TRUE(s.remove(y, 3));  // a hole: outside y's mask
+    ASSERT_TRUE(s.set_min(x, 2));  // a bound: outside x's mask
+    EXPECT_TRUE(log.empty());
+    ASSERT_TRUE(s.set_max(y, 4));
+    ASSERT_TRUE(s.assign(x, 2));
+    const std::vector<std::pair<int, EventMask>> want = {
+        {1, kEventMax | kEventDomain},
+        {0, kEventMax | kEventFixed | kEventDomain},
+    };
+    EXPECT_EQ(log, want);
+
+    // Restoring domains on backtracking sends no advice.
+    log.clear();
+    s.push_level();
+    ASSERT_TRUE(s.set_min(y, 1));
+    s.pop_level();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].first, 1);
 }
 
 }  // namespace
