@@ -2,6 +2,9 @@
 // and MATMUL, with reconfigurations either post-processed (left half) or
 // optimized inside the model (right half).
 // Paper: QRD 32+23=55 vs 46; ARF 16+16=32 vs 24; MATMUL 4 vs 4.
+//
+// Self-checking: exits non-zero unless every reconfiguration-aware row is
+// proven optimal at its known actual II (QRD 22, ARF 9, MATMUL 4 cc).
 #include "common.hpp"
 
 #include "revec/pipeline/modulo.hpp"
@@ -17,10 +20,12 @@ int main() {
     struct Row {
         const char* name;
         ir::Graph graph;
+        int optimal_actual_ii;  ///< reconfigurations included
     };
-    Row rows[] = {{"QRD", bench::kernel_qrd()},
-                  {"ARF", bench::kernel_arf()},
-                  {"MATMUL", bench::kernel_matmul()}};
+    Row rows[] = {{"QRD", bench::kernel_qrd(), 22},
+                  {"ARF", bench::kernel_arf(), 9},
+                  {"MATMUL", bench::kernel_matmul(), 4}};
+    bool ok = true;
 
     Table t({"Application", "(|V|, |E|, |Cr.P|)", "initial II (cc)", "# rec.",
              "actual II (cc)", "throughput", "II (cc)", "throughput ",
@@ -36,6 +41,14 @@ int main() {
         incl.include_reconfigs = true;
         incl.timeout_ms = 60000;
         const pipeline::ModuloResult r_incl = pipeline::modulo_schedule(row.graph, incl);
+        if (r_incl.status != cp::SolveStatus::Optimal ||
+            r_incl.actual_ii != row.optimal_actual_ii) {
+            std::cout << "ERROR: " << row.name << " incl. reconfigs: actual II "
+                      << r_incl.actual_ii
+                      << (r_incl.status == cp::SolveStatus::Optimal ? "" : " (not proven)")
+                      << ", want " << row.optimal_actual_ii << " proven optimal\n";
+            ok = false;
+        }
 
         t.add_row({row.name, bench::graph_triple(spec, row.graph),
                    std::to_string(r_excl.initial_ii), std::to_string(r_excl.reconfigs),
@@ -60,5 +73,5 @@ int main() {
                 "its single configuration needs none). Our configuration-grouped "
                 "branching plus the blocks>=configs bound lets the solver *prove* the "
                 "optimum quickly, where the paper's (omitted) model ran for minutes.");
-    return 0;
+    return ok ? 0 : 1;
 }

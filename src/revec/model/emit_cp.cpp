@@ -6,6 +6,7 @@
 
 #include "revec/cp/access_groups.hpp"
 #include "revec/cp/arith.hpp"
+#include "revec/cp/config_slots.hpp"
 #include "revec/cp/count.hpp"
 #include "revec/cp/cumulative.hpp"
 #include "revec/cp/diff2.hpp"
@@ -18,6 +19,12 @@ namespace revec::model {
 namespace {
 
 using cp::IntVar;
+
+/// Eq. 3 over `items`, posted only where two configurations can clash.
+void post_one_config_per_slot(cp::Store& store, cp::ConfigSlots items) {
+    const auto [lo, hi] = std::minmax_element(items.config.begin(), items.config.end());
+    if (lo != items.config.end() && *lo != *hi) cp::post_config_slots(store, std::move(items));
+}
 
 /// The flat §3.3-§3.5 model: start times tightened by ASAP/ALAP, the
 /// makespan objective over completions (eq. 5), precedence and data-start
@@ -155,22 +162,16 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
     }
 
     // -- one configuration per cycle (eq. 3) -----------------------------------
-    // Only single-lane (vector) op pairs need it: any pair involving a
-    // matrix op is already excluded by the lane Cumulative.
-    std::vector<int> single_lane_ops;
+    // Only single-lane (vector) ops need it: any pair involving a matrix op
+    // is already excluded by the lane Cumulative.
+    cp::ConfigSlots eq3;
     for (const int op : m.vector_ops) {
-        if (m.node(op).lanes < m.caps.vector_lanes) single_lane_ops.push_back(op);
-    }
-    for (std::size_t a = 0; a < single_lane_ops.size(); ++a) {
-        for (std::size_t b = a + 1; b < single_lane_ops.size(); ++b) {
-            const ModelNode& na = m.node(single_lane_ops[a]);
-            const ModelNode& nb = m.node(single_lane_ops[b]);
-            if (na.config != nb.config) {
-                cp::post_not_equal(store, start[static_cast<std::size_t>(na.id)],
-                                   start[static_cast<std::size_t>(nb.id)]);
-            }
+        const ModelNode& node = m.node(op);
+        if (node.lanes < m.caps.vector_lanes) {
+            eq3.add(start[static_cast<std::size_t>(op)], node.config);
         }
     }
+    post_one_config_per_slot(store, std::move(eq3));
 
     // -- memory allocation (eqs. 6-11) ------------------------------------------
     std::vector<IntVar> slot_vars;  // parallel to m.vdata
@@ -308,6 +309,18 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
     const int horizon = m.horizon;
     const int n = m.num_nodes();
 
+    // Redundant bounds on R: at least modulo_reconfig_floor, at most one
+    // change per residue and the budget. A contradiction is known before
+    // any variable exists.
+    const bool minimize = wrap.minimize_reconfigs && !m.vector_ops.empty();
+    const int r_lower = modulo_reconfig_floor(m);
+    const int r_upper = std::min(ii, wrap.reconfig_budget);
+    if (minimize && r_upper < r_lower) {
+        VarTable out;
+        out.infeasible = true;
+        return out;
+    }
+
     std::vector<IntVar> start(static_cast<std::size_t>(n));
     std::vector<IntVar> residue(static_cast<std::size_t>(n));
     std::vector<IntVar> stage(static_cast<std::size_t>(n));
@@ -354,36 +367,15 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
     if (!scalar_tasks.empty()) cp::post_cumulative(store, scalar_tasks, m.caps.scalar_units);
     if (!ix_tasks.empty()) cp::post_cumulative(store, ix_tasks, m.caps.index_merge_units);
 
-    // One configuration per residue (eq. 3 in modulo form).
-    for (std::size_t a = 0; a < m.vector_ops.size(); ++a) {
-        for (std::size_t b = a + 1; b < m.vector_ops.size(); ++b) {
-            if (m.node(m.vector_ops[a]).config == m.node(m.vector_ops[b]).config) continue;
-            cp::post_not_equal(store, residue[static_cast<std::size_t>(m.vector_ops[a])],
-                               residue[static_cast<std::size_t>(m.vector_ops[b])]);
-        }
-    }
-
     IntVar reconfig_count;
     std::vector<IntVar> type_vars;
-    if (wrap.minimize_reconfigs && !m.vector_ops.empty()) {
+    if (minimize) {
         const int num_configs = static_cast<int>(m.config_keys.size());
         // Per-residue configuration variable. Unoccupied residues take any
         // value; letting them interpolate matches the semantics that nop
         // cycles keep the previous configuration loaded.
         for (int t = 0; t < ii; ++t) {
             type_vars.push_back(store.new_var(0, num_configs - 1, "cfg" + std::to_string(t)));
-        }
-        // Channel: op i at residue t forces type_vars[t] = config(i).
-        for (const int op : m.vector_ops) {
-            const auto i = static_cast<std::size_t>(op);
-            for (int t = 0; t < ii; ++t) {
-                const cp::BoolVar here = store.new_bool();
-                cp::post_reified_eq_const(store, here, residue[i], t);
-                const cp::BoolVar is_cfg = store.new_bool();
-                cp::post_reified_eq_const(store, is_cfg, type_vars[static_cast<std::size_t>(t)],
-                                          m.node(op).config);
-                cp::post_implies(store, here, is_cfg);
-            }
         }
         // R = number of cyclic adjacent changes.
         std::vector<cp::BoolVar> same;
@@ -395,22 +387,18 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
         }
         const IntVar same_count = store.new_var(0, ii, "same_count");
         cp::post_bool_sum(store, same, same_count);
-        // Redundant lower bound: every configuration forms at least one
-        // maximal block around the kernel, so with >= 2 configurations the
-        // cyclic change count is at least the number of configurations.
-        const int r_lower = num_configs >= 2 ? num_configs : 0;
-        const int r_upper = std::min(ii, wrap.reconfig_budget);
-        if (r_upper < r_lower) {
-            VarTable out;
-            out.start = std::move(start);
-            out.residue = std::move(residue);
-            out.stage = std::move(stage);
-            out.infeasible = true;
-            return out;
-        }
         reconfig_count = store.new_var(r_lower, r_upper, "reconfigs");
         cp::post_linear_eq(store, {{1, reconfig_count}, {1, same_count}}, ii);
     }
+
+    // One configuration per residue (eq. 3 in modulo form), channeled to
+    // the per-residue configuration variables when minimizing R.
+    cp::ConfigSlots eq3;
+    for (const int op : m.vector_ops) {
+        eq3.add(residue[static_cast<std::size_t>(op)], m.node(op).config);
+    }
+    eq3.slot = type_vars;
+    post_one_config_per_slot(store, std::move(eq3));
 
     // Phases: residues first (they define the kernel), then stages, then
     // configuration variables. When minimizing reconfigurations, branch the

@@ -32,9 +32,10 @@ struct VarTable {
     cp::IntVar makespan;                ///< flat objective (eq. 5)
     cp::IntVar reconfig_count;          ///< modulo objective when minimizing R
     std::vector<cp::Phase> phases;
-    /// Contradiction found while posting: a modulo reconfiguration budget
-    /// below the lower bound, or a frozen_starts value outside the model
-    /// bounds (LNS repair — the round is rejected).
+    /// Contradiction found before or while posting: a modulo
+    /// reconfiguration budget or II below modulo_reconfig_floor (nothing is
+    /// posted), or a frozen_starts value outside the model bounds (LNS
+    /// repair — the round is rejected).
     bool infeasible = false;
 };
 

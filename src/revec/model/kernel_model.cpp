@@ -112,4 +112,9 @@ KernelModel with_horizon(const KernelModel& m, int horizon) {
     return out;
 }
 
+int modulo_reconfig_floor(const KernelModel& m) {
+    const int configs = static_cast<int>(m.config_keys.size());
+    return configs >= 2 ? configs : 0;
+}
+
 }  // namespace revec::model

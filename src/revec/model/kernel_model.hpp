@@ -167,4 +167,11 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
 /// drop below ASAP otherwise).
 KernelModel with_horizon(const KernelModel& m, int horizon);
 
+/// Lower bound on the cyclic configuration-change count R of any modulo
+/// kernel of `m`: every configuration forms at least one maximal block
+/// around the kernel, so with two or more configurations R is at least
+/// their number; with fewer it is 0. A reconfiguration-aware modulo model
+/// whose II or budget is below it is infeasible.
+int modulo_reconfig_floor(const KernelModel& m);
+
 }  // namespace revec::model

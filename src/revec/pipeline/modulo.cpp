@@ -96,6 +96,8 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
 
     cp::Store store;
     model::VarTable m = model::emit_cp(store, km);
+    span.result("vars", static_cast<std::int64_t>(store.num_vars()), "props",
+                static_cast<std::int64_t>(store.num_propagators()));
 
     IiAttempt attempt;
     attempt.residue_vars = m.residue;
@@ -119,7 +121,6 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
             return cp::PostedModel{std::move(worker.phases), objective_of(worker)};
         },
         solver, opts);
-    span.result("solved", attempt.result.has_solution() ? 1 : 0);
     return attempt;
 }
 
@@ -247,7 +248,11 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
 
     // Reconfiguration-aware: minimize II + R * reconfig_cycles. The IMS
     // kernel seeds the incumbent so the budget pruning bites from the
-    // first II on.
+    // first II on. No II is lowered or emitted whose R range is empty
+    // (below the floor), which the model would only declare infeasible.
+    // The resource bound already keeps II at or above the floor: every
+    // configuration needs a residue of its own.
+    const int r_floor = model::modulo_reconfig_floor(base);
     int best_actual = INT32_MAX;
     bool best_is_ims = false;
     if (ims.ok) {
@@ -263,6 +268,9 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
             best_actual == INT32_MAX
                 ? g.num_nodes()
                 : std::max(0, (best_actual - 1 - ii) / std::max(1, spec.reconfig_cycles));
+        // The budget only shrinks as II grows: once it is below the floor,
+        // no later II can beat the incumbent either.
+        if (budget < r_floor) break;
         const IiAttempt attempt =
             try_ii(spec, g, ii, horizon, true, budget, deadline, solver);
         best.absorb(attempt.result);

@@ -215,10 +215,19 @@ INSTANTIATE_TEST_SUITE_P(
                       ModuloCase{"arf", 0, false, 0, "lb"},
                       ModuloCase{"arf", 1, true, 64, "min_r"},
                       // ARF has two vector configurations, so a budget of 1
-                      // contradicts the redundant lower bound while the
-                      // model is still being built — on both sides.
+                      // contradicts the redundant lower bound: both sides
+                      // report it infeasible (emit_cp before it creates
+                      // any variable).
                       ModuloCase{"arf", 0, true, 1, "budget1_infeasible"},
-                      ModuloCase{"rand7", 0, false, 0, "lb"}),
+                      ModuloCase{"rand7", 0, false, 0, "lb"},
+                      // QRD at the Table 3 optimum: II 18, budget 14 (the
+                      // scan's budget under the IMS incumbent, actual II 33).
+                      ModuloCase{"qrd", 0, true, 14, "min_r"},
+                      // Random kernels with ten and eight configurations:
+                      // eq. 3 and its slot channel over many configuration
+                      // pairs.
+                      ModuloCase{"rand7", 0, true, 64, "min_r"},
+                      ModuloCase{"rand15", 1, true, 64, "min_r"}),
     [](const ::testing::TestParamInfo<ModuloCase>& info) {
         return std::string(info.param.kernel) + "_" + info.param.tag;
     });

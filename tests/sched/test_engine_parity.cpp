@@ -10,6 +10,7 @@
 // single-FIFO, full-snapshot engine still existed.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
 #include "revec/ir/passes.hpp"
+#include "revec/obs/trace.hpp"
+#include "revec/obs/trace_read.hpp"
 #include "revec/pipeline/modulo.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/sched/verify.hpp"
@@ -103,6 +106,96 @@ TEST(EngineParity, ModuloPipelinerIsNodeIdenticalAcrossEngines) {
     EXPECT_EQ(r.residue, residue);
     EXPECT_EQ(r.stage, stage);
 }
+
+/// One recorded Table 3 (right half) scan: reconfigurations optimised
+/// inside the model. The trees and kernels were recorded while the scan
+/// still emitted a model for every II below the incumbent (QRD 4, ARF 2);
+/// now the scan skips each II whose reconfiguration budget is below
+/// model::modulo_reconfig_floor, and emits one model for each kernel.
+struct GoldenTable3 {
+    const char* kernel;
+    std::int64_t nodes;
+    std::int64_t failures;
+    std::int64_t solutions;
+    int initial_ii;
+    int reconfigs;
+    int actual_ii;
+    std::int64_t emit_vars;   ///< size of the one emitted model
+    std::int64_t emit_props;
+    std::vector<int> residue;
+    std::vector<int> stage;
+};
+
+void PrintTo(const GoldenTable3& c, std::ostream* os) { *os << '"' << c.kernel << '"'; }
+
+class Table3Parity : public ::testing::TestWithParam<GoldenTable3> {};
+
+TEST_P(Table3Parity, ReconfigAwareScanIsNodeIdentical) {
+    const GoldenTable3& want = GetParam();
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    pipeline::ModuloOptions options;
+    options.include_reconfigs = true;
+    options.timeout_ms = 60000;
+    options.solver.trace = &sink;
+    const pipeline::ModuloResult r =
+        pipeline::modulo_schedule(kernel_by_name(want.kernel), options);
+    ASSERT_EQ(r.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(r.stats.nodes, want.nodes);
+    EXPECT_EQ(r.stats.failures, want.failures);
+    EXPECT_EQ(r.stats.solutions, want.solutions);
+    EXPECT_EQ(r.initial_ii, want.initial_ii);
+    EXPECT_EQ(r.reconfigs, want.reconfigs);
+    EXPECT_EQ(r.actual_ii, want.actual_ii);
+    EXPECT_EQ(r.residue, want.residue);
+    EXPECT_EQ(r.stage, want.stage);
+
+    // Exactly one candidate II is lowered, emitted and searched.
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    const obs::ParsedTrace trace = obs::parse_trace(os.str());
+    ASSERT_EQ(trace.tracks.size(), 1u);
+    std::vector<obs::ParsedEvent> ends;
+    for (const obs::ParsedEvent& e : trace.tracks[0].events) {
+        if (e.kind == 'E' && e.name == "try_ii") ends.push_back(e);
+    }
+    ASSERT_EQ(ends.size(), 1u);
+    EXPECT_EQ(ends[0].args.at("vars"), want.emit_vars);
+    EXPECT_EQ(ends[0].args.at("props"), want.emit_props);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Table3Parity,
+    ::testing::Values(
+        GoldenTable3{"qrd", 168, 85, 1, 18, 4, 22, 278, 251,
+                     {-1, -1, -1, -1, -1, -1, -1, -1, 8,  -1, 8,  -1, 0,  -1, 1,  -1, 2,
+                      -1, 6,  -1, 6,  -1, 3,  -1, 3,  -1, 3,  -1, 0,  -1, 0,  -1, 3,  -1,
+                      3,  -1, 4,  -1, 0,  -1, 0,  -1, 4,  -1, 4,  -1, 5,  -1, 1,  -1, 1,
+                      -1, 8,  -1, 8,  -1, 6,  -1, 7,  -1, 10, -1, 6,  -1, 6,  -1, 4,  -1,
+                      4,  -1, 11, -1, 1,  -1, 1,  -1, 5,  -1, 5,  -1, 8,  -1, 2,  -1, 2,
+                      -1, 9,  -1, 9,  -1, 9,  -1, 12, -1, 13, -1, 7,  -1, 7,  -1, 5,  -1,
+                      5,  -1, 14, -1, 2,  -1, 2,  -1, 9,  -1, 9,  -1, 16, -1, 15, -1, 17,
+                      -1, 7,  -1, 7,  -1},
+                     {-1, -1, -1, -1, -1, -1, -1, -1, 0,  -1, 0,  -1, 1,  -1, 2,  -1, 2,
+                      -1, 2,  -1, 2,  -1, 3,  -1, 3,  -1, 4,  -1, 5,  -1, 5,  -1, 3,  -1,
+                      3,  -1, 4,  -1, 5,  -1, 5,  -1, 3,  -1, 3,  -1, 4,  -1, 5,  -1, 5,
+                      -1, 5,  -1, 5,  -1, 6,  -1, 7,  -1, 6,  -1, 7,  -1, 7,  -1, 8,  -1,
+                      8,  -1, 8,  -1, 9,  -1, 9,  -1, 8,  -1, 8,  -1, 9,  -1, 10, -1, 10,
+                      -1, 9,  -1, 9,  -1, 10, -1, 11, -1, 10, -1, 11, -1, 11, -1, 12, -1,
+                      12, -1, 12, -1, 13, -1, 13, -1, 13, -1, 13, -1, 13, -1, 14, -1, 14,
+                      -1, 15, -1, 15, -1}},
+        GoldenTable3{"arf", 104, 53, 1, 7, 2, 9, 158, 123,
+                     {-1, -1, 3,  -1, -1, -1, 3,  -1, -1, -1, 3,  -1, -1, -1, 3,  -1, -1,
+                      -1, 4,  -1, -1, -1, 4,  -1, -1, -1, 4,  -1, -1, -1, 4,  -1, 0,  -1,
+                      0,  -1, 0,  -1, 0,  -1, -1, 5,  -1, -1, 5,  -1, -1, 5,  -1, -1, 5,
+                      -1, -1, 1,  -1, -1, 1,  -1, -1, 1,  -1, -1, 1,  -1, 6,  -1, 6,  -1,
+                      -1, 2,  -1, -1, 2,  -1, -1, 6,  -1, -1, 6,  -1, -1, 2,  -1, -1, 2,
+                      -1},
+                     {-1, -1, 0,  -1, -1, -1, 0,  -1, -1, -1, 0,  -1, -1, -1, 0,  -1, -1,
+                      -1, 0,  -1, -1, -1, 0,  -1, -1, -1, 0,  -1, -1, -1, 0,  -1, 2,  -1,
+                      2,  -1, 2,  -1, 2,  -1, -1, 3,  -1, -1, 3,  -1, -1, 3,  -1, -1, 3,
+                      -1, -1, 5,  -1, -1, 5,  -1, -1, 5,  -1, -1, 5,  -1, 6,  -1, 6,  -1,
+                      -1, 8,  -1, -1, 8,  -1, -1, 9,  -1, -1, 9,  -1, -1, 11, -1, -1, 11,
+                      -1}}));
 
 }  // namespace
 }  // namespace revec::sched
