@@ -15,8 +15,9 @@ namespace revec::cp {
 void post_max(Store& store, IntVar z, std::vector<IntVar> xs);
 
 /// Post y == f(x), domain-consistent in both directions. `f` must be a pure
-/// function; it is evaluated over x's current domain on each propagation, so
-/// it should be cheap. Intended for small domains (memory slots).
+/// function; it is tabulated over x's current domain when posted, and both
+/// that domain's span and the span of its images must stay below 2^16.
+/// Intended for small domains (memory slots).
 void post_unary_fun(Store& store, IntVar x, IntVar y, std::function<int(int)> f,
                     std::string description);
 

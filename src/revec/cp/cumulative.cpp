@@ -76,23 +76,32 @@ public:
         // own compulsory part.
         for (const CumulTask& t : tasks_) {
             if (t.demand == 0) continue;
-            const int own_begin = s.max(t.start);
             const int d_min = dur_min(s, t);
-            const int own_end = s.min(t.start) + d_min;
+            if (d_min == 0) continue;  // a possibly-empty task occupies nothing
+            // A fixed start could only lose its value to a segment inside
+            // its own compulsory part, whose height already passed the
+            // capacity check above.
+            if (s.fixed(t.start)) continue;
+            const int start_min = s.min(t.start);
+            const int own_begin = s.max(t.start);
+            const int own_end = start_min + d_min;
             const bool has_cp = own_begin < own_end;
-            for (const Segment& seg : profile_) {
+            // Only segments that meet [min start, max start + d_min) can
+            // remove a start value; segments are sorted and disjoint.
+            const auto ends_before = [start_min](const Segment& g) { return g.to <= start_min; };
+            auto seg = std::partition_point(profile_.begin(), profile_.end(), ends_before);
+            for (; seg != profile_.end() && seg->from < own_begin + d_min; ++seg) {
                 // Contribution of this task's own compulsory part to `seg`:
                 // the profile is built from *all* tasks, so subtract self
                 // where the segment lies inside the own compulsory part.
-                int seg_height = seg.height;
-                if (has_cp && seg.from >= own_begin && seg.to <= own_end) {
+                int seg_height = seg->height;
+                if (has_cp && seg->from >= own_begin && seg->to <= own_end) {
                     seg_height -= t.demand;
                 }
                 if (seg_height + t.demand <= cap_) continue;
-                if (d_min == 0) continue;  // a possibly-empty task occupies nothing
                 // Starts in [seg.from - d_min + 1, seg.to - 1] overlap seg for
                 // every duration >= d_min.
-                if (!s.remove_range(t.start, seg.from - d_min + 1, seg.to - 1)) {
+                if (!s.remove_range(t.start, seg->from - d_min + 1, seg->to - 1)) {
                     return false;
                 }
             }

@@ -1,20 +1,14 @@
 #include "revec/cp/linear.hpp"
 
+#include <array>
 #include <sstream>
+#include <type_traits>
 
 #include "revec/support/assert.hpp"
 
 namespace revec::cp {
 
 namespace {
-
-std::int64_t term_min(const Store& s, const LinTerm& t) {
-    return t.coeff >= 0 ? t.coeff * s.min(t.var) : t.coeff * s.max(t.var);
-}
-
-std::int64_t term_max(const Store& s, const LinTerm& t) {
-    return t.coeff >= 0 ? t.coeff * s.max(t.var) : t.coeff * s.min(t.var);
-}
 
 /// Floor division for possibly-negative numerators.
 std::int64_t div_floor(std::int64_t a, std::int64_t b) {
@@ -23,30 +17,51 @@ std::int64_t div_floor(std::int64_t a, std::int64_t b) {
     return (a % b != 0 && a < 0) ? q - 1 : q;
 }
 
-/// Bounds propagation for sum(terms) <= c. Shared by Leq and Eq.
-bool prune_leq(Store& s, const std::vector<LinTerm>& terms, std::int64_t c) {
+/// Smallest value of sign * t.coeff * t.var under the current bounds.
+std::int64_t term_min(const Store& s, const LinTerm& t, int sign) {
+    const std::int64_t a = sign * t.coeff;
+    return a >= 0 ? a * s.min(t.var) : a * s.max(t.var);
+}
+
+/// One bounds pass for sign * sum(terms) <= sign * c: sign +1 prunes for
+/// sum <= c, sign -1 for sum >= c. Shared by Leq and Eq in every arity.
+/// A pass moves only the bounds the opposite direction reads (max of
+/// positive terms, min of negative ones), so with distinct variables a
+/// second pass in the same direction prunes nothing.
+template <typename Terms>
+bool prune_leq(Store& s, const Terms& terms, std::int64_t c, int sign) {
     std::int64_t total_min = 0;
-    for (const LinTerm& t : terms) total_min += term_min(s, t);
-    if (total_min > c) return false;
+    for (const LinTerm& t : terms) total_min += term_min(s, t, sign);
+    if (total_min > sign * c) return false;
     for (const LinTerm& t : terms) {
-        if (t.coeff == 0) continue;
-        const std::int64_t slack = c - (total_min - term_min(s, t));
-        if (t.coeff > 0) {
-            if (!s.set_max(t.var, div_floor(slack, t.coeff))) return false;
+        const std::int64_t a = sign * t.coeff;
+        if (a == 0) continue;
+        const std::int64_t slack = sign * c - (total_min - term_min(s, t, sign));
+        if (a > 0) {
+            if (!s.set_max(t.var, div_floor(slack, a))) return false;
         } else {
-            // coeff*x <= slack with coeff < 0  <=>  x >= ceil(slack/coeff)
-            // and ceil(a / -b) == -floor(a / b) for b > 0.
-            if (!s.set_min(t.var, -div_floor(slack, -t.coeff))) return false;
+            // a*x <= slack with a < 0  <=>  x >= ceil(slack/a)
+            // and ceil(x / -b) == -floor(x / b) for b > 0.
+            if (!s.set_min(t.var, -div_floor(slack, -a))) return false;
         }
     }
     return true;
 }
 
+/// Term storage: inline for the fixed arities 2 and 3, a vector otherwise.
+using NaryTerms = std::vector<LinTerm>;
+template <std::size_t N>
+using FixedTerms = std::array<LinTerm, N>;
+
+template <typename Terms>
+constexpr bool kFixedArity = !std::is_same_v<Terms, NaryTerms>;
+
+template <typename Terms>
 class LinearLeq final : public Propagator {
 public:
-    LinearLeq(std::vector<LinTerm> terms, std::int64_t c) : terms_(std::move(terms)), c_(c) {}
+    LinearLeq(Terms terms, std::int64_t c) : terms_(std::move(terms)), c_(c) {}
 
-    bool propagate(Store& s) override { return prune_leq(s, terms_, c_); }
+    bool propagate(Store& s) override { return prune_leq(s, terms_, c_, +1); }
 
     Priority priority() const override { return Priority::Linear; }
 
@@ -59,22 +74,34 @@ public:
     }
 
 private:
-    std::vector<LinTerm> terms_;
+    Terms terms_;
     std::int64_t c_;
 };
 
+/// sum(terms) == c as its two inequality directions. The n-ary form runs
+/// each direction once per wakeup and leaves the rest to the queue; the
+/// fixed-arity form (distinct variables only) alternates directions until
+/// one pass moves nothing, which is its own fixpoint.
+template <typename Terms>
 class LinearEq final : public Propagator {
 public:
-    LinearEq(std::vector<LinTerm> terms, std::int64_t c) : terms_(std::move(terms)), c_(c) {
-        neg_ = terms_;
-        for (LinTerm& t : neg_) t.coeff = -t.coeff;
-    }
+    LinearEq(Terms terms, std::int64_t c) : terms_(std::move(terms)), c_(c) {}
 
     bool propagate(Store& s) override {
-        return prune_leq(s, terms_, c_) && prune_leq(s, neg_, -c_);
+        if (!prune_leq(s, terms_, c_, +1)) return false;
+        if constexpr (!kFixedArity<Terms>) {
+            return prune_leq(s, terms_, c_, -1);
+        } else {
+            for (int sign = -1;; sign = -sign) {
+                const std::int64_t changes = s.stats().domain_changes;
+                if (!prune_leq(s, terms_, c_, sign)) return false;
+                if (s.stats().domain_changes == changes) return true;
+            }
+        }
     }
 
     Priority priority() const override { return Priority::Linear; }
+    bool idempotent() const override { return kFixedArity<Terms>; }
 
     const char* class_name() const override { return "LinearEq"; }
 
@@ -85,10 +112,34 @@ public:
     }
 
 private:
-    std::vector<LinTerm> terms_;
-    std::vector<LinTerm> neg_;
+    Terms terms_;
     std::int64_t c_;
 };
+
+/// Post Prop over `terms`: the inline fixed-arity form for 2 or 3 distinct
+/// variables, the n-ary form otherwise.
+template <template <typename> class Prop>
+void post_linear(Store& store, std::vector<LinTerm> terms, std::int64_t c,
+                 const std::vector<Watch>& watches) {
+    const auto distinct = [&terms] {
+        for (std::size_t i = 0; i < terms.size(); ++i) {
+            for (std::size_t j = i + 1; j < terms.size(); ++j) {
+                if (terms[i].var == terms[j].var) return false;
+            }
+        }
+        return true;
+    };
+    if (terms.size() == 2 && distinct()) {
+        store.post(std::make_unique<Prop<FixedTerms<2>>>(FixedTerms<2>{terms[0], terms[1]}, c),
+                   watches);
+    } else if (terms.size() == 3 && distinct()) {
+        store.post(std::make_unique<Prop<FixedTerms<3>>>(
+                       FixedTerms<3>{terms[0], terms[1], terms[2]}, c),
+                   watches);
+    } else {
+        store.post(std::make_unique<Prop<NaryTerms>>(std::move(terms), c), watches);
+    }
+}
 
 class NotEqual final : public Propagator {
 public:
@@ -135,7 +186,7 @@ void post_linear_leq(Store& store, std::vector<LinTerm> terms, std::int64_t c) {
     for (const LinTerm& t : terms) {
         watches.push_back({t.var, t.coeff >= 0 ? kEventMin : kEventMax});
     }
-    store.post(std::make_unique<LinearLeq>(std::move(terms), c), watches);
+    post_linear<LinearLeq>(store, std::move(terms), c, watches);
 }
 
 void post_linear_eq(Store& store, std::vector<LinTerm> terms, std::int64_t c) {
@@ -143,7 +194,7 @@ void post_linear_eq(Store& store, std::vector<LinTerm> terms, std::int64_t c) {
     std::vector<Watch> watches;
     watches.reserve(terms.size());
     for (const LinTerm& t : terms) watches.push_back({t.var, kEventBounds});
-    store.post(std::make_unique<LinearEq>(std::move(terms), c), watches);
+    post_linear<LinearEq>(store, std::move(terms), c, watches);
 }
 
 void post_leq_offset(Store& store, IntVar x, std::int64_t c, IntVar y) {

@@ -20,7 +20,8 @@ struct LinTerm {
 /// Post sum(terms) <= c.
 void post_linear_leq(Store& store, std::vector<LinTerm> terms, std::int64_t c);
 
-/// Post sum(terms) == c.
+/// Post sum(terms) == c. Over 2 or 3 distinct variables the propagator
+/// reaches its own fixpoint in one run (terms inline, `idempotent()`).
 void post_linear_eq(Store& store, std::vector<LinTerm> terms, std::int64_t c);
 
 /// Post x + c <= y  (precedence form).

@@ -94,7 +94,7 @@ void Store::record_trail_words(std::size_t idx,
     for (std::size_t k = 0; k < words.size(); ++k) {
         if (words[k] == 0) continue;
         trail_.push_back({TrailEntry::Kind::Word, var, static_cast<int>(k), 0,
-                          last_saved_level_[idx], Domain(), words[k]});
+                          last_saved_level_[idx], words[k]});
         ++stats_.trail_word_diffs;
         stats_.trail_bytes += 16;
     }
@@ -120,11 +120,11 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
     ++stats_.trail_saves;
 
     if (d.is_range()) {
-        // Hole-free pre-state: a 16-byte record reinstates it wholesale,
+        // Hole-free pre-state: one Bounds record reinstates it wholesale,
         // whatever the mutation does — this is the dominant case and it
         // also marks the variable fully saved for this level.
-        trail_.push_back({TrailEntry::Kind::Bounds, var, d.min(), d.max(),
-                          last_saved_level_[idx], Domain()});
+        trail_.push_back(
+            {TrailEntry::Kind::Bounds, var, d.min(), d.max(), last_saved_level_[idx]});
         last_saved_level_[idx] = level_;
         stats_.trail_bytes += 12;
         return;
@@ -138,13 +138,13 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
             --stats_.trail_saves;  // adjacent same-kind clip: older record wins
             return;
         }
-        trail_.push_back(
-            {kind, var, pure_lo_clip ? d.min() : d.max(), 0, -1, Domain()});
+        trail_.push_back({kind, var, pure_lo_clip ? d.min() : d.max()});
         stats_.trail_bytes += 8;
         return;
     }
     // Hole structure changes: full snapshot.
-    trail_.push_back({TrailEntry::Kind::Snapshot, var, 0, 0, last_saved_level_[idx], d});
+    trail_.push_back({TrailEntry::Kind::Snapshot, var, 0, 0, last_saved_level_[idx]});
+    snapshots_.push_back(d);
     last_saved_level_[idx] = level_;
     ++stats_.trail_snapshots;
     stats_.trail_bytes += snapshot_bytes(d);
@@ -488,7 +488,7 @@ void Store::pop_level() {
     const std::size_t mark = level_marks_.back();
     level_marks_.pop_back();
     while (trail_.size() > mark) {
-        TrailEntry& e = trail_.back();
+        const TrailEntry& e = trail_.back();
         const auto idx = static_cast<std::size_t>(e.var);
         switch (e.kind) {
             case TrailEntry::Kind::Min:
@@ -502,7 +502,8 @@ void Store::pop_level() {
                 last_saved_level_[idx] = e.prev_saved_level;
                 break;
             case TrailEntry::Kind::Snapshot:
-                doms_[idx] = std::move(e.saved);
+                doms_[idx] = std::move(snapshots_.back());
+                snapshots_.pop_back();
                 last_saved_level_[idx] = e.prev_saved_level;
                 break;
             case TrailEntry::Kind::Word:

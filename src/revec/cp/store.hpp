@@ -224,18 +224,19 @@ private:
     int pop_runnable();  ///< next queued propagator id, or -1
     void clear_queue();
 
-    /// One trail record. Bound deltas and word diffs are 16-byte payloads;
-    /// Snapshot carries a full pre-mutation Domain (taken only when an
-    /// interval-represented domain changes hole structure). Packed domains
-    /// never take the Min/Max/Bounds/Snapshot paths: their per-level record
-    /// stream is word diffs only, so reverse replay never mixes bitmap
-    /// restores with interval-storage restores.
+    /// One trail record, 32 bytes. A Snapshot's pre-mutation Domain (taken
+    /// only when an interval-represented domain changes hole structure)
+    /// lives on the snapshots_ side stack, which pop_level pops in step
+    /// with the records. Packed domains never take the Min/Max/Bounds/
+    /// Snapshot paths: their per-level record stream is word diffs only, so
+    /// reverse replay never mixes bitmap restores with interval-storage
+    /// restores.
     struct TrailEntry {
         enum class Kind : std::uint8_t {
             Min,       ///< undo a pure lower-bound clip; a = old min
             Max,       ///< undo a pure upper-bound clip; a = old max
             Bounds,    ///< reinstate hole-free pre-state [a, b] wholesale
-            Snapshot,  ///< reinstate `saved`
+            Snapshot,  ///< reinstate the top of snapshots_
             Word,      ///< reinstate bitmap word a to w (packed domains)
         };
         Kind kind;
@@ -243,9 +244,9 @@ private:
         int a = 0;
         int b = 0;
         std::int32_t prev_saved_level = -1;  ///< Bounds/Snapshot/Word: old marker
-        Domain saved;                        ///< Snapshot only
         std::uint64_t w = 0;                 ///< Word only: pre-mutation word
     };
+    static_assert(sizeof(TrailEntry) == 32);
 
     /// One watcher subscription on a variable, packed into 8 bytes: every
     /// domain change walks the variable's watcher list.
@@ -311,6 +312,7 @@ private:
     int running_ = -1;  ///< id of the propagator currently executing
 
     std::vector<TrailEntry> trail_;
+    std::vector<Domain> snapshots_;  ///< Snapshot payloads, one per Snapshot record
     std::vector<std::size_t> level_marks_;
     int level_ = 0;
     bool failed_ = false;

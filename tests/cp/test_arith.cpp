@@ -124,6 +124,35 @@ TEST(UnaryFun, FailsOnEmptyIntersection) {
     EXPECT_FALSE(s.propagate());
 }
 
+TEST(UnaryFun, WideYKeepsOnlyImages) {
+    Store s;
+    const IntVar x = s.new_var(0, 9);
+    const IntVar y = s.new_var(-1000000, 1000000);
+    post_unary_fun(s, x, y, [](int v) { return 2 * (v / 3); }, "even thirds");
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.dom(y).to_string(), "{0, 2, 4, 6}");
+    ASSERT_TRUE(s.remove(y, 2));
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.dom(x).to_string(), "{0..2, 6..9}");
+}
+
+TEST(UnaryFun, EvaluatesFunctionOnlyWhenPosted) {
+    // f is tabulated over x's domain at post time; runs look it up.
+    Store s;
+    const IntVar x = s.new_var(Domain::of_values({1, 3, 5, 7}), "x");
+    const IntVar y = s.new_var(0, 20);
+    int calls = 0;
+    post_unary_fun(s, x, y, [&calls](int v) { ++calls; return v + 1; }, "succ");
+    EXPECT_EQ(calls, 4);
+    ASSERT_TRUE(s.propagate());
+    s.push_level();
+    ASSERT_TRUE(s.set_max(y, 6));
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.dom(x).to_string(), "{1, 3, 5}");
+    s.pop_level();
+    EXPECT_EQ(calls, 4);
+}
+
 TEST(MulConst, ForwardAndBackward) {
     Store s;
     const IntVar x = s.new_var(0, 10);

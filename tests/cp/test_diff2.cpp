@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "revec/cp/search.hpp"
 
 namespace revec::cp {
@@ -132,6 +135,53 @@ TEST(Diff2Property, FixedPairsMatchGeometry) {
     }
 }
 
+TEST(Diff2, SharedLengthRevisitsEveryRectangle) {
+    // B and C share their length L. While L may be 0 both may be empty and
+    // nothing is forced; once L >= 1 both must move right of the fixed A,
+    // which only happens if the change to L revisits B's and C's pairs.
+    Store s;
+    const IntVar len = s.new_var(0, 3);
+    std::vector<Rect> rects;
+    rects.push_back(fixed_rect(s, 0, 0, 5, 1));
+    const Rect b{s.new_var(4, 10), s.new_var(0, 0), len, 1};
+    const Rect c{s.new_var(4, 10), s.new_var(0, 0), len, 1};
+    rects.push_back(b);
+    rects.push_back(c);
+    post_diff2(s, rects);
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.min(b.x), 4);
+    EXPECT_EQ(s.min(c.x), 4);
+    ASSERT_TRUE(s.set_min(len, 1));
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.min(b.x), 5);
+    EXPECT_EQ(s.min(c.x), 5);
+}
+
+TEST(Diff2, SharedRowRevisitsEveryRectangle) {
+    // B and C share their row Y. Fixing Y to A's row forces both right of
+    // A, which only happens if the change to Y revisits B's and C's pairs.
+    Store s;
+    const IntVar row = s.new_var(0, 1);
+    std::vector<Rect> rects;
+    rects.push_back(fixed_rect(s, 0, 0, 5, 1));
+    const Rect b{s.new_var(3, 12), row, s.new_var(2, 2), 1};
+    const Rect c{s.new_var(4, 12), row, s.new_var(2, 2), 1};
+    rects.push_back(b);
+    rects.push_back(c);
+    post_diff2(s, rects);
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.min(b.x), 3);
+    EXPECT_EQ(s.min(c.x), 4);
+    s.push_level();
+    ASSERT_TRUE(s.assign(row, 0));
+    ASSERT_TRUE(s.propagate());
+    EXPECT_EQ(s.min(b.x), 5);
+    EXPECT_EQ(s.min(c.x), 5);
+    s.pop_level();
+    EXPECT_EQ(s.min(b.x), 3);
+    EXPECT_EQ(s.min(c.x), 4);
+}
+
 // Property: search over slot assignments with Diff2 equals a decomposition
 // into pairwise disjunctions (same solution count on a small instance).
 TEST(Diff2Property, AgreesWithDecompositionOnSolutionExistence) {
@@ -172,6 +222,92 @@ TEST(Diff2Property, AgreesWithDecompositionOnSolutionExistence) {
             }
         }
         EXPECT_EQ(r.status == SolveStatus::Optimal, exists) << "nslots=" << nslots;
+    }
+}
+
+// Property: under random push/pop dives, Diff2 reaches the same domains as
+// its pairwise decomposition (one two-rectangle Diff2 per pair, brought to
+// the joint fixpoint by the store's queue) — or both fail. Rectangles draw
+// their variables from a small pool, so many share a variable.
+TEST(Diff2Property, DomainsMatchPairwiseDecompositionAfterDives) {
+    std::mt19937 rng(1);
+    const auto pick = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        // Pool: values [lo, hi] per variable, then rectangles over it.
+        const int pool = pick(4, 9);
+        std::vector<std::pair<int, int>> ranges;
+        for (int v = 0; v < pool; ++v) {
+            const int lo = pick(0, 4);
+            ranges.push_back({lo, lo + pick(0, 6)});
+        }
+        struct Shape {
+            int x, y, len, len_y;
+        };
+        std::vector<Shape> shapes;
+        for (int r = pick(3, 6); r > 0; --r) {
+            shapes.push_back({pick(0, pool - 1), pick(0, pool - 1), pick(0, pool - 1), pick(0, 2)});
+        }
+        Store global;
+        Store pairwise;
+        std::vector<IntVar> vars;
+        for (const auto& [lo, hi] : ranges) {
+            vars.push_back(global.new_var(lo, hi));
+            pairwise.new_var(lo, hi);
+        }
+        std::vector<Rect> rects;
+        for (const Shape& sh : shapes) {
+            rects.push_back(Rect{vars[static_cast<std::size_t>(sh.x)],
+                                 vars[static_cast<std::size_t>(sh.y)],
+                                 vars[static_cast<std::size_t>(sh.len)], sh.len_y});
+        }
+        post_diff2(global, rects);
+        for (std::size_t i = 0; i < rects.size(); ++i) {
+            for (std::size_t j = i + 1; j < rects.size(); ++j) {
+                post_diff2(pairwise, {rects[i], rects[j]});
+            }
+        }
+        const auto agree = [&](bool ok_global, bool ok_pairwise) {
+            ASSERT_EQ(ok_global, ok_pairwise);
+            if (!ok_global) return;
+            for (const IntVar x : vars) {
+                ASSERT_EQ(global.dom(x).to_string(), pairwise.dom(x).to_string())
+                    << "var " << x.index();
+            }
+        };
+        const bool root = global.propagate();
+        agree(root, pairwise.propagate());
+        if (!root || HasFatalFailure()) continue;
+
+        for (int step = 0; step < 30 && !HasFatalFailure(); ++step) {
+            if (global.level() > 0 && pick(0, 3) == 0) {
+                global.pop_level();
+                pairwise.pop_level();
+                agree(true, true);
+                continue;
+            }
+            global.push_level();
+            pairwise.push_level();
+            const IntVar x = vars[static_cast<std::size_t>(pick(0, pool - 1))];
+            const int v = pick(global.min(x), global.max(x));
+            const int op = pick(0, 2);
+            const auto mutate = [&](Store& s) {
+                switch (op) {
+                    case 0: return s.set_min(x, v);
+                    case 1: return s.set_max(x, v);
+                    default: return s.assign(x, v);
+                }
+            };
+            const bool ok_global = mutate(global) && global.propagate();
+            const bool ok_pairwise = mutate(pairwise) && pairwise.propagate();
+            agree(ok_global, ok_pairwise);
+            if (!ok_global) {
+                global.pop_level();
+                pairwise.pop_level();
+            }
+        }
     }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 namespace revec::cp {
 namespace {
 
@@ -180,6 +183,132 @@ TEST(LinearProperty, EqKeepsExactlySupportedBounds) {
         // support and no looser than the initial domain.
         EXPECT_LE(s.min(x), min_x) << "c=" << c;
         EXPECT_GE(s.max(x), max_x) << "c=" << c;
+    }
+}
+
+// Differential test of the fixed-arity linear forms (2 or 3 distinct
+// variables; the equation loops to its own fixpoint and declares
+// idempotence) against the same constraint posted as n-ary LinearLeq
+// halves: two zero-coefficient pad terms keep the oracle on the n-ary
+// path. Under random push/pop dives over hole-carrying domains both
+// stores must agree on every domain, or both fail.
+struct LinearCase {
+    bool eq = false;
+    std::vector<std::int64_t> coeffs;  ///< 2 or 3 terms
+    std::int64_t c = 0;
+    std::vector<Domain> doms;  ///< per term
+};
+
+LinearCase random_linear_case(std::mt19937& rng) {
+    const auto pick = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    LinearCase lc;
+    lc.eq = pick(0, 2) != 0;
+    const int ii = pick(2, 5);
+    const std::int64_t choices[] = {1, -1, ii, -ii, 0};
+    const int arity = pick(2, 3);
+    for (int k = 0; k < arity; ++k) {
+        lc.coeffs.push_back(choices[pick(0, 4)]);
+        const int lo = pick(-8, 4);
+        const int hi = lo + pick(0, 24);
+        std::vector<int> values;
+        for (int v = lo; v <= hi; ++v) {
+            if (pick(0, 9) >= 3 || v == lo) values.push_back(v);  // ~30% holes
+        }
+        lc.doms.push_back(Domain::of_values(std::move(values)));
+    }
+    lc.c = pick(-20, 40);
+    return lc;
+}
+
+/// The case's variables, then the two pad variables, in the same order in
+/// every store, so both stores hand out the same IntVars.
+std::vector<IntVar> linear_case_vars(Store& s, const LinearCase& lc) {
+    std::vector<IntVar> xs;
+    for (const Domain& d : lc.doms) xs.push_back(s.new_var(d));
+    xs.push_back(s.new_var(0, 3, "pad0"));
+    xs.push_back(s.new_var(0, 3, "pad1"));
+    return xs;
+}
+
+void post_fixed_arity(Store& s, const LinearCase& lc, const std::vector<IntVar>& xs) {
+    std::vector<LinTerm> terms;
+    for (std::size_t k = 0; k < lc.coeffs.size(); ++k) terms.push_back({lc.coeffs[k], xs[k]});
+    if (lc.eq) {
+        post_linear_eq(s, terms, lc.c);
+    } else {
+        post_linear_leq(s, terms, lc.c);
+    }
+}
+
+void post_nary_halves(Store& s, const LinearCase& lc, const std::vector<IntVar>& xs) {
+    const std::size_t n = lc.coeffs.size();
+    const auto half = [&](std::int64_t sign) {
+        std::vector<LinTerm> terms;
+        for (std::size_t k = 0; k < n; ++k) terms.push_back({sign * lc.coeffs[k], xs[k]});
+        terms.push_back({0, xs[n]});
+        terms.push_back({0, xs[n + 1]});
+        post_linear_leq(s, terms, sign * lc.c);
+    };
+    half(1);
+    if (lc.eq) half(-1);
+}
+
+TEST(LinearFixedArity, MatchesNaryDecomposition) {
+    std::mt19937 rng(20151);
+    const auto pick = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const LinearCase lc = random_linear_case(rng);
+        Store fixed;
+        Store nary;
+        const std::vector<IntVar> xs = linear_case_vars(fixed, lc);
+        linear_case_vars(nary, lc);
+        post_fixed_arity(fixed, lc, xs);
+        post_nary_halves(nary, lc, xs);
+        const std::size_t n = lc.coeffs.size();
+        const auto agree = [&](bool ok_fixed, bool ok_nary) {
+            ASSERT_EQ(ok_fixed, ok_nary);
+            if (!ok_fixed) return;
+            for (std::size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(fixed.dom(xs[k]).to_string(), nary.dom(xs[k]).to_string()) << "var " << k;
+            }
+        };
+        const bool root = fixed.propagate();
+        agree(root, nary.propagate());
+        if (!root || HasFatalFailure()) continue;
+
+        for (int step = 0; step < 40 && !HasFatalFailure(); ++step) {
+            if (fixed.level() > 0 && pick(0, 3) == 0) {
+                fixed.pop_level();
+                nary.pop_level();
+                agree(true, true);
+                continue;
+            }
+            fixed.push_level();
+            nary.push_level();
+            const IntVar x = xs[static_cast<std::size_t>(pick(0, static_cast<int>(n) - 1))];
+            const int v = pick(fixed.dom(x).min() - 1, fixed.dom(x).max() + 1);
+            const int op = pick(0, 3);
+            const auto mutate = [&](Store& s) {
+                switch (op) {
+                    case 0: return s.set_min(x, v);
+                    case 1: return s.set_max(x, v);
+                    case 2: return s.remove(x, v);
+                    default: return s.assign(x, v);
+                }
+            };
+            const bool ok_fixed = mutate(fixed) && fixed.propagate();
+            const bool ok_nary = mutate(nary) && nary.propagate();
+            agree(ok_fixed, ok_nary);
+            if (!ok_fixed) {
+                fixed.pop_level();
+                nary.pop_level();
+            }
+        }
     }
 }
 
