@@ -172,8 +172,8 @@ struct PinnedCounter {
 
 /// Every deterministic counter of the hole-heavy solve. The search tree
 /// (nodes, failures) is the one the original wake-on-any-change,
-/// full-snapshot engine explored; the rest pin the event engine's work on
-/// packed domains.
+/// full-snapshot engine explored; the rest pin the event engine's work and
+/// the trail records its holed domains take.
 std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
     const cp::PropagationStats& p = r.prop_stats;
     return {{"nodes", r.stats.nodes, 73550},
@@ -182,11 +182,9 @@ std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
             {"wakeups", p.wakeups, 3121392},
             {"wakeups_filtered", p.wakeups_filtered, 4098588},
             {"self_wakeups_suppressed", p.self_wakeups_suppressed, 24181},
-            {"trail_saves", p.trail_saves, 426867},
-            {"trail_snapshots", p.trail_snapshots, 0},
-            {"trail_word_diffs", p.trail_word_diffs, 360380},
-            {"trail_bytes", p.trail_bytes, 6563924},
-            {"packed_converts", p.packed_converts, 502}};
+            {"trail_saves", p.trail_saves, 480293},
+            {"trail_snapshots", p.trail_snapshots, 236911},
+            {"trail_bytes", p.trail_bytes, 9689056}};
 }
 
 /// Solve the hole-heavy probe, time kernel scheduling, print both, fill

@@ -1,32 +1,11 @@
 #include "revec/cp/domain.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "revec/support/assert.hpp"
 
 namespace revec::cp {
-
-namespace {
-
-/// Set bits [lo, hi] in a bitmap whose bit 0 is `base` (base 64-aligned,
-/// lo/hi within the bitmap).
-void set_bits(std::uint64_t* w, std::int64_t base, std::int64_t lo, std::int64_t hi) {
-    const std::size_t wl = static_cast<std::size_t>((lo - base) >> 6);
-    const std::size_t wh = static_cast<std::size_t>((hi - base) >> 6);
-    const std::uint64_t ml = ~std::uint64_t{0} << ((lo - base) & 63);
-    const std::uint64_t mh = ~std::uint64_t{0} >> (63 - ((hi - base) & 63));
-    if (wl == wh) {
-        w[wl] |= ml & mh;
-        return;
-    }
-    w[wl] |= ml;
-    for (std::size_t k = wl + 1; k < wh; ++k) w[k] = ~std::uint64_t{0};
-    w[wh] |= mh;
-}
-
-}  // namespace
 
 /// Scratch interval list for rebuild-style mutations. Output with at most
 /// kInlineIvs intervals stays on the stack; longer lists spill into a
@@ -49,16 +28,10 @@ struct Domain::Builder {
         ++n;
     }
 
-    /// Structural comparison against an interval-representation domain.
+    /// Structural comparison against a domain's interval list.
     bool equals(const Domain& d) const {
-        REVEC_ASSERT(!d.packed_);
-        if (n != d.n_) return false;
         const Interval* mine = n <= kInlineIvs ? buf : spill.data();
-        const Interval* theirs = d.data();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (!(mine[i] == theirs[i])) return false;
-        }
-        return true;
+        return n == d.n_ && std::equal(mine, mine + n, d.data());
     }
 };
 
@@ -131,125 +104,28 @@ Domain Domain::of_values(std::vector<int> values) {
     return d;
 }
 
-void Domain::enable_packing() {
-    pack_ok_ = true;
-    maybe_pack();
-}
-
-void Domain::maybe_pack() {
-    if (!pack_ok_ || packed_ || n_ <= 1) return;
-    const std::int64_t lo = data()[0].lo;
-    const std::int64_t hi = data()[n_ - 1].hi;
-    // Two's-complement AND with ~63 floors toward -inf, so the base stays
-    // 64-aligned for negative bounds too.
-    const std::int64_t base = lo & ~std::int64_t{63};
-    const std::int64_t words = ((hi - base) >> 6) + 1;
-    if (words > static_cast<std::int64_t>(kPackedMaxWords)) return;
-    words_.assign(static_cast<std::size_t>(words), 0);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-        const Interval iv = data()[i];
-        set_bits(words_.data(), base, iv.lo, iv.hi);
-    }
-    base_ = base;
-    pmin_ = static_cast<int>(lo);
-    pmax_ = static_cast<int>(hi);
-    packed_ = true;
-    n_ = 0;
-    big_.clear();
-}
-
 void Domain::clear_to_empty() {
-    if (packed_) {
-        // Keep the packed representation (all-zero words) so a trailed
-        // word-diff restore can rebuild the pre-failure bitmap in place.
-        std::fill(words_.begin(), words_.end(), 0);
-        nvals_ = 0;
-        return;
-    }
     n_ = 0;
     big_.clear();
     nvals_ = 0;
 }
 
-int Domain::packed_next_set(std::int64_t from) const {
-    std::size_t w = word_of(from);
-    std::uint64_t cur = words_[w] & (~std::uint64_t{0} << ((from - base_) & 63));
-    while (cur == 0) cur = words_[++w];
-    return static_cast<int>(base_ + static_cast<std::int64_t>(w) * 64 +
-                            std::countr_zero(cur));
-}
-
-std::int64_t Domain::packed_next_clear(std::int64_t from) const {
-    std::size_t w = word_of(from);
-    std::uint64_t cur = ~words_[w] & (~std::uint64_t{0} << ((from - base_) & 63));
-    while (cur == 0) {
-        if (++w == words_.size()) return packed_end();
-        cur = ~words_[w];
-    }
-    return base_ + static_cast<std::int64_t>(w) * 64 + std::countr_zero(cur);
-}
-
-void Domain::packed_rescan_min(std::int64_t from) { pmin_ = packed_next_set(from); }
-
-void Domain::packed_rescan_max(std::int64_t from) {
-    std::size_t w = word_of(from);
-    std::uint64_t cur = words_[w] & (~std::uint64_t{0} >> (63 - ((from - base_) & 63)));
-    while (cur == 0) cur = words_[--w];
-    pmax_ = static_cast<int>(base_ + static_cast<std::int64_t>(w) * 64 + 63 -
-                             std::countl_zero(cur));
-}
-
-void Domain::restore_word(std::uint32_t widx, std::uint64_t old) {
-    std::uint64_t& w = words_[widx];
-    const bool was_empty = nvals_ == 0;
-    nvals_ += std::popcount(old) - std::popcount(w);
-    w = old;
-    // `old` is non-zero: word records are only pushed for words that held
-    // bits at level entry (zero words cannot regain bits mid-level).
-    const std::int64_t word_base = base_ + static_cast<std::int64_t>(widx) * 64;
-    const int wlo = static_cast<int>(word_base + std::countr_zero(old));
-    const int whi = static_cast<int>(word_base + 63 - std::countl_zero(old));
-    if (was_empty) {
-        pmin_ = wlo;
-        pmax_ = whi;
-    } else {
-        pmin_ = std::min(pmin_, wlo);
-        pmax_ = std::max(pmax_, whi);
-    }
-}
-
-std::size_t Domain::num_intervals() const {
-    if (!packed_) return n_;
-    // A run starts at every set bit whose predecessor bit is clear.
-    std::size_t runs = 0;
-    std::uint64_t prev_msb = 0;
-    for (const std::uint64_t w : words_) {
-        runs += static_cast<std::size_t>(std::popcount(w & ~((w << 1) | prev_msb)));
-        prev_msb = w >> 63;
-    }
-    return runs;
-}
-
 int Domain::min() const {
     REVEC_EXPECTS(!empty());
-    return packed_ ? pmin_ : data()[0].lo;
+    return data()[0].lo;
 }
 
 int Domain::max() const {
     REVEC_EXPECTS(!empty());
-    return packed_ ? pmax_ : data()[n_ - 1].hi;
+    return data()[n_ - 1].hi;
 }
 
 int Domain::value() const {
     REVEC_EXPECTS(is_fixed());
-    return packed_ ? pmin_ : data()[0].lo;
+    return data()[0].lo;
 }
 
 bool Domain::contains(int v) const {
-    if (packed_) {
-        if (empty() || v < pmin_ || v > pmax_) return false;
-        return (words_[word_of(v)] & bit_of(v)) != 0;
-    }
     const std::span<const Interval> ivs = intervals();
     // Binary search over intervals by lower bound.
     auto it = std::upper_bound(ivs.begin(), ivs.end(), v,
@@ -261,11 +137,6 @@ bool Domain::contains(int v) const {
 
 bool Domain::intersects_range(int lo, int hi) const {
     REVEC_EXPECTS(lo <= hi);
-    if (packed_) {
-        if (empty() || hi < pmin_ || lo > pmax_) return false;
-        if (lo <= pmin_) return true;
-        return packed_next_set(lo) <= hi;
-    }
     for (const Interval& iv : intervals()) {
         if (iv.hi < lo) continue;
         return iv.lo <= hi;
@@ -274,11 +145,6 @@ bool Domain::intersects_range(int lo, int hi) const {
 }
 
 bool Domain::next_value(int v, int& out) const {
-    if (packed_) {
-        if (empty() || v > pmax_) return false;
-        out = v <= pmin_ ? pmin_ : packed_next_set(v);
-        return true;
-    }
     for (const Interval& iv : intervals()) {
         if (iv.hi < v) continue;
         out = std::max(iv.lo, v);
@@ -288,14 +154,6 @@ bool Domain::next_value(int v, int& out) const {
 }
 
 bool Domain::next_run(int from, Interval& out) const {
-    if (packed_) {
-        if (empty() || from > pmax_) return false;
-        const std::int64_t start = from <= pmin_ ? pmin_ : packed_next_set(from);
-        const std::int64_t end = packed_next_clear(start) - 1;
-        out.lo = static_cast<int>(start);
-        out.hi = static_cast<int>(std::min<std::int64_t>(end, pmax_));
-        return true;
-    }
     const std::span<const Interval> ivs = intervals();
     auto it = std::lower_bound(ivs.begin(), ivs.end(), from,
                                [](const Interval& iv, int x) { return iv.hi < x; });
@@ -305,31 +163,8 @@ bool Domain::next_run(int from, Interval& out) const {
     return true;
 }
 
-std::span<const Interval> Domain::intervals() const {
-    REVEC_EXPECTS(!packed_);
-    return {data(), n_};
-}
-
 bool Domain::remove_below(int v) {
     if (empty() || min() >= v) return false;
-    if (packed_) {
-        if (v > pmax_) {
-            clear_to_empty();
-            return true;
-        }
-        const std::size_t wv = word_of(v);
-        std::int64_t removed = 0;
-        for (std::size_t k = word_of(pmin_); k < wv; ++k) {
-            removed += std::popcount(words_[k]);
-            words_[k] = 0;
-        }
-        const std::uint64_t keep = ~std::uint64_t{0} << ((v - base_) & 63);
-        removed += std::popcount(words_[wv] & ~keep);
-        words_[wv] &= keep;
-        nvals_ -= removed;
-        packed_rescan_min(v);
-        return true;
-    }
     const Interval* d = data();
     std::uint32_t keep = 0;
     std::int64_t removed = 0;
@@ -343,35 +178,11 @@ bool Domain::remove_below(int v) {
         data()[0].lo = v;
     }
     nvals_ -= removed;
-    // No repack here even if the clip shrank the span into the packed
-    // budget: pure clips may be trailed as compact Min/Max records whose
-    // restore writes into interval storage, so representation conversion
-    // is reserved for the rebuild paths (interior remove_range,
-    // intersect_with), which are always trailed as full-restore records.
     return true;
 }
 
 bool Domain::remove_above(int v) {
     if (empty() || max() <= v) return false;
-    if (packed_) {
-        if (v < pmin_) {
-            clear_to_empty();
-            return true;
-        }
-        const std::size_t wv = word_of(v);
-        const std::size_t wmax = word_of(pmax_);
-        std::int64_t removed = 0;
-        for (std::size_t k = wv + 1; k <= wmax; ++k) {
-            removed += std::popcount(words_[k]);
-            words_[k] = 0;
-        }
-        const std::uint64_t keep = ~std::uint64_t{0} >> (63 - ((v - base_) & 63));
-        removed += std::popcount(words_[wv] & ~keep);
-        words_[wv] &= keep;
-        nvals_ -= removed;
-        packed_rescan_max(v);
-        return true;
-    }
     const Interval* d = data();
     std::uint32_t drop = 0;
     std::int64_t removed = 0;
@@ -385,7 +196,6 @@ bool Domain::remove_above(int v) {
         data()[n_ - 1].hi = v;
     }
     nvals_ -= removed;
-    // See remove_below: clips never repack.
     return true;
 }
 
@@ -403,30 +213,6 @@ bool Domain::remove_range(int lo, int hi) {
     if (lo <= min()) return remove_below(hi + 1);
     if (hi >= max()) return remove_above(lo - 1);
     // Strictly interior removal: min < lo <= hi < max.
-    if (packed_) {
-        const std::size_t wl = word_of(lo);
-        const std::size_t wh = word_of(hi);
-        const std::uint64_t ml = ~std::uint64_t{0} << ((lo - base_) & 63);
-        const std::uint64_t mh = ~std::uint64_t{0} >> (63 - ((hi - base_) & 63));
-        std::int64_t removed = 0;
-        if (wl == wh) {
-            const std::uint64_t m = ml & mh;
-            removed = std::popcount(words_[wl] & m);
-            words_[wl] &= ~m;
-        } else {
-            removed += std::popcount(words_[wl] & ml);
-            words_[wl] &= ~ml;
-            for (std::size_t k = wl + 1; k < wh; ++k) {
-                removed += std::popcount(words_[k]);
-                words_[k] = 0;
-            }
-            removed += std::popcount(words_[wh] & mh);
-            words_[wh] &= ~mh;
-        }
-        if (removed == 0) return false;
-        nvals_ -= removed;  // bounds untouched: the removal is interior
-        return true;
-    }
     Builder out;
     bool changed = false;
     for (const Interval& iv : intervals()) {
@@ -438,42 +224,8 @@ bool Domain::remove_range(int lo, int hi) {
         if (iv.lo < lo) out.push({iv.lo, lo - 1});
         if (iv.hi > hi) out.push({hi + 1, iv.hi});
     }
-    if (changed) {
-        adopt(std::move(out));
-        maybe_pack();
-    }
+    if (changed) adopt(std::move(out));
     return changed;
-}
-
-void Domain::write_mask(const Domain& other, std::uint64_t* mask) const {
-    if (other.empty()) return;
-    Interval r{};
-    std::int64_t from = std::max<std::int64_t>(pmin_, other.min());
-    while (from <= pmax_ && other.next_run(static_cast<int>(from), r)) {
-        if (r.lo > pmax_) break;
-        set_bits(mask, base_, r.lo, std::min<std::int64_t>(r.hi, pmax_));
-        from = static_cast<std::int64_t>(r.hi) + 1;
-    }
-}
-
-bool Domain::packed_apply_mask(const std::uint64_t* mask) {
-    std::int64_t removed = 0;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-        const std::uint64_t cleared = words_[k] & ~mask[k];
-        if (cleared != 0) {
-            removed += std::popcount(cleared);
-            words_[k] &= mask[k];
-        }
-    }
-    if (removed == 0) return false;
-    nvals_ -= removed;
-    if (nvals_ == 0) {
-        clear_to_empty();
-        return true;
-    }
-    packed_rescan_min(pmin_);
-    packed_rescan_max(pmax_);
-    return true;
 }
 
 bool Domain::intersect_with(const Domain& other) {
@@ -482,51 +234,30 @@ bool Domain::intersect_with(const Domain& other) {
         clear_to_empty();
         return true;
     }
-    if (packed_) {
-        std::uint64_t mask[kPackedMaxWords] = {};
-        write_mask(other, mask);
-        return packed_apply_mask(mask);
-    }
-    // Interval representation: sweep own intervals against `other`'s runs
-    // (which works whatever representation `other` uses).
+    // Merge sweep over both interval lists.
     Builder out;
     const Interval* xs = data();
+    const Interval* ys = other.data();
     std::uint32_t a = 0;
-    Interval y{};
-    const int other_max = other.max();
-    bool have_y = other.next_run(other.min(), y);
-    while (a < n_ && have_y) {
-        const Interval& x = xs[a];
-        const int lo = std::max(x.lo, y.lo);
-        const int hi = std::min(x.hi, y.hi);
+    std::uint32_t b = 0;
+    while (a < n_ && b < other.n_) {
+        const int lo = std::max(xs[a].lo, ys[b].lo);
+        const int hi = std::min(xs[a].hi, ys[b].hi);
         if (lo <= hi) out.push({lo, hi});
-        if (x.hi < y.hi) {
+        if (xs[a].hi < ys[b].hi) {
             ++a;
-        } else if (y.hi == other_max) {
-            have_y = false;
         } else {
-            have_y = other.next_run(y.hi + 1, y);
+            ++b;
         }
     }
     if (out.equals(*this)) return false;
     adopt(std::move(out));
-    maybe_pack();
     return true;
 }
 
 bool Domain::assign(int v) {
     REVEC_EXPECTS(contains(v));
     if (is_fixed()) return false;
-    if (packed_) {
-        // Stay packed (a single set bit) so trailed word-diffs remain the
-        // only restore format a packed domain ever needs.
-        std::fill(words_.begin(), words_.end(), 0);
-        words_[word_of(v)] = bit_of(v);
-        pmin_ = v;
-        pmax_ = v;
-        nvals_ = 1;
-        return true;
-    }
     small_[0] = {v, v};
     n_ = 1;
     big_.clear();
@@ -535,35 +266,8 @@ bool Domain::assign(int v) {
 }
 
 bool operator==(const Domain& a, const Domain& b) {
-    if (a.nvals_ != b.nvals_) return false;
-    if (a.nvals_ == 0) return true;
-    if (!a.packed_ && !b.packed_) {
-        if (a.n_ != b.n_) return false;
-        const Interval* da = a.data();
-        const Interval* db = b.data();
-        for (std::uint32_t i = 0; i < a.n_; ++i) {
-            if (!(da[i] == db[i])) return false;
-        }
-        return true;
-    }
-    if (a.packed_ && b.packed_ && a.base_ == b.base_ &&
-        a.words_.size() == b.words_.size()) {
-        return std::memcmp(a.words_.data(), b.words_.data(),
-                           a.words_.size() * sizeof(std::uint64_t)) == 0;
-    }
-    // Mixed representations: lockstep run comparison.
-    if (a.min() != b.min() || a.max() != b.max()) return false;
-    Interval ra{};
-    Interval rb{};
-    const int last = a.max();
-    std::int64_t from = a.min();
-    while (from <= last) {
-        const int f = static_cast<int>(from);
-        if (!a.next_run(f, ra) || !b.next_run(f, rb)) return false;
-        if (!(ra == rb)) return false;
-        from = static_cast<std::int64_t>(ra.hi) + 1;
-    }
-    return true;
+    if (a.nvals_ != b.nvals_ || a.n_ != b.n_) return false;
+    return std::equal(a.data(), a.data() + a.n_, b.data());
 }
 
 std::string Domain::to_string() const {
@@ -581,31 +285,6 @@ std::string Domain::to_string() const {
     });
     os << '}';
     return os.str();
-}
-
-void Domain::check_invariant() const {
-    if (packed_) {
-        REVEC_ASSERT(n_ == 0);
-        REVEC_ASSERT(big_.empty());
-        REVEC_ASSERT((base_ & 63) == 0);
-        std::int64_t total = 0;
-        for (const std::uint64_t w : words_) total += std::popcount(w);
-        REVEC_ASSERT(total == nvals_);
-        if (nvals_ > 0) {
-            REVEC_ASSERT((words_[word_of(pmin_)] & bit_of(pmin_)) != 0);
-            REVEC_ASSERT((words_[word_of(pmax_)] & bit_of(pmax_)) != 0);
-        }
-        return;
-    }
-    const Interval* d = data();
-    std::int64_t total = 0;
-    for (std::uint32_t i = 0; i < n_; ++i) {
-        REVEC_ASSERT(d[i].lo <= d[i].hi);
-        if (i > 0) REVEC_ASSERT(static_cast<std::int64_t>(d[i - 1].hi) + 1 < d[i].lo);
-        total += static_cast<std::int64_t>(d[i].hi) - d[i].lo + 1;
-    }
-    REVEC_ASSERT(total == nvals_);
-    REVEC_ASSERT(n_ <= kInlineIvs ? big_.empty() : big_.size() == n_);
 }
 
 }  // namespace revec::cp

@@ -56,7 +56,6 @@ IntVar Store::new_var(Domain dom, std::string name) {
     REVEC_EXPECTS(!dom.empty());
     REVEC_EXPECTS(level_ == 0);  // variables are created before search starts
     const auto idx = static_cast<std::int32_t>(doms_.size());
-    dom.enable_packing();
     doms_.push_back(std::move(dom));
     if (name.empty()) name = "_v" + std::to_string(idx);
     names_.push_back(std::move(name));
@@ -65,56 +64,25 @@ IntVar Store::new_var(Domain dom, std::string name) {
     meta_min_.push_back(0);
     meta_max_.push_back(0);
     meta_size_.push_back(0);
-    meta_tag_.push_back(0);
     sync_meta(static_cast<std::size_t>(idx));
     return IntVar(idx);
 }
 
 BoolVar Store::new_bool(std::string name) { return new_var(0, 1, std::move(name)); }
 
-void Store::pre_mutate(std::size_t idx, bool pure_lo_clip, bool pure_hi_clip) {
-    if (level_ == 0) return;  // root-level changes are permanent
-    if (last_saved_level_[idx] == level_) return;  // full restore trailed
-    const Domain& d = doms_[idx];
-    if (d.packed()) {
-        record_trail_words(idx, d.packed_words());
-        return;
-    }
-    record_trail_interval(idx, pure_lo_clip, pure_hi_clip);
-}
-
-void Store::record_trail_words(std::size_t idx,
-                               std::span<const std::uint64_t> words) {
-    // Word trailing is a batch capture at first touch per level: one
-    // 16-byte record per *nonzero* word of the level-entry bitmap, after
-    // which the variable is fully saved for the level and every further
-    // mutation trails nothing. (Zero words need no record: mutations only
-    // clear bits, so a word that is zero at level entry stays zero.)
-    const auto var = static_cast<std::int32_t>(idx);
-    for (std::size_t k = 0; k < words.size(); ++k) {
-        if (words[k] == 0) continue;
-        trail_.push_back({TrailEntry::Kind::Word, var, static_cast<int>(k), 0,
-                          last_saved_level_[idx], words[k]});
-        ++stats_.trail_word_diffs;
-        stats_.trail_bytes += 16;
-    }
-    ++stats_.trail_saves;
-    last_saved_level_[idx] = level_;
-}
-
 void Store::sync_meta(std::size_t idx) {
     const Domain& d = doms_[idx];
     const std::int64_t n = d.size();
     meta_size_[idx] = n;
-    meta_tag_[idx] = static_cast<std::uint8_t>(d.rep());
     if (n > 0) {
         meta_min_[idx] = d.min();
         meta_max_[idx] = d.max();
     }
 }
 
-void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
-                                  bool pure_hi_clip) {
+void Store::pre_mutate(std::size_t idx, bool pure_lo_clip, bool pure_hi_clip) {
+    if (level_ == 0) return;  // root-level changes are permanent
+    if (last_saved_level_[idx] == level_) return;  // full restore trailed
     const Domain& d = doms_[idx];
     const auto var = static_cast<std::int32_t>(idx);
     ++stats_.trail_saves;
@@ -153,10 +121,6 @@ void Store::record_trail_interval(std::size_t idx, bool pure_lo_clip,
 void Store::on_change(std::size_t idx, int old_min, int old_max, bool was_fixed) {
     ++stats_.domain_changes;
     const Domain& d = doms_[idx];
-    if (d.packed() &&
-        meta_tag_[idx] != static_cast<std::uint8_t>(Domain::Rep::Packed)) {
-        ++stats_.packed_converts;
-    }
     sync_meta(idx);
     if (d.empty()) {
         failed_ = true;
@@ -258,9 +222,8 @@ bool Store::set_min(IntVar x, std::int64_t v) {
     const int old_min = d.min();
     const int old_max = d.max();
     const bool was_fixed = d.is_fixed();
-    // Pure clip iff the first interval survives (keeps some value >= vv);
-    // irrelevant for packed domains, which trail word records instead.
-    const bool pure_lo = !d.packed() && vv <= d.intervals()[0].hi;
+    // Pure clip iff the first interval survives (keeps some value >= vv).
+    const bool pure_lo = vv <= d.intervals().front().hi;
     pre_mutate(i, pure_lo, false);
     d.remove_below(vv);
     on_change(i, old_min, old_max, was_fixed);
@@ -281,7 +244,7 @@ bool Store::set_max(IntVar x, std::int64_t v) {
     const int old_min = d.min();
     const int old_max = d.max();
     const bool was_fixed = d.is_fixed();
-    const bool pure_hi = !d.packed() && vv >= d.intervals()[d.num_intervals() - 1].lo;
+    const bool pure_hi = vv >= d.intervals().back().lo;
     pre_mutate(i, false, pure_hi);
     d.remove_above(vv);
     on_change(i, old_min, old_max, was_fixed);
@@ -323,12 +286,11 @@ bool Store::remove_range(IntVar x, std::int64_t lo, std::int64_t hi) {
     const int old_max = d.max();
     const bool was_fixed = d.is_fixed();
     // Edge-touching removals are pure clips (Domain routes them through
-    // remove_below/remove_above), so interval domains keep compact records.
-    const bool pure_lo = !d.packed() && l <= old_min && h < old_max &&
-                         h >= d.intervals()[0].lo && h < d.intervals()[0].hi;
-    const bool pure_hi = !d.packed() && h >= old_max && l > old_min &&
-                         l <= d.intervals()[d.num_intervals() - 1].hi &&
-                         l > d.intervals()[d.num_intervals() - 1].lo;
+    // remove_below/remove_above), so they keep compact records.
+    const Interval first = d.intervals().front();
+    const Interval last = d.intervals().back();
+    const bool pure_lo = l <= old_min && h < old_max && h >= first.lo && h < first.hi;
+    const bool pure_hi = h >= old_max && l > old_min && l <= last.hi && l > last.lo;
     pre_mutate(i, pure_lo, pure_hi);
     d.remove_range(l, h);
     on_change(i, old_min, old_max, was_fixed);
@@ -339,24 +301,6 @@ bool Store::intersect(IntVar x, const Domain& nd) {
     if (failed_) return false;
     const std::size_t i = check(x);
     Domain& d = doms_[i];
-    if (d.packed()) {
-        // In-place path: no pre-mutation Domain copy. Whether the intersect
-        // changes anything is only known afterwards, so the bitmap is
-        // captured into scratch first and trailed only on change — a no-op
-        // intersect leaves the trail untouched.
-        const int old_min = d.min();
-        const int old_max = d.max();
-        const bool was_fixed = d.is_fixed();
-        const bool save = level_ > 0 && last_saved_level_[i] != level_;
-        if (save) {
-            const auto words = d.packed_words();
-            scratch_words_.assign(words.begin(), words.end());
-        }
-        if (!d.intersect_with(nd)) return true;
-        if (save) record_trail_words(i, scratch_words_);
-        on_change(i, old_min, old_max, was_fixed);
-        return !failed_;
-    }
     Domain tmp = d;
     if (!tmp.intersect_with(nd)) return true;
     const int old_min = d.min();
@@ -504,10 +448,6 @@ void Store::pop_level() {
             case TrailEntry::Kind::Snapshot:
                 doms_[idx] = std::move(snapshots_.back());
                 snapshots_.pop_back();
-                last_saved_level_[idx] = e.prev_saved_level;
-                break;
-            case TrailEntry::Kind::Word:
-                doms_[idx].restore_word(static_cast<std::uint32_t>(e.a), e.w);
                 last_saved_level_[idx] = e.prev_saved_level;
                 break;
         }

@@ -8,16 +8,14 @@
 //  * the runnable queue is bucketed by propagator priority and drained
 //    cheapest-first, with self-wakeups suppressed for propagators that
 //    declare idempotence;
-//  * the trail records compact bound-change deltas and packed-bitmap word
-//    diffs — a full domain snapshot is taken only when an
-//    interval-represented holed domain changes hole structure.
+//  * the trail records compact bound-change deltas — a full domain
+//    snapshot is taken only when a holed domain changes hole structure.
 // All three mechanisms are fixpoint-preserving; golden search counters in
 // the tests pin the resulting search trees.
 #pragma once
 
 #include <array>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -53,10 +51,8 @@ struct PropagationStats {
 
     std::int64_t trail_saves = 0;      ///< trail records pushed (any kind)
     std::int64_t trail_snapshots = 0;  ///< full Domain snapshots among them
-    std::int64_t trail_word_diffs = 0; ///< packed-domain word-diff records among them
     std::int64_t trail_bytes = 0;      ///< payload bytes trailed (snapshots
                                        ///< count their interval storage)
-    std::int64_t packed_converts = 0;  ///< interval-to-bitmap representation switches
 
     /// The field table (counters.hpp): f(metric name, merge rule, member...)
     /// once per counter, in lockstep over the given structs.
@@ -79,9 +75,7 @@ struct PropagationStats {
         f("max_queue_depth", MergeRule::Max, s.max_queue_depth...);
         f("trail_saves", MergeRule::Sum, s.trail_saves...);
         f("trail_snapshots", MergeRule::Sum, s.trail_snapshots...);
-        f("trail_word_diffs", MergeRule::Sum, s.trail_word_diffs...);
         f("trail_bytes", MergeRule::Sum, s.trail_bytes...);
-        f("packed_converts", MergeRule::Sum, s.packed_converts...);
     }
 };
 
@@ -123,7 +117,7 @@ public:
 
     // Bounds/size/fixedness reads come from parallel SoA metadata arrays —
     // one cache line serves the bound queries of many adjacent variables,
-    // and no query ever touches the Domain object's representation. The
+    // and no query ever touches the Domain object's interval list. The
     // arrays are synced on every domain change and on every trail restore.
     // Bounds of a failed (empty) variable are stale, so min/max keep the
     // non-empty precondition Domain::min()/max() always enforced.
@@ -208,15 +202,10 @@ private:
         REVEC_EXPECTS(x.valid() && static_cast<std::size_t>(x.index()) < doms_.size());
         return static_cast<std::size_t>(x.index());
     }
-    /// Trail whatever is needed to restore doms_[idx] before mutating it:
-    /// Word records for a packed domain under the delta trail, interval
-    /// records (Bounds/Min/Max/Snapshot) otherwise. A no-op once the
-    /// variable is fully saved for the current level.
+    /// Trail whatever is needed to restore doms_[idx] before mutating it
+    /// (one Bounds, Min, Max or Snapshot record). A no-op at the root and
+    /// once the variable is fully saved for the current level.
     void pre_mutate(std::size_t idx, bool pure_lo_clip, bool pure_hi_clip);
-    void record_trail_interval(std::size_t idx, bool pure_lo_clip, bool pure_hi_clip);
-    /// Push one Word record per nonzero bitmap word and mark the variable
-    /// fully saved for the level.
-    void record_trail_words(std::size_t idx, std::span<const std::uint64_t> words);
     /// Refresh the SoA metadata of one variable from its domain.
     void sync_meta(std::size_t idx);
     void on_change(std::size_t idx, int old_min, int old_max, bool was_fixed);
@@ -224,29 +213,23 @@ private:
     int pop_runnable();  ///< next queued propagator id, or -1
     void clear_queue();
 
-    /// One trail record, 32 bytes. A Snapshot's pre-mutation Domain (taken
-    /// only when an interval-represented domain changes hole structure)
-    /// lives on the snapshots_ side stack, which pop_level pops in step
-    /// with the records. Packed domains never take the Min/Max/Bounds/
-    /// Snapshot paths: their per-level record stream is word diffs only, so
-    /// reverse replay never mixes bitmap restores with interval-storage
-    /// restores.
+    /// One trail record, 20 bytes. A Snapshot's pre-mutation Domain (taken
+    /// only when a holed domain changes hole structure) lives on the
+    /// snapshots_ side stack, which pop_level pops in step with the records.
     struct TrailEntry {
         enum class Kind : std::uint8_t {
             Min,       ///< undo a pure lower-bound clip; a = old min
             Max,       ///< undo a pure upper-bound clip; a = old max
             Bounds,    ///< reinstate hole-free pre-state [a, b] wholesale
             Snapshot,  ///< reinstate the top of snapshots_
-            Word,      ///< reinstate bitmap word a to w (packed domains)
         };
         Kind kind;
         std::int32_t var;
         int a = 0;
         int b = 0;
-        std::int32_t prev_saved_level = -1;  ///< Bounds/Snapshot/Word: old marker
-        std::uint64_t w = 0;                 ///< Word only: pre-mutation word
+        std::int32_t prev_saved_level = -1;  ///< Bounds/Snapshot: old marker
     };
-    static_assert(sizeof(TrailEntry) == 32);
+    static_assert(sizeof(TrailEntry) == 20);
 
     /// One watcher subscription on a variable, packed into 8 bytes: every
     /// domain change walks the variable's watcher list.
@@ -281,20 +264,14 @@ private:
 
     std::vector<Domain> doms_;
     std::vector<std::string> names_;
-    // SoA mirrors of the per-variable metadata propagators read hottest:
-    // bounds, size, and representation tag (Domain::Rep), kept in sync with
-    // doms_ by sync_meta().
+    // SoA mirrors of the per-variable metadata propagators read hottest
+    // (bounds and size), kept in sync with doms_ by sync_meta().
     std::vector<int> meta_min_;
     std::vector<int> meta_max_;
     std::vector<std::int64_t> meta_size_;
-    std::vector<std::uint8_t> meta_tag_;
-    /// Pre-mutation bitmap capture for intersect's in-place packed path
-    /// (the only mutation whose change is known after the fact; mutations
-    /// never nest, so one scratch buffer suffices).
-    std::vector<std::uint64_t> scratch_words_;
-    /// Level of the last trail record batch that restores the variable's
-    /// full pre-level state (Bounds, Snapshot, or Word batch); further
-    /// records at that level are redundant. -1 = none.
+    /// Level of the last trail record that restores the variable's full
+    /// pre-level state (Bounds or Snapshot); further records at that level
+    /// are redundant. -1 = none.
     std::vector<std::int32_t> last_saved_level_;
     std::vector<std::vector<Watcher>> watchers_;
 

@@ -1,5 +1,6 @@
 #include "revec/model/json.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -183,8 +184,23 @@ const Value& require(const Value& obj, const std::string& key, Value::Type type,
     return *v;
 }
 
+/// A JSON number as an int; numbers outside the int range (or NaN) are
+/// rejected instead of cast, which would be undefined behaviour.
+int to_int(double v, const std::string& key, const char* context) {
+    if (!(v >= INT_MIN && v <= INT_MAX)) bad_field(key, context);
+    return static_cast<int>(v);
+}
+
 int get_int(const Value& obj, const std::string& key, const char* context) {
-    return static_cast<int>(require(obj, key, Value::Type::Number, context).number);
+    return to_int(require(obj, key, Value::Type::Number, context).number, key, context);
+}
+
+int get_positive_int(const Value& obj, const std::string& key, const char* context) {
+    const int v = get_int(obj, key, context);
+    if (v <= 0) {
+        throw Error("kernel model JSON: '" + key + "' (" + context + ") must be positive");
+    }
+    return v;
 }
 
 bool get_bool(const Value& obj, const std::string& key, const char* context) {
@@ -197,7 +213,7 @@ std::vector<int> get_ints(const Value& obj, const std::string& key, const char* 
     out.reserve(arr.array.size());
     for (const Value& v : arr.array) {
         if (!v.is(Value::Type::Number)) bad_field(key, context);
-        out.push_back(static_cast<int>(v.number));
+        out.push_back(to_int(v.number, key, context));
     }
     return out;
 }
@@ -210,6 +226,17 @@ Unit parse_unit(const std::string& s) {
     throw Error("kernel model JSON: unknown unit '" + s + "'");
 }
 
+/// Throw unless `id` names one of the model's `n` nodes.
+void check_id(int id, int n, const char* what) {
+    if (id < 0 || id >= n) {
+        throw Error(std::string("kernel model JSON: ") + what + " id out of range");
+    }
+}
+
+void check_ids(const std::vector<int>& ids, int n, const char* what) {
+    for (const int id : ids) check_id(id, n, what);
+}
+
 }  // namespace
 
 KernelModel from_json(const json::Value& doc) {
@@ -218,12 +245,12 @@ KernelModel from_json(const json::Value& doc) {
     m.name = require(doc, "name", Value::Type::String, "model").str;
 
     const Value& geo = require(doc, "geometry", Value::Type::Object, "model");
-    m.geometry.banks = get_int(geo, "banks", "geometry");
-    m.geometry.banks_per_page = get_int(geo, "banks_per_page", "geometry");
-    m.geometry.lines = get_int(geo, "lines", "geometry");
+    m.geometry.banks = get_positive_int(geo, "banks", "geometry");
+    m.geometry.banks_per_page = get_positive_int(geo, "banks_per_page", "geometry");
+    m.geometry.lines = get_positive_int(geo, "lines", "geometry");
 
     const Value& caps = require(doc, "caps", Value::Type::Object, "model");
-    m.caps.vector_lanes = get_int(caps, "vector_lanes", "caps");
+    m.caps.vector_lanes = get_positive_int(caps, "vector_lanes", "caps");
     m.caps.scalar_units = get_int(caps, "scalar_units", "caps");
     m.caps.index_merge_units = get_int(caps, "index_merge_units", "caps");
     m.caps.max_vector_reads = get_int(caps, "max_vector_reads", "caps");
@@ -296,14 +323,21 @@ KernelModel from_json(const json::Value& doc) {
         }
         m.nodes.push_back(std::move(n));
     }
+    // Every node reference must name a node: the solver indexes by them.
+    const int num_nodes = m.num_nodes();
+    check_ids(m.ops, num_nodes, "ops");
+    check_ids(m.vector_ops, num_nodes, "vector_ops");
+    check_ids(m.vdata, num_nodes, "vdata");
+    check_ids(m.inputs, num_nodes, "inputs");
+    for (const ModelNode& n : m.nodes) {
+        check_ids(n.preds, num_nodes, "preds");
+        check_ids(n.succs, num_nodes, "succs");
+        check_ids(n.vector_inputs, num_nodes, "vector_inputs");
+        check_ids(n.vector_outputs, num_nodes, "vector_outputs");
+    }
     // is_vector_data is not serialized; for data nodes it is equivalent to
     // vdata membership (lower_ir pushes exactly the VectorData nodes there).
-    for (const int id : m.vdata) {
-        if (id < 0 || id >= m.num_nodes()) {
-            throw Error("kernel model JSON: vdata id out of range");
-        }
-        m.nodes[static_cast<std::size_t>(id)].is_vector_data = true;
-    }
+    for (const int id : m.vdata) m.nodes[static_cast<std::size_t>(id)].is_vector_data = true;
 
     const Value& edges = require(doc, "edges", Value::Type::Array, "model");
     m.edges.reserve(edges.array.size());
@@ -312,6 +346,8 @@ KernelModel from_json(const json::Value& doc) {
         ModelEdge e;
         e.src = get_int(ev, "src", "edge");
         e.dst = get_int(ev, "dst", "edge");
+        check_id(e.src, num_nodes, "edge");
+        check_id(e.dst, num_nodes, "edge");
         e.latency = get_int(ev, "latency", "edge");
         const std::string& kind = require(ev, "kind", Value::Type::String, "edge").str;
         if (kind == "data_produce") {

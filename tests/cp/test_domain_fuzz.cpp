@@ -1,11 +1,9 @@
-// Randomized differential fuzz for the hybrid Domain representation: every
-// mutation op on a packing-enabled Domain is driven against a naive
-// std::set<int> reference model, with the full query surface (size, bounds,
-// containment, next_value, run iteration, equality, printing) re-validated
-// after each step. Also pins the moved-from-domain contract and the
-// store-level trail round-trip across representation-conversion and
-// snapshot boundaries (a packed domain emptying and being word-restored,
-// an interval domain converting to packed mid-level and unwinding back).
+// Randomized differential fuzz for Domain: every mutation op is driven
+// against a naive std::set<int> reference model, with the full query
+// surface (size, bounds, containment, next_value, run iteration, equality,
+// printing) re-validated after each step. Also pins the moved-from-domain
+// contract and the store-level trail round-trip of a holed domain that
+// wipes out and is restored from its snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,9 +106,9 @@ void expect_matches(const Domain& d, const RefModel& ref, unsigned seed, int ste
     });
 }
 
-/// A random domain + matching reference set; packing enabled with
-/// probability 1/2 so intersect fuzz crosses representations.
-Domain random_domain(std::mt19937& rng, RefModel& ref, bool allow_packing) {
+/// A random domain + matching reference set: a plain range one time in
+/// four, otherwise a random (usually holed) value set.
+Domain random_domain(std::mt19937& rng, RefModel& ref) {
     const auto pick = [&](int lo, int hi) {
         return lo + static_cast<int>(rng() % static_cast<unsigned>(hi - lo + 1));
     };
@@ -130,7 +128,6 @@ Domain random_domain(std::mt19937& rng, RefModel& ref, bool allow_packing) {
         }
         d = Domain::of_values(std::move(values));
     }
-    if (allow_packing && rng() % 2 == 0) d.enable_packing();
     return d;
 }
 
@@ -144,8 +141,7 @@ TEST_P(DomainFuzz, EveryMutationMatchesTheReferenceSet) {
     };
 
     RefModel ref;
-    Domain d = random_domain(rng, ref, /*allow_packing=*/false);
-    d.enable_packing();  // the domain under test always allows packing
+    Domain d = random_domain(rng, ref);
     expect_matches(d, ref, seed, -1);
 
     for (int step = 0; step < 120 && !ref.vals.empty(); ++step) {
@@ -181,7 +177,7 @@ TEST_P(DomainFuzz, EveryMutationMatchesTheReferenceSet) {
             }
             case 4: {
                 RefModel oref;
-                const Domain other = random_domain(rng, oref, /*allow_packing=*/true);
+                const Domain other = random_domain(rng, oref);
                 changed_d = d.intersect_with(other);
                 changed_ref = ref.intersect_with(oref.vals);
                 break;
@@ -197,8 +193,8 @@ TEST_P(DomainFuzz, EveryMutationMatchesTheReferenceSet) {
         ASSERT_EQ(changed_d, changed_ref) << "seed " << seed << " step " << step;
         expect_matches(d, ref, seed, step);
 
-        // Semantic equality must hold against an interval-representation
-        // rebuild of the same value set, and to_string must agree with it.
+        // Equality must hold against a from-scratch rebuild of the same
+        // value set, and to_string must agree with it.
         Domain rebuilt =
             Domain::of_values(std::vector<int>(ref.vals.begin(), ref.vals.end()));
         ASSERT_TRUE(d == rebuilt) << d.to_string();
@@ -209,18 +205,18 @@ TEST_P(DomainFuzz, EveryMutationMatchesTheReferenceSet) {
 INSTANTIATE_TEST_SUITE_P(RandomWalks, DomainFuzz, ::testing::Range(0u, 150u));
 
 TEST(DomainFuzz, MovedFromDomainIsEmptyAndReusable) {
+    // Eight runs: the intervals live on the heap, so the move steals them.
     Domain d = Domain::of_values({1, 3, 5, 7, 9, 20, 22, 40});
-    d.enable_packing();
-    ASSERT_TRUE(d.packed());
+    ASSERT_EQ(d.num_intervals(), 8u);
 
     Domain moved(std::move(d));
-    EXPECT_TRUE(moved.packed());
     EXPECT_EQ(moved.size(), 8);
+    EXPECT_EQ(moved.num_intervals(), 8u);
     // NOLINTBEGIN(bugprone-use-after-move) — the moved-from contract (empty,
     // reusable) is exactly what is under test here.
     EXPECT_TRUE(d.empty());
     EXPECT_EQ(d.size(), 0);
-    EXPECT_FALSE(d.packed());
+    EXPECT_EQ(d.num_intervals(), 0u);
 
     d = Domain(4, 6);
     EXPECT_EQ(d.size(), 3);
@@ -231,13 +227,11 @@ TEST(DomainFuzz, MovedFromDomainIsEmptyAndReusable) {
     // NOLINTEND(bugprone-use-after-move)
 }
 
-// Word-diff restore across a packed domain wiping out entirely: the bitmap
-// is zeroed in place on failure, and reverse word replay must resurrect it
-// with exact bounds and size.
+// A holed domain wiping out entirely: the wipeout is trailed as a snapshot,
+// and the restore must resurrect the domain with exact bounds and size.
 TEST(DomainFuzz, TrailRestoresPackedDomainFromWipeout) {
-    Store s;  // default engine: packed domains + word-diff trail
+    Store s;
     const IntVar x = s.new_var(Domain::of_values({0, 2, 4, 6, 8, 64, 66, 130}));
-    ASSERT_TRUE(s.dom(x).packed());
     const Domain before = s.dom(x);
 
     s.push_level();
@@ -251,80 +245,7 @@ TEST(DomainFuzz, TrailRestoresPackedDomainFromWipeout) {
     EXPECT_EQ(s.min(x), 0);
     EXPECT_EQ(s.max(x), 130);
     EXPECT_EQ(s.size(x), 8);
-}
-
-// Interval-to-packed conversion mid-level: the pre-conversion record is a
-// snapshot/bounds of the interval state, so unwinding must return the
-// variable to the interval representation bit-exactly, across several
-// nested levels with further packed-era mutations in between.
-TEST(DomainFuzz, TrailUnwindsRepresentationConversion) {
-    Store s;
-    const IntVar x = s.new_var(0, 200);  // contiguous: stays interval
-    ASSERT_FALSE(s.dom(x).packed());
-    const Domain root = s.dom(x);
-
-    s.push_level();
-    ASSERT_TRUE(s.set_min(x, 10));           // pure clip, still interval
-    const Domain clipped = s.dom(x);
-    ASSERT_TRUE(s.remove_range(x, 50, 60));  // hole: converts to packed
-    ASSERT_TRUE(s.dom(x).packed());
-    EXPECT_GT(s.stats().packed_converts, 0);
-
-    s.push_level();
-    ASSERT_TRUE(s.remove(x, 100));           // packed-era mutation: word diff
-    ASSERT_TRUE(s.assign(x, 150));
-    const Domain fixed = s.dom(x);
-    EXPECT_EQ(s.value(x), 150);
-    s.pop_level();
-
-    EXPECT_TRUE(s.dom(x).packed());
-    EXPECT_EQ(s.size(x), clipped.size() - 11);
-    EXPECT_TRUE(s.dom(x).contains(100));
-    EXPECT_FALSE(s.dom(x).contains(55));
-    EXPECT_FALSE(s.dom(x) == fixed);
-
-    s.pop_level();
-    EXPECT_FALSE(s.dom(x).packed());
-    EXPECT_TRUE(s.dom(x) == root);
-    EXPECT_EQ(s.min(x), 0);
-    EXPECT_EQ(s.max(x), 200);
-
-    // The same level may convert again after unwinding (fresh capture).
-    s.push_level();
-    ASSERT_TRUE(s.remove_range(x, 5, 7));
-    ASSERT_TRUE(s.dom(x).packed());
-    s.pop_level();
-    EXPECT_TRUE(s.dom(x) == root);
-}
-
-// Hole churn on packed domains trails one 16-byte word record per nonzero
-// bitmap word at first touch per level, and nothing after. The golden
-// 9 008 bytes are 3.7x less than the same churn cost on interval domains
-// (32 912) or full snapshots (32 928) when those were still selectable.
-// Unwinding every level must restore the root domain.
-TEST(DomainFuzz, WordDiffTrailShrinksTrailBytes) {
-    Store packed;
-    std::vector<IntVar> xs;
-    for (int i = 0; i < 4; ++i) xs.push_back(packed.new_var(0, 300));
-    const Domain root = packed.dom(xs[0]);
-
-    std::mt19937 rng(7);
-    for (int round = 0; round < 30; ++round) {
-        packed.push_level();
-        for (int k = 0; k < 20; ++k) {
-            const IntVar x = xs[rng() % xs.size()];
-            const int at = 3 + static_cast<int>(rng() % 290);
-            ASSERT_TRUE(packed.remove_range(x, at, at + 1));
-        }
-    }
-    for (int round = 0; round < 30; ++round) packed.pop_level();
-    for (const IntVar x : xs) {
-        EXPECT_TRUE(packed.dom(x) == root);
-        EXPECT_EQ(packed.size(x), 301);
-    }
-    EXPECT_EQ(packed.stats().trail_snapshots, 0);
-    EXPECT_EQ(packed.stats().trail_word_diffs, 560);
-    EXPECT_EQ(packed.stats().trail_bytes, 9008);
+    EXPECT_EQ(s.stats().trail_snapshots, 1);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Search-tree golden suite for the propagation engine. Event-mask wakeup
-// filtering, the priority-bucketed queue, idempotent self-wake
-// suppression, the delta/word trail and packed domains are all
-// fixpoint-preserving, so branch-and-bound explores exactly the tree of
-// the original wake-on-any-change, single-FIFO, full-snapshot engine. The
-// golden table below was recorded while that engine still existed and a
-// differential test proved the two trees equal seed by seed; every solve
-// must keep matching it — same status, node/failure/solution/cutoff counts
-// and optimal assignment. The random CSPs carry hole-rich domains, so
-// DOMAIN events, packed domains and word-diff trailing are all exercised.
+// filtering, the priority-bucketed queue, idempotent self-wake suppression
+// and the delta trail are all fixpoint-preserving, so branch-and-bound
+// explores exactly the tree of the original wake-on-any-change,
+// single-FIFO, full-snapshot engine. The golden table below was recorded
+// while that engine still existed and a differential test proved the two
+// trees equal seed by seed; every solve must keep matching it — same
+// status, node/failure/solution/cutoff counts and optimal assignment. The
+// random CSPs carry hole-rich domains, so DOMAIN events and Min/Max/
+// Snapshot trail records are all exercised.
 #include <gtest/gtest.h>
 
 #include <functional>

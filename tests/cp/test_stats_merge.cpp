@@ -172,8 +172,7 @@ TEST(StatsMerge, MetricNamesAreStable) {
                   "events.fixed", "events.domain", "wakeups", "wakeups_filtered",
                   "self_wakeups_suppressed", "starvation_runs", "queue_pushes.unary",
                   "queue_pushes.linear", "queue_pushes.global", "max_queue_depth",
-                  "trail_saves", "trail_snapshots", "trail_word_diffs", "trail_bytes",
-                  "packed_converts"}));
+                  "trail_saves", "trail_snapshots", "trail_bytes"}));
     EXPECT_EQ(names(rows(PropProfile{})),
               (std::vector<std::string>{"runs", "domain_changes", "failures", "time_us"}));
 }

@@ -232,39 +232,32 @@ TEST(Store, BoundQueriesOnFailedVarThrow) {
     EXPECT_EQ(s.max(x), 3);
 }
 
-// Regression: a holed domain wider than the packed budget (64*64 values)
-// stays interval at creation. A pure bound clip that shrinks its span into
-// the budget is trailed as a compact Min/Max record, which restores by
-// writing into interval storage — so the clip must NOT convert the domain
-// to the packed representation mid-mutation. Conversion happens only on
-// rebuild mutations, whose snapshot/bounds records restore representation
-// wholesale and unwind LIFO before the clip records replay.
+// Regression: pure bound clips of a holed domain are trailed as compact
+// Min/Max records that restore by writing the surviving end interval; a
+// later hole-structure rebuild at the same level is snapshot-trailed, and
+// the snapshot must unwind (LIFO) before the clip records replay.
 TEST(Store, WideHoledDomainClipIntoPackedBudgetRestores) {
     Store s;
     const IntVar x = s.new_var(0, 7000);
     ASSERT_TRUE(s.remove_range(x, 6001, 6499));  // root: {0..6000, 6500..7000}
     const Domain root = s.dom(x);
-    ASSERT_FALSE(root.packed());  // span 7001 > packed budget
     ASSERT_EQ(s.size(x), 6502);
 
     s.push_level();
-    // Pure lower clip (first interval survives): span shrinks to 3001,
-    // within the budget, but the representation must stay interval.
+    // Pure lower clip (first interval survives): span shrinks to 3001.
     ASSERT_TRUE(s.set_min(x, 4000));
-    EXPECT_FALSE(s.dom(x).packed());
     EXPECT_EQ(s.min(x), 4000);
     EXPECT_EQ(s.size(x), 2502);
     // Pure upper clip at the same level: a second compact record.
     ASSERT_TRUE(s.set_max(x, 6900));
-    EXPECT_FALSE(s.dom(x).packed());
-    // Hole-structure rebuild: snapshot-trailed, free to pack now.
+    // Hole-structure rebuild: snapshot-trailed.
     ASSERT_TRUE(s.remove_range(x, 5000, 5010));
-    EXPECT_TRUE(s.dom(x).packed());
     EXPECT_EQ(s.size(x), 2391);
+    EXPECT_EQ(s.stats().trail_saves, 3);
+    EXPECT_EQ(s.stats().trail_snapshots, 1);
 
     s.pop_level();  // snapshot, then Max, then Min replay
     EXPECT_TRUE(s.dom(x) == root);
-    EXPECT_FALSE(s.dom(x).packed());
     EXPECT_EQ(s.min(x), 0);
     EXPECT_EQ(s.max(x), 7000);
     EXPECT_EQ(s.size(x), 6502);

@@ -2,9 +2,9 @@
 // mutations (bound clips, hole punches, assignments) must restore every
 // domain bit-exactly at every level. The oracle is independent of the
 // trail: a deep copy of every domain taken when each level is opened.
-// Narrow domains pack, so the main walk exercises the word-diff trail; the
-// wide-span walk keeps holed domains beyond the packed budget, which is
-// the only way to reach the interval Min/Max/Snapshot records.
+// Holed domains trail Min/Max clip records and Snapshot records, hole-free
+// ones a single Bounds record; the narrow walk mixes both shapes on small
+// spans and the wide-span walk keeps every holed domain thousands wide.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -49,10 +49,10 @@ void unwind(Store& s, std::vector<std::vector<Domain>>& checkpoints, int levels,
     }
 }
 
-class TrailStress : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
-    const unsigned seed = GetParam();
+/// One narrow random walk: mixed mutations of small-span domains under
+/// nested levels, every restore checked against its checkpoint. Adds the
+/// walk's Snapshot record count to `snapshots`.
+void narrow_walk(unsigned seed, std::int64_t& snapshots) {
     std::mt19937 rng(seed);
     const auto pick = [&](int lo, int hi) {
         return lo + static_cast<int>(rng() % static_cast<unsigned>(hi - lo + 1));
@@ -115,6 +115,7 @@ TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
                 // A failure poisons the store until the level unwinds; pop
                 // everything and verify the full restore, then stop.
                 unwind(s, checkpoints, depth, seed);
+                snapshots += s.stats().trail_snapshots;
                 return;
             }
         }
@@ -122,15 +123,33 @@ TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
 
     // Unwind whatever is left.
     unwind(s, checkpoints, static_cast<int>(checkpoints.size()), seed);
+    snapshots += s.stats().trail_snapshots;
+}
+
+class TrailStress : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(TrailStress, BitExactRestoreAcrossEngines) {
+    std::int64_t snapshots = 0;
+    narrow_walk(GetParam(), snapshots);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWalks, TrailStress, ::testing::Range(0u, 80u));
 
-// Holed domains whose span exceeds the packed budget (64 x 64 values) stay
-// interval-represented, so their mutations trail Bounds, Min/Max clip and
-// Snapshot records. The walk keeps every span above the budget (clips
-// stay within 2000 of each end of a 16001-value range), so no domain ever
-// packs, and checks every restore against the checkpoints.
+// The narrow corpus must reach the Snapshot restore path: holed domains of
+// every span trail their hole-structure changes as snapshots, so a walk
+// whose holed domains never snapshot means restores went some other way.
+TEST(TrailStress, NarrowCorpusRestoresSnapshotsBitExactly) {
+    std::int64_t snapshots = 0;
+    for (unsigned seed = 0; seed < 80; ++seed) {
+        ASSERT_NO_FATAL_FAILURE(narrow_walk(seed, snapshots)) << "seed " << seed;
+    }
+    EXPECT_GT(snapshots, 0);
+}
+
+// Holed domains thousands of values wide trail Bounds, Min/Max clip and
+// Snapshot records like narrow ones. The walk keeps every span wide
+// (clips stay within 2000 of each end of a 16001-value range) and checks
+// every restore against the checkpoints.
 TEST(TrailStress, WideSpanWalkRestoresIntervalRecords) {
     constexpr int kWide = 8000;
     constexpr int kClip = 2000;
@@ -196,7 +215,6 @@ TEST(TrailStress, WideSpanWalkRestoresIntervalRecords) {
             }
         }
         unwind(s, checkpoints, static_cast<int>(checkpoints.size()), seed);
-        EXPECT_EQ(s.stats().packed_converts, 0) << "seed " << seed;
         snapshots += s.stats().trail_snapshots;
     }
     EXPECT_GT(snapshots, 0);

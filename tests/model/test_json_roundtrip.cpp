@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "revec/apps/arf.hpp"
@@ -67,6 +68,70 @@ TEST(ModelJsonRoundTrip, RejectsMissingAndMistypedFields) {
         if (key == "num_slots") value.type = json::Value::Type::String;
     }
     EXPECT_THROW(from_json(doc), Error);
+}
+
+/// The field `key` of JSON object `obj` (which must have it).
+json::Value& field(json::Value& obj, const std::string& key) {
+    for (auto& [k, v] : obj.object) {
+        if (k == key) return v;
+    }
+    ADD_FAILURE() << "no field " << key;
+    return obj;
+}
+
+// Single-field corruptions of a MATMUL dump that the solver must never
+// see: a zero bank count divides by zero, an out-of-range op id indexes out
+// of bounds, and a dangling edge endpoint would be scheduled silently.
+TEST(ModelJsonRoundTrip, RejectsZeroBankCount) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    field(field(doc, "geometry"), "banks").number = 0;
+    EXPECT_THROW(from_json(doc), Error);
+}
+
+TEST(ModelJsonRoundTrip, RejectsOutOfRangeOpId) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    field(doc, "ops").array.at(0).number = 9999;
+    EXPECT_THROW(from_json(doc), Error);
+}
+
+TEST(ModelJsonRoundTrip, RejectsDanglingEdgeEndpoint) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    field(field(doc, "edges").array.at(0), "dst").number = 9999;
+    EXPECT_THROW(from_json(doc), Error);
+}
+
+// Every other node reference and sizing field is checked the same way.
+TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
+    const json::Value clean = json::parse(to_json(matmul_model()));
+    ASSERT_NO_THROW(from_json(clean));
+    const auto rejects = [&](const std::function<void(json::Value&)>& corrupt) {
+        json::Value doc = clean;
+        corrupt(doc);
+        EXPECT_THROW(from_json(doc), Error);
+    };
+    for (const char* key : {"banks_per_page", "lines"}) {
+        rejects([&](json::Value& d) { field(field(d, "geometry"), key).number = 0; });
+    }
+    rejects([](json::Value& d) { field(field(d, "caps"), "vector_lanes").number = -1; });
+    for (const char* key : {"vector_ops", "vdata", "inputs"}) {
+        rejects([&](json::Value& d) { field(d, key).array.at(0).number = -1; });
+    }
+    rejects([](json::Value& d) { field(field(d, "edges").array.at(0), "src").number = 1e9; });
+    rejects([](json::Value& d) { field(d, "ops").array.at(0).number = 1e300; });
+    // Node-level lists: corrupt the first node that has a non-empty one.
+    for (const char* key : {"preds", "succs", "vector_inputs", "vector_outputs"}) {
+        rejects([&](json::Value& d) {
+            for (json::Value& node : field(d, "nodes").array) {
+                for (auto& [k, v] : node.object) {
+                    if (k == key && !v.array.empty()) {
+                        v.array[0].number = 9999;
+                        return;
+                    }
+                }
+            }
+            ADD_FAILURE() << "no node with a non-empty " << key;
+        });
+    }
 }
 
 TEST(CanonicalHash, IgnoresRequestFieldOrder) {
