@@ -142,7 +142,7 @@ cp::SolveResult solve_hole_heavy() {
 
     std::vector<cp::LinTerm> terms;
     for (const cp::IntVar x : xs) terms.push_back({1, x});
-    const cp::IntVar obj = s.new_var(0, 2 * kN * kN, "obj");
+    const cp::IntVar obj = s.new_var(0, 2 * kN * kN);
     terms.push_back({-1, obj});
     cp::post_linear_eq(s, terms, 0);
 

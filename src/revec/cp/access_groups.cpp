@@ -4,7 +4,6 @@
 #include <array>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "revec/support/assert.hpp"
@@ -122,11 +121,8 @@ public:
 
     const char* class_name() const override { return "AccessGroups"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "access_groups(" << page_.size() << " data, " << families_[0].time.size()
-           << " issue, " << families_[1].time.size() << " landing)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<AccessGroupProp>(*this);
     }
 
 private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -77,10 +76,8 @@ public:
 
     const char* class_name() const override { return "AllDifferent"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "all_different(" << vars_.size() << " vars)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<AllDifferent>(*this);
     }
 
 private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <memory>
-#include <sstream>
 
 #include "revec/cp/linear.hpp"
 #include "revec/support/assert.hpp"
@@ -33,10 +32,8 @@ public:
 
     const char* class_name() const override { return "MaxProp"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "max(z" << z_.index() << ", " << xs_.size() << " vars)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<MaxProp>(*this);
     }
 
 private:
@@ -83,9 +80,8 @@ public:
     /// Largest x span and image span tabulated.
     static constexpr std::int64_t kMaxSpan = std::int64_t{1} << 16;
 
-    UnaryFun(const Domain& xdom, IntVar x, IntVar y, const std::function<int(int)>& f,
-             std::string desc)
-        : x_(x), y_(y), x_lo_(xdom.min()), desc_(std::move(desc)) {
+    UnaryFun(const Domain& xdom, IntVar x, IntVar y, const std::function<int(int)>& f)
+        : x_(x), y_(y), x_lo_(xdom.min()) {
         REVEC_EXPECTS(static_cast<std::int64_t>(xdom.max()) - x_lo_ < kMaxSpan);
         image_.resize(static_cast<std::size_t>(xdom.max() - x_lo_ + 1));
         xdom.for_each([&](int v) {
@@ -132,7 +128,9 @@ public:
 
     const char* class_name() const override { return "UnaryFun"; }
 
-    std::string describe() const override { return desc_; }
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<UnaryFun>(*this);
+    }
 
 private:
     int image(int v) const { return image_[static_cast<std::size_t>(v - x_lo_)]; }
@@ -161,7 +159,6 @@ private:
     std::vector<int> image_;  ///< f(x_lo_ + k); entries off x's post-time domain unused
     int img_lo_ = INT_MAX;  ///< smallest image
     int img_hi_ = INT_MIN;  ///< largest image
-    std::string desc_;
     std::vector<char> seen_;     ///< per-run scratch: image value img_lo_ + k reached
     std::vector<Interval> drop_; ///< per-run scratch: value runs to remove
 };
@@ -177,10 +174,8 @@ void post_max(Store& store, IntVar z, std::vector<IntVar> xs) {
     store.post(std::make_unique<MaxProp>(z, std::move(xs)), watches);
 }
 
-void post_unary_fun(Store& store, IntVar x, IntVar y, std::function<int(int)> f,
-                    std::string description) {
-    store.post(std::make_unique<UnaryFun>(store.dom(x), x, y, f, std::move(description)),
-               {x, y});
+void post_unary_fun(Store& store, IntVar x, IntVar y, const std::function<int(int)>& f) {
+    store.post(std::make_unique<UnaryFun>(store.dom(x), x, y, f), {x, y});
 }
 
 void post_mul_const(Store& store, IntVar x, std::int64_t k, IntVar z) {

@@ -18,8 +18,7 @@ void post_max(Store& store, IntVar z, std::vector<IntVar> xs);
 /// function; it is tabulated over x's current domain when posted, and both
 /// that domain's span and the span of its images must stay below 2^16.
 /// Intended for small domains (memory slots).
-void post_unary_fun(Store& store, IntVar x, IntVar y, std::function<int(int)> f,
-                    std::string description);
+void post_unary_fun(Store& store, IntVar x, IntVar y, const std::function<int(int)>& f);
 
 /// Post z == x * k for a non-zero integer constant k.
 void post_mul_const(Store& store, IntVar x, std::int64_t k, IntVar z);

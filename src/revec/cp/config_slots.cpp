@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "revec/support/assert.hpp"
@@ -81,11 +80,8 @@ public:
 
     const char* class_name() const override { return "ConfigSlots"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "config_slots(" << time_.size() << " items, " << first_.size() - 1
-           << " configs, " << slot_.size() << " slots)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<ConfigSlotProp>(*this);
     }
 
 private:

@@ -1,7 +1,6 @@
 #include "revec/cp/count.hpp"
 
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -44,10 +43,8 @@ public:
 
     const char* class_name() const override { return "BoolSum"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "bool_sum(" << bools_.size() << " bools)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<BoolSum>(*this);
     }
 
 private:

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -113,10 +112,8 @@ public:
 
     const char* class_name() const override { return "Cumulative"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "cumulative(" << tasks_.size() << " tasks, cap=" << cap_ << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<Cumulative>(*this);
     }
 
 private:

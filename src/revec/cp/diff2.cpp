@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -105,10 +104,8 @@ public:
 
     const char* class_name() const override { return "Diff2"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "diff2(" << rects_.size() << " rects)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<Diff2>(*this);
     }
 
 private:

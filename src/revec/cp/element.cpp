@@ -1,7 +1,6 @@
 #include "revec/cp/element.hpp"
 
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -79,10 +78,8 @@ public:
 
     const char* class_name() const override { return "Element"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "element(x" << index_.index() << " of " << array_.size() << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<Element>(*this);
     }
 
 private:

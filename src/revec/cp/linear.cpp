@@ -1,7 +1,6 @@
 #include "revec/cp/linear.hpp"
 
 #include <array>
-#include <sstream>
 #include <type_traits>
 
 #include "revec/support/assert.hpp"
@@ -67,10 +66,8 @@ public:
 
     const char* class_name() const override { return "LinearLeq"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "linear_leq(" << terms_.size() << " terms, c=" << c_ << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<LinearLeq>(*this);
     }
 
 private:
@@ -105,10 +102,8 @@ public:
 
     const char* class_name() const override { return "LinearEq"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "linear_eq(" << terms_.size() << " terms, c=" << c_ << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<LinearEq>(*this);
     }
 
 private:
@@ -163,10 +158,8 @@ public:
 
     const char* class_name() const override { return "NotEqual"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "not_equal(x" << x_.index() << ", y" << y_.index() << " + " << c_ << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<NotEqual>(*this);
     }
 
 private:

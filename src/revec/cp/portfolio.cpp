@@ -26,7 +26,7 @@ constexpr std::int64_t kNoBound = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kRestartFailures = 512;
 constexpr double kRestartGrowth = 2.0;
 
-/// Rewrite the builder's phases according to one diversification row.
+/// Rewrite the model's phases according to one diversification row.
 std::vector<Phase> apply_config(std::vector<Phase> phases, const WorkerConfig& cfg) {
     if (cfg.flatten_phases) {
         Phase all;
@@ -76,7 +76,7 @@ void guarded(WorkerSlot& slot, std::atomic<bool>& stop, Body&& body) {
 }
 
 /// One CP worker: run the (possibly restarting) DFS over `store` — the
-/// caller's emission for worker 0, a re-emission for the others — against
+/// caller's emission for worker 0, a clone of it for the others — against
 /// the shared bound, and fill `slot`.
 void search_worker(Store& store, const PostedModel& model, const WorkerConfig& cfg,
                    const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
@@ -295,8 +295,7 @@ WorkerConfig diversified_config(int k, std::uint32_t seed) {
 }
 
 PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
-                                const ModelBuilder& build, const SolverConfig& config,
-                                const SearchOptions& options) {
+                                const SolverConfig& config, const SearchOptions& options) {
     REVEC_EXPECTS(config.threads >= 1);
     REVEC_EXPECTS(config.lns_workers >= 0);
     REVEC_EXPECTS(config.lns_workers == 0 || config.lns_round != nullptr);
@@ -328,6 +327,14 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
         cfgs.push_back(diversified_config(k, config.seed));
     }
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(total));
+
+    // Workers 1..N-1 search clones of the caller's store, and the replay
+    // the last one: all taken here, before worker 0 starts on the original.
+    std::vector<Store> clones;
+    if (total > 1) {
+        clones.reserve(static_cast<std::size_t>(n));
+        for (int k = 0; k < n; ++k) clones.push_back(store.clone());
+    }
 
     SharedIncumbent* const inc = lns > 0 ? &incumbent : nullptr;
     if (total == 1) {
@@ -364,17 +371,8 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
                 guarded(slot, stop, [&] {
                     obs::SpanScope span(tracks[i], obs::TraceLevel::Phase, "worker", rid_key,
                                         config.trace_rid);
-                    if (k == 0) {
-                        search_worker(store, model, cfgs[i], options, config.profile,
-                                      tracks[i], stop, shared, inc, slot);
-                    } else {
-                        // Workers 1..N-1 re-emit the model into stores of
-                        // their own, on their own threads.
-                        Store own;
-                        const PostedModel own_model = build(own);
-                        search_worker(own, own_model, cfgs[i], options, config.profile,
-                                      tracks[i], stop, shared, inc, slot);
-                    }
+                    search_worker(k == 0 ? store : clones[i - 1], model, cfgs[i], options,
+                                  config.profile, tracks[i], stop, shared, inc, slot);
                     span.result("nodes", slot.report.stats.nodes, "proved",
                                 slot.report.proved ? 1 : 0);
                 });
@@ -438,20 +436,18 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
     // even a 1-CP-thread portfolio timing-dependent, hence `total`.)
     if (total > 1 && out.status == SolveStatus::Optimal && out.has_solution()) {
         obs::SpanScope replay_span(options.trace, obs::TraceLevel::Phase, "replay");
-        Store replay_store;
+        Store& replay_store = clones.back();
         if (config.profile) replay_store.enable_profiling();
-        const PostedModel replay_model = build(replay_store);
-        if (replay_model.objective.valid() &&
-            replay_store.set_max(replay_model.objective, best_obj)) {
+        if (model.objective.valid() && replay_store.set_max(model.objective, best_obj)) {
             SearchOptions replay_opts;
             replay_opts.deadline = options.deadline;
             replay_opts.stop_at_first_solution = true;
             replay_opts.trace = options.trace;
             const SolveResult replay =
-                solve(replay_store, replay_model.phases, replay_model.objective, replay_opts);
+                solve(replay_store, model.phases, model.objective, replay_opts);
             out.absorb(replay);
             replay_span.result("nodes", replay.stats.nodes);
-            if (replay.has_solution() && replay.value_of(replay_model.objective) == best_obj) {
+            if (replay.has_solution() && replay.value_of(model.objective) == best_obj) {
                 out.best = replay.best;
             }
         }

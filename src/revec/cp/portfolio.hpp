@@ -11,8 +11,9 @@
 //
 // Emission: the caller emits the model once — it needs the variable table
 // to read the solution back anyway — and hands that store over. Worker 0
-// searches it; only workers 1..N-1 and the canonical replay re-emit the
-// model through the builder hook, each into a store of its own. One worker
+// searches it; workers 1..N-1 and the canonical replay search clones of it
+// (Store::clone), taken on the caller's thread before worker 0 starts, so
+// every worker's solution indexes the caller's variable table. One worker
 // (and no LNS workers) runs inline on the caller's thread and trace track:
 // the sequential solver's tree, node for node, with no worker track.
 //
@@ -133,24 +134,18 @@ struct SolverConfig {
     bool profile = false;
 };
 
-/// What the re-posting hook returns: the search phases and the objective
+/// How to search an emitted store: the search phases and the objective
 /// (an invalid objective makes it a satisfaction problem).
 struct PostedModel {
     std::vector<Phase> phases;
     IntVar objective;
 };
 
-/// Re-posting hook: build the model into the given (fresh) store. Must be
-/// deterministic — every call creates identical variables (same indices in
-/// creation order) and constraints, the same ones the caller's own emission
-/// holds — and safe to invoke concurrently on distinct stores.
-using ModelBuilder = std::function<PostedModel(Store&)>;
-
 /// One row of the diversification table.
 struct WorkerConfig {
     VarSelect var_select = VarSelect::SmallestMin;
     ValSelect val_select = ValSelect::Min;
-    bool keep_phase_heuristics = true;  ///< use the builder's per-phase heuristics
+    bool keep_phase_heuristics = true;  ///< use the model's per-phase heuristics
     bool flatten_phases = false;        ///< merge all phases into a single phase
     bool restarts = false;              ///< failure-limited restarts with jitter
     std::uint32_t jitter_seed = 0;      ///< 0 = no value jitter
@@ -158,7 +153,7 @@ struct WorkerConfig {
 };
 
 /// Configuration for worker `k`. Worker 0 is always the baseline (the
-/// builder's own heuristics, no restarts) so a 1-thread portfolio explores
+/// model's own heuristics, no restarts) so a 1-thread portfolio explores
 /// exactly the sequential tree.
 WorkerConfig diversified_config(int k, std::uint32_t seed);
 
@@ -181,7 +176,7 @@ struct WorkerReport : SolveWork {
 
 /// Merged portfolio outcome. The SolveWork part is merged over all workers
 /// (plus the replay pass); `best` holds the winning assignment indexed by
-/// IntVar::index() against any store the builder produces.
+/// IntVar::index() against the caller's store.
 struct PortfolioResult : SolveResult {
     int winner = -1;  ///< config index that produced `best`
     std::vector<WorkerReport> workers;
@@ -193,14 +188,13 @@ struct PortfolioResult : SolveResult {
 /// shared incumbent assignment through the lns_round hook. `store` holds the
 /// caller's emission of the model (at root level, not yet searched) and
 /// `model` its phases and objective; worker 0 searches it and leaves it at
-/// root level. `build` re-emits the same model for workers 1..N-1 and the
-/// replay, so a 1-worker solve never calls it. `options.deadline` and
-/// `options.max_failures` apply to every worker individually;
-/// `options.trace` receives the 1-worker search and the replay;
+/// root level. Workers 1..N-1 and the replay search clones of it taken
+/// before the search starts; a 1-worker solve takes none.
+/// `options.deadline` and `options.max_failures` apply to every worker
+/// individually; `options.trace` receives the 1-worker search and the replay;
 /// `options.stop`/`shared_bound`/`on_solution` must be null — the portfolio
 /// owns those.
 PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
-                                const ModelBuilder& build, const SolverConfig& config,
-                                const SearchOptions& options = {});
+                                const SolverConfig& config, const SearchOptions& options = {});
 
 }  // namespace revec::cp

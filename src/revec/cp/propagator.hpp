@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <memory>
 
 #include "revec/cp/var.hpp"
 
@@ -54,6 +54,9 @@ inline constexpr int kNumPriorities = 3;
 
 class Propagator {
 public:
+    Propagator() = default;
+    Propagator(const Propagator&) = default;  ///< what clone() copies through
+    Propagator& operator=(const Propagator&) = delete;
     virtual ~Propagator() = default;
 
     /// Prune. Return false iff the propagator detected failure directly;
@@ -61,8 +64,10 @@ public:
     /// (which return false), and implementations must forward that.
     virtual bool propagate(Store& store) = 0;
 
-    /// Human-readable description for debugging and solver traces.
-    virtual std::string describe() const = 0;
+    /// A copy of this propagator, incremental state included, for a copy
+    /// of the store (Store::clone). Reads `*this` only, so concurrent
+    /// clones of one store are safe.
+    virtual std::unique_ptr<Propagator> clone() const = 0;
 
     /// Stable class label ("Cumulative", "LinearLeq", ...) used to attribute
     /// profiled work (executions, time, domain changes, failures) to

@@ -1,7 +1,6 @@
 #include "revec/cp/reified.hpp"
 
 #include <memory>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -41,10 +40,8 @@ public:
 
     const char* class_name() const override { return "ReifiedEqVar"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "b" << b_.index() << " <-> (x" << x_.index() << " == x" << y_.index() << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<ReifiedEqVar>(*this);
     }
 
 private:
@@ -73,10 +70,8 @@ public:
 
     const char* class_name() const override { return "ReifiedEqConst"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "b" << b_.index() << " <-> (x" << x_.index() << " == " << c_ << ")";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<ReifiedEqConst>(*this);
     }
 
 private:
@@ -117,10 +112,8 @@ public:
 
     const char* class_name() const override { return "Clause"; }
 
-    std::string describe() const override {
-        std::ostringstream os;
-        os << "clause(" << lits_.size() << " lits)";
-        return os.str();
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<Clause>(*this);
     }
 
 private:

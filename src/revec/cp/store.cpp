@@ -4,7 +4,6 @@
 #include <chrono>
 #include <climits>
 #include <map>
-#include <sstream>
 #include <string_view>
 
 #include "revec/obs/trace.hpp"
@@ -48,17 +47,20 @@ constexpr std::int64_t kEscalationRerunPct = 150;
 
 }  // namespace
 
-IntVar Store::new_var(int lo, int hi, std::string name) {
-    return new_var(Domain(lo, hi), std::move(name));
+Store Store::clone() const {
+    REVEC_EXPECTS(level_ == 0);  // no trail to copy: root state only
+    Store out(*this);
+    out.trace_ = nullptr;
+    return out;
 }
 
-IntVar Store::new_var(Domain dom, std::string name) {
+IntVar Store::new_var(int lo, int hi) { return new_var(Domain(lo, hi)); }
+
+IntVar Store::new_var(Domain dom) {
     REVEC_EXPECTS(!dom.empty());
     REVEC_EXPECTS(level_ == 0);  // variables are created before search starts
     const auto idx = static_cast<std::int32_t>(doms_.size());
     doms_.push_back(std::move(dom));
-    if (name.empty()) name = "_v" + std::to_string(idx);
-    names_.push_back(std::move(name));
     last_saved_level_.push_back(-1);
     watchers_.emplace_back();
     meta_min_.push_back(0);
@@ -68,7 +70,7 @@ IntVar Store::new_var(Domain dom, std::string name) {
     return IntVar(idx);
 }
 
-BoolVar Store::new_bool(std::string name) { return new_var(0, 1, std::move(name)); }
+BoolVar Store::new_bool() { return new_var(0, 1); }
 
 void Store::sync_meta(std::size_t idx) {
     const Domain& d = doms_[idx];
@@ -457,14 +459,6 @@ void Store::pop_level() {
     --level_;
     failed_ = false;
     clear_queue();
-}
-
-std::string Store::dump() const {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < doms_.size(); ++i) {
-        os << names_[i] << " :: " << doms_[i].to_string() << '\n';
-    }
-    return os.str();
 }
 
 }  // namespace revec::cp

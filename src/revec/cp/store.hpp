@@ -102,18 +102,27 @@ struct PropProfile {
 class Store {
 public:
     Store() = default;
-    Store(const Store&) = delete;
+    Store(Store&&) = default;
+    Store& operator=(Store&&) = default;
     Store& operator=(const Store&) = delete;
 
+    /// A faithful copy of this store at root level: domains, watchers, the
+    /// pending propagation queue, counters and profile, with every
+    /// propagator deep-copied through Propagator::clone. Solving the copy
+    /// walks exactly the tree solving this store would, so one emission
+    /// serves any number of searches (portfolio workers, the replay, LNS
+    /// repairs). Reads this store only: several threads may clone one
+    /// const store at once. The trace attachment is not copied.
+    Store clone() const;
+
     // -- variables -----------------------------------------------------------
-    IntVar new_var(int lo, int hi, std::string name = {});
-    IntVar new_var(Domain dom, std::string name = {});
-    BoolVar new_bool(std::string name = {});
+    IntVar new_var(int lo, int hi);
+    IntVar new_var(Domain dom);
+    BoolVar new_bool();
 
     std::size_t num_vars() const { return doms_.size(); }
     std::size_t num_propagators() const { return props_.size(); }
     const Domain& dom(IntVar x) const { return doms_[check(x)]; }
-    const std::string& name(IntVar x) const { return names_[check(x)]; }
 
     // Bounds/size/fixedness reads come from parallel SoA metadata arrays —
     // one cache line serves the bound queries of many adjacent variables,
@@ -191,10 +200,10 @@ public:
     /// class name. Empty when profiling was never enabled.
     std::vector<PropProfile> profile_by_class() const;
 
-    /// Debug helper: render all variables and their domains.
-    std::string dump() const;
-
 private:
+    /// Memberwise copy; public copies go through clone().
+    Store(const Store&) = default;
+
     /// Bounds-checked index of x. Inline: this sits under every accessor
     /// propagators touch (hundreds of millions of calls per solve), so an
     /// out-of-line definition shows up in profiles.
@@ -262,8 +271,21 @@ private:
         }
     };
 
+    /// The owned propagators, indexed by id. Copying deep-copies each one
+    /// (Propagator::clone keeps the id), so a Store copies memberwise.
+    struct Propagators : std::vector<std::unique_ptr<Propagator>> {
+        using Base = std::vector<std::unique_ptr<Propagator>>;
+        Propagators() = default;
+        Propagators(Propagators&&) = default;
+        Propagators& operator=(Propagators&&) = default;
+        Propagators& operator=(const Propagators&) = delete;
+        Propagators(const Propagators& other) : Base() {
+            reserve(other.size());
+            for (const auto& p : other) push_back(p->clone());
+        }
+    };
+
     std::vector<Domain> doms_;
-    std::vector<std::string> names_;
     // SoA mirrors of the per-variable metadata propagators read hottest
     // (bounds and size), kept in sync with doms_ by sync_meta().
     std::vector<int> meta_min_;
@@ -275,7 +297,7 @@ private:
     std::vector<std::int32_t> last_saved_level_;
     std::vector<std::vector<Watcher>> watchers_;
 
-    std::vector<std::unique_ptr<Propagator>> props_;
+    Propagators props_;
     std::vector<std::uint8_t> prop_bucket_;  ///< cached priority per propagator
     std::vector<std::uint8_t> prop_idem_;    ///< cached idempotence per propagator
     std::array<Bucket, kNumPriorities> queue_;

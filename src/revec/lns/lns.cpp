@@ -25,10 +25,19 @@ Selector selector_for(std::int64_t round) {
     return kSelectors[static_cast<std::size_t>(round) % std::size(kSelectors)];
 }
 
+/// The base model emitted once: every repair round solves a clone of
+/// `store`, whose handles are `vt`.
+struct Emission {
+    explicit Emission(const model::KernelModel& m) : vt(model::emit_cp(store, m)) {}
+
+    cp::Store store;
+    model::VarTable vt;
+};
+
 /// One relax/repair round. `best` is the repair solve's full store
-/// assignment (var parity with the unfrozen emission), which the portfolio
-/// hook publishes as the shared incumbent. The SolveWork part is the
-/// repair solve's work.
+/// assignment (a clone's, so it indexes the base emission's handles), which
+/// the portfolio hook publishes as the shared incumbent. The SolveWork part
+/// is the repair solve's work.
 struct RoundOutcome : cp::SolveWork {
     bool accepted = false;
     std::vector<int> start;
@@ -37,8 +46,9 @@ struct RoundOutcome : cp::SolveWork {
     int makespan = 0;
 };
 
-RoundOutcome run_round(const model::KernelModel& base, const std::vector<int>& inc_start,
-                       int inc_makespan, Selector selector, const LnsTuning& tuning,
+RoundOutcome run_round(const model::KernelModel& base, const Emission& emission,
+                       const std::vector<int>& inc_start, int inc_makespan,
+                       Selector selector, const LnsTuning& tuning,
                        XorShift& rng, const Deadline& deadline,
                        const std::atomic<bool>* stop, bool profile,
                        obs::TraceBuffer* trace, std::int64_t trace_rid) {
@@ -56,23 +66,14 @@ RoundOutcome run_round(const model::KernelModel& base, const std::vector<int>& i
         relax_span.result("relaxed", static_cast<std::int64_t>(relaxed.size()));
     }
 
-    // Freeze everything at the incumbent, then re-open the neighbourhood.
-    model::KernelModel sub = base;
-    sub.frozen_starts.assign(static_cast<std::size_t>(n), -1);
-    for (int id = 0; id < n; ++id) {
-        sub.frozen_starts[static_cast<std::size_t>(id)] =
-            inc_start[static_cast<std::size_t>(id)];
-    }
-    for (const int id : relaxed) sub.frozen_starts[static_cast<std::size_t>(id)] = -1;
-
     {
         obs::SpanScope repair_span(trace, obs::TraceLevel::Phase, "repair");
-        cp::Store store;
+        const model::VarTable& vt = emission.vt;
+        cp::Store store = emission.store.clone();
         if (profile) store.enable_profiling();
-        model::VarTable vt = model::emit_cp(store, sub);
         // A frozen value outside the model bounds, or no room below the
         // incumbent, just rejects the round — the incumbent stays.
-        if (!vt.infeasible && store.set_max(vt.makespan, inc_makespan - 1)) {
+        if (freeze_for_repair(store, vt, inc_start, relaxed, inc_makespan)) {
             cp::SearchOptions opts;
             opts.deadline = deadline;
             opts.max_failures = tuning.repair_failures;
@@ -122,12 +123,23 @@ void LnsResult::export_metrics(obs::MetricsRegistry& m, const std::string& prefi
     cp::export_counters(stats, m, prefix + "repair.");
 }
 
+bool freeze_for_repair(cp::Store& store, const model::VarTable& vt,
+                       const std::vector<int>& inc_start, const std::vector<int>& relaxed,
+                       int inc_makespan) {
+    REVEC_EXPECTS(inc_start.size() == vt.start.size());
+    std::vector<char> open(vt.start.size(), 0);
+    for (const int id : relaxed) open.at(static_cast<std::size_t>(id)) = 1;
+    for (std::size_t i = 0; i < vt.start.size(); ++i) {
+        if (open[i] == 0 && !store.assign(vt.start[i], inc_start[i])) return false;
+    }
+    return store.set_max(vt.makespan, inc_makespan - 1);
+}
+
 LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& start,
                            const std::vector<int>& slot, int makespan,
                            const LnsOptions& options) {
     REVEC_EXPECTS(!m.modulo.has_value());
     REVEC_EXPECTS(m.fixed_starts.empty());
-    REVEC_EXPECTS(m.frozen_starts.empty());
     REVEC_EXPECTS(start.size() == static_cast<std::size_t>(m.num_nodes()));
 
     LnsResult res;
@@ -136,6 +148,7 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
     res.slot.resize(static_cast<std::size_t>(m.num_nodes()), -1);
     res.makespan = makespan;
 
+    const Emission emission(m);
     XorShift rng(options.seed);
     while (options.max_rounds < 0 || res.rounds < options.max_rounds) {
         if (options.deadline.expired()) break;
@@ -143,9 +156,10 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
         // The critical path is a proven lower bound: once reached, no round
         // can accept, so stop instead of burning the budget.
         if (res.makespan <= m.critical_path) break;
-        RoundOutcome out = run_round(m, res.start, res.makespan, selector_for(res.rounds),
-                                     options.tuning, rng, options.deadline, options.stop,
-                                     /*profile=*/false, options.trace, /*trace_rid=*/0);
+        RoundOutcome out = run_round(m, emission, res.start, res.makespan,
+                                     selector_for(res.rounds), options.tuning, rng,
+                                     options.deadline, options.stop, /*profile=*/false,
+                                     options.trace, /*trace_rid=*/0);
         ++res.rounds;
         cp::merge_counters(res.stats, out.stats);
         if (out.accepted) {
@@ -166,49 +180,37 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
 cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning& tuning) {
     REVEC_EXPECTS(!m.modulo.has_value());
     REVEC_EXPECTS(m.fixed_starts.empty());
-    REVEC_EXPECTS(m.frozen_starts.empty());
 
-    // Capture the model plus one scratch emission's handle table up front:
-    // emission is deterministic, so these handles index the incumbent
-    // assignments every CP worker publishes.
+    // Capture the model and its one emission up front: every round clones
+    // that store (concurrently from several LNS workers — clone only reads
+    // it), and its handles index the incumbent assignments every CP worker
+    // publishes, because emission is deterministic.
     struct State {
+        State(const model::KernelModel& km, const LnsTuning& t)
+            : m(km), tuning(t), emission(m) {}
+
         model::KernelModel m;
         LnsTuning tuning;
-        std::vector<cp::IntVar> start;
-        cp::IntVar makespan;
-        std::size_t num_vars = 0;
+        Emission emission;
     };
-    auto st = std::make_shared<State>();
-    st->m = m;
-    st->tuning = tuning;
-    {
-        cp::Store scratch;
-        model::VarTable vt = model::emit_cp(scratch, st->m);
-        REVEC_EXPECTS(!vt.infeasible);
-        st->start = std::move(vt.start);
-        st->makespan = vt.makespan;
-        st->num_vars = scratch.num_vars();
-    }
-    std::shared_ptr<const State> state = std::move(st);
+    auto state = std::make_shared<const State>(m, tuning);
 
     return [state](const cp::LnsRoundContext& ctx) -> cp::LnsRoundResult {
         cp::LnsRoundResult out;
         const std::vector<int>& inc = *ctx.incumbent;
-        if (inc.size() != state->num_vars) return out;  // defensive: wrong model
-        const int n = state->m.num_nodes();
-        std::vector<int> inc_start(static_cast<std::size_t>(n));
-        for (int id = 0; id < n; ++id) {
-            inc_start[static_cast<std::size_t>(id)] =
-                inc[static_cast<std::size_t>(state->start[static_cast<std::size_t>(id)].index())];
+        const model::VarTable& vt = state->emission.vt;
+        if (inc.size() != state->emission.store.num_vars()) return out;  // wrong model
+        std::vector<int> inc_start(vt.start.size());
+        for (std::size_t id = 0; id < vt.start.size(); ++id) {
+            inc_start[id] = inc[static_cast<std::size_t>(vt.start[id].index())];
         }
-        const int inc_makespan =
-            inc[static_cast<std::size_t>(state->makespan.index())];
+        const int inc_makespan = inc[static_cast<std::size_t>(vt.makespan.index())];
         if (inc_makespan <= state->m.critical_path) return out;  // proven floor
 
         XorShift rng(ctx.seed);
-        RoundOutcome r = run_round(state->m, inc_start, inc_makespan, selector_for(ctx.round),
-                                   state->tuning, rng, ctx.deadline, ctx.stop, ctx.profile,
-                                   ctx.trace, ctx.trace_rid);
+        RoundOutcome r = run_round(state->m, state->emission, inc_start, inc_makespan,
+                                   selector_for(ctx.round), state->tuning, rng, ctx.deadline,
+                                   ctx.stop, ctx.profile, ctx.trace, ctx.trace_rid);
         out.absorb(r);
         if (r.accepted) {
             out.improved = true;

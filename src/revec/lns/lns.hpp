@@ -1,12 +1,13 @@
-// Large-neighbourhood search over an incumbent schedule (DESIGN §5h): each
-// round relaxes a neighbourhood of t_starts (neighbourhood.hpp), freezes
-// the rest at their incumbent values (KernelModel::frozen_starts), and
-// re-solves the subproblem through the single CP emitter under a strict
-// improvement bound and a tight failure budget. A round is accepted only
-// when the repair solve's schedule passes model::check_schedule against
-// the *base* model and strictly lowers the makespan, so the incumbent
-// sequence is monotone and verify-clean by construction — the property
-// the tests/lns suites pin down.
+// Large-neighbourhood search over an incumbent schedule (DESIGN §5h). The
+// base model is emitted once per run; each round relaxes a neighbourhood of
+// t_starts (neighbourhood.hpp), and on a clone of that store
+// (cp::Store::clone) freezes the rest at their incumbent values by plain
+// assignment and re-solves under a strict improvement bound and a tight
+// failure budget. A round is accepted only when the repair solve's
+// schedule passes model::check_schedule against the *base* model and
+// strictly lowers the makespan, so the incumbent sequence is monotone and
+// verify-clean by construction — the property the tests/lns suites pin
+// down.
 //
 // Two entry points: improve_schedule() is the standalone, fully
 // deterministic round loop (fixed seed + failure budgets, no wall-clock
@@ -22,6 +23,7 @@
 
 #include "revec/cp/portfolio.hpp"
 #include "revec/lns/neighbourhood.hpp"
+#include "revec/model/emit_cp.hpp"
 #include "revec/model/kernel_model.hpp"
 #include "revec/support/stopwatch.hpp"
 
@@ -78,19 +80,31 @@ struct LnsResult {
 };
 
 /// Run LNS rounds over the verified incumbent (start, slot, makespan) of
-/// the flat model `m` (no modulo wrap, no fixed/frozen starts; the model's
-/// horizon must cover the incumbent). Deterministic in options.seed when no
-/// deadline/stop cuts the loop short.
+/// the flat model `m` (no modulo wrap, no fixed starts; the model's horizon
+/// must cover the incumbent). Emits `m` once; every round solves a clone.
+/// Deterministic in options.seed when no deadline/stop cuts the loop short.
 LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& start,
                            const std::vector<int>& slot, int makespan,
                            const LnsOptions& options = {});
 
-/// Package one LNS round over `m` (copied into the closure) as the
-/// portfolio hook: decodes the incumbent assignment through the model's
-/// deterministic emission handles, runs one relax/repair round seeded from
-/// the context, and returns the improving assignment when the repair is
+/// Package one LNS round over `m` as the portfolio hook. The model and one
+/// emission of it are built here and captured; each call decodes the
+/// incumbent assignment through that emission's handles (emission is
+/// deterministic, so they index every CP worker's assignments), runs one
+/// relax/repair round on a clone of the emitted store seeded from the
+/// context, and returns the improving assignment when the repair is
 /// verifier-clean. Safe to invoke concurrently.
 cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning& tuning);
+
+/// Turn `store` — a clone of the base model's emission, whose handles are
+/// `vt` — into one repair subproblem: assign every start outside `relaxed`
+/// (node ids) its incumbent value from `inc_start`, then cap the makespan
+/// strictly below `inc_makespan`. Returns false when that empties a domain
+/// (a frozen value outside the model bounds, or no room below the
+/// incumbent): the round is rejected, nothing throws.
+bool freeze_for_repair(cp::Store& store, const model::VarTable& vt,
+                       const std::vector<int>& inc_start, const std::vector<int>& relaxed,
+                       int inc_makespan);
 
 /// Complete a verified schedule into a full store assignment of the
 /// model's emission (start + slot decisions assigned, the rest fixed by

@@ -39,7 +39,7 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
     std::vector<IntVar> start(static_cast<std::size_t>(n));
     for (const ModelNode& node : m.nodes) {
         const auto i = static_cast<std::size_t>(node.id);
-        start[i] = store.new_var(m.asap[i], m.alap[i], "s" + std::to_string(node.id));
+        start[i] = store.new_var(m.asap[i], m.alap[i]);
     }
 
     // Inputs are ready from the start (paper: "any data node without any
@@ -61,39 +61,15 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
         }
     }
 
-    // LNS repair mode: pin the frozen subset of starts to the incumbent.
-    // Plain assignments only — the variable set stays identical to the
-    // unfrozen emission, so a repair solve's assignment vector indexes any
-    // other emission of the same base model.
-    if (!m.frozen_starts.empty()) {
-        if (m.frozen_starts.size() != static_cast<std::size_t>(n)) {
-            throw Error("frozen_starts must supply one entry per node");
-        }
-        for (const ModelNode& node : m.nodes) {
-            const auto i = static_cast<std::size_t>(node.id);
-            const int v = m.frozen_starts[i];
-            if (v < 0) continue;
-            if (!store.assign(start[i], v)) {
-                // An incumbent start outside the subproblem bounds (e.g. a
-                // tightened horizon): report infeasible so the LNS round is
-                // rejected, instead of throwing like fixed_starts does.
-                VarTable out;
-                out.start = std::move(start);
-                out.infeasible = true;
-                return out;
-            }
-        }
-    }
-
     // -- objective: latest completion (eq. 5) ---------------------------------
-    const IntVar obj = store.new_var(0, horizon, "makespan");
+    const IntVar obj = store.new_var(0, horizon);
     std::vector<IntVar> completions;
     for (const ModelNode& node : m.nodes) {
         const auto i = static_cast<std::size_t>(node.id);
         if (node.latency == 0) {
             completions.push_back(start[i]);
         } else {
-            const IntVar c = store.new_var(0, horizon, "c" + std::to_string(node.id));
+            const IntVar c = store.new_var(0, horizon);
             cp::post_eq_offset(store, start[i], node.latency, c);
             completions.push_back(c);
         }
@@ -190,16 +166,13 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
         std::vector<int> vdata_index(static_cast<std::size_t>(n), -1);  // node id -> datum
         for (const int d : m.vdata) {
             const auto i = static_cast<std::size_t>(d);
-            const IntVar slot = store.new_var(0, num_slots - 1, "slot" + std::to_string(d));
-            const IntVar line = store.new_var(0, max_line, "line" + std::to_string(d));
-            const IntVar page = store.new_var(0, max_page, "page" + std::to_string(d));
-            // eq. (6): channel the three views of the placement.
-            cp::post_unary_fun(store, slot, line,
-                               [geom](int s) { return geom.line_of(s); },
-                               "line=slot/banks");
-            cp::post_unary_fun(store, slot, page,
-                               [geom](int s) { return geom.page_of(s); },
-                               "page=(slot mod banks)/pageSize");
+            const IntVar slot = store.new_var(0, num_slots - 1);
+            const IntVar line = store.new_var(0, max_line);
+            const IntVar page = store.new_var(0, max_page);
+            // eq. (6): channel the three views of the placement,
+            // line = slot / banks and page = (slot mod banks) / pageSize.
+            cp::post_unary_fun(store, slot, line, [geom](int s) { return geom.line_of(s); });
+            cp::post_unary_fun(store, slot, page, [geom](int s) { return geom.page_of(s); });
             slot_vars.push_back(slot);
             slot_of.emplace(d, slot);
             vdata_index[i] = static_cast<int>(groups.page.size());
@@ -216,9 +189,9 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
                 users.push_back(start[static_cast<std::size_t>(succ)]);
             }
             if (dn.persists) users.push_back(obj);
-            const IntVar last_use = store.new_var(0, horizon + 1, "use" + std::to_string(d));
+            const IntVar last_use = store.new_var(0, horizon + 1);
             cp::post_max(store, last_use, users);
-            const IntVar life = store.new_var(0, horizon + 1, "life" + std::to_string(d));
+            const IntVar life = store.new_var(0, horizon + 1);
             // life = last_use - start + lifetime_extra
             cp::post_linear_eq(store, {{1, life}, {-1, last_use}, {1, start[i]}},
                                dn.lifetime_extra);
@@ -328,10 +301,10 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
 
     for (const ModelNode& node : m.nodes) {
         const auto i = static_cast<std::size_t>(node.id);
-        start[i] = store.new_var(m.asap[i], horizon, "s" + std::to_string(node.id));
+        start[i] = store.new_var(m.asap[i], horizon);
         if (!node.is_op) continue;
-        residue[i] = store.new_var(0, ii - 1, "m" + std::to_string(node.id));
-        stage[i] = store.new_var(0, max_stage, "k" + std::to_string(node.id));
+        residue[i] = store.new_var(0, ii - 1);
+        stage[i] = store.new_var(0, max_stage);
         // s = II * k + m
         cp::post_linear_eq(store, {{1, start[i]}, {-ii, stage[i]}, {-1, residue[i]}}, 0);
     }
@@ -375,7 +348,7 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
         // value; letting them interpolate matches the semantics that nop
         // cycles keep the previous configuration loaded.
         for (int t = 0; t < ii; ++t) {
-            type_vars.push_back(store.new_var(0, num_configs - 1, "cfg" + std::to_string(t)));
+            type_vars.push_back(store.new_var(0, num_configs - 1));
         }
         // R = number of cyclic adjacent changes.
         std::vector<cp::BoolVar> same;
@@ -385,9 +358,9 @@ VarTable emit_modulo(cp::Store& store, const KernelModel& m) {
                                 type_vars[static_cast<std::size_t>((t + 1) % ii)]);
             same.push_back(b);
         }
-        const IntVar same_count = store.new_var(0, ii, "same_count");
+        const IntVar same_count = store.new_var(0, ii);
         cp::post_bool_sum(store, same, same_count);
-        reconfig_count = store.new_var(r_lower, r_upper, "reconfigs");
+        reconfig_count = store.new_var(r_lower, r_upper);
         cp::post_linear_eq(store, {{1, reconfig_count}, {1, same_count}}, ii);
     }
 

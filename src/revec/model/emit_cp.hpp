@@ -8,8 +8,9 @@
 // Emission is deterministic: variable creation order and propagator posting
 // order are a pure function of the KernelModel, so any emission's handles
 // index the solution vector of a solve over any other emission of the same
-// model (the portfolio re-posts per worker through this property), and the
-// search tree replays node-for-node across emissions.
+// model, and the search tree replays node-for-node across emissions. Each
+// consumer emits once; further searches of the same model (portfolio
+// workers, the replay, LNS repair rounds) run on cp::Store::clone copies.
 #pragma once
 
 #include <map>
@@ -32,10 +33,9 @@ struct VarTable {
     cp::IntVar makespan;                ///< flat objective (eq. 5)
     cp::IntVar reconfig_count;          ///< modulo objective when minimizing R
     std::vector<cp::Phase> phases;
-    /// Contradiction found before or while posting: a modulo
-    /// reconfiguration budget or II below modulo_reconfig_floor (nothing is
-    /// posted), or a frozen_starts value outside the model bounds (LNS
-    /// repair — the round is rejected).
+    /// A modulo reconfiguration budget or II below modulo_reconfig_floor:
+    /// a contradiction known before any variable exists, so nothing is
+    /// posted.
     bool infeasible = false;
 };
 

@@ -63,8 +63,7 @@ bool same_semantics(const KernelModel& a, const KernelModel& b) {
            a.enforce_port_limits == b.enforce_port_limits &&
            a.lifetime_includes_last_read == b.lifetime_includes_last_read &&
            a.modulo.has_value() == b.modulo.has_value() &&
-           a.fixed_starts.empty() == b.fixed_starts.empty() &&
-           a.frozen_starts.empty() == b.frozen_starts.empty();
+           a.fixed_starts.empty() == b.fixed_starts.empty();
 }
 
 bool same_geometry_knobs(const KernelModel& a, const KernelModel& b) {
@@ -98,7 +97,6 @@ std::uint64_t structural_fingerprint(const KernelModel& m) {
     f.byte(m.lifetime_includes_last_read ? 1 : 0);
     f.byte(m.modulo.has_value() ? 1 : 0);
     f.byte(m.fixed_starts.empty() ? 0 : 1);
-    f.byte(m.frozen_starts.empty() ? 0 : 1);
 
     f.i32(m.num_nodes());
     for (const ModelNode& n : m.nodes) {

@@ -65,7 +65,7 @@ struct ModelDelta {
     bool bounds_loosened = false;
 
     /// Constraint-family semantics differ — memory_allocation, port
-    /// limits, lifetime definition, modulo presence, fixed/frozen starts.
+    /// limits, lifetime definition, modulo presence, fixed starts.
     /// A donor schedule's feasibility story does not transfer across such
     /// a change, so it forces incompatibility.
     bool semantics_changed = false;

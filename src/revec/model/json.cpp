@@ -107,11 +107,6 @@ std::string to_json(const KernelModel& m) {
         append_ints(os, m.fixed_starts);
         os << ",\n";
     }
-    if (!m.frozen_starts.empty()) {
-        os << "  \"frozen_starts\": ";
-        append_ints(os, m.frozen_starts);
-        os << ",\n";
-    }
     if (m.modulo.has_value()) {
         os << "  \"modulo\": {\"ii\": " << m.modulo->ii
            << ", \"max_stage\": " << m.modulo->max_stage
@@ -281,9 +276,6 @@ KernelModel from_json(const json::Value& doc) {
     if (doc.find("fixed_starts") != nullptr) {
         m.fixed_starts = get_ints(doc, "fixed_starts", "model");
     }
-    if (doc.find("frozen_starts") != nullptr) {
-        m.frozen_starts = get_ints(doc, "frozen_starts", "model");
-    }
     if (const Value* mod = doc.find("modulo"); mod != nullptr) {
         if (!mod->is(Value::Type::Object)) bad_field("modulo", "model");
         ModuloWrap wrap;
@@ -362,8 +354,7 @@ KernelModel from_json(const json::Value& doc) {
 
     const auto n = static_cast<std::size_t>(m.num_nodes());
     if (m.asap.size() != n || m.alap.size() != n ||
-        (!m.fixed_starts.empty() && m.fixed_starts.size() != n) ||
-        (!m.frozen_starts.empty() && m.frozen_starts.size() != n)) {
+        (!m.fixed_starts.empty() && m.fixed_starts.size() != n)) {
         throw Error("kernel model JSON: per-node array size mismatch");
     }
     return m;

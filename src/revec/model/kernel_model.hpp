@@ -135,16 +135,6 @@ struct KernelModel {
     bool enforce_port_limits = true;
     bool lifetime_includes_last_read = true;
     std::vector<int> fixed_starts;
-
-    /// Partial pinning for subproblem re-solves (LNS repair rounds). When
-    /// non-empty: one entry per node; entries >= 0 pin that node's start,
-    /// -1 leaves it free. Unlike fixed_starts (the all-or-nothing slot-only
-    /// mode), a frozen value that conflicts with the model bounds marks the
-    /// emission infeasible instead of throwing — the LNS layer treats that
-    /// as a rejected round. Pinning happens through plain assignments, so
-    /// the emitted variable set (count and indices) is identical to the
-    /// unfrozen model's; lower_ir never fills this field.
-    std::vector<int> frozen_starts;
     std::optional<ModuloWrap> modulo;
 
     int num_nodes() const { return static_cast<int>(nodes.size()); }

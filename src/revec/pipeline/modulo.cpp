@@ -85,10 +85,9 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
         solver.trace != nullptr ? solver.trace->main() : nullptr;
     obs::SpanScope span(trace, obs::TraceLevel::Phase, "try_ii", "ii", ii);
 
-    // Lower once per candidate II (the wrap is part of the model) and emit
-    // it for worker 0; further portfolio workers re-emit it into stores of
-    // their own. Emission is deterministic, so this table's handles index
-    // any worker's solution.
+    // Lower and emit once per candidate II (the wrap is part of the model);
+    // worker 0 searches this store and further portfolio workers clones of
+    // it, so this table's handles index any worker's solution.
     model::LowerOptions lo;
     lo.horizon = horizon;
     lo.modulo = model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget};
@@ -111,16 +110,10 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
     cp::SearchOptions opts;
     opts.deadline = deadline;
     opts.trace = trace;
-    const auto objective_of = [minimize_reconfigs](const model::VarTable& t) {
-        return minimize_reconfigs && t.reconfig_count.valid() ? t.reconfig_count : IntVar();
-    };
-    attempt.result = cp::solve_portfolio(
-        store, cp::PostedModel{std::move(m.phases), objective_of(m)},
-        [&](cp::Store& s) {
-            model::VarTable worker = model::emit_cp(s, km);
-            return cp::PostedModel{std::move(worker.phases), objective_of(worker)};
-        },
-        solver, opts);
+    const IntVar objective =
+        minimize_reconfigs && m.reconfig_count.valid() ? m.reconfig_count : IntVar();
+    attempt.result =
+        cp::solve_portfolio(store, cp::PostedModel{std::move(m.phases), objective}, solver, opts);
     return attempt;
 }
 

@@ -185,6 +185,13 @@ ModelSolveOptions model_solve_options(const ScheduleOptions& options) {
 }
 
 Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOptions& options) {
+    // The flat model only: the heuristic, the warm start and extraction all
+    // read a flat emission. Modulo-wrapped models go through
+    // pipeline::modulo_schedule.
+    if (model_in.modulo.has_value()) {
+        throw Error("schedule_model takes flat models only; this model has a modulo wrap");
+    }
+
     obs::TraceBuffer* const trace =
         options.trace != nullptr
             ? options.trace
@@ -285,9 +292,9 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     search_opts.trace = trace;
 
     // One emission supplies the variable handles for extraction and the
-    // store worker 0 searches. Further portfolio workers re-emit the same
-    // model into their own stores through the builder hook (emission is
-    // deterministic, so this table's handles index any worker's solution).
+    // store worker 0 searches; further portfolio workers and the replay
+    // search clones of it, so this table's handles index any worker's
+    // solution.
     cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
     model::VarTable m = model::emit_cp(store, *km);
@@ -297,14 +304,8 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
 
     obs::span_begin(trace, obs::TraceLevel::Phase, "search", "threads", solver.threads,
                     rid != 0 ? "rid" : nullptr, rid);
-    const model::KernelModel& worker_model = *km;
     cp::PortfolioResult result = cp::solve_portfolio(
-        store, cp::PostedModel{std::move(m.phases), m.makespan},
-        [&worker_model](cp::Store& s) {
-            model::VarTable worker = model::emit_cp(s, worker_model);
-            return cp::PostedModel{std::move(worker.phases), worker.makespan};
-        },
-        solver, search_opts);
+        store, cp::PostedModel{std::move(m.phases), m.makespan}, solver, search_opts);
     Schedule sched = extract_schedule(*km, m, result);
     sched.workers = std::move(result.workers);
     if (heuristic.has_value()) sched = merge_with_seed(std::move(*heuristic), std::move(sched));

@@ -155,10 +155,12 @@ model::KernelModel lower_for_schedule(const ir::Graph& g,
 /// schedule_kernel does.
 ModelSolveOptions model_solve_options(const ScheduleOptions& options);
 
-/// Solve an already-lowered KernelModel: verified heuristic warm start,
-/// exact CP search (cp::solve_portfolio at any thread count, LNS workers on
-/// unpinned models), anytime merge — the body of schedule_kernel after lowering. Re-entrant: safe to
-/// call concurrently from many threads given distinct trace tracks.
+/// Solve an already-lowered flat KernelModel: verified heuristic warm
+/// start, exact CP search (cp::solve_portfolio at any thread count, LNS
+/// workers on unpinned models), anytime merge — the body of schedule_kernel
+/// after lowering. Throws revec::Error for a model with a modulo wrap.
+/// Re-entrant: safe to call concurrently from many threads given distinct
+/// trace tracks.
 Schedule schedule_model(const model::KernelModel& km,
                         const ModelSolveOptions& options = {});
 

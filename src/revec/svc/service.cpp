@@ -395,7 +395,9 @@ Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
                 metrics_.add("svc.cache.near_evictions");
             }
         }
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
+        // Any failure of one request (a model the solver rejects, or a bug
+        // it trips) answers that request; it never unwinds a pool worker.
         r.ok = false;
         r.error = e.what();
         if (flight != nullptr) flight->note(obs::FlightReason::Error);

@@ -1,9 +1,10 @@
 // Deterministic random scheduling-model generators shared by the portfolio
-// test suites. Each generator returns a re-posting ModelBuilder, so the
-// same instance can be built into any number of independent stores — the
-// property the portfolio solver relies on.
+// test suites. Each generator returns an Instance that posts the same model
+// into any store it is given, so a test can build a reference store for the
+// sequential solver next to the one the portfolio searches.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -15,13 +16,16 @@
 
 namespace revec::cp::testing {
 
+/// Posts one generated model into the given (fresh) store.
+using Instance = std::function<PostedModel(Store&)>;
+
 /// A random resource-constrained project-scheduling instance: `tasks`
 /// tasks with random durations/demands, random precedences, one cumulative
 /// resource of the given capacity, makespan objective, and the decision
 /// variables split over two phases (to exercise the phased brancher).
 /// Deterministic in `seed`: every invocation posts identical variables and
 /// constraints.
-inline ModelBuilder random_rcpsp(std::uint32_t seed, int tasks, int capacity = 3) {
+inline Instance random_rcpsp(std::uint32_t seed, int tasks, int capacity = 3) {
     return [seed, tasks, capacity](Store& s) -> PostedModel {
         XorShift rng(seed);
         std::vector<int> dur;
@@ -36,7 +40,7 @@ inline ModelBuilder random_rcpsp(std::uint32_t seed, int tasks, int capacity = 3
 
         std::vector<IntVar> start;
         for (int i = 0; i < tasks; ++i) {
-            start.push_back(s.new_var(0, horizon, "s" + std::to_string(i)));
+            start.push_back(s.new_var(0, horizon));
         }
         // Random precedences: about half the tasks get one predecessor.
         for (int j = 1; j < tasks; ++j) {
@@ -55,10 +59,10 @@ inline ModelBuilder random_rcpsp(std::uint32_t seed, int tasks, int capacity = 3
         }
         post_cumulative(s, cumul, capacity);
 
-        const IntVar obj = s.new_var(0, horizon, "makespan");
+        const IntVar obj = s.new_var(0, horizon);
         std::vector<IntVar> ends;
         for (int i = 0; i < tasks; ++i) {
-            const IntVar e = s.new_var(0, horizon, "e" + std::to_string(i));
+            const IntVar e = s.new_var(0, horizon);
             post_eq_offset(s, start[static_cast<std::size_t>(i)],
                            dur[static_cast<std::size_t>(i)], e);
             ends.push_back(e);
@@ -79,11 +83,11 @@ inline ModelBuilder random_rcpsp(std::uint32_t seed, int tasks, int capacity = 3
 /// A pigeonhole-style UNSAT instance that needs actual search (not just
 /// root propagation) to refute: n pairwise-distinct variables on a domain
 /// of n-1 values, minimized maximum.
-inline ModelBuilder pigeonhole_unsat(int n) {
+inline Instance pigeonhole_unsat(int n) {
     return [n](Store& s) -> PostedModel {
         std::vector<IntVar> xs;
         for (int i = 0; i < n; ++i) {
-            xs.push_back(s.new_var(0, n - 2, "x" + std::to_string(i)));
+            xs.push_back(s.new_var(0, n - 2));
         }
         for (int a = 0; a < n; ++a) {
             for (int b = a + 1; b < n; ++b) {
@@ -91,7 +95,7 @@ inline ModelBuilder pigeonhole_unsat(int n) {
                                xs[static_cast<std::size_t>(b)]);
             }
         }
-        const IntVar obj = s.new_var(0, n, "obj");
+        const IntVar obj = s.new_var(0, n);
         post_max(s, obj, xs);
         PostedModel model;
         model.phases.push_back({xs, VarSelect::MinDomain, ValSelect::Min, "xs"});
@@ -100,14 +104,14 @@ inline ModelBuilder pigeonhole_unsat(int n) {
     };
 }
 
-/// Emit `build` into a fresh store and run the portfolio on it, the way
+/// Post `instance` into a fresh store and run the portfolio on it, the way
 /// the scheduling layers call it: the caller's emission is worker 0's store,
-/// `build` re-emits for the other workers and the replay.
-inline PortfolioResult run_portfolio(const ModelBuilder& build, const SolverConfig& config,
+/// and the other workers and the replay search clones of it.
+inline PortfolioResult run_portfolio(const Instance& instance, const SolverConfig& config,
                                      const SearchOptions& options = {}) {
     Store store;
-    const PostedModel model = build(store);
-    return solve_portfolio(store, model, build, config, options);
+    const PostedModel model = instance(store);
+    return solve_portfolio(store, model, config, options);
 }
 
 }  // namespace revec::cp::testing

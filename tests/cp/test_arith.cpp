@@ -81,7 +81,7 @@ TEST(UnaryFun, LineOfSlotChanneling) {
     Store s;
     const IntVar slot = s.new_var(0, 63);
     const IntVar line = s.new_var(0, 3);
-    post_unary_fun(s, slot, line, [](int v) { return v / 16; }, "line=slot/16");
+    post_unary_fun(s, slot, line, [](int v) { return v / 16; });
     ASSERT_TRUE(s.propagate());
     EXPECT_EQ(s.min(line), 0);
     EXPECT_EQ(s.max(line), 3);
@@ -99,7 +99,7 @@ TEST(UnaryFun, PageOfSlotChanneling) {
     Store s;
     const IntVar slot = s.new_var(0, 63);
     const IntVar page = s.new_var(0, 3);
-    post_unary_fun(s, slot, page, [](int v) { return (v % 16) / 4; }, "page");
+    post_unary_fun(s, slot, page, [](int v) { return (v % 16) / 4; });
     ASSERT_TRUE(s.assign(page, 1));
     ASSERT_TRUE(s.propagate());
     // Supported slots: slot mod 16 in {4..7}.
@@ -109,9 +109,9 @@ TEST(UnaryFun, PageOfSlotChanneling) {
 
 TEST(UnaryFun, ImageRestrictsY) {
     Store s;
-    const IntVar x = s.new_var(Domain::of_values({2, 4, 6}), "x");
+    const IntVar x = s.new_var(Domain::of_values({2, 4, 6}));
     const IntVar y = s.new_var(0, 100);
-    post_unary_fun(s, x, y, [](int v) { return v * v; }, "square");
+    post_unary_fun(s, x, y, [](int v) { return v * v; });
     ASSERT_TRUE(s.propagate());
     EXPECT_EQ(s.dom(y).to_string(), "{4, 16, 36}");
 }
@@ -120,7 +120,7 @@ TEST(UnaryFun, FailsOnEmptyIntersection) {
     Store s;
     const IntVar x = s.new_var(0, 3);
     const IntVar y = s.new_var(50, 60);
-    post_unary_fun(s, x, y, [](int v) { return v; }, "identity");
+    post_unary_fun(s, x, y, [](int v) { return v; });
     EXPECT_FALSE(s.propagate());
 }
 
@@ -128,7 +128,7 @@ TEST(UnaryFun, WideYKeepsOnlyImages) {
     Store s;
     const IntVar x = s.new_var(0, 9);
     const IntVar y = s.new_var(-1000000, 1000000);
-    post_unary_fun(s, x, y, [](int v) { return 2 * (v / 3); }, "even thirds");
+    post_unary_fun(s, x, y, [](int v) { return 2 * (v / 3); });
     ASSERT_TRUE(s.propagate());
     EXPECT_EQ(s.dom(y).to_string(), "{0, 2, 4, 6}");
     ASSERT_TRUE(s.remove(y, 2));
@@ -139,10 +139,10 @@ TEST(UnaryFun, WideYKeepsOnlyImages) {
 TEST(UnaryFun, EvaluatesFunctionOnlyWhenPosted) {
     // f is tabulated over x's domain at post time; runs look it up.
     Store s;
-    const IntVar x = s.new_var(Domain::of_values({1, 3, 5, 7}), "x");
+    const IntVar x = s.new_var(Domain::of_values({1, 3, 5, 7}));
     const IntVar y = s.new_var(0, 20);
     int calls = 0;
-    post_unary_fun(s, x, y, [&calls](int v) { ++calls; return v + 1; }, "succ");
+    post_unary_fun(s, x, y, [&calls](int v) { ++calls; return v + 1; });
     EXPECT_EQ(calls, 4);
     ASSERT_TRUE(s.propagate());
     s.push_level();

@@ -214,7 +214,7 @@ TEST_P(SolverFuzz, OptimumMatchesBruteForce) {
     Store s;
     std::vector<IntVar> xs;
     for (int i = 0; i < inst.num_vars; ++i) {
-        xs.push_back(s.new_var(0, inst.max_val, "x" + std::to_string(i)));
+        xs.push_back(s.new_var(0, inst.max_val));
     }
     inst.post(s, xs);
 
@@ -229,7 +229,7 @@ TEST_P(SolverFuzz, OptimumMatchesBruteForce) {
         terms.push_back({inst.objective(probe) - base, xs[static_cast<std::size_t>(i)]});
     }
     const int weight_span = 2 * inst.num_vars * inst.max_val + 1;
-    const IntVar obj = s.new_var(-weight_span, weight_span, "obj");
+    const IntVar obj = s.new_var(-weight_span, weight_span);
     terms.push_back({-1, obj});
     post_linear_eq(s, terms, -base);
 

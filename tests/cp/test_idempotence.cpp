@@ -96,10 +96,9 @@ std::vector<IdempotentClass> idempotent_classes() {
              const std::vector<IntVar> xy = distinct_ints(p, rng, 2);
              const int k = pick(rng, 2, 4);
              if (pick(rng, 0, 1) == 0) {
-                 post_unary_fun(s, xy[0], xy[1], [k](int v) { return v / k; }, "div");
+                 post_unary_fun(s, xy[0], xy[1], [k](int v) { return v / k; });
              } else {
-                 post_unary_fun(s, xy[0], xy[1], [k](int v) { return (v * v) % (k + 3); },
-                                "square mod");
+                 post_unary_fun(s, xy[0], xy[1], [k](int v) { return (v * v) % (k + 3); });
              }
          }},
         {"Diff2",

@@ -227,8 +227,8 @@ LinearCase random_linear_case(std::mt19937& rng) {
 std::vector<IntVar> linear_case_vars(Store& s, const LinearCase& lc) {
     std::vector<IntVar> xs;
     for (const Domain& d : lc.doms) xs.push_back(s.new_var(d));
-    xs.push_back(s.new_var(0, 3, "pad0"));
-    xs.push_back(s.new_var(0, 3, "pad1"));
+    xs.push_back(s.new_var(0, 3));
+    xs.push_back(s.new_var(0, 3));
     return xs;
 }
 

@@ -17,7 +17,7 @@ using testing::random_rcpsp;
 using testing::run_portfolio;
 
 TEST(PortfolioDeterminism, SameSeedSameThreadsSameSolution) {
-    const ModelBuilder build = random_rcpsp(7, 12, 3);
+    const testing::Instance build = random_rcpsp(7, 12, 3);
     SolverConfig cfg;
     cfg.threads = 4;
     cfg.seed = 123;
@@ -36,7 +36,7 @@ TEST(PortfolioDeterminism, SameSeedSameThreadsSameSolution) {
 }
 
 TEST(PortfolioDeterminism, DifferentThreadCountsAgreeOnObjective) {
-    const ModelBuilder build = random_rcpsp(21, 11, 2);
+    const testing::Instance build = random_rcpsp(21, 11, 2);
     Store ref;
     const PostedModel m = build(ref);
 
@@ -60,7 +60,7 @@ TEST(PortfolioDeterminism, DifferentThreadCountsAgreeOnObjective) {
 }
 
 TEST(PortfolioDeterminism, ZeroDeadlineTimesOutPromptlyWithoutThreadLeak) {
-    const ModelBuilder build = random_rcpsp(3, 14, 3);
+    const testing::Instance build = random_rcpsp(3, 14, 3);
     SolverConfig cfg;
     cfg.threads = 4;
     SearchOptions opts;
@@ -83,7 +83,7 @@ TEST(PortfolioDeterminism, ZeroDeadlineTimesOutPromptlyWithoutThreadLeak) {
 }
 
 TEST(PortfolioDeterminism, FailureLimitAppliesPerWorker) {
-    const ModelBuilder build = random_rcpsp(9, 14, 2);
+    const testing::Instance build = random_rcpsp(9, 14, 2);
     SolverConfig cfg;
     cfg.threads = 4;
     SearchOptions opts;

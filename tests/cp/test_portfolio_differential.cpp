@@ -7,25 +7,24 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "portfolio_models.hpp"
 #include "revec/cp/search.hpp"
 
 namespace revec::cp {
 namespace {
 
+using testing::Instance;
 using testing::pigeonhole_unsat;
 using testing::random_rcpsp;
 using testing::run_portfolio;
 
-SolveResult solve_sequentially(const ModelBuilder& build) {
+SolveResult solve_sequentially(const Instance& build) {
     Store store;
     const PostedModel m = build(store);
     return solve(store, m.phases, m.objective);
 }
 
-void expect_differential_match(const ModelBuilder& build, const std::string& tag) {
+void expect_differential_match(const Instance& build, const std::string& tag) {
     const SolveResult seq = solve_sequentially(build);
     // The corpus runs without a deadline, so the sequential outcome is a
     // proof either way.
@@ -88,7 +87,7 @@ TEST(PortfolioDifferential, SatisfactionProblemsAgree) {
     // Invalid objective = first-solution search; every thread count must
     // report a solution (contents may differ across workers, existence and
     // status may not).
-    const ModelBuilder build = [](Store& s) -> PostedModel {
+    const Instance build = [](Store& s) -> PostedModel {
         std::vector<IntVar> xs;
         for (int i = 0; i < 6; ++i) xs.push_back(s.new_var(0, 6));
         for (int i = 0; i + 1 < 6; ++i) {
@@ -112,30 +111,43 @@ TEST(PortfolioDifferential, SatisfactionProblemsAgree) {
     }
 }
 
-TEST(PortfolioDifferential, BuilderRunsOnlyForExtraWorkersAndReplay) {
-    // Worker 0 searches the caller's emission, so the builder re-emits once
-    // per further CP worker, plus once for the canonical replay that every
-    // proven parallel solve runs; a 1-worker solve never calls it.
-    const ModelBuilder model = random_rcpsp(3, 8, 3);
+TEST(PortfolioDifferential, OneEmissionServesEveryWorkerAndTheReplay) {
+    // Worker 0 searches the caller's emission and every further worker and
+    // the replay a clone of it: whatever the thread count, the solve leaves
+    // the caller's store at root level with its variables and propagators
+    // as emitted, and the reported assignment indexes that store.
+    const Instance model = random_rcpsp(3, 8, 3);
+    Store ref;
+    const PostedModel ref_model = model(ref);
+    const SolveResult seq = solve(ref, ref_model.phases, ref_model.objective);
+    ASSERT_EQ(seq.status, SolveStatus::Optimal);
     for (const int threads : {1, 2, 4}) {
-        std::atomic<int> calls{0};
-        const ModelBuilder counted = [&](Store& s) {
-            calls.fetch_add(1);
-            return model(s);
-        };
         Store store;
         const PostedModel posted = model(store);
+        const std::size_t vars = store.num_vars();
+        const std::size_t props = store.num_propagators();
         SolverConfig cfg;
         cfg.threads = threads;
-        const PortfolioResult r = solve_portfolio(store, posted, counted, cfg);
+        const PortfolioResult r = solve_portfolio(store, posted, cfg);
         ASSERT_EQ(r.status, SolveStatus::Optimal) << threads;
-        ASSERT_TRUE(r.has_solution()) << threads;
-        EXPECT_EQ(calls.load(), threads > 1 ? threads : 0) << threads;
+        ASSERT_EQ(r.best.size(), vars) << threads;
+        EXPECT_EQ(r.value_of(posted.objective), seq.value_of(ref_model.objective)) << threads;
+        EXPECT_EQ(store.level(), 0) << threads;
+        EXPECT_EQ(store.num_vars(), vars) << threads;
+        EXPECT_EQ(store.num_propagators(), props) << threads;
+        // The assignment satisfies every constraint of the caller's store.
+        store.push_level();
+        bool ok = true;
+        for (std::size_t v = 0; v < vars; ++v) {
+            ok = ok && store.assign(IntVar(static_cast<std::int32_t>(v)), r.best[v]);
+        }
+        EXPECT_TRUE(ok && store.propagate()) << threads;
+        store.pop_level();
     }
 }
 
 TEST(PortfolioDifferential, MergedStatsCoverAllWorkers) {
-    const ModelBuilder build = random_rcpsp(11, 10, 3);
+    const Instance build = random_rcpsp(11, 10, 3);
     SolverConfig cfg;
     cfg.threads = 4;
     const PortfolioResult r = run_portfolio(build, cfg);

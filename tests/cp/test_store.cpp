@@ -13,22 +13,15 @@ namespace {
 
 TEST(Store, NewVarHasRequestedDomain) {
     Store s;
-    const IntVar x = s.new_var(3, 9, "x");
+    const IntVar x = s.new_var(3, 9);
     EXPECT_EQ(s.min(x), 3);
     EXPECT_EQ(s.max(x), 9);
     EXPECT_FALSE(s.fixed(x));
-    EXPECT_EQ(s.name(x), "x");
-}
-
-TEST(Store, AnonymousVarsGetNames) {
-    Store s;
-    const IntVar x = s.new_var(0, 1);
-    EXPECT_FALSE(s.name(x).empty());
 }
 
 TEST(Store, BoolVarIsZeroOne) {
     Store s;
-    const BoolVar b = s.new_bool("b");
+    const BoolVar b = s.new_bool();
     EXPECT_EQ(s.min(b), 0);
     EXPECT_EQ(s.max(b), 1);
 }
@@ -135,7 +128,9 @@ public:
         if (!s.set_max(x_, s.max(y_))) return false;
         return s.set_min(y_, s.min(x_));
     }
-    std::string describe() const override { return "leq_recorder"; }
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<LeqRecorder>(*this);
+    }
 
 private:
     IntVar x_;
@@ -201,15 +196,6 @@ TEST(Store, StatsAccumulate) {
     EXPECT_GE(s.stats().domain_changes, 2);
 }
 
-TEST(Store, DumpListsVariables) {
-    Store s;
-    s.new_var(1, 2, "alpha");
-    s.new_var(3, 4, "beta");
-    const std::string d = s.dump();
-    EXPECT_NE(d.find("alpha :: {1..2}"), std::string::npos);
-    EXPECT_NE(d.find("beta :: {3..4}"), std::string::npos);
-}
-
 TEST(Store, InvalidVarRejected) {
     Store s;
     EXPECT_THROW(s.min(IntVar()), ContractViolation);
@@ -269,7 +255,7 @@ TEST(Store, WideHoledDomainClipIntoPackedBudgetRestores) {
 class Noop final : public Propagator {
 public:
     bool propagate(Store&) override { return true; }
-    std::string describe() const override { return "noop"; }
+    std::unique_ptr<Propagator> clone() const override { return std::make_unique<Noop>(*this); }
     const char* class_name() const override { return "Noop"; }
 };
 
@@ -297,7 +283,9 @@ class AdviceLog final : public Propagator {
 public:
     explicit AdviceLog(std::vector<std::pair<int, EventMask>>& log) : log_(log) {}
     bool propagate(Store&) override { return true; }
-    std::string describe() const override { return "advice log"; }
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<AdviceLog>(*this);
+    }
     bool advised() const override { return true; }
     void advise(int watch, EventMask fired) override { log_.push_back({watch, fired}); }
 

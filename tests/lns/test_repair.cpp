@@ -1,11 +1,11 @@
-// The repair half of an LNS round, pinned at the model/emitter boundary:
-// frozen_starts really freezes (assigned in the emitted store), preserves
-// var-set parity with the unfrozen emission (so repair solutions index the
-// base model's handles), marks out-of-bounds freezes infeasible instead of
-// throwing, and the strict improvement bound rejects equal-makespan
+// The repair half of an LNS round, pinned at the store boundary:
+// freeze_for_repair really freezes (assigned on a clone of the base
+// emission, which stays untouched), rejects out-of-bounds freezes instead
+// of throwing, and its strict improvement bound rejects equal-makespan
 // repairs. Plus complete_assignment, the portfolio's warm-start seed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "lns_fixtures.hpp"
@@ -32,82 +32,51 @@ TEST(Repair, FrozenStartsAreAssignedInTheEmittedStore) {
     const testing::Incumbent inc = matmul_incumbent();
     ASSERT_TRUE(inc.ok);
 
-    // Relax a fixed neighbourhood; everything else must come out of
-    // emission already assigned to the incumbent value.
+    // Relax a fixed neighbourhood; on a clone of the base emission every
+    // other start must come out assigned to its incumbent value, the
+    // makespan capped strictly below the incumbent's, and the base store
+    // untouched.
     XorShift rng(17u);
     const std::vector<int> relaxed =
         select_neighbourhood(inc.km, inc.start, Selector::RandomSlice, 0.3, rng);
+    std::vector<char> open(inc.start.size(), 0);
+    for (const int id : relaxed) open[static_cast<std::size_t>(id)] = 1;
 
-    model::KernelModel sub = inc.km;
-    sub.frozen_starts.assign(static_cast<std::size_t>(inc.km.num_nodes()), -1);
-    for (int id = 0; id < inc.km.num_nodes(); ++id) {
-        sub.frozen_starts[static_cast<std::size_t>(id)] =
-            inc.start[static_cast<std::size_t>(id)];
+    cp::Store base;
+    const model::VarTable vt = model::emit_cp(base, inc.km);
+    std::vector<std::int64_t> base_sizes;
+    for (std::size_t v = 0; v < base.num_vars(); ++v) {
+        base_sizes.push_back(base.size(cp::IntVar(static_cast<std::int32_t>(v))));
     }
-    for (const int id : relaxed) sub.frozen_starts[static_cast<std::size_t>(id)] = -1;
-
-    cp::Store store;
-    const model::VarTable vt = model::emit_cp(store, sub);
-    ASSERT_FALSE(vt.infeasible);
+    cp::Store store = base.clone();
+    ASSERT_TRUE(freeze_for_repair(store, vt, inc.start, relaxed, inc.makespan));
     for (int id = 0; id < inc.km.num_nodes(); ++id) {
         const auto i = static_cast<std::size_t>(id);
-        if (sub.frozen_starts[i] < 0) continue;
-        EXPECT_EQ(store.min(vt.start[i]), sub.frozen_starts[i]) << "node " << id;
-        EXPECT_EQ(store.max(vt.start[i]), sub.frozen_starts[i]) << "node " << id;
+        if (open[i] != 0) continue;
+        EXPECT_EQ(store.min(vt.start[i]), inc.start[i]) << "node " << id;
+        EXPECT_EQ(store.max(vt.start[i]), inc.start[i]) << "node " << id;
     }
-}
-
-TEST(Repair, FrozenEmissionHasVarParityWithUnfrozenEmission) {
-    const testing::Incumbent inc = matmul_incumbent();
-    ASSERT_TRUE(inc.ok);
-
-    cp::Store base_store;
-    const model::VarTable base = model::emit_cp(base_store, inc.km);
-    ASSERT_FALSE(base.infeasible);
-
-    model::KernelModel sub = inc.km;
-    sub.frozen_starts.assign(static_cast<std::size_t>(inc.km.num_nodes()), -1);
-    for (int id = 0; id < inc.km.num_nodes(); ++id) {
-        sub.frozen_starts[static_cast<std::size_t>(id)] =
-            inc.start[static_cast<std::size_t>(id)];
+    EXPECT_EQ(store.max(vt.makespan), inc.makespan - 1);
+    for (std::size_t v = 0; v < base.num_vars(); ++v) {
+        EXPECT_EQ(base.size(cp::IntVar(static_cast<std::int32_t>(v))), base_sizes[v])
+            << "var " << v;
     }
-    // Re-open one op so the subproblem is not fully pinned.
-    sub.frozen_starts[static_cast<std::size_t>(inc.km.ops.front())] = -1;
-
-    cp::Store sub_store;
-    const model::VarTable vt = model::emit_cp(sub_store, sub);
-    ASSERT_FALSE(vt.infeasible);
-    // Identical variable sets: same count, and every handle at the same
-    // index — the property that lets a repair solution stand in as a full
-    // assignment of the base emission.
-    EXPECT_EQ(sub_store.num_vars(), base_store.num_vars());
-    ASSERT_EQ(vt.start.size(), base.start.size());
-    for (std::size_t i = 0; i < vt.start.size(); ++i) {
-        EXPECT_EQ(vt.start[i].index(), base.start[i].index());
-    }
-    EXPECT_EQ(vt.makespan.index(), base.makespan.index());
 }
 
 TEST(Repair, OutOfBoundsFreezeMarksInfeasibleInsteadOfThrowing) {
     const testing::Incumbent inc = matmul_incumbent();
     ASSERT_TRUE(inc.ok);
 
-    model::KernelModel sub = inc.km;
-    sub.frozen_starts.assign(static_cast<std::size_t>(inc.km.num_nodes()), -1);
-    sub.frozen_starts[static_cast<std::size_t>(inc.km.ops.front())] = inc.km.horizon + 10;
-
-    cp::Store store;
-    const model::VarTable vt = model::emit_cp(store, sub);
-    EXPECT_TRUE(vt.infeasible);
-}
-
-TEST(Repair, MalformedFrozenStartsThrows) {
-    const testing::Incumbent inc = matmul_incumbent();
-    ASSERT_TRUE(inc.ok);
-    model::KernelModel sub = inc.km;
-    sub.frozen_starts = {0, 1};  // wrong length
-    cp::Store store;
-    EXPECT_THROW(model::emit_cp(store, sub), Error);
+    // An incumbent start past the horizon cannot be assigned: the round is
+    // rejected (false), nothing throws.
+    std::vector<int> bad = inc.start;
+    bad[static_cast<std::size_t>(inc.km.ops.front())] = inc.km.horizon + 10;
+    cp::Store base;
+    const model::VarTable vt = model::emit_cp(base, inc.km);
+    cp::Store store = base.clone();
+    bool ok = true;
+    EXPECT_NO_THROW(ok = freeze_for_repair(store, vt, bad, {}, inc.makespan));
+    EXPECT_FALSE(ok);
 }
 
 TEST(Repair, StrictBoundRejectsEqualMakespanRepairs) {
@@ -116,19 +85,20 @@ TEST(Repair, StrictBoundRejectsEqualMakespanRepairs) {
 
     // Freeze EVERY start at the incumbent: the only reachable makespan is
     // the incumbent's own, so the strict bound (<= makespan - 1) must make
-    // the subproblem unsatisfiable.
-    model::KernelModel sub = inc.km;
-    sub.frozen_starts.assign(inc.start.begin(), inc.start.end());
-
-    cp::Store store;
-    const model::VarTable vt = model::emit_cp(store, sub);
-    ASSERT_FALSE(vt.infeasible);
-    const bool room = store.set_max(vt.makespan, inc.makespan - 1);
-    if (room) {
+    // the subproblem unsatisfiable — already while freezing, or in search.
+    cp::Store base;
+    const model::VarTable vt = model::emit_cp(base, inc.km);
+    cp::Store store = base.clone();
+    if (freeze_for_repair(store, vt, inc.start, {}, inc.makespan)) {
         const cp::SolveResult r = cp::solve(store, vt.phases, vt.makespan, {});
         EXPECT_EQ(r.status, cp::SolveStatus::Unsat);
     }
-    SUCCEED();  // bound already propagated to empty — rejected even earlier
+    // Without the cap the same freeze keeps the incumbent itself feasible.
+    cp::Store loose = base.clone();
+    ASSERT_TRUE(freeze_for_repair(loose, vt, inc.start, {}, inc.makespan + 1));
+    const cp::SolveResult r = cp::solve(loose, vt.phases, vt.makespan, {});
+    ASSERT_TRUE(r.has_solution());
+    EXPECT_EQ(r.value_of(vt.makespan), inc.makespan);
 }
 
 TEST(Repair, CompleteAssignmentReproducesTheScheduleAtTheHandles) {

@@ -58,7 +58,7 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
     std::vector<IntVar> start(static_cast<std::size_t>(n));
     for (const ir::Node& node : g.nodes()) {
         const auto i = static_cast<std::size_t>(node.id);
-        start[i] = store.new_var(asap[i], alap[i], "s" + std::to_string(node.id));
+        start[i] = store.new_var(asap[i], alap[i]);
     }
 
     // Inputs are ready from the start (paper: "any data node without any
@@ -81,7 +81,7 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
     }
 
     // -- objective: latest completion (eq. 5) ---------------------------------
-    const IntVar obj = store.new_var(0, horizon, "makespan");
+    const IntVar obj = store.new_var(0, horizon);
     std::vector<IntVar> completions;
     for (const ir::Node& node : g.nodes()) {
         const ir::NodeTiming t = ir::node_timing(spec, node);
@@ -89,7 +89,7 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
         if (t.latency == 0) {
             completions.push_back(start[i]);
         } else {
-            const IntVar c = store.new_var(0, horizon, "c" + std::to_string(node.id));
+            const IntVar c = store.new_var(0, horizon);
             cp::post_eq_offset(store, start[i], t.latency, c);
             completions.push_back(c);
         }
@@ -207,16 +207,14 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
         std::vector<cp::Rect> rects;
         for (const int d : vdata) {
             const auto i = static_cast<std::size_t>(d);
-            const IntVar slot = store.new_var(0, num_slots - 1, "slot" + std::to_string(d));
-            const IntVar line = store.new_var(0, max_line, "line" + std::to_string(d));
-            const IntVar page = store.new_var(0, max_page, "page" + std::to_string(d));
+            const IntVar slot = store.new_var(0, num_slots - 1);
+            const IntVar line = store.new_var(0, max_line);
+            const IntVar page = store.new_var(0, max_page);
             // eq. (6): channel the three views of the placement.
             cp::post_unary_fun(store, slot, line,
-                               [geom](int s) { return geom.line_of(s); },
-                               "line=slot/banks");
+                               [geom](int s) { return geom.line_of(s); });
             cp::post_unary_fun(store, slot, page,
-                               [geom](int s) { return geom.page_of(s); },
-                               "page=(slot mod banks)/pageSize");
+                               [geom](int s) { return geom.page_of(s); });
             slot_vars.push_back(slot);
             slot_of.emplace(d, slot);
             line_of.emplace(d, line);
@@ -232,9 +230,9 @@ BuiltModel build_model(cp::Store& store, const ir::Graph& g,
             }
             const bool persists = users.empty() || g.node(d).is_output;
             if (persists) users.push_back(obj);
-            const IntVar last_use = store.new_var(0, horizon + 1, "use" + std::to_string(d));
+            const IntVar last_use = store.new_var(0, horizon + 1);
             cp::post_max(store, last_use, users);
-            const IntVar life = store.new_var(0, horizon + 1, "life" + std::to_string(d));
+            const IntVar life = store.new_var(0, horizon + 1);
             int extra = options.lifetime_includes_last_read ? 1 : 0;
             if (persists) {
                 extra += 1;  // outputs/sinks persist past the schedule end
@@ -411,10 +409,10 @@ ModuloModel build_modulo_model(cp::Store& store, const arch::ArchSpec& spec, con
 
     for (const ir::Node& node : g.nodes()) {
         const auto i = static_cast<std::size_t>(node.id);
-        start[i] = store.new_var(asap[i], horizon, "s" + std::to_string(node.id));
+        start[i] = store.new_var(asap[i], horizon);
         if (!node.is_op()) continue;
-        residue[i] = store.new_var(0, ii - 1, "m" + std::to_string(node.id));
-        stage[i] = store.new_var(0, max_stage, "k" + std::to_string(node.id));
+        residue[i] = store.new_var(0, ii - 1);
+        stage[i] = store.new_var(0, max_stage);
         // s = II * k + m
         cp::post_linear_eq(store, {{1, start[i]}, {-ii, stage[i]}, {-1, residue[i]}}, 0);
     }
@@ -472,7 +470,7 @@ ModuloModel build_modulo_model(cp::Store& store, const arch::ArchSpec& spec, con
         // value; letting them interpolate matches the semantics that nop
         // cycles keep the previous configuration loaded.
         for (int t = 0; t < ii; ++t) {
-            type_vars.push_back(store.new_var(0, num_configs - 1, "cfg" + std::to_string(t)));
+            type_vars.push_back(store.new_var(0, num_configs - 1));
         }
         // Channel: op i at residue t forces type_vars[t] = config(i).
         for (std::size_t a = 0; a < cfg.ops.size(); ++a) {
@@ -494,7 +492,7 @@ ModuloModel build_modulo_model(cp::Store& store, const arch::ArchSpec& spec, con
                                 type_vars[static_cast<std::size_t>((t + 1) % ii)]);
             same.push_back(b);
         }
-        const IntVar same_count = store.new_var(0, ii, "same_count");
+        const IntVar same_count = store.new_var(0, ii);
         cp::post_bool_sum(store, same, same_count);
         // Redundant lower bound: every configuration forms at least one
         // maximal block around the kernel, so with >= 2 configurations the
@@ -508,7 +506,7 @@ ModuloModel build_modulo_model(cp::Store& store, const arch::ArchSpec& spec, con
             out.infeasible = true;
             return out;
         }
-        reconfig_count = store.new_var(r_lower, r_upper, "reconfigs");
+        reconfig_count = store.new_var(r_lower, r_upper);
         cp::post_linear_eq(store, {{1, reconfig_count}, {1, same_count}}, ii);
     }
 

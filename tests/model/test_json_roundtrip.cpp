@@ -39,8 +39,6 @@ TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
     options.modulo = ModuloWrap{4, 0, true, 2};
     KernelModel m = matmul_model(options);
     m.fixed_starts.assign(m.nodes.size(), 3);
-    m.frozen_starts.assign(m.nodes.size(), -1);
-    m.frozen_starts[0] = 0;
     const std::string canonical = to_json(m);
     const KernelModel back = from_json(canonical);
     EXPECT_EQ(to_json(back), canonical);
@@ -49,6 +47,15 @@ TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
     EXPECT_EQ(back.modulo->max_stage, m.modulo->max_stage);
     EXPECT_TRUE(back.modulo->minimize_reconfigs);
     EXPECT_EQ(back.modulo->reconfig_budget, 2);
+}
+
+TEST(ModelJsonRoundTrip, FrozenStartsKeyIsIgnoredLikeAnyUnknownKey) {
+    // KernelModel has no LNS pinning field: a "frozen_starts" key (of any
+    // length) neither pins anything nor survives the round trip.
+    const std::string canonical = to_json(matmul_model());
+    ASSERT_EQ(canonical.rfind("{\n", 0), 0u);
+    const std::string with_key = "{\n  \"frozen_starts\": [0, 1],\n" + canonical.substr(2);
+    EXPECT_EQ(to_json(from_json(with_key)), canonical);
 }
 
 TEST(ModelJsonRoundTrip, ReconstructsVectorDataFlag) {

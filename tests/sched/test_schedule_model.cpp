@@ -96,6 +96,24 @@ TEST(ScheduleModel, ZeroSlotsWithVectorDataIsUnsat) {
     EXPECT_EQ(schedule_kernel(kernel_by_name("matmul"), opts).status, cp::SolveStatus::Unsat);
 }
 
+TEST(ScheduleModel, ModuloWrappedModelIsRejected) {
+    // schedule_model solves flat models; a modulo wrap (reachable through a
+    // revecd solve request) must be a user error on every path — exact,
+    // heuristic-only and zero-deadline — never a crash or an unproven
+    // "optimal" flat schedule.
+    for (const char* name : {"matmul", "qrd"}) {
+        model::KernelModel km = lower_for_schedule(kernel_by_name(name), ScheduleOptions{});
+        km.modulo = model::ModuloWrap{4, 3, true, 8};
+        EXPECT_THROW(schedule_model(km, ModelSolveOptions{}), revec::Error) << name;
+        ModelSolveOptions heuristic;
+        heuristic.heuristic_only = true;
+        EXPECT_THROW(schedule_model(km, heuristic), revec::Error) << name;
+        ModelSolveOptions zero;
+        zero.timeout_ms = 0;
+        EXPECT_THROW(schedule_model(km, zero), revec::Error) << name;
+    }
+}
+
 TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
     // The warm MATMUL proof finds nothing below the heuristic's 11 (the
     // search itself reports Unsat); the span must still close with the

@@ -193,6 +193,29 @@ TEST(SvcService, StatsPingShutdownAndErrors) {
     EXPECT_TRUE(service.shutdown_requested());
 }
 
+TEST(SvcService, ModuloWrappedModelAnswersErrorAndServiceKeepsServing) {
+    // A solve request for a modulo-wrapped model used to throw out of the
+    // pool worker (std::out_of_range in schedule extraction) and abort the
+    // process. It must answer ok:false, on the solve and the shed path, and
+    // the next request must be served.
+    Service service(Service::Config{});
+    model::KernelModel wrapped = matmul_model();
+    wrapped.modulo = model::ModuloWrap{4, 3, true, 8};
+
+    const Response bad = service.handle(solve_request(wrapped, 1));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.error.empty());
+    EXPECT_FALSE(bad.has_schedule());
+    const Response shed = service.handle(solve_request(wrapped, 2, /*deadline_ms=*/0));
+    EXPECT_FALSE(shed.ok);
+
+    const model::KernelModel km = matmul_model();
+    const Response next = service.handle(solve_request(km, 3));
+    expect_verify_clean(km, next);
+    EXPECT_EQ(next.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(counter(service, "svc.req.errors"), 2);
+}
+
 TEST(SvcService, RidIsEchoedAndAssignedWhenAbsent) {
     Service service(Service::Config{});
     const model::KernelModel km = matmul_model();
