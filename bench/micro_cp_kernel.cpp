@@ -18,7 +18,6 @@
 #include "revec/apps/detect.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
-#include "revec/cp/alldifferent.hpp"
 #include "revec/cp/cumulative.hpp"
 #include "revec/cp/diff2.hpp"
 #include "revec/cp/linear.hpp"
@@ -116,15 +115,21 @@ BENCHMARK(BM_ModuloMatmul)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Engine probe: a hole-heavy search whose counters are pinned exactly.
 
-/// Hole-heavy CSP: disequalities and an alldifferent punch interior holes
-/// into domains watched by bounds-consistent linear/cumulative propagators,
-/// so event masks filter most wakeups and the domains pack.
+/// Hole-heavy CSP: pairwise distinct values plus offset disequalities
+/// punch interior holes into domains watched by bounds-consistent
+/// linear/cumulative propagators, so event masks filter most wakeups and
+/// holed domains take snapshot trail records.
 cp::SolveResult solve_hole_heavy() {
     cp::Store s;
     constexpr int kN = 9;
     std::vector<cp::IntVar> xs;
     for (int i = 0; i < kN; ++i) xs.push_back(s.new_var(0, 2 * kN));
-    cp::post_all_different(s, xs);
+    for (int i = 0; i < kN; ++i) {
+        for (int j = i + 1; j < kN; ++j) {
+            cp::post_not_equal(s, xs[static_cast<std::size_t>(i)],
+                               xs[static_cast<std::size_t>(j)], 0);
+        }
+    }
     for (int i = 0; i < kN; ++i) {
         for (int j = i + 1; j < kN; ++j) {
             cp::post_not_equal(s, xs[static_cast<std::size_t>(i)],
@@ -170,21 +175,20 @@ struct PinnedCounter {
     std::int64_t golden;
 };
 
-/// Every deterministic counter of the hole-heavy solve. The search tree
-/// (nodes, failures) is the one the original wake-on-any-change,
-/// full-snapshot engine explored; the rest pin the event engine's work and
-/// the trail records its holed domains take.
+/// Every deterministic counter of the hole-heavy solve: the search tree
+/// (nodes, failures), the engine's propagation work, and the trail records
+/// its holed domains take.
 std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
     const cp::PropagationStats& p = r.prop_stats;
-    return {{"nodes", r.stats.nodes, 73550},
-            {"failures", r.stats.failures, 36776},
-            {"propagations", p.propagations, 1430655},
-            {"wakeups", p.wakeups, 3121392},
-            {"wakeups_filtered", p.wakeups_filtered, 4098588},
-            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 24181},
-            {"trail_saves", p.trail_saves, 480293},
-            {"trail_snapshots", p.trail_snapshots, 236911},
-            {"trail_bytes", p.trail_bytes, 9689056}};
+    return {{"nodes", r.stats.nodes, 108972},
+            {"failures", r.stats.failures, 54487},
+            {"propagations", p.propagations, 2329324},
+            {"wakeups", p.wakeups, 5155943},
+            {"wakeups_filtered", p.wakeups_filtered, 8413378},
+            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 89820},
+            {"trail_saves", p.trail_saves, 609580},
+            {"trail_snapshots", p.trail_snapshots, 305932},
+            {"trail_bytes", p.trail_bytes, 11637028}};
 }
 
 /// Solve the hole-heavy probe, time kernel scheduling, print both, fill

@@ -38,6 +38,7 @@ int main() {
             case cp::SolveStatus::SatTimeout: status = "feasible (timeout)"; break;
             case cp::SolveStatus::Timeout: status = "timeout, no solution"; break;
             case cp::SolveStatus::Unsat: status = "UNSAT"; break;
+            case cp::SolveStatus::HeuristicFallback: status = "heuristic (timeout)"; break;
         }
         if (s.feasible()) {
             const auto problems = sched::verify_schedule(spec, g, s);

@@ -4,7 +4,6 @@
 #include <climits>
 #include <memory>
 
-#include "revec/cp/linear.hpp"
 #include "revec/support/assert.hpp"
 
 namespace revec::cp {
@@ -176,11 +175,6 @@ void post_max(Store& store, IntVar z, std::vector<IntVar> xs) {
 
 void post_unary_fun(Store& store, IntVar x, IntVar y, const std::function<int(int)>& f) {
     store.post(std::make_unique<UnaryFun>(store.dom(x), x, y, f), {x, y});
-}
-
-void post_mul_const(Store& store, IntVar x, std::int64_t k, IntVar z) {
-    REVEC_EXPECTS(k != 0);
-    post_linear_eq(store, {{k, x}, {-1, z}}, 0);
 }
 
 }  // namespace revec::cp

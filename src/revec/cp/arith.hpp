@@ -1,6 +1,6 @@
-// Non-linear arithmetic propagators: z = max(xs), domain-consistent unary
-// function channeling y = f(x) (used for the slot -> line / page memory
-// geometry views), and z = x * k for constant k.
+// Non-linear arithmetic propagators: z = max(xs) and domain-consistent
+// unary function channeling y = f(x) (used for the slot -> line / page
+// memory geometry views).
 #pragma once
 
 #include <functional>
@@ -19,8 +19,5 @@ void post_max(Store& store, IntVar z, std::vector<IntVar> xs);
 /// that domain's span and the span of its images must stay below 2^16.
 /// Intended for small domains (memory slots).
 void post_unary_fun(Store& store, IntVar x, IntVar y, const std::function<int(int)>& f);
-
-/// Post z == x * k for a non-zero integer constant k.
-void post_mul_const(Store& store, IntVar x, std::int64_t k, IntVar z);
 
 }  // namespace revec::cp

@@ -204,8 +204,4 @@ void post_not_equal(Store& store, IntVar x, IntVar y, std::int64_t c) {
                std::vector<Watch>{{x, kEventFixed}, {y, kEventFixed}});
 }
 
-void post_not_value(Store& store, IntVar x, std::int64_t v) {
-    store.remove(x, v);  // immediate; failure surfaces through store.failed()
-}
-
 }  // namespace revec::cp

@@ -1,5 +1,12 @@
 // Linear arithmetic propagators: sum a_i*x_i <= c, sum a_i*x_i == c, and
 // the disequality x != y + c. Bounds-consistent.
+//
+// The emitter (model/emit_cp) does not post NotEqual: the eq. 3
+// disequalities are one cp/config_slots.hpp propagator. NotEqual stays as
+// the decomposition ConfigSlots.MatchesDecompositionOnRandomStores compares
+// that propagator against, domain for domain after random dives (a
+// brute-force enumeration would check only solution sets, not the exact
+// fixpoint), and as the hole-punching constraint of the engine probes.
 #pragma once
 
 #include <memory>
@@ -32,8 +39,5 @@ void post_eq_offset(Store& store, IntVar x, std::int64_t c, IntVar y);
 
 /// Post x != y + c.
 void post_not_equal(Store& store, IntVar x, IntVar y, std::int64_t c = 0);
-
-/// Post x != v for a constant v (applied immediately; no propagator).
-void post_not_value(Store& store, IntVar x, std::int64_t v);
 
 }  // namespace revec::cp

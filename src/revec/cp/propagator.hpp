@@ -46,9 +46,9 @@ struct Watch {
 /// Propagation cost class; the store drains cheaper buckets first so
 /// expensive global constraints see the strongest domains when they run.
 enum class Priority : std::uint8_t {
-    Unary = 0,   ///< unary/binary checks: disequality, reified-const, clauses
-    Linear = 1,  ///< linear sums, element, count, reified-var, n-ary arith
-    Global = 2,  ///< cumulative, alldifferent, diff2
+    Unary = 0,   ///< cheap checks: disequality, reified-const, clauses, config slots
+    Linear = 1,  ///< linear sums, count, reified-var, max, unary function, access groups
+    Global = 2,  ///< cumulative, diff2
 };
 inline constexpr int kNumPriorities = 3;
 

@@ -1,10 +1,20 @@
 // Reification machinery: boolean views of equalities, and clauses over
-// boolean variables. The modulo model's reconfiguration count uses them.
-// They also decompose the paper's conditional memory rules (eqs. 7-9):
+// boolean variables. The modulo model's reconfiguration count posts
+// b <-> (x == y) (ReifiedEqVar).
+//
+// ReifiedEqConst and Clause (and post_implies, a two-literal clause) are
+// test oracles the emitter does not post. They decompose the paper's
+// conditional memory rules (eqs. 7-9):
 //   s_i = s_j  =>  (page_d = page_e => line_d = line_e)
-// as the clause  !(s_i=s_j) \/ !(page_d=page_e) \/ (line_d=line_e). The
-// emitter posts cp/access_groups.hpp instead; the tests keep this
-// decomposition as its oracle.
+// as the clause  !(s_i=s_j) \/ !(page_d=page_e) \/ (line_d=line_e), and the
+// eq. 3 slot channel as (time_i = t) -> (slot_t = config_i). The emitter
+// posts cp/access_groups.hpp and cp/config_slots.hpp instead;
+// AccessGroups.MatchesDecompositionOnRandomStores,
+// ConfigSlots.MatchesDecompositionOnRandomStores and
+// Idempotence.PostingTwicePrunesNothingMore compare against these
+// decompositions domain for domain after random dives, which checks the
+// exact fixpoint where a brute-force enumeration would check only
+// solution sets.
 #pragma once
 
 #include <vector>

@@ -29,6 +29,7 @@ Selector selector_for(std::int64_t round) {
 /// `store`, whose handles are `vt`.
 struct Emission {
     explicit Emission(const model::KernelModel& m) : vt(model::emit_cp(store, m)) {}
+    Emission(cp::Store s, model::VarTable t) : store(std::move(s)), vt(std::move(t)) {}
 
     cp::Store store;
     model::VarTable vt;
@@ -177,23 +178,22 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
     return res;
 }
 
-cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning& tuning) {
+cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, cp::Store base,
+                                    model::VarTable vt, const LnsTuning& tuning) {
     REVEC_EXPECTS(!m.modulo.has_value());
     REVEC_EXPECTS(m.fixed_starts.empty());
 
-    // Capture the model and its one emission up front: every round clones
-    // that store (concurrently from several LNS workers — clone only reads
-    // it), and its handles index the incumbent assignments every CP worker
-    // publishes, because emission is deterministic.
+    // Capture the model and the caller's emission: every round clones that
+    // store (concurrently from several LNS workers — clone only reads it),
+    // and its handles index the incumbent assignments every CP worker
+    // publishes.
     struct State {
-        State(const model::KernelModel& km, const LnsTuning& t)
-            : m(km), tuning(t), emission(m) {}
-
         model::KernelModel m;
         LnsTuning tuning;
         Emission emission;
     };
-    auto state = std::make_shared<const State>(m, tuning);
+    auto state = std::make_shared<const State>(
+        State{m, tuning, Emission(std::move(base), std::move(vt))});
 
     return [state](const cp::LnsRoundContext& ctx) -> cp::LnsRoundResult {
         cp::LnsRoundResult out;
@@ -221,18 +221,13 @@ cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning
     };
 }
 
-std::vector<int> complete_assignment(const model::KernelModel& m,
+std::vector<int> complete_assignment(cp::Store store, const model::VarTable& vt,
                                      const std::vector<int>& start,
                                      const std::vector<int>& slot) {
-    REVEC_EXPECTS(start.size() == static_cast<std::size_t>(m.num_nodes()));
-    cp::Store store;
-    model::VarTable vt = model::emit_cp(store, m);
+    REVEC_EXPECTS(start.size() == vt.start.size());
     if (vt.infeasible) return {};
-    for (int id = 0; id < m.num_nodes(); ++id) {
-        if (!store.assign(vt.start[static_cast<std::size_t>(id)],
-                          start[static_cast<std::size_t>(id)])) {
-            return {};
-        }
+    for (std::size_t id = 0; id < start.size(); ++id) {
+        if (!store.assign(vt.start[id], start[id])) return {};
     }
     for (const auto& [id, var] : vt.slot_of) {
         const auto i = static_cast<std::size_t>(id);

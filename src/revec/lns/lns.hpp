@@ -1,5 +1,6 @@
 // Large-neighbourhood search over an incumbent schedule (DESIGN §5h). The
-// base model is emitted once per run; each round relaxes a neighbourhood of
+// base model is emitted once per run (by the caller, for the portfolio
+// hook); each round relaxes a neighbourhood of
 // t_starts (neighbourhood.hpp), and on a clone of that store
 // (cp::Store::clone) freezes the rest at their incumbent values by plain
 // assignment and re-solves under a strict improvement bound and a tight
@@ -87,14 +88,16 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
                            const std::vector<int>& slot, int makespan,
                            const LnsOptions& options = {});
 
-/// Package one LNS round over `m` as the portfolio hook. The model and one
-/// emission of it are built here and captured; each call decodes the
-/// incumbent assignment through that emission's handles (emission is
-/// deterministic, so they index every CP worker's assignments), runs one
-/// relax/repair round on a clone of the emitted store seeded from the
-/// context, and returns the improving assignment when the repair is
-/// verifier-clean. Safe to invoke concurrently.
-cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, const LnsTuning& tuning);
+/// Package one LNS round over `m` as the portfolio hook. `base` is a
+/// level-0 copy (Store::clone) of the store the CP workers search, holding
+/// m's emission, and `vt` its handles; the model, base and vt are captured.
+/// Each call decodes the incumbent assignment through `vt` (the CP workers
+/// search clones of the same emission, so the handles index every worker's
+/// assignments), runs one relax/repair round on a clone of `base` seeded
+/// from the context, and returns the improving assignment when the repair
+/// is verifier-clean. Safe to invoke concurrently.
+cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, cp::Store base,
+                                    model::VarTable vt, const LnsTuning& tuning);
 
 /// Turn `store` — a clone of the base model's emission, whose handles are
 /// `vt` — into one repair subproblem: assign every start outside `relaxed`
@@ -106,12 +109,13 @@ bool freeze_for_repair(cp::Store& store, const model::VarTable& vt,
                        const std::vector<int>& inc_start, const std::vector<int>& relaxed,
                        int inc_makespan);
 
-/// Complete a verified schedule into a full store assignment of the
-/// model's emission (start + slot decisions assigned, the rest fixed by
-/// propagation) — the SolverConfig::lns_seed_assignment warm start. Empty
-/// on any inconsistency (defensive; a check_schedule-clean input cannot
-/// fail).
-std::vector<int> complete_assignment(const model::KernelModel& m,
+/// Complete a verified schedule into a full store assignment of a model's
+/// emission (start + slot decisions assigned, the rest fixed by
+/// propagation) — the SolverConfig::lns_seed_assignment warm start.
+/// `store` is a level-0 copy (Store::clone) of the emission, searched and
+/// discarded here; `vt` holds its handles. Empty on any inconsistency
+/// (defensive; a check_schedule-clean input cannot fail).
+std::vector<int> complete_assignment(cp::Store store, const model::VarTable& vt,
                                      const std::vector<int>& start,
                                      const std::vector<int>& slot);
 

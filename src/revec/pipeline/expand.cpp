@@ -9,8 +9,8 @@ namespace revec::pipeline {
 
 namespace {
 
-/// Copy node `n` of `g` into `out` (ids shift uniformly per iteration).
-void copy_node(const ir::Graph& g, const ir::Node& n, ir::Graph& out, int iteration) {
+/// Copy node `n` into `out` (ids shift uniformly per iteration).
+void copy_node(const ir::Node& n, ir::Graph& out, int iteration) {
     const std::string suffix = "#" + std::to_string(iteration);
     if (n.is_data()) {
         const int id = out.add_data(n.cat, n.label.empty() ? "" : n.label + suffix);
@@ -64,7 +64,7 @@ ir::Graph replicate_graph(const ir::Graph& g, int iterations) {
     REVEC_EXPECTS(iterations >= 1);
     ir::Graph out(g.name() + "_x" + std::to_string(iterations));
     for (int m = 0; m < iterations; ++m) {
-        for (const ir::Node& n : g.nodes()) copy_node(g, n, out, m);
+        for (const ir::Node& n : g.nodes()) copy_node(n, out, m);
         const int base = m * g.num_nodes();
         for (const ir::Node& n : g.nodes()) {
             for (const int p : g.preds(n.id)) out.add_edge(base + p, base + n.id);

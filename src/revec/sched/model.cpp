@@ -275,25 +275,10 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
         // neighbourhood to relax.
         solver.lns_workers = 0;
     }
-    if (solver.lns_workers > 0) {
-        // Build the round hook over the same lowered model the CP workers
-        // search; complete the heuristic schedule into a full store
-        // assignment so LNS rounds can start before any CP worker publishes
-        // a solution of its own.
-        solver.lns_round = lns::make_portfolio_round(*km, options.lns);
-        if (heuristic.has_value()) {
-            solver.lns_seed_assignment =
-                lns::complete_assignment(*km, heuristic->start, heuristic->slot);
-        }
-    }
-
-    cp::SearchOptions search_opts;
-    search_opts.deadline = Deadline::after_ms(options.timeout_ms);
-    search_opts.trace = trace;
 
     // One emission supplies the variable handles for extraction and the
-    // store worker 0 searches; further portfolio workers and the replay
-    // search clones of it, so this table's handles index any worker's
+    // store worker 0 searches; further portfolio workers, the replay search
+    // and the LNS hook clone it, so this table's handles index any worker's
     // solution.
     cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
@@ -301,6 +286,22 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     obs::span_end(trace, obs::TraceLevel::Phase, "emit_cp", "vars",
                   static_cast<std::int64_t>(store.num_vars()), "props",
                   static_cast<std::int64_t>(store.num_propagators()));
+
+    if (solver.lns_workers > 0) {
+        // The round hook repairs clones of this emission; completing the
+        // heuristic schedule into a full store assignment (on another
+        // clone) lets LNS rounds start before any CP worker publishes a
+        // solution of its own.
+        solver.lns_round = lns::make_portfolio_round(*km, store.clone(), m, options.lns);
+        if (heuristic.has_value()) {
+            solver.lns_seed_assignment = lns::complete_assignment(
+                store.clone(), m, heuristic->start, heuristic->slot);
+        }
+    }
+
+    cp::SearchOptions search_opts;
+    search_opts.deadline = Deadline::after_ms(options.timeout_ms);
+    search_opts.trace = trace;
 
     obs::span_begin(trace, obs::TraceLevel::Phase, "search", "threads", solver.threads,
                     rid != 0 ? "rid" : nullptr, rid);

@@ -1,6 +1,8 @@
 // The random CSP corpus of the engine golden suite (test_engine_differential)
-// and the clone suite (test_clone): small models over every propagator
-// family, with hole-rich domains. Deterministic in the seed.
+// and the clone suite (test_clone): small models over the general-purpose
+// propagators (linear, disequality, unary function, cumulative, diff2,
+// reification, counting, max), with hole-rich domains. Deterministic in
+// the seed.
 #pragma once
 
 #include <cstdlib>
@@ -8,11 +10,10 @@
 #include <random>
 #include <vector>
 
-#include "revec/cp/alldifferent.hpp"
 #include "revec/cp/arith.hpp"
 #include "revec/cp/count.hpp"
 #include "revec/cp/cumulative.hpp"
-#include "revec/cp/element.hpp"
+#include "revec/cp/diff2.hpp"
 #include "revec/cp/linear.hpp"
 #include "revec/cp/reified.hpp"
 #include "revec/cp/store.hpp"
@@ -64,9 +65,15 @@ inline Builder make_builder(unsigned seed) {
                     post_not_equal(s, var(), var(), pick(-1, 1));
                     break;
                 case 2: {
-                    const int k = pick(2, n);
-                    post_all_different(
-                        s, std::vector<IntVar>(m.xs.begin(), m.xs.begin() + k));
+                    // y = f(x) over a random table, x and y distinct.
+                    const int a = pick(0, n - 1);
+                    const int b = (a + pick(1, n - 1)) % n;
+                    std::vector<int> table;
+                    for (int i = 0; i <= max_val; ++i) table.push_back(pick(0, max_val));
+                    post_unary_fun(s, m.xs[static_cast<std::size_t>(a)],
+                                   m.xs[static_cast<std::size_t>(b)], [table](int v) {
+                                       return table[static_cast<std::size_t>(v)];
+                                   });
                     break;
                 }
                 case 3: {
@@ -77,9 +84,16 @@ inline Builder make_builder(unsigned seed) {
                     break;
                 }
                 case 4: {
-                    std::vector<int> table;
-                    for (int i = 0; i <= max_val; ++i) table.push_back(pick(0, max_val));
-                    post_element_const(s, var(), table, var());
+                    // Rectangles at (x, y) with a variable width.
+                    std::vector<Rect> rects;
+                    const int k = pick(2, 3);
+                    for (int i = 0; i < k; ++i) {
+                        const IntVar x = var();
+                        const IntVar y = var();
+                        const IntVar width = s.new_var(pick(0, 1), 2);
+                        rects.push_back({x, y, width, pick(1, 2)});
+                    }
+                    post_diff2(s, rects);
                     break;
                 }
                 case 5: {

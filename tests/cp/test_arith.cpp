@@ -153,17 +153,5 @@ TEST(UnaryFun, EvaluatesFunctionOnlyWhenPosted) {
     EXPECT_EQ(calls, 4);
 }
 
-TEST(MulConst, ForwardAndBackward) {
-    Store s;
-    const IntVar x = s.new_var(0, 10);
-    const IntVar z = s.new_var(0, 100);
-    post_mul_const(s, x, 7, z);
-    ASSERT_TRUE(s.propagate());
-    EXPECT_EQ(s.max(z), 70);
-    ASSERT_TRUE(s.set_max(z, 30));
-    ASSERT_TRUE(s.propagate());
-    EXPECT_EQ(s.max(x), 4);
-}
-
 }  // namespace
 }  // namespace revec::cp

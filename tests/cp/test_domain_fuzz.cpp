@@ -76,7 +76,9 @@ void expect_matches(const Domain& d, const RefModel& ref, unsigned seed, int ste
     ASSERT_EQ(d.is_range(),
               static_cast<std::int64_t>(ref.vals.size()) ==
                   static_cast<std::int64_t>(d.max()) - d.min() + 1);
-    if (ref.vals.size() == 1) ASSERT_EQ(d.value(), *ref.vals.begin());
+    if (ref.vals.size() == 1) {
+        ASSERT_EQ(d.value(), *ref.vals.begin());
+    }
 
     // Containment and next_value probed around the hull's edges.
     for (int v = d.min() - 2; v <= d.max() + 2; ++v) {
@@ -85,7 +87,9 @@ void expect_matches(const Domain& d, const RefModel& ref, unsigned seed, int ste
         int nv = 0;
         const bool found = d.next_value(v, nv);
         ASSERT_EQ(found, it != ref.vals.end()) << "v=" << v;
-        if (found) ASSERT_EQ(nv, *it) << "v=" << v;
+        if (found) {
+            ASSERT_EQ(nv, *it) << "v=" << v;
+        }
         if (v <= d.max()) {
             const bool want = it != ref.vals.end() && *it <= d.max();
             ASSERT_EQ(d.intersects_range(v, d.max()), want) << "v=" << v;

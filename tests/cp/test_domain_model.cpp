@@ -43,7 +43,9 @@ void expect_matches(const Domain& d, const std::set<int>& ref, unsigned seed, in
     EXPECT_EQ(d.min(), *ref.begin());
     EXPECT_EQ(d.max(), *ref.rbegin());
     EXPECT_EQ(d.is_fixed(), ref.size() == 1);
-    if (ref.size() == 1) EXPECT_EQ(d.value(), *ref.begin());
+    if (ref.size() == 1) {
+        EXPECT_EQ(d.value(), *ref.begin());
+    }
 
     // Representation canonicality: exactly one interval per maximal run.
     ASSERT_EQ(d.num_intervals(), run_count(ref));
@@ -52,7 +54,9 @@ void expect_matches(const Domain& d, const std::set<int>& ref, unsigned seed, in
     bool first = true;
     for (const Interval& iv : d.intervals()) {
         ASSERT_LE(iv.lo, iv.hi);
-        if (!first) ASSERT_GT(iv.lo, prev_hi + 1);  // disjoint and non-adjacent
+        if (!first) {
+            ASSERT_GT(iv.lo, prev_hi + 1);  // disjoint and non-adjacent
+        }
         prev_hi = iv.hi;
         first = false;
     }
@@ -63,7 +67,9 @@ void expect_matches(const Domain& d, const std::set<int>& ref, unsigned seed, in
         int nv = 0;
         const auto it = ref.lower_bound(v);
         ASSERT_EQ(d.next_value(v, nv), it != ref.end()) << "v=" << v;
-        if (it != ref.end()) ASSERT_EQ(nv, *it) << "v=" << v;
+        if (it != ref.end()) {
+            ASSERT_EQ(nv, *it) << "v=" << v;
+        }
     }
 
     // Enumeration order.

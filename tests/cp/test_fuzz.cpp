@@ -9,12 +9,10 @@
 #include <optional>
 #include <random>
 
-#include "revec/cp/alldifferent.hpp"
 #include "revec/cp/arith.hpp"
 #include "revec/cp/count.hpp"
 #include "revec/cp/cumulative.hpp"
 #include "revec/cp/diff2.hpp"
-#include "revec/cp/element.hpp"
 #include "revec/cp/linear.hpp"
 #include "revec/cp/reified.hpp"
 #include "revec/cp/search.hpp"
@@ -50,7 +48,7 @@ Instance make_instance(unsigned seed) {
 
     const int num_constraints = 2 + static_cast<int>(rng() % 4);
     for (int c = 0; c < num_constraints; ++c) {
-        switch (rng() % 6) {
+        switch (rng() % 5) {
             case 0: {  // linear <=
                 const auto [a, b] = var_pair();
                 const int k1 = 1 + static_cast<int>(rng() % 3);
@@ -79,26 +77,7 @@ Instance make_instance(unsigned seed) {
                 });
                 break;
             }
-            case 2: {  // all-different over a prefix
-                const int k = 2 + static_cast<int>(rng() % (n - 1));
-                posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
-                    post_all_different(
-                        s, std::vector<IntVar>(xs.begin(), xs.begin() + k));
-                });
-                checks.push_back([=](const std::vector<int>& v) {
-                    for (int i = 0; i < k; ++i) {
-                        for (int j = i + 1; j < k; ++j) {
-                            if (v[static_cast<std::size_t>(i)] ==
-                                v[static_cast<std::size_t>(j)]) {
-                                return false;
-                            }
-                        }
-                    }
-                    return true;
-                });
-                break;
-            }
-            case 3: {  // cumulative with unit demands
+            case 2: {  // cumulative with unit demands
                 const int cap = 1 + static_cast<int>(rng() % 2);
                 const int dur = 1 + static_cast<int>(rng() % 2);
                 posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
@@ -118,7 +97,7 @@ Instance make_instance(unsigned seed) {
                 });
                 break;
             }
-            case 4: {  // reified equality chained into an implication
+            case 3: {  // reified equality chained into an implication
                 const auto [a, b] = var_pair();
                 const auto [c2, d2] = var_pair();
                 posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
@@ -139,20 +118,19 @@ Instance make_instance(unsigned seed) {
                 });
                 break;
             }
-            default: {  // element over a constant table
+            default: {  // y = f(x) over a random table
                 const auto [a, b] = var_pair();
                 std::vector<int> table;
                 for (int i = 0; i <= max_val; ++i) {
                     table.push_back(static_cast<int>(rng() % (max_val + 1)));
                 }
+                const auto f = [table](int v) { return table[static_cast<std::size_t>(v)]; };
                 posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
-                    post_element_const(s, xs[static_cast<std::size_t>(a)], table,
-                                       xs[static_cast<std::size_t>(b)]);
+                    post_unary_fun(s, xs[static_cast<std::size_t>(a)],
+                                   xs[static_cast<std::size_t>(b)], f);
                 });
                 checks.push_back([=](const std::vector<int>& v) {
-                    const int idx = v[static_cast<std::size_t>(a)];
-                    return v[static_cast<std::size_t>(b)] ==
-                           table[static_cast<std::size_t>(idx)];
+                    return v[static_cast<std::size_t>(b)] == f(v[static_cast<std::size_t>(a)]);
                 });
                 break;
             }

@@ -143,13 +143,6 @@ TEST(NotEqual, FailsWhenForcedEqual) {
     EXPECT_FALSE(s.propagate());
 }
 
-TEST(NotValue, RemovesImmediately) {
-    Store s;
-    const IntVar x = s.new_var(0, 3);
-    post_not_value(s, x, 2);
-    EXPECT_FALSE(s.dom(x).contains(2));
-}
-
 // Property: exhaustive check that LinearEq propagation never removes a
 // supported value and that all solutions satisfy the equation.
 TEST(LinearProperty, EqKeepsExactlySupportedBounds) {

@@ -94,8 +94,10 @@ TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
     config.lns_workers = 1;
     config.profile = true;
     config.initial_incumbent = inc.makespan;
-    config.lns_round = lns::make_portfolio_round(inc.km, lns::LnsTuning{});
-    config.lns_seed_assignment = lns::complete_assignment(inc.km, inc.start, inc.slot);
+    cp::Store base;
+    const model::VarTable vt = model::emit_cp(base, inc.km);
+    config.lns_round = lns::make_portfolio_round(inc.km, base.clone(), vt, lns::LnsTuning{});
+    config.lns_seed_assignment = lns::complete_assignment(base.clone(), vt, inc.start, inc.slot);
     ASSERT_FALSE(config.lns_seed_assignment.empty());
     cp::SearchOptions opts;
     opts.max_failures = 20;

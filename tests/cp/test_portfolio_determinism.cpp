@@ -94,7 +94,9 @@ TEST(PortfolioDeterminism, FailureLimitAppliesPerWorker) {
         // must have respected it (restart workers re-check the cumulative
         // budget between restarts, so the overshoot is at most one final
         // failure per solve call).
-        if (!w.proved) EXPECT_LE(w.stats.failures, 12) << w.label;
+        if (!w.proved) {
+            EXPECT_LE(w.stats.failures, 12) << w.label;
+        }
     }
 }
 

@@ -181,7 +181,7 @@ TEST(StatsMerge, SolveWorkExportsEveryCounterUnderItsPrefix) {
     SolveWork w;
     w.stats = filled<SearchStats>(1);
     w.prop_stats = filled<PropagationStats>(1);
-    w.prop_profile = {{"AllDifferent", 1, 2, 3, 4}, {"Cumulative", 5, 6, 7, 8}};
+    w.prop_profile = {{"AccessGroupProp", 1, 2, 3, 4}, {"Cumulative", 5, 6, 7, 8}};
     obs::MetricsRegistry m;
     w.export_metrics(m);
 
@@ -213,12 +213,12 @@ TEST(StatsMerge, PropProfilesMergeByClassAndStaySorted) {
     };
     SolveWork from;
     from.prop_profile = {
-        {"AllDifferent", 1, 1, 0, 9},
+        {"AccessGroupProp", 1, 1, 0, 9},
         {"Cumulative", 5, 2, 3, 40},
     };
     into.absorb(from);
     ASSERT_EQ(into.prop_profile.size(), 3u);
-    EXPECT_STREQ(into.prop_profile[0].cls, "AllDifferent");
+    EXPECT_STREQ(into.prop_profile[0].cls, "AccessGroupProp");
     EXPECT_STREQ(into.prop_profile[1].cls, "Cumulative");
     EXPECT_STREQ(into.prop_profile[2].cls, "LinearLeq");
     EXPECT_EQ(into.prop_profile[1].runs, 15);
@@ -230,7 +230,7 @@ TEST(StatsMerge, PropProfilesMergeByClassAndStaySorted) {
     into.export_metrics(m);
     EXPECT_EQ(m.counter("prop.Cumulative.runs"), 15);
     EXPECT_EQ(m.counter("prop.Cumulative.failures"), 4);
-    EXPECT_EQ(m.counter("prop.AllDifferent.time_us"), 9);
+    EXPECT_EQ(m.counter("prop.AccessGroupProp.time_us"), 9);
     EXPECT_EQ(m.counter("prop.LinearLeq.domain_changes"), 8);
 }
 

@@ -26,8 +26,7 @@ const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 /// Try the retry ladder until some (schedule, allocation) pair succeeds;
 /// returns whether one did and full-verifies it.
 bool ladder_allocates(const ir::Graph& g, int num_slots) {
-    for (const ListOptions rung : {ListOptions{}, ListOptions{true, true, false},
-                                   ListOptions{true, true, true}}) {
+    for (const ListOptions& rung : ladder()) {
         const ListResult list = priority_list_schedule(kSpec, g, rung);
         AllocOptions ao;
         ao.num_slots = num_slots;

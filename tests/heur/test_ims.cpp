@@ -50,7 +50,7 @@ void expect_valid_kernel(const ir::Graph& g, const ImsResult& r) {
         }
     }
 
-    // Residue resource tables, mirroring build_modulo_model: durations
+    // Residue resource tables, mirroring the modulo emission: durations
     // extend past the kernel without wrapping.
     std::map<int, int> lanes;
     std::map<int, int> scalar;

@@ -56,7 +56,9 @@ TEST_P(VerifiedSchedulesSimulate, HeuristicAndExact) {
 
     // The exact solver, when it proves optimality, can only match or beat
     // the heuristic incumbent.
-    if (s.proven_optimal()) EXPECT_LE(s.makespan, h.makespan) << "seed " << GetParam();
+    if (s.proven_optimal()) {
+        EXPECT_LE(s.makespan, h.makespan) << "seed " << GetParam();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus25, VerifiedSchedulesSimulate,

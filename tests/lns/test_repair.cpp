@@ -105,11 +105,10 @@ TEST(Repair, CompleteAssignmentReproducesTheScheduleAtTheHandles) {
     const testing::Incumbent inc = matmul_incumbent();
     ASSERT_TRUE(inc.ok);
 
-    const std::vector<int> full = complete_assignment(inc.km, inc.start, inc.slot);
-    ASSERT_FALSE(full.empty());
-
     cp::Store store;
     const model::VarTable vt = model::emit_cp(store, inc.km);
+    const std::vector<int> full = complete_assignment(store.clone(), vt, inc.start, inc.slot);
+    ASSERT_FALSE(full.empty());
     ASSERT_EQ(full.size(), store.num_vars());
     for (int id = 0; id < inc.km.num_nodes(); ++id) {
         const auto i = static_cast<std::size_t>(id);
@@ -130,7 +129,9 @@ TEST(Repair, InconsistentScheduleYieldsEmptyAssignment) {
     std::vector<int> bad = inc.start;
     // Push one op past the horizon: assignment must fail cleanly.
     bad[static_cast<std::size_t>(inc.km.ops.front())] = inc.km.horizon + 10;
-    EXPECT_TRUE(complete_assignment(inc.km, bad, inc.slot).empty());
+    cp::Store store;
+    const model::VarTable vt = model::emit_cp(store, inc.km);
+    EXPECT_TRUE(complete_assignment(store.clone(), vt, bad, inc.slot).empty());
 }
 
 }  // namespace

@@ -1,52 +1,21 @@
-// Frozen pre-refactor reference implementations (verbatim copies of the
-// per-consumer lowerings that predate src/revec/model), used ONLY by the
-// node-parity tests: the shared lower_ir + emit_cp path must reproduce
-// these builders' CP stores so exactly that branch-and-bound replays the
-// same search tree node for node, and the model checker must report the
-// same problems as the old standalone verifier, message for message.
+// Frozen pre-refactor reference implementation (a verbatim copy of the
+// standalone schedule verifier that predates src/revec/model), used ONLY
+// by the checker-agreement test: model::check_schedule must report the same
+// problems as this old verifier, message for message. It is CP-free, so it
+// is an independent reference for the checker.
 //
 // Do not "fix" or modernize this code — its value is being frozen.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "revec/arch/spec.hpp"
-#include "revec/cp/search.hpp"
-#include "revec/cp/store.hpp"
 #include "revec/ir/graph.hpp"
-#include "revec/sched/model.hpp"
+#include "revec/sched/schedule.hpp"
 #include "revec/sched/verify.hpp"
 
 namespace revec::legacy {
-
-/// Variable handles produced by one build of the flat scheduling model
-/// (the old sched/model.cpp BuiltModel).
-struct BuiltModel {
-    std::vector<cp::IntVar> start;      ///< per node id
-    std::map<int, cp::IntVar> slot_of;  ///< vector-data node id -> slot var
-    cp::IntVar objective;
-    std::vector<cp::Phase> phases;
-};
-
-/// The old per-consumer flat lowering (§3.3-§3.5), verbatim.
-BuiltModel build_model(cp::Store& store, const ir::Graph& g,
-                       const sched::ScheduleOptions& options, int num_slots, int horizon);
-
-/// Variable handles of the old modulo builder (pipeline/modulo.cpp).
-struct ModuloModel {
-    std::vector<cp::IntVar> residue;  ///< per node id (invalid for data)
-    std::vector<cp::IntVar> stage;
-    cp::IntVar reconfig_count;  ///< valid only when minimizing reconfigs
-    std::vector<cp::Phase> phases;
-    bool infeasible = false;  ///< budget contradiction found while building
-};
-
-/// The old per-consumer §4.3 modulo lowering, verbatim.
-ModuloModel build_modulo_model(cp::Store& store, const arch::ArchSpec& spec, const ir::Graph& g,
-                               int ii, int horizon, bool minimize_reconfigs,
-                               int reconfig_budget);
 
 /// The old standalone schedule verifier, verbatim.
 std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::Graph& g,

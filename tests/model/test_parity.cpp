@@ -1,15 +1,24 @@
-// Node-parity replay: the shared lower_ir + emit_cp path must produce CP
-// stores whose branch-and-bound runs replay the frozen pre-refactor
-// builders' search trees node for node — identical node/failure counts,
-// identical status, and identical best solutions — on the application
-// kernels, random kernels, and hole-heavy probes near the Table 1 memory
-// cliff, for both the flat §3.3-§3.5 model and the §4.3 modulo model.
+// Node-parity goldens: the shared lower_ir + emit_cp path must keep
+// producing CP stores whose branch-and-bound runs walk exactly the search
+// trees recorded below — identical status, node/failure/solution counts,
+// objective and optimal assignment — on the application kernels, random
+// kernels, and hole-heavy probes near the Table 1 memory cliff, for both
+// the flat §3.3-§3.5 model and the §4.3 modulo model.
+//
+// The table was recorded while the frozen pre-refactor per-consumer
+// builders still existed, and one run checked both those builders and
+// emit_cp against it, so every row is the legacy lowering's tree. Unlike a
+// side-by-side replay, a literal table also fails when an engine change
+// moves both lowerings' trees together. A change that moves a tree on
+// purpose (a new propagator in the emission) re-pins its rows and says so.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "legacy_ref.hpp"
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
@@ -42,12 +51,77 @@ ir::Graph kernel_by_name(const std::string& name) {
     throw revec::Error("unknown kernel " + name);
 }
 
-/// The horizon both lowerings are handed (mirrors sched's derivation for
-/// the unit-duration EIT spec; any shared value preserves the parity).
+/// The flat horizon (mirrors sched's derivation for the unit-duration EIT
+/// spec; the recorded trees depend on it).
 int horizon_for(const ir::Graph& g) {
     const sched::ListScheduleResult greedy = sched::list_schedule(kSpec, g);
     return std::max(ir::critical_path_length(kSpec, g), greedy.makespan) +
            2 * kSpec.vector_latency;
+}
+
+/// One recorded run: the search tree's shape, the optimum, and a digest of
+/// the optimal assignment.
+struct Golden {
+    bool infeasible;  ///< modulo: emit_cp found a budget contradiction
+    cp::SolveStatus status;
+    std::int64_t nodes;
+    std::int64_t failures;
+    std::int64_t solutions;
+    int objective;        ///< makespan or reconfiguration count; -1 if none
+    std::uint64_t digest; ///< fnv1a(assignment); 0 without a solution
+};
+
+constexpr cp::SolveStatus kOpt = cp::SolveStatus::Optimal;
+constexpr cp::SolveStatus kUnsat = cp::SolveStatus::Unsat;
+
+/// What a run produced: the golden fields plus the assignment the digest
+/// covers (start+slot or residue+stage), printed when the digest differs.
+struct Outcome {
+    Golden got{};
+    std::vector<int> first;
+    std::vector<int> second;
+};
+
+/// 64-bit FNV-1a over the two vectors, each value as 4 little-endian bytes.
+std::uint64_t fnv1a(const std::vector<int>& a, const std::vector<int>& b) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const std::vector<int>* v : {&a, &b}) {
+        for (const int x : *v) {
+            for (int byte = 0; byte < 4; ++byte) {
+                h ^= (static_cast<std::uint32_t>(x) >> (8 * byte)) & 0xffu;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+std::string join(const std::vector<int>& v) {
+    std::ostringstream os;
+    for (std::size_t i = 0; i < v.size(); ++i) os << (i == 0 ? "" : " ") << v[i];
+    return os.str();
+}
+
+void fill_tree(Outcome& o, const cp::SolveResult& r) {
+    o.got.status = r.status;
+    o.got.nodes = r.stats.nodes;
+    o.got.failures = r.stats.failures;
+    o.got.solutions = r.stats.solutions;
+    o.got.objective = -1;
+}
+
+void expect_matches(const Outcome& o, const Golden& want, const char* first_name,
+                    const char* second_name) {
+    const Golden& got = o.got;
+    ASSERT_EQ(got.infeasible, want.infeasible);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.nodes, want.nodes);
+    EXPECT_EQ(got.failures, want.failures);
+    EXPECT_EQ(got.solutions, want.solutions);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.digest, want.digest)
+        << first_name << ": " << join(o.first) << "\n"
+        << second_name << ": " << join(o.second);
 }
 
 // ---------------------------------------------------------------- flat ----
@@ -58,82 +132,70 @@ struct FlatCase {
     bool memory;
     bool three_phase;
     const char* tag;
+    Golden want;
 };
 
 void PrintTo(const FlatCase& c, std::ostream* os) {
     *os << c.kernel << "_" << c.tag;
 }
 
+/// Lower, emit and solve one flat case.
+Outcome run_flat(const FlatCase& c) {
+    const ir::Graph g = kernel_by_name(c.kernel);
+    LowerOptions lo;
+    lo.num_slots = c.num_slots < 0 ? kSpec.memory.slots() : c.num_slots;
+    lo.horizon = horizon_for(g);
+    lo.memory_allocation = c.memory;
+    lo.three_phase_search = c.three_phase;
+    cp::Store store;
+    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, lo));
+    const cp::SolveResult r = cp::solve(store, vars.phases, vars.makespan);
+
+    Outcome o;
+    fill_tree(o, r);
+    if (!r.has_solution()) return o;
+    o.got.objective = r.value_of(vars.makespan);
+    for (const ir::Node& node : g.nodes()) {
+        o.first.push_back(r.value_of(vars.start[static_cast<std::size_t>(node.id)]));
+    }
+    for (const auto& [d, var] : vars.slot_of) o.second.push_back(r.value_of(var));
+    o.got.digest = fnv1a(o.first, o.second);
+    return o;
+}
+
 class FlatNodeParity : public ::testing::TestWithParam<FlatCase> {};
 
 TEST_P(FlatNodeParity, ReplaysLegacySearchTree) {
     const FlatCase& c = GetParam();
-    const ir::Graph g = kernel_by_name(c.kernel);
-    const int num_slots = c.num_slots < 0 ? kSpec.memory.slots() : c.num_slots;
-    const int horizon = horizon_for(g);
-
-    sched::ScheduleOptions options;
-    options.memory_allocation = c.memory;
-    options.three_phase_search = c.three_phase;
-
-    cp::Store old_store;
-    const legacy::BuiltModel old_model =
-        legacy::build_model(old_store, g, options, num_slots, horizon);
-    const cp::SolveResult old_result =
-        cp::solve(old_store, old_model.phases, old_model.objective);
-
-    LowerOptions lo;
-    lo.num_slots = num_slots;
-    lo.horizon = horizon;
-    lo.memory_allocation = c.memory;
-    lo.three_phase_search = c.three_phase;
-    cp::Store new_store;
-    const KernelModel km = lower_ir(kSpec, g, lo);
-    const VarTable new_model = emit_cp(new_store, km);
-    const cp::SolveResult new_result =
-        cp::solve(new_store, new_model.phases, new_model.makespan);
-
-    // The acceptance criterion: the search trees replay node for node.
-    EXPECT_EQ(new_result.status, old_result.status);
-    EXPECT_EQ(new_result.stats.nodes, old_result.stats.nodes);
-    EXPECT_EQ(new_result.stats.failures, old_result.stats.failures);
-    EXPECT_EQ(new_result.stats.solutions, old_result.stats.solutions);
-
-    ASSERT_EQ(new_result.has_solution(), old_result.has_solution());
-    if (!new_result.has_solution()) return;
-
-    EXPECT_EQ(new_result.value_of(new_model.makespan),
-              old_result.value_of(old_model.objective));
-    for (const ir::Node& node : g.nodes()) {
-        const auto i = static_cast<std::size_t>(node.id);
-        EXPECT_EQ(new_result.value_of(new_model.start[i]),
-                  old_result.value_of(old_model.start[i]))
-            << "start of node " << node.id;
-    }
-    ASSERT_EQ(new_model.slot_of.size(), old_model.slot_of.size());
-    for (const auto& [d, var] : new_model.slot_of) {
-        EXPECT_EQ(new_result.value_of(var), old_result.value_of(old_model.slot_of.at(d)))
-            << "slot of node " << d;
-    }
+    expect_matches(run_flat(c), c.want, "start", "slot");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, FlatNodeParity,
     ::testing::Values(
-        FlatCase{"matmul", -1, true, true, "default"},
-        FlatCase{"matmul", -1, true, false, "one_phase"},
-        FlatCase{"matmul", -1, false, true, "no_memory"},
-        FlatCase{"matmul", 12, true, true, "slots12"},
-        FlatCase{"qrd", -1, true, true, "default"},
-        // Hole-heavy probes at the Table 1 memory cliff: 9 slots is the
-        // tightest feasible allocation, 7 is proven UNSAT — both sides
-        // must walk the identical (larger) trees.
-        FlatCase{"qrd", 9, true, true, "slots9"},
-        FlatCase{"qrd", 7, true, true, "slots7_unsat"},
-        FlatCase{"arf", -1, true, true, "default"},
-        FlatCase{"rand3", -1, true, true, "default"},
-        FlatCase{"rand11", -1, true, true, "default"},
-        FlatCase{"rand11", -1, true, false, "one_phase"}),
+        FlatCase{"matmul", -1, true, true, "default",
+                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+        FlatCase{"matmul", -1, true, false, "one_phase",
+                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+        FlatCase{"matmul", -1, false, true, "no_memory",
+                 {false, kOpt, 154, 78, 1, 11, 0x2de0ba40ab2e7cc9ull}},
+        FlatCase{"matmul", 12, true, true, "slots12",
+                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+        FlatCase{"qrd", -1, true, true, "default",
+                 {false, kOpt, 172, 87, 1, 142, 0xd7b820f05f5f54a5ull}},
+        // Probes at the Table 1 memory cliff: 9 slots is the tightest
+        // feasible allocation, 7 is proven UNSAT at the root.
+        FlatCase{"qrd", 9, true, true, "slots9",
+                 {false, kOpt, 172, 87, 1, 142, 0xd7b820f05f5f54a5ull}},
+        FlatCase{"qrd", 7, true, true, "slots7_unsat", {false, kUnsat, 0, 1, 0, -1, 0}},
+        FlatCase{"arf", -1, true, true, "default",
+                 {false, kOpt, 172, 87, 1, 57, 0x48574ef8dc31b894ull}},
+        FlatCase{"rand3", -1, true, true, "default",
+                 {false, kOpt, 124, 63, 1, 29, 0x3bd519ac9e0b3fc2ull}},
+        FlatCase{"rand11", -1, true, true, "default",
+                 {false, kOpt, 126, 64, 1, 44, 0x196bbf4b6b0d6a4cull}},
+        FlatCase{"rand11", -1, true, false, "one_phase",
+                 {false, kOpt, 126, 64, 1, 44, 0x0af91a8d589b4722ull}}),
     [](const ::testing::TestParamInfo<FlatCase>& info) {
         return std::string(info.param.kernel) + "_" + info.param.tag;
     });
@@ -146,88 +208,82 @@ struct ModuloCase {
     bool minimize;
     int budget;     // reconfig budget when minimizing
     const char* tag;
+    Golden want;
 };
 
 void PrintTo(const ModuloCase& c, std::ostream* os) {
     *os << c.kernel << "_" << c.tag;
 }
 
+/// Lower, emit and solve (or satisfy) one modulo case.
+Outcome run_modulo(const ModuloCase& c) {
+    const ir::Graph g = kernel_by_name(c.kernel);
+    LowerOptions lo;
+    lo.horizon = 2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
+    lo.modulo = ModuloWrap{pipeline::ii_lower_bound(kSpec, g) + c.ii_delta, 0, c.minimize,
+                           c.budget};
+    cp::Store store;
+    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, lo));
+
+    Outcome o;
+    if (vars.infeasible) {
+        o.got = {true, kUnsat, 0, 0, 0, -1, 0};  // nothing to solve
+        return o;
+    }
+    const cp::SolveResult r = c.minimize
+                                  ? cp::solve(store, vars.phases, vars.reconfig_count)
+                                  : cp::satisfy(store, vars.phases);
+    fill_tree(o, r);
+    if (!r.has_solution()) return o;
+    if (c.minimize) o.got.objective = r.value_of(vars.reconfig_count);
+    for (const ir::Node& node : g.nodes()) {
+        if (!node.is_op()) continue;
+        const auto i = static_cast<std::size_t>(node.id);
+        o.first.push_back(r.value_of(vars.residue[i]));
+        o.second.push_back(r.value_of(vars.stage[i]));
+    }
+    o.got.digest = fnv1a(o.first, o.second);
+    return o;
+}
+
 class ModuloNodeParity : public ::testing::TestWithParam<ModuloCase> {};
 
 TEST_P(ModuloNodeParity, ReplaysLegacySearchTree) {
     const ModuloCase& c = GetParam();
-    const ir::Graph g = kernel_by_name(c.kernel);
-    const int ii = pipeline::ii_lower_bound(kSpec, g) + c.ii_delta;
-    const int horizon =
-        2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-
-    cp::Store old_store;
-    const legacy::ModuloModel old_model =
-        legacy::build_modulo_model(old_store, kSpec, g, ii, horizon, c.minimize, c.budget);
-
-    LowerOptions lo;
-    lo.horizon = horizon;
-    lo.modulo = ModuloWrap{ii, 0, c.minimize, c.budget};
-    const KernelModel km = lower_ir(kSpec, g, lo);
-    cp::Store new_store;
-    const VarTable new_model = emit_cp(new_store, km);
-
-    ASSERT_EQ(new_model.infeasible, old_model.infeasible);
-    if (new_model.infeasible) return;  // budget contradiction: nothing to solve
-
-    const cp::SolveResult old_result =
-        c.minimize ? cp::solve(old_store, old_model.phases, old_model.reconfig_count)
-                   : cp::satisfy(old_store, old_model.phases);
-    const cp::SolveResult new_result =
-        c.minimize ? cp::solve(new_store, new_model.phases, new_model.reconfig_count)
-                   : cp::satisfy(new_store, new_model.phases);
-
-    EXPECT_EQ(new_result.status, old_result.status);
-    EXPECT_EQ(new_result.stats.nodes, old_result.stats.nodes);
-    EXPECT_EQ(new_result.stats.failures, old_result.stats.failures);
-    EXPECT_EQ(new_result.stats.solutions, old_result.stats.solutions);
-
-    ASSERT_EQ(new_result.has_solution(), old_result.has_solution());
-    if (!new_result.has_solution()) return;
-
-    for (const ir::Node& node : g.nodes()) {
-        if (!node.is_op()) continue;
-        const auto i = static_cast<std::size_t>(node.id);
-        EXPECT_EQ(new_result.value_of(new_model.residue[i]),
-                  old_result.value_of(old_model.residue[i]))
-            << "residue of node " << node.id;
-        EXPECT_EQ(new_result.value_of(new_model.stage[i]),
-                  old_result.value_of(old_model.stage[i]))
-            << "stage of node " << node.id;
-    }
-    if (c.minimize) {
-        EXPECT_EQ(new_result.value_of(new_model.reconfig_count),
-                  old_result.value_of(old_model.reconfig_count));
-    }
+    expect_matches(run_modulo(c), c.want, "residue", "stage");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, ModuloNodeParity,
-    ::testing::Values(ModuloCase{"matmul", 0, false, 0, "lb"},
-                      ModuloCase{"matmul", 1, false, 0, "lb1"},
-                      ModuloCase{"matmul", 0, true, 64, "min_r"},
-                      ModuloCase{"matmul", 0, true, 1, "budget1"},
-                      ModuloCase{"arf", 0, false, 0, "lb"},
-                      ModuloCase{"arf", 1, true, 64, "min_r"},
-                      // ARF has two vector configurations, so a budget of 1
-                      // contradicts the redundant lower bound: both sides
-                      // report it infeasible (emit_cp before it creates
-                      // any variable).
-                      ModuloCase{"arf", 0, true, 1, "budget1_infeasible"},
-                      ModuloCase{"rand7", 0, false, 0, "lb"},
-                      // QRD at the Table 3 optimum: II 18, budget 14 (the
-                      // scan's budget under the IMS incumbent, actual II 33).
-                      ModuloCase{"qrd", 0, true, 14, "min_r"},
-                      // Random kernels with ten and eight configurations:
-                      // eq. 3 and its slot channel over many configuration
-                      // pairs.
-                      ModuloCase{"rand7", 0, true, 64, "min_r"},
-                      ModuloCase{"rand15", 1, true, 64, "min_r"}),
+    ::testing::Values(
+        ModuloCase{"matmul", 0, false, 0, "lb",
+                   {false, kOpt, 35, 0, 1, -1, 0x87085fe4ee20e1e5ull}},
+        ModuloCase{"matmul", 1, false, 0, "lb1",
+                   {false, kOpt, 40, 0, 1, -1, 0x87085fe4ee20e1e5ull}},
+        ModuloCase{"matmul", 0, true, 64, "min_r",
+                   {false, kOpt, 70, 36, 1, 0, 0x87085fe4ee20e1e5ull}},
+        ModuloCase{"matmul", 0, true, 1, "budget1",
+                   {false, kOpt, 70, 36, 1, 0, 0x87085fe4ee20e1e5ull}},
+        ModuloCase{"arf", 0, false, 0, "lb",
+                   {false, kOpt, 49, 0, 1, -1, 0x503065fd8b445685ull}},
+        ModuloCase{"arf", 1, true, 64, "min_r",
+                   {false, kOpt, 114, 58, 1, 2, 0x071405c6783020a5ull}},
+        // ARF has two vector configurations, so a budget of 1 contradicts
+        // the redundant lower bound: emit_cp reports it infeasible before
+        // it creates any variable.
+        ModuloCase{"arf", 0, true, 1, "budget1_infeasible", {true, kUnsat, 0, 0, 0, -1, 0}},
+        ModuloCase{"rand7", 0, false, 0, "lb",
+                   {false, kOpt, 57, 0, 1, -1, 0xc0aa3d1d946111e8ull}},
+        // QRD at the Table 3 optimum: II 18, budget 14 (the scan's budget
+        // under the IMS incumbent, actual II 33).
+        ModuloCase{"qrd", 0, true, 14, "min_r",
+                   {false, kOpt, 168, 85, 1, 4, 0x7ed0acfb5738fb4dull}},
+        // Random kernels with ten and eight configurations: eq. 3 and its
+        // slot channel over many configuration pairs.
+        ModuloCase{"rand7", 0, true, 64, "min_r",
+                   {false, kOpt, 114, 58, 1, 10, 0xa363763650d6af41ull}},
+        ModuloCase{"rand15", 1, true, 64, "min_r",
+                   {false, kOpt, 80, 41, 1, 8, 0xb5a5ab83c113f2e7ull}}),
     [](const ::testing::TestParamInfo<ModuloCase>& info) {
         return std::string(info.param.kernel) + "_" + info.param.tag;
     });

@@ -145,6 +145,38 @@ TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
     EXPECT_EQ(searches, 1);
 }
 
+TEST(ScheduleModel, LnsSolveEmitsTheModelOnce) {
+    // The LNS round hook and its seed assignment work on clones of the one
+    // emission the CP workers search: no track of an LNS-enabled solve
+    // shows a second emit_cp span.
+    ScheduleOptions opts;
+    opts.timeout_ms = 60000;
+    const model::KernelModel km = lower_for_schedule(kernel_by_name("qrd"), opts);
+
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    ModelSolveOptions mo = model_solve_options(opts);
+    mo.solver.threads = 1;
+    mo.solver.lns_workers = 1;
+    mo.solver.trace = &sink;
+    const Schedule s = schedule_model(km, mo);
+    ASSERT_TRUE(s.feasible());
+    EXPECT_TRUE(model::check_schedule(km, s.start, s.slot, s.makespan).empty());
+
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    const obs::ParsedTrace trace = obs::parse_trace(os.str());
+    int emits = 0;
+    bool lns_track = false;
+    for (const obs::ParsedTrack& track : trace.tracks) {
+        if (track.name.rfind("lns", 0) == 0) lns_track = true;
+        for (const obs::ParsedEvent& e : track.events) {
+            if (e.kind == 'E' && e.name == "emit_cp") ++emits;
+        }
+    }
+    EXPECT_TRUE(lns_track);
+    EXPECT_EQ(emits, 1);
+}
+
 TEST(ScheduleModel, TraceRidReachesPortfolioWorkerSpans) {
     // A service-correlated solve (solver.trace_rid != 0) must stamp the
     // rid end to end: the rid instant and the search span payload on
