@@ -40,14 +40,12 @@ struct Seed {
 /// that covers it (the same recipe the LNS test fixtures use).
 Seed conservative_seed(const arch::ArchSpec& spec, const ir::Graph& g) {
     Seed seed;
-    model::LowerOptions lo0;
-    lo0.num_slots = kSlots;
-    const model::KernelModel km0 = model::lower_ir(spec, g, lo0);
+    model::LowerOptions lo;
+    lo.num_slots = kSlots;
+    const model::KernelModel km0 = model::lower_ir(spec, g, lo);
     const heur::ListResult list =
         heur::priority_list_schedule(km0, heur::ladder().back());
-    model::LowerOptions lo = lo0;
-    lo.horizon = list.makespan + 2;
-    seed.km = model::lower_ir(spec, g, lo);
+    seed.km = model::lower_ir(spec, g, lo, list.makespan + 2);
     const heur::AllocResult alloc = heur::allocate_slots(seed.km, list.start);
     if (!alloc.ok) return seed;
     seed.start = list.start;

@@ -60,8 +60,7 @@ void schedule_on(const char* name, const arch::ArchSpec& spec, const ir::Graph& 
         std::cout << name << ": infeasible within budget\n";
         return;
     }
-    sched::VerifyOptions vo;
-    const auto problems = sched::verify_schedule(spec, g, s, vo);
+    const auto problems = sched::verify_schedule(spec, g, s, opts);
     std::cout << name << ": makespan " << s.makespan << " cc, " << s.slots_used
               << " slots, verification "
               << (problems.empty() ? "clean" : problems.front()) << '\n';

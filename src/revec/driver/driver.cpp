@@ -377,16 +377,26 @@ int run(const Options& options, std::ostream& out) {
     ir::Graph g = ir::load_xml(options.input_path);
     if (options.merge_pass) g = ir::merge_pipeline_ops(g);
 
+    // One set of options for the dumped model, the solve and the check.
+    sched::ScheduleOptions sopts;
+    sopts.spec = spec;
+    sopts.num_slots = options.num_slots;
+    sopts.memory_allocation = options.memory;
+    sopts.timeout_ms = options.timeout_ms;
+    sopts.warm_start = options.warm_start;
+    sopts.heuristic_only = options.heuristic_only;
+    sopts.solver.threads = options.threads;
+    sopts.solver.lns_workers = options.lns_workers;
+    sopts.solver.seed = options.seed;
+    sopts.solver.profile = !options.metrics_path.empty();
+    sopts.lns.relax_pct = static_cast<double>(options.lns_relax_pct) / 100.0;
+
     if (!options.dump_model_path.empty()) {
         // Exactly the model the scheduling path solves — resolved
         // num_slots AND the derived horizon — so a dump replayed through
         // schedule_model (revecd does this) reproduces this run's
         // schedule bit for bit.
-        sched::ScheduleOptions dump_opts;
-        dump_opts.spec = spec;
-        dump_opts.num_slots = options.num_slots;
-        dump_opts.memory_allocation = options.memory;
-        model::save_json(sched::lower_for_schedule(g, dump_opts), options.dump_model_path);
+        model::save_json(sched::lower_for_schedule(g, sopts), options.dump_model_path);
         out << "model written to " << options.dump_model_path << "\n";
     }
 
@@ -404,28 +414,14 @@ int run(const Options& options, std::ostream& out) {
 
     if (options.emit == "modulo") return emit_modulo(options, spec, g, sink.get(), out);
 
-    sched::ScheduleOptions sopts;
-    sopts.spec = spec;
-    sopts.num_slots = options.num_slots;
-    sopts.timeout_ms = options.timeout_ms;
-    sopts.memory_allocation = options.memory;
-    sopts.solver.threads = options.threads;
-    sopts.solver.lns_workers = options.lns_workers;
-    sopts.lns.relax_pct = static_cast<double>(options.lns_relax_pct) / 100.0;
-    sopts.solver.seed = options.seed;
     sopts.solver.trace = sink.get();
-    sopts.solver.profile = !options.metrics_path.empty();
-    sopts.warm_start = options.warm_start;
-    sopts.heuristic_only = options.heuristic_only;
     const sched::Schedule s = sched::schedule_kernel(g, sopts);
     write_observability(options, sink.get(), collect_metrics(s), out);
     if (!s.feasible()) {
         out << "scheduling failed: " << status_word(s.status) << "\n";
         return s.status == cp::SolveStatus::Unsat ? 1 : 6;
     }
-    sched::VerifyOptions vo;
-    vo.check_memory = options.memory;
-    const auto problems = sched::verify_schedule(spec, g, s, vo);
+    const auto problems = sched::verify_schedule(spec, g, s, sopts);
     if (!problems.empty()) {
         out << "internal error: schedule failed verification: " << problems.front() << "\n";
         return 2;

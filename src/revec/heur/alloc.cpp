@@ -1,6 +1,7 @@
 #include "revec/heur/alloc.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -9,6 +10,14 @@
 namespace revec::heur {
 
 namespace {
+
+/// Search budget: total slot trials (greedy probes + backtracking) before
+/// the allocator gives up. A trial scans at most the items placed so far,
+/// yet an exhausted budget costs about a second per failed ladder rung
+/// (70-op random kernels with matrix ops, 4-vCPU host); kernels that
+/// thrash the chronological backtracking need a few million trials before
+/// the first-fit order untangles.
+constexpr std::int64_t kMaxTrials = 8000000;
 
 /// One vector datum to place: its occupied interval [begin, end) (eq. 10,
 /// with the model's executable-lifetime extensions) and the ids of the
@@ -22,8 +31,7 @@ struct Item {
 
 }  // namespace
 
-AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& start,
-                           std::int64_t max_nodes) {
+AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& start) {
     REVEC_EXPECTS(start.size() == static_cast<std::size_t>(m.num_nodes()));
     AllocResult result;
     result.slot.assign(static_cast<std::size_t>(m.num_nodes()), -1);
@@ -133,7 +141,7 @@ AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& 
     };
 
     // First-fit with chronological backtracking under a node budget.
-    std::int64_t budget = max_nodes;
+    std::int64_t budget = kMaxTrials;
     std::size_t k = 0;
     std::vector<int> next_slot(items.size(), 0);
     while (k < items.size()) {
@@ -164,16 +172,6 @@ AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& 
     result.slots_used = static_cast<int>(used.size());
     result.ok = true;
     return result;
-}
-
-AllocResult allocate_slots(const arch::ArchSpec& spec, const ir::Graph& g,
-                           const std::vector<int>& start, const AllocOptions& options) {
-    model::LowerOptions lo;
-    // Never the -1 "full memory" sentinel: an explicit non-positive slot
-    // count must keep failing the allocation, exactly as it always has.
-    lo.num_slots = std::max(options.num_slots, 0);
-    lo.lifetime_includes_last_read = options.lifetime_includes_last_read;
-    return allocate_slots(model::lower_ir(spec, g, lo), start, options.max_nodes);
 }
 
 }  // namespace revec::heur

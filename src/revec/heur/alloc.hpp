@@ -8,32 +8,11 @@
 // cheap enough for an anytime fallback path.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "revec/arch/spec.hpp"
-#include "revec/ir/graph.hpp"
 #include "revec/model/kernel_model.hpp"
 
 namespace revec::heur {
-
-struct AllocOptions {
-    /// Memory slots available; must be positive when the graph has vector
-    /// data.
-    int num_slots = 0;
-
-    /// Lifetime semantics; must match the scheduling options (see
-    /// ScheduleOptions::lifetime_includes_last_read).
-    bool lifetime_includes_last_read = true;
-
-    /// Search budget: total slot trials (greedy probes + backtracking)
-    /// before the allocator gives up. A trial scans at most the items
-    /// placed so far, yet an exhausted default budget costs about a second
-    /// per failed ladder rung (70-op random kernels with matrix ops, 4-vCPU
-    /// host); kernels that thrash the chronological backtracking need a
-    /// few million trials before the first-fit order untangles.
-    std::int64_t max_nodes = 8000000;
-};
 
 struct AllocResult {
     bool ok = false;
@@ -43,17 +22,11 @@ struct AllocResult {
 
 /// Assign memory slots to every vector data node of `m` under the start
 /// times in `start` (one entry per node). Slot count and lifetime
-/// semantics come from the model (m.num_slots, m.lifetime_includes_last_read);
-/// `max_nodes` is the backtracking budget. Returns ok=false when the access
-/// geometry cannot be satisfied within the budget — callers retry with a
-/// less packed schedule (see ListOptions) or fall back to the exact
+/// semantics come from the model (m.num_slots, m.lifetime_includes_last_read).
+/// Returns ok=false when the access geometry cannot be satisfied within
+/// the backtracking budget (kMaxTrials in alloc.cpp) — callers retry with
+/// a less packed schedule (see ListOptions) or fall back to the exact
 /// slot-only CP solve.
-AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& start,
-                           std::int64_t max_nodes = 8000000);
-
-/// Convenience wrapper: lower `g` with the options' slot count and
-/// lifetime semantics, then allocate.
-AllocResult allocate_slots(const arch::ArchSpec& spec, const ir::Graph& g,
-                           const std::vector<int>& start, const AllocOptions& options);
+AllocResult allocate_slots(const model::KernelModel& m, const std::vector<int>& start);
 
 }  // namespace revec::heur

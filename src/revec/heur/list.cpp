@@ -167,11 +167,6 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
     return result;
 }
 
-ListResult priority_list_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                  const ListOptions& options) {
-    return priority_list_schedule(model::lower_ir(spec, g), options);
-}
-
 const std::vector<ListOptions>& ladder() {
     static const std::vector<ListOptions> rungs = {
         {true, false, false, {}},  // packed

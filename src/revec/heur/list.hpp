@@ -17,8 +17,6 @@
 
 #include <vector>
 
-#include "revec/arch/spec.hpp"
-#include "revec/ir/graph.hpp"
 #include "revec/model/kernel_model.hpp"
 
 namespace revec::heur {
@@ -58,10 +56,6 @@ struct ListResult {
 /// satisfies eqs. 1-5 and the port limits by construction. Priorities read
 /// m.asap/m.alap, so lower with the default horizon (critical path).
 ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions& options = {});
-
-/// Convenience wrapper: lower `g` with default options and schedule.
-ListResult priority_list_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                  const ListOptions& options = {});
 
 /// The allocation retry ladder: rung 0 is the packed schedule, later rungs
 /// progressively relax the simultaneous-access coupling (serialize vector

@@ -46,6 +46,21 @@ std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<
         if (s(d) != 0) report(at_node(m, d) + ": input data must start at 0");
     }
 
+    // -- pinned starts (slot-only models) -------------------------------------
+    if (!m.fixed_starts.empty()) {
+        if (m.fixed_starts.size() != start.size()) {
+            report("fixed_starts has wrong size");
+        } else {
+            for (const ModelNode& node : m.nodes) {
+                const int pinned = m.fixed_starts[static_cast<std::size_t>(node.id)];
+                if (s(node.id) != pinned) {
+                    report(at_node(m, node.id) + " starts at " + std::to_string(s(node.id)) +
+                           ", pinned at " + std::to_string(pinned));
+                }
+            }
+        }
+    }
+
     // -- eq. (2) lane capacity, eq. (3) one configuration per cycle, and the
     //    scalar / index-merge units ------------------------------------------------
     std::map<int, int> lanes_at;
@@ -136,8 +151,10 @@ std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<
     const arch::MemoryGeometry& geom = m.geometry;
     const auto slot_of = [&](int id) { return slot[static_cast<std::size_t>(id)]; };
 
+    // The model's slot budget ("#slots available"), never past the memory.
+    const int num_slots = std::min(m.num_slots, geom.slots());
     for (const int d : m.vdata) {
-        if (slot_of(d) < 0 || slot_of(d) >= geom.slots()) {
+        if (slot_of(d) < 0 || slot_of(d) >= num_slots) {
             report(at_node(m, d) + ": slot " + std::to_string(slot_of(d)) + " out of range");
         }
     }

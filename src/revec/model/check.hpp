@@ -14,8 +14,10 @@ namespace revec::model {
 
 /// Check the schedule (`start` and `slot` per node id, plus the recorded
 /// makespan) against `m`. Which constraint families are checked follows the
-/// model: memory (eqs. 6-11) iff m.memory_allocation, port limits iff
-/// m.enforce_port_limits. Returns every violation found (empty = valid).
+/// model: memory (eqs. 6-11, slots below m.num_slots) iff
+/// m.memory_allocation, port limits iff m.enforce_port_limits, and every
+/// start equal to its pin iff m.fixed_starts is non-empty. Returns every
+/// violation found (empty = valid).
 std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<int>& start,
                                         const std::vector<int>& slot, int recorded_makespan);
 

@@ -8,7 +8,8 @@
 namespace revec::model {
 
 KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
-                     const LowerOptions& options) {
+                     const LowerOptions& options, int horizon,
+                     std::optional<ModuloWrap> modulo) {
     KernelModel m;
     m.name = g.name();
     m.geometry = spec.memory;
@@ -20,7 +21,7 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                          spec.reconfig_cycles};
     m.num_slots = options.num_slots < 0 ? spec.memory.slots() : options.num_slots;
     m.critical_path = ir::critical_path_length(spec, g);
-    m.horizon = options.horizon < 0 ? m.critical_path : options.horizon;
+    m.horizon = horizon < 0 ? m.critical_path : horizon;
     m.asap = ir::asap_times(spec, g);
     m.alap = ir::alap_times(spec, g, m.horizon);
     m.memory_allocation = options.memory_allocation;
@@ -91,11 +92,10 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
         }
     }
 
-    if (options.modulo.has_value()) {
-        ModuloWrap wrap = *options.modulo;
-        REVEC_EXPECTS(wrap.ii > 0);
-        wrap.max_stage = m.horizon / wrap.ii + 1;
-        m.modulo = wrap;
+    if (modulo.has_value()) {
+        REVEC_EXPECTS(modulo->ii > 0);
+        modulo->max_stage = m.horizon / modulo->ii + 1;
+        m.modulo = modulo;
     }
     return m;
 }

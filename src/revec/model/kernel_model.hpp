@@ -82,28 +82,46 @@ struct ModuloWrap {
     int reconfig_budget = 0;  ///< cap on cyclic configuration changes R
 };
 
-/// Knobs for lower_ir. Defaults produce the full paper model against the
-/// architecture's whole memory and a critical-path horizon.
+/// The model knobs, declared here once: lower_ir reads them, KernelModel
+/// keeps its lowered copy, and sched::ScheduleOptions inherits them.
+/// Defaults produce the full paper model against the architecture's whole
+/// memory.
 struct LowerOptions {
-    /// Memory slots available; -1 = the architecture's full memory.
+    /// Number of memory slots available ("#slots available" in Table 1).
+    /// -1 means the architecture's full memory (banks * lines).
     int num_slots = -1;
 
-    /// Schedule horizon (exclusive bound on completions); -1 = the
-    /// critical-path length. Consumers that need slack (ASAP/ALAP) against
-    /// the critical path — the heuristic priority orders — must lower with
-    /// the default.
-    int horizon = -1;
+    /// Include the memory-allocation part of the model (eqs. 6-11).
+    /// Disabling reproduces a pure scheduler (used by ablations and by the
+    /// manual-baseline comparison, which the paper notes "does not include
+    /// memory allocation").
+    bool memory_allocation = true;
 
-    bool memory_allocation = true;       ///< include eqs. 6-11
-    bool three_phase_search = true;      ///< §3.5 phases vs. one first-fail phase
-    bool enforce_port_limits = true;     ///< per-cycle vector read/write caps
-    bool lifetime_includes_last_read = true;  ///< executable-lifetime extension
+    /// Use the paper's three sequential search phases (§3.5). When false, a
+    /// single first-fail phase over all decision variables is used instead
+    /// (ablation).
+    bool three_phase_search = true;
 
-    /// Non-empty pins every node's start (slot-only solve).
+    /// Enforce the physical memory-port limits (at most 8 vector reads and
+    /// 4 vector writes per cycle — "two matrices read, one written"). The
+    /// paper's model leaves this implicit; the EIT op set can exceed it
+    /// (four 3-operand ops would read 12 vectors), so it defaults on.
+    bool enforce_port_limits = true;
+
+    /// Lifetime definition. The paper's eq. (10) ends a lifetime at the
+    /// start of the last consumer, which admits zero-width lifetimes whose
+    /// values can only exist in forwarding paths — legal in the model but
+    /// not executable as stored machine code. The default (true) includes
+    /// the last read in the occupied interval, which the code generator and
+    /// simulator require; set false for the paper-literal model (used by
+    /// the Table 1 reproduction for comparison).
+    bool lifetime_includes_last_read = true;
+
+    /// Pin every node's start time (slot-only solve). When non-empty, must
+    /// hold a valid start per node; the model then only assigns memory
+    /// slots — used to allocate memory for externally produced schedules
+    /// such as unrolled modulo kernels (§4.3's closing remark).
     std::vector<int> fixed_starts;
-
-    /// Wrap the problem onto II residues; max_stage is recomputed.
-    std::optional<ModuloWrap> modulo;
 };
 
 /// The lowered scheduling problem. All vectors indexed by IR node id keep
@@ -145,8 +163,15 @@ struct KernelModel {
 /// Pure data extraction — no CP store, no solver state. The graph should
 /// already be normalized (ir::merge_pipeline_ops) like every scheduling
 /// entry point expects.
+///
+/// `horizon` is the exclusive bound on completions; -1 = the critical-path
+/// length. Consumers that need slack (ASAP/ALAP) against the critical path
+/// — the heuristic priority orders — must lower with the default.
+/// `modulo` wraps the problem onto II residues; its max_stage is
+/// recomputed from the horizon.
 KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
-                     const LowerOptions& options = {});
+                     const LowerOptions& options = {}, int horizon = -1,
+                     std::optional<ModuloWrap> modulo = {});
 
 /// Copy of `m` with the horizon raised (or lowered) to `horizon`. ALAP
 /// times are computed against the horizon as latest-start = horizon minus

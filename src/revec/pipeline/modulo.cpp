@@ -88,10 +88,9 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
     // Lower and emit once per candidate II (the wrap is part of the model);
     // worker 0 searches this store and further portfolio workers clones of
     // it, so this table's handles index any worker's solution.
-    model::LowerOptions lo;
-    lo.horizon = horizon;
-    lo.modulo = model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget};
-    const model::KernelModel km = model::lower_ir(spec, g, lo);
+    const model::KernelModel km =
+        model::lower_ir(spec, g, {}, horizon,
+                        model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget});
 
     cp::Store store;
     model::VarTable m = model::emit_cp(store, km);

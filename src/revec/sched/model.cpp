@@ -144,9 +144,7 @@ Schedule merge_with_seed(Schedule seed, Schedule exact) {
 
 model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions& options) {
     const arch::ArchSpec& spec = options.spec;
-    const int num_slots =
-        options.num_slots < 0 ? spec.memory.slots() : options.num_slots;
-    if (options.memory_allocation && num_slots > spec.memory.slots()) {
+    if (options.memory_allocation && options.num_slots > spec.memory.slots()) {
         throw Error("num_slots exceeds the architecture's memory");
     }
 
@@ -163,26 +161,10 @@ model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions&
         horizon = std::max(horizon, fixed_end + 2);
     }
 
-    model::LowerOptions lo;
-    lo.num_slots = num_slots;
-    lo.horizon = horizon;
-    lo.memory_allocation = options.memory_allocation;
-    lo.three_phase_search = options.three_phase_search;
-    lo.enforce_port_limits = options.enforce_port_limits;
-    lo.lifetime_includes_last_read = options.lifetime_includes_last_read;
-    lo.fixed_starts = options.fixed_starts;
-    return model::lower_ir(spec, g, lo);
+    return model::lower_ir(spec, g, options, horizon);
 }
 
-ModelSolveOptions model_solve_options(const ScheduleOptions& options) {
-    ModelSolveOptions mo;
-    mo.timeout_ms = options.timeout_ms;
-    mo.warm_start = options.warm_start;
-    mo.heuristic_only = options.heuristic_only;
-    mo.solver = options.solver;
-    mo.lns = options.lns;
-    return mo;
-}
+ModelSolveOptions model_solve_options(const ScheduleOptions& options) { return options; }
 
 Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOptions& options) {
     // The flat model only: the heuristic, the warm start and extraction all
@@ -319,17 +301,15 @@ Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options) {
     options.spec.validate();
     ir::validate_graph(g);
 
-    obs::TraceBuffer* const trace =
-        options.solver.trace != nullptr ? options.solver.trace->main() : nullptr;
-    obs::SpanScope schedule_span(trace, obs::TraceLevel::Phase, "schedule", "nodes",
+    ModelSolveOptions mo = model_solve_options(options);
+    if (mo.trace == nullptr && mo.solver.trace != nullptr) mo.trace = mo.solver.trace->main();
+    obs::SpanScope schedule_span(mo.trace, obs::TraceLevel::Phase, "schedule", "nodes",
                                  g.num_nodes());
 
-    obs::span_begin(trace, obs::TraceLevel::Phase, "lower");
+    obs::span_begin(mo.trace, obs::TraceLevel::Phase, "lower");
     const model::KernelModel km = lower_for_schedule(g, options);
-    obs::span_end(trace, obs::TraceLevel::Phase, "lower");
+    obs::span_end(mo.trace, obs::TraceLevel::Phase, "lower");
 
-    ModelSolveOptions mo = model_solve_options(options);
-    mo.trace = trace;
     return schedule_model(km, mo);
 }
 

@@ -18,76 +18,6 @@
 
 namespace revec::sched {
 
-/// Scheduling options.
-struct ScheduleOptions {
-    arch::ArchSpec spec = arch::ArchSpec::eit();
-
-    /// Number of memory slots available ("#slots available" in Table 1).
-    /// -1 means the architecture's full memory (banks * lines).
-    int num_slots = -1;
-
-    /// Wall-clock budget in milliseconds; -1 = unlimited.
-    std::int64_t timeout_ms = -1;
-
-    /// Include the memory-allocation part of the model (eqs. 6-11).
-    /// Disabling reproduces a pure scheduler (used by ablations and by the
-    /// manual-baseline comparison, which the paper notes "does not include
-    /// memory allocation").
-    bool memory_allocation = true;
-
-    /// Use the paper's three sequential search phases (§3.5). When false, a
-    /// single first-fail phase over all decision variables is used instead
-    /// (ablation).
-    bool three_phase_search = true;
-
-    /// Enforce the physical memory-port limits (at most 8 vector reads and
-    /// 4 vector writes per cycle — "two matrices read, one written"). The
-    /// paper's model leaves this implicit; the EIT op set can exceed it
-    /// (four 3-operand ops would read 12 vectors), so it defaults on.
-    bool enforce_port_limits = true;
-
-    /// Pin every node's start time (slot-only solve). When non-empty, must
-    /// hold a valid start per node; the model then only assigns memory
-    /// slots — used to allocate memory for externally produced schedules
-    /// such as unrolled modulo kernels (§4.3's closing remark).
-    std::vector<int> fixed_starts;
-
-    /// Lifetime definition. The paper's eq. (10) ends a lifetime at the
-    /// start of the last consumer, which admits zero-width lifetimes whose
-    /// values can only exist in forwarding paths — legal in the model but
-    /// not executable as stored machine code. The default (true) includes
-    /// the last read in the occupied interval, which the code generator and
-    /// simulator require; set false for the paper-literal model (used by
-    /// the Table 1 reproduction for comparison).
-    bool lifetime_includes_last_read = true;
-
-    /// Exact search (§3.5), run through cp::solve_portfolio: N diversified
-    /// workers with a shared branch-and-bound incumbent; threads = 1 walks
-    /// the sequential tree. See cp/portfolio.hpp for the knobs. Setting
-    /// solver.lns_workers > 0 races LNS workers alongside (the lns_round
-    /// hook and seed assignment are wired here from the lowered model — the
-    /// caller only sets the count and `lns` tuning).
-    cp::SolverConfig solver;
-
-    /// Tuning of the portfolio's LNS workers (relax fraction, repair
-    /// budget, selector rotation). Ignored unless solver.lns_workers > 0.
-    lns::LnsTuning lns;
-
-    /// Warm start from the heuristic layer (src/revec/heur): a verified
-    /// list-schedule + greedy-allocation solution seeds the branch-and-bound
-    /// incumbent, so the exact search only ever explores strictly better
-    /// makespans, and is returned as the result (status HeuristicFallback)
-    /// when the exact search times out without any solution of its own.
-    /// Disabling gives the cold exact solver (used by the differential
-    /// warm-vs-cold tests and the paper-literal reproduction runs).
-    bool warm_start = true;
-
-    /// Skip the exact solver entirely and return the verified heuristic
-    /// schedule (status HeuristicFallback). Implies warm_start semantics
-    /// for the result shape; useful as a fast compilation mode.
-    bool heuristic_only = false;
-};
-
 /// An externally produced candidate schedule offered as a warm incumbent
 /// (DESIGN §5k): the svc reuse layer passes the adapted donor schedule
 /// here. schedule_model re-verifies it against the model being solved
@@ -109,18 +39,30 @@ struct ModelSolveOptions {
     /// Wall-clock budget in milliseconds; -1 = unlimited.
     std::int64_t timeout_ms = -1;
 
-    /// Seed the exact search from the heuristic layer / return the
-    /// heuristic schedule as the anytime fallback (see ScheduleOptions).
+    /// Warm start from the heuristic layer (src/revec/heur): a verified
+    /// list-schedule + greedy-allocation solution seeds the branch-and-bound
+    /// incumbent, so the exact search only ever explores strictly better
+    /// makespans, and is returned as the result (status HeuristicFallback)
+    /// when the exact search times out without any solution of its own.
+    /// Disabling gives the cold exact solver (used by the differential
+    /// warm-vs-cold tests and the paper-literal reproduction runs).
     bool warm_start = true;
 
-    /// Skip the exact solver and return the verified heuristic schedule.
+    /// Skip the exact solver entirely and return the verified heuristic
+    /// schedule (status HeuristicFallback). Implies warm_start semantics
+    /// for the result shape; useful as a fast compilation mode.
     bool heuristic_only = false;
 
-    /// Solver configuration (threads, portfolio, LNS worker count, trace
-    /// sink) — as ScheduleOptions::solver.
+    /// Exact search (§3.5), run through cp::solve_portfolio: N diversified
+    /// workers with a shared branch-and-bound incumbent; threads = 1 walks
+    /// the sequential tree. See cp/portfolio.hpp for the knobs. Setting
+    /// solver.lns_workers > 0 races LNS workers alongside (the lns_round
+    /// hook and seed assignment are wired here from the lowered model — the
+    /// caller only sets the count and `lns` tuning).
     cp::SolverConfig solver;
 
-    /// LNS tuning; ignored unless solver.lns_workers > 0.
+    /// Tuning of the portfolio's LNS workers (relax fraction, repair
+    /// budget, selector rotation). Ignored unless solver.lns_workers > 0.
     lns::LnsTuning lns;
 
     /// Optional externally supplied incumbent (see IncumbentSeed). Only
@@ -133,6 +75,15 @@ struct ModelSolveOptions {
     /// Concurrent callers must pass distinct tracks — a TraceBuffer is
     /// single-writer.
     obs::TraceBuffer* trace = nullptr;
+};
+
+/// Options of schedule_kernel: the model knobs (model::LowerOptions — the
+/// slot budget, memory allocation, search phases, port limits, lifetime
+/// rule and pinned starts), the solve knobs (ModelSolveOptions) and the
+/// target architecture. Pass the same value to verify_schedule (it reads
+/// the model knobs) so the check sees the model that was solved.
+struct ScheduleOptions : model::LowerOptions, ModelSolveOptions {
+    arch::ArchSpec spec = arch::ArchSpec::eit();
 };
 
 /// Solve the scheduling (+ memory allocation) problem for one iteration of
@@ -151,8 +102,7 @@ Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options = {}
 model::KernelModel lower_for_schedule(const ir::Graph& g,
                                       const ScheduleOptions& options = {});
 
-/// Map the schedule-level options onto ModelSolveOptions the way
-/// schedule_kernel does.
+/// The solve knobs of `options`, as schedule_kernel passes them on.
 ModelSolveOptions model_solve_options(const ScheduleOptions& options);
 
 /// Solve an already-lowered flat KernelModel: verified heuristic warm

@@ -1,21 +1,17 @@
 #include "revec/sched/verify.hpp"
 
 #include "revec/model/check.hpp"
-#include "revec/model/kernel_model.hpp"
 
 namespace revec::sched {
 
 std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                         const Schedule& sched, const VerifyOptions& options) {
+                                         const Schedule& sched,
+                                         const model::LowerOptions& options) {
     // Thin shim over the shared model checker: lower the kernel with the
-    // matching flags and check the raw start/slot vectors against it. The
+    // same knobs and check the raw start/slot vectors against it. The
     // verifier stays independent of the CP solver — model::check_schedule
     // recomputes every constraint from the KernelModel alone.
-    model::LowerOptions lo;
-    lo.memory_allocation = options.check_memory;
-    lo.enforce_port_limits = options.check_port_limits;
-    lo.lifetime_includes_last_read = options.lifetime_includes_last_read;
-    return model::check_schedule(model::lower_ir(spec, g, lo), sched.start, sched.slot,
+    return model::check_schedule(model::lower_ir(spec, g, options), sched.start, sched.slot,
                                  sched.makespan);
 }
 

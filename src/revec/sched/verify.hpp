@@ -9,21 +9,17 @@
 
 #include "revec/arch/spec.hpp"
 #include "revec/ir/graph.hpp"
+#include "revec/model/kernel_model.hpp"
 #include "revec/sched/schedule.hpp"
 
 namespace revec::sched {
 
-/// What to verify.
-struct VerifyOptions {
-    bool check_memory = true;  ///< eqs. 6-11 (slots must be assigned)
-    bool lifetime_includes_last_read = true;  ///< must match the model option
-    /// Per-cycle vector read/write port limits (slot-independent counts);
-    /// matches ScheduleOptions::enforce_port_limits.
-    bool check_port_limits = true;
-};
-
-/// All violations found (empty = schedule is valid).
+/// All violations found (empty = schedule is valid) against the model
+/// `g` lowers to under `options` — pass the ScheduleOptions the schedule
+/// was solved with, so the slot budget, pinned starts, memory, port and
+/// lifetime rules checked are the ones the solver saw.
 std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                         const Schedule& sched, const VerifyOptions& options = {});
+                                         const Schedule& sched,
+                                         const model::LowerOptions& options = {});
 
 }  // namespace revec::sched

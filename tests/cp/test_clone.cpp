@@ -79,11 +79,12 @@ std::vector<Emitted> kernel_emissions() {
     for (const auto& [name, ii_delta, budget] :
          {std::tuple{"qrd", 0, 14}, std::tuple{"arf", 1, 64}}) {
         const ir::Graph g = kernel(name);
-        model::LowerOptions lo;
-        lo.horizon = 2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-        lo.modulo = model::ModuloWrap{pipeline::ii_lower_bound(kSpec, g) + ii_delta, 0, true,
-                                      budget};
-        out.push_back(emit(std::string(name) + "-table3", model::lower_ir(kSpec, g, lo), true));
+        const int horizon =
+            2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
+        const model::ModuloWrap wrap{pipeline::ii_lower_bound(kSpec, g) + ii_delta, 0, true,
+                                     budget};
+        out.push_back(emit(std::string(name) + "-table3",
+                           model::lower_ir(kSpec, g, {}, horizon, wrap), true));
     }
     return out;
 }

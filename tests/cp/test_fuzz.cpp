@@ -5,6 +5,7 @@
 // the constraints, and (c) never emits an invalid "solution".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <random>
@@ -48,7 +49,7 @@ Instance make_instance(unsigned seed) {
 
     const int num_constraints = 2 + static_cast<int>(rng() % 4);
     for (int c = 0; c < num_constraints; ++c) {
-        switch (rng() % 5) {
+        switch (rng() % 8) {
             case 0: {  // linear <=
                 const auto [a, b] = var_pair();
                 const int k1 = 1 + static_cast<int>(rng() % 3);
@@ -115,6 +116,97 @@ Instance make_instance(unsigned seed) {
                     const bool q = v[static_cast<std::size_t>(c2)] ==
                                    v[static_cast<std::size_t>(d2)];
                     return !p || q;
+                });
+                break;
+            }
+            case 5: {  // z = max of one to three other variables
+                const int z = static_cast<int>(rng() % n);
+                std::vector<int> args;
+                for (int i = 0; i < n; ++i) {
+                    if (i != z && rng() % 2 == 0 && args.size() < 3) args.push_back(i);
+                }
+                if (args.empty()) args.push_back((z + 1) % n);
+                posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
+                    std::vector<IntVar> operands;
+                    for (const int i : args) operands.push_back(xs[static_cast<std::size_t>(i)]);
+                    post_max(s, xs[static_cast<std::size_t>(z)], operands);
+                });
+                checks.push_back([=](const std::vector<int>& v) {
+                    int m = v[static_cast<std::size_t>(args.front())];
+                    for (const int i : args) m = std::max(m, v[static_cast<std::size_t>(i)]);
+                    return v[static_cast<std::size_t>(z)] == m;
+                });
+                break;
+            }
+            case 6: {  // non-overlapping rectangles (eq. 11 shape)
+                // Each rectangle takes its origins from two distinct
+                // variables and its x-length from a third variable or a
+                // constant in 0..2; y-lengths are constants in 0..2.
+                struct Box {
+                    int x, y, len_var, len_const, len_y;
+                };
+                std::vector<Box> boxes(2 + rng() % 2);
+                for (Box& b : boxes) {
+                    const auto [x, y] = var_pair();
+                    b.x = x;
+                    b.y = y;
+                    b.len_var = rng() % 2 == 0 ? static_cast<int>(rng() % n) : -1;
+                    b.len_const = static_cast<int>(rng() % 3);
+                    b.len_y = static_cast<int>(rng() % 3);
+                }
+                posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
+                    std::vector<Rect> rects;
+                    for (const Box& b : boxes) {
+                        const IntVar len = b.len_var >= 0
+                                               ? xs[static_cast<std::size_t>(b.len_var)]
+                                               : s.new_var(b.len_const, b.len_const);
+                        rects.push_back({xs[static_cast<std::size_t>(b.x)],
+                                         xs[static_cast<std::size_t>(b.y)], len, b.len_y});
+                    }
+                    post_diff2(s, rects);
+                });
+                checks.push_back([=](const std::vector<int>& v) {
+                    const auto at = [&v](int i) { return v[static_cast<std::size_t>(i)]; };
+                    const auto len_x = [&](const Box& b) {
+                        return b.len_var >= 0 ? at(b.len_var) : b.len_const;
+                    };
+                    for (std::size_t i = 0; i < boxes.size(); ++i) {
+                        for (std::size_t j = i + 1; j < boxes.size(); ++j) {
+                            const Box& a = boxes[i];
+                            const Box& b = boxes[j];
+                            const int la = len_x(a);
+                            const int lb = len_x(b);
+                            if (la == 0 || lb == 0 || a.len_y == 0 || b.len_y == 0) continue;
+                            const bool overlap_x = at(a.x) < at(b.x) + lb && at(b.x) < at(a.x) + la;
+                            const bool overlap_y =
+                                at(a.y) < at(b.y) + b.len_y && at(b.y) < at(a.y) + a.len_y;
+                            if (overlap_x && overlap_y) return false;
+                        }
+                    }
+                    return true;
+                });
+                break;
+            }
+            case 7: {  // count of reified x_i == k booleans
+                const int total = static_cast<int>(rng() % n);
+                const int k = static_cast<int>(rng() % (max_val + 1));
+                std::vector<int> counted;
+                for (int i = 0; i < n; ++i) {
+                    if (i != total && rng() % 3 != 0) counted.push_back(i);
+                }
+                posts.push_back([=](Store& s, const std::vector<IntVar>& xs) {
+                    std::vector<BoolVar> bools;
+                    for (const int i : counted) {
+                        const BoolVar b = s.new_bool();
+                        post_reified_eq_const(s, b, xs[static_cast<std::size_t>(i)], k);
+                        bools.push_back(b);
+                    }
+                    post_bool_sum(s, bools, xs[static_cast<std::size_t>(total)]);
+                });
+                checks.push_back([=](const std::vector<int>& v) {
+                    int hits = 0;
+                    for (const int i : counted) hits += v[static_cast<std::size_t>(i)] == k ? 1 : 0;
+                    return v[static_cast<std::size_t>(total)] == hits;
                 });
                 break;
             }

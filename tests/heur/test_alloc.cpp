@@ -23,14 +23,24 @@ namespace {
 
 const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 
+model::LowerOptions with_slots(int num_slots) {
+    model::LowerOptions lo;
+    lo.num_slots = num_slots;
+    return lo;
+}
+
+/// `g` lowered with `num_slots` memory slots.
+model::KernelModel lowered(const ir::Graph& g, int num_slots) {
+    return model::lower_ir(kSpec, g, with_slots(num_slots));
+}
+
 /// Try the retry ladder until some (schedule, allocation) pair succeeds;
 /// returns whether one did and full-verifies it.
 bool ladder_allocates(const ir::Graph& g, int num_slots) {
+    const model::KernelModel km = lowered(g, num_slots);
     for (const ListOptions& rung : ladder()) {
-        const ListResult list = priority_list_schedule(kSpec, g, rung);
-        AllocOptions ao;
-        ao.num_slots = num_slots;
-        const AllocResult alloc = allocate_slots(kSpec, g, list.start, ao);
+        const ListResult list = priority_list_schedule(km, rung);
+        const AllocResult alloc = allocate_slots(km, list.start);
         if (!alloc.ok) continue;
 
         sched::Schedule s;
@@ -39,7 +49,7 @@ bool ladder_allocates(const ir::Graph& g, int num_slots) {
         s.makespan = list.makespan;
         s.slots_used = alloc.slots_used;
         s.status = cp::SolveStatus::HeuristicFallback;
-        const auto problems = sched::verify_schedule(kSpec, g, s);
+        const auto problems = sched::verify_schedule(kSpec, g, s, with_slots(num_slots));
         EXPECT_TRUE(problems.empty()) << g.name() << " slots=" << num_slots << ": "
                                       << (problems.empty() ? "" : problems.front());
         EXPECT_LE(s.slots_used, num_slots);
@@ -68,10 +78,9 @@ TEST(Allocator, RandomKernelsAllocateWithFullMemory) {
 
 TEST(Allocator, TooFewSlotsFailsCleanly) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
-    const ListResult list = priority_list_schedule(kSpec, g);
-    AllocOptions ao;
-    ao.num_slots = 2;  // matmul needs far more simultaneously live data
-    const AllocResult alloc = allocate_slots(kSpec, g, list.start, ao);
+    // matmul needs far more simultaneously live data than two slots hold
+    const model::KernelModel km = lowered(g, 2);
+    const AllocResult alloc = allocate_slots(km, priority_list_schedule(km).start);
     EXPECT_FALSE(alloc.ok);
 }
 
@@ -82,10 +91,8 @@ TEST(Allocator, NoVectorDataTriviallyOk) {
     const int out = g.add_data(ir::NodeCat::ScalarData);
     g.add_edge(in, op);
     g.add_edge(op, out);
-    const ListResult list = priority_list_schedule(kSpec, g);
-    AllocOptions ao;
-    ao.num_slots = 0;
-    const AllocResult alloc = allocate_slots(kSpec, g, list.start, ao);
+    const model::KernelModel km = lowered(g, 0);
+    const AllocResult alloc = allocate_slots(km, priority_list_schedule(km).start);
     EXPECT_TRUE(alloc.ok);
     EXPECT_EQ(alloc.slots_used, 0);
 }
@@ -101,10 +108,8 @@ TEST(Allocator, ReusesSlotsAcrossDisjointLifetimes) {
     p.mark_output(v);
     const ir::Graph g = p.ir();
 
-    const ListResult list = priority_list_schedule(kSpec, g);
-    AllocOptions ao;
-    ao.num_slots = kSpec.memory.slots();
-    const AllocResult alloc = allocate_slots(kSpec, g, list.start, ao);
+    const model::KernelModel km = lowered(g, kSpec.memory.slots());
+    const AllocResult alloc = allocate_slots(km, priority_list_schedule(km).start);
     ASSERT_TRUE(alloc.ok);
     EXPECT_LT(alloc.slots_used, static_cast<int>(g.nodes_of(ir::NodeCat::VectorData).size()));
 }

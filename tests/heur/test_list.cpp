@@ -38,15 +38,15 @@ void expect_timing_valid(const ir::Graph& g, const ListResult& r) {
     s.slot.assign(static_cast<std::size_t>(g.num_nodes()), -1);
     s.makespan = r.makespan;
     s.status = cp::SolveStatus::HeuristicFallback;
-    sched::VerifyOptions vo;
-    vo.check_memory = false;
+    model::LowerOptions vo;
+    vo.memory_allocation = false;
     const auto problems = sched::verify_schedule(kSpec, g, s, vo);
     ASSERT_TRUE(problems.empty()) << g.name() << ": " << problems.front();
 }
 
 TEST(ListScheduler, AppKernelsVerifyClean) {
     for (const ir::Graph& g : app_kernels()) {
-        const ListResult r = priority_list_schedule(kSpec, g);
+        const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g));
         EXPECT_GE(r.makespan, ir::critical_path_length(kSpec, g)) << g.name();
         expect_timing_valid(g, r);
     }
@@ -56,7 +56,7 @@ TEST(ListScheduler, LadderRungsVerifyClean) {
     for (const ir::Graph& g : app_kernels()) {
         for (const ListOptions& rung : {ListOptions{true, true, false, {}},
                                         ListOptions{true, true, true, {}}}) {
-            const ListResult r = priority_list_schedule(kSpec, g, rung);
+            const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g), rung);
             expect_timing_valid(g, r);
         }
     }
@@ -66,7 +66,7 @@ TEST(ListScheduler, SerializedIssueHasUniqueVectorCycles) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
     ListOptions rung;
     rung.serialize_vector_issue = true;
-    const ListResult r = priority_list_schedule(kSpec, g, rung);
+    const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g), rung);
     std::map<int, int> issues;
     for (const ir::Node& node : g.nodes()) {
         if (node.is_op() && ir::node_timing(kSpec, node).lanes > 0) {
@@ -81,7 +81,7 @@ TEST(ListScheduler, SpreadWritesSeparatesWriters) {
     ListOptions rung;
     rung.serialize_vector_issue = true;
     rung.spread_writes = true;
-    const ListResult r = priority_list_schedule(kSpec, g, rung);
+    const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g), rung);
     expect_timing_valid(g, r);
     // At most one *writer* lands per cycle (a multi-output op's writes
     // still land together).
@@ -108,7 +108,7 @@ TEST(ListScheduler, RandomKernelsVerifyClean) {
         for (const ListOptions& rung :
              {ListOptions{}, ListOptions{true, true, false, {}},
               ListOptions{true, true, true, {}}}) {
-            const ListResult r = priority_list_schedule(kSpec, g, rung);
+            const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g), rung);
             expect_timing_valid(g, r);
         }
     }
@@ -116,7 +116,7 @@ TEST(ListScheduler, RandomKernelsVerifyClean) {
 
 TEST(ListScheduler, DataNodesFollowProducerLatency) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
-    const ListResult r = priority_list_schedule(kSpec, g);
+    const ListResult r = priority_list_schedule(model::lower_ir(kSpec, g));
     for (const ir::Node& node : g.nodes()) {
         if (!node.is_data() || g.preds(node.id).empty()) continue;
         const int p = g.preds(node.id).front();

@@ -36,9 +36,7 @@ inline Incumbent ladder_incumbent(const arch::ArchSpec& spec, const ir::Graph& g
     const model::KernelModel km0 = model::lower_ir(spec, g);
     const heur::ListResult list =
         heur::priority_list_schedule(km0, heur::ladder().at(rung));
-    model::LowerOptions lo;
-    lo.horizon = list.makespan + 2;
-    inc.km = model::lower_ir(spec, g, lo);
+    inc.km = model::lower_ir(spec, g, {}, list.makespan + 2);
     const heur::AllocResult alloc = heur::allocate_slots(inc.km, list.start);
     if (!alloc.ok) return inc;
     inc.start = list.start;

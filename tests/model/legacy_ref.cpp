@@ -26,7 +26,7 @@ std::string at_node(const ir::Graph& g, int id) {
 
 std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
                                          const sched::Schedule& sched,
-                                         const sched::VerifyOptions& options) {
+                                         const model::LowerOptions& options) {
     std::vector<std::string> problems;
     const auto report = [&](const std::string& msg) { problems.push_back(msg); };
 
@@ -110,7 +110,7 @@ std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::G
     }
 
     // -- memory-port limits (model extension; slot-independent) ----------------
-    if (options.check_port_limits) {
+    if (options.enforce_port_limits) {
         std::map<int, int> reads_count;
         std::map<int, int> writes_count;
         for (const ir::Node& node : g.nodes()) {
@@ -145,7 +145,7 @@ std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::G
         }
     }
 
-    if (!options.check_memory) return problems;
+    if (!options.memory_allocation) return problems;
 
     // -- memory allocation (eqs. 6-11) ---------------------------------------------------
     if (sched.slot.size() != static_cast<std::size_t>(g.num_nodes())) {

@@ -12,14 +12,14 @@
 
 #include "revec/arch/spec.hpp"
 #include "revec/ir/graph.hpp"
+#include "revec/model/kernel_model.hpp"
 #include "revec/sched/schedule.hpp"
-#include "revec/sched/verify.hpp"
 
 namespace revec::legacy {
 
 /// The old standalone schedule verifier, verbatim.
 std::vector<std::string> verify_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
                                          const sched::Schedule& sched,
-                                         const sched::VerifyOptions& options = {});
+                                         const model::LowerOptions& options = {});
 
 }  // namespace revec::legacy

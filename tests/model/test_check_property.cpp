@@ -21,7 +21,7 @@ const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 /// Both verifiers, same options; the reports must be identical as ordered
 /// string lists (the new checker is a transliteration, not a rewrite).
 void expect_same_reports(const ir::Graph& g, const sched::Schedule& s,
-                         const sched::VerifyOptions& opts, const char* what, unsigned seed) {
+                         const LowerOptions& opts, const char* what, unsigned seed) {
     const std::vector<std::string> now = sched::verify_schedule(kSpec, g, s, opts);
     const std::vector<std::string> before = legacy::verify_schedule(kSpec, g, s, opts);
     EXPECT_EQ(now, before) << what << " seed " << seed;
@@ -46,13 +46,13 @@ TEST_P(CheckerAgreesWithLegacy, OnHeuristicAndSabotagedSchedules) {
     expect_same_reports(g, h, {}, "clean", seed);
 
     // Option variants exercise every checker family toggle.
-    sched::VerifyOptions no_mem;
-    no_mem.check_memory = false;
+    LowerOptions no_mem;
+    no_mem.memory_allocation = false;
     expect_same_reports(g, h, no_mem, "no_mem", seed);
-    sched::VerifyOptions no_ports;
-    no_ports.check_port_limits = false;
+    LowerOptions no_ports;
+    no_ports.enforce_port_limits = false;
     expect_same_reports(g, h, no_ports, "no_ports", seed);
-    sched::VerifyOptions paper_lifetimes;
+    LowerOptions paper_lifetimes;
     paper_lifetimes.lifetime_includes_last_read = false;
     expect_same_reports(g, h, paper_lifetimes, "paper_lifetimes", seed);
 

@@ -36,10 +36,9 @@ TEST(EmitSize, QrdModuloAtTable3Optimum) {
     // II 18 is QRD's resource lower bound and the II of its Table 3
     // (reconfigurations included) optimum.
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_qrd());
-    LowerOptions lo;
-    lo.horizon = 2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-    lo.modulo = ModuloWrap{18, 0, true, 14};
-    const Size s = emitted(lower_ir(kSpec, g, lo));
+    const int horizon =
+        2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
+    const Size s = emitted(lower_ir(kSpec, g, {}, horizon, ModuloWrap{18, 0, true, 14}));
     EXPECT_EQ(s.vars, 278u);
     EXPECT_EQ(s.props, 251u);
 }
@@ -48,9 +47,7 @@ TEST(EmitSize, BudgetContradictionEmitsNothing) {
     // QRD has four configurations, so R >= 4 and a budget of 3 is
     // infeasible before any variable exists.
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_qrd());
-    LowerOptions lo;
-    lo.modulo = ModuloWrap{19, 0, true, 3};
-    const KernelModel km = lower_ir(kSpec, g, lo);
+    const KernelModel km = lower_ir(kSpec, g, {}, -1, ModuloWrap{19, 0, true, 3});
     ASSERT_EQ(modulo_reconfig_floor(km), 4);
     cp::Store store;
     EXPECT_TRUE(emit_cp(store, km).infeasible);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "revec/apps/arf.hpp"
@@ -23,9 +24,9 @@ namespace {
 
 const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 
-KernelModel matmul_model(const LowerOptions& options = {}) {
+KernelModel matmul_model(std::optional<ModuloWrap> modulo = {}) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
-    return lower_ir(kSpec, g, options);
+    return lower_ir(kSpec, g, {}, -1, modulo);
 }
 
 TEST(ModelJsonRoundTrip, FlatModelSurvivesByteExactly) {
@@ -35,9 +36,7 @@ TEST(ModelJsonRoundTrip, FlatModelSurvivesByteExactly) {
 }
 
 TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
-    LowerOptions options;
-    options.modulo = ModuloWrap{4, 0, true, 2};
-    KernelModel m = matmul_model(options);
+    KernelModel m = matmul_model(ModuloWrap{4, 0, true, 2});
     m.fixed_starts.assign(m.nodes.size(), 3);
     const std::string canonical = to_json(m);
     const KernelModel back = from_json(canonical);
@@ -200,18 +199,14 @@ TEST(WithHorizon, MatchesLowerIrAtRaisedHorizon) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
     const KernelModel base = lower_ir(kSpec, g);
 
-    LowerOptions raised;
-    raised.horizon = base.critical_path + 7;
     EXPECT_EQ(to_json(with_horizon(base, base.critical_path + 7)),
-              to_json(lower_ir(kSpec, g, raised)));
+              to_json(lower_ir(kSpec, g, {}, base.critical_path + 7)));
     // Identity raise is a no-op.
     EXPECT_EQ(to_json(with_horizon(base, base.horizon)), to_json(base));
 }
 
 TEST(WithHorizon, RecomputesModuloMaxStage) {
-    LowerOptions options;
-    options.modulo = ModuloWrap{4, 0, false, 0};
-    const KernelModel base = matmul_model(options);
+    const KernelModel base = matmul_model(ModuloWrap{4, 0, false, 0});
     const int horizon = base.horizon + 9;
     const KernelModel out = with_horizon(base, horizon);
     ASSERT_TRUE(out.modulo.has_value());

@@ -144,11 +144,10 @@ Outcome run_flat(const FlatCase& c) {
     const ir::Graph g = kernel_by_name(c.kernel);
     LowerOptions lo;
     lo.num_slots = c.num_slots < 0 ? kSpec.memory.slots() : c.num_slots;
-    lo.horizon = horizon_for(g);
     lo.memory_allocation = c.memory;
     lo.three_phase_search = c.three_phase;
     cp::Store store;
-    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, lo));
+    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, lo, horizon_for(g)));
     const cp::SolveResult r = cp::solve(store, vars.phases, vars.makespan);
 
     Outcome o;
@@ -218,12 +217,12 @@ void PrintTo(const ModuloCase& c, std::ostream* os) {
 /// Lower, emit and solve (or satisfy) one modulo case.
 Outcome run_modulo(const ModuloCase& c) {
     const ir::Graph g = kernel_by_name(c.kernel);
-    LowerOptions lo;
-    lo.horizon = 2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-    lo.modulo = ModuloWrap{pipeline::ii_lower_bound(kSpec, g) + c.ii_delta, 0, c.minimize,
-                           c.budget};
+    const int horizon =
+        2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
+    const ModuloWrap wrap{pipeline::ii_lower_bound(kSpec, g) + c.ii_delta, 0, c.minimize,
+                          c.budget};
     cp::Store store;
-    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, lo));
+    const VarTable vars = emit_cp(store, lower_ir(kSpec, g, {}, horizon, wrap));
 
     Outcome o;
     if (vars.infeasible) {

@@ -87,8 +87,8 @@ TEST(ExpandUniform, DroppingAllocationSkipsSlots) {
     const sched::Schedule s = sched::schedule_kernel(g);
     const ExpandedProgram ep = expand_uniform(kSpec, g, s, 2, s.makespan + 2, -1);
     for (const int slot : ep.schedule.slot) EXPECT_EQ(slot, -1);
-    sched::VerifyOptions vo;
-    vo.check_memory = false;
+    model::LowerOptions vo;
+    vo.memory_allocation = false;
     EXPECT_TRUE(sched::verify_schedule(kSpec, ep.graph, ep.schedule, vo).empty());
 }
 
@@ -100,8 +100,8 @@ TEST(ExpandOverlap, UnrolledOverlapVerifies) {
     for (const int m : {1, 4, 12}) {
         const OverlapResult overlap = overlapped_execution(kSpec, g, seq, m);
         const ExpandedProgram ep = expand_overlap(kSpec, g, seq, overlap);
-        sched::VerifyOptions vo;
-        vo.check_memory = false;
+        model::LowerOptions vo;
+        vo.memory_allocation = false;
         const auto problems = sched::verify_schedule(kSpec, ep.graph, ep.schedule, vo);
         EXPECT_TRUE(problems.empty()) << "M=" << m << ": " << problems.front();
         EXPECT_EQ(ep.schedule.makespan, overlap.schedule_length - 0)
@@ -121,8 +121,8 @@ TEST(ExpandModulo, UnrolledKernelVerifies) {
         ASSERT_TRUE(r.feasible());
         for (const int m : {1, 3, 6}) {
             const ExpandedProgram ep = expand_modulo(kSpec, g, r, m);
-            sched::VerifyOptions vo;
-            vo.check_memory = false;
+            model::LowerOptions vo;
+            vo.memory_allocation = false;
             const auto problems = sched::verify_schedule(kSpec, ep.graph, ep.schedule, vo);
             EXPECT_TRUE(problems.empty())
                 << g.name() << " M=" << m << ": " << problems.front();

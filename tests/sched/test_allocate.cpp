@@ -143,8 +143,7 @@ TEST(PortLimits, CmacBurstSerializedByModel) {
     ASSERT_TRUE(s_without.feasible());
     EXPECT_EQ(s_without.makespan, 7);  // all four in cycle 0
     // The verifier (with port checks on) must flag that schedule.
-    VerifyOptions vo;
-    const auto problems = verify_schedule(kSpec, g, s_without, vo);
+    const auto problems = verify_schedule(kSpec, g, s_without);
     bool port_problem = false;
     for (const auto& msg : problems) {
         port_problem = port_problem || msg.find("read-port") != std::string::npos;

@@ -19,8 +19,8 @@ void expect_valid(const ir::Graph& g, const ListScheduleResult& r) {
     sched.start = r.start;
     sched.makespan = r.makespan;
     sched.status = cp::SolveStatus::Optimal;
-    VerifyOptions opts;
-    opts.check_memory = false;
+    model::LowerOptions opts;
+    opts.memory_allocation = false;
     const auto problems = verify_schedule(kSpec, g, sched, opts);
     EXPECT_TRUE(problems.empty()) << problems.front();
 }

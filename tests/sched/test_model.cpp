@@ -19,10 +19,7 @@ const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 void expect_verified(const ir::Graph& g, const Schedule& s,
                      const ScheduleOptions& opts = {}) {
     ASSERT_TRUE(s.feasible());
-    VerifyOptions vo;
-    vo.check_memory = opts.memory_allocation;
-    vo.lifetime_includes_last_read = opts.lifetime_includes_last_read;
-    const auto problems = verify_schedule(kSpec, g, s, vo);
+    const auto problems = verify_schedule(kSpec, g, s, opts);
     EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
@@ -101,9 +98,7 @@ TEST(Model, MemoryDisabledSkipsSlots) {
     const Schedule s = schedule_kernel(g, opts);
     ASSERT_TRUE(s.feasible());
     EXPECT_EQ(s.slots_used, 0);
-    VerifyOptions vo;
-    vo.check_memory = false;
-    EXPECT_TRUE(verify_schedule(kSpec, g, s, vo).empty());
+    EXPECT_TRUE(verify_schedule(kSpec, g, s, opts).empty());
 }
 
 TEST(Model, MatmulOptimalScheduleAndMemory) {

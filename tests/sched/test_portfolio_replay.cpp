@@ -79,8 +79,7 @@ TEST(PortfolioReplay, SlotConstrainedSchedulesStayVerified) {
             EXPECT_EQ(s.status, cp::SolveStatus::Unsat) << slots;
             continue;
         }
-        VerifyOptions vo;
-        const auto problems = verify_schedule(kSpec, g, s, vo);
+        const auto problems = verify_schedule(kSpec, g, s, opts);
         ASSERT_TRUE(problems.empty()) << "slots=" << slots << ": " << problems.front();
         EXPECT_LE(s.slots_used, slots);
     }

@@ -54,9 +54,7 @@ TEST_P(ScheduleSweep, VerifiedAndSimulated) {
         return;
     }
 
-    VerifyOptions vo;
-    vo.lifetime_includes_last_read = inclusive;
-    const auto problems = verify_schedule(kSpec, g, s, vo);
+    const auto problems = verify_schedule(kSpec, g, s, opts);
     ASSERT_TRUE(problems.empty()) << kernel << " slots=" << slots << ": " << problems.front();
 
     // The makespan never exceeds the greedy bound and never undercuts the

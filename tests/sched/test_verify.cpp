@@ -49,8 +49,8 @@ TEST(Verify, DetectsLaneOverload) {
         s.start[static_cast<std::size_t>(g.succs(op)[0])] = 7;
     }
     s.makespan = 7;
-    VerifyOptions vo;
-    vo.check_memory = false;
+    model::LowerOptions vo;
+    vo.memory_allocation = false;
     bool lane_problem = false;
     for (const auto& p : verify_schedule(kSpec, g, s, vo)) {
         lane_problem = lane_problem || p.find("lane overload") != std::string::npos;
@@ -77,8 +77,8 @@ TEST(Verify, DetectsConfigurationConflict) {
     s.start[static_cast<std::size_t>(o1)] = 7;
     s.start[static_cast<std::size_t>(o2)] = 7;
     s.makespan = 7;
-    VerifyOptions vo;
-    vo.check_memory = false;
+    model::LowerOptions vo;
+    vo.memory_allocation = false;
     bool config_problem = false;
     for (const auto& p : verify_schedule(kSpec, g, s, vo)) {
         config_problem = config_problem || p.find("configuration") != std::string::npos;
