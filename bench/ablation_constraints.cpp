@@ -95,6 +95,7 @@ int main() {
         opts.spec = spec;
         opts.memory_allocation = memory;
         opts.timeout_ms = 15000;
+        opts.warm_start = false;  // a warm QRD compile closes at the root
         sched::Schedule s;
         const double med_ms =
             bench::median_of_3_ms([&] { s = sched::schedule_kernel(qrd, opts); });

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <vector>
 
+#include "revec/apps/random_kernel.hpp"
 #include "revec/heur/adapt.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/fingerprint.hpp"
@@ -92,8 +93,17 @@ int main(int argc, char** argv) {
         ir::Graph g;
         int edits;
     };
+    // The paper kernels' heuristics meet model::makespan_lower_bound, so
+    // their ladder solves close at the root; this 20-op random kernel's
+    // heuristic misses it, so its ladder and donor-seeded solves search.
+    apps::RandomKernelOptions random_opts;
+    random_opts.seed = 15;
+    random_opts.num_ops = 20;
     std::vector<K> kernels;
     kernels.push_back({"MATMUL", bench::kernel_matmul(), smoke ? 2 : 3});
+    kernels.push_back({"RANDOM-15",
+                       ir::merge_pipeline_ops(apps::build_random_kernel(random_opts)),
+                       smoke ? 2 : 3});
     if (!smoke) kernels.push_back({"QRD", bench::kernel_qrd(), 3});
     const std::int64_t timeout_ms = smoke ? 10000 : 60000;
 
@@ -258,11 +268,13 @@ int main(int argc, char** argv) {
     all_ok = all_ok && svc_ok;
     bench::note("service replay: " + std::to_string(near_hits) +
                 " edited models served as verified near hits (adapted donor "
-                "as warm incumbent, full exact solve each).");
+                "as warm incumbent, exact solve unless it meets the makespan "
+                "lower bound).");
 
-    bench::note("the adapted donor is never served directly — it only tightens "
-                "the incumbent bound, and model::check_schedule gates both the "
-                "seed and the final answer.");
+    bench::note("the adapted donor is served as it stands only when it meets "
+                "model::makespan_lower_bound, which proves it optimal; otherwise "
+                "it only tightens the incumbent bound. model::check_schedule "
+                "gates both the seed and the final answer.");
     std::cout << (all_ok
                       ? "\nincremental re-solve parity, pruning, and service checks passed\n"
                       : "\nINCREMENTAL RE-SOLVE CHECK FAILURES PRESENT\n");

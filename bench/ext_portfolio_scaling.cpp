@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
     bench::note("the shared incumbent is what scales: a diversified worker finds a "
                 "near-optimal makespan early, and every other worker's tree collapses "
                 "under the tightened bound. The sequential search's first-fail op "
-                "phase already proves these kernels in ~170 nodes, so extra workers "
+                "phase, over a makespan that starts at its lower bound, already proves "
+                "these kernels in 56-172 nodes, so extra workers "
                 "mostly duplicate it: each extra worker and the canonical replay "
                 "search a clone of the caller's one emission (~0.1 ms per QRD "
                 "clone), and the trees of the diversified workers, the replay "

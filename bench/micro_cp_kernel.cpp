@@ -155,9 +155,10 @@ cp::SolveResult solve_hole_heavy() {
                      obj);
 }
 
-/// Median-of-3 wall-clock of a warm-started DETECT schedule — the paper
-/// kernel whose sequential optimality proof is still search-bound (MATMUL's
-/// takes ~2 ms since the §3.5 op phase branches first-fail).
+/// Median-of-3 wall-clock of a warm-started DETECT schedule — the default
+/// compile of the paper kernel whose proof was the last search-bound one
+/// (23 482 nodes); its heuristic now meets model::makespan_lower_bound, so
+/// the schedule is proven optimal without a CP model.
 double time_schedule_detect() {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_detect());
     sched::ScheduleOptions opts;
@@ -228,11 +229,11 @@ bool run_engine_probe(bench::JsonWriter& json) {
 // ---------------------------------------------------------------------------
 // Tracing-overhead guard: every obs event site in the solver's hot loops is
 // one branch on a nullptr buffer when tracing is off. Guard that contract
-// on DETECT's warm sequential optimality proof by interleaving untraced
-// solves with fully instrumented ones (node-level trace + per-class
-// profiling): the best untraced run must not exceed the median
-// instrumented run by more than 2%, or the "disabled tracing is free"
-// claim has regressed.
+// on DETECT's cold sequential optimality proof (the warm one closes at the
+// root and never reaches the search) by interleaving untraced solves with
+// fully instrumented ones (node-level trace + per-class profiling): the
+// best untraced run must not exceed the median instrumented run by more
+// than 2%, or the "disabled tracing is free" claim has regressed.
 
 bool run_trace_overhead_guard(bench::JsonWriter& json, obs::MetricsRegistry& metrics) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_detect());
@@ -245,6 +246,7 @@ bool run_trace_overhead_guard(bench::JsonWriter& json, obs::MetricsRegistry& met
         {
             sched::ScheduleOptions opts;
             opts.timeout_ms = 60000;
+            opts.warm_start = false;
             const Stopwatch watch;
             const sched::Schedule s = sched::schedule_kernel(g, opts);
             REVEC_EXPECTS(s.proven_optimal());
@@ -254,6 +256,7 @@ bool run_trace_overhead_guard(bench::JsonWriter& json, obs::MetricsRegistry& met
             obs::TraceSink sink(obs::TraceLevel::Node);
             sched::ScheduleOptions opts;
             opts.timeout_ms = 60000;
+            opts.warm_start = false;
             opts.solver.trace = &sink;
             opts.solver.profile = true;
             const Stopwatch watch;

@@ -332,6 +332,8 @@ obs::MetricsRegistry collect_metrics(const sched::Schedule& s) {
     s.export_metrics(m);
     m.set("solve.makespan", s.makespan);
     m.set("solve.slots_used", s.slots_used);
+    m.set("solve.lower_bound", s.lower_bound);
+    m.set("solve.bound_closed", s.bound_closed ? 1 : 0);
     m.label("solve.status", status_word(s.status));
     std::int64_t lns_workers = 0;
     for (const cp::WorkerReport& w : s.workers) {
@@ -435,6 +437,10 @@ int run(const Options& options, std::ostream& out) {
     if (options.emit == "schedule") {
         out << "makespan:    " << s.makespan << " cc (" << status_word(s.status) << ")\n";
         out << "slots used:  " << s.slots_used << "\n";
+        if (s.lower_bound > 0) {
+            out << "lower bound: " << s.lower_bound << " cc"
+                << (s.bound_closed ? " (met by the heuristic: no search)" : "") << "\n";
+        }
         out << "solve:       " << s.stats.nodes << " nodes, " << s.stats.failures
             << " failures, " << format_fixed(s.stats.time_ms, 0) << " ms\n";
         for (const cp::WorkerReport& w : s.workers) {

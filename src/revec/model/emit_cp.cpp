@@ -62,7 +62,10 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
     }
 
     // -- objective: latest completion (eq. 5) ---------------------------------
-    const IntVar obj = store.new_var(0, horizon);
+    // Floored at the makespan lower bound, so every search of this emission
+    // (and of its clones) starts from it.
+    const IntVar obj =
+        store.new_var(std::min(makespan_lower_bound(m).value(), horizon), horizon);
     std::vector<IntVar> completions;
     for (const ModelNode& node : m.nodes) {
         const auto i = static_cast<std::size_t>(node.id);

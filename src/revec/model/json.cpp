@@ -321,7 +321,10 @@ KernelModel from_json(const json::Value& doc) {
     check_ids(m.vector_ops, num_nodes, "vector_ops");
     check_ids(m.vdata, num_nodes, "vdata");
     check_ids(m.inputs, num_nodes, "inputs");
+    const int num_configs = static_cast<int>(m.config_keys.size());
     for (const ModelNode& n : m.nodes) {
+        // The makespan lower bound indexes per-configuration tallies.
+        if (n.is_op && n.unit == Unit::VectorCore) check_id(n.config, num_configs, "config");
         check_ids(n.preds, num_nodes, "preds");
         check_ids(n.succs, num_nodes, "succs");
         check_ids(n.vector_inputs, num_nodes, "vector_inputs");

@@ -1,5 +1,6 @@
 #include "revec/model/kernel_model.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "revec/ir/analysis.hpp"
@@ -115,6 +116,121 @@ KernelModel with_horizon(const KernelModel& m, int horizon) {
 int modulo_reconfig_floor(const KernelModel& m) {
     const int configs = static_cast<int>(m.config_keys.size());
     return configs >= 2 ? configs : 0;
+}
+
+namespace {
+
+/// One op of a unit as the resource terms see it.
+struct Job {
+    int head = 0;
+    int tail = 0;
+    int duration = 0;
+    int lanes = 0;
+    int config = -1;
+};
+
+/// max over a in the heads and b in the tails of
+///   a + busy({head >= a, tail >= b}) + b,
+/// where `busy` is fed the jobs of the set one at a time. Walking the jobs
+/// by descending tail grows the set for a fixed a, so b is the tail of the
+/// job just added: O(n) per head, O(n^2) in all.
+template <typename Busy>
+int resource_term(std::vector<Job> jobs, Busy busy) {
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const Job& x, const Job& y) { return x.tail > y.tail; });
+    std::vector<int> heads;
+    for (const Job& j : jobs) heads.push_back(j.head);
+    std::sort(heads.begin(), heads.end());
+    heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
+
+    int best = 0;
+    for (const int a : heads) {
+        busy.reset();
+        for (const Job& j : jobs) {
+            if (j.head < a) continue;
+            best = std::max(best, a + busy.add(j) + j.tail);
+        }
+    }
+    return best;
+}
+
+int ceil_div(int x, int k) { return (x + k - 1) / k; }
+
+/// ceil(sum of duration * lanes / capacity): the area form, lanes = 1 for
+/// the scalar and index/merge units.
+struct AreaBusy {
+    int capacity = 1;
+    int area = 0;
+    void reset() { area = 0; }
+    int add(const Job& j) {
+        area += j.duration * std::max(j.lanes, 1);
+        return ceil_div(area, capacity);
+    }
+};
+
+/// Sum over configurations of ceil(lanes / vector lanes), kept
+/// incrementally: valid when every duration is 1.
+struct ConfigBusy {
+    int capacity = 1;
+    std::vector<int> lanes;  ///< per configuration id
+    int cycles = 0;
+    void reset() {
+        std::fill(lanes.begin(), lanes.end(), 0);
+        cycles = 0;
+    }
+    int add(const Job& j) {
+        int& c = lanes[static_cast<std::size_t>(j.config)];
+        cycles += ceil_div(c + j.lanes, capacity) - ceil_div(c, capacity);
+        c += j.lanes;
+        return cycles;
+    }
+};
+
+}  // namespace
+
+int MakespanBound::value() const {
+    return std::max({critical_path, scalar, index_merge, vector_core});
+}
+
+MakespanBound makespan_lower_bound(const KernelModel& m) {
+    std::vector<Job> scalar;
+    std::vector<Job> index_merge;
+    std::vector<Job> vector_core;
+    bool unit_vector_durations = true;
+    for (const int op : m.ops) {
+        const ModelNode& node = m.node(op);
+        const auto i = static_cast<std::size_t>(op);
+        const Job job{m.asap[i], m.horizon - m.alap[i] - node.duration, node.duration,
+                      node.lanes, node.config};
+        switch (node.unit) {
+            case Unit::Scalar: scalar.push_back(job); break;
+            case Unit::IndexMerge: index_merge.push_back(job); break;
+            case Unit::VectorCore:
+                vector_core.push_back(job);
+                unit_vector_durations = unit_vector_durations && node.duration == 1;
+                break;
+            case Unit::None: break;
+        }
+    }
+
+    MakespanBound out;
+    out.critical_path = m.critical_path;
+    if (m.caps.scalar_units > 0) {
+        out.scalar = resource_term(std::move(scalar), AreaBusy{m.caps.scalar_units});
+    }
+    if (m.caps.index_merge_units > 0) {
+        out.index_merge =
+            resource_term(std::move(index_merge), AreaBusy{m.caps.index_merge_units});
+    }
+    if (m.caps.vector_lanes > 0) {
+        out.vector_core =
+            unit_vector_durations
+                ? resource_term(std::move(vector_core),
+                                ConfigBusy{m.caps.vector_lanes,
+                                           std::vector<int>(m.config_keys.size(), 0)})
+                : resource_term(std::move(vector_core), AreaBusy{m.caps.vector_lanes});
+    }
+    return out;
 }
 
 }  // namespace revec::model

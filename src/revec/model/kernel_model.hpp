@@ -189,4 +189,29 @@ KernelModel with_horizon(const KernelModel& m, int horizon);
 /// whose II or budget is below it is infeasible.
 int modulo_reconfig_floor(const KernelModel& m);
 
+/// The terms of makespan_lower_bound. With head = ASAP and tail = horizon
+/// - ALAP - duration (the path that must still run after an op releases
+/// its unit), each resource term is the largest
+///   a + (cycles the ops in S keep the unit busy) + min tail over S
+/// over the sets S = {ops of the unit with head >= a and tail >= b}: the
+/// last op of S to release the unit does so no earlier than a plus the
+/// busy cycles, and its tail still follows.
+struct MakespanBound {
+    int critical_path = 0;
+    int scalar = 0;       ///< busy cycles: ceil(sum of durations / units)
+    int index_merge = 0;  ///< busy cycles: ceil(sum of durations / units)
+    /// Busy cycles when every vector-core duration is 1: sum over
+    /// configurations c of ceil(lanes of c / vector lanes), since a cycle
+    /// hosts one configuration (eq. 3; a full-width op fills its cycle
+    /// alone). Otherwise ceil(lane-cycle area / vector lanes).
+    int vector_core = 0;
+
+    int value() const;
+};
+
+/// Lower bound on the makespan of every feasible schedule of the flat
+/// model `m`, computed from the model alone in O(n^2). The horizon does
+/// not move it (tails are horizon-invariant).
+MakespanBound makespan_lower_bound(const KernelModel& m);
+
 }  // namespace revec::model

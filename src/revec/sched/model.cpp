@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "revec/heur/alloc.hpp"
 #include "revec/heur/list.hpp"
@@ -236,6 +237,20 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
                      adopted ? 1 : 0, "makespan", seed.makespan);
     }
 
+    // Root close: a seed that meets the makespan lower bound is optimal
+    // as it stands, so neither the CP model nor a search is needed. The
+    // same bound floors the makespan variable of the emission below.
+    const int bound = model::makespan_lower_bound(model_in).value();
+    const bool closed = heuristic.has_value() && heuristic->makespan <= bound;
+    obs::instant(trace, obs::TraceLevel::Phase, "bound", "value", bound, "closed",
+                 closed ? 1 : 0);
+    if (closed) {
+        heuristic->status = cp::SolveStatus::Optimal;
+        heuristic->lower_bound = bound;
+        heuristic->bound_closed = true;
+        return std::move(*heuristic);
+    }
+
     // Let the exact search prove optimality across the whole gap: the
     // derived horizon could in principle sit below the heuristic makespan,
     // and Unsat must mean "nothing better anywhere". The raise reproduces
@@ -294,6 +309,7 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     if (heuristic.has_value()) sched = merge_with_seed(std::move(*heuristic), std::move(sched));
     obs::span_end(trace, obs::TraceLevel::Phase, "search", "nodes", sched.stats.nodes,
                   "makespan", sched.makespan);
+    sched.lower_bound = bound;
     return sched;
 }
 

@@ -23,6 +23,13 @@ struct Schedule : cp::SolveWork {
     int slots_used = 0;      ///< distinct memory slots referenced
     cp::SolveStatus status = cp::SolveStatus::Unsat;
 
+    /// model::makespan_lower_bound of the solved model (0 on the
+    /// heuristic-only path, which does not read it). bound_closed: the warm
+    /// seed met it, so the schedule is Optimal with no CP model emitted and
+    /// no search run.
+    int lower_bound = 0;
+    bool bound_closed = false;
+
     /// Per-worker node/failure/cutoff-prune counters of the exact search,
     /// one per portfolio worker (empty when no exact search ran).
     std::vector<cp::WorkerReport> workers;

@@ -79,11 +79,18 @@ TEST(LnsPortfolio, CpLayerReportsLnsWorkersAndBalancedCounters) {
 }
 
 TEST(LnsPortfolio, RepairWorkReachesTheEngineCounters) {
-    // MATMUL's optimum (11) sits above its critical path (8), so every LNS
-    // round runs a repair solve. The CP worker's failure budget is below
-    // the proof's (66 failures under the first-fail op phase), so it never
-    // cancels the LNS worker, which then runs until its idle limit.
-    const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
+    // A 30-op random kernel (seed 21) whose optimum (27) sits above its
+    // critical path (26), so every LNS round runs a repair solve. Its
+    // makespan lower bound is 26 too, so even with the optimum as the
+    // incumbent the proof takes 106 failures: the CP worker's failure
+    // budget is below that whatever the LNS worker publishes, so it never
+    // cancels the LNS worker, which then runs until its idle limit. (On
+    // MATMUL the bound is the optimum, 11: an LNS incumbent of 11 let the
+    // CP worker prove at once.)
+    apps::RandomKernelOptions kopts;
+    kopts.seed = 21;
+    kopts.num_ops = 30;
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
     const lns::testing::Incumbent inc =
         lns::testing::ladder_incumbent(kSpec, g, heur::ladder().size() - 1);
     ASSERT_TRUE(inc.ok);

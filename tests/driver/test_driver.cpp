@@ -9,6 +9,7 @@
 
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/ir/xml_io.hpp"
 #include "revec/obs/trace_read.hpp"
@@ -158,7 +159,12 @@ TEST(Run, HeuristicOnlyExitsWithFallbackCode) {
 }
 
 TEST(Run, ZeroTimeoutFallsBackToHeuristic) {
-    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul12.xml");
+    // A kernel whose heuristic makespan (27) misses the makespan lower
+    // bound (24): the exact search is needed and has no time.
+    apps::RandomKernelOptions kopts;
+    kopts.seed = 15;
+    kopts.num_ops = 20;
+    const std::string path = write_kernel(apps::build_random_kernel(kopts), "drv_random15.xml");
     Options opts;
     opts.input_path = path;
     opts.timeout_ms = 0;
@@ -167,6 +173,26 @@ TEST(Run, ZeroTimeoutFallsBackToHeuristic) {
     EXPECT_EQ(run(opts, out), 5);
     EXPECT_NE(out.str().find("heuristic fallback"), std::string::npos);
     EXPECT_NE(out.str().find("outputs match"), std::string::npos);
+}
+
+TEST(Run, ZeroTimeoutProvesAtTheRootWhenTheHeuristicMeetsTheBound) {
+    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul12.xml");
+    const std::string metrics_path = testing::TempDir() + "/drv_bound_metrics.json";
+    Options opts;
+    opts.input_path = path;
+    opts.timeout_ms = 0;
+    opts.metrics_path = metrics_path;
+    std::ostringstream out;
+    EXPECT_EQ(run(opts, out), 0);
+    EXPECT_NE(out.str().find("lower bound: 11 cc (met by the heuristic"), std::string::npos)
+        << out.str();
+    std::ifstream in(metrics_path);
+    ASSERT_TRUE(in.good());
+    const std::string content((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_NE(content.find("\"solve.lower_bound\": 11"), std::string::npos);
+    EXPECT_NE(content.find("\"solve.bound_closed\": 1"), std::string::npos);
+    EXPECT_NE(content.find("\"solve.nodes\": 0"), std::string::npos);
 }
 
 TEST(Run, ZeroTimeoutWithoutWarmStartReportsTimeout) {
@@ -398,6 +424,7 @@ TEST(Run, LnsMetricsKeysPresent) {
     opts.input_path = path;
     opts.threads = 2;
     opts.lns_workers = 2;
+    opts.warm_start = false;  // a warm MATMUL solve closes at the root
     opts.metrics_path = metrics_path;
     std::ostringstream out;
     const int code = run(opts, out);
@@ -424,6 +451,7 @@ TEST(Run, LnsWorkerReportInScheduleOutput) {
     opts.input_path = path;
     opts.threads = 2;
     opts.lns_workers = 1;
+    opts.warm_start = false;  // a warm MATMUL solve closes at the root
     std::ostringstream out;
     const int code = run(opts, out);
     EXPECT_TRUE(code == 0 || code == 4 || code == 5) << code;
@@ -438,6 +466,7 @@ TEST(Run, TraceAndMetricsArtifacts) {
     Options opts;
     opts.input_path = path;
     opts.threads = 4;
+    opts.warm_start = false;  // searched, so every worker has a track
     opts.trace_path = trace_path;
     opts.trace_level = obs::TraceLevel::Phase;
     opts.metrics_path = metrics_path;
@@ -475,6 +504,7 @@ TEST(Run, MetricsMatchSolverCounters) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
     sched::ScheduleOptions sopts;
     sopts.solver.profile = true;
+    sopts.warm_start = false;  // a warm MATMUL solve closes at the root
     const sched::Schedule s = sched::schedule_kernel(g, sopts);
     ASSERT_TRUE(s.feasible());
     ASSERT_FALSE(s.prop_profile.empty());
@@ -486,6 +516,8 @@ TEST(Run, MetricsMatchSolverCounters) {
     EXPECT_EQ(m.counter("engine.propagations"), s.prop_stats.propagations);
     EXPECT_EQ(m.counter("engine.wakeups"), s.prop_stats.wakeups);
     EXPECT_EQ(m.counter("solve.makespan"), s.makespan);
+    EXPECT_EQ(m.counter("solve.lower_bound"), 11);
+    EXPECT_EQ(m.counter("solve.bound_closed"), 0);
     const std::string cls = s.prop_profile.front().cls;
     EXPECT_EQ(m.counter("prop." + cls + ".runs"), s.prop_profile.front().runs);
     ASSERT_NE(m.label_value("solve.status"), nullptr);

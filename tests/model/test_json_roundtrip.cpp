@@ -124,6 +124,18 @@ TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
     }
     rejects([](json::Value& d) { field(field(d, "edges").array.at(0), "src").number = 1e9; });
     rejects([](json::Value& d) { field(d, "ops").array.at(0).number = 1e300; });
+    // A vector-core op's configuration must name one of config_keys.
+    for (const double config : {-1.0, 1e6}) {
+        rejects([config](json::Value& d) {
+            for (json::Value& node : field(d, "nodes").array) {
+                if (field(node, "unit").str == "vector_core") {
+                    field(node, "config").number = config;
+                    return;
+                }
+            }
+            ADD_FAILURE() << "no vector-core node";
+        });
+    }
     // Node-level lists: corrupt the first node that has a non-empty one.
     for (const char* key : {"preds", "succs", "vector_inputs", "vector_outputs"}) {
         rejects([&](json::Value& d) {

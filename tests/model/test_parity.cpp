@@ -172,14 +172,18 @@ TEST_P(FlatNodeParity, ReplaysLegacySearchTree) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, FlatNodeParity,
     ::testing::Values(
+        // Re-pinned when the makespan variable started at
+        // model::makespan_lower_bound: MATMUL's index/merge term (11) is
+        // above its critical path, so the first solution ends the proof
+        // (was 170 / 86, no_memory 154 / 78); the optima did not move.
         FlatCase{"matmul", -1, true, true, "default",
-                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+                 {false, kOpt, 56, 29, 1, 11, 0xe0febdf7870a1f49ull}},
         FlatCase{"matmul", -1, true, false, "one_phase",
-                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+                 {false, kOpt, 56, 29, 1, 11, 0xe0febdf7870a1f49ull}},
         FlatCase{"matmul", -1, false, true, "no_memory",
-                 {false, kOpt, 154, 78, 1, 11, 0x2de0ba40ab2e7cc9ull}},
+                 {false, kOpt, 40, 21, 1, 11, 0x2de0ba40ab2e7cc9ull}},
         FlatCase{"matmul", 12, true, true, "slots12",
-                 {false, kOpt, 170, 86, 1, 11, 0xe0febdf7870a1f49ull}},
+                 {false, kOpt, 56, 29, 1, 11, 0xe0febdf7870a1f49ull}},
         FlatCase{"qrd", -1, true, true, "default",
                  {false, kOpt, 172, 87, 1, 142, 0xd7b820f05f5f54a5ull}},
         // Probes at the Table 1 memory cliff: 9 slots is the tightest

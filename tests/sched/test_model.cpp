@@ -4,6 +4,7 @@
 
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
 #include "revec/ir/analysis.hpp"
@@ -144,13 +145,31 @@ TEST(Model, MakespanInsensitiveToMemorySize) {
 
 TEST(Model, TimeoutReturnsHeuristicFallback) {
     // With the warm start on (the default), a zero deadline still yields a
-    // complete verify-clean schedule: the heuristic layer's anytime result.
+    // complete verify-clean schedule: the heuristic layer's anytime result
+    // on a kernel whose heuristic makespan (27) misses the makespan lower
+    // bound (24), so the exact search is needed and runs out of time.
     ScheduleOptions opts;
     opts.timeout_ms = 0;  // expire immediately
-    const ir::Graph g = apps::build_matmul();
+    apps::RandomKernelOptions kopts;
+    kopts.seed = 15;
+    kopts.num_ops = 20;
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
     const Schedule s = schedule_kernel(g, opts);
     EXPECT_EQ(s.status, cp::SolveStatus::HeuristicFallback);
     ASSERT_TRUE(s.feasible());
+    expect_verified(g, s, opts);
+}
+
+TEST(Model, TimeoutIsNotReadWhenTheHeuristicMeetsTheBound) {
+    // MATMUL's heuristic makespan is its makespan lower bound (11): the
+    // schedule is proven optimal before any deadline is consulted.
+    ScheduleOptions opts;
+    opts.timeout_ms = 0;
+    const ir::Graph g = apps::build_matmul();
+    const Schedule s = schedule_kernel(g, opts);
+    EXPECT_EQ(s.status, cp::SolveStatus::Optimal);
+    EXPECT_TRUE(s.bound_closed);
+    EXPECT_EQ(s.makespan, 11);
     expect_verified(g, s, opts);
 }
 

@@ -37,6 +37,9 @@ TEST(PortfolioReplay, SchedulesVerifyAndSimulateBitExactly) {
         ScheduleOptions seq_opts;
         seq_opts.spec = kSpec;
         seq_opts.timeout_ms = 60000;
+        // Cold: both kernels' heuristics meet the makespan lower bound, so
+        // a warm solve closes at the root and no portfolio worker runs.
+        seq_opts.warm_start = false;
         const Schedule seq = schedule_kernel(c.g, seq_opts);
         ASSERT_TRUE(seq.proven_optimal()) << c.name;
 

@@ -11,6 +11,7 @@
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/json.hpp"
@@ -27,6 +28,17 @@ ir::Graph kernel_by_name(const std::string& name) {
     if (name == "qrd") return ir::merge_pipeline_ops(apps::build_qrd());
     if (name == "arf") return ir::merge_pipeline_ops(apps::build_arf());
     throw revec::Error("unknown kernel " + name);
+}
+
+/// A 20-op random kernel. Seed 8: the heuristic's 24 is optimal but
+/// misses the makespan lower bound (23), so the warm search runs and
+/// reports Unsat. Seed 15: the heuristic's 27 misses both the bound and
+/// the optimum (24).
+ir::Graph random_kernel(unsigned seed) {
+    apps::RandomKernelOptions kopts;
+    kopts.seed = seed;
+    kopts.num_ops = 20;
+    return ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
 }
 
 void expect_same_schedule(const Schedule& a, const Schedule& b, const std::string& what) {
@@ -66,14 +78,25 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ScheduleModelDifferential,
                          ::testing::Values("matmul", "qrd", "arf"));
 
 TEST(ScheduleModel, ZeroDeadlineStillVerifyClean) {
-    const model::KernelModel km =
-        lower_for_schedule(kernel_by_name("qrd"), ScheduleOptions{});
-    ModelSolveOptions mo;
-    mo.timeout_ms = 0;
-    const Schedule s = schedule_model(km, mo);
-    ASSERT_TRUE(s.feasible());
-    EXPECT_EQ(s.status, cp::SolveStatus::HeuristicFallback);
-    EXPECT_TRUE(model::check_schedule(km, s.start, s.slot, s.makespan).empty());
+    // QRD's heuristic meets the makespan lower bound: proven optimal with
+    // no search, so the zero deadline never matters. The random kernel's
+    // misses it: the search runs out of time and the heuristic is the
+    // anytime answer.
+    const struct {
+        const char* name;
+        ir::Graph g;
+        cp::SolveStatus status;
+    } cases[] = {{"qrd", kernel_by_name("qrd"), cp::SolveStatus::Optimal},
+                 {"random seed 15", random_kernel(15), cp::SolveStatus::HeuristicFallback}};
+    for (const auto& c : cases) {
+        const model::KernelModel km = lower_for_schedule(c.g, ScheduleOptions{});
+        ModelSolveOptions mo;
+        mo.timeout_ms = 0;
+        const Schedule s = schedule_model(km, mo);
+        ASSERT_TRUE(s.feasible()) << c.name;
+        EXPECT_EQ(s.status, c.status) << c.name;
+        EXPECT_TRUE(model::check_schedule(km, s.start, s.slot, s.makespan).empty()) << c.name;
+    }
 }
 
 TEST(ScheduleModel, HeuristicOnlyMatchesKernelPath) {
@@ -115,16 +138,18 @@ TEST(ScheduleModel, ModuloWrappedModelIsRejected) {
 }
 
 TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
-    // The warm MATMUL proof finds nothing below the heuristic's 11 (the
-    // search itself reports Unsat); the span must still close with the
-    // makespan schedule_model returns, after one emission and one search.
+    // The warm proof of random seed 8 finds nothing below the heuristic's
+    // 24 (the search itself reports Unsat); the span must still close with
+    // the makespan schedule_model returns, after one emission and one
+    // search.
     obs::TraceSink sink(obs::TraceLevel::Phase);
     ScheduleOptions opts;
     opts.timeout_ms = 60000;
     opts.solver.trace = &sink;
-    const Schedule s = schedule_kernel(kernel_by_name("matmul"), opts);
+    const Schedule s = schedule_kernel(random_kernel(8), opts);
     ASSERT_TRUE(s.proven_optimal());
-    EXPECT_EQ(s.makespan, 11);
+    EXPECT_EQ(s.makespan, 24);
+    EXPECT_GT(s.stats.nodes, 0);
 
     std::ostringstream os;
     sink.write_jsonl(os);
@@ -151,6 +176,7 @@ TEST(ScheduleModel, LnsSolveEmitsTheModelOnce) {
     // shows a second emit_cp span.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;
+    opts.warm_start = false;  // a warm QRD solve closes at the root
     const model::KernelModel km = lower_for_schedule(kernel_by_name("qrd"), opts);
 
     obs::TraceSink sink(obs::TraceLevel::Phase);
@@ -183,6 +209,7 @@ TEST(ScheduleModel, TraceRidReachesPortfolioWorkerSpans) {
     // the driver track, and a "rid" arg on every worker span begin.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;
+    opts.warm_start = false;  // a warm MATMUL solve closes at the root
     const model::KernelModel km = lower_for_schedule(kernel_by_name("matmul"), opts);
 
     obs::TraceSink sink(obs::TraceLevel::Phase);
@@ -220,6 +247,7 @@ TEST(ScheduleModel, NoRidKeepsSpanPayloadsUnchanged) {
     // output, this guards the conditional-payload contract directly.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;
+    opts.warm_start = false;  // searched, so worker spans exist
     const model::KernelModel km = lower_for_schedule(kernel_by_name("matmul"), opts);
 
     obs::TraceSink sink(obs::TraceLevel::Phase);
@@ -232,6 +260,51 @@ TEST(ScheduleModel, NoRidKeepsSpanPayloadsUnchanged) {
     std::ostringstream os;
     sink.write_jsonl(os);
     EXPECT_EQ(os.str().find("\"rid\""), std::string::npos);
+}
+
+TEST(ScheduleModel, RootCloseEmitsNoModel) {
+    // The warm MATMUL heuristic meets the makespan lower bound: the trace
+    // shows the bound instant closed at 11 and no emission or search span.
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    ScheduleOptions opts;
+    opts.solver.trace = &sink;
+    const Schedule s = schedule_kernel(kernel_by_name("matmul"), opts);
+    ASSERT_TRUE(s.proven_optimal());
+    EXPECT_TRUE(s.bound_closed);
+    EXPECT_EQ(s.lower_bound, 11);
+    EXPECT_EQ(s.makespan, 11);
+    EXPECT_EQ(s.stats.nodes, 0);
+    EXPECT_EQ(s.prop_stats.propagations, 0);
+
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    const obs::ParsedTrace trace = obs::parse_trace(os.str());
+    ASSERT_EQ(trace.tracks.size(), 1u);
+    int bounds = 0;
+    for (const obs::ParsedEvent& e : trace.tracks[0].events) {
+        EXPECT_NE(e.name, "emit_cp");
+        EXPECT_NE(e.name, "search");
+        if (e.kind == 'I' && e.name == "bound") {
+            ++bounds;
+            EXPECT_EQ(e.args.at("value"), 11);
+            EXPECT_EQ(e.args.at("closed"), 1);
+        }
+    }
+    EXPECT_EQ(bounds, 1);
+}
+
+TEST(ScheduleModel, BoundFloorsTheEmittedMakespan) {
+    // Every emission's makespan variable starts at the bound, so a search
+    // that misses the root close still reports it, and the cold proof of
+    // random seed 15 lands on the bound itself.
+    ScheduleOptions opts;
+    opts.timeout_ms = 60000;
+    opts.warm_start = false;
+    const Schedule s = schedule_kernel(random_kernel(15), opts);
+    ASSERT_TRUE(s.proven_optimal());
+    EXPECT_FALSE(s.bound_closed);
+    EXPECT_EQ(s.lower_bound, 24);
+    EXPECT_EQ(s.makespan, 24);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "revec/apps/detect.hpp"
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/codegen/codegen.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/pipeline/modulo.hpp"
@@ -79,30 +80,56 @@ TEST_P(WarmStartNodeCount, ExploresStrictlyFewerNodes) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, WarmStartNodeCount, ::testing::Values("matmul", "qrd"));
 
+/// Verify-clean and simulates bit-exactly.
+void expect_runs_clean(const ir::Graph& g, const Schedule& s, const std::string& name) {
+    ASSERT_TRUE(s.feasible()) << name;
+    const auto problems = verify_schedule(kSpec, g, s);
+    ASSERT_TRUE(problems.empty()) << name << ": " << problems.front();
+
+    const codegen::MachineProgram prog = codegen::generate_code(kSpec, g, s);
+    const sim::SimResult run = sim::simulate(kSpec, g, prog);
+    EXPECT_TRUE(run.outputs_match) << name << " max err " << run.max_output_error;
+    EXPECT_TRUE(run.violations.empty())
+        << name << ": " << (run.violations.empty() ? "" : run.violations.front());
+}
+
 class ZeroDeadlineFallback : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ZeroDeadlineFallback, HeuristicScheduleForEveryAppKernel) {
     // Acceptance criterion: with the deadline at 0 the scheduler still
     // returns a verify-clean heuristic schedule for every apps/ kernel,
-    // and the schedule simulates bit-exactly.
+    // and the schedule simulates bit-exactly. Every paper kernel's
+    // heuristic makespan meets model::makespan_lower_bound, so the
+    // schedule comes back proven optimal before the deadline is read.
     const ir::Graph g = kernel_by_name(GetParam());
     ScheduleOptions opts;
     opts.timeout_ms = 0;
     const Schedule s = schedule_kernel(g, opts);
-    ASSERT_EQ(s.status, cp::SolveStatus::HeuristicFallback) << GetParam();
-    ASSERT_TRUE(s.feasible());
-    const auto problems = verify_schedule(kSpec, g, s);
-    ASSERT_TRUE(problems.empty()) << GetParam() << ": " << problems.front();
-
-    const codegen::MachineProgram prog = codegen::generate_code(kSpec, g, s);
-    const sim::SimResult run = sim::simulate(kSpec, g, prog);
-    EXPECT_TRUE(run.outputs_match) << GetParam() << " max err " << run.max_output_error;
-    EXPECT_TRUE(run.violations.empty())
-        << GetParam() << ": " << (run.violations.empty() ? "" : run.violations.front());
+    ASSERT_EQ(s.status, cp::SolveStatus::Optimal) << GetParam();
+    EXPECT_TRUE(s.bound_closed) << GetParam();
+    expect_runs_clean(g, s, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, ZeroDeadlineFallback,
                          ::testing::Values("matmul", "qrd", "arf", "detect"));
+
+TEST(ZeroDeadlineFallback, HeuristicScheduleWhenTheBoundIsMissed) {
+    // A random kernel whose heuristic makespan (27) misses the bound (24,
+    // also the optimum): the exact search is needed, finds nothing at a
+    // zero deadline, and the heuristic schedule is the anytime answer.
+    apps::RandomKernelOptions kopts;
+    kopts.seed = 15;
+    kopts.num_ops = 20;
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
+    ScheduleOptions opts;
+    opts.timeout_ms = 0;
+    const Schedule s = schedule_kernel(g, opts);
+    ASSERT_EQ(s.status, cp::SolveStatus::HeuristicFallback);
+    EXPECT_FALSE(s.bound_closed);
+    EXPECT_EQ(s.lower_bound, 24);
+    EXPECT_EQ(s.makespan, 27);
+    expect_runs_clean(g, s, "random seed 15");
+}
 
 TEST(WarmStart, HeuristicOnlyMatchesFallbackShape) {
     const ir::Graph g = kernel_by_name("matmul");

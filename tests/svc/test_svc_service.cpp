@@ -12,6 +12,7 @@
 
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/json.hpp"
@@ -29,6 +30,15 @@ model::KernelModel lowered(const ir::Graph& g) {
 
 model::KernelModel matmul_model() {
     return lowered(ir::merge_pipeline_ops(apps::build_matmul()));
+}
+
+/// A 20-op random kernel whose heuristic makespan (27) misses the makespan
+/// lower bound (24): unlike the paper kernels, its warm solve searches.
+model::KernelModel searched_model() {
+    apps::RandomKernelOptions kopts;
+    kopts.seed = 15;
+    kopts.num_ops = 20;
+    return lowered(ir::merge_pipeline_ops(apps::build_random_kernel(kopts)));
 }
 
 Request solve_request(model::KernelModel km, std::int64_t id,
@@ -75,7 +85,7 @@ TEST(SvcService, RepeatIsServedFromCacheWithoutResolving) {
     Service::Config config;
     config.trace = &sink;
     Service service(config);
-    const model::KernelModel km = matmul_model();
+    const model::KernelModel km = searched_model();
 
     const Response first = service.handle(solve_request(km, 1));
     expect_verify_clean(km, first);

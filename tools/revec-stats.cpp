@@ -124,6 +124,14 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
         std::int64_t max_depth = 0;
     };
     std::vector<TrackAgg> per_track(trace.tracks.size());
+    // schedule_model's makespan lower bound: "bound" instants with a
+    // "value" arg (the search's own "bound" instants carry "obj", an
+    // incumbent it published).
+    struct LowerBound {
+        std::int64_t value = 0;
+        std::int64_t closed = 0;
+    };
+    std::vector<LowerBound> lower_bounds;
 
     for (std::size_t t = 0; t < trace.tracks.size(); ++t) {
         const revec::obs::ParsedTrack& track = trace.tracks[t];
@@ -160,6 +168,10 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
                     ++agg.failures;
                 } else if (e.name == "solution") {
                     ++agg.solutions;
+                } else if (e.name == "bound" && e.args.count("value") > 0) {
+                    const auto closed = e.args.find("closed");
+                    lower_bounds.push_back(
+                        {e.args.at("value"), closed != e.args.end() ? closed->second : 0});
                 }
             }
         }
@@ -194,6 +206,15 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
             events.add_row({name, std::to_string(count)});
         }
         events.print(out);
+    }
+
+    if (!lower_bounds.empty()) {
+        out << "\n";
+        revec::Table bounds({"lower bound", "closed"});
+        for (const LowerBound& b : lower_bounds) {
+            bounds.add_row({std::to_string(b.value), b.closed != 0 ? "yes" : "no"});
+        }
+        bounds.print(out);
     }
 
     // LNS summary: rounds come from the lns_round spans, verdicts from the
