@@ -16,6 +16,7 @@
 #include "revec/ir/passes.hpp"
 #include "revec/model/json.hpp"
 #include "revec/model/kernel_model.hpp"
+#include "revec/sched/model.hpp"
 #include "revec/support/assert.hpp"
 #include "revec/support/json.hpp"
 
@@ -205,6 +206,30 @@ TEST(CanonicalHash, DistinguishesKernels) {
     EXPECT_NE(h_m, h_q);
     EXPECT_NE(h_m, h_a);
     EXPECT_NE(h_q, h_a);
+}
+
+// The wire hash is a published content address (revecd answers carry it
+// and clients may key on it), so the canonical bytes are pinned literally:
+// any change to to_json's output, however cosmetic, moves these values.
+TEST(CanonicalHash, PinsThePaperKernelsWireHashes) {
+    struct Golden {
+        const char* name;
+        ir::Graph (*build)();
+        std::uint64_t hash;
+        std::size_t bytes;
+    };
+    const Golden goldens[] = {
+        {"matmul", [] { return apps::build_matmul(); }, 0x505e2f23993158b9ull, 15104},
+        {"qrd", [] { return apps::build_qrd(); }, 0xd1010896849bce8eull, 40672},
+        {"arf", [] { return apps::build_arf(); }, 0xf1b9586fc185e6a1ull, 26058},
+    };
+    for (const Golden& g : goldens) {
+        const KernelModel m =
+            sched::lower_for_schedule(ir::merge_pipeline_ops(g.build()), {});
+        const std::string canonical = to_json(m);
+        EXPECT_EQ(canonical.size(), g.bytes) << g.name;
+        EXPECT_EQ(canonical_hash(m), g.hash) << g.name;
+    }
 }
 
 TEST(WithHorizon, MatchesLowerIrAtRaisedHorizon) {
