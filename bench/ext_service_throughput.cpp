@@ -9,12 +9,17 @@
 //    (svc.cache.hit == duplicate count) — and the cached replay of the
 //    whole stream is faster than the cold solve of the distinct models;
 //  * with the queue removed (max_queue = 0), 100% of requests shed to a
-//    verified HeuristicFallback answer.
+//    verified HeuristicFallback answer;
+//  * the hit path, split into the steps handle_line takes on a cache hit
+//    (parse, canonical JSON + hash, lookup + re-verify, serialize) and
+//    timed as min / median over interleaved repetitions, answers every
+//    request from the cache.
 //
-// Pass --smoke for the CI-sized variant (MATMUL only, small stream); pass
-// --metrics <path> to archive the service registry JSON.
+// Pass --smoke for the CI-sized variant (MATMUL only, small stream, few
+// repetitions); pass --metrics <path> to archive the service registry JSON.
 #include "common.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -22,6 +27,7 @@
 #include "revec/model/check.hpp"
 #include "revec/model/json.hpp"
 #include "revec/sched/model.hpp"
+#include "revec/svc/cache.hpp"
 #include "revec/svc/service.hpp"
 
 using namespace revec;
@@ -49,6 +55,12 @@ std::int64_t counter(const svc::Service& service, const std::string& name) {
 bool verify_clean(const model::KernelModel& km, const svc::Response& r) {
     return r.ok && r.has_schedule() &&
            model::check_schedule(km, r.start, r.slot, r.makespan).empty();
+}
+
+/// "min / median" of `ms`, in milliseconds.
+std::string min_median(std::vector<double> ms) {
+    std::sort(ms.begin(), ms.end());
+    return format_fixed(ms.front(), 3) + " / " + format_fixed(ms[ms.size() / 2], 3);
 }
 
 }  // namespace
@@ -83,11 +95,13 @@ int main(int argc, char** argv) {
 
     // Phase 1 — cold: solve each distinct model once, sequentially.
     double cold_ms = 0.0;
+    std::vector<svc::Response> cold;
     {
         const Stopwatch watch;
         std::int64_t id = 0;
         for (const auto& [name, km] : models) {
-            const svc::Response r = service.handle(solve_request(km, id++, 60000));
+            cold.push_back(service.handle(solve_request(km, id++, 60000)));
+            const svc::Response& r = cold.back();
             if (!verify_clean(km, r) || r.status != cp::SolveStatus::Optimal ||
                 r.cache_hit) {
                 std::cout << "COLD SOLVE FAILED: " << name << " " << r.error << "\n";
@@ -155,6 +169,69 @@ int main(int argc, char** argv) {
         counter(saturated, "svc.queue.admitted") == 0;
     all_ok = all_ok && shed_ok;
 
+    // Phase 4 — the hit path, step by step: the steps handle_line runs on a
+    // cache hit, each timed on its own as the service calls it (the lookup
+    // against a cache holding the cold schedule), then handle_line whole on
+    // the warmed service. Every repetition takes every kernel and step
+    // once, so host drift spreads over all of them alike.
+    const int reps = smoke ? 5 : 51;
+    struct HitSplit {
+        std::string line;
+        std::vector<double> parse, hash, verify, serialize, total;
+    };
+    std::vector<HitSplit> splits(models.size());
+    svc::ScheduleCache hit_cache(models.size());
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        const model::KernelModel& km = models[k].second;
+        splits[k].line = svc::serialize_request(solve_request(km, 3000, 60000));
+        hit_cache.insert(model::canonical_hash(km), model::to_json(km),
+                         svc::CachedSchedule{cold[k].start, cold[k].slot, cold[k].makespan,
+                                             cold[k].slots_used});
+    }
+    bool hit_ok = true;
+    for (int rep = 0; rep < reps; ++rep) {
+        for (HitSplit& split : splits) {
+            Stopwatch watch;
+            const svc::Request req = svc::parse_request(split.line);
+            split.parse.push_back(watch.elapsed_ms());
+
+            watch = Stopwatch();
+            const std::string canonical = model::to_json(*req.model);
+            const std::uint64_t hash = model::canonical_hash(canonical);
+            split.hash.push_back(watch.elapsed_ms());
+
+            watch = Stopwatch();
+            const std::optional<svc::CachedSchedule> cached = hit_cache.lookup(hash, canonical);
+            const bool clean = cached.has_value() &&
+                               model::check_schedule(*req.model, cached->start, cached->slot,
+                                                     cached->makespan)
+                                   .empty();
+            split.verify.push_back(watch.elapsed_ms());
+            hit_ok = hit_ok && clean;
+            if (!clean) continue;
+
+            svc::Response r;
+            r.id = req.id;
+            r.ok = true;
+            r.status = cp::SolveStatus::Optimal;
+            r.makespan = cached->makespan;
+            r.slots_used = cached->slots_used;
+            r.start = cached->start;
+            r.slot = cached->slot;
+            r.cache_hit = true;
+            r.model_hash = hash;
+            watch = Stopwatch();
+            const std::string wire = svc::serialize_response(r);
+            split.serialize.push_back(watch.elapsed_ms());
+
+            watch = Stopwatch();
+            const std::string served = service.handle_line(split.line);
+            split.total.push_back(watch.elapsed_ms());
+            hit_ok = hit_ok && !wire.empty() && svc::parse_response(served).cache_hit;
+        }
+    }
+    all_ok = all_ok && hit_ok;
+
     Table t({"phase", "requests", "wall (ms)", "req/s", "cache hits", "status"});
     const auto rate = [](std::int64_t n, double ms) {
         return ms > 0.0 ? format_fixed(1000.0 * static_cast<double>(n) / ms, 0) : "-";
@@ -173,6 +250,20 @@ int main(int argc, char** argv) {
                 "cache-hit service rate (hash + exact-match + re-verify), not a "
                 "solver rate. The saturated phase holds the anytime contract with "
                 "the pool taken away entirely.");
+
+    std::cout << "\nHit path, min / median ms over " << reps
+              << " interleaved repetitions:\n";
+    Table h({"kernel", "request bytes", "parse", "canonical + hash", "lookup + re-verify",
+             "serialize", "handle_line"});
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        const HitSplit& split = splits[k];
+        if (split.total.empty()) continue;
+        h.add_row({models[k].first, std::to_string(split.line.size()), min_median(split.parse),
+                   min_median(split.hash), min_median(split.verify),
+                   min_median(split.serialize), min_median(split.total)});
+    }
+    h.print(std::cout);
+    if (!hit_ok) std::cout << "HIT PATH FAILED: a request was not served from the cache\n";
 
     if (!metrics_path.empty()) {
         std::ofstream out(metrics_path);

@@ -150,13 +150,14 @@ LnsResult improve_schedule(const model::KernelModel& m, const std::vector<int>& 
     res.makespan = makespan;
 
     const Emission emission(m);
+    // A proven floor (at least the critical path): once reached, no round
+    // can accept, so stop instead of burning the budget.
+    const int lower_bound = model::makespan_lower_bound(m).value();
     XorShift rng(options.seed);
     while (options.max_rounds < 0 || res.rounds < options.max_rounds) {
         if (options.deadline.expired()) break;
         if (options.stop != nullptr && options.stop->load(std::memory_order_relaxed)) break;
-        // The critical path is a proven lower bound: once reached, no round
-        // can accept, so stop instead of burning the budget.
-        if (res.makespan <= m.critical_path) break;
+        if (res.makespan <= lower_bound) break;
         RoundOutcome out = run_round(m, emission, res.start, res.makespan,
                                      selector_for(res.rounds), options.tuning, rng,
                                      options.deadline, options.stop, /*profile=*/false,
@@ -191,9 +192,11 @@ cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, cp::Store base,
         model::KernelModel m;
         LnsTuning tuning;
         Emission emission;
+        int lower_bound;  ///< model::makespan_lower_bound: the proven floor
     };
     auto state = std::make_shared<const State>(
-        State{m, tuning, Emission(std::move(base), std::move(vt))});
+        State{m, tuning, Emission(std::move(base), std::move(vt)),
+              model::makespan_lower_bound(m).value()});
 
     return [state](const cp::LnsRoundContext& ctx) -> cp::LnsRoundResult {
         cp::LnsRoundResult out;
@@ -205,7 +208,7 @@ cp::LnsRoundFn make_portfolio_round(const model::KernelModel& m, cp::Store base,
             inc_start[id] = inc[static_cast<std::size_t>(vt.start[id].index())];
         }
         const int inc_makespan = inc[static_cast<std::size_t>(vt.makespan.index())];
-        if (inc_makespan <= state->m.critical_path) return out;  // proven floor
+        if (inc_makespan <= state->lower_bound) return out;  // proven floor
 
         XorShift rng(ctx.seed);
         RoundOutcome r = run_round(state->m, state->emission, inc_start, inc_makespan,

@@ -1,9 +1,8 @@
 #include "revec/model/json.hpp"
 
 #include <climits>
-#include <cstdio>
+#include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "revec/support/assert.hpp"
 
@@ -11,28 +10,7 @@ namespace revec::model {
 
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\t': os << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    os << buf;
-                } else {
-                    os << c;
-                }
-        }
-    }
-    os << '"';
-}
-
-void append_ints(std::ostringstream& os, const std::vector<int>& xs) {
+void append_ints(json::Writer& os, const std::vector<int>& xs) {
     os << '[';
     for (std::size_t i = 0; i < xs.size(); ++i) {
         if (i > 0) os << ',';
@@ -56,10 +34,10 @@ const char* bool_name(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
 std::string to_json(const KernelModel& m) {
-    std::ostringstream os;
+    json::Writer os;
     os << "{\n";
     os << "  \"name\": ";
-    append_escaped(os, m.name);
+    os.quoted(m.name);
     os << ",\n";
 
     os << "  \"geometry\": {\"banks\": " << m.geometry.banks
@@ -84,7 +62,7 @@ std::string to_json(const KernelModel& m) {
     os << "  \"config_keys\": [";
     for (std::size_t i = 0; i < m.config_keys.size(); ++i) {
         if (i > 0) os << ", ";
-        append_escaped(os, m.config_keys[i]);
+        os.quoted(m.config_keys[i]);
     }
     os << "],\n";
 
@@ -119,9 +97,9 @@ std::string to_json(const KernelModel& m) {
         const ModelNode& n = m.nodes[i];
         os << "    {\"id\": " << n.id << ", \"is_op\": " << bool_name(n.is_op)
            << ", \"cat\": ";
-        append_escaped(os, n.cat);
+        os.quoted(n.cat);
         os << ", \"op\": ";
-        append_escaped(os, n.op);
+        os.quoted(n.op);
         os << ", \"latency\": " << n.latency << ", \"duration\": " << n.duration
            << ", \"lanes\": " << n.lanes << ", \"unit\": \"" << unit_name(n.unit)
            << "\", \"config\": " << n.config;
@@ -153,7 +131,7 @@ std::string to_json(const KernelModel& m) {
     }
     os << "  ]\n";
     os << "}\n";
-    return os.str();
+    return os.take();
 }
 
 void save_json(const KernelModel& m, const std::string& path) {
@@ -167,42 +145,44 @@ namespace {
 
 using json::Value;
 
-[[noreturn]] void bad_field(const std::string& key, const char* context) {
-    throw Error("kernel model JSON: missing or mistyped field '" + key + "' (" + context +
-                ")");
+[[noreturn]] void bad_field(std::string_view key, const char* context) {
+    throw Error("kernel model JSON: missing or mistyped field '" + std::string(key) + "' (" +
+                context + ")");
 }
 
-const Value& require(const Value& obj, const std::string& key, Value::Type type,
+const Value& require(const Value& obj, std::string_view key, Value::Type type,
                      const char* context) {
     const Value* v = obj.find(key);
     if (v == nullptr || !v->is(type)) bad_field(key, context);
     return *v;
 }
 
-/// A JSON number as an int; numbers outside the int range (or NaN) are
-/// rejected instead of cast, which would be undefined behaviour.
-int to_int(double v, const std::string& key, const char* context) {
-    if (!(v >= INT_MIN && v <= INT_MAX)) bad_field(key, context);
+/// A JSON number as an int. Numbers outside the int range (or NaN) are
+/// rejected instead of cast, which would be undefined behaviour, and so
+/// are fractions, which a cast would silently truncate.
+int to_int(double v, std::string_view key, const char* context) {
+    if (!(v >= INT_MIN && v <= INT_MAX) || v != std::trunc(v)) bad_field(key, context);
     return static_cast<int>(v);
 }
 
-int get_int(const Value& obj, const std::string& key, const char* context) {
+int get_int(const Value& obj, std::string_view key, const char* context) {
     return to_int(require(obj, key, Value::Type::Number, context).number, key, context);
 }
 
-int get_positive_int(const Value& obj, const std::string& key, const char* context) {
+int get_positive_int(const Value& obj, std::string_view key, const char* context) {
     const int v = get_int(obj, key, context);
     if (v <= 0) {
-        throw Error("kernel model JSON: '" + key + "' (" + context + ") must be positive");
+        throw Error("kernel model JSON: '" + std::string(key) + "' (" + context +
+                    ") must be positive");
     }
     return v;
 }
 
-bool get_bool(const Value& obj, const std::string& key, const char* context) {
+bool get_bool(const Value& obj, std::string_view key, const char* context) {
     return require(obj, key, Value::Type::Bool, context).boolean;
 }
 
-std::vector<int> get_ints(const Value& obj, const std::string& key, const char* context) {
+std::vector<int> get_ints(const Value& obj, std::string_view key, const char* context) {
     const Value& arr = require(obj, key, Value::Type::Array, context);
     std::vector<int> out;
     out.reserve(arr.array.size());
@@ -367,15 +347,16 @@ KernelModel from_json(const std::string& text) {
     return from_json(json::parse(text));
 }
 
-std::uint64_t canonical_hash(const KernelModel& m) {
-    const std::string bytes = to_json(m);
+std::uint64_t canonical_hash(std::string_view canonical) {
     // FNV-1a, 64-bit: stable across platforms and runs, no seed.
     std::uint64_t h = 14695981039346656037ull;
-    for (const char c : bytes) {
+    for (const char c : canonical) {
         h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
     }
     return h;
 }
+
+std::uint64_t canonical_hash(const KernelModel& m) { return canonical_hash(to_json(m)); }
 
 }  // namespace revec::model

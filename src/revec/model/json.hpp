@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "revec/model/kernel_model.hpp"
 #include "revec/support/json.hpp"
@@ -34,6 +35,11 @@ KernelModel from_json(const json::Value& doc);
 /// equal iff their canonical serializations are byte-identical, so the
 /// hash is independent of the field order of any JSON a model was parsed
 /// from — the content-address the revecd schedule cache keys on.
+/// Equal to canonical_hash(to_json(m)).
 std::uint64_t canonical_hash(const KernelModel& m);
+
+/// FNV-1a of `canonical`, which must be a to_json output: for a caller that
+/// already holds the canonical bytes and should not serialize twice.
+std::uint64_t canonical_hash(std::string_view canonical);
 
 }  // namespace revec::model

@@ -1,10 +1,7 @@
 #include "revec/support/json.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
-#include <sstream>
+#include <iterator>
 
 #include "revec/support/assert.hpp"
 
@@ -12,12 +9,20 @@ namespace revec::json {
 
 namespace {
 
+/// Deeper documents are rejected instead of recursed into: the parser
+/// recurses once per nesting level and the service parses whatever a
+/// client sends. The documents this repository writes nest 4 levels deep.
+constexpr std::size_t kMaxDepth = 256;
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 class Parser {
 public:
     explicit Parser(std::string_view text) : text_(text) {}
 
     Value parse_document() {
-        Value v = parse_value();
+        Value v;
+        parse_value(v);
         skip_ws();
         if (pos_ != text_.size()) fail("trailing content after JSON value");
         return v;
@@ -29,8 +34,9 @@ private:
     }
 
     void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+        while (pos_ < text_.size()) {
+            const char c = text_[pos_];
+            if (c != ' ' && c != '\n' && c != '\t' && c != '\r') return;
             ++pos_;
         }
     }
@@ -41,86 +47,120 @@ private:
         return text_[pos_];
     }
 
+    bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
     void expect(char c) {
         if (peek() != c) fail(std::string("expected '") + c + "'");
         ++pos_;
     }
 
-    Value parse_value() {
+    /// Parse the value at pos_ into `out`, a default (null) Value.
+    void parse_value(Value& out) {
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
-            case '"': return parse_string();
+            case '{': parse_object(out); return;
+            case '[': parse_array(out); return;
+            case '"':
+                out.type = Value::Type::String;
+                parse_string(out.str);
+                return;
             case 't':
-            case 'f': return parse_bool();
-            case 'n': return parse_null();
-            default: return parse_number();
+            case 'f': parse_bool(out); return;
+            case 'n': parse_null(); return;
+            default: parse_number(out); return;
         }
     }
 
-    Value parse_object() {
+    /// Open a container one level deeper; returns its scratch index.
+    std::size_t enter() {
+        if (depth_ == kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        if (items_.size() == depth_) {
+            items_.emplace_back();
+            fields_.emplace_back();
+        }
+        return depth_++;
+    }
+
+    // The elements of a container are parsed in place into the back of its
+    // depth's scratch. That reference stays valid while the element's own
+    // children parse: they only append to deeper scratch vectors, and when
+    // that grows items_ or fields_ the depth-d vector is moved, which keeps
+    // its element buffer.
+
+    void parse_object(Value& out) {
         expect('{');
-        Value v;
-        v.type = Value::Type::Object;
+        out.type = Value::Type::Object;
         if (peek() == '}') {
             ++pos_;
-            return v;
+            return;
         }
+        const std::size_t d = enter();
         while (true) {
-            Value key = parse_string();
+            if (peek() != '"') fail("expected '\"'");
+            auto& field = fields_[d].emplace_back();
+            parse_string(field.first);
             expect(':');
-            v.object.emplace_back(std::move(key.str), parse_value());
+            parse_value(field.second);
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect('}');
-            return v;
+            break;
         }
+        auto& fields = fields_[d];
+        out.object.assign(std::make_move_iterator(fields.begin()),
+                          std::make_move_iterator(fields.end()));
+        fields.clear();
+        --depth_;
     }
 
-    Value parse_array() {
+    void parse_array(Value& out) {
         expect('[');
-        Value v;
-        v.type = Value::Type::Array;
+        out.type = Value::Type::Array;
         if (peek() == ']') {
             ++pos_;
-            return v;
+            return;
         }
+        const std::size_t d = enter();
         while (true) {
-            v.array.push_back(parse_value());
+            parse_value(items_[d].emplace_back());
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect(']');
-            return v;
+            break;
         }
+        auto& items = items_[d];
+        out.array.assign(std::make_move_iterator(items.begin()),
+                         std::make_move_iterator(items.end()));
+        items.clear();
+        --depth_;
     }
 
-    Value parse_string() {
-        expect('"');
-        Value v;
-        v.type = Value::Type::String;
+    /// Append the string literal at pos_ (its opening quote already
+    /// peeked) to `out`.
+    void parse_string(std::string& out) {
+        ++pos_;
         while (true) {
+            // Copy the run up to the next quote or escape in one append.
+            std::size_t end = pos_;
+            while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') ++end;
+            out.append(text_, pos_, end - pos_);
+            pos_ = end;
             if (pos_ >= text_.size()) fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"') return v;
-            if (c != '\\') {
-                v.str.push_back(c);
-                continue;
-            }
+            if (text_[pos_++] == '"') return;
             if (pos_ >= text_.size()) fail("unterminated escape");
             const char esc = text_[pos_++];
             switch (esc) {
-                case '"': v.str.push_back('"'); break;
-                case '\\': v.str.push_back('\\'); break;
-                case '/': v.str.push_back('/'); break;
-                case 'n': v.str.push_back('\n'); break;
-                case 't': v.str.push_back('\t'); break;
-                case 'r': v.str.push_back('\r'); break;
-                case 'b': v.str.push_back('\b'); break;
-                case 'f': v.str.push_back('\f'); break;
+                case '"': out.push_back('"'); break;
+                case '\\': out.push_back('\\'); break;
+                case '/': out.push_back('/'); break;
+                case 'n': out.push_back('\n'); break;
+                case 't': out.push_back('\t'); break;
+                case 'r': out.push_back('\r'); break;
+                case 'b': out.push_back('\b'); break;
+                case 'f': out.push_back('\f'); break;
                 case 'u': {
                     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
                     // ASCII-only documents: decode the low byte, reject the
@@ -140,7 +180,7 @@ private:
                         }
                     }
                     if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-                    v.str.push_back(static_cast<char>(code));
+                    out.push_back(static_cast<char>(code));
                     break;
                 }
                 default: fail("unknown escape");
@@ -148,114 +188,146 @@ private:
         }
     }
 
-    Value parse_bool() {
-        Value v;
-        v.type = Value::Type::Bool;
+    void parse_bool(Value& out) {
+        out.type = Value::Type::Bool;
         if (text_.compare(pos_, 4, "true") == 0) {
-            v.boolean = true;
+            out.boolean = true;
             pos_ += 4;
         } else if (text_.compare(pos_, 5, "false") == 0) {
-            v.boolean = false;
+            out.boolean = false;
             pos_ += 5;
         } else {
             fail("bad literal");
         }
-        return v;
     }
 
-    Value parse_null() {
+    void parse_null() {
         if (text_.compare(pos_, 4, "null") != 0) fail("bad literal");
         pos_ += 4;
-        return {};
     }
 
-    Value parse_number() {
+    /// Skip a run of digits; false when there was none.
+    bool digits() {
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-                text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-                text_[pos_] == '-' || text_[pos_] == '+')) {
+        while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+        return pos_ > start;
+    }
+
+    /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. The token
+    /// ends where the grammar does, so whatever follows a half-valid number
+    /// ("1-2", "1.2.3", "01") is left for the caller to reject.
+    void parse_number(Value& out) {
+        const std::size_t start = pos_;
+        const bool negative = at('-');
+        if (negative) ++pos_;
+        if (at('0')) {
             ++pos_;
+        } else if (!digits()) {
+            fail("expected a value");
         }
-        if (pos_ == start) fail("expected a value");
-        Value v;
-        v.type = Value::Type::Number;
-        try {
-            v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-        } catch (const std::exception&) {
-            fail("malformed number");
+        bool integer = true;
+        if (at('.')) {
+            ++pos_;
+            if (!digits()) fail("malformed number");
+            integer = false;
         }
-        return v;
+        if (at('e') || at('E')) {
+            ++pos_;
+            if (at('+') || at('-')) ++pos_;
+            if (!digits()) fail("malformed number");
+            integer = false;
+        }
+        out.type = Value::Type::Number;
+        const char* const end = text_.data() + pos_;
+        const char* const magnitude = text_.data() + start + (negative ? 1 : 0);
+        if (integer && end - magnitude <= 15) {
+            // Exact in a double, and the integer reader is several times
+            // faster; nearly every number the repository writes takes this path.
+            std::int64_t v = 0;
+            if (std::from_chars(magnitude, end, v).ec != std::errc{}) fail("malformed number");
+            out.number = negative ? -static_cast<double>(v) : static_cast<double>(v);
+            return;
+        }
+        const auto res = std::from_chars(text_.data() + start, end, out.number);
+        if (res.ec != std::errc{} || res.ptr != end) fail("malformed number");
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    /// Per-depth scratch: the elements of the array (items_) or object
+    /// (fields_) open at each nesting depth collect here, then move into
+    /// one exact-size vector when it closes; the scratch keeps its
+    /// capacity for the next container at that depth.
+    std::vector<std::vector<Value>> items_;
+    std::vector<std::vector<std::pair<std::string, Value>>> fields_;
+    std::size_t depth_ = 0;
 };
 
 /// Integers round-trip as integers; everything else keeps a shortest-ish
 /// double form. The repo's serializers only ever write integral numbers,
 /// so the integer path is the one that matters for byte-determinism.
-void append_number(std::ostream& os, double v) {
+void append_number(Writer& out, double v) {
     if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e18) {
-        os << static_cast<long long>(v);
+        out << static_cast<long long>(v);
         return;
     }
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
+    const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+    out << std::string_view(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
 }  // namespace
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
-void append_escaped(std::ostream& os, std::string_view s) {
-    os << '"';
+Writer& Writer::quoted(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out_.push_back('"');
     for (const char c : s) {
         switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\t': os << "\\t"; break;
-            case '\r': os << "\\r"; break;
+            case '"': out_ += "\\\""; break;
+            case '\\': out_ += "\\\\"; break;
+            case '\n': out_ += "\\n"; break;
+            case '\t': out_ += "\\t"; break;
             default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    os << buf;
+                // Every other control character, '\r' included, as \u00XX:
+                // the canonical model bytes, and so their hash, use this form.
+                if (const auto u = static_cast<unsigned char>(c); u < 0x20) {
+                    out_ += "\\u00";
+                    out_.push_back(kHex[u >> 4]);
+                    out_.push_back(kHex[u & 0xf]);
                 } else {
-                    os << c;
+                    out_.push_back(c);
                 }
         }
     }
-    os << '"';
+    out_.push_back('"');
+    return *this;
 }
 
-void write_compact(const Value& v, std::ostream& os) {
+void write_compact(const Value& v, Writer& out) {
     switch (v.type) {
-        case Value::Type::Null: os << "null"; return;
-        case Value::Type::Bool: os << (v.boolean ? "true" : "false"); return;
-        case Value::Type::Number: append_number(os, v.number); return;
-        case Value::Type::String: append_escaped(os, v.str); return;
+        case Value::Type::Null: out << "null"; return;
+        case Value::Type::Bool: out << (v.boolean ? "true" : "false"); return;
+        case Value::Type::Number: append_number(out, v.number); return;
+        case Value::Type::String: out.quoted(v.str); return;
         case Value::Type::Array: {
-            os << '[';
+            out << '[';
             for (std::size_t i = 0; i < v.array.size(); ++i) {
-                if (i > 0) os << ',';
-                write_compact(v.array[i], os);
+                if (i > 0) out << ',';
+                write_compact(v.array[i], out);
             }
-            os << ']';
+            out << ']';
             return;
         }
         case Value::Type::Object: {
-            os << '{';
+            out << '{';
             for (std::size_t i = 0; i < v.object.size(); ++i) {
-                if (i > 0) os << ',';
-                append_escaped(os, v.object[i].first);
-                os << ':';
-                write_compact(v.object[i].second, os);
+                if (i > 0) out << ',';
+                out.quoted(v.object[i].first) << ':';
+                write_compact(v.object[i].second, out);
             }
-            os << '}';
+            out << '}';
             return;
         }
     }
@@ -263,9 +335,9 @@ void write_compact(const Value& v, std::ostream& os) {
 }
 
 std::string to_compact_string(const Value& v) {
-    std::ostringstream os;
-    write_compact(v, os);
-    return os.str();
+    Writer out;
+    write_compact(v, out);
+    return out.take();
 }
 
 }  // namespace revec::json

@@ -1,6 +1,8 @@
 #include "revec/svc/protocol.hpp"
 
-#include <sstream>
+#include <climits>
+#include <cmath>
+#include <string_view>
 
 #include "revec/model/json.hpp"
 #include "revec/support/assert.hpp"
@@ -22,26 +24,33 @@ const char* kind_name(RequestKind kind) {
     REVEC_UNREACHABLE("bad RequestKind");
 }
 
-std::int64_t get_int(const Value& obj, const std::string& key, std::int64_t fallback) {
-    const Value* v = obj.find(key);
-    if (v == nullptr) return fallback;
-    if (!v->is(Value::Type::Number)) {
-        throw Error("request field '" + key + "' must be a number");
+/// `v` as an integer in [lo, hi]; anything else (a fraction, NaN, a value
+/// a cast could not represent) throws instead of being truncated.
+double integral(const Value& v, double lo, double hi, std::string_view key) {
+    if (!v.is(Value::Type::Number) || !(v.number >= lo && v.number <= hi) ||
+        v.number != std::trunc(v.number)) {
+        throw Error("field '" + std::string(key) + "' must be an integer in range");
     }
-    return static_cast<std::int64_t>(v->number);
+    return v.number;
 }
 
-bool get_bool(const Value& obj, const std::string& key, bool fallback) {
+std::int64_t get_int(const Value& obj, std::string_view key, std::int64_t fallback) {
+    const Value* v = obj.find(key);
+    if (v == nullptr) return fallback;
+    // [-2^63, 2^63): 2^63 - 1024 is the largest double below 2^63.
+    return static_cast<std::int64_t>(integral(*v, -0x1p63, 0x1p63 - 1024.0, key));
+}
+
+bool get_bool(const Value& obj, std::string_view key, bool fallback) {
     const Value* v = obj.find(key);
     if (v == nullptr) return fallback;
     if (!v->is(Value::Type::Bool)) {
-        throw Error("request field '" + key + "' must be a boolean");
+        throw Error("request field '" + std::string(key) + "' must be a boolean");
     }
     return v->boolean;
 }
 
-void append_int_array(std::ostringstream& os, const char* key,
-                      const std::vector<int>& xs) {
+void append_int_array(json::Writer& os, std::string_view key, const std::vector<int>& xs) {
     os << ",\"" << key << "\":[";
     for (std::size_t i = 0; i < xs.size(); ++i) {
         if (i > 0) os << ',';
@@ -50,15 +59,16 @@ void append_int_array(std::ostringstream& os, const char* key,
     os << ']';
 }
 
-std::vector<int> get_ints(const Value& obj, const std::string& key) {
+std::vector<int> get_ints(const Value& obj, std::string_view key) {
     std::vector<int> out;
     const Value* v = obj.find(key);
     if (v == nullptr) return out;
-    if (!v->is(Value::Type::Array)) throw Error("field '" + key + "' must be an array");
+    if (!v->is(Value::Type::Array)) {
+        throw Error("field '" + std::string(key) + "' must be an array");
+    }
     out.reserve(v->array.size());
     for (const Value& e : v->array) {
-        if (!e.is(Value::Type::Number)) throw Error("field '" + key + "' must hold numbers");
-        out.push_back(static_cast<int>(e.number));
+        out.push_back(static_cast<int>(integral(e, INT_MIN, INT_MAX, key)));
     }
     return out;
 }
@@ -195,7 +205,7 @@ Request parse_request(const std::string& line) {
 }
 
 std::string serialize_request(const Request& request) {
-    std::ostringstream os;
+    json::Writer os;
     os << "{\"kind\":\"" << kind_name(request.kind) << "\",\"id\":" << request.id
        << ",\"deadline_ms\":" << request.deadline_ms;
     if (request.rid != 0) os << ",\"rid\":\"" << hash_hex(request.rid) << "\"";
@@ -208,42 +218,39 @@ std::string serialize_request(const Request& request) {
        << ",\"reuse\":\"" << reuse_name(request.params.reuse) << "\"}";
     if (request.model.has_value()) {
         // Re-serialize the canonical pretty form onto one line.
-        os << ",\"model\":"
-           << json::to_compact_string(json::parse(model::to_json(*request.model)));
+        os << ",\"model\":";
+        json::write_compact(json::parse(model::to_json(*request.model)), os);
     }
     os << "}";
-    return os.str();
+    return os.take();
 }
 
 std::string serialize_response(const Response& response) {
-    std::ostringstream os;
+    json::Writer os;
     os << "{\"id\":" << response.id;
     if (response.rid != 0) os << ",\"rid\":\"" << hash_hex(response.rid) << "\"";
     os << ",\"ok\":" << (response.ok ? "true" : "false");
     if (!response.ok) {
         os << ",\"error\":";
-        json::append_escaped(os, response.error);
-        os << "}";
-        return os.str();
+        os.quoted(response.error) << "}";
+        return os.take();
     }
     if (response.ack) {
         os << ",\"ack\":true}";
-        return os.str();
+        return os.take();
     }
     if (!response.metrics_json.empty()) {
-        os << ",\"metrics\":"
-           << json::to_compact_string(json::parse(response.metrics_json));
+        os << ",\"metrics\":";
+        json::write_compact(json::parse(response.metrics_json), os);
         os << "}";
-        return os.str();
+        return os.take();
     }
     os << ",\"status\":\"" << status_name(response.status) << "\"";
     if (response.has_schedule()) {
         os << ",\"makespan\":" << response.makespan
            << ",\"slots_used\":" << response.slots_used;
-        std::ostringstream arrays;
-        append_int_array(arrays, "start", response.start);
-        append_int_array(arrays, "slot", response.slot);
-        os << arrays.str();
+        append_int_array(os, "start", response.start);
+        append_int_array(os, "slot", response.slot);
     }
     os << ",\"cache\":\""
        << (response.cache_hit ? "hit" : (response.near_hit ? "near" : "miss")) << "\""
@@ -252,10 +259,10 @@ std::string serialize_response(const Response& response) {
        << hash_hex(response.model_hash) << "\"";
     if (!response.flight.empty()) {
         os << ",\"flight\":";
-        json::append_escaped(os, response.flight);
+        os.quoted(response.flight);
     }
     os << "}";
-    return os.str();
+    return os.take();
 }
 
 Response parse_response(const std::string& line) {

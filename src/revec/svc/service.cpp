@@ -21,20 +21,22 @@ Service::Service(const Config& config)
 
 std::string Service::handle_line(const std::string& line,
                                  obs::TraceBuffer* session_track) {
+    const Stopwatch parse_sw;
     Request request;
+    Response rejected;  // ok = false
+    bool parsed = true;
     try {
         request = parse_request(line);
     } catch (const Error& e) {
-        Response r;
-        r.ok = false;
-        r.error = e.what();
-        {
-            std::lock_guard<std::mutex> lock(metrics_mu_);
-            metrics_.add("svc.req.parse_errors");
-        }
-        return serialize_response(r);
+        parsed = false;
+        rejected.error = e.what();
     }
-    return serialize_response(handle(request, session_track));
+    {
+        std::lock_guard<std::mutex> lock(metrics_mu_);
+        metrics_.observe("svc.phase.parse_ms", parse_sw.elapsed_ms());
+        if (!parsed) metrics_.add("svc.req.parse_errors");
+    }
+    return serialize_response(parsed ? handle(request, session_track) : rejected);
 }
 
 Response Service::handle(const Request& request, obs::TraceBuffer* session_track) {
@@ -81,7 +83,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
     const auto rid_i = static_cast<std::int64_t>(rid);
     const model::KernelModel& km = *request.model;
     const std::string canonical = model::to_json(km);
-    const std::uint64_t hash = model::canonical_hash(km);
+    const std::uint64_t hash = model::canonical_hash(canonical);
     const std::uint64_t fingerprint = model::structural_fingerprint(km);
     const bool reuse_exact = request.params.reuse != ReuseMode::Off;
     const bool reuse_near = request.params.reuse == ReuseMode::Near;

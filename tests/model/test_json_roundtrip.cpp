@@ -75,6 +75,17 @@ TEST(ModelJsonRoundTrip, RejectsMissingAndMistypedFields) {
         if (key == "num_slots") value.type = json::Value::Type::String;
     }
     EXPECT_THROW(from_json(doc), Error);
+    // A latency the wire spells "2.5", "2-1" or "2e" is rejected, not read as 2.
+    const std::string canonical = to_json(matmul_model());
+    const std::size_t at = canonical.find("\"latency\": ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t value = at + std::string("\"latency\": ").size();
+    const std::size_t end = canonical.find(',', value);
+    for (const char* bad : {"2.5", "2-1", "2e", "+2"}) {
+        const std::string text = canonical.substr(0, value) + bad + canonical.substr(end);
+        EXPECT_THROW(from_json(text), Error) << bad;
+    }
+    EXPECT_NO_THROW(from_json(canonical.substr(0, value) + "2" + canonical.substr(end)));
 }
 
 /// The field `key` of JSON object `obj` (which must have it).
@@ -125,6 +136,10 @@ TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
     }
     rejects([](json::Value& d) { field(field(d, "edges").array.at(0), "src").number = 1e9; });
     rejects([](json::Value& d) { field(d, "ops").array.at(0).number = 1e300; });
+    // A fraction is not an int: it is rejected, never truncated.
+    rejects([](json::Value& d) { field(d, "num_slots").number += 0.5; });
+    rejects([](json::Value& d) { field(d, "ops").array.at(0).number += 0.25; });
+    rejects([](json::Value& d) { field(field(d, "nodes").array.at(0), "latency").number = 2.5; });
     // A vector-core op's configuration must name one of config_keys.
     for (const double config : {-1.0, 1e6}) {
         rejects([config](json::Value& d) {
@@ -229,6 +244,7 @@ TEST(CanonicalHash, PinsThePaperKernelsWireHashes) {
         const std::string canonical = to_json(m);
         EXPECT_EQ(canonical.size(), g.bytes) << g.name;
         EXPECT_EQ(canonical_hash(m), g.hash) << g.name;
+        EXPECT_EQ(canonical_hash(canonical), canonical_hash(m)) << g.name;
     }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "revec/support/assert.hpp"
 
 namespace revec {
@@ -36,6 +40,28 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_THROW(json::parse("1 2"), Error);
     EXPECT_THROW(json::parse("nul"), Error);
     EXPECT_THROW(json::parse(""), Error);
+    // A number token is read whole and follows RFC 8259, or the document
+    // is rejected: no prefix of it is accepted with the rest dropped.
+    for (const char* bad : {"[1-2]", "[1.2.3]", "[3e]", "[+5]", "[01]", "[1.]", "[.5]",
+                            "[-]", "[1e+]", "[inf]", "[-nan]", "[0x10]", "[1e999]"}) {
+        EXPECT_THROW(json::parse(bad), Error) << bad;
+    }
+    EXPECT_THROW(json::parse(std::string(100000, '[')), Error);  // nesting bound
+}
+
+TEST(Json, ParsesEveryNumberForm) {
+    EXPECT_DOUBLE_EQ(json::parse("0").number, 0.0);
+    EXPECT_DOUBLE_EQ(json::parse("-0.25").number, -0.25);
+    EXPECT_DOUBLE_EQ(json::parse("1E2").number, 100.0);
+    EXPECT_DOUBLE_EQ(json::parse("1e-2").number, 0.01);
+    EXPECT_DOUBLE_EQ(json::parse("7e+1").number, 70.0);
+    EXPECT_TRUE(std::signbit(json::parse("-0").number));
+    // Past 15 digits an integer takes the floating-point reader.
+    EXPECT_DOUBLE_EQ(json::parse("-123456789012345678").number, -123456789012345678.0);
+    const Value v = json::parse(" [ 1 ,\t-2 ,\r\n3.5 ] ");
+    ASSERT_EQ(v.array.size(), 3u);
+    EXPECT_DOUBLE_EQ(v.array[1].number, -2.0);
+    EXPECT_DOUBLE_EQ(v.array[2].number, 3.5);
 }
 
 TEST(Json, CompactRoundTripIsStable) {
@@ -62,6 +88,15 @@ TEST(Json, EscapesControlCharactersOnWrite) {
     v.type = Value::Type::String;
     v.str = "a\"b\\c\nd\x01";
     EXPECT_EQ(json::to_compact_string(v), "\"a\\\"b\\\\c\\nd\\u0001\"");
+    v.str = "\r\x1f";  // the canonical model form: \u00XX for all but \n and \t
+    EXPECT_EQ(json::to_compact_string(v), "\"\\u000d\\u001f\"");
+}
+
+TEST(Json, WriterAppendsIntegersOfEveryWidth) {
+    json::Writer w;
+    w << "x" << ':' << -12 << ',' << std::int64_t{-9223372036854775807 - 1} << ','
+      << std::uint32_t{4294967295u} << ',' << 0;
+    EXPECT_EQ(w.take(), "x:-12,-9223372036854775808,4294967295,0");
 }
 
 }  // namespace

@@ -119,6 +119,13 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     EXPECT_THROW(
         parse_request("{\"kind\":\"ping\",\"options\":{\"lns_relax_pct\":101}}"),
         Error);
+    // Integer fields take integers a cast can hold, never a truncation.
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"id\":1.5}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"id\":1e300}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"deadline_ms\":-1e19}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":2.5}}"),
+                 Error);
+    EXPECT_EQ(parse_request("{\"kind\":\"ping\",\"id\":-7}").id, -7);
 }
 
 TEST(SvcProtocol, RidRoundTripsAsSixteenHexDigits) {

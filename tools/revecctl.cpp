@@ -167,7 +167,8 @@ void render_top(const StatsSnapshot& s, bool delta, std::ostream& out) {
         << counter_of(s, "svc.flight.dump") << ", dropped "
         << counter_of(s, "svc.flight.drop") << "\n\n";
 
-    static const std::array<std::pair<const char*, const char*>, 5> kPhases = {{
+    static const std::array<std::pair<const char*, const char*>, 6> kPhases = {{
+        {"parse", "svc.phase.parse_ms"},
         {"lookup", "svc.phase.lookup_ms"},
         {"adapt", "svc.phase.adapt_ms"},
         {"queue wait", "svc.phase.queue_wait_ms"},
