@@ -1,7 +1,6 @@
 #include "revec/support/json.hpp"
 
 #include <cmath>
-#include <iterator>
 
 #include "revec/support/assert.hpp"
 
@@ -70,21 +69,15 @@ private:
         }
     }
 
-    /// Open a container one level deeper; returns its scratch index.
-    std::size_t enter() {
+    /// Open a container one level deeper. The parser recurses once per
+    /// level, so the depth is bounded before it recurses.
+    void enter() {
         if (depth_ == kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
-        if (items_.size() == depth_) {
-            items_.emplace_back();
-            fields_.emplace_back();
-        }
-        return depth_++;
+        ++depth_;
     }
 
-    // The elements of a container are parsed in place into the back of its
-    // depth's scratch. That reference stays valid while the element's own
-    // children parse: they only append to deeper scratch vectors, and when
-    // that grows items_ or fields_ the depth-d vector is moved, which keeps
-    // its element buffer.
+    // Each element is parsed in place into the back of its container: its
+    // own children only append to the element's own vectors.
 
     void parse_object(Value& out) {
         expect('{');
@@ -93,10 +86,10 @@ private:
             ++pos_;
             return;
         }
-        const std::size_t d = enter();
+        enter();
         while (true) {
             if (peek() != '"') fail("expected '\"'");
-            auto& field = fields_[d].emplace_back();
+            auto& field = out.object.emplace_back();
             parse_string(field.first);
             expect(':');
             parse_value(field.second);
@@ -107,10 +100,6 @@ private:
             expect('}');
             break;
         }
-        auto& fields = fields_[d];
-        out.object.assign(std::make_move_iterator(fields.begin()),
-                          std::make_move_iterator(fields.end()));
-        fields.clear();
         --depth_;
     }
 
@@ -121,9 +110,9 @@ private:
             ++pos_;
             return;
         }
-        const std::size_t d = enter();
+        enter();
         while (true) {
-            parse_value(items_[d].emplace_back());
+            parse_value(out.array.emplace_back());
             if (peek() == ',') {
                 ++pos_;
                 continue;
@@ -131,10 +120,6 @@ private:
             expect(']');
             break;
         }
-        auto& items = items_[d];
-        out.array.assign(std::make_move_iterator(items.begin()),
-                         std::make_move_iterator(items.end()));
-        items.clear();
         --depth_;
     }
 
@@ -218,48 +203,29 @@ private:
     /// ("1-2", "1.2.3", "01") is left for the caller to reject.
     void parse_number(Value& out) {
         const std::size_t start = pos_;
-        const bool negative = at('-');
-        if (negative) ++pos_;
+        if (at('-')) ++pos_;
         if (at('0')) {
             ++pos_;
         } else if (!digits()) {
             fail("expected a value");
         }
-        bool integer = true;
         if (at('.')) {
             ++pos_;
             if (!digits()) fail("malformed number");
-            integer = false;
         }
         if (at('e') || at('E')) {
             ++pos_;
             if (at('+') || at('-')) ++pos_;
             if (!digits()) fail("malformed number");
-            integer = false;
         }
         out.type = Value::Type::Number;
         const char* const end = text_.data() + pos_;
-        const char* const magnitude = text_.data() + start + (negative ? 1 : 0);
-        if (integer && end - magnitude <= 15) {
-            // Exact in a double, and the integer reader is several times
-            // faster; nearly every number the repository writes takes this path.
-            std::int64_t v = 0;
-            if (std::from_chars(magnitude, end, v).ec != std::errc{}) fail("malformed number");
-            out.number = negative ? -static_cast<double>(v) : static_cast<double>(v);
-            return;
-        }
         const auto res = std::from_chars(text_.data() + start, end, out.number);
         if (res.ec != std::errc{} || res.ptr != end) fail("malformed number");
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
-    /// Per-depth scratch: the elements of the array (items_) or object
-    /// (fields_) open at each nesting depth collect here, then move into
-    /// one exact-size vector when it closes; the scratch keeps its
-    /// capacity for the next container at that depth.
-    std::vector<std::vector<Value>> items_;
-    std::vector<std::vector<std::pair<std::string, Value>>> fields_;
     std::size_t depth_ = 0;
 };
 

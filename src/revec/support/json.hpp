@@ -55,11 +55,14 @@ public:
         out_.append(s);
         return *this;
     }
+    /// String literals: without this, the deleted bool overload below
+    /// would take a `const char*` ahead of the string_view conversion.
+    Writer& operator<<(const char* s) { return *this << std::string_view(s); }
     Writer& operator<<(char c) {
         out_.push_back(c);
         return *this;
     }
-    /// Integers only: a bool would print as 0/1, a double is not integral.
+    /// Integers, in decimal. A char argument takes the overload above.
     template <typename Int>
         requires(std::is_integral_v<Int> && !std::is_same_v<Int, bool>)
     Writer& operator<<(Int v) {
@@ -68,6 +71,11 @@ public:
         out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
         return *this;
     }
+    /// Without these, a bool or a floating-point argument would convert to
+    /// char and append one raw byte: write "true"/"false" or the number's
+    /// text explicitly instead.
+    Writer& operator<<(bool) = delete;
+    Writer& operator<<(double) = delete;
     /// Append `s` as a quoted, escaped JSON string literal.
     Writer& quoted(std::string_view s);
 

@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <string_view>
 
 #include "revec/model/json.hpp"
@@ -34,11 +35,19 @@ double integral(const Value& v, double lo, double hi, std::string_view key) {
     return v.number;
 }
 
-std::int64_t get_int(const Value& obj, std::string_view key, std::int64_t fallback) {
+/// Field `key` of `obj` as an integer in [lo, hi], or `fallback` when it is
+/// absent. The default range is int64's: 2^63 - 1024 is the largest double
+/// below 2^63. Callers that narrow the result pass their target type's range.
+std::int64_t get_int(const Value& obj, std::string_view key, std::int64_t fallback,
+                     double lo = -0x1p63, double hi = 0x1p63 - 1024.0) {
     const Value* v = obj.find(key);
     if (v == nullptr) return fallback;
-    // [-2^63, 2^63): 2^63 - 1024 is the largest double below 2^63.
-    return static_cast<std::int64_t>(integral(*v, -0x1p63, 0x1p63 - 1024.0, key));
+    return static_cast<std::int64_t>(integral(*v, lo, hi, key));
+}
+
+/// An int-typed field: rejects what an int cannot hold instead of wrapping it.
+int get_int32(const Value& obj, std::string_view key, int fallback) {
+    return static_cast<int>(get_int(obj, key, fallback, INT_MIN, INT_MAX));
 }
 
 bool get_bool(const Value& obj, std::string_view key, bool fallback) {
@@ -166,14 +175,12 @@ Request parse_request(const std::string& line) {
 
     if (const Value* options = doc.find("options"); options != nullptr) {
         if (!options->is(Value::Type::Object)) throw Error("'options' must be an object");
-        req.params.threads =
-            static_cast<int>(get_int(*options, "threads", req.params.threads));
-        req.params.lns_workers =
-            static_cast<int>(get_int(*options, "lns_workers", req.params.lns_workers));
-        req.params.lns_relax_pct = static_cast<int>(
-            get_int(*options, "lns_relax_pct", req.params.lns_relax_pct));
-        req.params.seed = static_cast<std::uint32_t>(
-            get_int(*options, "seed", static_cast<std::int64_t>(req.params.seed)));
+        req.params.threads = get_int32(*options, "threads", req.params.threads);
+        req.params.lns_workers = get_int32(*options, "lns_workers", req.params.lns_workers);
+        req.params.lns_relax_pct =
+            get_int32(*options, "lns_relax_pct", req.params.lns_relax_pct);
+        req.params.seed = static_cast<std::uint32_t>(get_int(
+            *options, "seed", static_cast<std::int64_t>(req.params.seed), 0, UINT32_MAX));
         req.params.warm_start = get_bool(*options, "warm_start", req.params.warm_start);
         req.params.heuristic_only =
             get_bool(*options, "heuristic_only", req.params.heuristic_only);
@@ -300,8 +307,8 @@ Response parse_response(const std::string& line) {
         if (!parsed.has_value()) throw Error("unknown status '" + status->str + "'");
         r.status = *parsed;
     }
-    r.makespan = static_cast<int>(get_int(doc, "makespan", 0));
-    r.slots_used = static_cast<int>(get_int(doc, "slots_used", 0));
+    r.makespan = get_int32(doc, "makespan", 0);
+    r.slots_used = get_int32(doc, "slots_used", 0);
     r.start = get_ints(doc, "start");
     r.slot = get_ints(doc, "slot");
     if (const Value* cache = doc.find("cache");

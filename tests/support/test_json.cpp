@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "revec/support/assert.hpp"
 
@@ -47,6 +48,11 @@ TEST(Json, RejectsMalformedInput) {
         EXPECT_THROW(json::parse(bad), Error) << bad;
     }
     EXPECT_THROW(json::parse(std::string(100000, '[')), Error);  // nesting bound
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + "1" + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(json::parse(nested(256)));
+    EXPECT_THROW(json::parse(nested(257)), Error);
 }
 
 TEST(Json, ParsesEveryNumberForm) {
@@ -56,7 +62,7 @@ TEST(Json, ParsesEveryNumberForm) {
     EXPECT_DOUBLE_EQ(json::parse("1e-2").number, 0.01);
     EXPECT_DOUBLE_EQ(json::parse("7e+1").number, 70.0);
     EXPECT_TRUE(std::signbit(json::parse("-0").number));
-    // Past 15 digits an integer takes the floating-point reader.
+    // An integer beyond a double's 53-bit mantissa reads as the nearest double.
     EXPECT_DOUBLE_EQ(json::parse("-123456789012345678").number, -123456789012345678.0);
     const Value v = json::parse(" [ 1 ,\t-2 ,\r\n3.5 ] ");
     ASSERT_EQ(v.array.size(), 3u);
@@ -98,6 +104,14 @@ TEST(Json, WriterAppendsIntegersOfEveryWidth) {
       << std::uint32_t{4294967295u} << ',' << 0;
     EXPECT_EQ(w.take(), "x:-12,-9223372036854775808,4294967295,0");
 }
+
+// A bool or a floating-point value would otherwise convert to char and
+// append one raw byte; the Writer refuses them at compile time.
+template <typename T>
+concept Writable = requires(json::Writer& w, T v) { w << v; };
+static_assert(Writable<int> && Writable<char> && Writable<std::uint64_t>);
+static_assert(Writable<const char*> && Writable<std::string_view>);
+static_assert(!Writable<bool> && !Writable<double> && !Writable<float>);
 
 }  // namespace
 }  // namespace revec

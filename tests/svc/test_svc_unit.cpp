@@ -125,6 +125,20 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"deadline_ms\":-1e19}"), Error);
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":2.5}}"),
                  Error);
+    // Narrowed fields are range-checked against their own type, not int64:
+    // 2^32 + 1 threads and 2^32 + 50 percent must not wrap to 1 and 50.
+    EXPECT_THROW(
+        parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":4294967297}}"),
+        Error);
+    EXPECT_THROW(parse_request(
+                     "{\"kind\":\"ping\",\"options\":{\"lns_relax_pct\":4294967346}}"),
+                 Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":-1}}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":4294967296}}"),
+                 Error);
+    EXPECT_EQ(
+        parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":4294967295}}").params.seed,
+        4294967295u);
     EXPECT_EQ(parse_request("{\"kind\":\"ping\",\"id\":-7}").id, -7);
 }
 
