@@ -22,14 +22,17 @@ std::string to_json(const KernelModel& m);
 /// written.
 void save_json(const KernelModel& m, const std::string& path);
 
-/// Rebuild a KernelModel from the to_json shape. Field order in the input
-/// is irrelevant (lookups are by name); unknown fields are ignored so the
-/// format can grow. `is_vector_data` is not serialized — it is
-/// reconstructed from `vdata` membership. Throws revec::Error on missing
-/// or mistyped required fields. Round-trip contract:
-/// to_json(from_json(to_json(m))) == to_json(m).
+/// Rebuild a KernelModel from the to_json shape, reading it straight off
+/// the text (no json::Value tree). Field order in the input is irrelevant;
+/// unknown fields are skipped (their syntax still checked) so the format
+/// can grow; of duplicate keys the first wins. `is_vector_data` is not
+/// serialized — it is reconstructed from `vdata` membership. Throws
+/// revec::Error on malformed JSON and on missing, mistyped or out-of-range
+/// fields. Round-trip contract: to_json(from_json(to_json(m))) == to_json(m).
 KernelModel from_json(const std::string& text);
-KernelModel from_json(const json::Value& doc);
+/// The same, for the model value at `in` (a field of a larger document);
+/// leaves `in` just past it.
+KernelModel from_json(json::Reader& in);
 
 /// Stable 64-bit FNV-1a over the canonical to_json bytes. Two models hash
 /// equal iff their canonical serializations are byte-identical, so the

@@ -1,8 +1,10 @@
 #include "revec/svc/protocol.hpp"
 
+#include <array>
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "revec/model/json.hpp"
@@ -25,15 +27,89 @@ const char* kind_name(RequestKind kind) {
     REVEC_UNREACHABLE("bad RequestKind");
 }
 
+/// Upper bound on `options.threads + options.lns_workers`: the solve
+/// starts one thread per worker, so a request may not ask for more.
+constexpr std::int64_t kMaxRequestWorkers = 64;
+
 /// `v` as an integer in [lo, hi]; anything else (a fraction, NaN, a value
 /// a cast could not represent) throws instead of being truncated.
-double integral(const Value& v, double lo, double hi, std::string_view key) {
-    if (!v.is(Value::Type::Number) || !(v.number >= lo && v.number <= hi) ||
-        v.number != std::trunc(v.number)) {
+double integral(double v, double lo, double hi, std::string_view key) {
+    if (!(v >= lo && v <= hi) || v != std::trunc(v)) {
         throw Error("field '" + std::string(key) + "' must be an integer in range");
     }
-    return v.number;
+    return v;
 }
+
+double integral(const Value& v, double lo, double hi, std::string_view key) {
+    return integral(v.is(Value::Type::Number) ? v.number : NAN, lo, hi, key);
+}
+
+// Request fields, read off the wire through a json::Reader: the default
+// range is int64's (2^63 - 1024 is the largest double below 2^63);
+// narrowed fields pass their target type's range.
+
+std::int64_t read_int(json::Reader& in, std::string_view key, double lo = -0x1p63,
+                      double hi = 0x1p63 - 1024.0) {
+    const double v = in.peek() == Value::Type::Number ? in.number() : NAN;
+    return static_cast<std::int64_t>(integral(v, lo, hi, key));
+}
+
+int read_int32(json::Reader& in, std::string_view key) {
+    return static_cast<int>(read_int(in, key, INT_MIN, INT_MAX));
+}
+
+bool read_bool(json::Reader& in, std::string_view key) {
+    if (in.peek() != Value::Type::Bool) {
+        throw Error("request field '" + std::string(key) + "' must be a boolean");
+    }
+    return in.boolean();
+}
+
+enum OptionKey : std::size_t {
+    kThreads, kLnsWorkers, kLnsRelaxPct, kSeed, kWarmStart, kHeuristicOnly, kReuse,
+};
+constexpr std::array<std::string_view, 7> kOptionKeys = {
+    "threads", "lns_workers", "lns_relax_pct", "seed", "warm_start", "heuristic_only", "reuse",
+};
+
+void read_options(json::Reader& in, SolveParams& p) {
+    if (in.peek() != Value::Type::Object) throw Error("'options' must be an object");
+    in.fields(kOptionKeys, [&](std::size_t i) {
+        const std::string_view key = kOptionKeys[i];
+        switch (static_cast<OptionKey>(i)) {
+            case kThreads: p.threads = read_int32(in, key); return;
+            case kLnsWorkers: p.lns_workers = read_int32(in, key); return;
+            case kLnsRelaxPct: p.lns_relax_pct = read_int32(in, key); return;
+            case kSeed:
+                p.seed = static_cast<std::uint32_t>(read_int(in, key, 0, UINT32_MAX));
+                return;
+            case kWarmStart: p.warm_start = read_bool(in, key); return;
+            case kHeuristicOnly: p.heuristic_only = read_bool(in, key); return;
+            case kReuse: {
+                if (in.peek() != Value::Type::String) {
+                    throw Error("options.reuse must be a string");
+                }
+                const auto mode = reuse_from_name(in.string());
+                if (!mode.has_value()) throw Error("options.reuse must be one of off|exact|near");
+                p.reuse = *mode;
+                return;
+            }
+        }
+    });
+    if (p.threads < 1) throw Error("options.threads must be >= 1");
+    if (p.lns_workers < 0) throw Error("options.lns_workers must be >= 0");
+    if (std::int64_t{p.threads} + p.lns_workers > kMaxRequestWorkers) {
+        throw Error("options.threads + options.lns_workers must be <= " +
+                    std::to_string(kMaxRequestWorkers));
+    }
+    if (p.lns_relax_pct < 1 || p.lns_relax_pct > 100) {
+        throw Error("options.lns_relax_pct must be in [1, 100]");
+    }
+}
+
+enum RequestKey : std::size_t { kKind, kId, kDeadlineMs, kRid, kOptions, kModel };
+constexpr std::array<std::string_view, 6> kRequestKeys = {"kind",    "id",      "deadline_ms",
+                                                          "rid",     "options", "model"};
 
 /// Field `key` of `obj` as an integer in [lo, hi], or `fallback` when it is
 /// absent. The default range is int64's: 2^63 - 1024 is the largest double
@@ -80,6 +156,27 @@ std::vector<int> get_ints(const Value& obj, std::string_view key) {
         out.push_back(static_cast<int>(integral(e, INT_MIN, INT_MAX, key)));
     }
     return out;
+}
+
+/// Append JSON `text` on one line: the whitespace outside string literals
+/// (the canonical model form's indentation and line breaks) is dropped, the
+/// rest copied byte for byte. Equal to write_compact(parse(text)) for a
+/// to_json output, without building the tree.
+void append_one_line(json::Writer& os, std::string_view text) {
+    std::size_t run = 0;  // start of the bytes not yet copied
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '"') {
+            // Skip to the closing quote; an escape hides the byte after it.
+            for (++i; i < text.size() && text[i] != '"'; ++i) {
+                if (text[i] == '\\') ++i;
+            }
+        } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+            os << text.substr(run, i - run);
+            run = i + 1;
+        }
+    }
+    os << text.substr(run);
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -146,67 +243,54 @@ std::optional<ReuseMode> reuse_from_name(const std::string& name) {
 }
 
 Request parse_request(const std::string& line) {
-    const Value doc = json::parse(line);
-    if (!doc.is(Value::Type::Object)) throw Error("request must be a JSON object");
-
+    json::Reader in(line);
+    if (in.peek() != Value::Type::Object) {
+        in.skip();  // a malformed line reports its syntax error first
+        in.finish();
+        throw Error("request must be a JSON object");
+    }
     Request req;
-    const Value* kind = doc.find("kind");
-    if (kind == nullptr || !kind->is(Value::Type::String)) {
-        throw Error("request needs a string 'kind'");
-    }
-    if (kind->str == "solve") {
-        req.kind = RequestKind::Solve;
-    } else if (kind->str == "stats") {
-        req.kind = RequestKind::Stats;
-    } else if (kind->str == "ping") {
-        req.kind = RequestKind::Ping;
-    } else if (kind->str == "shutdown") {
-        req.kind = RequestKind::Shutdown;
-    } else {
-        throw Error("unknown request kind '" + kind->str + "'");
-    }
-
-    req.id = get_int(doc, "id", 0);
-    req.deadline_ms = get_int(doc, "deadline_ms", -1);
-    if (const Value* rid = doc.find("rid"); rid != nullptr) {
-        if (!rid->is(Value::Type::String)) throw Error("request 'rid' must be a string");
-        req.rid = hash_from_hex(rid->str);
-    }
-
-    if (const Value* options = doc.find("options"); options != nullptr) {
-        if (!options->is(Value::Type::Object)) throw Error("'options' must be an object");
-        req.params.threads = get_int32(*options, "threads", req.params.threads);
-        req.params.lns_workers = get_int32(*options, "lns_workers", req.params.lns_workers);
-        req.params.lns_relax_pct =
-            get_int32(*options, "lns_relax_pct", req.params.lns_relax_pct);
-        req.params.seed = static_cast<std::uint32_t>(get_int(
-            *options, "seed", static_cast<std::int64_t>(req.params.seed), 0, UINT32_MAX));
-        req.params.warm_start = get_bool(*options, "warm_start", req.params.warm_start);
-        req.params.heuristic_only =
-            get_bool(*options, "heuristic_only", req.params.heuristic_only);
-        if (const Value* reuse = options->find("reuse"); reuse != nullptr) {
-            if (!reuse->is(Value::Type::String)) {
-                throw Error("options.reuse must be a string");
+    const std::uint32_t seen = in.fields(kRequestKeys, [&](std::size_t i) {
+        const std::string_view key = kRequestKeys[i];
+        switch (static_cast<RequestKey>(i)) {
+            case kKind: {
+                if (in.peek() != Value::Type::String) throw Error("request needs a string 'kind'");
+                const std::string kind = in.string();
+                if (kind == "solve") {
+                    req.kind = RequestKind::Solve;
+                } else if (kind == "stats") {
+                    req.kind = RequestKind::Stats;
+                } else if (kind == "ping") {
+                    req.kind = RequestKind::Ping;
+                } else if (kind == "shutdown") {
+                    req.kind = RequestKind::Shutdown;
+                } else {
+                    throw Error("unknown request kind '" + kind + "'");
+                }
+                return;
             }
-            const auto mode = reuse_from_name(reuse->str);
-            if (!mode.has_value()) {
-                throw Error("options.reuse must be one of off|exact|near");
-            }
-            req.params.reuse = *mode;
+            case kId: req.id = read_int(in, key); return;
+            case kDeadlineMs: req.deadline_ms = read_int(in, key); return;
+            case kRid:
+                if (in.peek() != Value::Type::String) {
+                    throw Error("request 'rid' must be a string");
+                }
+                req.rid = hash_from_hex(in.string());
+                return;
+            case kOptions: read_options(in, req.params); return;
+            case kModel:
+                // Read in place whatever the kind, which may come later: a
+                // request that carries a model carries a valid one.
+                req.model = model::from_json(in);
+                return;
         }
-        if (req.params.threads < 1) throw Error("options.threads must be >= 1");
-        if (req.params.lns_workers < 0) throw Error("options.lns_workers must be >= 0");
-        if (req.params.lns_relax_pct < 1 || req.params.lns_relax_pct > 100) {
-            throw Error("options.lns_relax_pct must be in [1, 100]");
-        }
-    }
-
-    if (req.kind == RequestKind::Solve) {
-        const Value* m = doc.find("model");
-        if (m == nullptr || !m->is(Value::Type::Object)) {
-            throw Error("solve request needs a 'model' object");
-        }
-        req.model = model::from_json(*m);
+    });
+    in.finish();
+    if ((seen & (1u << kKind)) == 0) throw Error("request needs a string 'kind'");
+    if (req.kind != RequestKind::Solve) {
+        req.model.reset();
+    } else if (!req.model.has_value()) {
+        throw Error("solve request needs a 'model' object");
     }
     return req;
 }
@@ -224,9 +308,8 @@ std::string serialize_request(const Request& request) {
        << ",\"heuristic_only\":" << (request.params.heuristic_only ? "true" : "false")
        << ",\"reuse\":\"" << reuse_name(request.params.reuse) << "\"}";
     if (request.model.has_value()) {
-        // Re-serialize the canonical pretty form onto one line.
         os << ",\"model\":";
-        json::write_compact(json::parse(model::to_json(*request.model)), os);
+        append_one_line(os, model::to_json(*request.model));
     }
     os << "}";
     return os.take();

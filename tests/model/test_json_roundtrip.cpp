@@ -74,7 +74,7 @@ TEST(ModelJsonRoundTrip, RejectsMissingAndMistypedFields) {
     for (auto& [key, value] : doc.object) {
         if (key == "num_slots") value.type = json::Value::Type::String;
     }
-    EXPECT_THROW(from_json(doc), Error);
+    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
     // A latency the wire spells "2.5", "2-1" or "2e" is rejected, not read as 2.
     const std::string canonical = to_json(matmul_model());
     const std::size_t at = canonical.find("\"latency\": ");
@@ -97,35 +97,89 @@ json::Value& field(json::Value& obj, const std::string& key) {
     return obj;
 }
 
+// Of duplicate keys the first wins, in the model and in a node alike, and a
+// later duplicate is skipped even when it is mistyped.
+TEST(ModelJsonRoundTrip, FirstDuplicateKeyWins) {
+    const KernelModel m = matmul_model();
+    const std::string canonical = to_json(m);
+    ASSERT_EQ(canonical.rfind("{\n", 0), 0u);
+    const std::size_t node0 = canonical.find("{\"id\": 0, ");
+    ASSERT_NE(node0, std::string::npos);
+    const std::size_t after_id = node0 + std::string("{\"id\": 0, ").size();
+    std::string text = canonical;
+    // Node 0: a first "latency" ahead of the canonical one, a mistyped
+    // "is_op" after it.
+    text.insert(after_id, "\"latency\": 77, ");
+    text.insert(text.find('}', node0), ", \"is_op\": \"x\"");
+    // Model: a first "name", and mistyped duplicates of both at the end.
+    text = "{\"name\": \"first\", " + text.substr(1);
+    const std::size_t last = text.rfind('}');
+    text.insert(last, ", \"name\": 5, \"nodes\": 5");
+
+    const KernelModel back = from_json(text);
+    EXPECT_EQ(back.name, "first");
+    EXPECT_EQ(back.nodes.at(0).latency, 77);
+    KernelModel expected = m;
+    expected.name = "first";
+    expected.nodes[0].latency = 77;
+    EXPECT_EQ(to_json(back), to_json(expected));
+}
+
+// A field the node's kind does not read is ignored whatever it holds, and
+// wherever is_op comes: an op node's "is_input" and a data node's
+// "vector_inputs" may even be mistyped.
+TEST(ModelJsonRoundTrip, FieldsANodeKindDoesNotReadAreIgnored) {
+    const KernelModel m = matmul_model();
+    json::Value doc = json::parse(to_json(m));
+    bool op_done = false;
+    bool data_done = false;
+    for (json::Value& node : field(doc, "nodes").array) {
+        const bool is_op = field(node, "is_op").boolean;
+        json::Value junk;
+        junk.type = json::Value::Type::String;
+        junk.str = "junk";
+        if (is_op && !op_done) {
+            node.object.emplace_back("is_input", junk);
+            std::reverse(node.object.begin(), node.object.end());  // is_op comes last
+            op_done = true;
+        } else if (!is_op && !data_done) {
+            node.object.emplace_back("vector_inputs", junk);
+            data_done = true;
+        }
+    }
+    ASSERT_TRUE(op_done && data_done);
+    EXPECT_EQ(to_json(from_json(json::to_compact_string(doc))), to_json(m));
+}
+
 // Single-field corruptions of a MATMUL dump that the solver must never
 // see: a zero bank count divides by zero, an out-of-range op id indexes out
 // of bounds, and a dangling edge endpoint would be scheduled silently.
 TEST(ModelJsonRoundTrip, RejectsZeroBankCount) {
     json::Value doc = json::parse(to_json(matmul_model()));
     field(field(doc, "geometry"), "banks").number = 0;
-    EXPECT_THROW(from_json(doc), Error);
+    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
 }
 
 TEST(ModelJsonRoundTrip, RejectsOutOfRangeOpId) {
     json::Value doc = json::parse(to_json(matmul_model()));
     field(doc, "ops").array.at(0).number = 9999;
-    EXPECT_THROW(from_json(doc), Error);
+    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
 }
 
 TEST(ModelJsonRoundTrip, RejectsDanglingEdgeEndpoint) {
     json::Value doc = json::parse(to_json(matmul_model()));
     field(field(doc, "edges").array.at(0), "dst").number = 9999;
-    EXPECT_THROW(from_json(doc), Error);
+    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
 }
 
 // Every other node reference and sizing field is checked the same way.
 TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
     const json::Value clean = json::parse(to_json(matmul_model()));
-    ASSERT_NO_THROW(from_json(clean));
+    ASSERT_NO_THROW(from_json(json::to_compact_string(clean)));
     const auto rejects = [&](const std::function<void(json::Value&)>& corrupt) {
         json::Value doc = clean;
         corrupt(doc);
-        EXPECT_THROW(from_json(doc), Error);
+        EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
     };
     for (const char* key : {"banks_per_page", "lines"}) {
         rejects([&](json::Value& d) { field(field(d, "geometry"), key).number = 0; });

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "revec/support/assert.hpp"
 
@@ -53,6 +55,64 @@ TEST(Json, RejectsMalformedInput) {
     };
     EXPECT_NO_THROW(json::parse(nested(256)));
     EXPECT_THROW(json::parse(nested(257)), Error);
+}
+
+TEST(JsonReader, FieldsTakesTheFirstOfDuplicateKeysAndSkipsUnknownOnes) {
+    static constexpr std::array<std::string_view, 2> kKeys = {"a", "b"};
+    json::Reader in(R"({"b": [1, {"x": null}], "z": {"q": [true]}, "a": 7, "a": "late"})");
+    double a = 0;
+    std::string b;
+    const std::uint32_t seen = in.fields(kKeys, [&](std::size_t i) {
+        if (i == 0) {
+            a = in.number();
+        } else {
+            b = json::to_compact_string(in.value());
+        }
+    });
+    in.finish();
+    EXPECT_EQ(seen, 3u);
+    EXPECT_DOUBLE_EQ(a, 7.0);
+    EXPECT_EQ(b, R"([1,{"x":null}])");
+}
+
+TEST(JsonReader, EscapedKeysAreDecoded) {
+    json::Reader in(R"({"a\u0062": 1, "\u0063": 2})");
+    std::string keys;
+    in.object([&](std::string_view key) {
+        keys.append(key).push_back(';');
+        in.skip();
+    });
+    EXPECT_EQ(keys, "ab;c;");
+}
+
+TEST(JsonReader, SkipChecksSyntaxAndTheNestingBound) {
+    for (const char* bad : {"[1,]", "{\"a\":}", "[1.]", "\"\\x\"", "[tru]", "{\"a\" 1}"}) {
+        json::Reader in(bad);
+        EXPECT_THROW(in.skip(), Error) << bad;
+    }
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + "1" + std::string(depth, ']');
+    };
+    const std::string deep_text = nested(256);
+    json::Reader deep(deep_text);
+    EXPECT_NO_THROW(deep.skip());
+    const std::string too_deep_text = nested(257);
+    json::Reader too_deep(too_deep_text);
+    EXPECT_THROW(too_deep.skip(), Error);
+}
+
+TEST(JsonReader, PeekNamesTheNextValueWithoutConsumingIt) {
+    json::Reader in(R"( [{}, [], "s", true, null, -1] )");
+    std::vector<Value::Type> types;
+    in.array([&] {
+        types.push_back(in.peek());
+        in.skip();
+    });
+    in.finish();
+    const std::vector<Value::Type> expected = {Value::Type::Object, Value::Type::Array,
+                                               Value::Type::String, Value::Type::Bool,
+                                               Value::Type::Null,   Value::Type::Number};
+    EXPECT_EQ(types, expected);
 }
 
 TEST(Json, ParsesEveryNumberForm) {

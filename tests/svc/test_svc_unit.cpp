@@ -3,17 +3,24 @@
 // behaviour, and the solver pool's bounded admission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
+#include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/json.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/support/assert.hpp"
+#include "revec/support/json.hpp"
 #include "revec/svc/cache.hpp"
 #include "revec/svc/pool.hpp"
 #include "revec/svc/protocol.hpp"
@@ -21,10 +28,11 @@
 namespace revec::svc {
 namespace {
 
-model::KernelModel matmul_model() {
-    return sched::lower_for_schedule(ir::merge_pipeline_ops(apps::build_matmul()),
-                                     sched::ScheduleOptions{});
+model::KernelModel lowered(const ir::Graph& g) {
+    return sched::lower_for_schedule(ir::merge_pipeline_ops(g), sched::ScheduleOptions{});
 }
+
+model::KernelModel matmul_model() { return lowered(apps::build_matmul()); }
 
 TEST(SvcProtocol, SolveRequestRoundTrips) {
     Request req;
@@ -140,6 +148,185 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
         parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":4294967295}}").params.seed,
         4294967295u);
     EXPECT_EQ(parse_request("{\"kind\":\"ping\",\"id\":-7}").id, -7);
+    // Every worker is a thread: a request may not ask for thousands. These
+    // are rejected while the line is read, so no thread is started.
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":100000}}"),
+                 Error);
+    EXPECT_THROW(
+        parse_request("{\"kind\":\"ping\",\"options\":{\"lns_workers\":100000}}"),
+        Error);
+}
+
+TEST(SvcProtocol, CapsThreadsPlusLnsWorkersAtSixtyFour) {
+    const auto params = [](int threads, int lns_workers) {
+        return parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":" +
+                             std::to_string(threads) +
+                             ",\"lns_workers\":" + std::to_string(lns_workers) + "}}")
+            .params;
+    };
+    EXPECT_EQ(params(64, 0).threads, 64);
+    EXPECT_EQ(params(60, 4).lns_workers, 4);
+    EXPECT_THROW(params(65, 0), Error);
+    EXPECT_THROW(params(60, 5), Error);
+    EXPECT_THROW(params(1, INT_MAX), Error);  // the sum does not wrap
+}
+
+/// A solve request line for `m` with every envelope and option field set.
+std::string solve_line(const model::KernelModel& m) {
+    Request req;
+    req.kind = RequestKind::Solve;
+    req.id = 42;
+    req.rid = 0xabcdef0123456789ull;
+    req.deadline_ms = 750;
+    req.params.threads = 3;
+    req.params.lns_workers = 2;
+    req.params.lns_relax_pct = 45;
+    req.params.seed = 7;
+    req.params.warm_start = false;
+    req.params.heuristic_only = true;
+    req.params.reuse = ReuseMode::Exact;
+    req.model = m;
+    return serialize_request(req);
+}
+
+void expect_same_request(const Request& got, const Request& want) {
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.rid, want.rid);
+    EXPECT_EQ(got.deadline_ms, want.deadline_ms);
+    EXPECT_EQ(got.params.threads, want.params.threads);
+    EXPECT_EQ(got.params.lns_workers, want.params.lns_workers);
+    EXPECT_EQ(got.params.lns_relax_pct, want.params.lns_relax_pct);
+    EXPECT_EQ(got.params.seed, want.params.seed);
+    EXPECT_EQ(got.params.warm_start, want.params.warm_start);
+    EXPECT_EQ(got.params.heuristic_only, want.params.heuristic_only);
+    EXPECT_EQ(got.params.reuse, want.params.reuse);
+    ASSERT_EQ(got.model.has_value(), want.model.has_value());
+    if (got.model) {
+        EXPECT_EQ(model::to_json(*got.model), model::to_json(*want.model));
+    }
+}
+
+// Fields come in any order: the envelope, its options, the model, every
+// node and every edge reversed (so the model comes before the kind) read
+// as the same request, with the same content address.
+TEST(SvcProtocol, ReadsFieldsInAnyOrder) {
+    const model::KernelModel m = matmul_model();
+    const std::string line = solve_line(m);
+    json::Value doc = json::parse(line);
+    const auto reverse = [](json::Value& obj) {
+        std::reverse(obj.object.begin(), obj.object.end());
+    };
+    reverse(doc);
+    for (auto& [key, value] : doc.object) {
+        if (key == "options") reverse(value);
+        if (key != "model") continue;
+        reverse(value);
+        for (auto& [mkey, mvalue] : value.object) {
+            if (mkey == "nodes" || mkey == "edges") {
+                for (json::Value& elem : mvalue.array) reverse(elem);
+            }
+        }
+    }
+    const std::string reordered = json::to_compact_string(doc);
+    ASSERT_EQ(reordered.rfind("{\"model\":{\"edges\":[{\"kind\":", 0), 0u);
+    const Request back = parse_request(reordered);
+    expect_same_request(back, parse_request(line));
+    EXPECT_EQ(model::canonical_hash(*back.model), model::canonical_hash(m));
+}
+
+// Of duplicate keys the first wins (a later one is skipped even when it is
+// mistyped), in the envelope and in its options.
+TEST(SvcProtocol, FirstDuplicateKeyWins) {
+    const Request r = parse_request(
+        "{\"kind\":\"ping\",\"id\":1,\"kind\":\"solve\",\"id\":\"x\","
+        "\"options\":{\"threads\":2,\"threads\":0,\"reuse\":\"off\",\"reuse\":7},"
+        "\"options\":5}");
+    EXPECT_EQ(r.kind, RequestKind::Ping);
+    EXPECT_EQ(r.id, 1);
+    EXPECT_EQ(r.params.threads, 2);
+    EXPECT_EQ(r.params.reuse, ReuseMode::Off);
+}
+
+// An unknown key is skipped whatever it holds, down to the reader's
+// 256-level nesting bound (the envelope is the first level), and its
+// syntax is still checked: json::parse agrees on every line.
+TEST(SvcProtocol, SkipsUnknownKeysUpToTheNestingBound) {
+    const auto line = [](std::size_t depth) {
+        return "{\"kind\":\"ping\",\"junk\":" + std::string(depth, '[') + "{\"a\":1}" +
+               std::string(depth, ']') + ",\"id\":3}";
+    };
+    EXPECT_EQ(parse_request(line(254)).id, 3);  // 255 levels below the envelope
+    EXPECT_NO_THROW(json::parse(line(254)));
+    EXPECT_THROW(parse_request(line(256)), Error);  // 257 levels below it
+    EXPECT_THROW(json::parse(line(256)), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"junk\":[1,]}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"junk\":\"\\q\"}"), Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"junk\":1e999}"), Error);
+}
+
+// Control characters in name, cat and op travel as \u00XX escapes and come
+// back byte for byte; the hex digits' case does not move the content address.
+TEST(SvcProtocol, EscapesInStringsSurviveByteExactly) {
+    model::KernelModel m = matmul_model();
+    m.name = std::string("k\x01 \x1f\r\"q\"\\", 9);
+    m.nodes.at(0).cat = std::string("c\x02\x7f", 3);
+    m.nodes.at(1).op = std::string("o\x1e\n\t", 4);
+    const std::string canonical = model::to_json(m);
+    ASSERT_NE(canonical.find("\"k\\u0001 \\u001f\\u000d\\\"q\\\"\\\\\""),
+              std::string::npos);
+    const std::string line = solve_line(m);
+    const Request back = parse_request(line);
+    EXPECT_EQ(model::to_json(*back.model), canonical);
+    EXPECT_EQ(back.model->name, m.name);
+    EXPECT_EQ(back.model->nodes.at(0).cat, m.nodes.at(0).cat);
+    EXPECT_EQ(back.model->nodes.at(1).op, m.nodes.at(1).op);
+
+    std::string upper = line;
+    const std::size_t at = upper.find("\\u001f");
+    ASSERT_NE(at, std::string::npos);
+    upper.replace(at, 6, "\\u001F");
+    EXPECT_EQ(model::canonical_hash(*parse_request(upper).model), model::canonical_hash(m));
+}
+
+// A request that carries a model carries a valid one, whatever its kind:
+// the model is read in place before the kind may be known. A valid model
+// on a control request is read and dropped.
+TEST(SvcProtocol, ControlRequestCarryingABadModelIsRejected) {
+    for (const char* kind : {"ping", "stats", "shutdown"}) {
+        const std::string head = std::string("{\"kind\":\"") + kind + "\",\"model\":";
+        EXPECT_THROW(parse_request(head + "{}}"), Error) << kind;
+        EXPECT_THROW(parse_request(head + "5}"), Error) << kind;
+        const Request ok = parse_request(head + json::to_compact_string(json::parse(
+                                                    model::to_json(matmul_model()))) +
+                                         "}");
+        EXPECT_FALSE(ok.model.has_value()) << kind;
+    }
+    EXPECT_THROW(parse_request("{\"kind\":\"solve\",\"model\":5}"), Error);
+}
+
+// serialize_request copies the canonical text onto one line without a
+// parse: byte-identical to the compact form of the parsed canonical text.
+TEST(SvcProtocol, SerializeRequestMatchesTheCompactedCanonicalForm) {
+    apps::RandomKernelOptions ko;
+    ko.seed = 3;
+    ko.num_ops = 12;
+    model::KernelModel named = matmul_model();
+    named.name = "a name with spaces,\t\"quotes\" and \\ {braces: [1, 2]}";
+    const std::vector<model::KernelModel> models = {
+        matmul_model(), lowered(apps::build_qrd()), lowered(apps::build_arf()),
+        lowered(apps::build_random_kernel(ko)), named};
+    for (const model::KernelModel& m : models) {
+        Request req;
+        req.kind = RequestKind::Solve;
+        req.id = 5;
+        const std::string bare = serialize_request(req);
+        req.model = m;
+        const std::string expected =
+            bare.substr(0, bare.size() - 1) + ",\"model\":" +
+            json::to_compact_string(json::parse(model::to_json(m))) + "}";
+        EXPECT_EQ(serialize_request(req), expected) << m.name;
+    }
 }
 
 TEST(SvcProtocol, RidRoundTripsAsSixteenHexDigits) {
