@@ -80,8 +80,7 @@ public:
     /// `on_field(i)` runs for the first occurrence of `names[i]` and must
     /// consume its value; unknown keys and later duplicates are skipped
     /// (their syntax still checked). Returns the mask of the names seen,
-    /// bit i for `names[i]`. The scan for a key starts after the previous
-    /// field's name, so fields in `names` order cost one compare each.
+    /// bit i for `names[i]`.
     template <std::size_t N, typename OnField>
     std::uint32_t fields(const std::array<std::string_view, N>& names, OnField&& on_field);
 
@@ -165,12 +164,9 @@ std::uint32_t Reader::fields(const std::array<std::string_view, N>& names,
                              OnField&& on_field) {
     static_assert(N <= 32, "the seen mask has 32 bits");
     std::uint32_t seen = 0;
-    std::size_t hint = 0;
     object([&](std::string_view key) {
-        std::size_t i = hint;
-        for (std::size_t tried = 0; tried < N; ++tried, i = i + 1 == N ? 0 : i + 1) {
+        for (std::size_t i = 0; i < N; ++i) {
             if (names[i] != key) continue;
-            hint = i + 1 == N ? 0 : i + 1;
             if ((seen >> i & 1u) != 0) break;
             seen |= 1u << i;
             on_field(i);
