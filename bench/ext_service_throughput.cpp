@@ -25,6 +25,7 @@
 #include <thread>
 
 #include "revec/model/check.hpp"
+#include "revec/model/fingerprint.hpp"
 #include "revec/model/json.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/svc/cache.hpp"
@@ -184,9 +185,13 @@ int main(int argc, char** argv) {
     for (std::size_t k = 0; k < models.size(); ++k) {
         const model::KernelModel& km = models[k].second;
         splits[k].line = svc::serialize_request(solve_request(km, 3000, 60000));
-        hit_cache.insert(model::canonical_hash(km), model::to_json(km),
-                         svc::CachedSchedule{cold[k].start, cold[k].slot, cold[k].makespan,
-                                             cold[k].slots_used});
+        std::string canonical = model::to_json(km);
+        const std::uint64_t hash = model::canonical_hash(canonical);
+        hit_cache.insert(svc::CacheEntry{hash, model::structural_fingerprint(km),
+                                         std::move(canonical), km,
+                                         svc::CachedSchedule{cold[k].start, cold[k].slot,
+                                                             cold[k].makespan,
+                                                             cold[k].slots_used}});
     }
     bool hit_ok = true;
     for (int rep = 0; rep < reps; ++rep) {
@@ -201,8 +206,10 @@ int main(int argc, char** argv) {
             split.hash.push_back(watch.elapsed_ms());
 
             watch = Stopwatch();
-            const std::optional<svc::CachedSchedule> cached = hit_cache.lookup(hash, canonical);
-            const bool clean = cached.has_value() &&
+            const std::shared_ptr<const svc::CacheEntry> entry =
+                hit_cache.lookup(hash, canonical);
+            const svc::CachedSchedule* cached = entry ? &entry->schedule : nullptr;
+            const bool clean = cached != nullptr &&
                                model::check_schedule(*req.model, cached->start, cached->slot,
                                                      cached->makespan)
                                    .empty();

@@ -4,87 +4,66 @@
 
 namespace revec::svc {
 
-std::optional<CachedSchedule> ScheduleCache::lookup(std::uint64_t hash,
-                                                    const std::string& canonical_json) {
+std::shared_ptr<const CacheEntry> ScheduleCache::lookup(std::uint64_t hash,
+                                                        std::string_view canonical) {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(hash);
-    if (it == index_.end()) return std::nullopt;
+    const auto it = by_hash_.find(hash);
+    if (it == by_hash_.end()) return nullptr;
     // Same 64-bit key but a different model: a genuine FNV collision.
     // Serving the stored schedule would be wrong, so treat it as a miss
-    // (and leave the resident entry alone — first writer wins).
-    if (it->second->canonical_json != canonical_json) return std::nullopt;
+    // (and leave the resident entry alone).
+    if ((*it->second)->canonical != canonical) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->value;
+    return *it->second;
 }
 
-bool ScheduleCache::insert(std::uint64_t hash, std::string canonical_json,
-                           CachedSchedule value) {
-    if (capacity_ == 0) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = index_.find(hash); it != index_.end()) {
-        it->second->canonical_json = std::move(canonical_json);
-        it->second->value = std::move(value);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return false;
-    }
-    lru_.push_front(Entry{hash, std::move(canonical_json), std::move(value)});
-    index_[hash] = lru_.begin();
-    bool evicted = false;
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().hash);
-        lru_.pop_back();
-        ++evictions_;
-        evicted = true;
-    }
-    return evicted;
-}
-
-std::vector<std::shared_ptr<const NearEntry>> ScheduleCache::lookup_near(
+std::vector<std::shared_ptr<const CacheEntry>> ScheduleCache::lookup_near(
     std::uint64_t fingerprint) {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::shared_ptr<const NearEntry>> out;
-    const auto range = near_index_.equal_range(fingerprint);
+    std::vector<std::shared_ptr<const CacheEntry>> out;
+    const auto range = by_fingerprint_.equal_range(fingerprint);
     for (auto it = range.first; it != range.second; ++it) {
-        // Splicing keeps list iterators valid, so the index stays intact.
-        near_lru_.splice(near_lru_.begin(), near_lru_, it->second);
+        // Splicing keeps list iterators valid, so both indexes stay intact.
+        lru_.splice(lru_.begin(), lru_, it->second);
         out.push_back(*it->second);
     }
     return out;
 }
 
-void ScheduleCache::erase_near_index(NearList::iterator it) {
-    const auto range = near_index_.equal_range((*it)->fingerprint);
+void ScheduleCache::unindex_fingerprint(List::iterator it) {
+    const auto range = by_fingerprint_.equal_range((*it)->fingerprint);
     for (auto idx = range.first; idx != range.second; ++idx) {
         if (idx->second == it) {
-            near_index_.erase(idx);
+            by_fingerprint_.erase(idx);
             return;
         }
     }
 }
 
-bool ScheduleCache::insert_near(std::uint64_t fingerprint, std::uint64_t hash,
-                                model::KernelModel model, CachedSchedule value) {
-    if (near_capacity_ == 0) return false;
+bool ScheduleCache::insert(CacheEntry entry) {
+    if (capacity_ == 0) return false;
+    auto published = std::make_shared<const CacheEntry>(std::move(entry));
     std::lock_guard<std::mutex> lock(mu_);
-    auto entry = std::make_shared<const NearEntry>(
-        NearEntry{hash, fingerprint, std::move(model), std::move(value)});
-    // Same exact model already resident: publish the fresh snapshot in its
-    // place (readers holding the old shared_ptr keep a consistent view).
-    const auto range = near_index_.equal_range(fingerprint);
-    for (auto it = range.first; it != range.second; ++it) {
-        if ((*it->second)->hash == hash) {
-            *it->second = std::move(entry);
-            near_lru_.splice(near_lru_.begin(), near_lru_, it->second);
-            return false;
-        }
+    if (const auto it = by_hash_.find(published->hash); it != by_hash_.end()) {
+        // Publish the fresh snapshot in place; readers holding the old one
+        // keep a consistent view. A colliding model may carry another
+        // fingerprint, so the fingerprint index is redone.
+        unindex_fingerprint(it->second);
+        *it->second = std::move(published);
+        by_fingerprint_.emplace((*it->second)->fingerprint, it->second);
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return false;
     }
-    near_lru_.push_front(std::move(entry));
-    near_index_.emplace(fingerprint, near_lru_.begin());
+    lru_.push_front(std::move(published));
+    by_hash_.emplace(lru_.front()->hash, lru_.begin());
+    by_fingerprint_.emplace(lru_.front()->fingerprint, lru_.begin());
     bool evicted = false;
-    while (near_lru_.size() > near_capacity_) {
-        erase_near_index(std::prev(near_lru_.end()));
-        near_lru_.pop_back();
-        ++near_evictions_;
+    while (lru_.size() > capacity_) {
+        const auto victim = std::prev(lru_.end());
+        by_hash_.erase((*victim)->hash);
+        unindex_fingerprint(victim);
+        lru_.erase(victim);
+        ++evictions_;
         evicted = true;
     }
     return evicted;
@@ -95,19 +74,9 @@ std::size_t ScheduleCache::size() const {
     return lru_.size();
 }
 
-std::size_t ScheduleCache::near_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return near_lru_.size();
-}
-
 std::int64_t ScheduleCache::evictions() const {
     std::lock_guard<std::mutex> lock(mu_);
     return evictions_;
-}
-
-std::int64_t ScheduleCache::near_evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return near_evictions_;
 }
 
 }  // namespace revec::svc

@@ -1,29 +1,30 @@
-// Content-addressed schedule cache (DESIGN §5i/§5k), two tiers.
+// Content-addressed schedule cache (DESIGN §5i/§5k): one LRU of proven-
+// optimal schedules, read two ways.
 //
-// Tier 1 maps model::canonical_hash -> proven-optimal schedule, LRU-evicted
-// at a fixed capacity. Entries keep the full canonical JSON alongside the
-// 64-bit key, so a hash collision degrades to a miss instead of serving a
-// wrong schedule; the service additionally re-verifies every hit against
-// the requester's model with model::check_schedule before answering. Only
-// Optimal results are inserted — a timeout- or deadline-shaped answer
-// (SatTimeout, HeuristicFallback) would pin a worse-than-necessary
-// schedule for every future requester of that model.
+// Each entry is the exact model a schedule was proven optimal for, kept as
+// its canonical JSON and as the KernelModel, under two keys:
+// model::canonical_hash for the exact lookup, and
+// model::structural_fingerprint for donor candidates. The exact lookup
+// also compares the canonical bytes, so a hash collision degrades to a
+// miss instead of serving a wrong schedule; the service additionally
+// re-verifies every hit against the requester's model with
+// model::check_schedule before answering. Only Optimal results are
+// inserted — a timeout- or deadline-shaped answer (SatTimeout,
+// HeuristicFallback) would pin a worse-than-necessary schedule for every
+// future requester of that model.
 //
-// Tier 2 indexes the same proven-optimal payloads by
-// model::structural_fingerprint and keeps the full donor KernelModel, so
-// an exact miss can retrieve structurally similar candidates, diff them
-// against the request, and adapt the nearest compatible donor into a warm
-// incumbent (heur::adapt_schedule). Tier-2 entries are never served
-// directly — they only seed the solver — so the tier needs no byte-exact
-// guard; the verifier gates everything downstream.
+// Donor candidates are never served directly — the service diffs them
+// against the request and adapts the nearest compatible one into a warm
+// incumbent (heur::adapt_schedule) — so the fingerprint lookup needs no
+// byte-exact guard; the verifier gates everything downstream.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,70 +40,51 @@ struct CachedSchedule {
     int slots_used = 0;
 };
 
-/// One tier-2 donor: the exact model the schedule was proven optimal for,
-/// so the service can diff it against a request. Immutable once published.
-struct NearEntry {
-    std::uint64_t hash = 0;         ///< canonical_hash of the donor model
-    std::uint64_t fingerprint = 0;  ///< structural_fingerprint of the donor
+/// One cached proof. Immutable once published: lookups hand out shared
+/// snapshots that stay valid after the cache evicts or replaces them.
+struct CacheEntry {
+    std::uint64_t hash = 0;         ///< model::canonical_hash(canonical)
+    std::uint64_t fingerprint = 0;  ///< model::structural_fingerprint(model)
+    std::string canonical;          ///< model::to_json(model)
     model::KernelModel model;
-    CachedSchedule value;
+    CachedSchedule schedule;
 };
 
 class ScheduleCache {
 public:
-    /// `capacity` = max tier-1 entries, `near_capacity` = max tier-2
-    /// entries; 0 disables the respective tier entirely.
-    explicit ScheduleCache(std::size_t capacity, std::size_t near_capacity = 0)
-        : capacity_(capacity), near_capacity_(near_capacity) {}
+    /// `capacity` = max entries; 0 disables the cache entirely.
+    explicit ScheduleCache(std::size_t capacity) : capacity_(capacity) {}
 
-    /// Exact hit: same hash AND byte-identical canonical JSON. Refreshes
-    /// LRU recency. Thread-safe.
-    std::optional<CachedSchedule> lookup(std::uint64_t hash,
-                                         const std::string& canonical_json);
+    /// Exact hit: same hash AND byte-identical canonical JSON, else null.
+    /// Refreshes LRU recency. Thread-safe.
+    std::shared_ptr<const CacheEntry> lookup(std::uint64_t hash, std::string_view canonical);
 
-    /// Insert (or refresh) a tier-1 entry; evicts the least recently used
-    /// entry beyond capacity. Returns true when an eviction happened.
-    bool insert(std::uint64_t hash, std::string canonical_json, CachedSchedule value);
+    /// Every entry with this structural fingerprint, in no particular
+    /// order (the service ranks them by ModelDelta distance). Returning
+    /// them counts as a use: each one's recency is refreshed — every
+    /// candidate took part in donor selection.
+    std::vector<std::shared_ptr<const CacheEntry>> lookup_near(std::uint64_t fingerprint);
 
-    /// All tier-2 donors with this structural fingerprint, in no
-    /// particular order (the service ranks them by ModelDelta distance).
-    /// Returning them counts as a use: the whole bucket's recency is
-    /// refreshed — every candidate took part in donor selection. The
-    /// entries are shared immutable snapshots — safe to read after the
-    /// cache evicts or replaces them.
-    std::vector<std::shared_ptr<const NearEntry>> lookup_near(std::uint64_t fingerprint);
-
-    /// Insert a tier-2 donor (replacing any entry with the same exact
-    /// hash); evicts beyond near_capacity. Returns true on eviction.
-    bool insert_near(std::uint64_t fingerprint, std::uint64_t hash,
-                     model::KernelModel model, CachedSchedule value);
+    /// Insert an entry, replacing any entry with the same hash; evicts the
+    /// least recently used entries beyond capacity. Returns true when an
+    /// eviction happened.
+    bool insert(CacheEntry entry);
 
     std::size_t size() const;
-    std::size_t near_size() const;
     std::int64_t evictions() const;
-    std::int64_t near_evictions() const;
 
 private:
-    struct Entry {
-        std::uint64_t hash = 0;
-        std::string canonical_json;
-        CachedSchedule value;
-    };
+    using List = std::list<std::shared_ptr<const CacheEntry>>;
 
-    using NearList = std::list<std::shared_ptr<const NearEntry>>;
+    /// Drop `it` from the fingerprint index (the hash index is the caller's).
+    void unindex_fingerprint(List::iterator it);
 
     std::size_t capacity_;
-    std::size_t near_capacity_;
     mutable std::mutex mu_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+    List lru_;  ///< front = most recently used
+    std::unordered_map<std::uint64_t, List::iterator> by_hash_;
+    std::unordered_multimap<std::uint64_t, List::iterator> by_fingerprint_;
     std::int64_t evictions_ = 0;
-
-    NearList near_lru_;  ///< front = most recently used
-    std::unordered_multimap<std::uint64_t, NearList::iterator> near_index_;
-    std::int64_t near_evictions_ = 0;
-
-    void erase_near_index(NearList::iterator it);
 };
 
 }  // namespace revec::svc

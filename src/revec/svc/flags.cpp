@@ -6,7 +6,6 @@ const std::vector<std::string>& revecd_known_flags() {
     static const std::vector<std::string> kFlags = {
         "--socket",      "--workers",
         "--max-queue",   "--cache-capacity",
-        "--cache-near-capacity",
         "--trace",       "--trace-level",
         "--metrics",     "--metrics-interval-s",
         "--flight-dir",  "--flight-keep",
@@ -34,10 +33,9 @@ void revecd_usage(std::ostream& os) {
           "  --socket=PATH          unix socket to listen on (required)\n"
           "  --workers=N            solver pool threads (default 2)\n"
           "  --max-queue=N          queued solves beyond the workers (default 8)\n"
-          "  --cache-capacity=N     exact schedule-cache entries, 0 disables\n"
-          "                         (default 128)\n"
-          "  --cache-near-capacity=N  structural near-cache donor entries used\n"
-          "                         to warm-start edited models, 0 disables\n"
+          "  --cache-capacity=N     schedule-cache entries, each served on an\n"
+          "                         exact repeat and offered as a donor to\n"
+          "                         warm-start edited models; 0 disables\n"
           "                         (default 128)\n"
           "  --trace=FILE           save the service trace on shutdown\n"
           "                         (.jsonl = JSONL stream, else Chrome JSON)\n"

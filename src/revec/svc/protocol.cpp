@@ -31,27 +31,28 @@ const char* kind_name(RequestKind kind) {
 /// starts one thread per worker, so a request may not ask for more.
 constexpr std::int64_t kMaxRequestWorkers = 64;
 
-/// `v` as an integer in [lo, hi]; anything else (a fraction, NaN, a value
-/// a cast could not represent) throws instead of being truncated.
-double integral(double v, double lo, double hi, std::string_view key) {
-    if (!(v >= lo && v <= hi) || v != std::trunc(v)) {
-        throw Error("field '" + std::string(key) + "' must be an integer in range");
-    }
-    return v;
+/// Begin reading a request or response line, which must hold one object;
+/// anything else is refused as `what` (after its syntax error, if any).
+void expect_object(json::Reader& in, const char* what) {
+    if (in.peek() == Value::Type::Object) return;
+    in.skip();
+    in.finish();
+    throw Error(what);
 }
 
-double integral(const Value& v, double lo, double hi, std::string_view key) {
-    return integral(v.is(Value::Type::Number) ? v.number : NAN, lo, hi, key);
-}
-
-// Request fields, read off the wire through a json::Reader: the default
-// range is int64's (2^63 - 1024 is the largest double below 2^63);
-// narrowed fields pass their target type's range.
+// Typed fields, read off the wire through a json::Reader: an integer in
+// [lo, hi] — anything else (a fraction, NaN, a value a cast could not
+// represent) throws instead of being truncated. The default range is
+// int64's (2^63 - 1024 is the largest double below 2^63); narrowed fields
+// pass their target type's range.
 
 std::int64_t read_int(json::Reader& in, std::string_view key, double lo = -0x1p63,
                       double hi = 0x1p63 - 1024.0) {
     const double v = in.peek() == Value::Type::Number ? in.number() : NAN;
-    return static_cast<std::int64_t>(integral(v, lo, hi, key));
+    if (!(v >= lo && v <= hi) || v != std::trunc(v)) {
+        throw Error("field '" + std::string(key) + "' must be an integer in range");
+    }
+    return static_cast<std::int64_t>(v);
 }
 
 int read_int32(json::Reader& in, std::string_view key) {
@@ -60,9 +61,26 @@ int read_int32(json::Reader& in, std::string_view key) {
 
 bool read_bool(json::Reader& in, std::string_view key) {
     if (in.peek() != Value::Type::Bool) {
-        throw Error("request field '" + std::string(key) + "' must be a boolean");
+        throw Error("field '" + std::string(key) + "' must be a boolean");
     }
     return in.boolean();
+}
+
+std::vector<int> read_ints(json::Reader& in, std::string_view key) {
+    if (in.peek() != Value::Type::Array) {
+        throw Error("field '" + std::string(key) + "' must be an array");
+    }
+    std::vector<int> out;
+    in.array([&] { out.push_back(read_int32(in, key)); });
+    return out;
+}
+
+/// A field that only counts as a string: its text, or "" (the value
+/// skipped) when it holds anything else. hash_from_hex("") is 0, unset.
+std::string string_or_skip(json::Reader& in) {
+    if (in.peek() == Value::Type::String) return in.string();
+    in.skip();
+    return {};
 }
 
 enum OptionKey : std::size_t {
@@ -111,29 +129,20 @@ enum RequestKey : std::size_t { kKind, kId, kDeadlineMs, kRid, kOptions, kModel 
 constexpr std::array<std::string_view, 6> kRequestKeys = {"kind",    "id",      "deadline_ms",
                                                           "rid",     "options", "model"};
 
-/// Field `key` of `obj` as an integer in [lo, hi], or `fallback` when it is
-/// absent. The default range is int64's: 2^63 - 1024 is the largest double
-/// below 2^63. Callers that narrow the result pass their target type's range.
-std::int64_t get_int(const Value& obj, std::string_view key, std::int64_t fallback,
-                     double lo = -0x1p63, double hi = 0x1p63 - 1024.0) {
-    const Value* v = obj.find(key);
-    if (v == nullptr) return fallback;
-    return static_cast<std::int64_t>(integral(*v, lo, hi, key));
-}
-
-/// An int-typed field: rejects what an int cannot hold instead of wrapping it.
-int get_int32(const Value& obj, std::string_view key, int fallback) {
-    return static_cast<int>(get_int(obj, key, fallback, INT_MIN, INT_MAX));
-}
-
-bool get_bool(const Value& obj, std::string_view key, bool fallback) {
-    const Value* v = obj.find(key);
-    if (v == nullptr) return fallback;
-    if (!v->is(Value::Type::Bool)) {
-        throw Error("request field '" + std::string(key) + "' must be a boolean");
-    }
-    return v->boolean;
-}
+/// A response's envelope, read first, and its solve fields.
+enum ResponseHeadKey : std::size_t {
+    kRespId, kRespRid, kRespOk, kRespError, kRespAck, kRespMetrics,
+};
+constexpr std::array<std::string_view, 6> kResponseHeadKeys = {
+    "id", "rid", "ok", "error", "ack", "metrics",
+};
+enum ResponseBodyKey : std::size_t {
+    kStatus, kMakespan, kSlotsUsed, kStart, kSlot, kCache, kShed, kSolveMs, kHash, kFlight,
+};
+constexpr std::array<std::string_view, 10> kResponseBodyKeys = {
+    "status", "makespan", "slots_used", "start", "slot",
+    "cache",  "shed",     "solve_ms",   "hash",  "flight",
+};
 
 void append_int_array(json::Writer& os, std::string_view key, const std::vector<int>& xs) {
     os << ",\"" << key << "\":[";
@@ -142,20 +151,6 @@ void append_int_array(json::Writer& os, std::string_view key, const std::vector<
         os << xs[i];
     }
     os << ']';
-}
-
-std::vector<int> get_ints(const Value& obj, std::string_view key) {
-    std::vector<int> out;
-    const Value* v = obj.find(key);
-    if (v == nullptr) return out;
-    if (!v->is(Value::Type::Array)) {
-        throw Error("field '" + std::string(key) + "' must be an array");
-    }
-    out.reserve(v->array.size());
-    for (const Value& e : v->array) {
-        out.push_back(static_cast<int>(integral(e, INT_MIN, INT_MAX, key)));
-    }
-    return out;
 }
 
 /// Append JSON `text` on one line: the whitespace outside string literals
@@ -244,11 +239,7 @@ std::optional<ReuseMode> reuse_from_name(const std::string& name) {
 
 Request parse_request(const std::string& line) {
     json::Reader in(line);
-    if (in.peek() != Value::Type::Object) {
-        in.skip();  // a malformed line reports its syntax error first
-        in.finish();
-        throw Error("request must be a JSON object");
-    }
+    expect_object(in, "request must be a JSON object");
     Request req;
     const std::uint32_t seen = in.fields(kRequestKeys, [&](std::size_t i) {
         const std::string_view key = kRequestKeys[i];
@@ -331,7 +322,7 @@ std::string serialize_response(const Response& response) {
     }
     if (!response.metrics_json.empty()) {
         os << ",\"metrics\":";
-        json::write_compact(json::parse(response.metrics_json), os);
+        append_one_line(os, response.metrics_json);
         os << "}";
         return os.take();
     }
@@ -356,59 +347,85 @@ std::string serialize_response(const Response& response) {
 }
 
 Response parse_response(const std::string& line) {
-    const Value doc = json::parse(line);
-    if (!doc.is(Value::Type::Object)) throw Error("response must be a JSON object");
+    // Two reads of the one line, because fields come in any order: the
+    // envelope decides whether the solve fields are read at all. An ok:false,
+    // ack or metrics response ignores them, so a malformed one beside it
+    // still parses; the first read checks the whole line's syntax.
     Response r;
-    r.id = get_int(doc, "id", 0);
-    if (const Value* rid = doc.find("rid");
-        rid != nullptr && rid->is(Value::Type::String)) {
-        r.rid = hash_from_hex(rid->str);
-    }
-    const Value* ok = doc.find("ok");
-    if (ok == nullptr || !ok->is(Value::Type::Bool)) {
-        throw Error("response needs a boolean 'ok'");
-    }
-    r.ok = ok->boolean;
-    if (!r.ok) {
-        if (const Value* err = doc.find("error");
-            err != nullptr && err->is(Value::Type::String)) {
-            r.error = err->str;
+    std::string error, metrics;
+    bool ack = false;
+    bool ack_is_bool = true;  // `ack` is typed only on an ok response
+    json::Reader head(line);
+    expect_object(head, "response must be a JSON object");
+    const std::uint32_t seen = head.fields(kResponseHeadKeys, [&](std::size_t i) {
+        switch (static_cast<ResponseHeadKey>(i)) {
+            case kRespId: r.id = read_int(head, "id"); return;
+            case kRespRid: r.rid = hash_from_hex(string_or_skip(head)); return;
+            case kRespOk:
+                if (head.peek() != Value::Type::Bool) {
+                    throw Error("response needs a boolean 'ok'");
+                }
+                r.ok = head.boolean();
+                return;
+            case kRespError: error = string_or_skip(head); return;
+            case kRespAck:
+                ack_is_bool = head.peek() == Value::Type::Bool;
+                if (ack_is_bool) {
+                    ack = head.boolean();
+                } else {
+                    head.skip();
+                }
+                return;
+            case kRespMetrics: metrics = json::to_compact_string(head.value()); return;
         }
+    });
+    head.finish();
+    if ((seen & (1u << kRespOk)) == 0) throw Error("response needs a boolean 'ok'");
+    if (!r.ok) {
+        r.error = std::move(error);
         return r;
     }
-    if (get_bool(doc, "ack", false)) {
+    if (!ack_is_bool) throw Error("field 'ack' must be a boolean");
+    if (ack) {
         r.ack = true;
         return r;
     }
-    if (const Value* metrics = doc.find("metrics"); metrics != nullptr) {
-        r.metrics_json = json::to_compact_string(*metrics);
+    if ((seen & (1u << kRespMetrics)) != 0) {
+        r.metrics_json = std::move(metrics);
         return r;
     }
-    if (const Value* status = doc.find("status");
-        status != nullptr && status->is(Value::Type::String)) {
-        const auto parsed = status_from_name(status->str);
-        if (!parsed.has_value()) throw Error("unknown status '" + status->str + "'");
-        r.status = *parsed;
-    }
-    r.makespan = get_int32(doc, "makespan", 0);
-    r.slots_used = get_int32(doc, "slots_used", 0);
-    r.start = get_ints(doc, "start");
-    r.slot = get_ints(doc, "slot");
-    if (const Value* cache = doc.find("cache");
-        cache != nullptr && cache->is(Value::Type::String)) {
-        r.cache_hit = cache->str == "hit";
-        r.near_hit = cache->str == "near";
-    }
-    r.shed = get_bool(doc, "shed", false);
-    r.solve_ms = static_cast<double>(get_int(doc, "solve_ms", 0));
-    if (const Value* hash = doc.find("hash");
-        hash != nullptr && hash->is(Value::Type::String)) {
-        r.model_hash = hash_from_hex(hash->str);
-    }
-    if (const Value* flight = doc.find("flight");
-        flight != nullptr && flight->is(Value::Type::String)) {
-        r.flight = flight->str;
-    }
+
+    json::Reader body(line);
+    body.fields(kResponseBodyKeys, [&](std::size_t i) {
+        const std::string_view key = kResponseBodyKeys[i];
+        switch (static_cast<ResponseBodyKey>(i)) {
+            case kStatus: {
+                if (body.peek() != Value::Type::String) {
+                    body.skip();
+                    return;
+                }
+                const std::string name = body.string();
+                const auto parsed = status_from_name(name);
+                if (!parsed.has_value()) throw Error("unknown status '" + name + "'");
+                r.status = *parsed;
+                return;
+            }
+            case kMakespan: r.makespan = read_int32(body, key); return;
+            case kSlotsUsed: r.slots_used = read_int32(body, key); return;
+            case kStart: r.start = read_ints(body, key); return;
+            case kSlot: r.slot = read_ints(body, key); return;
+            case kCache: {
+                const std::string cache = string_or_skip(body);
+                r.cache_hit = cache == "hit";
+                r.near_hit = cache == "near";
+                return;
+            }
+            case kShed: r.shed = read_bool(body, key); return;
+            case kSolveMs: r.solve_ms = static_cast<double>(read_int(body, key)); return;
+            case kHash: r.model_hash = hash_from_hex(string_or_skip(body)); return;
+            case kFlight: r.flight = string_or_skip(body); return;
+        }
+    });
     return r;
 }
 

@@ -15,7 +15,7 @@ namespace revec::svc {
 
 Service::Service(const Config& config)
     : config_(config),
-      cache_(config.cache_capacity, config.cache_near_capacity),
+      cache_(config.cache_capacity),
       pool_(SolverPool::Config{config.pool_workers, config.max_queue, config.trace}),
       flight_(config.flight) {}
 
@@ -84,7 +84,9 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
     const model::KernelModel& km = *request.model;
     const std::string canonical = model::to_json(km);
     const std::uint64_t hash = model::canonical_hash(canonical);
-    const std::uint64_t fingerprint = model::structural_fingerprint(km);
+    // Read only by the donor search and by an insert, so a hit never pays
+    // for it.
+    std::optional<std::uint64_t> fingerprint;
     const bool reuse_exact = request.params.reuse != ReuseMode::Off;
     const bool reuse_near = request.params.reuse == ReuseMode::Near;
 
@@ -122,23 +124,22 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
     };
 
     bool verify_failed = false;
-    if (auto cached = reuse_exact ? cache_.lookup(hash, canonical)
-                                  : std::optional<CachedSchedule>{};
-        cached.has_value()) {
+    if (const std::shared_ptr<const CacheEntry> cached =
+            reuse_exact ? cache_.lookup(hash, canonical) : nullptr) {
         // Belt and braces on top of the cache's exact-JSON guard: the
         // stored schedule must verify clean against the model we were
         // actually asked to solve before it is served.
-        if (model::check_schedule(km, cached->start, cached->slot, cached->makespan)
-                .empty()) {
+        const CachedSchedule& hit = cached->schedule;
+        if (model::check_schedule(km, hit.start, hit.slot, hit.makespan).empty()) {
             Response r;
             r.id = request.id;
             r.rid = rid;
             r.ok = true;
             r.status = cp::SolveStatus::Optimal;
-            r.makespan = cached->makespan;
-            r.slots_used = cached->slots_used;
-            r.start = std::move(cached->start);
-            r.slot = std::move(cached->slot);
+            r.makespan = hit.makespan;
+            r.slots_used = hit.slots_used;
+            r.start = hit.start;
+            r.slot = hit.slot;
             r.cache_hit = true;
             r.model_hash = hash;
             r.solve_ms = sw.elapsed_ms();
@@ -176,11 +177,14 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
     // Tier 2: adapt the nearest structurally similar donor into a warm
     // incumbent. Computed inline on the session thread (greedy repair is
     // cheap) so a pool worker starts with the seed in hand. Heuristic-only
-    // requests skip it — their answer may never come from a donor.
+    // requests skip it — their answer may never come from a donor — and so
+    // do zero-deadline requests, which are shed below and never take a
+    // seed. (A queue-full shed is not known in advance: its search runs.)
     std::optional<sched::IncumbentSeed> seed;
-    if (reuse_near && !request.params.heuristic_only) {
+    if (reuse_near && !request.params.heuristic_only && request.deadline_ms != 0) {
         const Stopwatch adapt_sw;
-        seed = near_seed(km, fingerprint, session_track, fl);
+        fingerprint = model::structural_fingerprint(km);
+        seed = near_seed(km, *fingerprint, session_track, fl);
         std::lock_guard<std::mutex> lock(metrics_mu_);
         metrics_.observe("svc.phase.adapt_ms", adapt_sw.elapsed_ms());
     }
@@ -259,7 +263,7 @@ std::optional<sched::IncumbentSeed> Service::near_seed(const model::KernelModel&
                                                        obs::TraceBuffer* session_track,
                                                        obs::FlightRecording* flight) {
     obs::TraceBuffer* const fr = flight != nullptr ? flight->track() : nullptr;
-    const std::vector<std::shared_ptr<const NearEntry>> candidates =
+    const std::vector<std::shared_ptr<const CacheEntry>> candidates =
         cache_.lookup_near(fingerprint);
     if (candidates.empty()) return std::nullopt;
 
@@ -267,11 +271,12 @@ std::optional<sched::IncumbentSeed> Service::near_seed(const model::KernelModel&
                         "candidates", static_cast<std::int64_t>(candidates.size()));
 
     // Nearest compatible donor by ModelDelta distance. A donor with the
-    // request's own exact hash is legal (tier 1 may have evicted it) and
-    // naturally wins at distance 0.
-    const NearEntry* best = nullptr;
+    // request's own exact hash (a hit that failed its re-verify, or one
+    // inserted since the exact lookup) is legal and naturally wins at
+    // distance 0.
+    const CacheEntry* best = nullptr;
     model::ModelDelta best_delta;
-    for (const std::shared_ptr<const NearEntry>& cand : candidates) {
+    for (const std::shared_ptr<const CacheEntry>& cand : candidates) {
         model::ModelDelta delta = model::diff(cand->model, km);
         if (!delta.compatible()) continue;
         if (best == nullptr || delta.distance() < best_delta.distance()) {
@@ -294,7 +299,7 @@ std::optional<sched::IncumbentSeed> Service::near_seed(const model::KernelModel&
     }
 
     const heur::AdaptResult adapted =
-        heur::adapt_schedule(best->value.start, best_delta, km);
+        heur::adapt_schedule(best->schedule.start, best_delta, km);
     span.result("ok", adapted.ok ? 1 : 0, "distance", best_delta.distance());
     std::lock_guard<std::mutex> lock(metrics_mu_);
     if (!adapted.ok) {
@@ -320,7 +325,7 @@ std::optional<sched::IncumbentSeed> Service::near_seed(const model::KernelModel&
 
 Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
                                    const std::string& canonical, std::uint64_t hash,
-                                   std::uint64_t fingerprint,
+                                   std::optional<std::uint64_t> fingerprint,
                                    const std::optional<sched::IncumbentSeed>& seed,
                                    bool shed, std::int64_t timeout_ms,
                                    obs::TraceBuffer* solve_track,
@@ -380,21 +385,17 @@ Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
             r.slot = s.slot;
         }
         r.ok = true;
-        // Only proven-optimal, full-solve results enter the cache (both
-        // tiers); a shed or deadline-shaped answer must not be replayed to
-        // later callers nor donate its shape.
+        // Only proven-optimal, full-solve results enter the cache; a shed
+        // or deadline-shaped answer must not be replayed to later callers
+        // nor donate its shape.
         if (s.status == cp::SolveStatus::Optimal && !shed) {
-            if (cache_.insert(hash, canonical,
-                              CachedSchedule{s.start, s.slot, s.makespan,
-                                             s.slots_used})) {
+            const std::uint64_t fp =
+                fingerprint ? *fingerprint : model::structural_fingerprint(km);
+            if (cache_.insert(CacheEntry{hash, fp, canonical, km,
+                                         CachedSchedule{s.start, s.slot, s.makespan,
+                                                        s.slots_used}})) {
                 std::lock_guard<std::mutex> lock(metrics_mu_);
                 metrics_.add("svc.cache.evictions");
-            }
-            if (cache_.insert_near(fingerprint, hash, km,
-                                   CachedSchedule{s.start, s.slot, s.makespan,
-                                                  s.slots_used})) {
-                std::lock_guard<std::mutex> lock(metrics_mu_);
-                metrics_.add("svc.cache.near_evictions");
             }
         }
     } catch (const std::exception& e) {
@@ -418,7 +419,6 @@ std::string Service::metrics_json() const {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     metrics_.gauge("svc.queue.depth", static_cast<double>(pool_.queue_depth()));
     metrics_.gauge("svc.cache.size", static_cast<double>(cache_.size()));
-    metrics_.gauge("svc.cache.near_size", static_cast<double>(cache_.near_size()));
     metrics_.set("svc.pool.completed", pool_.completed());
     return metrics_.to_json();
 }

@@ -43,8 +43,7 @@ public:
     struct Config {
         int pool_workers = 2;  ///< shared solver threads
         int max_queue = 8;     ///< solve requests waiting beyond the workers
-        std::size_t cache_capacity = 128;  ///< tier-1 exact entries; 0 = off
-        std::size_t cache_near_capacity = 128;  ///< tier-2 donor entries; 0 = off
+        std::size_t cache_capacity = 128;  ///< schedule-cache entries; 0 = off
         obs::TraceSink* trace = nullptr;   ///< worker tracks registered here
 
         /// Flight recorder (DESIGN §5l): per-request rings recorded even
@@ -75,14 +74,15 @@ private:
     Response handle_solve(const Request& request, obs::TraceBuffer* session_track);
     Response solve_and_finish(const Request& request, std::uint64_t rid,
                               const std::string& canonical, std::uint64_t hash,
-                              std::uint64_t fingerprint,
+                              std::optional<std::uint64_t> fingerprint,
                               const std::optional<sched::IncumbentSeed>& seed, bool shed,
                               std::int64_t timeout_ms, obs::TraceBuffer* solve_track,
                               obs::FlightRecording* flight, const Stopwatch& sw);
 
-    /// Tier-2 pipeline on an exact miss: fetch fingerprint candidates,
-    /// diff, adapt the nearest compatible donor, return the verified warm
-    /// seed (nullopt when no donor survives). Updates the reuse metrics.
+    /// Tier-2 pipeline on an exact miss: fetch the cache entries with the
+    /// model's fingerprint, diff, adapt the nearest compatible donor, return
+    /// the verified warm seed (nullopt when no donor survives). Updates the
+    /// reuse metrics.
     std::optional<sched::IncumbentSeed> near_seed(const model::KernelModel& km,
                                                   std::uint64_t fingerprint,
                                                   obs::TraceBuffer* session_track,

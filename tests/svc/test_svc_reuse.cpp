@@ -1,8 +1,9 @@
 // The tier-2 reuse pipeline end to end (DESIGN §5k): an edited model warm-
 // starts from an adapted donor (response cache:"near", svc.cache.near_hit
 // and svc.reuse.adapted counted), the served schedule is verifier-clean
-// and as good as a cold solve, --reuse=exact|off disables the pipeline,
-// and the exact-hit path is bit-for-bit untouched by all of it.
+// and as good as a cold solve, --reuse=exact|off disables the pipeline, a
+// shed request skips it, and the exact-hit path is bit-for-bit untouched
+// by all of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,17 +168,44 @@ TEST(SvcReuse, ExactHitUnaffectedByNearTier) {
     EXPECT_EQ(counter(service, "svc.cache.near_hit"), 0);
 }
 
-TEST(SvcReuse, ZeroNearCapacityDisablesTierTwo) {
+TEST(SvcReuse, ZeroCapacityDisablesBothTiers) {
     Service::Config config;
-    config.cache_near_capacity = 0;
+    config.cache_capacity = 0;
     Service service(config);
     const model::KernelModel base = matmul_model();
     const Response first = service.handle(solve_request(base, 1));
     ASSERT_TRUE(first.ok) << first.error;
-    const Response warm = service.handle(solve_request(edited(base), 2));
+    const Response repeat = service.handle(solve_request(base, 2));
+    ASSERT_TRUE(repeat.ok) << repeat.error;
+    EXPECT_FALSE(repeat.cache_hit);
+    const Response warm = service.handle(solve_request(edited(base), 3));
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_FALSE(warm.near_hit);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 0);
     EXPECT_EQ(counter(service, "svc.cache.near_hit"), 0);
+}
+
+TEST(SvcReuse, ShedRequestRunsNoDonorSearch) {
+    // A zero deadline sheds to the heuristic answer, which never takes a
+    // donor seed, so the donor search is not run for it at all.
+    Service service(Service::Config{});
+    const model::KernelModel base = matmul_model();
+    const Response first = service.handle(solve_request(base, 1));
+    ASSERT_TRUE(first.ok) << first.error;
+    Request shed = solve_request(edited(base), 2);
+    shed.deadline_ms = 0;
+    const Response r = service.handle(shed);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.shed);
+    EXPECT_FALSE(r.near_hit);
+    EXPECT_EQ(counter(service, "svc.cache.near_hit"), 0);
+    EXPECT_EQ(counter(service, "svc.reuse.adapted"), 0);
+    EXPECT_EQ(counter(service, "svc.reuse.no_donor"), 0);
+    // Only the first request searched for a donor (and found none).
+    const json::Value doc = json::parse(service.metrics_json());
+    const json::Value* adapt = doc.find("histograms")->find("svc.phase.adapt_ms");
+    ASSERT_NE(adapt, nullptr);
+    EXPECT_EQ(adapt->find("count")->number, 1.0);
 }
 
 TEST(SvcReuse, ReuseModeRoundTripsThroughRequestWire) {

@@ -366,38 +366,147 @@ TEST(SvcProtocol, ResponseCarriesRidAndFlightPath) {
     EXPECT_EQ(wire.find("\"flight\""), std::string::npos);
 }
 
+TEST(SvcProtocol, ResponseFieldsComeInAnyOrderAndOkDecidesWhatIsRead) {
+    // Any field order, unknown keys skipped (their syntax still checked).
+    const Response solve = parse_response(
+        "{\"hash\":\"00000000000000ff\",\"cache\":\"near\",\"start\":[0,2],"
+        "\"future\":{\"x\":[1,{}]},\"slot\":[1,-1],\"makespan\":4,\"slots_used\":1,"
+        "\"status\":\"optimal\",\"shed\":false,\"solve_ms\":3,\"ok\":true,\"id\":7}");
+    EXPECT_TRUE(solve.ok);
+    EXPECT_EQ(solve.id, 7);
+    EXPECT_EQ(solve.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(solve.makespan, 4);
+    EXPECT_EQ(solve.slots_used, 1);
+    EXPECT_EQ(solve.start, (std::vector<int>{0, 2}));
+    EXPECT_EQ(solve.slot, (std::vector<int>{1, -1}));
+    EXPECT_TRUE(solve.near_hit);
+    EXPECT_FALSE(solve.cache_hit);
+    EXPECT_EQ(solve.solve_ms, 3.0);
+    EXPECT_EQ(solve.model_hash, 0xffu);
+
+    // ok:false ignores every other field, even malformed ones before it.
+    const Response error = parse_response(
+        "{\"makespan\":\"x\",\"start\":7,\"ack\":\"yes\",\"ok\":false,"
+        "\"error\":\"boom\",\"id\":2}");
+    EXPECT_FALSE(error.ok);
+    EXPECT_EQ(error.error, "boom");
+    EXPECT_EQ(error.id, 2);
+    EXPECT_FALSE(error.ack);
+    EXPECT_EQ(error.makespan, 0);
+
+    // So does an ack, and a metrics document keeps only its compact text.
+    const Response ack =
+        parse_response("{\"makespan\":1.5,\"status\":\"nope\",\"ok\":true,\"ack\":true}");
+    EXPECT_TRUE(ack.ack);
+    EXPECT_EQ(ack.makespan, 0);
+    const Response stats = parse_response(
+        "{\"metrics\": {\"counters\": {\"a\": 1}}, \"makespan\":\"x\", \"ok\": true}");
+    EXPECT_EQ(stats.metrics_json, "{\"counters\":{\"a\":1}}");
+
+    // ok is a required boolean, and an ok response's fields are typed.
+    EXPECT_THROW(parse_response("{\"id\":1}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":\"true\"}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":true,\"makespan\":1.5}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":true,\"ack\":\"yes\"}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":true,\"start\":[1,\"2\"]}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":true,\"status\":\"nope\"}"), Error);
+    // The whole line's syntax is checked, whatever ok says.
+    EXPECT_THROW(parse_response("{\"ok\":false,\"x\":}"), Error);
+    EXPECT_THROW(parse_response("[true]"), Error);
+}
+
+/// A cache entry with an empty model: the cache never reads the model,
+/// only hands it out.
+CacheEntry entry(std::uint64_t hash, std::string canonical, int makespan,
+                 std::uint64_t fingerprint = 99) {
+    return CacheEntry{hash, fingerprint, std::move(canonical), model::KernelModel{},
+                      CachedSchedule{{0, 1}, {0, -1}, makespan, 1}};
+}
+
 TEST(SvcCache, MissThenHitThenExactMatchGuard) {
     ScheduleCache cache(4);
-    const CachedSchedule value{{0, 1}, {0, -1}, 2, 1};
-    EXPECT_FALSE(cache.lookup(7, "modelA").has_value());
-    cache.insert(7, "modelA", value);
+    EXPECT_EQ(cache.lookup(7, "modelA"), nullptr);
+    cache.insert(entry(7, "modelA", 2));
     const auto hit = cache.lookup(7, "modelA");
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->makespan, 2);
-    EXPECT_EQ(hit->start, value.start);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->schedule.makespan, 2);
+    EXPECT_EQ(hit->schedule.start, (std::vector<int>{0, 1}));
     // Same hash, different canonical bytes: a collision must read as a
-    // miss, never as the resident entry.
-    EXPECT_FALSE(cache.lookup(7, "modelB").has_value());
+    // miss, never as the resident entry, and leaves the resident alone.
+    EXPECT_EQ(cache.lookup(7, "modelB"), nullptr);
+    EXPECT_NE(cache.lookup(7, "modelA"), nullptr);
+}
+
+TEST(SvcCache, OneInsertServesBothLookups) {
+    ScheduleCache cache(4);
+    cache.insert(entry(1, "a", 3, /*fingerprint=*/50));
+    cache.insert(entry(2, "b", 4, /*fingerprint=*/50));
+    cache.insert(entry(3, "c", 5, /*fingerprint=*/60));
+    EXPECT_EQ(cache.size(), 3u);
+    const auto exact = cache.lookup(1, "a");
+    ASSERT_NE(exact, nullptr);
+    const auto donors = cache.lookup_near(50);
+    ASSERT_EQ(donors.size(), 2u);
+    // The donor lookup hands out the very entry the exact lookup serves.
+    EXPECT_TRUE(std::find(donors.begin(), donors.end(), exact) != donors.end());
+    EXPECT_EQ(cache.lookup_near(60).size(), 1u);
+    EXPECT_TRUE(cache.lookup_near(70).empty());
 }
 
 TEST(SvcCache, EvictsLeastRecentlyUsed) {
     ScheduleCache cache(2);
-    EXPECT_FALSE(cache.insert(1, "a", CachedSchedule{{0}, {0}, 1, 1}));
-    EXPECT_FALSE(cache.insert(2, "b", CachedSchedule{{0}, {0}, 2, 1}));
+    EXPECT_FALSE(cache.insert(entry(1, "a", 1)));
+    EXPECT_FALSE(cache.insert(entry(2, "b", 2)));
     // Touch 1 so 2 becomes the LRU victim.
-    EXPECT_TRUE(cache.lookup(1, "a").has_value());
-    EXPECT_TRUE(cache.insert(3, "c", CachedSchedule{{0}, {0}, 3, 1}));
+    EXPECT_NE(cache.lookup(1, "a"), nullptr);
+    EXPECT_TRUE(cache.insert(entry(3, "c", 3)));
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.evictions(), 1);
-    EXPECT_TRUE(cache.lookup(1, "a").has_value());
-    EXPECT_FALSE(cache.lookup(2, "b").has_value());
-    EXPECT_TRUE(cache.lookup(3, "c").has_value());
+    EXPECT_NE(cache.lookup(1, "a"), nullptr);
+    EXPECT_EQ(cache.lookup(2, "b"), nullptr);
+    EXPECT_NE(cache.lookup(3, "c"), nullptr);
+}
+
+TEST(SvcCache, EvictionLeavesBothIndexes) {
+    ScheduleCache cache(2);
+    cache.insert(entry(1, "a", 1, /*fingerprint=*/10));
+    cache.insert(entry(2, "b", 2, /*fingerprint=*/20));
+    // A donor lookup is a use too: it makes 1 the most recent, so 2 goes.
+    ASSERT_EQ(cache.lookup_near(10).size(), 1u);
+    EXPECT_TRUE(cache.insert(entry(3, "c", 3, /*fingerprint=*/10)));
+    EXPECT_EQ(cache.lookup(2, "b"), nullptr);
+    EXPECT_TRUE(cache.lookup_near(20).empty());
+    EXPECT_EQ(cache.lookup_near(10).size(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.evictions(), 1);
+}
+
+TEST(SvcCache, SameHashReinsertReplacesInPlace) {
+    ScheduleCache cache(2);
+    cache.insert(entry(1, "a", 5, /*fingerprint=*/10));
+    const auto old = cache.lookup(1, "a");
+    ASSERT_NE(old, nullptr);
+    // A colliding model under the same hash replaces the entry, in both
+    // indexes, without growing the cache.
+    EXPECT_FALSE(cache.insert(entry(1, "a2", 4, /*fingerprint=*/20)));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.evictions(), 0);
+    EXPECT_EQ(cache.lookup(1, "a"), nullptr);
+    const auto fresh = cache.lookup(1, "a2");
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh->schedule.makespan, 4);
+    EXPECT_TRUE(cache.lookup_near(10).empty());
+    ASSERT_EQ(cache.lookup_near(20).size(), 1u);
+    // A reader holding the old snapshot keeps a consistent view.
+    EXPECT_EQ(old->canonical, "a");
+    EXPECT_EQ(old->schedule.makespan, 5);
 }
 
 TEST(SvcCache, ZeroCapacityDisablesCaching) {
     ScheduleCache cache(0);
-    EXPECT_FALSE(cache.insert(1, "a", CachedSchedule{{0}, {0}, 1, 1}));
-    EXPECT_FALSE(cache.lookup(1, "a").has_value());
+    EXPECT_FALSE(cache.insert(entry(1, "a", 1)));
+    EXPECT_EQ(cache.lookup(1, "a"), nullptr);
+    EXPECT_TRUE(cache.lookup_near(99).empty());
     EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -46,7 +46,9 @@ TEST(ToolFlags, RevecctlUsageDocumentsEveryKnownFlag) {
 TEST(ToolFlags, InventoriesCoverTheNewReuseKnobs) {
     const auto& d = revecd_known_flags();
     const auto& c = revecctl_known_flags();
-    EXPECT_NE(std::find(d.begin(), d.end(), "--cache-near-capacity"), d.end());
+    // One capacity sizes the one schedule cache, donors included.
+    EXPECT_NE(std::find(d.begin(), d.end(), "--cache-capacity"), d.end());
+    EXPECT_EQ(std::find(d.begin(), d.end(), "--cache-near-capacity"), d.end());
     EXPECT_NE(std::find(c.begin(), c.end(), "--reuse"), c.end());
 }
 

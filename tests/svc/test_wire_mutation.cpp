@@ -1,12 +1,16 @@
-// Seeded single-byte mutations of real solve request lines against the
-// wire reader (the first piece of a protocol fuzzer). Per mutated line:
+// Seeded single-byte mutations of real request and response lines against
+// the wire readers (the first piece of a protocol fuzzer). Per mutated
+// request line:
 // parse_request rejects every line the JSON grammar (json::parse) rejects,
 // and accepts only lines the grammar accepts; every model it accepts
 // round-trips to_json -> from_json -> to_json byte for byte; and nothing
 // but revec::Error escapes either reader. The readers share one tokenizer
 // and the round trip re-reads with the same from_json, so two oracles that
 // do not go through from_json back them: an accepted model holds the
-// values the line's tree holds, and it is well formed.
+// values the line's tree holds, and it is well formed. Response lines of
+// each shape serialize_response writes go through parse_response the same
+// way: only revec::Error escapes, an accepted line is grammatical, and its
+// re-serialized form is a fixed point of parse + serialize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +24,7 @@
 #include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/json.hpp"
+#include "revec/obs/metrics.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/support/assert.hpp"
 #include "revec/support/json.hpp"
@@ -133,6 +138,106 @@ TEST(WireMutation, RequestReaderAgreesWithTheGrammarAndRoundTrips) {
     // Both branches ran: the mutations are neither all fatal nor all benign.
     EXPECT_GT(grammar_rejects, 100);
     EXPECT_GT(accepted_solves, 100);
+}
+
+/// The four response shapes serialize_response writes.
+std::vector<Response> response_shapes() {
+    Response solve;
+    solve.id = 17;
+    solve.rid = 0x0123456789abcdefull;
+    solve.ok = true;
+    solve.status = cp::SolveStatus::Optimal;
+    solve.makespan = 11;
+    solve.slots_used = 6;
+    for (int i = 0; i < 24; ++i) {
+        solve.start.push_back(i / 2);
+        solve.slot.push_back(i % 3 == 0 ? -1 : i % 8);
+    }
+    solve.near_hit = true;
+    solve.solve_ms = 3.0;
+    solve.model_hash = 0xfedcba9876543210ull;
+    solve.flight = "flight-dumps/flight-00000004-0123456789abcdef.jsonl";
+
+    Response error;
+    error.id = 18;
+    error.error = "solve request needs a 'model' object \"quoted\"\n";
+
+    Response ack;
+    ack.id = 19;
+    ack.ok = true;
+    ack.ack = true;
+
+    obs::MetricsRegistry registry;
+    registry.add("svc.req.count", 5);
+    registry.gauge("svc.cache.size", 2.0);
+    registry.label("svc.build", "release \"r1\"");
+    registry.observe("svc.phase.parse_ms", 0.25);
+    Response stats;
+    stats.id = 20;
+    stats.ok = true;
+    stats.metrics_json = registry.to_json();
+    return {solve, error, ack, stats};
+}
+
+/// A metrics document's value, whatever its layout.
+std::string compact(const std::string& json_text) {
+    return json_text.empty() ? json_text : json::to_compact_string(json::parse(json_text));
+}
+
+void expect_same_fields(const Response& got, const Response& want) {
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.rid, want.rid);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.ack, want.ack);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.slots_used, want.slots_used);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.slot, want.slot);
+    EXPECT_EQ(got.cache_hit, want.cache_hit);
+    EXPECT_EQ(got.near_hit, want.near_hit);
+    EXPECT_EQ(got.shed, want.shed);
+    EXPECT_EQ(got.solve_ms, want.solve_ms);
+    EXPECT_EQ(got.model_hash, want.model_hash);
+    EXPECT_EQ(got.flight, want.flight);
+    EXPECT_EQ(compact(got.metrics_json), compact(want.metrics_json));
+}
+
+TEST(WireMutation, ResponseReaderRejectsOnlyWithErrorAndRoundTrips) {
+    const std::vector<Response> shapes = response_shapes();
+    std::vector<std::string> lines;
+    for (const Response& r : shapes) {
+        lines.push_back(serialize_response(r));
+        expect_same_fields(parse_response(lines.back()), r);
+    }
+    XorShift rng(20261019);
+    int rejects = 0;
+    int accepts = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::string line = mutate(lines[static_cast<std::size_t>(trial) % lines.size()], rng);
+        std::optional<Response> r;
+        try {
+            r = parse_response(line);
+        } catch (const Error&) {
+        }
+        if (!r) {
+            ++rejects;
+            continue;
+        }
+        ++accepts;
+        bool grammar_ok = true;
+        try {
+            (void)json::parse(line);
+        } catch (const Error&) {
+            grammar_ok = false;
+        }
+        ASSERT_TRUE(grammar_ok) << "accepted a line json::parse rejects: " << line;
+        const std::string once = serialize_response(*r);
+        ASSERT_EQ(serialize_response(parse_response(once)), once) << line;
+    }
+    EXPECT_GT(rejects, 100);
+    EXPECT_GT(accepts, 100);
 }
 
 }  // namespace

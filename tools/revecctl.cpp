@@ -150,8 +150,7 @@ void render_top(const StatsSnapshot& s, bool delta, std::ostream& out) {
     };
     out << (delta ? "delta since last refresh" : "totals since daemon start")
         << " — queue depth " << gauge("svc.queue.depth") << ", cache "
-        << gauge("svc.cache.size") << " exact + " << gauge("svc.cache.near_size")
-        << " near, pool completed " << counter_of(s, "svc.pool.completed") << "\n";
+        << gauge("svc.cache.size") << ", pool completed " << counter_of(s, "svc.pool.completed") << "\n";
 
     const std::int64_t reqs = counter_of(s, "svc.req.count");
     const std::int64_t shed = counter_of(s, "svc.queue.shed");

@@ -153,9 +153,6 @@ int main(int argc, char** argv) {
             } else if (revec::starts_with(arg, "--cache-capacity=")) {
                 config.cache_capacity =
                     static_cast<std::size_t>(revec::parse_int(arg.substr(17)));
-            } else if (revec::starts_with(arg, "--cache-near-capacity=")) {
-                config.cache_near_capacity =
-                    static_cast<std::size_t>(revec::parse_int(arg.substr(22)));
             } else if (revec::starts_with(arg, "--trace=")) {
                 trace_path = arg.substr(8);
             } else if (revec::starts_with(arg, "--trace-level=")) {
@@ -217,8 +214,7 @@ int main(int argc, char** argv) {
 
         std::cerr << "revecd: listening on " << socket_path << " ("
                   << config.pool_workers << " workers, queue " << config.max_queue
-                  << ", cache " << config.cache_capacity << "+"
-                  << config.cache_near_capacity << " near)\n";
+                  << ", cache " << config.cache_capacity << ")\n";
         if (!config.flight.dir.empty()) {
             std::cerr << "revecd: flight recorder on (" << config.flight.dir
                       << ", keep " << config.flight.keep << ", slo "
