@@ -98,6 +98,15 @@ public:
     /// Require that only whitespace is left.
     void finish();
 
+    /// Byte offset of the cursor in the text: after a peek(), the first
+    /// byte of the next value; after a read, just past the value.
+    std::size_t offset() const { return pos_; }
+    /// Move the cursor forward to `offset` without reading the bytes in
+    /// between: the caller vouches that they are one complete value that
+    /// this reader would accept here (DESIGN §5i: how the service skips a
+    /// model whose bytes its cache already holds).
+    void seek(std::size_t offset) { pos_ = offset; }
+
 private:
     // The helpers every token passes through are defined here, inline.
 

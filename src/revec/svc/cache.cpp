@@ -4,17 +4,18 @@
 
 namespace revec::svc {
 
-std::shared_ptr<const CacheEntry> ScheduleCache::lookup(std::uint64_t hash,
-                                                        std::string_view canonical) {
+std::shared_ptr<const CacheEntry> ScheduleCache::find(std::string_view model_bytes) const {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_hash_.find(hash);
-    if (it == by_hash_.end()) return nullptr;
-    // Same 64-bit key but a different model: a genuine FNV collision.
-    // Serving the stored schedule would be wrong, so treat it as a miss
-    // (and leave the resident entry alone).
-    if ((*it->second)->canonical != canonical) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return *it->second;
+    const auto it = by_bytes_.find(model_bytes);
+    return it == by_bytes_.end() ? nullptr : *it->second;
+}
+
+void ScheduleCache::touch(const std::shared_ptr<const CacheEntry>& entry) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = by_bytes_.find(entry->model_bytes);
+    if (it != by_bytes_.end() && *it->second == entry) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+    }
 }
 
 std::vector<std::shared_ptr<const CacheEntry>> ScheduleCache::lookup_near(
@@ -30,7 +31,8 @@ std::vector<std::shared_ptr<const CacheEntry>> ScheduleCache::lookup_near(
     return out;
 }
 
-void ScheduleCache::unindex_fingerprint(List::iterator it) {
+void ScheduleCache::unindex(List::iterator it) {
+    by_bytes_.erase((*it)->model_bytes);
     const auto range = by_fingerprint_.equal_range((*it)->fingerprint);
     for (auto idx = range.first; idx != range.second; ++idx) {
         if (idx->second == it) {
@@ -44,24 +46,25 @@ bool ScheduleCache::insert(CacheEntry entry) {
     if (capacity_ == 0) return false;
     auto published = std::make_shared<const CacheEntry>(std::move(entry));
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = by_hash_.find(published->hash); it != by_hash_.end()) {
+    if (const auto it = by_bytes_.find(published->model_bytes); it != by_bytes_.end()) {
         // Publish the fresh snapshot in place; readers holding the old one
-        // keep a consistent view. A colliding model may carry another
-        // fingerprint, so the fingerprint index is redone.
-        unindex_fingerprint(it->second);
-        *it->second = std::move(published);
-        by_fingerprint_.emplace((*it->second)->fingerprint, it->second);
-        lru_.splice(lru_.begin(), lru_, it->second);
+        // keep a consistent view. Both index keys are redone: the byte key
+        // is a view of the old snapshot's bytes, which may now be freed.
+        const List::iterator pos = it->second;
+        unindex(pos);
+        *pos = std::move(published);
+        by_bytes_.emplace((*pos)->model_bytes, pos);
+        by_fingerprint_.emplace((*pos)->fingerprint, pos);
+        lru_.splice(lru_.begin(), lru_, pos);
         return false;
     }
     lru_.push_front(std::move(published));
-    by_hash_.emplace(lru_.front()->hash, lru_.begin());
+    by_bytes_.emplace(lru_.front()->model_bytes, lru_.begin());
     by_fingerprint_.emplace(lru_.front()->fingerprint, lru_.begin());
     bool evicted = false;
     while (lru_.size() > capacity_) {
         const auto victim = std::prev(lru_.end());
-        by_hash_.erase((*victim)->hash);
-        unindex_fingerprint(victim);
+        unindex(victim);
         lru_.erase(victim);
         ++evictions_;
         evicted = true;

@@ -2,14 +2,15 @@
 // optimal schedules, read two ways.
 //
 // Each entry is the exact model a schedule was proven optimal for, kept as
-// its canonical JSON and as the KernelModel, under two keys:
-// model::canonical_hash for the exact lookup, and
-// model::structural_fingerprint for donor candidates. The exact lookup
-// also compares the canonical bytes, so a hash collision degrades to a
-// miss instead of serving a wrong schedule; the service additionally
-// re-verifies every hit against the requester's model with
-// model::check_schedule before answering. Only Optimal results are
-// inserted — a timeout- or deadline-shaped answer (SatTimeout,
+// the bytes it arrived in on the wire (for a request built in code, the
+// bytes serialize_request would send) and as the KernelModel those bytes
+// read as, under two keys: the bytes themselves for the exact lookup, and
+// model::structural_fingerprint for donor candidates. The exact key is
+// compared byte for byte, so two entries can only be confused when their
+// models are the same text; model::canonical_hash is stored only to answer
+// the response's `hash`. The service re-verifies every hit against the
+// model with model::check_schedule before answering. Only Optimal results
+// are inserted — a timeout- or deadline-shaped answer (SatTimeout,
 // HeuristicFallback) would pin a worse-than-necessary schedule for every
 // future requester of that model.
 //
@@ -43,10 +44,10 @@ struct CachedSchedule {
 /// One cached proof. Immutable once published: lookups hand out shared
 /// snapshots that stay valid after the cache evicts or replaces them.
 struct CacheEntry {
-    std::uint64_t hash = 0;         ///< model::canonical_hash(canonical)
+    std::string model_bytes;        ///< the key: the model's text as it arrived
+    std::uint64_t model_hash = 0;   ///< model::canonical_hash(model), only reported
     std::uint64_t fingerprint = 0;  ///< model::structural_fingerprint(model)
-    std::string canonical;          ///< model::to_json(model)
-    model::KernelModel model;
+    model::KernelModel model;       ///< what model_bytes read as
     CachedSchedule schedule;
 };
 
@@ -55,9 +56,14 @@ public:
     /// `capacity` = max entries; 0 disables the cache entirely.
     explicit ScheduleCache(std::size_t capacity) : capacity_(capacity) {}
 
-    /// Exact hit: same hash AND byte-identical canonical JSON, else null.
-    /// Refreshes LRU recency. Thread-safe.
-    std::shared_ptr<const CacheEntry> lookup(std::uint64_t hash, std::string_view canonical);
+    /// Exact hit: the entry whose model_bytes equal `model_bytes`, else
+    /// null. A pure read — recency moves only when the caller serves the
+    /// entry (touch). Thread-safe.
+    std::shared_ptr<const CacheEntry> find(std::string_view model_bytes) const;
+
+    /// Mark `entry` as used: the most recently used, if it is still
+    /// resident (an evicted or replaced snapshot is left alone).
+    void touch(const std::shared_ptr<const CacheEntry>& entry);
 
     /// Every entry with this structural fingerprint, in no particular
     /// order (the service ranks them by ModelDelta distance). Returning
@@ -65,9 +71,9 @@ public:
     /// candidate took part in donor selection.
     std::vector<std::shared_ptr<const CacheEntry>> lookup_near(std::uint64_t fingerprint);
 
-    /// Insert an entry, replacing any entry with the same hash; evicts the
-    /// least recently used entries beyond capacity. Returns true when an
-    /// eviction happened.
+    /// Insert an entry, replacing any entry with the same model_bytes;
+    /// evicts the least recently used entries beyond capacity. Returns true
+    /// when an eviction happened.
     bool insert(CacheEntry entry);
 
     std::size_t size() const;
@@ -76,13 +82,14 @@ public:
 private:
     using List = std::list<std::shared_ptr<const CacheEntry>>;
 
-    /// Drop `it` from the fingerprint index (the hash index is the caller's).
-    void unindex_fingerprint(List::iterator it);
+    /// Drop `it` from both indexes.
+    void unindex(List::iterator it);
 
     std::size_t capacity_;
     mutable std::mutex mu_;
     List lru_;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, List::iterator> by_hash_;
+    /// Keyed by views of the resident entries' own model_bytes.
+    std::unordered_map<std::string_view, List::iterator> by_bytes_;
     std::unordered_multimap<std::uint64_t, List::iterator> by_fingerprint_;
     std::int64_t evictions_ = 0;
 };

@@ -185,6 +185,9 @@ std::string hash_hex(std::uint64_t h) {
 }
 
 std::uint64_t hash_from_hex(const std::string& s) {
+    // A 17th digit would shift the first one out: "10000000000000000"
+    // must not read as 0, unset.
+    if (s.size() > 16) throw Error("malformed hash field: more than 16 hex digits");
     std::uint64_t h = 0;
     for (const char c : s) {
         h <<= 4;
@@ -197,6 +200,47 @@ std::uint64_t hash_from_hex(const std::string& s) {
         }
     }
     return h;
+}
+
+/// The `model` value on the guess that it is the line's last field, where
+/// serialize_request puts it: from `start` (the value's first byte) to the
+/// line's final '}', that '}' and the whitespace around it excluded. Empty
+/// when the line does not end in '}'.
+std::string_view last_field_guess(std::string_view line, std::size_t start) {
+    constexpr std::string_view kSpace = " \t\n\r";
+    const std::size_t close = line.find_last_not_of(kSpace);
+    if (close == std::string_view::npos || close <= start || line[close] != '}') return {};
+    // line[start] is not whitespace, so the search stops at start at the latest.
+    const std::size_t last = line.find_last_not_of(kSpace, close - 1);
+    return line.substr(start, last + 1 - start);
+}
+
+/// The `model` field, read in place whatever the kind, which may come
+/// later: a request that carries a model carries a valid one. With a
+/// lookup, a value whose bytes the cache holds is not read at all. Every
+/// key is a span from_json accepted as one whole value at this same depth,
+/// so a text equal to a key is that value, and skipping it changes neither
+/// what is accepted nor what it reads as. The guess is asked first (no read
+/// at all); else the value is read and its exact span asked, when it
+/// differs from the guess (a model that is not the last field).
+void read_model(json::Reader& in, std::string_view line, const ModelLookup& lookup,
+                Request& req) {
+    (void)in.peek();  // to the value's first byte
+    const std::size_t start = in.offset();
+    std::string_view guess;
+    if (lookup) {
+        guess = last_field_guess(line, start);
+        if (!guess.empty()) req.cached = lookup(guess);
+        if (req.cached) {
+            in.seek(start + guess.size());
+            return;
+        }
+    }
+    req.model = model::from_json(in);
+    const std::string_view span = line.substr(start, in.offset() - start);
+    // Both start at `start`: they differ exactly when their lengths do.
+    if (lookup && span.size() != guess.size()) req.cached = lookup(span);
+    if (!req.cached) req.model_text = span;
 }
 
 }  // namespace
@@ -237,7 +281,7 @@ std::optional<ReuseMode> reuse_from_name(const std::string& name) {
     return std::nullopt;
 }
 
-Request parse_request(const std::string& line) {
+Request parse_request(const std::string& line, const ModelLookup& lookup) {
     json::Reader in(line);
     expect_object(in, "request must be a JSON object");
     Request req;
@@ -269,21 +313,25 @@ Request parse_request(const std::string& line) {
                 req.rid = hash_from_hex(in.string());
                 return;
             case kOptions: read_options(in, req.params); return;
-            case kModel:
-                // Read in place whatever the kind, which may come later: a
-                // request that carries a model carries a valid one.
-                req.model = model::from_json(in);
-                return;
+            case kModel: read_model(in, line, lookup, req); return;
         }
     });
     in.finish();
     if ((seen & (1u << kKind)) == 0) throw Error("request needs a string 'kind'");
     if (req.kind != RequestKind::Solve) {
         req.model.reset();
-    } else if (!req.model.has_value()) {
+        req.cached.reset();
+        req.model_text.clear();
+    } else if (!req.model.has_value() && req.cached == nullptr) {
         throw Error("solve request needs a 'model' object");
     }
     return req;
+}
+
+std::string model_wire_text(const model::KernelModel& m) {
+    json::Writer os;
+    append_one_line(os, model::to_json(m));
+    return os.take();
 }
 
 std::string serialize_request(const Request& request) {

@@ -7,12 +7,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "revec/cp/search.hpp"
 #include "revec/model/kernel_model.hpp"
+#include "revec/svc/cache.hpp"
 
 namespace revec::svc {
 
@@ -64,7 +68,18 @@ struct Request {
     std::int64_t deadline_ms = -1;
 
     SolveParams params;
-    std::optional<model::KernelModel> model;  ///< required for Solve
+    /// Required for Solve, unless `cached` stands in for it.
+    std::optional<model::KernelModel> model;
+    /// The cache entry whose model bytes equal this line's `model` value,
+    /// found while the line was read (parse_request with a lookup). When
+    /// `model` is empty, the model was never read: `cached->model` is what
+    /// its bytes read as.
+    std::shared_ptr<const CacheEntry> cached;
+    /// The `model` value's bytes as they came off the wire, when it was
+    /// read and not found in the cache: the key its result is cached
+    /// under. Empty for a request built in code (the service then keys it
+    /// on model_wire_text).
+    std::string model_text;
 };
 
 struct Response {
@@ -102,9 +117,18 @@ std::optional<cp::SolveStatus> status_from_name(const std::string& name);
 const char* reuse_name(ReuseMode mode);
 std::optional<ReuseMode> reuse_from_name(const std::string& name);
 
+/// A pure read of the schedule cache by a model's bytes: no recency, no
+/// counter (ScheduleCache::find).
+using ModelLookup = std::function<std::shared_ptr<const CacheEntry>(std::string_view)>;
+
 /// Parse one request line. Throws revec::Error on malformed JSON, unknown
-/// kinds, or a Solve without a model.
-Request parse_request(const std::string& line);
+/// kinds, or a Solve without a model. With a `lookup`, a `model` value
+/// whose bytes the cache holds is not read again: the request carries the
+/// entry instead (DESIGN §5i). What is accepted does not change.
+Request parse_request(const std::string& line, const ModelLookup& lookup = {});
+
+/// The bytes serialize_request sends for `m`: model::to_json on one line.
+std::string model_wire_text(const model::KernelModel& m);
 
 /// Serialize a request as a single line (no trailing newline). The model
 /// is embedded as a compact JSON object.

@@ -135,22 +135,35 @@ void Server::run() {
 
 void Server::session_main(std::shared_ptr<SessionState> session) {
     std::string buffer;
+    std::size_t scanned = 0;  // bytes of `buffer` already searched for '\n'
     char chunk[4096];
-    while (!stop_.load()) {
+    bool open = true;
+    while (open && !stop_.load()) {
         const ssize_t n = ::recv(session->fd, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;  // client hung up (or stop() shut the socket down)
         buffer.append(chunk, static_cast<std::size_t>(n));
+        // Only the bytes just appended can hold the next newline.
+        std::size_t begin = 0;  // start of the first unserved line
         std::size_t eol;
-        while ((eol = buffer.find('\n')) != std::string::npos) {
-            const std::string line = buffer.substr(0, eol);
-            buffer.erase(0, eol + 1);
+        while (open && (eol = buffer.find('\n', scanned)) != std::string::npos) {
+            const std::string line = buffer.substr(begin, eol - begin);
+            begin = scanned = eol + 1;
             if (line.empty()) continue;
             const std::string response = service_.handle_line(line, session->track);
-            if (!write_line(session->fd, response)) break;
-            if (service_.shutdown_requested()) break;
+            open = write_line(session->fd, response) && !service_.shutdown_requested();
         }
-        if (service_.shutdown_requested()) break;
+        buffer.erase(0, begin);
+        scanned = buffer.size();
+        open = open && !service_.shutdown_requested();
+        if (open && buffer.size() > kMaxLineBytes) {
+            // One client may not grow the buffer without bound: refuse the
+            // line and close the session (the rest of it is never read).
+            (void)write_line(session->fd,
+                             service_.reject_line("request line longer than " +
+                                                  std::to_string(kMaxLineBytes) + " bytes"));
+            open = false;
+        }
     }
     // Close under the sessions mutex: run()'s shutdown sweep reads fds
     // under the same lock, so it can never shut down a descriptor that

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,6 +21,11 @@ namespace revec::svc {
 
 class Server {
 public:
+    /// Longest request line a session buffers, newline excluded: far above
+    /// any model the repository writes (QRD's request is 35 KB). A longer
+    /// line is answered ok:false and its session closed.
+    static constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
     /// Binds and listens on `socket_path` (an existing socket file is
     /// unlinked first — stale files from a killed daemon must not block a
     /// restart). Throws revec::Error on any socket failure.

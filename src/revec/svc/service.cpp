@@ -13,6 +13,16 @@
 
 namespace revec::svc {
 
+namespace {
+
+/// The model a solve request asks for: its own, or, when the cache spared
+/// the read, the one its bytes read as.
+const model::KernelModel& model_of(const Request& request) {
+    return request.model ? *request.model : request.cached->model;
+}
+
+}  // namespace
+
 Service::Service(const Config& config)
     : config_(config),
       cache_(config.cache_capacity),
@@ -23,23 +33,36 @@ std::string Service::handle_line(const std::string& line,
                                  obs::TraceBuffer* session_track) {
     const Stopwatch parse_sw;
     Request request;
-    Response rejected;  // ok = false
+    std::string error;
     bool parsed = true;
     try {
-        request = parse_request(line);
+        // The exact tier is asked while the line is read: a model whose
+        // bytes it holds is never read (DESIGN §5i).
+        request = parse_request(
+            line, [this](std::string_view bytes) { return cache_.find(bytes); });
     } catch (const Error& e) {
         parsed = false;
-        rejected.error = e.what();
+        error = e.what();
     }
     {
         std::lock_guard<std::mutex> lock(metrics_mu_);
         metrics_.observe("svc.phase.parse_ms", parse_sw.elapsed_ms());
-        if (!parsed) metrics_.add("svc.req.parse_errors");
     }
-    return serialize_response(parsed ? handle(request, session_track) : rejected);
+    return parsed ? serialize_response(handle(std::move(request), session_track))
+                  : reject_line(error);
 }
 
-Response Service::handle(const Request& request, obs::TraceBuffer* session_track) {
+std::string Service::reject_line(const std::string& error) {
+    {
+        std::lock_guard<std::mutex> lock(metrics_mu_);
+        metrics_.add("svc.req.parse_errors");
+    }
+    Response r;  // ok = false
+    r.error = error;
+    return serialize_response(r);
+}
+
+Response Service::handle(Request request, obs::TraceBuffer* session_track) {
     switch (request.kind) {
         case RequestKind::Ping: {
             Response r;
@@ -73,7 +96,7 @@ Response Service::handle(const Request& request, obs::TraceBuffer* session_track
     REVEC_UNREACHABLE("bad RequestKind");
 }
 
-Response Service::handle_solve(const Request& request, obs::TraceBuffer* session_track) {
+Response Service::handle_solve(Request& request, obs::TraceBuffer* session_track) {
     const Stopwatch sw;
     // Correlation id (DESIGN §5l): client-chosen when present, assigned
     // here otherwise, stamped on every span emitted for this request.
@@ -81,9 +104,12 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
                                   ? request.rid
                                   : next_rid_.fetch_add(1, std::memory_order_relaxed);
     const auto rid_i = static_cast<std::int64_t>(rid);
-    const model::KernelModel& km = *request.model;
-    const std::string canonical = model::to_json(km);
-    const std::uint64_t hash = model::canonical_hash(canonical);
+    const model::KernelModel& km = model_of(request);
+    // The exact tier's key is the model's wire bytes (DESIGN §5k); a request
+    // built in code is keyed on the bytes serialize_request would send.
+    if (request.cached == nullptr && request.model_text.empty()) {
+        request.model_text = model_wire_text(km);
+    }
     // Read only by the donor search and by an insert, so a hit never pays
     // for it.
     std::optional<std::uint64_t> fingerprint;
@@ -123,14 +149,18 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
         }
     };
 
+    // handle_line asked the cache while it read the line; a request it did
+    // not answer there (or one built in code) is looked up here.
+    std::shared_ptr<const CacheEntry> cached = request.cached;
+    if (cached == nullptr && reuse_exact) cached = cache_.find(request.model_text);
     bool verify_failed = false;
-    if (const std::shared_ptr<const CacheEntry> cached =
-            reuse_exact ? cache_.lookup(hash, canonical) : nullptr) {
-        // Belt and braces on top of the cache's exact-JSON guard: the
-        // stored schedule must verify clean against the model we were
-        // actually asked to solve before it is served.
+    if (cached != nullptr && reuse_exact) {
+        // Belt and braces on top of the cache's byte-exact key: the stored
+        // schedule must verify clean against the model we were actually
+        // asked to solve before it is served.
         const CachedSchedule& hit = cached->schedule;
         if (model::check_schedule(km, hit.start, hit.slot, hit.makespan).empty()) {
+            cache_.touch(cached);
             Response r;
             r.id = request.id;
             r.rid = rid;
@@ -141,7 +171,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
             r.start = hit.start;
             r.slot = hit.slot;
             r.cache_hit = true;
-            r.model_hash = hash;
+            r.model_hash = cached->model_hash;
             r.solve_ms = sw.elapsed_ms();
             span.result("hit", 1);
             obs::instant(fr, obs::TraceLevel::Phase, "svc.cache_hit", "makespan",
@@ -149,6 +179,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
             {
                 std::lock_guard<std::mutex> lock(metrics_mu_);
                 metrics_.add("svc.cache.hit");
+                if (!request.model) metrics_.add("svc.cache.hit_unread");
                 metrics_.add("svc.req.count");
                 metrics_.add("svc.req.status.optimal");
                 metrics_.observe("svc.req.latency_ms", r.solve_ms);
@@ -159,6 +190,10 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
         }
         verify_failed = true;
     }
+    // A miss reports the model's canonical hash, as every response does.
+    const std::uint64_t hash =
+        request.cached ? request.cached->model_hash : model::canonical_hash(km);
+    if (request.cached) fingerprint = request.cached->fingerprint;
     // The exact-tier counters partition the non-hit outcomes: a failed
     // re-verify is its own bucket, every other fall-through is a plain
     // miss (a later near hit still counts here — tier 1 did miss).
@@ -195,7 +230,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
         // shed immediately with the verified heuristic answer.
         if (fl != nullptr) fl->note(obs::FlightReason::Shed);
         obs::instant(fr, obs::TraceLevel::Phase, "svc.shed", "deadline_ms", 0);
-        r = solve_and_finish(request, rid, canonical, hash, fingerprint, seed,
+        r = solve_and_finish(request, rid, hash, fingerprint, seed,
                              /*shed=*/true, 0, session_track, fl, sw);
     } else {
         std::promise<Response> done;
@@ -208,7 +243,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
         // fr inside this window.
         const Stopwatch queue_sw;
         const bool admitted =
-            pool_.try_submit([this, &request, rid, &canonical, hash, fingerprint, &seed,
+            pool_.try_submit([this, &request, rid, hash, fingerprint, &seed,
                               &done, fl, fr, &queue_sw, &sw](obs::TraceBuffer* track) {
                 const double waited_ms = queue_sw.elapsed_ms();
                 obs::instant(fr, obs::TraceLevel::Phase, "svc.pool_pickup", "wait_ms",
@@ -222,7 +257,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
                     const auto waited = static_cast<std::int64_t>(sw.elapsed_ms());
                     remaining = std::max<std::int64_t>(0, remaining - waited);
                 }
-                done.set_value(solve_and_finish(request, rid, canonical, hash,
+                done.set_value(solve_and_finish(request, rid, hash,
                                                 fingerprint, seed, /*shed=*/false,
                                                 remaining, track, fl, sw));
             });
@@ -237,7 +272,7 @@ Response Service::handle_solve(const Request& request, obs::TraceBuffer* session
         } else {
             if (fl != nullptr) fl->note(obs::FlightReason::Shed);
             obs::instant(fr, obs::TraceLevel::Phase, "svc.shed", "queue_full", 1);
-            r = solve_and_finish(request, rid, canonical, hash, fingerprint, seed,
+            r = solve_and_finish(request, rid, hash, fingerprint, seed,
                                  /*shed=*/true, 0, session_track, fl, sw);
         }
     }
@@ -323,14 +358,13 @@ std::optional<sched::IncumbentSeed> Service::near_seed(const model::KernelModel&
     return seed;
 }
 
-Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
-                                   const std::string& canonical, std::uint64_t hash,
+Response Service::solve_and_finish(Request& request, std::uint64_t rid, std::uint64_t hash,
                                    std::optional<std::uint64_t> fingerprint,
                                    const std::optional<sched::IncumbentSeed>& seed,
                                    bool shed, std::int64_t timeout_ms,
                                    obs::TraceBuffer* solve_track,
                                    obs::FlightRecording* flight, const Stopwatch& sw) {
-    const model::KernelModel& km = *request.model;
+    const model::KernelModel& km = model_of(request);
     const auto rid_i = static_cast<std::int64_t>(rid);
     obs::TraceBuffer* const fr = flight != nullptr ? flight->track() : nullptr;
     obs::SpanScope fspan(fr, obs::TraceLevel::Phase, "svc.solve", "rid", rid_i, "shed",
@@ -391,9 +425,18 @@ Response Service::solve_and_finish(const Request& request, std::uint64_t rid,
         if (s.status == cp::SolveStatus::Optimal && !shed) {
             const std::uint64_t fp =
                 fingerprint ? *fingerprint : model::structural_fingerprint(km);
-            if (cache_.insert(CacheEntry{hash, fp, canonical, km,
-                                         CachedSchedule{s.start, s.slot, s.makespan,
-                                                        s.slots_used}})) {
+            // Nothing reads the request's model or bytes after this, so
+            // they move into the entry; those of an entry it was answered
+            // from (a reuse:"off" solve) are copied.
+            CacheEntry entry{std::move(request.model_text), hash, fp, {},
+                             CachedSchedule{s.start, s.slot, s.makespan, s.slots_used}};
+            if (request.cached) entry.model_bytes = request.cached->model_bytes;
+            if (request.model) {
+                entry.model = std::move(*request.model);
+            } else {
+                entry.model = request.cached->model;
+            }
+            if (cache_.insert(std::move(entry))) {
                 std::lock_guard<std::mutex> lock(metrics_mu_);
                 metrics_.add("svc.cache.evictions");
             }

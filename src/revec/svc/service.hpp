@@ -2,10 +2,10 @@
 // takes request lines and produces response lines; the socket server and
 // the in-process tests drive the same code. Three cooperating pieces:
 //
-//  * a content-addressed ScheduleCache keyed on model::canonical_hash —
-//    exact hits (hash + canonical JSON + a check_schedule re-verification
-//    against the requester's model) are answered without touching a
-//    solver;
+//  * a content-addressed ScheduleCache keyed on the model's wire bytes —
+//    exact hits (byte-equal model text, found while the line is read, plus
+//    a check_schedule re-verification) are answered without reading the
+//    model or touching a solver;
 //  * a bounded SolverPool multiplexing misses over a fixed set of worker
 //    threads. Admission control guarantees an anytime answer: a request
 //    whose deadline is 0, or that arrives with the queue full, is shed —
@@ -60,8 +60,14 @@ public:
     std::string handle_line(const std::string& line,
                             obs::TraceBuffer* session_track = nullptr);
 
-    /// The typed core of handle_line.
-    Response handle(const Request& request, obs::TraceBuffer* session_track = nullptr);
+    /// The typed core of handle_line. The request is taken by value: a
+    /// proven result's cache entry takes over its model and bytes.
+    Response handle(Request request, obs::TraceBuffer* session_track = nullptr);
+
+    /// The ok=false response line for a request line that cannot be read
+    /// (parse_request threw, or the server's line-length bound), counted
+    /// in svc.req.parse_errors.
+    std::string reject_line(const std::string& error);
 
     /// Set once a Shutdown request was acknowledged; the server polls it.
     bool shutdown_requested() const { return shutdown_.load(); }
@@ -71,9 +77,8 @@ public:
     std::string metrics_json() const;
 
 private:
-    Response handle_solve(const Request& request, obs::TraceBuffer* session_track);
-    Response solve_and_finish(const Request& request, std::uint64_t rid,
-                              const std::string& canonical, std::uint64_t hash,
+    Response handle_solve(Request& request, obs::TraceBuffer* session_track);
+    Response solve_and_finish(Request& request, std::uint64_t rid, std::uint64_t hash,
                               std::optional<std::uint64_t> fingerprint,
                               const std::optional<sched::IncumbentSeed>& seed, bool shed,
                               std::int64_t timeout_ms, obs::TraceBuffer* solve_track,

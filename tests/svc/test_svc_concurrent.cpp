@@ -3,13 +3,20 @@
 // distinct models, every response verify-clean, cache hits accounting for
 // every duplicate, and the mutex-guarded metrics registry summing exactly
 // (no torn counters). Plus the deadline-shed property under a saturated
-// pool and the unix-socket server end to end.
+// pool and the unix-socket server end to end, including its bound on the
+// length of a request line.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "revec/apps/arf.hpp"
@@ -213,6 +220,61 @@ TEST(SvcConcurrent, SocketServerEndToEnd) {
     }
     serving.join();
     EXPECT_TRUE(service.shutdown_requested());
+}
+
+// One client may not grow a session's buffer without bound: a line longer
+// than Server::kMaxLineBytes is answered ok:false, counted as a parse
+// error, and its session is closed; new sessions are still served.
+TEST(SvcConcurrent, OverlongLineIsRefusedAndItsSessionClosed) {
+    const std::string socket_path =
+        "/tmp/revec-svc-test-long-" + std::to_string(::getpid()) + ".sock";
+    Service service(Service::Config{});
+    Server server(socket_path, service);
+    std::thread serving([&server] { server.run(); });
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    const timeval timeout{10, 0};  // a server that never answers fails, not hangs
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    bool sent = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
+    const std::string chunk(std::size_t{1} << 16, 'x');  // no newline anywhere
+    for (std::size_t left = Server::kMaxLineBytes + 1; sent && left > 0;) {
+        const ssize_t n = ::send(fd, chunk.data(), std::min(left, chunk.size()), MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        sent = n > 0;
+        if (sent) left -= static_cast<std::size_t>(n);
+    }
+    EXPECT_TRUE(sent);
+    std::string reply;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;  // 0: the server closed the session
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+
+    {
+        Client client(socket_path);
+        Request ping;
+        ping.kind = RequestKind::Ping;
+        ping.id = 1;
+        EXPECT_TRUE(client.roundtrip(ping).ack);
+        Request down;
+        down.kind = RequestKind::Shutdown;
+        down.id = 2;
+        EXPECT_TRUE(client.roundtrip(down).ack);
+    }
+    serving.join();
+
+    ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+    const Response refused = parse_response(reply.substr(0, reply.size() - 1));
+    EXPECT_FALSE(refused.ok);
+    EXPECT_NE(refused.error.find("longer than"), std::string::npos) << refused.error;
+    EXPECT_EQ(counter(service, "svc.req.parse_errors"), 1);
 }
 
 }  // namespace

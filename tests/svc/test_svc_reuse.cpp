@@ -168,6 +168,39 @@ TEST(SvcReuse, ExactHitUnaffectedByNearTier) {
     EXPECT_EQ(counter(service, "svc.cache.near_hit"), 0);
 }
 
+// The exact tier keys on the model's bytes: the same model in another
+// layout misses it, and the near tier adapts the resident entry at
+// distance 0. The answer carries the same hash, and the new text is cached
+// beside the old one.
+TEST(SvcReuse, ReformattedModelMissesTheExactTierAndAdaptsAtDistanceZero) {
+    Service service(Service::Config{});
+    const model::KernelModel base = matmul_model();
+    const Response first =
+        parse_response(service.handle_line(serialize_request(solve_request(base, 1))));
+    ASSERT_TRUE(first.ok) << first.error;
+    std::string pretty = model::to_json(base);  // indented, on many lines
+    std::replace(pretty.begin(), pretty.end(), '\n', ' ');
+    const std::string line = "{\"kind\":\"solve\",\"id\":2,\"model\":" + pretty + "}";
+    const Response r = parse_response(service.handle_line(line));
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_TRUE(r.near_hit);
+    EXPECT_EQ(r.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(r.model_hash, first.model_hash);
+    EXPECT_EQ(r.makespan, first.makespan);
+    EXPECT_TRUE(model::check_schedule(base, r.start, r.slot, r.makespan).empty());
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 0);
+    EXPECT_EQ(counter(service, "svc.cache.near_hit"), 1);
+    EXPECT_EQ(counter(service, "svc.reuse.adapted"), 1);
+
+    // Both texts are now keys: each repeat is served unread.
+    EXPECT_TRUE(parse_response(service.handle_line(line)).cache_hit);
+    EXPECT_TRUE(
+        parse_response(service.handle_line(serialize_request(solve_request(base, 3))))
+            .cache_hit);
+    EXPECT_EQ(counter(service, "svc.cache.hit_unread"), 2);
+}
+
 TEST(SvcReuse, ZeroCapacityDisablesBothTiers) {
     Service::Config config;
     config.cache_capacity = 0;

@@ -18,6 +18,7 @@
 #include "revec/model/json.hpp"
 #include "revec/obs/trace_read.hpp"
 #include "revec/sched/model.hpp"
+#include "revec/support/assert.hpp"
 #include "revec/support/json.hpp"
 #include "revec/svc/service.hpp"
 
@@ -107,6 +108,138 @@ TEST(SvcService, RepeatIsServedFromCacheWithoutResolving) {
     EXPECT_EQ(search_spans(sink), spans_after_first);
     EXPECT_EQ(counter(service, "svc.cache.hit"), 1);
     EXPECT_EQ(counter(service, "svc.cache.miss"), 1);
+}
+
+// The byte path (DESIGN §5i): handle_line asks the cache while it reads
+// the line, and a model whose bytes the cache holds is never read.
+
+/// A service that solved `km` once from its wire line; returns that answer.
+Response warm(Service& service, const model::KernelModel& km) {
+    const Response r = parse_response(service.handle_line(serialize_request(solve_request(km, 1))));
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.status, cp::SolveStatus::Optimal);
+    return r;
+}
+
+TEST(SvcService, RepeatedLineIsServedWithoutReadingItsModel) {
+    Service service(Service::Config{});
+    const model::KernelModel km = matmul_model();
+    const Response first = warm(service, km);
+    const Response again =
+        parse_response(service.handle_line(serialize_request(solve_request(km, 2))));
+    expect_verify_clean(km, again);
+    EXPECT_TRUE(again.cache_hit);
+    EXPECT_EQ(again.id, 2);
+    EXPECT_EQ(again.model_hash, first.model_hash);
+    EXPECT_EQ(again.model_hash, model::canonical_hash(km));
+    EXPECT_EQ(again.start, first.start);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 1);
+    EXPECT_EQ(counter(service, "svc.cache.hit_unread"), 1);
+    // A request built in code is keyed on the bytes serialize_request
+    // sends, so it finds the same entry (reading its model is its own).
+    EXPECT_TRUE(service.handle(solve_request(km, 3)).cache_hit);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 2);
+    EXPECT_EQ(counter(service, "svc.cache.hit_unread"), 1);
+}
+
+TEST(SvcService, CachedModelBytesDoNotExcuseABadEnvelope) {
+    Service service(Service::Config{});
+    const model::KernelModel km = matmul_model();
+    warm(service, km);
+    const std::string line = serialize_request(solve_request(km, 2));
+    const std::string bad[] = {
+        line + ",",                                // ...}},
+        line + " x",                               // ...}} x
+        line + " }",                               // ...}} }
+        line.substr(0, line.size() - 1),           // the envelope never closes
+        line.substr(0, line.size() - 1) + "]",     // ...}]
+        line.substr(0, line.size() - 1) + ",}",    // ...},}
+    };
+    for (const std::string& l : bad) {
+        const Response r = parse_response(service.handle_line(l));
+        EXPECT_FALSE(r.ok) << l.substr(l.size() - 8);
+        EXPECT_THROW(parse_request(l), Error);
+    }
+    EXPECT_EQ(counter(service, "svc.req.parse_errors"), 6);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 0);
+    // Trailing whitespace is no fault.
+    EXPECT_TRUE(parse_response(service.handle_line(line + " \t\r")).cache_hit);
+    EXPECT_EQ(counter(service, "svc.cache.hit_unread"), 1);
+}
+
+TEST(SvcService, ReuseOffAroundACachedModelIsSolvedNotServed) {
+    Service service(Service::Config{});
+    const model::KernelModel km = matmul_model();
+    const Response first = warm(service, km);
+    const std::string text = model_wire_text(km);
+    // Off after the model (which is read, then found) and before it (the
+    // cache answers the read): solved either way, from the same model.
+    const std::string lines[] = {
+        "{\"kind\":\"solve\",\"id\":2,\"model\":" + text + ",\"options\":{\"reuse\":\"off\"}}",
+        "{\"kind\":\"solve\",\"id\":3,\"options\":{\"reuse\":\"off\"},\"model\":" + text + "}",
+    };
+    for (const std::string& line : lines) {
+        const Response r = parse_response(service.handle_line(line));
+        expect_verify_clean(km, r);
+        EXPECT_FALSE(r.cache_hit);
+        EXPECT_FALSE(r.near_hit);
+        EXPECT_EQ(r.status, cp::SolveStatus::Optimal);
+        EXPECT_EQ(r.model_hash, first.model_hash);
+        EXPECT_EQ(r.start, first.start);
+    }
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 0);
+    EXPECT_EQ(counter(service, "svc.cache.miss"), 3);
+    // The cold solves replaced the entry under the same bytes.
+    EXPECT_TRUE(service.handle(solve_request(km, 4)).cache_hit);
+}
+
+TEST(SvcService, ModelThatIsNotTheLastFieldStillHits) {
+    Service service(Service::Config{});
+    const model::KernelModel km = matmul_model();
+    const Response first = warm(service, km);
+    const Response r = parse_response(service.handle_line(
+        "{\"model\":" + model_wire_text(km) + ",\"kind\":\"solve\",\"id\":4}"));
+    expect_verify_clean(km, r);
+    EXPECT_TRUE(r.cache_hit);
+    EXPECT_EQ(r.model_hash, first.model_hash);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 1);
+    EXPECT_EQ(counter(service, "svc.cache.hit_unread"), 0);  // it was read
+}
+
+TEST(SvcService, FirstOfDuplicateModelKeysWins) {
+    Service service(Service::Config{});
+    const model::KernelModel mm = matmul_model();
+    const model::KernelModel qrd = lowered(ir::merge_pipeline_ops(apps::build_qrd()));
+    const Response first = warm(service, mm);
+    const std::string head = "{\"kind\":\"solve\",\"id\":5,\"model\":";
+    // The cached model first: served, the second is skipped unread.
+    const Response hit = parse_response(service.handle_line(
+        head + model_wire_text(mm) + ",\"model\":" + model_wire_text(qrd) + "}"));
+    expect_verify_clean(mm, hit);
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.model_hash, first.model_hash);
+    // The cached model second: the first is solved.
+    const Response miss = parse_response(service.handle_line(
+        head + model_wire_text(qrd) + ",\"model\":" + model_wire_text(mm) + "}"));
+    expect_verify_clean(qrd, miss);
+    EXPECT_FALSE(miss.cache_hit);
+    EXPECT_EQ(miss.model_hash, model::canonical_hash(qrd));
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 1);
+    EXPECT_EQ(counter(service, "svc.cache.miss"), 2);
+}
+
+TEST(SvcService, ControlRequestCarryingCachedModelBytesIsAcked) {
+    Service service(Service::Config{});
+    const model::KernelModel km = matmul_model();
+    warm(service, km);
+    const Response ping = parse_response(service.handle_line(
+        "{\"kind\":\"ping\",\"id\":6,\"model\":" + model_wire_text(km) + "}"));
+    EXPECT_TRUE(ping.ok) << ping.error;
+    EXPECT_TRUE(ping.ack);
+    EXPECT_EQ(ping.id, 6);
+    EXPECT_EQ(counter(service, "svc.cache.hit"), 0);
+    EXPECT_EQ(counter(service, "svc.req.count"), 1);  // the warm-up solve only
 }
 
 TEST(SvcService, MatchesStandaloneSolveBitForBit) {

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <climits>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -155,6 +157,14 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     EXPECT_THROW(
         parse_request("{\"kind\":\"ping\",\"options\":{\"lns_workers\":100000}}"),
         Error);
+    // A rid holds at most 16 hex digits: a 17th would shift the first one
+    // out, and "10000000000000000" would read as 0, unset.
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"rid\":\"10000000000000000\"}"),
+                 Error);
+    EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"rid\":\"0ffffffffffffffff\"}"),
+                 Error);
+    EXPECT_EQ(parse_request("{\"kind\":\"ping\",\"rid\":\"ffffffffffffffff\"}").rid,
+              ~std::uint64_t{0});
 }
 
 TEST(SvcProtocol, CapsThreadsPlusLnsWorkersAtSixtyFour) {
@@ -329,6 +339,51 @@ TEST(SvcProtocol, SerializeRequestMatchesTheCompactedCanonicalForm) {
     }
 }
 
+// With a lookup, a model whose bytes the cache holds is not read: the
+// line's tail is asked first, then the value's exact span when that differs
+// (a model that is not the last field). Without a lookup, or on a miss, the
+// span is kept as model_text.
+TEST(SvcProtocol, LookupSparesTheReadOfACachedModel) {
+    const model::KernelModel m = matmul_model();
+    const std::string text = model_wire_text(m);
+    const auto held = std::make_shared<const CacheEntry>(CacheEntry{text, 1, 2, m, {}});
+    std::vector<std::string> asked;
+    const ModelLookup lookup = [&](std::string_view bytes) {
+        asked.emplace_back(bytes);
+        return bytes == held->model_bytes ? held : nullptr;
+    };
+    const std::string line = solve_line(m);  // the model is the last field
+    const Request cold = parse_request(line);
+    EXPECT_EQ(cold.model_text, text);
+    EXPECT_EQ(cold.cached, nullptr);
+
+    const Request hit = parse_request(line + " \t", lookup);
+    EXPECT_EQ(hit.cached, held);
+    EXPECT_FALSE(hit.model.has_value());
+    EXPECT_TRUE(hit.model_text.empty());
+    EXPECT_EQ(asked, std::vector<std::string>{text});
+    EXPECT_EQ(hit.id, 42);
+    EXPECT_EQ(hit.rid, 0xabcdef0123456789ull);
+    EXPECT_EQ(hit.params.threads, 3);
+    EXPECT_EQ(hit.params.reuse, ReuseMode::Exact);
+
+    asked.clear();
+    const Request first = parse_request("{\"model\":" + text + ",\"kind\":\"solve\"}", lookup);
+    EXPECT_EQ(first.cached, held);
+    EXPECT_TRUE(first.model.has_value());  // read, then found
+    ASSERT_EQ(asked.size(), 2u);           // the tail guess, then the span
+    EXPECT_EQ(asked[1], text);
+
+    asked.clear();
+    model::KernelModel other = m;
+    other.name = "other";
+    const Request miss = parse_request(solve_line(other), lookup);
+    EXPECT_EQ(miss.cached, nullptr);
+    ASSERT_TRUE(miss.model.has_value());
+    EXPECT_EQ(miss.model_text, model_wire_text(other));
+    EXPECT_EQ(asked.size(), 1u);  // the span is the guess: asked once
+}
+
 TEST(SvcProtocol, RidRoundTripsAsSixteenHexDigits) {
     Request req;
     req.kind = RequestKind::Ping;
@@ -410,6 +465,12 @@ TEST(SvcProtocol, ResponseFieldsComeInAnyOrderAndOkDecidesWhatIsRead) {
     EXPECT_THROW(parse_response("{\"ok\":true,\"ack\":\"yes\"}"), Error);
     EXPECT_THROW(parse_response("{\"ok\":true,\"start\":[1,\"2\"]}"), Error);
     EXPECT_THROW(parse_response("{\"ok\":true,\"status\":\"nope\"}"), Error);
+    // rid and hash hold at most 16 hex digits, on any response.
+    EXPECT_THROW(parse_response("{\"ok\":true,\"hash\":\"10000000000000000\"}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":true,\"rid\":\"10000000000000000\"}"), Error);
+    EXPECT_THROW(parse_response("{\"ok\":false,\"rid\":\"0ffffffffffffffff\"}"), Error);
+    EXPECT_EQ(parse_response("{\"ok\":true,\"hash\":\"ffffffffffffffff\"}").model_hash,
+              ~std::uint64_t{0});
     // The whole line's syntax is checked, whatever ok says.
     EXPECT_THROW(parse_response("{\"ok\":false,\"x\":}"), Error);
     EXPECT_THROW(parse_response("[true]"), Error);
@@ -417,33 +478,51 @@ TEST(SvcProtocol, ResponseFieldsComeInAnyOrderAndOkDecidesWhatIsRead) {
 
 /// A cache entry with an empty model: the cache never reads the model,
 /// only hands it out.
-CacheEntry entry(std::uint64_t hash, std::string canonical, int makespan,
-                 std::uint64_t fingerprint = 99) {
-    return CacheEntry{hash, fingerprint, std::move(canonical), model::KernelModel{},
+CacheEntry entry(std::string bytes, int makespan, std::uint64_t fingerprint = 99,
+                 std::uint64_t model_hash = 0) {
+    return CacheEntry{std::move(bytes), model_hash, fingerprint, model::KernelModel{},
                       CachedSchedule{{0, 1}, {0, -1}, makespan, 1}};
 }
 
 TEST(SvcCache, MissThenHitThenExactMatchGuard) {
     ScheduleCache cache(4);
-    EXPECT_EQ(cache.lookup(7, "modelA"), nullptr);
-    cache.insert(entry(7, "modelA", 2));
-    const auto hit = cache.lookup(7, "modelA");
+    EXPECT_EQ(cache.find("modelA"), nullptr);
+    cache.insert(entry("modelA", 2));
+    const auto hit = cache.find("modelA");
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->schedule.makespan, 2);
     EXPECT_EQ(hit->schedule.start, (std::vector<int>{0, 1}));
-    // Same hash, different canonical bytes: a collision must read as a
-    // miss, never as the resident entry, and leaves the resident alone.
-    EXPECT_EQ(cache.lookup(7, "modelB"), nullptr);
-    EXPECT_NE(cache.lookup(7, "modelA"), nullptr);
+    // The key is the bytes: any other text, even one byte longer, misses
+    // and leaves the resident entry alone.
+    EXPECT_EQ(cache.find("modelB"), nullptr);
+    EXPECT_EQ(cache.find("modelA "), nullptr);
+    EXPECT_EQ(cache.find("model"), nullptr);
+    EXPECT_NE(cache.find("modelA"), nullptr);
+}
+
+// The byte key replaces the FNV key: two models whose canonical hashes
+// collide, or two texts of one model, are two entries side by side.
+TEST(SvcCache, EqualModelHashesWithDifferentBytesCoexist) {
+    ScheduleCache cache(4);
+    EXPECT_FALSE(cache.insert(entry("{\"a\":1}", 3, 99, /*model_hash=*/7)));
+    EXPECT_FALSE(cache.insert(entry("{ \"a\": 1 }", 4, 99, /*model_hash=*/7)));
+    EXPECT_EQ(cache.size(), 2u);
+    const auto compact = cache.find("{\"a\":1}");
+    const auto spaced = cache.find("{ \"a\": 1 }");
+    ASSERT_NE(compact, nullptr);
+    ASSERT_NE(spaced, nullptr);
+    EXPECT_EQ(compact->schedule.makespan, 3);
+    EXPECT_EQ(spaced->schedule.makespan, 4);
+    EXPECT_EQ(compact->model_hash, spaced->model_hash);
 }
 
 TEST(SvcCache, OneInsertServesBothLookups) {
     ScheduleCache cache(4);
-    cache.insert(entry(1, "a", 3, /*fingerprint=*/50));
-    cache.insert(entry(2, "b", 4, /*fingerprint=*/50));
-    cache.insert(entry(3, "c", 5, /*fingerprint=*/60));
+    cache.insert(entry("a", 3, /*fingerprint=*/50));
+    cache.insert(entry("b", 4, /*fingerprint=*/50));
+    cache.insert(entry("c", 5, /*fingerprint=*/60));
     EXPECT_EQ(cache.size(), 3u);
-    const auto exact = cache.lookup(1, "a");
+    const auto exact = cache.find("a");
     ASSERT_NE(exact, nullptr);
     const auto donors = cache.lookup_near(50);
     ASSERT_EQ(donors.size(), 2u);
@@ -455,57 +534,66 @@ TEST(SvcCache, OneInsertServesBothLookups) {
 
 TEST(SvcCache, EvictsLeastRecentlyUsed) {
     ScheduleCache cache(2);
-    EXPECT_FALSE(cache.insert(entry(1, "a", 1)));
-    EXPECT_FALSE(cache.insert(entry(2, "b", 2)));
-    // Touch 1 so 2 becomes the LRU victim.
-    EXPECT_NE(cache.lookup(1, "a"), nullptr);
-    EXPECT_TRUE(cache.insert(entry(3, "c", 3)));
+    EXPECT_FALSE(cache.insert(entry("a", 1)));
+    EXPECT_FALSE(cache.insert(entry("b", 2)));
+    // find is a pure read: "a" stays the least recently used and goes.
+    EXPECT_NE(cache.find("a"), nullptr);
+    EXPECT_TRUE(cache.insert(entry("c", 3)));
+    EXPECT_EQ(cache.find("a"), nullptr);
+    // Serving "b" (touch) makes "c" the victim of the next insert.
+    cache.touch(cache.find("b"));
+    EXPECT_TRUE(cache.insert(entry("d", 4)));
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1);
-    EXPECT_NE(cache.lookup(1, "a"), nullptr);
-    EXPECT_EQ(cache.lookup(2, "b"), nullptr);
-    EXPECT_NE(cache.lookup(3, "c"), nullptr);
+    EXPECT_EQ(cache.evictions(), 2);
+    EXPECT_NE(cache.find("b"), nullptr);
+    EXPECT_EQ(cache.find("c"), nullptr);
+    EXPECT_NE(cache.find("d"), nullptr);
 }
 
 TEST(SvcCache, EvictionLeavesBothIndexes) {
     ScheduleCache cache(2);
-    cache.insert(entry(1, "a", 1, /*fingerprint=*/10));
-    cache.insert(entry(2, "b", 2, /*fingerprint=*/20));
-    // A donor lookup is a use too: it makes 1 the most recent, so 2 goes.
+    cache.insert(entry("a", 1, /*fingerprint=*/10));
+    cache.insert(entry("b", 2, /*fingerprint=*/20));
+    // A donor lookup is a use too: it makes "a" the most recent, so "b" goes.
     ASSERT_EQ(cache.lookup_near(10).size(), 1u);
-    EXPECT_TRUE(cache.insert(entry(3, "c", 3, /*fingerprint=*/10)));
-    EXPECT_EQ(cache.lookup(2, "b"), nullptr);
+    EXPECT_TRUE(cache.insert(entry("c", 3, /*fingerprint=*/10)));
+    EXPECT_EQ(cache.find("b"), nullptr);
     EXPECT_TRUE(cache.lookup_near(20).empty());
     EXPECT_EQ(cache.lookup_near(10).size(), 2u);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.evictions(), 1);
 }
 
-TEST(SvcCache, SameHashReinsertReplacesInPlace) {
+TEST(SvcCache, SameBytesReinsertReplacesInPlace) {
     ScheduleCache cache(2);
-    cache.insert(entry(1, "a", 5, /*fingerprint=*/10));
-    const auto old = cache.lookup(1, "a");
+    cache.insert(entry("a", 5, /*fingerprint=*/10));
+    const auto old = cache.find("a");
     ASSERT_NE(old, nullptr);
-    // A colliding model under the same hash replaces the entry, in both
-    // indexes, without growing the cache.
-    EXPECT_FALSE(cache.insert(entry(1, "a2", 4, /*fingerprint=*/20)));
+    // The same bytes again replace the entry, in both indexes, without
+    // growing the cache.
+    EXPECT_FALSE(cache.insert(entry("a", 4, /*fingerprint=*/20)));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.evictions(), 0);
-    EXPECT_EQ(cache.lookup(1, "a"), nullptr);
-    const auto fresh = cache.lookup(1, "a2");
+    const auto fresh = cache.find("a");
     ASSERT_NE(fresh, nullptr);
     EXPECT_EQ(fresh->schedule.makespan, 4);
     EXPECT_TRUE(cache.lookup_near(10).empty());
     ASSERT_EQ(cache.lookup_near(20).size(), 1u);
-    // A reader holding the old snapshot keeps a consistent view.
-    EXPECT_EQ(old->canonical, "a");
+    // A reader holding the old snapshot keeps a consistent view, and
+    // touching it moves nothing: "a" stays older than "b" and goes first.
+    EXPECT_EQ(old->model_bytes, "a");
     EXPECT_EQ(old->schedule.makespan, 5);
+    cache.insert(entry("b", 6));
+    cache.touch(old);
+    EXPECT_TRUE(cache.insert(entry("c", 7)));
+    EXPECT_EQ(cache.find("a"), nullptr);
+    EXPECT_NE(cache.find("b"), nullptr);
 }
 
 TEST(SvcCache, ZeroCapacityDisablesCaching) {
     ScheduleCache cache(0);
-    EXPECT_FALSE(cache.insert(entry(1, "a", 1)));
-    EXPECT_EQ(cache.lookup(1, "a"), nullptr);
+    EXPECT_FALSE(cache.insert(entry("a", 1)));
+    EXPECT_EQ(cache.find("a"), nullptr);
     EXPECT_TRUE(cache.lookup_near(99).empty());
     EXPECT_EQ(cache.size(), 0u);
 }

@@ -10,11 +10,15 @@
 // values the line's tree holds, and it is well formed. Response lines of
 // each shape serialize_response writes go through parse_response the same
 // way: only revec::Error escapes, an accepted line is grammatical, and its
-// re-serialized form is a fixed point of parse + serialize.
+// re-serialized form is a fixed point of parse + serialize. A third run
+// sends mutated request lines through a service whose cache holds the
+// unmutated models, where a hit never reads its model: the service must
+// answer exactly as a cold read of each line would.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,6 +27,7 @@
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/random_kernel.hpp"
 #include "revec/ir/passes.hpp"
+#include "revec/model/check.hpp"
 #include "revec/model/json.hpp"
 #include "revec/obs/metrics.hpp"
 #include "revec/sched/model.hpp"
@@ -30,6 +35,7 @@
 #include "revec/support/json.hpp"
 #include "revec/support/rng.hpp"
 #include "revec/svc/protocol.hpp"
+#include "revec/svc/service.hpp"
 
 namespace revec::svc {
 namespace {
@@ -138,6 +144,84 @@ TEST(WireMutation, RequestReaderAgreesWithTheGrammarAndRoundTrips) {
     // Both branches ran: the mutations are neither all fatal nor all benign.
     EXPECT_GT(grammar_rejects, 100);
     EXPECT_GT(accepted_solves, 100);
+}
+
+int counter(const Service& service, const std::string& name) {
+    const json::Value doc = json::parse(service.metrics_json());
+    const json::Value* v = doc.find("counters")->find(name);
+    return v == nullptr ? 0 : static_cast<int>(v->number);
+}
+
+// The byte path against a cold read. A service has solved both unmutated
+// models from their lines, so a mutated line whose model bytes are intact
+// is answered from the cache without its model being read. The lines ask
+// for deadline 0, so every miss is shed to the heuristic inline and no
+// line starts a search. For every line: the service refuses it as a parse
+// error exactly when a cold parse_request throws, with the same message;
+// every hit's schedule passes
+// check_schedule against the line's own model and carries its hash; and
+// accepted lines whose model bytes are equal read as equal models.
+TEST(WireMutation, CachedServiceAnswersLikeAColdRead) {
+    apps::RandomKernelOptions ko;
+    ko.seed = 5;
+    ko.num_ops = 12;
+    Service service(Service::Config{});
+    std::string lines[2];
+    const ir::Graph graphs[] = {apps::build_matmul(), apps::build_random_kernel(ko)};
+    for (int i = 0; i < 2; ++i) {
+        Request req;
+        req.kind = RequestKind::Solve;
+        req.id = 17;
+        req.rid = 0x0123456789abcdefull;
+        req.model = sched::lower_for_schedule(ir::merge_pipeline_ops(graphs[i]),
+                                              sched::ScheduleOptions{});
+        const Response warm = parse_response(service.handle_line(serialize_request(req)));
+        ASSERT_EQ(warm.status, cp::SolveStatus::Optimal) << warm.error;
+        req.deadline_ms = 0;
+        lines[i] = serialize_request(req);
+    }
+    XorShift rng(20261020);
+    std::map<std::string, std::string> canonical_of_span;
+    int refused = 0;
+    int hits = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::string line = mutate(lines[trial % 2], rng);
+        std::optional<Request> cold;
+        std::string cold_error;
+        try {
+            cold = parse_request(line);
+        } catch (const Error& e) {
+            cold_error = e.what();
+        }
+        const Response r = parse_response(service.handle_line(line));
+        if (!cold) {
+            // Refused with the very error a cold read stops at.
+            ASSERT_FALSE(r.ok) << line;
+            ASSERT_EQ(r.error, cold_error) << line;
+            ++refused;
+            continue;
+        }
+        if (!r.ok) {
+            // Accepted, then failed by the solver (a mutated model it cannot
+            // schedule): not a parse error.
+            ASSERT_EQ(counter(service, "svc.req.parse_errors"), refused) << r.error;
+            continue;
+        }
+        if (cold->kind != RequestKind::Solve) continue;
+        const std::string canonical = model::to_json(*cold->model);
+        const auto [it, fresh] = canonical_of_span.emplace(cold->model_text, canonical);
+        ASSERT_TRUE(fresh || it->second == canonical) << line;
+        if (!r.cache_hit) continue;
+        ++hits;
+        ASSERT_TRUE(model::check_schedule(*cold->model, r.start, r.slot, r.makespan).empty())
+            << line;
+        ASSERT_EQ(r.model_hash, model::canonical_hash(canonical)) << line;
+    }
+    // Both branches ran, and some lines were served unread.
+    EXPECT_GT(counter(service, "svc.cache.hit_unread"), 0);
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(refused, 100);
+    EXPECT_EQ(counter(service, "svc.req.parse_errors"), refused);
 }
 
 /// The four response shapes serialize_response writes.
