@@ -43,12 +43,11 @@ Run timed_solve(const model::KernelModel& m, const sched::ModelSolveOptions& mo)
     return r;
 }
 
-/// Change a node's latency consistently (node field + mirroring out-edges).
+/// Change a node's latency; derive() carries it to the out-edges and the
+/// ASAP/ALAP bounds.
 void set_latency(model::KernelModel& m, int id, int latency) {
     m.nodes[static_cast<std::size_t>(id)].latency = latency;
-    for (model::ModelEdge& e : m.edges) {
-        if (e.src == id) e.latency = latency;
-    }
+    model::derive(m);
 }
 
 /// The k-th one-op edit of the stream: the k-th multi-cycle op's latency

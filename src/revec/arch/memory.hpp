@@ -29,6 +29,8 @@ struct MemoryGeometry {
 
     bool valid_slot(int slot) const { return slot >= 0 && slot < slots(); }
 
+    bool operator==(const MemoryGeometry&) const = default;
+
     /// Descriptor rule behind the paper's eqs. 7-9: two *distinct* slots
     /// cannot be accessed in one cycle when they sit on the same page but on
     /// different lines. Same slot (broadcast), different pages, or a shared

@@ -13,9 +13,10 @@
 
 namespace revec::model {
 
-/// Serialize `m` as pretty-printed JSON. Field order is fixed and every
-/// container is emitted in its stored (node-id) order, so equal models
-/// produce byte-identical text.
+/// Serialize the primary fields of `m` (kernel_model.hpp) as
+/// pretty-printed JSON, one node per line; derive() rebuilds the rest.
+/// Field order is fixed and every container is emitted in its stored
+/// (node-id) order, so equal models produce byte-identical text.
 std::string to_json(const KernelModel& m);
 
 /// Write to_json(m) to `path`; throws revec::Error when the file cannot be
@@ -23,12 +24,15 @@ std::string to_json(const KernelModel& m);
 void save_json(const KernelModel& m, const std::string& path);
 
 /// Rebuild a KernelModel from the to_json shape, reading it straight off
-/// the text (no json::Value tree). Field order in the input is irrelevant;
-/// unknown fields are skipped (their syntax still checked) so the format
-/// can grow; of duplicate keys the first wins. `is_vector_data` is not
-/// serialized — it is reconstructed from `vdata` membership. Throws
-/// revec::Error on malformed JSON and on missing, mistyped or out-of-range
-/// fields. Round-trip contract: to_json(from_json(to_json(m))) == to_json(m).
+/// the text (no json::Value tree), and finish it with derive(). Field
+/// order in the input is irrelevant; unknown fields are skipped (their
+/// syntax still checked) so the format can grow, and so are the derived
+/// fields an older dump carries, which are recomputed, never trusted; of
+/// duplicate keys the first wins. Throws revec::Error on malformed JSON,
+/// on missing, mistyped or out-of-range fields, on what derive() cannot
+/// finish, and on an op whose lanes lie outside [0, caps.vector_lanes].
+/// Round-trip contract: from_json(to_json(m)) == m for every model derive()
+/// finished.
 KernelModel from_json(const std::string& text);
 /// The same, for the model value at `in` (a field of a larger document);
 /// leaves `in` just past it.

@@ -1,6 +1,8 @@
 #include "revec/model/kernel_model.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdlib>
 #include <map>
 
 #include "revec/ir/analysis.hpp"
@@ -21,23 +23,19 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                          spec.max_vector_writes_per_cycle,
                          spec.reconfig_cycles};
     m.num_slots = options.num_slots < 0 ? spec.memory.slots() : options.num_slots;
-    m.critical_path = ir::critical_path_length(spec, g);
-    m.horizon = horizon < 0 ? m.critical_path : horizon;
-    m.asap = ir::asap_times(spec, g);
-    m.alap = ir::alap_times(spec, g, m.horizon);
+    m.horizon = horizon < 0 ? ir::critical_path_length(spec, g) : horizon;
     m.memory_allocation = options.memory_allocation;
     m.three_phase_search = options.three_phase_search;
     m.enforce_port_limits = options.enforce_port_limits;
     m.lifetime_includes_last_read = options.lifetime_includes_last_read;
     m.fixed_starts = options.fixed_starts;
+    m.modulo = modulo;
 
     std::map<std::string, int> config_ids;
     m.nodes.resize(static_cast<std::size_t>(g.num_nodes()));
     for (const ir::Node& node : g.nodes()) {
         ModelNode& out = m.nodes[static_cast<std::size_t>(node.id)];
         out.id = node.id;
-        out.is_op = node.is_op();
-        out.is_vector_data = node.cat == ir::NodeCat::VectorData;
         out.cat = std::string(ir::cat_name(node.cat));
         out.op = node.op;
         const ir::NodeTiming t = ir::node_timing(spec, node);
@@ -45,9 +43,7 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
         out.duration = t.duration;
         out.lanes = t.lanes;
         out.preds = g.preds(node.id);
-        out.succs = g.succs(node.id);
-
-        if (out.is_op) {
+        if (node.is_op()) {
             if (t.lanes > 0) {
                 out.unit = Unit::VectorCore;
                 const std::string key = ir::config_key(node);
@@ -55,61 +51,150 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                     config_ids.emplace(key, static_cast<int>(config_ids.size()));
                 if (inserted) m.config_keys.push_back(key);
                 out.config = it->second;
-                m.vector_ops.push_back(node.id);
-            } else if (node.cat == ir::NodeCat::ScalarOp) {
-                out.unit = Unit::Scalar;
             } else {
-                out.unit = Unit::IndexMerge;
-            }
-            m.ops.push_back(node.id);
-            for (const int p : out.preds) {
-                if (g.node(p).cat == ir::NodeCat::VectorData) out.vector_inputs.push_back(p);
-            }
-            for (const int s : out.succs) {
-                if (g.node(s).cat == ir::NodeCat::VectorData) out.vector_outputs.push_back(s);
+                out.unit = node.cat == ir::NodeCat::ScalarOp ? Unit::Scalar : Unit::IndexMerge;
             }
         } else {
-            out.is_input = out.preds.empty();
-            if (out.is_input) m.inputs.push_back(node.id);
-            if (out.is_vector_data) m.vdata.push_back(node.id);
+            out.persists = g.succs(node.id).empty() || node.is_output;
+        }
+    }
+    derive(m);
+    return m;
+}
+
+namespace {
+
+[[noreturn]] void underivable(const std::string& what) {
+    throw Error("kernel model: " + what);
+}
+
+/// Per-node timing: asap and alap (against `m.horizon`) by one
+/// topological walk over the derived succs, and the critical path.
+void derive_times(KernelModel& m) {
+    const auto n = m.nodes.size();
+    // Every start and bound below lies within |horizon| + the summed
+    // latencies of zero, so checking that sum once keeps the walk in int.
+    long long reach = std::llabs(static_cast<long long>(m.horizon)) + 1;
+    for (const ModelNode& node : m.nodes) {
+        reach += std::llabs(static_cast<long long>(node.latency));
+    }
+    if (reach > INT_MAX) underivable("latencies and horizon overflow an int");
+
+    std::vector<int> indegree(n);
+    std::vector<int> order;
+    order.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        indegree[v] = static_cast<int>(m.nodes[v].preds.size());
+        if (indegree[v] == 0) order.push_back(static_cast<int>(v));
+    }
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        for (const int s : m.node(order[head]).succs) {
+            if (--indegree[static_cast<std::size_t>(s)] == 0) order.push_back(s);
+        }
+    }
+    if (order.size() != n) underivable("preds form a cycle");
+
+    m.asap.assign(n, 0);
+    m.alap.assign(n, 0);
+    m.critical_path = 0;
+    for (const int v : order) {
+        const ModelNode& node = m.node(v);
+        int& start = m.asap[static_cast<std::size_t>(v)];
+        for (const int p : node.preds) {
+            start = std::max(start, m.asap[static_cast<std::size_t>(p)] + m.node(p).latency);
+        }
+        m.critical_path = std::max(m.critical_path, start + node.latency);
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const ModelNode& node = m.node(*it);
+        int latest = m.horizon - node.latency;
+        for (const int s : node.succs) {
+            latest = std::min(latest, m.alap[static_cast<std::size_t>(s)] - node.latency);
+        }
+        m.alap[static_cast<std::size_t>(*it)] = latest;
+    }
+}
+
+}  // namespace
+
+void derive(KernelModel& m) {
+    const int n = m.num_nodes();
+    for (ModelNode& node : m.nodes) {
+        const ir::NodeCat cat = ir::cat_from_name(node.cat);
+        node.is_op = ir::is_op_cat(cat);
+        node.is_vector_data = cat == ir::NodeCat::VectorData;
+        node.succs.clear();
+        for (const int p : node.preds) {
+            if (p < 0 || p >= n) underivable("preds id out of range");
+        }
+    }
+    // The graph is bipartite and a data node has at most one producer: the
+    // edge kinds (eqs. 1 and 4) are defined for nothing else.
+    for (const ModelNode& node : m.nodes) {
+        if (!node.is_op && node.preds.size() > 1) underivable("a data node has two producers");
+        for (const int p : node.preds) {
+            if (p == node.id) underivable("preds form a cycle");
+            ModelNode& pred = m.nodes[static_cast<std::size_t>(p)];
+            if (pred.is_op == node.is_op) underivable("an edge joins two nodes of one kind");
+            pred.succs.push_back(node.id);
+        }
+    }
+
+    m.ops.clear();
+    m.vector_ops.clear();
+    m.vdata.clear();
+    m.inputs.clear();
+    m.edges.clear();
+    for (ModelNode& node : m.nodes) {
+        node.vector_inputs.clear();
+        node.vector_outputs.clear();
+        node.is_input = false;
+        node.lifetime_extra = 0;
+        if (node.is_op) {
+            node.persists = false;
+            m.ops.push_back(node.id);
+            if (node.unit == Unit::VectorCore) m.vector_ops.push_back(node.id);
+            for (const int p : node.preds) {
+                if (m.node(p).is_vector_data) node.vector_inputs.push_back(p);
+            }
+            for (const int s : node.succs) {
+                if (m.node(s).is_vector_data) node.vector_outputs.push_back(s);
+            }
+        } else {
+            node.is_input = node.preds.empty();
+            if (node.is_input) m.inputs.push_back(node.id);
+            if (node.is_vector_data) m.vdata.push_back(node.id);
             // Lifetime endpoints (eq. 10 with the executable extensions):
             // sinks and program outputs persist one cycle past the schedule
             // end; a preloaded input occupies its slot through the last read
             // even under the paper-literal lifetime definition.
-            out.persists = out.succs.empty() || node.is_output;
-            int extra = options.lifetime_includes_last_read ? 1 : 0;
-            if (out.persists) {
+            int extra = m.lifetime_includes_last_read ? 1 : 0;
+            if (node.persists) {
                 extra += 1;
-            } else if (out.is_input && extra == 0) {
+            } else if (node.is_input && extra == 0) {
                 extra = 1;
             }
-            out.lifetime_extra = extra;
+            node.lifetime_extra = extra;
         }
-
-        for (const int succ : out.succs) {
-            m.edges.push_back(ModelEdge{node.id, succ, t.latency,
-                                        g.node(succ).is_data() ? EdgeKind::DataProduce
-                                                               : EdgeKind::Precedence});
+        for (const int s : node.succs) {
+            m.edges.push_back(ModelEdge{node.id, s, node.latency,
+                                        m.node(s).is_op ? EdgeKind::Precedence
+                                                        : EdgeKind::DataProduce});
         }
     }
 
-    if (modulo.has_value()) {
-        REVEC_EXPECTS(modulo->ii > 0);
-        modulo->max_stage = m.horizon / modulo->ii + 1;
-        m.modulo = modulo;
+    derive_times(m);
+    if (m.modulo.has_value()) {
+        if (m.modulo->ii <= 0) underivable("modulo ii must be positive");
+        m.modulo->max_stage = m.horizon / m.modulo->ii + 1;
     }
-    return m;
 }
 
 KernelModel with_horizon(const KernelModel& m, int horizon) {
     REVEC_EXPECTS(horizon >= m.critical_path);
     KernelModel out = m;
-    const int delta = horizon - m.horizon;
     out.horizon = horizon;
-    for (int& t : out.alap) t += delta;
-    if (out.modulo.has_value()) {
-        out.modulo->max_stage = out.horizon / out.modulo->ii + 1;
-    }
+    derive(out);
     return out;
 }
 

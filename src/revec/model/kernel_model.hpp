@@ -33,35 +33,37 @@ struct ModelEdge {
     int dst = -1;
     int latency = 0;  ///< the source node's latency
     EdgeKind kind = EdgeKind::Precedence;
+
+    bool operator==(const ModelEdge&) const = default;
 };
 
-/// One node of the scheduling problem, indexed by IR node id. Plain data:
-/// timing, resource demand, adjacency, and lifetime endpoints are all
-/// precomputed by lower_ir.
+/// One node of the scheduling problem, indexed by IR node id. Plain data.
+/// The primary fields say what the node is; derive() fills the rest from
+/// them, so the two cannot disagree.
 struct ModelNode {
+    // Primary: lower_ir and from_json set these.
     int id = -1;
-    bool is_op = false;
-    bool is_vector_data = false;
-    std::string cat;  ///< IR category name (diagnostics only)
+    std::string cat;  ///< IR category name (ir::cat_name)
     std::string op;   ///< operation name; empty for data nodes
-
-    // Timing and resource demand under the lowered architecture.
     int latency = 0;
     int duration = 0;
     int lanes = 0;  ///< vector lanes occupied; 0 for non-vector-core nodes
     Unit unit = Unit::None;
-    int config = -1;  ///< dense configuration id; -1 unless unit == VectorCore
+    int config = -1;          ///< dense configuration id; -1 unless unit == VectorCore
+    std::vector<int> preds;   ///< producers by node id, in the IR's edge order
+    bool persists = false;    ///< data node with no users or a program output:
+                              ///< lives past the makespan (false on ops)
 
-    // Adjacency by node id, preserving the IR's edge insertion order.
-    std::vector<int> preds;
-    std::vector<int> succs;
+    // Derived by derive().
+    bool is_op = false;           ///< from cat
+    bool is_vector_data = false;  ///< from cat
+    std::vector<int> succs;           ///< consumers, ascending
     std::vector<int> vector_inputs;   ///< VectorData preds: reads at issue (eqs. 7/8)
     std::vector<int> vector_outputs;  ///< VectorData succs: writes at completion (eq. 9)
+    bool is_input = false;   ///< data node with no producer: start pinned to 0
+    int lifetime_extra = 0;  ///< life = last_use - start + lifetime_extra (eq. 10)
 
-    // Lifetime endpoints (eq. 10) for data nodes.
-    bool is_input = false;   ///< no producer: start pinned to 0
-    bool persists = false;   ///< no users or program output: lives past the makespan
-    int lifetime_extra = 0;  ///< life = last_use - start + lifetime_extra
+    bool operator==(const ModelNode&) const = default;
 };
 
 /// Per-cycle machine capacities the model schedules against.
@@ -72,14 +74,18 @@ struct MachineCaps {
     int max_vector_reads = 0;   ///< vector read ports per cycle
     int max_vector_writes = 0;  ///< vector write ports per cycle
     int reconfig_cycles = 0;    ///< cost of one configuration change
+
+    bool operator==(const MachineCaps&) const = default;
 };
 
 /// Optional modulo wrap (§4.3): schedule the kernel onto II residues.
 struct ModuloWrap {
     int ii = 0;
-    int max_stage = 0;  ///< filled by lower_ir (horizon / ii + 1)
+    int max_stage = 0;  ///< derived: horizon / ii + 1
     bool minimize_reconfigs = false;
     int reconfig_budget = 0;  ///< cap on cyclic configuration changes R
+
+    bool operator==(const ModuloWrap&) const = default;
 };
 
 /// The model knobs, declared here once: lower_ir reads them, KernelModel
@@ -128,15 +134,11 @@ struct LowerOptions {
 /// the IR's id order, so any walk over `nodes`, `ops`, `vector_ops`,
 /// `vdata`, or `inputs` visits nodes exactly as the historical per-consumer
 /// lowerings did — consumers rely on that for deterministic, replayable
-/// variable and decision orders.
+/// variable and decision orders. The fields marked derived are filled by
+/// derive() from the rest; everything else is primary.
 struct KernelModel {
     std::string name;
     std::vector<ModelNode> nodes;  ///< indexed by node id
-    std::vector<ModelEdge> edges;  ///< grouped by src id, then IR succ order
-    std::vector<int> ops;          ///< op node ids, ascending
-    std::vector<int> vector_ops;   ///< vector-core op ids, ascending
-    std::vector<int> vdata;        ///< VectorData node ids, ascending
-    std::vector<int> inputs;       ///< producer-less data node ids, ascending
     std::vector<std::string> config_keys;  ///< dense config id -> key
 
     arch::MemoryGeometry geometry;
@@ -144,9 +146,6 @@ struct KernelModel {
 
     int num_slots = 0;
     int horizon = 0;
-    int critical_path = 0;
-    std::vector<int> asap;  ///< per node id
-    std::vector<int> alap;  ///< per node id, against `horizon`
 
     bool memory_allocation = true;
     bool three_phase_search = true;
@@ -155,9 +154,38 @@ struct KernelModel {
     std::vector<int> fixed_starts;
     std::optional<ModuloWrap> modulo;
 
+    // Derived by derive().
+    std::vector<ModelEdge> edges;  ///< grouped by src id, then ascending dst
+    std::vector<int> ops;          ///< op node ids, ascending
+    std::vector<int> vector_ops;   ///< vector-core op ids, ascending
+    std::vector<int> vdata;        ///< VectorData node ids, ascending
+    std::vector<int> inputs;       ///< producer-less data node ids, ascending
+    int critical_path = 0;
+    std::vector<int> asap;  ///< per node id
+    std::vector<int> alap;  ///< per node id, against `horizon`
+
     int num_nodes() const { return static_cast<int>(nodes.size()); }
     const ModelNode& node(int id) const { return nodes[static_cast<std::size_t>(id)]; }
+
+    bool operator==(const KernelModel&) const = default;
 };
+
+/// Fill every derived field of `m` from its primary fields, in one pass
+/// over the nodes and one topological walk:
+///   - is_op / is_vector_data from cat; ops, vector_ops (unit VectorCore),
+///     vdata and inputs;
+///   - succs from preds, and edges (src, each succ; the source's latency;
+///     DataProduce into a data node, Precedence into an op);
+///   - vector_inputs / vector_outputs of ops; is_input and lifetime_extra
+///     of data nodes (persists is cleared on ops);
+///   - asap, alap against `horizon`, critical_path, and modulo->max_stage.
+/// lower_ir and from_json both finish a model here, so a model read off
+/// the wire is derived exactly as a lowered one. Throws revec::Error when
+/// it cannot finish: a pred id out of range, a cycle (a self-pred too), an
+/// edge between two ops or two data nodes, a data node with two producers,
+/// an unknown cat, `modulo->ii` <= 0, or latencies and horizon whose
+/// longest path does not fit an int.
+void derive(KernelModel& m);
 
 /// Lower one kernel iteration of `g` under `spec` into a KernelModel.
 /// Pure data extraction — no CP store, no solver state. The graph should
@@ -168,18 +196,17 @@ struct KernelModel {
 /// length. Consumers that need slack (ASAP/ALAP) against the critical path
 /// — the heuristic priority orders — must lower with the default.
 /// `modulo` wraps the problem onto II residues; its max_stage is
-/// recomputed from the horizon.
+/// recomputed from the horizon. The primary fields come from the graph and
+/// the spec, the rest from derive().
 KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                      const LowerOptions& options = {}, int horizon = -1,
                      std::optional<ModuloWrap> modulo = {});
 
-/// Copy of `m` with the horizon raised (or lowered) to `horizon`. ALAP
-/// times are computed against the horizon as latest-start = horizon minus
-/// the tail path, so every entry shifts by exactly the horizon delta —
-/// the copy matches what lower_ir would have produced with this horizon,
-/// without needing the spec/graph. The modulo max_stage is recomputed the
-/// way lower_ir fills it. Requires horizon >= critical_path (ALAP would
-/// drop below ASAP otherwise).
+/// Copy of `m` with the horizon raised (or lowered) to `horizon` and
+/// derive()d again (ALAP and the modulo max_stage move with it), so the
+/// copy matches what lower_ir would have produced with this horizon,
+/// without needing the spec/graph. Requires horizon >= critical_path (ALAP
+/// would drop below ASAP otherwise).
 KernelModel with_horizon(const KernelModel& m, int horizon);
 
 /// Lower bound on the cyclic configuration-change count R of any modulo

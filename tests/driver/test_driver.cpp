@@ -291,11 +291,12 @@ TEST(Run, DumpModelWritesJson) {
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     // Fig. 3 MATMUL after merging: 44 nodes, the geometry, and the lowering
-    // flags all present in the serialized model.
+    // flags all present in the serialized model; its edges ride on preds.
     EXPECT_NE(content.find("\"name\": \"matmul\""), std::string::npos);
     EXPECT_NE(content.find("\"nodes\""), std::string::npos);
     EXPECT_NE(content.find("\"geometry\""), std::string::npos);
-    EXPECT_NE(content.find("\"edges\""), std::string::npos);
+    EXPECT_NE(content.find("\"preds\""), std::string::npos);
+    EXPECT_EQ(content.find("\"edges\""), std::string::npos);
 }
 
 TEST(Run, ArchFileRetargets) {

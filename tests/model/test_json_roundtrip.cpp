@@ -1,8 +1,9 @@
 // from_json / canonical_hash / with_horizon contracts: the wire format
-// revecd serves is the --dump-model shape, the cache key is the FNV-1a of
-// the canonical serialization (so it must be independent of the field
-// order of whatever JSON a request arrived as), and with_horizon must
-// reproduce lower_ir's own ALAP/modulo handling without the spec/graph.
+// revecd serves is the --dump-model shape (the model's primary fields;
+// from_json derives the rest), the cache key is the FNV-1a of the canonical
+// serialization (so it must be independent of the field order of whatever
+// JSON a request arrived as), and with_horizon must reproduce lower_ir's
+// own ALAP/modulo handling without the spec/graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +35,7 @@ TEST(ModelJsonRoundTrip, FlatModelSurvivesByteExactly) {
     const KernelModel m = matmul_model();
     const std::string canonical = to_json(m);
     EXPECT_EQ(to_json(from_json(canonical)), canonical);
+    EXPECT_TRUE(from_json(canonical) == m);
 }
 
 TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
@@ -42,6 +44,7 @@ TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
     const std::string canonical = to_json(m);
     const KernelModel back = from_json(canonical);
     EXPECT_EQ(to_json(back), canonical);
+    EXPECT_TRUE(back == m);
     ASSERT_TRUE(back.modulo.has_value());
     EXPECT_EQ(back.modulo->ii, 4);
     EXPECT_EQ(back.modulo->max_stage, m.modulo->max_stage);
@@ -108,9 +111,9 @@ TEST(ModelJsonRoundTrip, FirstDuplicateKeyWins) {
     const std::size_t after_id = node0 + std::string("{\"id\": 0, ").size();
     std::string text = canonical;
     // Node 0: a first "latency" ahead of the canonical one, a mistyped
-    // "is_op" after it.
+    // "cat" after it.
     text.insert(after_id, "\"latency\": 77, ");
-    text.insert(text.find('}', node0), ", \"is_op\": \"x\"");
+    text.insert(text.find('}', node0), ", \"cat\": 5");
     // Model: a first "name", and mistyped duplicates of both at the end.
     text = "{\"name\": \"first\", " + text.substr(1);
     const std::size_t last = text.rfind('}');
@@ -122,25 +125,28 @@ TEST(ModelJsonRoundTrip, FirstDuplicateKeyWins) {
     KernelModel expected = m;
     expected.name = "first";
     expected.nodes[0].latency = 77;
+    derive(expected);
+    EXPECT_TRUE(back == expected);
     EXPECT_EQ(to_json(back), to_json(expected));
 }
 
-// A field the node's kind does not read is ignored whatever it holds, and
-// wherever is_op comes: an op node's "is_input" and a data node's
-// "vector_inputs" may even be mistyped.
+// A field the node's kind does not read is ignored whatever it holds: an
+// op's "persists" (derive() clears it), and the per-kind fields an older
+// dump wrote, which are unknown keys now and skipped even when mistyped.
 TEST(ModelJsonRoundTrip, FieldsANodeKindDoesNotReadAreIgnored) {
     const KernelModel m = matmul_model();
     json::Value doc = json::parse(to_json(m));
     bool op_done = false;
     bool data_done = false;
     for (json::Value& node : field(doc, "nodes").array) {
-        const bool is_op = field(node, "is_op").boolean;
+        const bool is_op = !field(node, "op").str.empty();
         json::Value junk;
         junk.type = json::Value::Type::String;
         junk.str = "junk";
         if (is_op && !op_done) {
+            field(node, "persists").boolean = true;
             node.object.emplace_back("is_input", junk);
-            std::reverse(node.object.begin(), node.object.end());  // is_op comes last
+            std::reverse(node.object.begin(), node.object.end());  // persists before cat
             op_done = true;
         } else if (!is_op && !data_done) {
             node.object.emplace_back("vector_inputs", junk);
@@ -148,28 +154,53 @@ TEST(ModelJsonRoundTrip, FieldsANodeKindDoesNotReadAreIgnored) {
         }
     }
     ASSERT_TRUE(op_done && data_done);
-    EXPECT_EQ(to_json(from_json(json::to_compact_string(doc))), to_json(m));
+    const KernelModel back = from_json(json::to_compact_string(doc));
+    EXPECT_TRUE(back == m);
+    EXPECT_EQ(to_json(back), to_json(m));
 }
 
 // Single-field corruptions of a MATMUL dump that the solver must never
-// see: a zero bank count divides by zero, an out-of-range op id indexes out
-// of bounds, and a dangling edge endpoint would be scheduled silently.
+// see: a zero bank count divides by zero, an out-of-range op id (a data
+// node's producer) indexes out of bounds, and a dangling edge endpoint (an
+// op's input) would be scheduled silently.
 TEST(ModelJsonRoundTrip, RejectsZeroBankCount) {
     json::Value doc = json::parse(to_json(matmul_model()));
     field(field(doc, "geometry"), "banks").number = 0;
     EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
 }
 
+/// The first node of `doc` whose kind is `op` (by its op name) and whose
+/// preds are not empty.
+json::Value& node_with_preds(json::Value& doc, bool op) {
+    for (json::Value& node : field(doc, "nodes").array) {
+        if (field(node, "op").str.empty() != op && !field(node, "preds").array.empty()) {
+            return node;
+        }
+    }
+    ADD_FAILURE() << "no such node";
+    return doc;
+}
+
+/// The message from_json throws for `text`, or "" when it accepts it.
+std::string rejection(const std::string& text) {
+    try {
+        (void)from_json(text);
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(ModelJsonRoundTrip, RejectsOutOfRangeOpId) {
     json::Value doc = json::parse(to_json(matmul_model()));
-    field(doc, "ops").array.at(0).number = 9999;
-    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
+    field(node_with_preds(doc, false), "preds").array.at(0).number = 9999;
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "kernel model: preds id out of range");
 }
 
 TEST(ModelJsonRoundTrip, RejectsDanglingEdgeEndpoint) {
     json::Value doc = json::parse(to_json(matmul_model()));
-    field(field(doc, "edges").array.at(0), "dst").number = 9999;
-    EXPECT_THROW(from_json(json::to_compact_string(doc)), Error);
+    field(node_with_preds(doc, true), "preds").array.at(0).number = -1;
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "kernel model: preds id out of range");
 }
 
 // Every other node reference and sizing field is checked the same way.
@@ -185,14 +216,14 @@ TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
         rejects([&](json::Value& d) { field(field(d, "geometry"), key).number = 0; });
     }
     rejects([](json::Value& d) { field(field(d, "caps"), "vector_lanes").number = -1; });
-    for (const char* key : {"vector_ops", "vdata", "inputs"}) {
-        rejects([&](json::Value& d) { field(d, key).array.at(0).number = -1; });
-    }
-    rejects([](json::Value& d) { field(field(d, "edges").array.at(0), "src").number = 1e9; });
-    rejects([](json::Value& d) { field(d, "ops").array.at(0).number = 1e300; });
+    const auto first_pred = [](json::Value& d, bool op) -> double& {
+        return field(node_with_preds(d, op), "preds").array.at(0).number;
+    };
+    rejects([&](json::Value& d) { first_pred(d, true) = 1e9; });
+    rejects([&](json::Value& d) { first_pred(d, false) = 1e300; });
     // A fraction is not an int: it is rejected, never truncated.
     rejects([](json::Value& d) { field(d, "num_slots").number += 0.5; });
-    rejects([](json::Value& d) { field(d, "ops").array.at(0).number += 0.25; });
+    rejects([&](json::Value& d) { first_pred(d, true) += 0.25; });
     rejects([](json::Value& d) { field(field(d, "nodes").array.at(0), "latency").number = 2.5; });
     // A vector-core op's configuration must name one of config_keys.
     for (const double config : {-1.0, 1e6}) {
@@ -206,20 +237,97 @@ TEST(ModelJsonRoundTrip, RejectsEveryOutOfRangeReference) {
             ADD_FAILURE() << "no vector-core node";
         });
     }
-    // Node-level lists: corrupt the first node that has a non-empty one.
-    for (const char* key : {"preds", "succs", "vector_inputs", "vector_outputs"}) {
-        rejects([&](json::Value& d) {
-            for (json::Value& node : field(d, "nodes").array) {
-                for (auto& [k, v] : node.object) {
-                    if (k == key && !v.array.empty()) {
-                        v.array[0].number = 9999;
-                        return;
-                    }
-                }
-            }
-            ADD_FAILURE() << "no node with a non-empty " << key;
-        });
+    // Pinned starts come one per node.
+    rejects([](json::Value& d) {
+        json::Value starts;
+        starts.type = json::Value::Type::Array;
+        starts.array.resize(3);
+        for (json::Value& v : starts.array) v.type = json::Value::Type::Number;
+        d.object.emplace_back("fixed_starts", starts);
+    });
+}
+
+// What derive() cannot finish, and an op the vector core cannot hold, is
+// refused at parse time with a message naming it.
+TEST(ModelJsonRoundTrip, RejectsAPredsCycle) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    // Input 0 fed by an op that reads it.
+    json::Value& input = field(doc, "nodes").array.at(0);
+    ASSERT_TRUE(field(input, "preds").array.empty());
+    json::Value op;
+    op.type = json::Value::Type::Number;
+    op.number = 4;
+    field(input, "preds").array.push_back(op);
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "kernel model: preds form a cycle");
+}
+
+TEST(ModelJsonRoundTrip, RejectsASelfPred) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    json::Value self;
+    self.type = json::Value::Type::Number;
+    self.number = 4;
+    field(field(doc, "nodes").array.at(4), "preds").array.push_back(self);
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "kernel model: preds form a cycle");
+}
+
+// The shape a mutated MATMUL line reached the list scheduler's progress
+// guard with: scalar node 11 produced by input 0 instead of op 10.
+TEST(ModelJsonRoundTrip, RejectsAnEdgeBetweenTwoDataNodes) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    json::Value& preds = field(field(doc, "nodes").array.at(11), "preds");
+    ASSERT_EQ(preds.array.at(0).number, 10);
+    preds.array.at(0).number = 0;
+    EXPECT_EQ(rejection(json::to_compact_string(doc)),
+              "kernel model: an edge joins two nodes of one kind");
+}
+
+TEST(ModelJsonRoundTrip, RejectsADataNodeWithTwoProducers) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    json::Value& preds = field(field(doc, "nodes").array.at(11), "preds");
+    json::Value second = preds.array.at(0);
+    second.number = 8;
+    preds.array.push_back(second);
+    EXPECT_EQ(rejection(json::to_compact_string(doc)),
+              "kernel model: a data node has two producers");
+}
+
+TEST(ModelJsonRoundTrip, RejectsAnUnknownCat) {
+    json::Value doc = json::parse(to_json(matmul_model()));
+    field(field(doc, "nodes").array.at(4), "cat").str = "vector_opp";
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "unknown node category 'vector_opp'");
+}
+
+TEST(ModelJsonRoundTrip, RejectsANonPositiveModuloIi) {
+    const std::string wrapped = to_json(matmul_model(ModuloWrap{4, 0, false, 0}));
+    const std::string ii = "\"ii\": 4";
+    const std::size_t at = wrapped.find(ii);
+    ASSERT_NE(at, std::string::npos);
+    for (const char* bad : {"0", "-4"}) {
+        std::string text = wrapped;
+        text.replace(at, ii.size(), std::string("\"ii\": ") + bad);
+        EXPECT_EQ(rejection(text), "kernel model: modulo ii must be positive") << bad;
     }
+}
+
+// The mutation that once reached the list scheduler: an op of 71 lanes on
+// a 4-lane core can never issue.
+TEST(ModelJsonRoundTrip, RejectsOpLanesOutsideTheVectorCore) {
+    const json::Value clean = json::parse(to_json(matmul_model()));
+    for (const double lanes : {71.0, 5.0, -1.0}) {
+        json::Value doc = clean;
+        for (json::Value& node : field(doc, "nodes").array) {
+            if (field(node, "unit").str == "vector_core") {
+                field(node, "lanes").number = lanes;
+                break;
+            }
+        }
+        EXPECT_EQ(rejection(json::to_compact_string(doc)),
+                  "kernel model JSON: op lanes outside [0, caps.vector_lanes]")
+            << lanes;
+    }
+    json::Value full = clean;
+    field(field(full, "nodes").array.at(4), "lanes").number = 4;
+    EXPECT_EQ(rejection(json::to_compact_string(full)), "");
 }
 
 TEST(CanonicalHash, IgnoresRequestFieldOrder) {
@@ -288,9 +396,9 @@ TEST(CanonicalHash, PinsThePaperKernelsWireHashes) {
         std::size_t bytes;
     };
     const Golden goldens[] = {
-        {"matmul", [] { return apps::build_matmul(); }, 0x505e2f23993158b9ull, 15104},
-        {"qrd", [] { return apps::build_qrd(); }, 0xd1010896849bce8eull, 40672},
-        {"arf", [] { return apps::build_arf(); }, 0xf1b9586fc185e6a1ull, 26058},
+        {"matmul", [] { return apps::build_matmul(); }, 0x26d7b8df051a11b6ull, 7381},
+        {"qrd", [] { return apps::build_qrd(); }, 0x667ee6fd34fa5879ull, 20126},
+        {"arf", [] { return apps::build_arf(); }, 0x7ce635b185268a49ull, 13860},
     };
     for (const Golden& g : goldens) {
         const KernelModel m =

@@ -213,12 +213,12 @@ void expect_same_request(const Request& got, const Request& want) {
     EXPECT_EQ(got.params.reuse, want.params.reuse);
     ASSERT_EQ(got.model.has_value(), want.model.has_value());
     if (got.model) {
-        EXPECT_EQ(model::to_json(*got.model), model::to_json(*want.model));
+        EXPECT_TRUE(*got.model == *want.model);
     }
 }
 
-// Fields come in any order: the envelope, its options, the model, every
-// node and every edge reversed (so the model comes before the kind) read
+// Fields come in any order: the envelope, its options, the model and every
+// node reversed (so the model comes before the kind) read
 // as the same request, with the same content address.
 TEST(SvcProtocol, ReadsFieldsInAnyOrder) {
     const model::KernelModel m = matmul_model();
@@ -233,13 +233,13 @@ TEST(SvcProtocol, ReadsFieldsInAnyOrder) {
         if (key != "model") continue;
         reverse(value);
         for (auto& [mkey, mvalue] : value.object) {
-            if (mkey == "nodes" || mkey == "edges") {
+            if (mkey == "nodes") {
                 for (json::Value& elem : mvalue.array) reverse(elem);
             }
         }
     }
     const std::string reordered = json::to_compact_string(doc);
-    ASSERT_EQ(reordered.rfind("{\"model\":{\"edges\":[{\"kind\":", 0), 0u);
+    ASSERT_EQ(reordered.rfind("{\"model\":{\"nodes\":[{\"persists\":", 0), 0u);
     const Request back = parse_request(reordered);
     expect_same_request(back, parse_request(line));
     EXPECT_EQ(model::canonical_hash(*back.model), model::canonical_hash(m));
@@ -280,7 +280,7 @@ TEST(SvcProtocol, SkipsUnknownKeysUpToTheNestingBound) {
 TEST(SvcProtocol, EscapesInStringsSurviveByteExactly) {
     model::KernelModel m = matmul_model();
     m.name = std::string("k\x01 \x1f\r\"q\"\\", 9);
-    m.nodes.at(0).cat = std::string("c\x02\x7f", 3);
+    m.config_keys.at(0) = std::string("c\x02\x7f", 3);
     m.nodes.at(1).op = std::string("o\x1e\n\t", 4);
     const std::string canonical = model::to_json(m);
     ASSERT_NE(canonical.find("\"k\\u0001 \\u001f\\u000d\\\"q\\\"\\\\\""),
@@ -289,7 +289,7 @@ TEST(SvcProtocol, EscapesInStringsSurviveByteExactly) {
     const Request back = parse_request(line);
     EXPECT_EQ(model::to_json(*back.model), canonical);
     EXPECT_EQ(back.model->name, m.name);
-    EXPECT_EQ(back.model->nodes.at(0).cat, m.nodes.at(0).cat);
+    EXPECT_EQ(back.model->config_keys.at(0), m.config_keys.at(0));
     EXPECT_EQ(back.model->nodes.at(1).op, m.nodes.at(1).op);
 
     std::string upper = line;
