@@ -44,8 +44,8 @@ public:
             REVEC_EXPECTS(d >= 0 && d < num_data());
             return static_cast<std::size_t>(d);
         };
-        for (int m = 0; m < g.operands.size(); ++m) {
-            const std::span<const int> l = list_of(g.operands, m);
+        for (int m = 0; m < g.together.size(); ++m) {
+            const std::span<const int> l = list_of(g.together, m);
             for (std::size_t a = 0; a < l.size(); ++a) {
                 for (std::size_t b = a + 1; b < l.size(); ++b) {
                     if (l[a] == l[b]) continue;
@@ -227,7 +227,7 @@ private:
     std::vector<IntVar> page_;
     std::vector<IntVar> line_;
     std::array<TimedLists, 2> families_;         ///< issue (eq. 8), landing (eq. 9)
-    std::vector<std::vector<int>> partners_;     ///< eq. 7 partners per datum
+    std::vector<std::vector<int>> partners_;     ///< unconditional partners per datum
     std::vector<std::vector<Role>> data_roles_;  ///< memberships per datum
     std::vector<IntVar> times_;                  ///< distinct time variables
     std::vector<std::vector<Role>> time_roles_;  ///< memberships per time unit

@@ -5,18 +5,20 @@
 //   eq. 7: the operands of one vector-core op, unconditionally;
 //   eq. 8: the operands of two vector-core ops issued in the same cycle
 //          (only when their lanes fit the core side by side);
-//   eq. 9: the outputs of two writers whose results land in the same cycle.
+//   eq. 9: the outputs of two writers whose results land in the same cycle,
+//          and the outputs of one writer (a matrix op writes four rows at
+//          once), unconditionally.
 //
 // The textbook decomposition reifies every start, page and line equality
 // into a boolean and posts one clause per data pair: O(n^2) variables and
 // propagators. This propagator posts none of them and reaches exactly the
 // decomposition's fixpoint. For every time pair (i, j) and data pair (d, e)
 // of a family:
-//   1. times fixed and equal (or eq. 7) and pages fixed and equal:
-//      line_d == line_e, by bounds, which also fixes one line once the other
-//      is fixed;
-//   2. times fixed and equal (or eq. 7) and the lines' bounds disjoint: a
-//      fixed page's value is removed from the other page;
+//   1. times fixed and equal (or an unconditional list) and pages fixed and
+//      equal: line_d == line_e, by bounds, which also fixes one line once the
+//      other is fixed;
+//   2. times fixed and equal (or an unconditional list) and the lines'
+//      bounds disjoint: a fixed page's value is removed from the other page;
 //   3. pages fixed and equal and the lines' bounds disjoint: a fixed time's
 //      value is removed from the other time.
 // It is incremental: the store advises it of each changed variable, and a
@@ -63,7 +65,7 @@ struct TimedLists {
 struct AccessGroups {
     std::vector<IntVar> page;  ///< per datum
     std::vector<IntVar> line;  ///< per datum
-    DataLists operands;        ///< eq. 7: each list is accessed together
+    DataLists together;        ///< eqs. 7 and 9: each list is accessed together
     TimedLists issue;          ///< eq. 8: operands by issue cycle
     TimedLists landing;        ///< eq. 9: outputs by landing cycle
 };

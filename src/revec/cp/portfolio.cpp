@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
-#include <mutex>
 #include <thread>
 
 #include "revec/obs/trace.hpp"
@@ -53,16 +51,6 @@ struct WorkerSlot {
     std::exception_ptr error;
 };
 
-/// The shared incumbent *assignment* (the atomic bound carries only the
-/// objective). CP workers publish every improving solution here through the
-/// on_solution hook; LNS workers snapshot it, relax a neighbourhood, and
-/// publish accepted repairs back. Only allocated when lns_workers > 0.
-struct SharedIncumbent {
-    std::mutex mu;
-    std::vector<int> best;
-    std::int64_t objective = kNoBound;
-};
-
 /// Run one worker thread's body, parking any exception in its slot and
 /// cancelling the other workers.
 template <typename Body>
@@ -81,7 +69,7 @@ void guarded(WorkerSlot& slot, std::atomic<bool>& stop, Body&& body) {
 void search_worker(Store& store, const PostedModel& model, const WorkerConfig& cfg,
                    const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
                    std::atomic<bool>& stop, std::atomic<std::int64_t>& shared,
-                   SharedIncumbent* incumbent, WorkerSlot& slot) {
+                   WorkerSlot& slot) {
     if (profile) store.enable_profiling();
     const std::vector<Phase> phases = apply_config(model.phases, cfg);
 
@@ -90,15 +78,6 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
     opts.shared_bound = model.objective.valid() ? &shared : nullptr;
     opts.value_jitter_seed = cfg.jitter_seed;
     opts.trace = trace;
-    if (incumbent != nullptr && model.objective.valid()) {
-        opts.on_solution = [incumbent](const std::vector<int>& a, std::int64_t obj) {
-            const std::lock_guard<std::mutex> lock(incumbent->mu);
-            if (obj < incumbent->objective) {
-                incumbent->objective = obj;
-                incumbent->best = a;
-            }
-        };
-    }
 
     XorShift reseed(cfg.jitter_seed == 0 ? 0x7f4a7c15u : cfg.jitter_seed);
     std::int64_t restart_limit = cfg.restarts ? kRestartFailures : -1;
@@ -152,86 +131,6 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
     slot.report.prop_stats = store.stats();
     if (profile) slot.report.prop_profile = store.profile_by_class();
     if (slot.report.proved) stop.store(true, std::memory_order_release);
-}
-
-/// Once every CP worker has returned, this many consecutive non-improving
-/// rounds end an LNS worker — otherwise a deadline-free portfolio whose CP
-/// workers ran out of failure budget would spin forever.
-constexpr std::int64_t kLnsIdleLimit = 16;
-
-/// One LNS worker: loop { snapshot incumbent, run one lns_round, publish
-/// accepted improvements through the shared bound + incumbent }. Never sets
-/// `proved` — LNS only improves, proofs come from CP workers.
-void lns_worker(const LnsRoundFn& round, int lns_index, std::uint32_t seed,
-                const SearchOptions& base, bool profile, obs::TraceBuffer* trace,
-                std::int64_t trace_rid, std::atomic<bool>& stop,
-                std::atomic<std::int64_t>& shared, SharedIncumbent& incumbent,
-                const std::atomic<int>& cp_active, WorkerSlot& slot) {
-    XorShift rng(seed);
-    std::int64_t idle = 0;
-    int round_no = 0;
-    while (!stop.load(std::memory_order_relaxed) && !base.deadline.expired()) {
-        std::vector<int> snapshot;
-        std::int64_t snapshot_obj = kNoBound;
-        {
-            const std::lock_guard<std::mutex> lock(incumbent.mu);
-            snapshot = incumbent.best;
-            snapshot_obj = incumbent.objective;
-        }
-        if (snapshot.empty()) {
-            // Cold start without a seed assignment: wait for some CP
-            // worker's first solution; give up when none can come.
-            if (cp_active.load(std::memory_order_acquire) == 0) break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            continue;
-        }
-        LnsRoundContext ctx;
-        ctx.incumbent = &snapshot;
-        ctx.objective = snapshot_obj;
-        ctx.seed = rng.next() | 1u;
-        ctx.worker = lns_index;
-        ctx.round = round_no++;
-        ctx.deadline = base.deadline;
-        ctx.stop = &stop;
-        ctx.trace = trace;
-        ctx.trace_rid = trace_rid;
-        ctx.profile = profile;
-        const LnsRoundResult r = round(ctx);
-        ++slot.report.lns_rounds;
-        slot.report.absorb(r);
-
-        bool accepted = false;
-        if (r.improved && !r.assignment.empty() && r.objective < snapshot_obj) {
-            const std::lock_guard<std::mutex> lock(incumbent.mu);
-            if (r.objective < incumbent.objective) {
-                incumbent.objective = r.objective;
-                incumbent.best = r.assignment;
-                accepted = true;
-            }
-        }
-        if (accepted) {
-            ++slot.report.lns_accepted;
-            idle = 0;
-            slot.best = r.assignment;
-            slot.report.best_objective = r.objective;
-            slot.report.status = SolveStatus::SatTimeout;
-            // Publish through the shared bound so every CP worker prunes
-            // against the LNS incumbent from its next node on.
-            std::int64_t cur = shared.load(std::memory_order_relaxed);
-            while (r.objective < cur &&
-                   !shared.compare_exchange_weak(cur, r.objective,
-                                                 std::memory_order_relaxed)) {
-            }
-            obs::instant(trace, obs::TraceLevel::Phase, "bound", "obj", r.objective);
-        } else {
-            ++slot.report.lns_rejected;
-            ++idle;
-            if (cp_active.load(std::memory_order_acquire) == 0 &&
-                idle >= kLnsIdleLimit) {
-                break;
-            }
-        }
-    }
 }
 
 }  // namespace
@@ -296,66 +195,47 @@ WorkerConfig diversified_config(int k, std::uint32_t seed) {
 
 PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
                                 const SolverConfig& config, const SearchOptions& options) {
-    REVEC_EXPECTS(config.threads >= 1);
-    REVEC_EXPECTS(config.lns_workers >= 0);
-    REVEC_EXPECTS(config.lns_workers == 0 || config.lns_round != nullptr);
-    REVEC_EXPECTS(options.stop == nullptr && options.shared_bound == nullptr &&
-                  options.on_solution == nullptr);
+    REVEC_EXPECTS(config.threads >= 1 && config.threads <= kMaxWorkers);
+    REVEC_EXPECTS(options.stop == nullptr && options.shared_bound == nullptr);
     Stopwatch watch;
 
     const int n = config.threads;
-    const int lns = config.lns_workers;
-    const int total = n + lns;
     std::atomic<bool> stop{false};
     // Warm start: a seeded incumbent makes every worker search strictly
     // better objectives only. An exhausted search with no solution then
     // reports Unsat, which the caller reads as "the seed was optimal".
     std::atomic<std::int64_t> shared{config.initial_incumbent};
-    // CP workers still running — LNS workers stop once no CP worker is left
-    // to feed them fresh incumbents and rounds stop paying off.
-    std::atomic<int> cp_active{n};
-    SharedIncumbent incumbent;
-    if (lns > 0 && config.initial_incumbent != kNoBound &&
-        !config.lns_seed_assignment.empty()) {
-        incumbent.best = config.lns_seed_assignment;
-        incumbent.objective = config.initial_incumbent;
-    }
 
     std::vector<WorkerConfig> cfgs;
     cfgs.reserve(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) {
         cfgs.push_back(diversified_config(k, config.seed));
     }
-    std::vector<WorkerSlot> slots(static_cast<std::size_t>(total));
+    std::vector<WorkerSlot> slots(static_cast<std::size_t>(n));
 
     // Workers 1..N-1 search clones of the caller's store, and the replay
     // the last one: all taken here, before worker 0 starts on the original.
     std::vector<Store> clones;
-    if (total > 1) {
+    if (n > 1) {
         clones.reserve(static_cast<std::size_t>(n));
         for (int k = 0; k < n; ++k) clones.push_back(store.clone());
     }
 
-    SharedIncumbent* const inc = lns > 0 ? &incumbent : nullptr;
-    if (total == 1) {
+    if (n == 1) {
         // One worker searches inline on the caller's store and trace track:
         // exactly the sequential tree, with no worker span or track.
         search_worker(store, model, cfgs[0], options, config.profile, options.trace, stop,
-                      shared, inc, slots[0]);
+                      shared, slots[0]);
     } else {
         // Register one trace track per worker up front (on this thread, in
-        // worker order, CP workers then LNS workers) so the serialized track
-        // order is deterministic whatever the thread scheduling does.
-        std::vector<obs::TraceBuffer*> tracks(static_cast<std::size_t>(total), nullptr);
+        // worker order) so the serialized track order is deterministic
+        // whatever the thread scheduling does.
+        std::vector<obs::TraceBuffer*> tracks(static_cast<std::size_t>(n), nullptr);
         if (config.trace != nullptr) {
             for (int k = 0; k < n; ++k) {
                 tracks[static_cast<std::size_t>(k)] = config.trace->new_track(
                     "worker-" + std::to_string(k) + " (" +
                     cfgs[static_cast<std::size_t>(k)].label + ")");
-            }
-            for (int j = 0; j < lns; ++j) {
-                tracks[static_cast<std::size_t>(n + j)] =
-                    config.trace->new_track("lns-" + std::to_string(j));
             }
         }
         // The rid payload only appears for service-correlated solves, so
@@ -363,7 +243,7 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
         const char* const rid_key = config.trace_rid != 0 ? "rid" : nullptr;
 
         std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(total));
+        threads.reserve(static_cast<std::size_t>(n));
         for (int k = 0; k < n; ++k) {
             threads.emplace_back([&, k] {
                 const auto i = static_cast<std::size_t>(k);
@@ -372,26 +252,9 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
                     obs::SpanScope span(tracks[i], obs::TraceLevel::Phase, "worker", rid_key,
                                         config.trace_rid);
                     search_worker(k == 0 ? store : clones[i - 1], model, cfgs[i], options,
-                                  config.profile, tracks[i], stop, shared, inc, slot);
+                                  config.profile, tracks[i], stop, shared, slot);
                     span.result("nodes", slot.report.stats.nodes, "proved",
                                 slot.report.proved ? 1 : 0);
-                });
-                cp_active.fetch_sub(1, std::memory_order_release);
-            });
-        }
-        XorShift lns_seeds(config.seed ^ 0x1a5beadu);
-        for (int j = 0; j < lns; ++j) {
-            const std::uint32_t seed = lns_seeds.next() | 1u;
-            threads.emplace_back([&, j, seed] {
-                const auto i = static_cast<std::size_t>(n + j);
-                WorkerSlot& slot = slots[i];
-                guarded(slot, stop, [&] {
-                    obs::SpanScope span(tracks[i], obs::TraceLevel::Phase, "worker", rid_key,
-                                        config.trace_rid);
-                    lns_worker(config.lns_round, j, seed, options, config.profile, tracks[i],
-                               config.trace_rid, stop, shared, incumbent, cp_active, slot);
-                    span.result("rounds", slot.report.lns_rounds, "accepted",
-                                slot.report.lns_accepted);
                 });
             });
         }
@@ -405,15 +268,10 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
     PortfolioResult out;
     bool any_proof = false;
     std::int64_t best_obj = kNoBound;
-    for (int k = 0; k < total; ++k) {
+    for (int k = 0; k < n; ++k) {
         WorkerSlot& slot = slots[static_cast<std::size_t>(k)];
         slot.report.config_index = k;
-        if (k < n) {
-            slot.report.label = cfgs[static_cast<std::size_t>(k)].label;
-        } else {
-            slot.report.label = "lns-" + std::to_string(k - n);
-            slot.report.is_lns = true;
-        }
+        slot.report.label = cfgs[static_cast<std::size_t>(k)].label;
         out.absorb(slot.report);
         any_proof = any_proof || slot.report.proved;
         // Deterministic merge: best objective first, then lowest config
@@ -432,24 +290,25 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
     // Canonical replay: thread timing decides which worker first reports the
     // optimal objective, so the *assignment* above can differ run to run
     // even though the objective cannot. Re-derive it deterministically with
-    // the baseline configuration under the proven bound. (LNS workers make
-    // even a 1-CP-thread portfolio timing-dependent, hence `total`.)
-    if (total > 1 && out.status == SolveStatus::Optimal && out.has_solution()) {
+    // the baseline configuration under the proven bound, within its failure
+    // budget; past it the merged winner's assignment stands.
+    if (n > 1 && out.status == SolveStatus::Optimal && out.has_solution()) {
         obs::SpanScope replay_span(options.trace, obs::TraceLevel::Phase, "replay");
         Store& replay_store = clones.back();
         if (config.profile) replay_store.enable_profiling();
         if (model.objective.valid() && replay_store.set_max(model.objective, best_obj)) {
             SearchOptions replay_opts;
             replay_opts.deadline = options.deadline;
+            replay_opts.max_failures = kReplayFailures;
             replay_opts.stop_at_first_solution = true;
             replay_opts.trace = options.trace;
             const SolveResult replay =
                 solve(replay_store, model.phases, model.objective, replay_opts);
             out.absorb(replay);
-            replay_span.result("nodes", replay.stats.nodes);
-            if (replay.has_solution() && replay.value_of(model.objective) == best_obj) {
-                out.best = replay.best;
-            }
+            const bool found =
+                replay.has_solution() && replay.value_of(model.objective) == best_obj;
+            replay_span.result("nodes", replay.stats.nodes, "found", found ? 1 : 0);
+            if (found) out.best = replay.best;
         }
     }
 

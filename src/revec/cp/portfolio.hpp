@@ -14,31 +14,23 @@
 // searches it; workers 1..N-1 and the canonical replay search clones of it
 // (Store::clone), taken on the caller's thread before worker 0 starts, so
 // every worker's solution indexes the caller's variable table. One worker
-// (and no LNS workers) runs inline on the caller's thread and trace track:
-// the sequential solver's tree, node for node, with no worker track.
-//
-// A second worker kind (SolverConfig::lns_workers, DESIGN §5h) runs
-// large-neighbourhood search over the shared incumbent *assignment*: each
-// round relaxes a neighbourhood of the incumbent through the opaque
-// LnsRoundFn hook and publishes strictly improving repairs back through
-// the same shared bound. The portfolio stays model-agnostic — the hook is
-// built by revec::lns over the scheduling model.
+// runs inline on the caller's thread and trace track: the sequential
+// solver's tree, node for node, with no worker track.
 //
 // Determinism: the merged result picks the best objective, breaking ties
 // toward the lowest configuration index. Which worker *reports* the winning
 // objective can still vary with thread timing, so every proven-optimal
 // parallel run re-derives the reported assignment by a deterministic
 // bounded sequential pass over the baseline configuration (the canonical
-// replay, always on); repeated runs with the same seed and thread count then
-// return bit-identical solutions.
+// replay, always on, within kReplayFailures failures); repeated runs with the
+// same seed and thread count then return bit-identical solutions whenever
+// the replay finds one within its budget.
 //
-// Solver work: every worker report, LNS round and the replay is a
-// cp::SolveWork, and the merged result sums them through SolveWork::absorb
-// alone — LNS repair solves included.
+// Solver work: every worker report and the replay is a cp::SolveWork, and
+// the merged result sums them through SolveWork::absorb alone.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,60 +43,24 @@ class TraceSink;
 
 namespace revec::cp {
 
-/// One large-neighbourhood-search round request, handed to the LnsRoundFn
-/// hook by an LNS worker. The portfolio knows nothing about scheduling
-/// models — the hook (built by revec::lns over a KernelModel) interprets
-/// the incumbent assignment, relaxes a neighbourhood, and re-solves the
-/// frozen-rest subproblem.
-struct LnsRoundContext {
-    /// Snapshot of the best known full store assignment (indexed by
-    /// IntVar::index() against any emission of the model). Never null.
-    const std::vector<int>* incumbent = nullptr;
-    std::int64_t objective = 0;  ///< the incumbent's objective value
-    std::uint32_t seed = 0;      ///< deterministic per (worker, round)
-    int worker = 0;              ///< LNS worker index (0-based)
-    int round = 0;               ///< round number within this worker
-    Deadline deadline;           ///< the portfolio's wall-clock limit
-    const std::atomic<bool>* stop = nullptr;  ///< cooperative cancel
-    obs::TraceBuffer* trace = nullptr;        ///< this worker's track
-    std::int64_t trace_rid = 0;  ///< request id stamped on round spans; 0 = none
-    bool profile = false;        ///< SolverConfig::profile: profile the repair store
-};
+/// The most workers one solve may run: each is a thread. revecc's
+/// --threads and the wire's options.threads are refused past it at parse
+/// time, before any thread starts.
+inline constexpr int kMaxWorkers = 64;
 
-/// What one LNS round produced: the repair solve's work, absorbed into the
-/// worker's report, and — when `improved` — a verified assignment strictly
-/// better than the round's incumbent snapshot, which the worker publishes
-/// through the shared bound and the shared incumbent.
-struct LnsRoundResult : SolveWork {
-    bool improved = false;
-    std::vector<int> assignment;  ///< full store assignment when improved
-    std::int64_t objective = 0;
-};
-
-/// The LNS round hook. Must be safe to invoke concurrently from several
-/// LNS worker threads (each call gets its own context and seed).
-using LnsRoundFn = std::function<LnsRoundResult(const LnsRoundContext&)>;
+/// The canonical replay's failure budget. The replay searches the baseline
+/// configuration under the proven bound until its first solution; on some
+/// models that tree is far larger than the one the proving worker walked
+/// (70-op random kernel seed 3 at 2 threads: 79 459 nodes in 2 s without
+/// one), so past this many failures it stops and the merged winner's
+/// assignment stands.
+inline constexpr std::int64_t kReplayFailures = 2000;
 
 /// Portfolio knob threaded through the scheduling layers: how many workers
-/// and the seed feeding the jitter RNGs.
+/// (1 .. kMaxWorkers) and the seed feeding the jitter RNGs.
 struct SolverConfig {
     int threads = 1;
     std::uint32_t seed = 0x5eedu;
-
-    /// Large-neighbourhood-search workers raced alongside the CP workers
-    /// (DESIGN §5h). Each loops: snapshot the shared incumbent assignment,
-    /// run one lns_round, publish accepted improvements through the shared
-    /// bound so every CP worker prunes against them. 0 = off. Requires
-    /// lns_round when positive.
-    int lns_workers = 0;
-
-    /// The round hook driving lns_workers; built by lns::make_portfolio_round.
-    LnsRoundFn lns_round;
-
-    /// Optional full store assignment matching initial_incumbent (e.g. the
-    /// completed heuristic schedule), so LNS workers can start relaxing
-    /// before any CP worker finds a first solution of its own.
-    std::vector<int> lns_seed_assignment;
 
     /// Warm start: seed the shared incumbent bound with the objective value
     /// of an externally known feasible solution (e.g. a heuristic
@@ -121,16 +77,16 @@ struct SolverConfig {
     /// as do the replay and the scheduling layers around the search.
     obs::TraceSink* trace = nullptr;
 
-    /// Service request id stamped onto worker span begins (and LNS round
-    /// contexts) so one request's story is filterable across tracks in
-    /// revec-stats. 0 = no request association; spans then carry no rid
-    /// payload, keeping standalone traces byte-identical to before.
+    /// Service request id stamped onto worker span begins so one request's
+    /// story is filterable across tracks in revec-stats. 0 = no request
+    /// association; spans then carry no rid payload, keeping standalone
+    /// traces byte-identical to before.
     std::int64_t trace_rid = 0;
 
     /// Attribute propagation work (runs, time, domain changes, failures) to
-    /// propagator classes on every worker and LNS repair store; results
-    /// surface as prop_profile on the merged outcome. Adds a timer read per
-    /// propagator execution.
+    /// propagator classes on every worker store; results surface as
+    /// prop_profile on the merged outcome. Adds a timer read per propagator
+    /// execution.
     bool profile = false;
 };
 
@@ -158,20 +114,13 @@ struct WorkerConfig {
 WorkerConfig diversified_config(int k, std::uint32_t seed);
 
 /// Per-worker outcome, kept for diagnostics and the scaling bench. The
-/// SolveWork part is the worker store's work (CP workers) or the summed
-/// repair work of every round (LNS workers).
+/// SolveWork part is the worker store's work.
 struct WorkerReport : SolveWork {
     int config_index = 0;
     std::string label;
     SolveStatus status = SolveStatus::Timeout;
     std::int64_t best_objective = -1;  ///< -1 = this worker found no solution
     bool proved = false;               ///< exhausted its bound-pruned tree
-
-    // LNS worker bookkeeping (zero for CP workers).
-    bool is_lns = false;
-    std::int64_t lns_rounds = 0;
-    std::int64_t lns_accepted = 0;  ///< strictly improving, verifier-clean rounds
-    std::int64_t lns_rejected = 0;
 };
 
 /// Merged portfolio outcome. The SolveWork part is merged over all workers
@@ -184,16 +133,14 @@ struct PortfolioResult : SolveResult {
 
 /// Minimize the model's objective (or find a first solution when the
 /// objective is invalid) with `config.threads` diversified workers sharing
-/// one incumbent bound, plus `config.lns_workers` LNS workers improving the
-/// shared incumbent assignment through the lns_round hook. `store` holds the
-/// caller's emission of the model (at root level, not yet searched) and
-/// `model` its phases and objective; worker 0 searches it and leaves it at
-/// root level. Workers 1..N-1 and the replay search clones of it taken
-/// before the search starts; a 1-worker solve takes none.
+/// one incumbent bound. `store` holds the caller's emission of the model
+/// (at root level, not yet searched) and `model` its phases and objective;
+/// worker 0 searches it and leaves it at root level. Workers 1..N-1 and the
+/// replay search clones of it taken before the search starts; a 1-worker
+/// solve takes none.
 /// `options.deadline` and `options.max_failures` apply to every worker
 /// individually; `options.trace` receives the 1-worker search and the replay;
-/// `options.stop`/`shared_bound`/`on_solution` must be null — the portfolio
-/// owns those.
+/// `options.stop`/`shared_bound` must be null — the portfolio owns those.
 PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
                                 const SolverConfig& config, const SearchOptions& options = {});
 

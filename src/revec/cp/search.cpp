@@ -229,7 +229,6 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
                 best_obj = store.min(objective);
                 have_best = true;
                 publish_bound();
-                if (options.on_solution) options.on_solution(result.best, best_obj);
                 ok = false;  // force backtracking to look for better solutions
                 continue;
             }

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,15 +68,6 @@ struct SearchOptions {
     /// The sentinel value INT64_MAX means "no incumbent yet".
     std::atomic<std::int64_t>* shared_bound = nullptr;
 
-    /// Invoked at every improving solution with the full store assignment
-    /// (indexed by IntVar::index()) and the objective value, after the
-    /// shared bound is published. The portfolio's LNS workers use it to
-    /// obtain incumbent *assignments* (the shared bound alone carries only
-    /// the objective). Called on the searching thread; must be cheap and
-    /// thread-safe against concurrent callers on other stores. Never
-    /// invoked for satisfaction problems (invalid objective).
-    std::function<void(const std::vector<int>&, std::int64_t)> on_solution;
-
     /// Non-zero enables RNG-jittered value selection: with probability 1/4
     /// a uniformly random domain value replaces the heuristic choice.
     /// Completeness is unaffected (the right branch removes the value);
@@ -125,7 +115,7 @@ struct SolveWork {
     /// the store had profiling enabled (Store::enable_profiling).
     std::vector<PropProfile> prop_profile;
 
-    /// Merge another solve's work (portfolio workers, LNS repairs, per-II
+    /// Merge another solve's work (portfolio workers, the replay, per-II
     /// attempts): every counter by its MergeRule, profiles by class name.
     void absorb(const SolveWork& other);
 

@@ -110,9 +110,9 @@ public:
     /// pending propagation queue, counters and profile, with every
     /// propagator deep-copied through Propagator::clone. Solving the copy
     /// walks exactly the tree solving this store would, so one emission
-    /// serves any number of searches (portfolio workers, the replay, LNS
-    /// repairs). Reads this store only: several threads may clone one
-    /// const store at once. The trace attachment is not copied.
+    /// serves any number of searches (portfolio workers, the replay). Reads
+    /// this store only: several threads may clone one const store at once.
+    /// The trace attachment is not copied.
     Store clone() const;
 
     // -- variables -----------------------------------------------------------

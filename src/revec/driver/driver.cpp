@@ -40,15 +40,8 @@ options:
   --include-reconfigs  reconfiguration-aware modulo model (with --emit=modulo)
   --simulate         execute the generated code and check the outputs
   --threads=N        parallel portfolio workers sharing one incumbent bound
-                     (default 1 = the sequential solver)
+                     (1-64; default 1 = the sequential solver)
   --portfolio        shorthand for --threads=<hardware concurrency, max 8>
-  --lns=MODE         on races large-neighbourhood-search workers alongside
-                     the portfolio (default 2 unless --lns-workers says
-                     otherwise); off (default) disables them. Flat
-                     schedules only: rejected with --emit=modulo
-  --lns-workers=N    number of LNS workers (implies --lns=on)
-  --lns-relax-pct=P  percent of the ops each LNS round relaxes (1-100,
-                     default 30)
   --seed=N           portfolio diversification seed (default 0x5eed)
   --warm-start=MODE  on (default) seeds the exact search with a verified
                      heuristic schedule and falls back to it on timeout;
@@ -89,7 +82,6 @@ const std::vector<std::string>& known_flags() {
         "--emit",         "--slots",     "--timeout-ms",   "--no-merge",
         "--no-memory",    "--include-reconfigs",           "--simulate",
         "--threads",      "--portfolio", "--seed",         "--warm-start",
-        "--lns",          "--lns-workers",                 "--lns-relax-pct",
         "--heuristic-only",              "--lanes",        "--arch",
         "--save-schedule",               "--dump-model",   "--trace",
         "--trace-level",  "--metrics",   "--help",
@@ -97,31 +89,9 @@ const std::vector<std::string>& known_flags() {
     return kFlags;
 }
 
-namespace {
-
-/// "did you mean" helper: the closest known flag name within a small edit
-/// distance of the mistyped one, or empty.
-std::string closest_flag(const std::string& arg) {
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    std::size_t best_dist = 3;  // suggest only when plausibly a typo
-    for (const std::string& flag : known_flags()) {
-        const std::size_t d = edit_distance(name, flag);
-        if (d < best_dist) {
-            best_dist = d;
-            best = flag;
-        }
-    }
-    return best;
-}
-
-}  // namespace
-
 std::optional<Options> parse_args(const std::vector<std::string>& args, std::ostream& out) {
     Options opts;
     bool trace_level_given = false;
-    bool lns_on = false;
-    bool lns_off = false;
     for (const std::string& arg : args) {
         if (arg == "--help" || arg == "-h") {
             out << usage();
@@ -156,25 +126,11 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
             const unsigned hw = std::thread::hardware_concurrency();
             opts.threads = static_cast<int>(std::min(hw == 0 ? 4u : hw, 8u));
         } else if (starts_with(arg, "--threads=")) {
-            opts.threads = static_cast<int>(parse_int(arg.substr(10)));
-            if (opts.threads < 1) throw Error("--threads must be >= 1");
-        } else if (starts_with(arg, "--lns=")) {
-            const std::string mode = arg.substr(6);
-            if (mode == "on") {
-                lns_on = true;
-            } else if (mode == "off") {
-                lns_off = true;
-            } else {
-                throw Error("--lns must be 'on' or 'off'");
+            const std::int64_t threads = parse_int(arg.substr(10));
+            if (threads < 1 || threads > cp::kMaxWorkers) {
+                throw Error("--threads must be in [1, " + std::to_string(cp::kMaxWorkers) + "]");
             }
-        } else if (starts_with(arg, "--lns-workers=")) {
-            opts.lns_workers = static_cast<int>(parse_int(arg.substr(14)));
-            if (opts.lns_workers < 1) throw Error("--lns-workers must be >= 1");
-        } else if (starts_with(arg, "--lns-relax-pct=")) {
-            opts.lns_relax_pct = static_cast<int>(parse_int(arg.substr(16)));
-            if (opts.lns_relax_pct < 1 || opts.lns_relax_pct > 100) {
-                throw Error("--lns-relax-pct must be in [1, 100]");
-            }
+            opts.threads = static_cast<int>(threads);
         } else if (starts_with(arg, "--seed=")) {
             opts.seed = static_cast<std::uint32_t>(parse_int(arg.substr(7)));
         } else if (starts_with(arg, "--slots=")) {
@@ -206,7 +162,7 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
             if (opts.metrics_path.empty()) throw Error("--metrics needs a file path");
         } else if (starts_with(arg, "--")) {
             std::string message = "unknown option '" + arg + "'";
-            const std::string suggestion = closest_flag(arg);
+            const std::string suggestion = closest_flag(arg, known_flags());
             if (!suggestion.empty()) message += " — did you mean '" + suggestion + "'?";
             throw Error(message + " (try --help)");
         } else if (opts.input_path.empty()) {
@@ -217,14 +173,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
         }
     }
     if (opts.input_path.empty()) throw Error("no input file (try --help)");
-    if (lns_on && lns_off) throw Error("--lns given as both 'on' and 'off'");
-    // --lns=on without a count defaults to 2 workers; --lns=off wins over a
-    // --lns-workers count; --lns-workers=N alone implies on.
-    if (lns_off) {
-        opts.lns_workers = 0;
-    } else if (lns_on && opts.lns_workers == 0) {
-        opts.lns_workers = 2;
-    }
     // Asking for a trace file implies phase-level tracing; an explicit
     // --trace-level (any value, including off) wins.
     if (!opts.trace_path.empty() && !trace_level_given) {
@@ -335,24 +283,13 @@ obs::MetricsRegistry collect_metrics(const sched::Schedule& s) {
     m.set("solve.lower_bound", s.lower_bound);
     m.set("solve.bound_closed", s.bound_closed ? 1 : 0);
     m.label("solve.status", status_word(s.status));
-    std::int64_t lns_workers = 0;
     for (const cp::WorkerReport& w : s.workers) {
         const std::string prefix = "worker." + std::to_string(w.config_index) + ".";
         cp::export_counters(w.stats, m, prefix);
         m.set(prefix + "proved", w.proved ? 1 : 0);
         m.set(prefix + "best_objective", w.best_objective);
         m.label(prefix + "label", w.label);
-        if (w.is_lns) {
-            ++lns_workers;
-            m.set(prefix + "lns_rounds", w.lns_rounds);
-            m.set(prefix + "lns_accepted", w.lns_accepted);
-            m.set(prefix + "lns_rejected", w.lns_rejected);
-            m.add("lns.rounds", w.lns_rounds);
-            m.add("lns.accepted", w.lns_accepted);
-            m.add("lns.rejected", w.lns_rejected);
-        }
     }
-    if (lns_workers > 0) m.set("lns.workers", lns_workers);
     return m;
 }
 
@@ -370,11 +307,6 @@ obs::MetricsRegistry collect_metrics(const pipeline::ModuloResult& r) {
 }
 
 int run(const Options& options, std::ostream& out) {
-    if (options.emit == "modulo" && options.lns_workers > 0) {
-        // LNS relaxes flat, unpinned schedules; the modulo scan has none.
-        out << "--lns/--lns-workers apply to flat schedules, not --emit=modulo\n";
-        return 1;
-    }
     const arch::ArchSpec spec = spec_for(options);
     ir::Graph g = ir::load_xml(options.input_path);
     if (options.merge_pass) g = ir::merge_pipeline_ops(g);
@@ -388,10 +320,8 @@ int run(const Options& options, std::ostream& out) {
     sopts.warm_start = options.warm_start;
     sopts.heuristic_only = options.heuristic_only;
     sopts.solver.threads = options.threads;
-    sopts.solver.lns_workers = options.lns_workers;
     sopts.solver.seed = options.seed;
     sopts.solver.profile = !options.metrics_path.empty();
-    sopts.lns.relax_pct = static_cast<double>(options.lns_relax_pct) / 100.0;
 
     if (!options.dump_model_path.empty()) {
         // Exactly the model the scheduling path solves — resolved
@@ -444,16 +374,6 @@ int run(const Options& options, std::ostream& out) {
         out << "solve:       " << s.stats.nodes << " nodes, " << s.stats.failures
             << " failures, " << format_fixed(s.stats.time_ms, 0) << " ms\n";
         for (const cp::WorkerReport& w : s.workers) {
-            if (w.is_lns) {
-                out << "  worker " << w.config_index << " [" << w.label
-                    << "]: " << w.lns_rounds << " rounds, " << w.lns_accepted
-                    << " accepted, " << w.lns_rejected << " rejected"
-                    << (w.best_objective >= 0
-                            ? ", best " + std::to_string(w.best_objective)
-                            : "")
-                    << "\n";
-                continue;
-            }
             out << "  worker " << w.config_index << " [" << w.label << "]: " << w.stats.nodes
                 << " nodes, " << w.stats.failures << " failures, " << w.stats.cutoff_prunes
                 << " bound prunes, " << w.stats.restarts << " restarts"

@@ -36,8 +36,6 @@ struct Options {
     bool include_reconfigs = false;   ///< for --emit=modulo
     bool simulate = false;            ///< run the simulator after codegen
     int threads = 1;                  ///< portfolio workers (1 = sequential solver)
-    int lns_workers = 0;              ///< LNS workers raced alongside (0 = off)
-    int lns_relax_pct = 30;           ///< percent of ops each LNS round relaxes
     std::uint32_t seed = 0x5eedu;     ///< portfolio diversification seed
     bool warm_start = true;           ///< heuristic incumbent + anytime fallback
     bool heuristic_only = false;      ///< skip the exact solver entirely
@@ -84,9 +82,7 @@ const std::vector<std::string>& known_flags();
 
 /// The metrics registry for one schedule solve: SearchStats under "solve.",
 /// engine counters under "engine.", per-propagator-class profiles under
-/// "prop.<Class>.", per-worker counters under "worker.<k>." (LNS workers
-/// additionally export "worker.<k>.lns_*" and aggregate into "lns.workers"
-/// / "lns.rounds" / "lns.accepted" / "lns.rejected"), plus result
+/// "prop.<Class>.", per-worker counters under "worker.<k>.", plus result
 /// labels/gauges. This is what `--metrics=F` serializes; exposed for the
 /// driver tests (counter totals must equal the solver's own counters).
 obs::MetricsRegistry collect_metrics(const sched::Schedule& s);

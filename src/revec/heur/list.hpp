@@ -62,7 +62,7 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
 /// issue, then additionally spread write-backs) so the greedy slot
 /// allocator faces easier access groups. sched walks it front to back for
 /// the warm start; ladder().back() is the most conservative rung — longest
-/// makespan, easiest allocation — which the LNS rescue bench seeds from.
+/// makespan, easiest allocation.
 const std::vector<ListOptions>& ladder();
 
 }  // namespace revec::heur

@@ -225,7 +225,9 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
         // leaves a hole our simulator caught — a merge-unit write (1-cycle
         // latency) can land together with a vector-core write (7-cycle
         // latency) from an earlier issue. We group by completion time
-        // across every vector-writing unit.
+        // across every vector-writing unit. The outputs of one writer land
+        // together too (a matrix op writes four rows), so each writer's own
+        // outputs form an unconditional list, as eq. (7) does for operands.
         const auto index_of = [&vdata_index](const std::vector<int>& ids) {
             std::vector<int> out;
             for (const int d : ids) out.push_back(vdata_index[static_cast<std::size_t>(d)]);
@@ -235,14 +237,15 @@ VarTable emit_flat(cp::Store& store, const KernelModel& m) {
         for (const int op : m.vector_ops) {
             const ModelNode& node = m.node(op);
             const std::vector<int> ins = index_of(node.vector_inputs);
-            groups.operands.add(ins);
+            groups.together.add(ins);
             groups.issue.add(start[static_cast<std::size_t>(op)], node.lanes, ins);
         }
         for (const int op : m.ops) {
             const ModelNode& node = m.node(op);
             if (node.vector_outputs.empty()) continue;
-            groups.landing.add(completions[static_cast<std::size_t>(op)], 0,
-                               index_of(node.vector_outputs));
+            const std::vector<int> outs = index_of(node.vector_outputs);
+            groups.together.add(outs);
+            groups.landing.add(completions[static_cast<std::size_t>(op)], 0, outs);
         }
         cp::post_access_groups(store, std::move(groups));
     }

@@ -3,14 +3,14 @@
 // ModuloWrap, the §4.3 modulo model over residues and stages. Both
 // schedule_kernel and the modulo pipeline call this one function, so the
 // duplicated channeling blocks of the historical per-consumer builders are
-// gone and nogood / LNS work gets one stable table of variable handles.
+// gone and every search gets one stable table of variable handles.
 //
 // Emission is deterministic: variable creation order and propagator posting
 // order are a pure function of the KernelModel, so any emission's handles
 // index the solution vector of a solve over any other emission of the same
 // model, and the search tree replays node-for-node across emissions. Each
 // consumer emits once; further searches of the same model (portfolio
-// workers, the replay, LNS repair rounds) run on cp::Store::clone copies.
+// workers, the replay) run on cp::Store::clone copies.
 #pragma once
 
 #include <map>

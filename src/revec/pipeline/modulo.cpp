@@ -138,11 +138,6 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
     obs::SpanScope modulo_span(trace, obs::TraceLevel::Phase, "modulo", "nodes",
                                g.num_nodes());
 
-    // LNS relaxes flat, unpinned schedules only: the per-II searches run
-    // CP workers alone.
-    cp::SolverConfig solver = options.solver;
-    solver.lns_workers = 0;
-
     // One base lowering (no wrap) feeds the bound, the IMS warm start, and
     // the reconfiguration counting; the per-II exact models are lowered
     // inside try_ii with their wrap attached.
@@ -214,7 +209,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 break;
             }
             const IiAttempt attempt =
-                try_ii(spec, g, ii, horizon, false, 0, deadline, solver);
+                try_ii(spec, g, ii, horizon, false, 0, deadline, options.solver);
             best.absorb(attempt.result);
             if (attempt.result.has_solution()) {
                 extract(attempt, ii);
@@ -264,7 +259,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         // no later II can beat the incumbent either.
         if (budget < r_floor) break;
         const IiAttempt attempt =
-            try_ii(spec, g, ii, horizon, true, budget, deadline, solver);
+            try_ii(spec, g, ii, horizon, true, budget, deadline, options.solver);
         best.absorb(attempt.result);
         if (!attempt.result.has_solution()) continue;
         const int r = attempt.result.value_of(attempt.reconfig_count);

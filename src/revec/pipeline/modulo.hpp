@@ -27,9 +27,7 @@ struct ModuloOptions {
     /// Wall-clock budget; -1 = unlimited. The paper used a 10-minute cap.
     std::int64_t timeout_ms = -1;
     /// Portfolio search for each per-II solve (threads = 1 walks the
-    /// sequential tree); see cp/portfolio.hpp. LNS runs only on flat,
-    /// unpinned models, so the scan runs no LNS workers: lns_workers is
-    /// treated as 0, as schedule_model does for slot-only solves.
+    /// sequential tree); see cp/portfolio.hpp.
     cp::SolverConfig solver;
 
     /// Warm start from heur::iterative_modulo_schedule: the greedy IMS

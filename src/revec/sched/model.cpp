@@ -9,7 +9,6 @@
 #include "revec/heur/list.hpp"
 #include "revec/ir/analysis.hpp"
 #include "revec/ir/validate.hpp"
-#include "revec/lns/lns.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/emit_cp.hpp"
 #include "revec/model/kernel_model.hpp"
@@ -267,34 +266,16 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
 
     cp::SolverConfig solver = options.solver;
     if (heuristic.has_value()) solver.initial_incumbent = heuristic->makespan;
-    if (!km->fixed_starts.empty()) {
-        // Slot-only mode: every start is pinned, so there is no
-        // neighbourhood to relax.
-        solver.lns_workers = 0;
-    }
 
     // One emission supplies the variable handles for extraction and the
-    // store worker 0 searches; further portfolio workers, the replay search
-    // and the LNS hook clone it, so this table's handles index any worker's
-    // solution.
+    // store worker 0 searches; further portfolio workers and the replay
+    // search clone it, so this table's handles index any worker's solution.
     cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
     model::VarTable m = model::emit_cp(store, *km);
     obs::span_end(trace, obs::TraceLevel::Phase, "emit_cp", "vars",
                   static_cast<std::int64_t>(store.num_vars()), "props",
                   static_cast<std::int64_t>(store.num_propagators()));
-
-    if (solver.lns_workers > 0) {
-        // The round hook repairs clones of this emission; completing the
-        // heuristic schedule into a full store assignment (on another
-        // clone) lets LNS rounds start before any CP worker publishes a
-        // solution of its own.
-        solver.lns_round = lns::make_portfolio_round(*km, store.clone(), m, options.lns);
-        if (heuristic.has_value()) {
-            solver.lns_seed_assignment = lns::complete_assignment(
-                store.clone(), m, heuristic->start, heuristic->slot);
-        }
-    }
 
     cp::SearchOptions search_opts;
     search_opts.deadline = Deadline::after_ms(options.timeout_ms);

@@ -11,7 +11,6 @@
 #include "revec/arch/spec.hpp"
 #include "revec/cp/portfolio.hpp"
 #include "revec/ir/graph.hpp"
-#include "revec/lns/lns.hpp"
 #include "revec/model/kernel_model.hpp"
 #include "revec/obs/trace.hpp"
 #include "revec/sched/schedule.hpp"
@@ -55,15 +54,8 @@ struct ModelSolveOptions {
 
     /// Exact search (§3.5), run through cp::solve_portfolio: N diversified
     /// workers with a shared branch-and-bound incumbent; threads = 1 walks
-    /// the sequential tree. See cp/portfolio.hpp for the knobs. Setting
-    /// solver.lns_workers > 0 races LNS workers alongside (the lns_round
-    /// hook and seed assignment are wired here from the lowered model — the
-    /// caller only sets the count and `lns` tuning).
+    /// the sequential tree. See cp/portfolio.hpp for the knobs.
     cp::SolverConfig solver;
-
-    /// Tuning of the portfolio's LNS workers (relax fraction, repair
-    /// budget, selector rotation). Ignored unless solver.lns_workers > 0.
-    lns::LnsTuning lns;
 
     /// Optional externally supplied incumbent (see IncumbentSeed). Only
     /// consulted on warm-started full solves of models without
@@ -106,8 +98,8 @@ model::KernelModel lower_for_schedule(const ir::Graph& g,
 ModelSolveOptions model_solve_options(const ScheduleOptions& options);
 
 /// Solve an already-lowered flat KernelModel: verified heuristic warm
-/// start, exact CP search (cp::solve_portfolio at any thread count, LNS
-/// workers on unpinned models), anytime merge — the body of schedule_kernel
+/// start, exact CP search (cp::solve_portfolio at any thread count),
+/// anytime merge — the body of schedule_kernel
 /// after lowering. Throws revec::Error for a model with a modulo wrap.
 /// Re-entrant: safe to call concurrently from many threads given distinct
 /// trace tracks.

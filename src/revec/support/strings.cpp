@@ -87,6 +87,20 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
     return row[b.size()];
 }
 
+std::string closest_flag(std::string_view arg, const std::vector<std::string>& known) {
+    const std::string_view name = arg.substr(0, arg.find('='));
+    std::string best;
+    std::size_t best_dist = 3;  // suggest only when plausibly a typo
+    for (const std::string& flag : known) {
+        const std::size_t d = edit_distance(name, flag);
+        if (d < best_dist) {
+            best_dist = d;
+            best = flag;
+        }
+    }
+    return best;
+}
+
 bool glob_match(std::string_view pattern, std::string_view s) {
     // Iterative matcher with single-star backtracking: on mismatch, retry
     // from the most recent '*' consuming one more character.

@@ -33,6 +33,11 @@ std::string format_fixed(double v, int prec);
 /// for "did you mean" suggestions on mistyped command-line flags.
 std::size_t edit_distance(std::string_view a, std::string_view b);
 
+/// The "did you mean" flag for a mistyped `arg`: the entry of `known`
+/// nearest to arg's name (the part before any '='), the first on ties, if
+/// it is within edit distance 2; else "".
+std::string closest_flag(std::string_view arg, const std::vector<std::string>& known);
+
 /// Shell-style glob match: '*' matches any run of characters (including
 /// empty), '?' matches exactly one; everything else is literal. Used for
 /// metric-name patterns in revec-stats diff tolerance rules.

@@ -17,8 +17,7 @@ const std::vector<std::string>& revecd_known_flags() {
 const std::vector<std::string>& revecctl_known_flags() {
     static const std::vector<std::string> kFlags = {
         "--socket",       "--deadline-ms",
-        "--threads",      "--lns-workers",
-        "--lns-relax-pct", "--seed",
+        "--threads",      "--seed",
         "--no-warm-start", "--heuristic-only",
         "--reuse",        "--rid",
         "--watch",        "--interval-ms",
@@ -81,9 +80,7 @@ void revecctl_usage(std::ostream& os) {
           "solve options:\n"
           "  --deadline-ms=N        per-request budget; -1 none (default), 0\n"
           "                         forces the verified heuristic answer\n"
-          "  --threads=N            solver threads per request (default 1)\n"
-          "  --lns-workers=N        LNS workers raced alongside (default 0)\n"
-          "  --lns-relax-pct=N      LNS relax percentage 1..100 (default 30)\n"
+          "  --threads=N            solver threads per request, 1..64 (default 1)\n"
           "  --seed=N               search seed (default 0x5eed)\n"
           "  --no-warm-start        cold exact solve (no heuristic seed)\n"
           "  --heuristic-only       skip the exact solver\n"

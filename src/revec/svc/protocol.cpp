@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "revec/cp/portfolio.hpp"
 #include "revec/model/json.hpp"
 #include "revec/support/assert.hpp"
 #include "revec/support/json.hpp"
@@ -26,10 +27,6 @@ const char* kind_name(RequestKind kind) {
     }
     REVEC_UNREACHABLE("bad RequestKind");
 }
-
-/// Upper bound on `options.threads + options.lns_workers`: the solve
-/// starts one thread per worker, so a request may not ask for more.
-constexpr std::int64_t kMaxRequestWorkers = 64;
 
 /// Begin reading a request or response line, which must hold one object;
 /// anything else is refused as `what` (after its syntax error, if any).
@@ -84,10 +81,10 @@ std::string string_or_skip(json::Reader& in) {
 }
 
 enum OptionKey : std::size_t {
-    kThreads, kLnsWorkers, kLnsRelaxPct, kSeed, kWarmStart, kHeuristicOnly, kReuse,
+    kThreads, kSeed, kWarmStart, kHeuristicOnly, kReuse,
 };
-constexpr std::array<std::string_view, 7> kOptionKeys = {
-    "threads", "lns_workers", "lns_relax_pct", "seed", "warm_start", "heuristic_only", "reuse",
+constexpr std::array<std::string_view, 5> kOptionKeys = {
+    "threads", "seed", "warm_start", "heuristic_only", "reuse",
 };
 
 void read_options(json::Reader& in, SolveParams& p) {
@@ -96,8 +93,6 @@ void read_options(json::Reader& in, SolveParams& p) {
         const std::string_view key = kOptionKeys[i];
         switch (static_cast<OptionKey>(i)) {
             case kThreads: p.threads = read_int32(in, key); return;
-            case kLnsWorkers: p.lns_workers = read_int32(in, key); return;
-            case kLnsRelaxPct: p.lns_relax_pct = read_int32(in, key); return;
             case kSeed:
                 p.seed = static_cast<std::uint32_t>(read_int(in, key, 0, UINT32_MAX));
                 return;
@@ -114,14 +109,10 @@ void read_options(json::Reader& in, SolveParams& p) {
             }
         }
     });
-    if (p.threads < 1) throw Error("options.threads must be >= 1");
-    if (p.lns_workers < 0) throw Error("options.lns_workers must be >= 0");
-    if (std::int64_t{p.threads} + p.lns_workers > kMaxRequestWorkers) {
-        throw Error("options.threads + options.lns_workers must be <= " +
-                    std::to_string(kMaxRequestWorkers));
-    }
-    if (p.lns_relax_pct < 1 || p.lns_relax_pct > 100) {
-        throw Error("options.lns_relax_pct must be in [1, 100]");
+    // The solve starts one thread per worker: refuse a count past the cap
+    // here, before any thread starts.
+    if (p.threads < 1 || p.threads > cp::kMaxWorkers) {
+        throw Error("options.threads must be in [1, " + std::to_string(cp::kMaxWorkers) + "]");
     }
 }
 
@@ -340,8 +331,6 @@ std::string serialize_request(const Request& request) {
        << ",\"deadline_ms\":" << request.deadline_ms;
     if (request.rid != 0) os << ",\"rid\":\"" << hash_hex(request.rid) << "\"";
     os << ",\"options\":{\"threads\":" << request.params.threads
-       << ",\"lns_workers\":" << request.params.lns_workers
-       << ",\"lns_relax_pct\":" << request.params.lns_relax_pct
        << ",\"seed\":" << request.params.seed
        << ",\"warm_start\":" << (request.params.warm_start ? "true" : "false")
        << ",\"heuristic_only\":" << (request.params.heuristic_only ? "true" : "false")

@@ -43,8 +43,6 @@ enum class ReuseMode {
 /// exactly like the standalone binary.
 struct SolveParams {
     int threads = 1;
-    int lns_workers = 0;
-    int lns_relax_pct = 30;
     std::uint32_t seed = 0x5eedu;
     bool warm_start = true;
     bool heuristic_only = false;
@@ -58,7 +56,7 @@ struct Request {
     /// Request id for telemetry correlation (DESIGN §5l): chosen by the
     /// client, carried as 16 hex digits on the wire, stamped into every
     /// span/instant emitted on the request's behalf (session track, pool
-    /// worker, LNS rounds, flight recorder) and echoed in the response.
+    /// worker, flight recorder) and echoed in the response.
     /// 0 = unset; the service assigns one so every request is correlated.
     std::uint64_t rid = 0;
 

@@ -379,8 +379,6 @@ Response Service::solve_and_finish(Request& request, std::uint64_t rid, std::uin
     mo.heuristic_only = shed || request.params.heuristic_only;
     mo.solver.threads = request.params.threads;
     mo.solver.seed = request.params.seed;
-    mo.solver.lns_workers = request.params.lns_workers;
-    mo.lns.relax_pct = static_cast<double>(request.params.lns_relax_pct) / 100.0;
     mo.trace = solve_track;
     mo.solver.trace_rid = rid_i;
     // The adapted donor seed rides the warm-start plumbing; shed requests

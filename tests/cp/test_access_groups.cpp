@@ -95,7 +95,7 @@ std::vector<IntVar> post_global(Store& s, const Instance& in) {
     AccessGroups g;
     std::vector<IntVar> times;
     std::vector<IntVar> vars = post_vars(s, in, g, times);
-    for (const std::vector<int>& l : in.operands) g.operands.add(l);
+    for (const std::vector<int>& l : in.operands) g.together.add(l);
     g.issue.lane_cap = in.lane_cap;
     for (const Instance::Member& m : in.issue) {
         g.issue.add(times[static_cast<std::size_t>(m.time)], m.lanes, m.data);

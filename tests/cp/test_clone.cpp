@@ -4,7 +4,7 @@
 // of the engine golden suite and on the scheduler's own emissions (flat
 // MATMUL/QRD/ARF, Table 3 modulo QRD/ARF). Clones share no state with the
 // original or with each other, and one const store can be cloned from
-// several threads at once — what the portfolio workers and LNS rounds do.
+// several threads at once — what the portfolio workers do.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -142,7 +142,7 @@ std::vector<IdempotentClass> idempotent_classes() {
                  for (int& d : l) d = pick(rng, 0, data - 1);
                  return l;
              };
-             for (int k = pick(rng, 0, 2); k > 0; --k) g.operands.add(list());
+             for (int k = pick(rng, 0, 2); k > 0; --k) g.together.add(list());
              g.issue.lane_cap = 4;
              for (int t = 0; t < times; ++t) {
                  const IntVar time = xs[static_cast<std::size_t>(2 * data + t)];

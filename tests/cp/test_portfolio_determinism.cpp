@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "portfolio_models.hpp"
+#include "revec/obs/trace.hpp"
+#include "revec/obs/trace_read.hpp"
 #include "revec/support/stopwatch.hpp"
 
 namespace revec::cp {
@@ -33,6 +37,60 @@ TEST(PortfolioDeterminism, SameSeedSameThreadsSameSolution) {
         EXPECT_EQ(r.best, first.best) << "run " << run;
         EXPECT_EQ(r.winner >= 0, first.winner >= 0) << "run " << run;
     }
+}
+
+TEST(PortfolioDeterminism, ReplayStopsAtItsFailureBudget) {
+    // A pigeonhole trap: with `wide` = 0 ten pigeons share nine holes,
+    // which the search refutes only after far more than kReplayFailures
+    // failures. The baseline configuration, and so the replay, tries
+    // wide = 0 first; worker 2 (median values) tries wide = 1 and proves
+    // the optimum at once. The replay gives up at its budget and the
+    // winner's assignment stands.
+    const testing::Instance trap = [](Store& s) -> PostedModel {
+        constexpr int kHoles = 9;
+        const IntVar wide = s.new_var(0, 2);
+        std::vector<IntVar> pigeons;
+        for (int i = 0; i <= kHoles; ++i) {
+            const IntVar p = s.new_var(0, kHoles);
+            post_leq_offset(s, p, 1 - kHoles, wide);  // p <= kHoles - 1 + wide
+            for (const IntVar q : pigeons) post_not_equal(s, p, q);
+            pigeons.push_back(p);
+        }
+        std::vector<IntVar> vars{wide};
+        vars.insert(vars.end(), pigeons.begin(), pigeons.end());
+        const IntVar obj = s.new_var(0, 3);
+        PostedModel model;
+        model.phases.push_back({vars, VarSelect::SmallestMin, ValSelect::Min, "trap"});
+        model.phases.push_back({{obj}, VarSelect::SmallestMin, ValSelect::Min, "obj"});
+        model.objective = obj;
+        return model;
+    };
+    SolverConfig cfg;
+    cfg.threads = 3;
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    SearchOptions opts;
+    opts.trace = sink.main();
+    const PortfolioResult r = run_portfolio(trap, cfg, opts);
+    ASSERT_EQ(r.status, SolveStatus::Optimal);
+    EXPECT_EQ(r.best.back(), 0);  // the objective, the last variable
+    EXPECT_NE(r.best.front(), 0);  // wide: the winner's assignment
+
+    // The merged counters are the workers' plus the replay's.
+    std::int64_t worker_failures = 0;
+    for (const WorkerReport& w : r.workers) worker_failures += w.stats.failures;
+    EXPECT_LE(r.stats.failures - worker_failures, kReplayFailures + 1);
+
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    int replays = 0;
+    for (const obs::ParsedTrack& track : obs::parse_trace(os.str()).tracks) {
+        for (const obs::ParsedEvent& e : track.events) {
+            if (e.kind != 'E' || e.name != "replay") continue;
+            ++replays;
+            EXPECT_EQ(e.args.at("found"), 0);
+        }
+    }
+    EXPECT_EQ(replays, 1);
 }
 
 TEST(PortfolioDeterminism, DifferentThreadCountsAgreeOnObjective) {

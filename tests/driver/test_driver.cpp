@@ -230,20 +230,6 @@ TEST(Run, SimulateRequiresMemory) {
     EXPECT_NE(out.str().find("requires memory allocation"), std::string::npos);
 }
 
-TEST(Run, LnsWithModuloIsAUsageError) {
-    // LNS relaxes flat schedules; the modulo scan has none to relax.
-    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul20.xml");
-    std::ostringstream parse_out;
-    const auto opts = parse_args({path, "--emit=modulo", "--lns=on"}, parse_out);
-    ASSERT_TRUE(opts.has_value());
-    std::ostringstream out;
-    EXPECT_EQ(run(*opts, out), 1);
-    EXPECT_NE(out.str().find("--emit=modulo"), std::string::npos);
-    const auto counted = parse_args({path, "--emit=modulo", "--lns-workers=1"}, parse_out);
-    ASSERT_TRUE(counted.has_value());
-    EXPECT_EQ(run(*counted, out), 1);
-}
-
 TEST(Run, MissingFileFails) {
     Options opts;
     opts.input_path = "/nonexistent/kernel.xml";
@@ -384,80 +370,29 @@ TEST(ParseArgs, UnknownFlagSuggestsClosestMatch) {
 }
 
 TEST(ParseArgs, LnsFlags) {
+    // The portfolio of CP workers is the only exact search: the LNS flags
+    // are unknown options, and --help no longer names them.
     std::ostringstream out;
-    const auto defaults = parse_args({"k.xml"}, out);
-    ASSERT_TRUE(defaults.has_value());
-    EXPECT_EQ(defaults->lns_workers, 0);
-    EXPECT_EQ(defaults->lns_relax_pct, 30);
-
-    // --lns=on without a count defaults to 2 workers.
-    const auto on = parse_args({"k.xml", "--lns=on"}, out);
-    ASSERT_TRUE(on.has_value());
-    EXPECT_EQ(on->lns_workers, 2);
-
-    // --lns-workers=N implies on; --lns=off wins regardless of order.
-    const auto counted = parse_args({"k.xml", "--lns-workers=3"}, out);
-    ASSERT_TRUE(counted.has_value());
-    EXPECT_EQ(counted->lns_workers, 3);
-    const auto off = parse_args({"k.xml", "--lns-workers=3", "--lns=off"}, out);
-    ASSERT_TRUE(off.has_value());
-    EXPECT_EQ(off->lns_workers, 0);
-
-    const auto pct = parse_args({"k.xml", "--lns=on", "--lns-relax-pct=45"}, out);
-    ASSERT_TRUE(pct.has_value());
-    EXPECT_EQ(pct->lns_relax_pct, 45);
-
-    EXPECT_NE(usage().find("--lns="), std::string::npos);
-    EXPECT_NE(usage().find("--lns-workers"), std::string::npos);
-    EXPECT_NE(usage().find("--lns-relax-pct"), std::string::npos);
-
-    EXPECT_THROW(parse_args({"k.xml", "--lns=maybe"}, out), Error);
-    EXPECT_THROW(parse_args({"k.xml", "--lns=on", "--lns=off"}, out), Error);
-    EXPECT_THROW(parse_args({"k.xml", "--lns-workers=0"}, out), Error);
-    EXPECT_THROW(parse_args({"k.xml", "--lns-relax-pct=0"}, out), Error);
-    EXPECT_THROW(parse_args({"k.xml", "--lns-relax-pct=101"}, out), Error);
+    for (const char* flag : {"--lns=on", "--lns-workers=2", "--lns-relax-pct=30"}) {
+        try {
+            parse_args({"k.xml", flag}, out);
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown option"), std::string::npos) << flag;
+        }
+    }
+    EXPECT_EQ(usage().find("--lns"), std::string::npos);
 }
 
-TEST(Run, LnsMetricsKeysPresent) {
-    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul18.xml");
-    const std::string metrics_path = testing::TempDir() + "/drv_lns_metrics.json";
-    Options opts;
-    opts.input_path = path;
-    opts.threads = 2;
-    opts.lns_workers = 2;
-    opts.warm_start = false;  // a warm MATMUL solve closes at the root
-    opts.metrics_path = metrics_path;
+TEST(ParseArgs, ThreadsCappedAtMaxWorkers) {
+    // Refused while parsing, so no thread ever starts.
     std::ostringstream out;
-    const int code = run(opts, out);
-    EXPECT_TRUE(code == 0 || code == 4 || code == 5) << code;
-    std::ifstream in(metrics_path);
-    ASSERT_TRUE(in.good());
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    // The lns.* aggregate section plus per-worker lns counters — and the
-    // deterministic registry ordering keeps accepted before rejected
-    // before rounds before workers.
-    EXPECT_NE(content.find("\"lns.workers\": 2"), std::string::npos);
-    EXPECT_NE(content.find("\"lns.rounds\""), std::string::npos);
-    EXPECT_NE(content.find("\"lns.accepted\""), std::string::npos);
-    EXPECT_NE(content.find("\"lns.rejected\""), std::string::npos);
-    EXPECT_NE(content.find(".lns_rounds\""), std::string::npos);
-    EXPECT_LT(content.find("\"lns.accepted\""), content.find("\"lns.rejected\""));
-    EXPECT_LT(content.find("\"lns.rejected\""), content.find("\"lns.rounds\""));
-}
-
-TEST(Run, LnsWorkerReportInScheduleOutput) {
-    const std::string path = write_kernel(apps::build_matmul(), "drv_matmul19.xml");
-    Options opts;
-    opts.input_path = path;
-    opts.threads = 2;
-    opts.lns_workers = 1;
-    opts.warm_start = false;  // a warm MATMUL solve closes at the root
-    std::ostringstream out;
-    const int code = run(opts, out);
-    EXPECT_TRUE(code == 0 || code == 4 || code == 5) << code;
-    EXPECT_NE(out.str().find("[lns-0]"), std::string::npos) << out.str();
-    EXPECT_NE(out.str().find("rounds"), std::string::npos);
+    const auto most = parse_args({"k.xml", "--threads=" + std::to_string(cp::kMaxWorkers)}, out);
+    ASSERT_TRUE(most.has_value());
+    EXPECT_EQ(most->threads, cp::kMaxWorkers);
+    EXPECT_THROW(parse_args({"k.xml", "--threads=" + std::to_string(cp::kMaxWorkers + 1)}, out),
+                 Error);
+    EXPECT_THROW(parse_args({"k.xml", "--threads=0"}, out), Error);
 }
 
 TEST(Run, TraceAndMetricsArtifacts) {

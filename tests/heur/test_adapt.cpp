@@ -33,12 +33,11 @@ sched::Schedule donor_for(const model::KernelModel& m) {
     return s;
 }
 
-/// Change a node's latency consistently (node field + mirroring edges).
+/// Change a node's latency; derive() carries it to the edges, ASAP/ALAP
+/// and the critical path.
 void set_latency(model::KernelModel& m, int id, int latency) {
     m.nodes[static_cast<std::size_t>(id)].latency = latency;
-    for (model::ModelEdge& e : m.edges) {
-        if (e.src == id) e.latency = latency;
-    }
+    model::derive(m);
 }
 
 /// One seeded edit script: perturb 1-2 op latencies (downward edits keep

@@ -17,13 +17,11 @@ KernelModel matmul_model() {
                                      sched::ScheduleOptions{});
 }
 
-/// Change a node's latency consistently: the node field plus every
-/// outgoing edge that mirrors it (edge latency = producer latency).
+/// Change a node's latency; derive() carries it to the edges, ASAP/ALAP
+/// and the critical path.
 void set_latency(KernelModel& m, int id, int latency) {
     m.nodes[static_cast<std::size_t>(id)].latency = latency;
-    for (ModelEdge& e : m.edges) {
-        if (e.src == id) e.latency = latency;
-    }
+    derive(m);
 }
 
 int first_op(const KernelModel& m) { return m.ops.front(); }

@@ -53,7 +53,7 @@ TEST(ModelJsonRoundTrip, OptionalFieldsSurvive) {
 }
 
 TEST(ModelJsonRoundTrip, FrozenStartsKeyIsIgnoredLikeAnyUnknownKey) {
-    // KernelModel has no LNS pinning field: a "frozen_starts" key (of any
+    // KernelModel has no partial pinning field: a "frozen_starts" key (of any
     // length) neither pins anything nor survives the round trip.
     const std::string canonical = to_json(matmul_model());
     ASSERT_EQ(canonical.rfind("{\n", 0), 0u);

@@ -12,13 +12,9 @@
 #include <string>
 
 #include "../cp/portfolio_models.hpp"
-#include "../lns/lns_fixtures.hpp"
-#include "revec/apps/matmul.hpp"
 #include "revec/cp/linear.hpp"
 #include "revec/cp/portfolio.hpp"
 #include "revec/cp/search.hpp"
-#include "revec/ir/passes.hpp"
-#include "revec/lns/lns.hpp"
 #include "revec/obs/trace.hpp"
 #include "revec/obs/trace_read.hpp"
 
@@ -140,85 +136,6 @@ TEST(TraceGolden, PortfolioTraceHasValidPerWorkerTracks) {
             }
             EXPECT_TRUE(found) << "no track for worker " << k;
         }
-    }
-}
-
-/// A small deterministic standalone LNS run, traced into the sink's main
-/// track: the round loop over the conservative matmul incumbent.
-std::string lns_run_jsonl(TraceLevel level) {
-    TraceSink sink(level);
-    const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
-    const lns::testing::Incumbent inc = lns::testing::ladder_incumbent(
-        arch::ArchSpec::eit(), g, heur::ladder().size() - 1);
-    EXPECT_TRUE(inc.ok);
-    lns::LnsOptions opts;
-    opts.seed = 0x7e57u;
-    opts.max_rounds = 4;
-    opts.tuning.repair_failures = 300;
-    opts.trace = sink.main();
-    const lns::LnsResult r =
-        lns::improve_schedule(inc.km, inc.start, inc.slot, inc.makespan, opts);
-    EXPECT_EQ(r.rounds, r.accepted + r.rejected);
-    std::ostringstream os;
-    sink.write_jsonl(os);
-    return os.str();
-}
-
-TEST(TraceGolden, LnsRunEmitsRoundRelaxRepairSpans) {
-    const std::string jsonl = lns_run_jsonl(TraceLevel::Phase);
-    const ParsedTrace parsed = parse_trace(jsonl);
-    EXPECT_TRUE(validate_trace(parsed).empty());
-
-    // Every round is one lns_round span wrapping exactly one relax and one
-    // repair span, closed by an accept/reject instant.
-    std::int64_t rounds = 0;
-    std::int64_t relax = 0;
-    std::int64_t repair = 0;
-    std::int64_t verdicts = 0;
-    for (const ParsedTrack& t : parsed.tracks) {
-        for (const ParsedEvent& e : t.events) {
-            const std::string name = e.name;
-            if (e.kind == 'E') {
-                if (name == "lns_round") ++rounds;
-                if (name == "relax") ++relax;
-                if (name == "repair") ++repair;
-            } else if (e.kind == 'I') {
-                if (name == "lns_accept" || name == "lns_reject") ++verdicts;
-            }
-        }
-    }
-    EXPECT_GT(rounds, 0);
-    EXPECT_EQ(relax, rounds);
-    EXPECT_EQ(repair, rounds);
-    EXPECT_EQ(verdicts, rounds);
-}
-
-TEST(TraceGolden, LnsJsonlIsDeterministicAcrossRuns) {
-    EXPECT_EQ(normalize_timestamps(lns_run_jsonl(TraceLevel::Phase)),
-              normalize_timestamps(lns_run_jsonl(TraceLevel::Phase)));
-}
-
-TEST(TraceGolden, PortfolioWithLnsWorkersHasValidLnsTracks) {
-    TraceSink sink(TraceLevel::Phase);
-    cp::SolverConfig config;
-    config.threads = 2;
-    config.lns_workers = 2;
-    config.trace = &sink;
-    config.lns_round = [](const cp::LnsRoundContext&) { return cp::LnsRoundResult{}; };
-    const cp::PortfolioResult r =
-        cp::testing::run_portfolio(cp::testing::random_rcpsp(/*seed=*/7, /*tasks=*/8), config);
-    ASSERT_TRUE(r.has_solution());
-
-    std::ostringstream os;
-    sink.write_jsonl(os);
-    const ParsedTrace parsed = parse_trace(os.str());
-    EXPECT_TRUE(validate_trace(parsed).empty());
-    for (int j = 0; j < config.lns_workers; ++j) {
-        bool found = false;
-        for (const ParsedTrack& t : parsed.tracks) {
-            if (t.name == "lns-" + std::to_string(j)) found = true;
-        }
-        EXPECT_TRUE(found) << "no track for lns worker " << j;
     }
 }
 

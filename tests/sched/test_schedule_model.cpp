@@ -170,10 +170,9 @@ TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
     EXPECT_EQ(searches, 1);
 }
 
-TEST(ScheduleModel, LnsSolveEmitsTheModelOnce) {
-    // The LNS round hook and its seed assignment work on clones of the one
-    // emission the CP workers search: no track of an LNS-enabled solve
-    // shows a second emit_cp span.
+TEST(ScheduleModel, ParallelSolveEmitsTheModelOnce) {
+    // Workers 1..N-1 and the replay search clones of the one emission:
+    // no track of a 2-worker solve shows a second emit_cp span.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;
     opts.warm_start = false;  // a warm QRD solve closes at the root
@@ -181,8 +180,7 @@ TEST(ScheduleModel, LnsSolveEmitsTheModelOnce) {
 
     obs::TraceSink sink(obs::TraceLevel::Phase);
     ModelSolveOptions mo = model_solve_options(opts);
-    mo.solver.threads = 1;
-    mo.solver.lns_workers = 1;
+    mo.solver.threads = 2;
     mo.solver.trace = &sink;
     const Schedule s = schedule_model(km, mo);
     ASSERT_TRUE(s.feasible());
@@ -192,15 +190,35 @@ TEST(ScheduleModel, LnsSolveEmitsTheModelOnce) {
     sink.write_jsonl(os);
     const obs::ParsedTrace trace = obs::parse_trace(os.str());
     int emits = 0;
-    bool lns_track = false;
     for (const obs::ParsedTrack& track : trace.tracks) {
-        if (track.name.rfind("lns", 0) == 0) lns_track = true;
         for (const obs::ParsedEvent& e : track.events) {
             if (e.kind == 'E' && e.name == "emit_cp") ++emits;
         }
     }
-    EXPECT_TRUE(lns_track);
+    EXPECT_EQ(trace.tracks.size(), 3u);  // main + one per worker
     EXPECT_EQ(emits, 1);
+}
+
+TEST(ScheduleModel, OneWritersOutputsShareALineOnTheirPage) {
+    // A matrix op writes its four rows in one cycle, so eq. 9 groups them
+    // like any two writes that land together. These kernels' optima put
+    // two rows of one writer on one page and different lines unless the
+    // emission posts each writer's outputs as one access group.
+    for (const auto& [ops, seed] : {std::pair{70, 22u}, std::pair{60, 24u}}) {
+        apps::RandomKernelOptions kopts;
+        kopts.seed = seed;
+        kopts.num_ops = ops;
+        ScheduleOptions opts;
+        opts.timeout_ms = 60000;
+        const model::KernelModel km = lower_for_schedule(
+            ir::merge_pipeline_ops(apps::build_random_kernel(kopts)), opts);
+        const Schedule s = schedule_model(km, model_solve_options(opts));
+        ASSERT_TRUE(s.proven_optimal()) << ops << " ops, seed " << seed;
+        const std::vector<std::string> problems =
+            model::check_schedule(km, s.start, s.slot, s.makespan);
+        EXPECT_TRUE(problems.empty())
+            << ops << " ops, seed " << seed << ": " << problems.front();
+    }
 }
 
 TEST(ScheduleModel, TraceRidReachesPortfolioWorkerSpans) {

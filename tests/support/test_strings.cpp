@@ -84,6 +84,13 @@ TEST(EditDistance, IsSymmetric) {
     EXPECT_EQ(edit_distance("--metrics", "--emit"), edit_distance("--emit", "--metrics"));
 }
 
+TEST(ClosestFlag, SuggestsOnlyPlausibleTypos) {
+    const std::vector<std::string> known = {"--threads", "--trace", "--seed"};
+    EXPECT_EQ(closest_flag("--trase=t.json", known), "--trace");  // the name before '='
+    EXPECT_EQ(closest_flag("--thread=2", known), "--threads");
+    EXPECT_EQ(closest_flag("--lns-workers=2", known), "");  // nothing within 2 edits
+}
+
 TEST(EndsWith, Matches) {
     EXPECT_TRUE(ends_with("trace.jsonl", ".jsonl"));
     EXPECT_TRUE(ends_with("x", ""));

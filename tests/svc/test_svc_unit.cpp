@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -42,8 +41,6 @@ TEST(SvcProtocol, SolveRequestRoundTrips) {
     req.id = 42;
     req.deadline_ms = 750;
     req.params.threads = 3;
-    req.params.lns_workers = 2;
-    req.params.lns_relax_pct = 45;
     req.params.seed = 7;
     req.params.warm_start = false;
     req.params.heuristic_only = true;
@@ -54,8 +51,6 @@ TEST(SvcProtocol, SolveRequestRoundTrips) {
     EXPECT_EQ(back.id, 42);
     EXPECT_EQ(back.deadline_ms, 750);
     EXPECT_EQ(back.params.threads, 3);
-    EXPECT_EQ(back.params.lns_workers, 2);
-    EXPECT_EQ(back.params.lns_relax_pct, 45);
     EXPECT_EQ(back.params.seed, 7u);
     EXPECT_FALSE(back.params.warm_start);
     EXPECT_TRUE(back.params.heuristic_only);
@@ -126,9 +121,6 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     EXPECT_THROW(parse_request("{\"kind\":\"solve\",\"id\":1}"), Error);  // no model
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":0}}"),
                  Error);
-    EXPECT_THROW(
-        parse_request("{\"kind\":\"ping\",\"options\":{\"lns_relax_pct\":101}}"),
-        Error);
     // Integer fields take integers a cast can hold, never a truncation.
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"id\":1.5}"), Error);
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"id\":1e300}"), Error);
@@ -136,13 +128,10 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":2.5}}"),
                  Error);
     // Narrowed fields are range-checked against their own type, not int64:
-    // 2^32 + 1 threads and 2^32 + 50 percent must not wrap to 1 and 50.
+    // 2^32 + 1 threads must not wrap to 1.
     EXPECT_THROW(
         parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":4294967297}}"),
         Error);
-    EXPECT_THROW(parse_request(
-                     "{\"kind\":\"ping\",\"options\":{\"lns_relax_pct\":4294967346}}"),
-                 Error);
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":-1}}"), Error);
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"seed\":4294967296}}"),
                  Error);
@@ -154,9 +143,6 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
     // are rejected while the line is read, so no thread is started.
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":100000}}"),
                  Error);
-    EXPECT_THROW(
-        parse_request("{\"kind\":\"ping\",\"options\":{\"lns_workers\":100000}}"),
-        Error);
     // A rid holds at most 16 hex digits: a 17th would shift the first one
     // out, and "10000000000000000" would read as 0, unset.
     EXPECT_THROW(parse_request("{\"kind\":\"ping\",\"rid\":\"10000000000000000\"}"),
@@ -167,18 +153,18 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
               ~std::uint64_t{0});
 }
 
-TEST(SvcProtocol, CapsThreadsPlusLnsWorkersAtSixtyFour) {
-    const auto params = [](int threads, int lns_workers) {
-        return parse_request("{\"kind\":\"ping\",\"options\":{\"threads\":" +
-                             std::to_string(threads) +
-                             ",\"lns_workers\":" + std::to_string(lns_workers) + "}}")
-            .params;
+TEST(SvcProtocol, CapsThreadsAtMaxWorkers) {
+    const auto params = [](const std::string& options) {
+        return parse_request("{\"kind\":\"ping\",\"options\":{" + options + "}}").params;
     };
-    EXPECT_EQ(params(64, 0).threads, 64);
-    EXPECT_EQ(params(60, 4).lns_workers, 4);
-    EXPECT_THROW(params(65, 0), Error);
-    EXPECT_THROW(params(60, 5), Error);
-    EXPECT_THROW(params(1, INT_MAX), Error);  // the sum does not wrap
+    const std::string most = std::to_string(cp::kMaxWorkers);
+    EXPECT_EQ(params("\"threads\":" + most).threads, cp::kMaxWorkers);
+    EXPECT_THROW(params("\"threads\":" + std::to_string(cp::kMaxWorkers + 1)), Error);
+    // An older client's LNS options are unknown keys now: read and skipped,
+    // whatever their values.
+    const SolveParams old =
+        params("\"threads\":2,\"lns_workers\":100000,\"lns_relax_pct\":0");
+    EXPECT_EQ(old.threads, 2);
 }
 
 /// A solve request line for `m` with every envelope and option field set.
@@ -189,8 +175,6 @@ std::string solve_line(const model::KernelModel& m) {
     req.rid = 0xabcdef0123456789ull;
     req.deadline_ms = 750;
     req.params.threads = 3;
-    req.params.lns_workers = 2;
-    req.params.lns_relax_pct = 45;
     req.params.seed = 7;
     req.params.warm_start = false;
     req.params.heuristic_only = true;
@@ -205,8 +189,6 @@ void expect_same_request(const Request& got, const Request& want) {
     EXPECT_EQ(got.rid, want.rid);
     EXPECT_EQ(got.deadline_ms, want.deadline_ms);
     EXPECT_EQ(got.params.threads, want.params.threads);
-    EXPECT_EQ(got.params.lns_workers, want.params.lns_workers);
-    EXPECT_EQ(got.params.lns_relax_pct, want.params.lns_relax_pct);
     EXPECT_EQ(got.params.seed, want.params.seed);
     EXPECT_EQ(got.params.warm_start, want.params.warm_start);
     EXPECT_EQ(got.params.heuristic_only, want.params.heuristic_only);

@@ -50,6 +50,9 @@ TEST(ToolFlags, InventoriesCoverTheNewReuseKnobs) {
     EXPECT_NE(std::find(d.begin(), d.end(), "--cache-capacity"), d.end());
     EXPECT_EQ(std::find(d.begin(), d.end(), "--cache-near-capacity"), d.end());
     EXPECT_NE(std::find(c.begin(), c.end(), "--reuse"), c.end());
+    // The CP portfolio is the only exact search: no LNS knobs.
+    EXPECT_EQ(std::find(c.begin(), c.end(), "--lns-workers"), c.end());
+    EXPECT_EQ(std::find(c.begin(), c.end(), "--lns-relax-pct"), c.end());
 }
 
 TEST(ToolFlags, ReadmeServiceSectionMatchesInventories) {

@@ -217,20 +217,6 @@ int run(const std::string& path, bool validate_only, const std::string& rid_hex,
         bounds.print(out);
     }
 
-    // LNS summary: rounds come from the lns_round spans, verdicts from the
-    // accept/reject instants the repair stage fires once per round.
-    const auto lns_rounds = spans.find("lns_round");
-    if (lns_rounds != spans.end()) {
-        const std::int64_t accepted =
-            instants.count("lns_accept") ? instants.at("lns_accept") : 0;
-        const std::int64_t rejected =
-            instants.count("lns_reject") ? instants.at("lns_reject") : 0;
-        out << "\n";
-        revec::Table lns({"lns rounds", "accepted", "rejected", "total ms"});
-        lns.add_row({std::to_string(lns_rounds->second.count), std::to_string(accepted),
-                     std::to_string(rejected), ms(lns_rounds->second.total_us)});
-        lns.print(out);
-    }
     return 0;
 }
 

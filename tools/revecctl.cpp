@@ -248,11 +248,6 @@ int main(int argc, char** argv) {
                 deadline_ms = revec::parse_int(arg.substr(14));
             } else if (revec::starts_with(arg, "--threads=")) {
                 params.threads = static_cast<int>(revec::parse_int(arg.substr(10)));
-            } else if (revec::starts_with(arg, "--lns-workers=")) {
-                params.lns_workers = static_cast<int>(revec::parse_int(arg.substr(14)));
-            } else if (revec::starts_with(arg, "--lns-relax-pct=")) {
-                params.lns_relax_pct =
-                    static_cast<int>(revec::parse_int(arg.substr(16)));
             } else if (revec::starts_with(arg, "--seed=")) {
                 params.seed =
                     static_cast<std::uint32_t>(revec::parse_int(arg.substr(7)));
@@ -274,7 +269,11 @@ int main(int argc, char** argv) {
             } else if (revec::starts_with(arg, "--interval-ms=")) {
                 interval_ms = revec::parse_int(arg.substr(14));
             } else if (revec::starts_with(arg, "--")) {
-                std::cerr << "revecctl: unknown flag '" << arg << "'\n";
+                std::cerr << "revecctl: unknown flag '" << arg << "'";
+                const std::string suggestion =
+                    revec::closest_flag(arg, revec::svc::revecctl_known_flags());
+                if (!suggestion.empty()) std::cerr << " — did you mean '" << suggestion << "'?";
+                std::cerr << "\n";
                 usage(std::cerr);
                 return 1;
             } else if (command.empty()) {
