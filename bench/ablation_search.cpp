@@ -1,6 +1,6 @@
 // Ablation: the paper's three-phase search heuristic (§3.5, operation
 // starts -> data starts -> slots) vs a single first-fail phase over all
-// decision variables, and a diversified 4-worker portfolio.
+// decision variables, and a 4-worker portfolio.
 #include "common.hpp"
 
 #include "revec/sched/model.hpp"
@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
                 "phase split was protecting against; with that constraint removed "
                 "the 3-phase order is what keeps the slot phase backtrack-free, as "
                 "§3.5 argues. The portfolio row runs "
-                "4 diversified workers over the 3-phase model with a shared best "
-                "bound; its node count sums every worker's tree.");
+                "4 workers over the 3-phase model with a shared best bound (workers "
+                "1-3 restart with jittered values); its node count sums every "
+                "worker's tree.");
     return 0;
 }

@@ -1,16 +1,26 @@
 // Extension — parallel portfolio scaling: wall-clock speedup of the
 // shared-bound portfolio solver over the sequential branch-and-bound at
-// 1/2/4/8 threads on the paper's kernels (Table 2/3 regime). Self-checks
-// that every thread count proves the same optimal makespan the sequential
-// solver finds; exits non-zero on any parity or optimality failure. Pass
-// --smoke for the CI-sized variant (MATMUL only, 1/2 threads).
+// 1/2/4/8 threads on the paper's kernels (Table 2/3 regime), then the hard
+// corpus (apps::kHardCorpus) at 1/2/4 threads with the canonical replay's
+// share of each search. Self-checks that every thread count proves the
+// same optimal makespan the sequential solver finds on the paper's
+// kernels, and that every corpus schedule passes check_schedule and every
+// Optimal corpus answer equals the recorded optimum; exits non-zero
+// otherwise. Pass --smoke for the CI-sized variant (MATMUL only, 1/2
+// threads, no corpus).
 #include "common.hpp"
 
 #include <cstring>
+#include <sstream>
 #include <vector>
 
+#include "revec/apps/random_kernel.hpp"
+#include "revec/model/check.hpp"
+#include "revec/obs/trace.hpp"
+#include "revec/obs/trace_read.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/support/stopwatch.hpp"
+#include "revec/svc/protocol.hpp"
 
 using namespace revec;
 
@@ -39,6 +49,95 @@ Run timed_schedule(const ir::Graph& g, const arch::ArchSpec& spec, int threads) 
     return r;
 }
 
+/// One warm corpus solve, with the replay read off its `replay` span.
+struct CorpusRun {
+    sched::Schedule schedule;
+    bool checked = false;  ///< the schedule passes check_schedule
+    bool replayed = false;
+    bool replay_found = false;
+    std::int64_t replay_nodes = 0;
+    double replay_ms = 0.0;
+};
+
+CorpusRun corpus_run(const model::KernelModel& km, const sched::ScheduleOptions& opts,
+                     int threads) {
+    obs::TraceSink sink(obs::TraceLevel::Phase);
+    sched::ModelSolveOptions mo = sched::model_solve_options(opts);
+    mo.solver.threads = threads;
+    mo.solver.trace = &sink;
+    CorpusRun run;
+    run.schedule = sched::schedule_model(km, mo);
+    const sched::Schedule& s = run.schedule;
+    run.checked = s.feasible() && model::check_schedule(km, s.start, s.slot, s.makespan).empty();
+
+    std::ostringstream os;
+    sink.write_jsonl(os);
+    std::int64_t begin_us = 0;
+    for (const obs::ParsedTrack& track : obs::parse_trace(os.str()).tracks) {
+        for (const obs::ParsedEvent& e : track.events) {
+            if (e.name != "replay") continue;
+            if (e.kind == 'B') begin_us = e.ts_us;
+            if (e.kind != 'E') continue;
+            run.replayed = true;
+            run.replay_found = e.args.at("found") == 1;
+            run.replay_nodes = e.args.at("nodes");
+            run.replay_ms = static_cast<double>(e.ts_us - begin_us) / 1000.0;
+        }
+    }
+    return run;
+}
+
+/// The hard-corpus table. Returns false on a schedule that fails
+/// check_schedule or an Optimal answer that is not the recorded optimum.
+bool corpus_table(obs::MetricsRegistry& metrics) {
+    Table t({"seed", "optimum", "threads", "status", "makespan", "nodes", "search (ms)",
+             "replay nodes", "replay (ms)", "replay share"});
+    bool ok = true;
+    double search_ms = 0.0;  // of the solves that ran a replay
+    double replay_ms = 0.0;
+    for (const apps::HardKernel& k : apps::kHardCorpus) {
+        sched::ScheduleOptions opts;
+        opts.timeout_ms = 2000;
+        const model::KernelModel km = sched::lower_for_schedule(
+            ir::merge_pipeline_ops(apps::build_random_kernel(k.options())), opts);
+        for (const int threads : {1, 2, 4}) {
+            const CorpusRun r = corpus_run(km, opts, threads);
+            const sched::Schedule& s = r.schedule;
+            const bool right =
+                r.checked && (!s.proven_optimal() || s.makespan == k.optimum);
+            ok = ok && right;
+            if (r.replayed) {
+                search_ms += s.stats.time_ms;
+                replay_ms += r.replay_ms;
+            }
+            const std::string prefix =
+                "corpus." + std::to_string(k.seed) + "." + std::to_string(threads) + "t.";
+            cp::export_counters(s.stats, metrics, prefix);
+            metrics.set(prefix + "makespan", s.makespan);
+            metrics.set(prefix + "replay_nodes", r.replay_nodes);
+            metrics.gauge(prefix + "replay_ms", r.replay_ms);
+            const std::string replay =
+                r.replayed ? (r.replay_found ? "found" : "budget") : "-";
+            t.add_row({std::to_string(k.seed), std::to_string(k.optimum),
+                       std::to_string(threads),
+                       right ? svc::status_name(s.status) : "WRONG",
+                       std::to_string(s.makespan), std::to_string(s.stats.nodes),
+                       format_fixed(s.stats.time_ms, 1),
+                       r.replayed ? std::to_string(r.replay_nodes) + " (" + replay + ")" : "-",
+                       r.replayed ? format_fixed(r.replay_ms, 1) : "-",
+                       r.replayed && s.stats.time_ms > 0.0
+                           ? format_fixed(100.0 * r.replay_ms / s.stats.time_ms, 0) + " %"
+                           : "-"});
+        }
+    }
+    t.print(std::cout);
+    std::cout << "replay share of the search time of the solves that ran one: "
+              << format_fixed(search_ms > 0.0 ? 100.0 * replay_ms / search_ms : 0.0, 1)
+              << " % (" << format_fixed(replay_ms, 1) << " of " << format_fixed(search_ms, 1)
+              << " ms)\n";
+    return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -48,8 +147,8 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry metrics;
 
     bench::banner("Extension — portfolio solver scaling (1/2/4/8 threads)",
-                  "§3.5 search, parallelised as a diversified portfolio with a "
-                  "shared best bound");
+                  "§3.5 search, parallelised as a portfolio of restarting, "
+                  "value-jittered workers with a shared best bound");
 
     const arch::ArchSpec spec = arch::ArchSpec::eit();
     struct K {
@@ -93,19 +192,31 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
     std::cout << "best 4-thread speedup: " << format_fixed(best_speedup_4t, 2) << "x\n";
-    bench::note("the shared incumbent is what scales: a diversified worker finds a "
+    bench::note("the shared incumbent is what scales: a jittered worker finds a "
                 "near-optimal makespan early, and every other worker's tree collapses "
                 "under the tightened bound. The sequential search's first-fail op "
                 "phase, over a makespan that starts at its lower bound, already proves "
                 "these kernels in 56-172 nodes, so extra workers "
                 "mostly duplicate it: each extra worker and the canonical replay "
                 "search a clone of the caller's one emission (~0.1 ms per QRD "
-                "clone), and the trees of the diversified workers, the replay "
+                "clone), and the trees of the jittered workers, the replay "
                 "search and thread start-up are what keep 2-8 threads below the "
                 "1-thread time. With a smallest-min op phase MATMUL's cold proof "
                 "took 25208 nodes and the portfolio was 28-38x faster.");
+    bool corpus_ok = true;
+    if (!smoke) {
+        std::cout << "\nHard corpus (70-op random kernels, warm, 2 s budget; search time is "
+                     "Schedule::stats.time_ms, the replay's from its span):\n";
+        corpus_ok = corpus_table(metrics);
+        bench::note("on the hard corpus the extra workers are what prove: one thread "
+                    "proves at most seeds 3 and 86 within 2 s. The replay re-derives a proven "
+                    "optimum's assignment with the baseline search; where its column "
+                    "reads 'budget' it stopped at cp::kReplayFailures without one and "
+                    "the race winner's assignment stands.");
+    }
     std::cout << (all_ok ? "\nall thread counts prove the sequential optimum\n"
                          : "\nPARITY FAILURES PRESENT\n");
+    if (!corpus_ok) std::cout << "HARD-CORPUS FAILURES PRESENT\n";
     bench::write_metrics(metrics_path, metrics);
-    return all_ok ? 0 : 1;
+    return all_ok && corpus_ok ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Quickstart: write a kernel in the DSL, schedule it with memory
 // allocation, generate machine code, and run it on the simulator.
 //
-//   $ ./quickstart [--threads=N | --portfolio]
+//   $ ./quickstart [--threads=N]
 //
 // The program computes one Gram-Schmidt step on two complex vectors:
 //   q = a / ||a||,  r = <b, q>,  b' = b - r q
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "revec/codegen/codegen.hpp"
 #include "revec/dsl/ops.hpp"
@@ -28,10 +27,7 @@ int main(int argc, char** argv) {
     int threads = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--portfolio") {
-            const unsigned hw = std::thread::hardware_concurrency();
-            threads = static_cast<int>(std::min(hw == 0 ? 4u : hw, 8u));
-        } else if (arg.rfind("--threads=", 0) == 0) {
+        if (arg.rfind("--threads=", 0) == 0) {
             try {
                 threads = std::max(1, std::stoi(arg.substr(10)));
             } catch (const std::exception&) {
@@ -39,7 +35,7 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else {
-            std::cerr << "usage: quickstart [--threads=N | --portfolio]\n";
+            std::cerr << "usage: quickstart [--threads=N]\n";
             return 2;
         }
     }

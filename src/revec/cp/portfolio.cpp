@@ -17,33 +17,12 @@ namespace {
 
 constexpr std::int64_t kNoBound = std::numeric_limits<std::int64_t>::max();
 
-/// Failure-limited restarts of the restart-flavored workers: the first
-/// solve gets kRestartFailures failures, each restart kRestartGrowth times
-/// more. Geometric growth keeps restart workers complete: the limit
-/// eventually exceeds any finite search space.
+/// Failure-limited restarts of workers 1..N-1: the first solve gets
+/// kRestartFailures failures, each restart kRestartGrowth times more.
+/// Geometric growth keeps restart workers complete: the limit eventually
+/// exceeds any finite search space.
 constexpr std::int64_t kRestartFailures = 512;
 constexpr double kRestartGrowth = 2.0;
-
-/// Rewrite the model's phases according to one diversification row.
-std::vector<Phase> apply_config(std::vector<Phase> phases, const WorkerConfig& cfg) {
-    if (cfg.flatten_phases) {
-        Phase all;
-        for (const Phase& p : phases) {
-            all.vars.insert(all.vars.end(), p.vars.begin(), p.vars.end());
-        }
-        all.var_select = cfg.var_select;
-        all.val_select = cfg.val_select;
-        all.label = "flat";
-        return {all};
-    }
-    if (!cfg.keep_phase_heuristics) {
-        for (Phase& p : phases) {
-            p.var_select = cfg.var_select;
-            p.val_select = cfg.val_select;
-        }
-    }
-    return phases;
-}
 
 struct WorkerSlot {
     WorkerReport report;
@@ -71,7 +50,6 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
                    std::atomic<bool>& stop, std::atomic<std::int64_t>& shared,
                    WorkerSlot& slot) {
     if (profile) store.enable_profiling();
-    const std::vector<Phase> phases = apply_config(model.phases, cfg);
 
     SearchOptions opts = base;
     opts.stop = &stop;
@@ -79,7 +57,7 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
     opts.value_jitter_seed = cfg.jitter_seed;
     opts.trace = trace;
 
-    XorShift reseed(cfg.jitter_seed == 0 ? 0x7f4a7c15u : cfg.jitter_seed);
+    XorShift reseed(cfg.jitter_seed);
     std::int64_t restart_limit = cfg.restarts ? kRestartFailures : -1;
     std::int64_t local_best = kNoBound;
 
@@ -94,7 +72,7 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
         }
         opts.max_failures = limit;
 
-        const SolveResult r = solve(store, phases, model.objective, opts);
+        const SolveResult r = solve(store, model.phases, model.objective, opts);
         // Search counters per solve; the engine counters and profile
         // accumulate in the one store and are read once at the end.
         merge_counters(slot.report.stats, r.stats);
@@ -135,61 +113,18 @@ void search_worker(Store& store, const PostedModel& model, const WorkerConfig& c
 
 }  // namespace
 
-WorkerConfig diversified_config(int k, std::uint32_t seed) {
+WorkerConfig worker_config(int k, std::uint32_t seed) {
     REVEC_EXPECTS(k >= 0);
     WorkerConfig c;
     if (k == 0) {
-        // The paper's own heuristics; bit-compatible with the sequential
-        // solver so a 1-thread portfolio matches its node counts exactly.
+        // Bit-compatible with the sequential solver, so a 1-thread
+        // portfolio matches its node counts exactly.
         c.label = "baseline";
         return c;
     }
-    XorShift rng(seed + 0x9e3779b9u * static_cast<std::uint32_t>(k));
-    switch ((k - 1) % 6) {
-        case 0:
-            c.var_select = VarSelect::MinDomain;
-            c.val_select = ValSelect::Min;
-            c.keep_phase_heuristics = false;
-            c.label = "first-fail/min";
-            break;
-        case 1:
-            c.var_select = VarSelect::SmallestMin;
-            c.val_select = ValSelect::Median;
-            c.keep_phase_heuristics = false;
-            c.label = "smallest-min/median";
-            break;
-        case 2:
-            c.var_select = VarSelect::MinDomain;
-            c.val_select = ValSelect::Min;
-            c.keep_phase_heuristics = false;
-            c.flatten_phases = true;
-            c.label = "flat/first-fail";
-            break;
-        case 3:
-            c.restarts = true;
-            c.jitter_seed = rng.next() | 1u;
-            c.label = "baseline/restart-jitter";
-            break;
-        case 4:
-            c.var_select = VarSelect::InputOrder;
-            c.val_select = ValSelect::Min;
-            c.keep_phase_heuristics = false;
-            c.label = "input-order/min";
-            break;
-        case 5:
-            c.var_select = VarSelect::MinDomain;
-            c.val_select = ValSelect::Median;
-            c.keep_phase_heuristics = false;
-            c.restarts = true;
-            c.jitter_seed = rng.next() | 1u;
-            c.label = "first-fail/median/restart";
-            break;
-    }
-    if (k > 6) {
-        // Fleets past one full table cycle get fresh jitter for diversity.
-        c.jitter_seed = rng.next() | 1u;
-        c.label += "#" + std::to_string(k);
-    }
+    c.restarts = true;
+    c.jitter_seed = XorShift(seed + 0x9e3779b9u * static_cast<std::uint32_t>(k)).next() | 1u;
+    c.label = "restart-jitter";
     return c;
 }
 
@@ -209,7 +144,7 @@ PortfolioResult solve_portfolio(Store& store, const PostedModel& model,
     std::vector<WorkerConfig> cfgs;
     cfgs.reserve(static_cast<std::size_t>(n));
     for (int k = 0; k < n; ++k) {
-        cfgs.push_back(diversified_config(k, config.seed));
+        cfgs.push_back(worker_config(k, config.seed));
     }
     std::vector<WorkerSlot> slots(static_cast<std::size_t>(n));
 

@@ -1,9 +1,9 @@
 // Parallel portfolio branch-and-bound: the one entry point through which
 // the scheduling layers (sched::schedule_model, the pipeline's modulo scan)
 // run an exact search, whatever the thread count. N workers run the
-// sequential DFS of search.hpp over *diversified* configurations of the
-// same model — permuted variable/value-selection heuristics, flattened
-// phases, failure-limited restarts with RNG-jittered value ordering. All
+// sequential DFS of search.hpp over the model's own phases: worker 0 as the
+// sequential solver does, every further worker with failure-limited
+// restarts and RNG-jittered value ordering from its own jitter seed. All
 // workers share a single atomic incumbent objective, so any worker's
 // improvement immediately prunes every other worker; the first worker to
 // exhaust its (bound-pruned) search space proves optimality for the whole
@@ -57,7 +57,7 @@ inline constexpr int kMaxWorkers = 64;
 inline constexpr std::int64_t kReplayFailures = 2000;
 
 /// Portfolio knob threaded through the scheduling layers: how many workers
-/// (1 .. kMaxWorkers) and the seed feeding the jitter RNGs.
+/// (1 .. kMaxWorkers) and the seed the jitter seeds are drawn from.
 struct SolverConfig {
     int threads = 1;
     std::uint32_t seed = 0x5eedu;
@@ -97,21 +97,18 @@ struct PostedModel {
     IntVar objective;
 };
 
-/// One row of the diversification table.
+/// How worker `k` searches the model's phases.
 struct WorkerConfig {
-    VarSelect var_select = VarSelect::SmallestMin;
-    ValSelect val_select = ValSelect::Min;
-    bool keep_phase_heuristics = true;  ///< use the model's per-phase heuristics
-    bool flatten_phases = false;        ///< merge all phases into a single phase
-    bool restarts = false;              ///< failure-limited restarts with jitter
-    std::uint32_t jitter_seed = 0;      ///< 0 = no value jitter
+    bool restarts = false;          ///< failure-limited restarts with jitter
+    std::uint32_t jitter_seed = 0;  ///< 0 = no value jitter
     std::string label;
 };
 
-/// Configuration for worker `k`. Worker 0 is always the baseline (the
-/// model's own heuristics, no restarts) so a 1-thread portfolio explores
-/// exactly the sequential tree.
-WorkerConfig diversified_config(int k, std::uint32_t seed);
+/// Configuration for worker `k`. Worker 0 is the baseline (no restarts, no
+/// jitter), so a 1-thread portfolio explores exactly the sequential tree.
+/// Every worker k >= 1 restarts, with a nonzero jitter seed drawn from
+/// (seed, k).
+WorkerConfig worker_config(int k, std::uint32_t seed);
 
 /// Per-worker outcome, kept for diagnostics and the scaling bench. The
 /// SolveWork part is the worker store's work.
@@ -132,8 +129,8 @@ struct PortfolioResult : SolveResult {
 };
 
 /// Minimize the model's objective (or find a first solution when the
-/// objective is invalid) with `config.threads` diversified workers sharing
-/// one incumbent bound. `store` holds the caller's emission of the model
+/// objective is invalid) with `config.threads` workers sharing one
+/// incumbent bound. `store` holds the caller's emission of the model
 /// (at root level, not yet searched) and `model` its phases and objective;
 /// worker 0 searches it and leaves it at root level. Workers 1..N-1 and the
 /// replay search clones of it taken before the search starts; a 1-worker

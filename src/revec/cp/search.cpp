@@ -57,7 +57,6 @@ int pick_value(const Store& s, const Phase& phase, IntVar x, XorShift* jitter) {
     switch (phase.val_select) {
         case ValSelect::Min: return d.min();
         case ValSelect::Max: return d.max();
-        case ValSelect::Median: return nth_value(d, d.size() / 2);
     }
     REVEC_UNREACHABLE("bad ValSelect");
 }

@@ -26,9 +26,8 @@ enum class VarSelect {
 
 /// Value-selection heuristic within a phase.
 enum class ValSelect {
-    Min,     ///< smallest value
-    Max,     ///< largest value
-    Median,  ///< middle value of the domain
+    Min,  ///< smallest value
+    Max,  ///< largest value
 };
 
 /// One search phase: a set of decision variables and how to branch on them.
@@ -72,7 +71,7 @@ struct SearchOptions {
     /// a uniformly random domain value replaces the heuristic choice.
     /// Completeness is unaffected (the right branch removes the value);
     /// only the order solutions are discovered in changes. Used by
-    /// restart-flavored portfolio workers to diversify across restarts.
+    /// portfolio workers 1..N-1 to diversify across workers and restarts.
     std::uint32_t value_jitter_seed = 0;
 
     /// Trace track this search writes into (also attached to the store for

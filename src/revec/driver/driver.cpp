@@ -1,9 +1,7 @@
 #include "revec/driver/driver.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <ostream>
-#include <thread>
 
 #include "revec/arch/spec_io.hpp"
 #include "revec/codegen/codegen.hpp"
@@ -41,8 +39,7 @@ options:
   --simulate         execute the generated code and check the outputs
   --threads=N        parallel portfolio workers sharing one incumbent bound
                      (1-64; default 1 = the sequential solver)
-  --portfolio        shorthand for --threads=<hardware concurrency, max 8>
-  --seed=N           portfolio diversification seed (default 0x5eed)
+  --seed=N           jitter seed of workers 1..N-1 (default 0x5eed)
   --warm-start=MODE  on (default) seeds the exact search with a verified
                      heuristic schedule and falls back to it on timeout;
                      off runs the cold exact solver only
@@ -81,7 +78,7 @@ const std::vector<std::string>& known_flags() {
     static const std::vector<std::string> kFlags = {
         "--emit",         "--slots",     "--timeout-ms",   "--no-merge",
         "--no-memory",    "--include-reconfigs",           "--simulate",
-        "--threads",      "--portfolio", "--seed",         "--warm-start",
+        "--threads",      "--seed",      "--warm-start",
         "--heuristic-only",              "--lanes",        "--arch",
         "--save-schedule",               "--dump-model",   "--trace",
         "--trace-level",  "--metrics",   "--help",
@@ -122,9 +119,6 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
             }
         } else if (arg == "--heuristic-only") {
             opts.heuristic_only = true;
-        } else if (arg == "--portfolio") {
-            const unsigned hw = std::thread::hardware_concurrency();
-            opts.threads = static_cast<int>(std::min(hw == 0 ? 4u : hw, 8u));
         } else if (starts_with(arg, "--threads=")) {
             const std::int64_t threads = parse_int(arg.substr(10));
             if (threads < 1 || threads > cp::kMaxWorkers) {
@@ -162,7 +156,9 @@ std::optional<Options> parse_args(const std::vector<std::string>& args, std::ost
             if (opts.metrics_path.empty()) throw Error("--metrics needs a file path");
         } else if (starts_with(arg, "--")) {
             std::string message = "unknown option '" + arg + "'";
-            const std::string suggestion = closest_flag(arg, known_flags());
+            // --portfolio was a host-dependent spelling of --threads.
+            const std::string suggestion =
+                arg == "--portfolio" ? "--threads" : closest_flag(arg, known_flags());
             if (!suggestion.empty()) message += " — did you mean '" + suggestion + "'?";
             throw Error(message + " (try --help)");
         } else if (opts.input_path.empty()) {

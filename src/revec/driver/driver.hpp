@@ -36,7 +36,7 @@ struct Options {
     bool include_reconfigs = false;   ///< for --emit=modulo
     bool simulate = false;            ///< run the simulator after codegen
     int threads = 1;                  ///< portfolio workers (1 = sequential solver)
-    std::uint32_t seed = 0x5eedu;     ///< portfolio diversification seed
+    std::uint32_t seed = 0x5eedu;     ///< jitter seed of workers 1..N-1
     bool warm_start = true;           ///< heuristic incumbent + anytime fallback
     bool heuristic_only = false;      ///< skip the exact solver entirely
     int lanes = -1;                   ///< override vector lanes (-1 = EIT)

@@ -81,7 +81,7 @@ void revecctl_usage(std::ostream& os) {
           "  --deadline-ms=N        per-request budget; -1 none (default), 0\n"
           "                         forces the verified heuristic answer\n"
           "  --threads=N            solver threads per request, 1..64 (default 1)\n"
-          "  --seed=N               search seed (default 0x5eed)\n"
+          "  --seed=N               jitter seed of the extra workers (default 0x5eed)\n"
           "  --no-warm-start        cold exact solve (no heuristic seed)\n"
           "  --heuristic-only       skip the exact solver\n"
           "  --reuse=MODE           off | exact | near (default near): how far\n"

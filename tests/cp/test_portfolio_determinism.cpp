@@ -1,12 +1,13 @@
 // Determinism and cancellation guarantees of the portfolio solver: the same
 // seed and thread count must return the identical solution on repeated
 // runs (canonical replay), a zero deadline must come back promptly as
-// Timeout from every worker with all threads joined, and the
-// diversification table must be stable.
+// Timeout from every worker with all threads joined, and every worker's
+// configuration must follow the one recipe.
 #include "revec/cp/portfolio.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "portfolio_models.hpp"
@@ -43,9 +44,10 @@ TEST(PortfolioDeterminism, ReplayStopsAtItsFailureBudget) {
     // A pigeonhole trap: with `wide` = 0 ten pigeons share nine holes,
     // which the search refutes only after far more than kReplayFailures
     // failures. The baseline configuration, and so the replay, tries
-    // wide = 0 first; worker 2 (median values) tries wide = 1 and proves
-    // the optimum at once. The replay gives up at its budget and the
-    // winner's assignment stands.
+    // wide = 0 first; workers 1 and 2 jitter their values and restart after
+    // 512 failures, so one of them soon tries wide = 1 or 2 and proves the
+    // optimum. The replay gives up at its budget and the winner's
+    // assignment stands.
     const testing::Instance trap = [](Store& s) -> PostedModel {
         constexpr int kHoles = 9;
         const IntVar wide = s.new_var(0, 2);
@@ -159,19 +161,25 @@ TEST(PortfolioDeterminism, FailureLimitAppliesPerWorker) {
 }
 
 TEST(PortfolioDeterminism, DiversificationTableIsStable) {
-    const WorkerConfig w0 = diversified_config(0, 42);
-    EXPECT_EQ(w0.label, "baseline");
-    EXPECT_TRUE(w0.keep_phase_heuristics);
-    EXPECT_FALSE(w0.restarts);
-    EXPECT_EQ(w0.jitter_seed, 0u);
+    // Worker 0 walks the sequential tree; every other worker restarts with
+    // its own nonzero jitter seed, stable for a given seed.
+    for (const std::uint32_t seed : {0u, 42u, 0x5eedu}) {
+        const WorkerConfig w0 = worker_config(0, seed);
+        EXPECT_EQ(w0.label, "baseline");
+        EXPECT_FALSE(w0.restarts);
+        EXPECT_EQ(w0.jitter_seed, 0u);
 
-    for (int k = 1; k < 16; ++k) {
-        const WorkerConfig a = diversified_config(k, 42);
-        const WorkerConfig b = diversified_config(k, 42);
-        EXPECT_EQ(a.label, b.label) << k;
-        EXPECT_EQ(a.jitter_seed, b.jitter_seed) << k;
-        EXPECT_EQ(a.var_select, b.var_select) << k;
-        EXPECT_EQ(a.val_select, b.val_select) << k;
+        std::set<std::uint32_t> jitter_seeds;
+        for (int k = 1; k < kMaxWorkers; ++k) {
+            const WorkerConfig a = worker_config(k, seed);
+            const WorkerConfig b = worker_config(k, seed);
+            EXPECT_TRUE(a.restarts) << k;
+            EXPECT_NE(a.jitter_seed, 0u) << k;
+            EXPECT_EQ(a.jitter_seed, b.jitter_seed) << k;
+            EXPECT_EQ(a.label, b.label) << k;
+            jitter_seeds.insert(a.jitter_seed);
+        }
+        EXPECT_EQ(jitter_seeds.size(), static_cast<std::size_t>(kMaxWorkers - 1)) << seed;
     }
 }
 

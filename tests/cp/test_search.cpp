@@ -100,14 +100,6 @@ TEST(Search, VarSelectMinDomain) {
     EXPECT_TRUE(r.has_solution());
 }
 
-TEST(Search, ValSelectMedian) {
-    Store s;
-    const IntVar x = s.new_var(0, 10);
-    const SolveResult r = satisfy(s, {Phase{{x}, VarSelect::InputOrder, ValSelect::Median, ""}});
-    ASSERT_EQ(r.status, SolveStatus::Optimal);
-    EXPECT_EQ(r.value_of(x), 5);
-}
-
 TEST(Search, FailureLimitTriggersTimeoutStatus) {
     // Pigeonhole 5 into 4 with a failure budget of 1.
     Store s;

@@ -384,6 +384,20 @@ TEST(ParseArgs, LnsFlags) {
     EXPECT_EQ(usage().find("--lns"), std::string::npos);
 }
 
+TEST(ParseArgs, PortfolioIsAnUnknownFlag) {
+    // --portfolio meant one worker per core: a host-dependent --threads.
+    std::ostringstream out;
+    try {
+        parse_args({"k.xml", "--portfolio"}, out);
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown option '--portfolio'"), std::string::npos);
+        EXPECT_NE(what.find("did you mean '--threads'"), std::string::npos);
+    }
+    EXPECT_EQ(usage().find("--portfolio"), std::string::npos);
+}
+
 TEST(ParseArgs, ThreadsCappedAtMaxWorkers) {
     // Refused while parsing, so no thread ever starts.
     std::ostringstream out;
