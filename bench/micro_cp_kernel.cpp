@@ -118,7 +118,9 @@ BENCHMARK(BM_ModuloMatmul)->Unit(benchmark::kMillisecond);
 /// Hole-heavy CSP: pairwise distinct values plus offset disequalities
 /// punch interior holes into domains watched by bounds-consistent
 /// linear/cumulative propagators, so event masks filter most wakeups and
-/// holed domains take snapshot trail records.
+/// holed domains take snapshot trail records. Its search is nearly all
+/// optimality proof, the case restarts cost most on (DESIGN §5c): each of
+/// its 7 restarts re-walks the top of a tree it already refuted.
 cp::SolveResult solve_hole_heavy() {
     cp::Store s;
     constexpr int kN = 9;
@@ -177,19 +179,20 @@ struct PinnedCounter {
 };
 
 /// Every deterministic counter of the hole-heavy solve: the search tree
-/// (nodes, failures), the engine's propagation work, and the trail records
-/// its holed domains take.
+/// (nodes, failures, restarts), the engine's propagation work, and the
+/// trail records its holed domains take.
 std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
     const cp::PropagationStats& p = r.prop_stats;
-    return {{"nodes", r.stats.nodes, 108972},
-            {"failures", r.stats.failures, 54487},
-            {"propagations", p.propagations, 2329324},
-            {"wakeups", p.wakeups, 5155943},
-            {"wakeups_filtered", p.wakeups_filtered, 8413378},
-            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 89820},
-            {"trail_saves", p.trail_saves, 609580},
-            {"trail_snapshots", p.trail_snapshots, 305932},
-            {"trail_bytes", p.trail_bytes, 11637028}};
+    return {{"nodes", r.stats.nodes, 254350},
+            {"failures", r.stats.failures, 127160},
+            {"restarts", r.stats.restarts, 7},
+            {"propagations", p.propagations, 5316336},
+            {"wakeups", p.wakeups, 11754911},
+            {"wakeups_filtered", p.wakeups_filtered, 19385998},
+            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 192073},
+            {"trail_saves", p.trail_saves, 1337453},
+            {"trail_snapshots", p.trail_snapshots, 720274},
+            {"trail_bytes", p.trail_bytes, 26785932}};
 }
 
 /// Solve the hole-heavy probe, time kernel scheduling, print both, fill

@@ -20,10 +20,10 @@ struct RandomKernelOptions {
 /// divisions), so reference evaluation is always well-defined.
 ir::Graph build_random_kernel(const RandomKernelOptions& options);
 
-/// The hard corpus: 70-op random kernels with matrix ops whose 1-thread
-/// search does not prove within 1-2 s (seed 3: its replay once ran to the
-/// deadline), each with its proven optimal makespan (merged, default
-/// lowering). Read by ext_portfolio_scaling and the PortfolioHardCorpus tests.
+/// The hard corpus: 70-op random kernels with matrix ops whose searches run
+/// past the first restart limit (512 failures), each with its proven
+/// optimal makespan (merged, default lowering). Read by
+/// ext_portfolio_scaling and the PortfolioHardCorpus tests.
 struct HardKernel {
     unsigned seed;
     int optimum;

@@ -15,6 +15,11 @@ namespace {
 
 constexpr std::int64_t kNoBound = std::numeric_limits<std::int64_t>::max();
 
+/// Failure-limited restarts: the first run may fail kRestartFailures times,
+/// each later run twice as often plus one. The geometric growth keeps the
+/// search complete: the limit eventually exceeds any finite tree.
+constexpr std::int64_t kRestartFailures = 512;
+
 /// Pick the branching variable of a phase, or invalid if all are fixed.
 IntVar pick_var(const Store& s, const Phase& phase) {
     IntVar best;
@@ -153,6 +158,9 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
 
     XorShift jitter_rng(options.value_jitter_seed);
     XorShift* jitter = options.value_jitter_seed != 0 ? &jitter_rng : nullptr;
+    XorShift reseed(options.value_jitter_seed);
+    std::int64_t restart_limit = kRestartFailures;
+    std::int64_t run_failures = 0;
 
     bool have_best = false;
     std::int64_t best_obj = 0;
@@ -218,11 +226,25 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
         if (out_of_budget()) {
             return finish(have_best ? SolveStatus::SatTimeout : SolveStatus::Timeout);
         }
+        if (run_failures > restart_limit) {
+            // Restart from the root with a fresh jitter seed; the incumbent
+            // (have_best/best_obj) carries over and bounds the next run.
+            ++result.stats.restarts;
+            obs::instant(trace, obs::TraceLevel::Phase, "restart", "limit", restart_limit);
+            while (store.level() > 0) store.pop_level();
+            frames.clear();
+            restart_limit = 2 * restart_limit + 1;
+            run_failures = 0;
+            jitter_rng = XorShift(reseed.next() | 1u);
+            jitter = &jitter_rng;
+            ok = store.propagate();
+            continue;
+        }
         if (ok) {
             const auto decision = choose(store, phases, jitter);
             if (!decision.has_value()) {
                 record_solution();
-                if (!objective.valid() || options.stop_at_first_solution) {
+                if (!objective.valid()) {
                     return finish(SolveStatus::Optimal);
                 }
                 best_obj = store.min(objective);
@@ -241,6 +263,7 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
             if (ok) ok = store.propagate();
         } else {
             ++result.stats.failures;
+            ++run_failures;
             obs::instant(trace, obs::TraceLevel::Node, "fail", "depth",
                          static_cast<std::int64_t>(frames.size()));
             // Backtrack to the deepest frame with an untried right branch.
@@ -269,9 +292,7 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
 }
 
 SolveResult satisfy(Store& store, const std::vector<Phase>& phases, const SearchOptions& options) {
-    SearchOptions opts = options;
-    opts.stop_at_first_solution = true;
-    return solve(store, phases, IntVar(), opts);
+    return solve(store, phases, IntVar(), options);
 }
 
 }  // namespace revec::cp

@@ -54,7 +54,6 @@ enum class SolveStatus {
 struct SearchOptions {
     Deadline deadline;                 ///< wall-clock limit
     std::int64_t max_failures = -1;    ///< failure limit, -1 = unlimited
-    bool stop_at_first_solution = false;
 
     /// Cooperative cancellation (portfolio search). When non-null and set,
     /// the search unwinds and returns Timeout/SatTimeout at the next node.
@@ -67,11 +66,13 @@ struct SearchOptions {
     /// The sentinel value INT64_MAX means "no incumbent yet".
     std::atomic<std::int64_t>* shared_bound = nullptr;
 
-    /// Non-zero enables RNG-jittered value selection: with probability 1/4
-    /// a uniformly random domain value replaces the heuristic choice.
-    /// Completeness is unaffected (the right branch removes the value);
-    /// only the order solutions are discovered in changes. Used by
-    /// portfolio workers 1..N-1 to diversify across workers and restarts.
+    /// Non-zero enables RNG-jittered value selection in the first run: with
+    /// probability 1/4 a uniformly random domain value replaces the
+    /// heuristic choice. Completeness is unaffected (the right branch
+    /// removes the value); only the order solutions are discovered in
+    /// changes. Every restart jitters with a seed drawn from this one, so 0
+    /// gives an unjittered first run. Portfolio workers 1..N-1 differ from
+    /// worker 0 by this seed alone.
     std::uint32_t value_jitter_seed = 0;
 
     /// Trace track this search writes into (also attached to the store for
@@ -87,7 +88,7 @@ struct SearchStats {
     std::int64_t failures = 0;
     std::int64_t solutions = 0;
     std::int64_t cutoff_prunes = 0;  ///< branches cut by the incumbent bound
-    std::int64_t restarts = 0;       ///< failure-limited restarts (portfolio)
+    std::int64_t restarts = 0;       ///< failure-limited restarts
     double time_ms = 0.0;            ///< wall clock of the solve
 
     /// The field table (counters.hpp): f(metric name, merge rule, member...)
@@ -114,8 +115,8 @@ struct SolveWork {
     /// the store had profiling enabled (Store::enable_profiling).
     std::vector<PropProfile> prop_profile;
 
-    /// Merge another solve's work (portfolio workers, the replay, per-II
-    /// attempts): every counter by its MergeRule, profiles by class name.
+    /// Merge another solve's work (portfolio workers, per-II attempts):
+    /// every counter by its MergeRule, profiles by class name.
     void absorb(const SolveWork& other);
 
     /// Export as "solve.*", "engine.*" and "prop.<Class>.*"; repeated
@@ -134,7 +135,12 @@ struct SolveResult : SolveWork {
 };
 
 /// Minimize `objective` (or just find a first solution when `objective` is
-/// invalid) by DFS branch-and-bound over the given phases.
+/// invalid) by DFS branch-and-bound over the given phases, with
+/// failure-limited restarts: the first run may fail 512 times, each later
+/// run twice as often plus one, and every restart jitters its value order
+/// with a seed drawn from `options.value_jitter_seed`. The incumbent
+/// carries across restarts. `options.max_failures` bounds the failures of
+/// all runs together.
 ///
 /// Preconditions: the store must be at root level with all constraints
 /// posted. Every variable the model requires to be decided must appear in

@@ -110,7 +110,7 @@ public:
     /// pending propagation queue, counters and profile, with every
     /// propagator deep-copied through Propagator::clone. Solving the copy
     /// walks exactly the tree solving this store would, so one emission
-    /// serves any number of searches (portfolio workers, the replay). Reads
+    /// serves any number of searches (portfolio workers). Reads
     /// this store only: several threads may clone one const store at once.
     /// The trace attachment is not copied.
     Store clone() const;

@@ -284,7 +284,7 @@ obs::MetricsRegistry collect_metrics(const sched::Schedule& s) {
         cp::export_counters(w.stats, m, prefix);
         m.set(prefix + "proved", w.proved ? 1 : 0);
         m.set(prefix + "best_objective", w.best_objective);
-        m.label(prefix + "label", w.label);
+        m.set(prefix + "jitter_seed", w.jitter_seed);
     }
     return m;
 }
@@ -370,7 +370,8 @@ int run(const Options& options, std::ostream& out) {
         out << "solve:       " << s.stats.nodes << " nodes, " << s.stats.failures
             << " failures, " << format_fixed(s.stats.time_ms, 0) << " ms\n";
         for (const cp::WorkerReport& w : s.workers) {
-            out << "  worker " << w.config_index << " [" << w.label << "]: " << w.stats.nodes
+            out << "  worker " << w.config_index << " [jitter " << w.jitter_seed
+                << "]: " << w.stats.nodes
                 << " nodes, " << w.stats.failures << " failures, " << w.stats.cutoff_prunes
                 << " bound prunes, " << w.stats.restarts << " restarts"
                 << (w.proved ? ", proved" : "")

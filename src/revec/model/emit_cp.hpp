@@ -10,7 +10,7 @@
 // index the solution vector of a solve over any other emission of the same
 // model, and the search tree replays node-for-node across emissions. Each
 // consumer emits once; further searches of the same model (portfolio
-// workers, the replay) run on cp::Store::clone copies.
+// workers 1..N-1) run on cp::Store::clone copies.
 #pragma once
 
 #include <map>

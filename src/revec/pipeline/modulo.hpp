@@ -26,8 +26,8 @@ struct ModuloOptions {
     bool include_reconfigs = false;
     /// Wall-clock budget; -1 = unlimited. The paper used a 10-minute cap.
     std::int64_t timeout_ms = -1;
-    /// Portfolio search for each per-II solve (threads = 1 walks the
-    /// sequential tree); see cp/portfolio.hpp.
+    /// Portfolio search for each per-II solve (threads = 1 is exactly
+    /// cp::solve); see cp/portfolio.hpp.
     cp::SolverConfig solver;
 
     /// Warm start from heur::iterative_modulo_schedule: the greedy IMS

@@ -268,8 +268,8 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
     if (heuristic.has_value()) solver.initial_incumbent = heuristic->makespan;
 
     // One emission supplies the variable handles for extraction and the
-    // store worker 0 searches; further portfolio workers and the replay
-    // search clone it, so this table's handles index any worker's solution.
+    // store worker 0 searches; further portfolio workers search clones of
+    // it, so this table's handles index any worker's solution.
     cp::Store store;
     obs::span_begin(trace, obs::TraceLevel::Phase, "emit_cp");
     model::VarTable m = model::emit_cp(store, *km);

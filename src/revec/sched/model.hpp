@@ -52,9 +52,9 @@ struct ModelSolveOptions {
     /// for the result shape; useful as a fast compilation mode.
     bool heuristic_only = false;
 
-    /// Exact search (§3.5), run through cp::solve_portfolio: N workers with
-    /// a shared branch-and-bound incumbent, all but worker 0 restarting with
-    /// jittered values; threads = 1 walks the sequential tree.
+    /// Exact search (§3.5), run through cp::solve_portfolio: N restarting
+    /// workers with a shared branch-and-bound incumbent, all but worker 0
+    /// jittering their values; threads = 1 is exactly cp::solve.
     cp::SolverConfig solver;
 
     /// Optional externally supplied incumbent (see IncumbentSeed). Only

@@ -106,7 +106,7 @@ inline Instance pigeonhole_unsat(int n) {
 
 /// Post `instance` into a fresh store and run the portfolio on it, the way
 /// the scheduling layers call it: the caller's emission is worker 0's store,
-/// and the other workers and the replay search clones of it.
+/// and the other workers search clones of it.
 inline PortfolioResult run_portfolio(const Instance& instance, const SolverConfig& config,
                                      const SearchOptions& options = {}) {
     Store store;

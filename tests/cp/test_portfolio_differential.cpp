@@ -1,11 +1,14 @@
 // Differential gate for the parallel portfolio solver: on a corpus of
 // generated scheduling models it must return the same optimal objective and
 // the same status as the sequential branch-and-bound at 1, 2, and 4
-// threads, and a 1-thread portfolio must explore exactly the sequential
-// tree (identical node and failure counts).
+// threads, and a 1-thread portfolio must be cp::solve itself (identical
+// node and failure counts).
 #include "revec/cp/portfolio.hpp"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
 
 #include "portfolio_models.hpp"
 #include "revec/cp/search.hpp"
@@ -46,14 +49,14 @@ void expect_differential_match(const Instance& build, const std::string& tag) {
             EXPECT_EQ(par.value_of(m.objective), seq_obj) << tag << " threads=" << threads;
         }
         if (threads == 1) {
-            // Bit-compatibility: worker 0 is the baseline configuration, so
-            // the tree — not just the answer — matches the sequential DFS.
+            // One worker with jitter seed 0 is one cp::solve call, so the
+            // tree — not just the answer — matches it.
             EXPECT_EQ(par.stats.nodes, seq.stats.nodes) << tag;
             EXPECT_EQ(par.stats.failures, seq.stats.failures) << tag;
             EXPECT_EQ(par.stats.solutions, seq.stats.solutions) << tag;
             EXPECT_EQ(par.best, seq.best) << tag;
             ASSERT_EQ(par.workers.size(), 1u) << tag;
-            EXPECT_EQ(par.workers[0].label, "baseline") << tag;
+            EXPECT_EQ(par.workers[0].jitter_seed, 0u) << tag;
         }
     }
 }
@@ -111,11 +114,26 @@ TEST(PortfolioDifferential, SatisfactionProblemsAgree) {
     }
 }
 
-TEST(PortfolioDifferential, OneEmissionServesEveryWorkerAndTheReplay) {
-    // Worker 0 searches the caller's emission and every further worker and
-    // the replay a clone of it: whatever the thread count, the solve leaves
-    // the caller's store at root level with its variables and propagators
-    // as emitted, and the reported assignment indexes that store.
+/// A propagator that prunes nothing and counts how often it is cloned: one
+/// posted into a model counts the Store::clone calls made of it.
+class CloneCounter final : public Propagator {
+public:
+    explicit CloneCounter(std::atomic<int>& clones) : clones_(clones) {}
+    bool propagate(Store&) override { return true; }
+    std::unique_ptr<Propagator> clone() const override {
+        ++clones_;
+        return std::make_unique<CloneCounter>(*this);
+    }
+
+private:
+    std::atomic<int>& clones_;
+};
+
+TEST(PortfolioDifferential, OneEmissionServesEveryWorker) {
+    // Worker 0 searches the caller's emission and every further worker a
+    // clone of it, N-1 clones in all: whatever the thread count, the solve
+    // leaves the caller's store at root level with its variables and
+    // propagators as emitted, and the reported assignment indexes that store.
     const Instance model = random_rcpsp(3, 8, 3);
     Store ref;
     const PostedModel ref_model = model(ref);
@@ -124,12 +142,15 @@ TEST(PortfolioDifferential, OneEmissionServesEveryWorkerAndTheReplay) {
     for (const int threads : {1, 2, 4}) {
         Store store;
         const PostedModel posted = model(store);
+        std::atomic<int> clones{0};
+        store.post(std::make_unique<CloneCounter>(clones), std::vector<IntVar>{});
         const std::size_t vars = store.num_vars();
         const std::size_t props = store.num_propagators();
         SolverConfig cfg;
         cfg.threads = threads;
         const PortfolioResult r = solve_portfolio(store, posted, cfg);
         ASSERT_EQ(r.status, SolveStatus::Optimal) << threads;
+        EXPECT_EQ(clones.load(), threads - 1) << threads;
         ASSERT_EQ(r.best.size(), vars) << threads;
         EXPECT_EQ(r.value_of(posted.objective), seq.value_of(ref_model.objective)) << threads;
         EXPECT_EQ(store.level(), 0) << threads;
@@ -155,12 +176,11 @@ TEST(PortfolioDifferential, MergedStatsCoverAllWorkers) {
     std::int64_t nodes = 0;
     for (const WorkerReport& w : r.workers) {
         EXPECT_EQ(w.config_index, static_cast<int>(&w - r.workers.data()));
-        EXPECT_FALSE(w.label.empty());
+        EXPECT_EQ(w.jitter_seed, worker_jitter_seed(w.config_index, cfg.seed));
         nodes += w.stats.nodes;
     }
-    // Merged nodes include every worker (plus a possible canonical-replay
-    // pass on top).
-    EXPECT_GE(r.stats.nodes, nodes);
+    // The merged nodes are the workers' and nothing else's.
+    EXPECT_EQ(r.stats.nodes, nodes);
     EXPECT_GE(r.winner, 0);
 }
 

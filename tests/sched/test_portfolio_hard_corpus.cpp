@@ -1,10 +1,11 @@
-// The hard corpus (apps::kHardCorpus): 70-op random kernels whose 1-thread
-// search does not prove within a second or two. Whatever the search
+// The hard corpus (apps::kHardCorpus): 70-op random kernels whose search
+// runs past the first restart limit (512 failures). Whatever the search
 // manages within its budget, every schedule must pass check_schedule, must
 // not be worse than the heuristic it was seeded with, and an Optimal
 // answer must equal the recorded optimum. No proof within a time is
 // required: under a loaded machine a 2-thread proof can miss any fixed
-// deadline.
+// deadline. One 1-thread proof is pinned node for node, so a change to the
+// restart schedule fails here.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -63,6 +64,27 @@ void solve_corpus(int threads) {
 }
 
 TEST(PortfolioHardCorpus, OneThread) { solve_corpus(1); }
+
+TEST(PortfolioHardCorpus, OneThreadRestartGolden) {
+    // A warm 1-thread proof whose tree crosses the first restart limit (512
+    // failures): its counters pin where the search restarts and the jitter
+    // seed the second run draws. (micro_cp_kernel's hole-heavy probe, which
+    // restarts 7 times, pins the x2+1 growth.) The deadline is far past
+    // the ~30 ms it takes.
+    static_assert(apps::kHardCorpus[7].seed == 86);
+    const apps::HardKernel& k = apps::kHardCorpus[7];
+    ScheduleOptions opts;
+    opts.timeout_ms = 60000;
+    const model::KernelModel km = lower_for_schedule(
+        ir::merge_pipeline_ops(apps::build_random_kernel(k.options())), opts);
+    const Schedule s = schedule_model(km, model_solve_options(opts));
+    ASSERT_EQ(s.status, cp::SolveStatus::Optimal);
+    EXPECT_EQ(s.makespan, k.optimum);
+    EXPECT_TRUE(model::check_schedule(km, s.start, s.slot, s.makespan).empty());
+    EXPECT_EQ(s.stats.nodes, 1663);
+    EXPECT_EQ(s.stats.failures, 790);
+    EXPECT_EQ(s.stats.restarts, 1);
+}
 
 TEST(PortfolioHardCorpus, TwoThreads) { solve_corpus(2); }
 

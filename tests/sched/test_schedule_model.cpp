@@ -171,7 +171,7 @@ TEST(ScheduleModel, SearchSpanEndsWithReturnedMakespan) {
 }
 
 TEST(ScheduleModel, ParallelSolveEmitsTheModelOnce) {
-    // Workers 1..N-1 and the replay search clones of the one emission:
+    // Workers 1..N-1 search clones of the one emission:
     // no track of a 2-worker solve shows a second emit_cp span.
     ScheduleOptions opts;
     opts.timeout_ms = 60000;

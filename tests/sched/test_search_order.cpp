@@ -3,7 +3,9 @@
 // the warm sequential solve (schedule_model's default path) must prove its
 // optimum with a verify-clean schedule, and a replay of the same warm
 // search with the op phase switched back to smallest-min must reach the
-// same optimum wherever it proves one — never with fewer nodes.
+// same optimum wherever it proves one — never with fewer nodes. Both sides
+// run cp::solve, so both restart after 512 failures; only the smallest-min
+// side ever gets that far (one 12-op and two 25-op kernels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,8 @@ namespace {
 
 const arch::ArchSpec kSpec = arch::ArchSpec::eit();
 
-/// Failure cap of the smallest-min replay; a few kernels need far more.
+/// Failure cap of the smallest-min replay, summed over its restarts; a few
+/// kernels need far more.
 constexpr std::int64_t kOldOrderMaxFailures = 20000;
 
 /// Outcome of the warm search under the smallest-min op order.
