@@ -11,6 +11,11 @@
 
 namespace revec::arch {
 
+/// Cap on the slots of a memory (banks * lines): ArchSpec::validate and
+/// model::from_json reject larger geometries, so per-slot tables stay small
+/// and the slot count always fits an int.
+inline constexpr int kMaxSlots = 1 << 16;
+
 /// Geometry of the banked vector memory. Slots are enumerated linearly
 /// across banks first: slot = line * banks + bank (matching the paper's
 /// "first slot in the first bank is 0, first slot in the second bank is 1").

@@ -16,6 +16,12 @@ enum class Resource {
     IndexMerge,  ///< vector element extraction and scalar-to-vector merging
 };
 
+/// Cap on every latency and duration the scheduler accepts, in cycles:
+/// ArchSpec::validate and model::from_json reject larger values (and
+/// non-positive op timings), so the heuristic layer can size its per-cycle
+/// reservation window from a model's timings.
+inline constexpr int kMaxLatency = 1024;
+
 /// Architecture parameters. Defaults model the EIT instance evaluated in
 /// the paper; everything is adjustable to retarget the scheduler.
 struct ArchSpec {

@@ -35,23 +35,22 @@ AdaptResult adapt_schedule(const std::vector<int>& donor_start,
         hint[i] = id < mapped ? donor_start[i] : m.asap[i];
     }
 
-    // Same contract as sched's heuristic ladder: port limits always
-    // enforced, every rung's schedule re-checked, first clean rung wins.
-    model::KernelModel checked = m;
-    checked.enforce_port_limits = true;
+    // Same contract as sched's heuristic ladder: every rung keeps the port
+    // limits by construction, every rung's schedule is re-checked against
+    // the model, and the first clean rung wins.
     for (const ListOptions& base : ladder()) {
         ListOptions rung = base;
         rung.priority_hint = hint;
-        const ListResult list = priority_list_schedule(checked, rung);
+        const ListResult list = priority_list_schedule(m, rung);
         std::vector<int> slot(static_cast<std::size_t>(n), -1);
         int slots_used = 0;
         if (m.memory_allocation) {
-            const AllocResult alloc = allocate_slots(checked, list.start);
+            const AllocResult alloc = allocate_slots(m, list.start);
             if (!alloc.ok) continue;
             slot = alloc.slot;
             slots_used = alloc.slots_used;
         }
-        if (!model::check_schedule(checked, list.start, slot, list.makespan).empty()) {
+        if (!model::check_schedule(m, list.start, slot, list.makespan).empty()) {
             continue;
         }
         out.ok = true;

@@ -34,8 +34,9 @@ struct AdaptResult {
 /// !delta.compatible(); otherwise walks the heuristic retry ladder with
 /// the donor-derived priority hint, re-allocates slots when the model
 /// does memory allocation, and re-checks with model::check_schedule
-/// (port limits enforced — a stricter feasible schedule is still a valid
-/// incumbent for a relaxed model). Rejected results carry a reason and
+/// (every rung keeps the port limits — a stricter feasible schedule is
+/// still a valid incumbent for a relaxed model). Rejected results carry a
+/// reason and
 /// must not be served or seeded.
 AdaptResult adapt_schedule(const std::vector<int>& donor_start,
                            const model::ModelDelta& delta, const model::KernelModel& m);

@@ -1,7 +1,7 @@
 #include "revec/heur/list.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 
 #include "revec/support/assert.hpp"
 
@@ -9,22 +9,35 @@ namespace revec::heur {
 
 namespace {
 
-/// Per-cycle reservation state. Maps keep the schedule sparse: only cycles
-/// something occupies are stored, so long latency gaps cost nothing.
-struct Reservations {
-    std::map<int, int> lanes;          ///< cycle -> vector lanes in use
-    std::map<int, int> config;         ///< cycle -> loaded configuration id
-    std::map<int, int> scalar;         ///< cycle -> scalar issues
-    std::map<int, int> ixmerge;        ///< cycle -> index/merge issues
-    std::map<int, int> reads;          ///< cycle -> vector reads (issue time)
-    std::map<int, int> writes;         ///< cycle -> vector writes (landing time)
-    std::map<int, int> vector_issues;  ///< cycle -> vector-core ops issued
+/// Reservations of one cycle.
+struct Cycle {
+    int lanes = 0;          ///< vector lanes in use
+    int config = 0;         ///< loaded configuration id; meaningful iff lanes > 0
+    int scalar = 0;         ///< scalar issues
+    int ixmerge = 0;        ///< index/merge issues
+    int reads = 0;          ///< vector reads (issue time)
+    int writes = 0;         ///< vector writes (landing time)
+    int vector_issues = 0;  ///< vector-core ops issued
 };
 
-int count_at(const std::map<int, int>& m, int t) {
-    const auto it = m.find(t);
-    return it == m.end() ? 0 : it->second;
-}
+/// Per-cycle reservation tables over the only cycles an op issued at the
+/// current cycle t can touch: [t, t + max latency + max duration). t only
+/// grows, so the window is a ring -- cycle c lives at c & mask -- and a
+/// cycle is cleared as t passes it, which hands its entry to the cycle that
+/// enters the window's far end.
+class Window {
+public:
+    explicit Window(int span)
+        : cycles_(std::bit_ceil(static_cast<unsigned>(span))),
+          mask_(static_cast<int>(cycles_.size()) - 1) {}
+
+    Cycle& operator[](int cycle) { return cycles_[static_cast<std::size_t>(cycle & mask_)]; }
+    void retire(int cycle) { (*this)[cycle] = Cycle{}; }
+
+private:
+    std::vector<Cycle> cycles_;
+    int mask_;
+};
 
 }  // namespace
 
@@ -60,10 +73,18 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
     std::vector<int> avail(static_cast<std::size_t>(n), -1);
     for (const int d : m.inputs) avail[static_cast<std::size_t>(d)] = 0;
 
-    Reservations res;
-    int scheduled = 0;
-    const int total_ops = static_cast<int>(pending.size());
-    std::vector<char> done(static_cast<std::size_t>(n), 0);
+    // The window spans every cycle a reservation can land on; timings
+    // come bounded from ArchSpec::validate and model::from_json.
+    int max_latency = 0;
+    int max_duration = 0;
+    for (const int op : m.ops) {
+        const model::ModelNode& node = m.node(op);
+        REVEC_EXPECTS(node.latency >= 0 && node.latency <= arch::kMaxLatency);
+        REVEC_EXPECTS(node.duration >= 0 && node.duration <= arch::kMaxLatency);
+        max_latency = std::max(max_latency, node.latency);
+        max_duration = std::max(max_duration, node.duration);
+    }
+    Window res(max_latency + max_duration + 1);
 
     // Per-node vector-memory traffic comes straight off the model: vector
     // reads happen at issue time of vector-core ops, every produced vector
@@ -77,29 +98,27 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
 
     const auto fits = [&](const model::ModelNode& node, int at) {
         if (node.lanes > 0) {
-            if (options.serialize_vector_issue && count_at(res.vector_issues, at) > 0) {
-                return false;
-            }
+            if (options.serialize_vector_issue && res[at].vector_issues > 0) return false;
             for (int d = 0; d < node.duration; ++d) {
-                if (count_at(res.lanes, at + d) + node.lanes > m.caps.vector_lanes) return false;
-                const auto it = res.config.find(at + d);
-                if (it != res.config.end() && it->second != node.config) return false;
+                const Cycle& c = res[at + d];
+                if (c.lanes + node.lanes > m.caps.vector_lanes) return false;
+                if (c.lanes > 0 && c.config != node.config) return false;
             }
             if (options.enforce_port_limits && vreads(node) > 0 &&
-                count_at(res.reads, at) + vreads(node) > m.caps.max_vector_reads) {
+                res[at].reads + vreads(node) > m.caps.max_vector_reads) {
                 return false;
             }
         } else if (node.unit == model::Unit::Scalar) {
             for (int d = 0; d < node.duration; ++d) {
-                if (count_at(res.scalar, at + d) + 1 > m.caps.scalar_units) return false;
+                if (res[at + d].scalar + 1 > m.caps.scalar_units) return false;
             }
         } else {
             for (int d = 0; d < node.duration; ++d) {
-                if (count_at(res.ixmerge, at + d) + 1 > m.caps.index_merge_units) return false;
+                if (res[at + d].ixmerge + 1 > m.caps.index_merge_units) return false;
             }
         }
         if (vwrites(node) > 0) {
-            const int landing = count_at(res.writes, at + node.latency);
+            const int landing = res[at + node.latency].writes;
             if (options.enforce_port_limits &&
                 landing + vwrites(node) > m.caps.max_vector_writes) {
                 return false;
@@ -116,31 +135,32 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
         const auto i = static_cast<std::size_t>(node.id);
         if (node.lanes > 0) {
             for (int d = 0; d < node.duration; ++d) {
-                res.lanes[at + d] += node.lanes;
-                res.config.emplace(at + d, node.config);
+                Cycle& c = res[at + d];
+                if (c.lanes == 0) c.config = node.config;  // the first op loads it
+                c.lanes += node.lanes;
             }
-            res.reads[at] += vreads(node);
-            res.vector_issues[at] += 1;
+            res[at].reads += vreads(node);
+            res[at].vector_issues += 1;
         } else if (node.unit == model::Unit::Scalar) {
-            for (int d = 0; d < node.duration; ++d) res.scalar[at + d] += 1;
+            for (int d = 0; d < node.duration; ++d) res[at + d].scalar += 1;
         } else {
-            for (int d = 0; d < node.duration; ++d) res.ixmerge[at + d] += 1;
+            for (int d = 0; d < node.duration; ++d) res[at + d].ixmerge += 1;
         }
-        res.writes[at + node.latency] += vwrites(node);
+        res[at + node.latency].writes += vwrites(node);
 
         result.start[i] = at;
-        done[i] = 1;
-        ++scheduled;
         for (const int d : node.succs) {
             avail[static_cast<std::size_t>(d)] = at + node.latency;
             result.start[static_cast<std::size_t>(d)] = at + node.latency;  // eq. 4
         }
     };
 
+    // Each cycle walks the unscheduled ops in priority order; the ones that
+    // issue drop out of `pending`, the rest keep their order.
     int t = 0;
-    while (scheduled < total_ops) {
+    while (!pending.empty()) {
+        std::size_t kept = 0;
         for (const int op : pending) {
-            if (done[static_cast<std::size_t>(op)]) continue;
             const model::ModelNode& node = m.node(op);
             bool ready = true;
             for (const int d : node.preds) {
@@ -150,10 +170,14 @@ ListResult priority_list_schedule(const model::KernelModel& m, const ListOptions
                     break;
                 }
             }
-            if (!ready) continue;
-            if (!fits(node, t)) continue;
-            commit(node, t);
+            if (ready && fits(node, t)) {
+                commit(node, t);
+            } else {
+                pending[kept++] = op;
+            }
         }
+        pending.resize(kept);
+        res.retire(t);
         ++t;
         REVEC_ASSERT(t < 1000000);  // progress guard
     }

@@ -1,8 +1,8 @@
 #include "revec/model/check.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <utility>
 
 namespace revec::model {
 
@@ -15,6 +15,38 @@ std::string at_node(const KernelModel& m, int id) {
     if (!n.op.empty()) os << " " << n.op;
     os << ")";
     return os.str();
+}
+
+/// `amount` of one resource used in `cycle`; `seq` is the order the walk
+/// over the model met the use in. `value` is the configuration a
+/// vector-core use loads, or the slot a memory access touches.
+struct Use {
+    int cycle = 0;
+    int seq = 0;
+    int amount = 1;
+    int value = 0;
+};
+
+void push(std::vector<Use>& uses, int cycle, int amount, int value = 0) {
+    uses.push_back({cycle, static_cast<int>(uses.size()), amount, value});
+}
+
+/// Sort `uses` by cycle, keeping the walk order within a cycle, and call
+/// per_cycle(first, last, total amount) for each used cycle in ascending
+/// order. Only the uses are stored, never the cycles between them, so a
+/// start at 10^9 costs what a start at 1 does.
+template <typename PerCycle>
+void for_each_cycle(std::vector<Use>& uses, PerCycle&& per_cycle) {
+    std::sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+        return a.cycle != b.cycle ? a.cycle < b.cycle : a.seq < b.seq;
+    });
+    for (auto first = uses.begin(); first != uses.end();) {
+        auto last = first;
+        int total = 0;
+        for (; last != uses.end() && last->cycle == first->cycle; ++last) total += last->amount;
+        per_cycle(first, last, total);
+        first = last;
+    }
 }
 
 }  // namespace
@@ -63,45 +95,62 @@ std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<
 
     // -- eq. (2) lane capacity, eq. (3) one configuration per cycle, and the
     //    scalar / index-merge units ------------------------------------------------
-    std::map<int, int> lanes_at;
-    std::map<int, int> config_at;
-    std::map<int, int> scalar_at;
-    std::map<int, int> ixmerge_at;
+    std::vector<Use> lane_uses;
+    std::vector<Use> scalar_uses;
+    std::vector<Use> ixmerge_uses;
     for (const int op : m.ops) {
         const ModelNode& node = m.node(op);
         for (int dt = 0; dt < node.duration; ++dt) {
             const int at = s(op) + dt;
             if (node.lanes > 0) {
-                lanes_at[at] += node.lanes;
-                auto [it, inserted] = config_at.emplace(at, node.config);
-                if (!inserted && it->second != node.config) {
-                    report("two configurations at cycle " + std::to_string(at) + ": " +
-                           m.config_keys[static_cast<std::size_t>(it->second)] + " vs " +
-                           m.config_keys[static_cast<std::size_t>(node.config)]);
-                }
+                push(lane_uses, at, node.lanes, node.config);
             } else if (node.unit == Unit::Scalar) {
-                ++scalar_at[at];
+                push(scalar_uses, at, 1);
             } else {
-                ++ixmerge_at[at];
+                push(ixmerge_uses, at, 1);
             }
         }
     }
-    for (const auto& [at, lanes] : lanes_at) {
-        if (lanes > m.caps.vector_lanes) {
-            report("lane overload at cycle " + std::to_string(at) + ": " +
-                   std::to_string(lanes) + " > " + std::to_string(m.caps.vector_lanes));
+    // A cycle holds the configuration of its first use; every later use
+    // that loads another one is reported, in walk order, before the lane
+    // overloads, in cycle order.
+    struct Clash {
+        int seq;
+        int cycle;
+        int loaded;
+        int config;
+    };
+    std::vector<Clash> clashes;
+    std::vector<std::pair<int, int>> overloads;  // (cycle, lanes)
+    for_each_cycle(lane_uses, [&](auto first, auto last, int lanes) {
+        for (auto u = first + 1; u != last; ++u) {
+            if (u->value != first->value) {
+                clashes.push_back({u->seq, u->cycle, first->value, u->value});
+            }
         }
+        if (lanes > m.caps.vector_lanes) overloads.emplace_back(first->cycle, lanes);
+    });
+    std::sort(clashes.begin(), clashes.end(),
+              [](const Clash& a, const Clash& b) { return a.seq < b.seq; });
+    for (const Clash& c : clashes) {
+        report("two configurations at cycle " + std::to_string(c.cycle) + ": " +
+               m.config_keys[static_cast<std::size_t>(c.loaded)] + " vs " +
+               m.config_keys[static_cast<std::size_t>(c.config)]);
     }
-    for (const auto& [at, cnt] : scalar_at) {
+    for (const auto& [at, lanes] : overloads) {
+        report("lane overload at cycle " + std::to_string(at) + ": " + std::to_string(lanes) +
+               " > " + std::to_string(m.caps.vector_lanes));
+    }
+    for_each_cycle(scalar_uses, [&](auto first, auto, int cnt) {
         if (cnt > m.caps.scalar_units) {
-            report("scalar unit overload at cycle " + std::to_string(at));
+            report("scalar unit overload at cycle " + std::to_string(first->cycle));
         }
-    }
-    for (const auto& [at, cnt] : ixmerge_at) {
+    });
+    for_each_cycle(ixmerge_uses, [&](auto first, auto, int cnt) {
         if (cnt > m.caps.index_merge_units) {
-            report("index/merge unit overload at cycle " + std::to_string(at));
+            report("index/merge unit overload at cycle " + std::to_string(first->cycle));
         }
-    }
+    });
 
     // -- makespan (eq. 5) -------------------------------------------------------------
     int makespan = 0;
@@ -115,30 +164,30 @@ std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<
 
     // -- memory-port limits (model extension; slot-independent) ----------------
     if (m.enforce_port_limits) {
-        std::map<int, int> reads_count;
-        std::map<int, int> writes_count;
+        std::vector<Use> reads;
+        std::vector<Use> writes;
         for (const int op : m.ops) {
             const ModelNode& node = m.node(op);
             if (node.lanes > 0) {
-                reads_count[s(op)] += static_cast<int>(node.vector_inputs.size());
+                push(reads, s(op), static_cast<int>(node.vector_inputs.size()));
             }
             if (!node.vector_outputs.empty()) {
-                writes_count[s(op) + node.latency] +=
-                    static_cast<int>(node.vector_outputs.size());
+                push(writes, s(op) + node.latency,
+                     static_cast<int>(node.vector_outputs.size()));
             }
         }
-        for (const auto& [at, cnt] : reads_count) {
+        for_each_cycle(reads, [&](auto first, auto, int cnt) {
             if (cnt > m.caps.max_vector_reads) {
-                report("read-port overload at cycle " + std::to_string(at) + ": " +
+                report("read-port overload at cycle " + std::to_string(first->cycle) + ": " +
                        std::to_string(cnt) + " > " + std::to_string(m.caps.max_vector_reads));
             }
-        }
-        for (const auto& [at, cnt] : writes_count) {
+        });
+        for_each_cycle(writes, [&](auto first, auto, int cnt) {
             if (cnt > m.caps.max_vector_writes) {
-                report("write-port overload at cycle " + std::to_string(at) + ": " +
+                report("write-port overload at cycle " + std::to_string(first->cycle) + ": " +
                        std::to_string(cnt) + " > " + std::to_string(m.caps.max_vector_writes));
             }
-        }
+        });
     }
 
     if (!m.memory_allocation) return problems;
@@ -160,70 +209,89 @@ std::vector<std::string> check_schedule(const KernelModel& m, const std::vector<
     }
     if (!problems.empty()) return problems;
 
-    // Lifetimes (eq. 10) and slot reuse (eq. 11).
-    const auto life_of = [&](int d) {
-        const ModelNode& node = m.node(d);
-        int last = s(d);
+    // Lifetimes (eq. 10), once per datum, and slot reuse (eq. 11). Only data
+    // in one slot can clash, so pairs are formed within each slot; the
+    // reports follow the order of the pairs in m.vdata.
+    const std::vector<int>& vdata = m.vdata;
+    std::vector<int> life(vdata.size());
+    for (std::size_t a = 0; a < vdata.size(); ++a) {
+        const ModelNode& node = m.node(vdata[a]);
+        int last = s(node.id);
         for (const int succ : node.succs) last = std::max(last, s(succ));
         // Sinks and outputs persist one cycle past the schedule end; the
         // extra cycles are precomputed in lifetime_extra.
         if (node.persists) last = std::max(last, makespan);
-        return last - s(d) + node.lifetime_extra;
-    };
-    for (std::size_t a = 0; a < m.vdata.size(); ++a) {
-        for (std::size_t b = a + 1; b < m.vdata.size(); ++b) {
-            const int d = m.vdata[a];
-            const int e = m.vdata[b];
-            if (slot_of(d) != slot_of(e)) continue;
-            // Zero-length lifetimes occupy nothing (Diff2 semantics: an
-            // empty rectangle overlaps no other).
-            if (life_of(d) == 0 || life_of(e) == 0) continue;
-            const int d_end = s(d) + life_of(d);
-            const int e_end = s(e) + life_of(e);
-            const bool overlap = s(d) < e_end && s(e) < d_end;
-            if (overlap) {
-                report("slot " + std::to_string(slot_of(d)) + " reused while live: " +
-                       at_node(m, d) + " [" + std::to_string(s(d)) + "," +
-                       std::to_string(d_end) + ") vs " + at_node(m, e) + " [" +
-                       std::to_string(s(e)) + "," + std::to_string(e_end) + ")");
+        life[a] = last - s(node.id) + node.lifetime_extra;
+    }
+    std::vector<std::size_t> by_slot(vdata.size());
+    for (std::size_t a = 0; a < vdata.size(); ++a) by_slot[a] = a;
+    std::sort(by_slot.begin(), by_slot.end(), [&](std::size_t a, std::size_t b) {
+        const int sa = slot_of(vdata[a]);
+        const int sb = slot_of(vdata[b]);
+        return sa != sb ? sa < sb : a < b;
+    });
+    std::vector<std::pair<std::size_t, std::size_t>> reused;
+    for (std::size_t i = 0; i < by_slot.size(); ++i) {
+        const std::size_t a = by_slot[i];
+        // Zero-length lifetimes occupy nothing (Diff2 semantics: an empty
+        // rectangle overlaps no other).
+        if (life[a] == 0) continue;
+        for (std::size_t j = i + 1; j < by_slot.size(); ++j) {
+            const std::size_t b = by_slot[j];
+            if (slot_of(vdata[b]) != slot_of(vdata[a])) break;
+            if (life[b] == 0) continue;
+            if (s(vdata[a]) < s(vdata[b]) + life[b] && s(vdata[b]) < s(vdata[a]) + life[a]) {
+                reused.emplace_back(a, b);
             }
         }
+    }
+    std::sort(reused.begin(), reused.end());
+    for (const auto& [a, b] : reused) {
+        const int d = vdata[a];
+        const int e = vdata[b];
+        report("slot " + std::to_string(slot_of(d)) + " reused while live: " + at_node(m, d) +
+               " [" + std::to_string(s(d)) + "," + std::to_string(s(d) + life[a]) + ") vs " +
+               at_node(m, e) + " [" + std::to_string(s(e)) + "," +
+               std::to_string(s(e) + life[b]) + ")");
     }
 
     // Simultaneous-access rules (eqs. 7-9): group the vector-data inputs of
     // all vector-core ops issued in a cycle (reads) and the vector data
     // produced in a cycle (writes); within each group, no two slots may be
     // in access conflict (same page, different line).
-    std::map<int, std::vector<int>> reads_at;   // cycle -> slots
-    std::map<int, std::vector<int>> writes_at;  // cycle -> slots
+    std::vector<Use> reads;
+    std::vector<Use> writes;
     for (const ModelNode& node : m.nodes) {
         if (node.is_op && node.lanes > 0) {
-            for (const int p : node.vector_inputs) {
-                reads_at[s(node.id)].push_back(slot_of(p));
-            }
+            for (const int p : node.vector_inputs) push(reads, s(node.id), 1, slot_of(p));
         }
         // Every produced vector datum is a memory write landing at the
         // data's start (its producer's completion), regardless of unit —
         // vector core or merge (see the generalized eq. 9 in the emitter).
         if (node.is_vector_data && !node.preds.empty()) {
-            writes_at[s(node.id)].push_back(slot_of(node.id));
+            push(writes, s(node.id), 1, slot_of(node.id));
         }
     }
-    const auto check_group = [&](int at, const std::vector<int>& slots, const char* what) {
-        std::map<int, int> first_in_page;  // page -> first slot accessed
-        for (const int sl : slots) {
-            const auto [it, inserted] = first_in_page.emplace(geom.page_of(sl), sl);
-            if (!inserted && geom.access_conflict(it->second, sl)) {
-                report(std::string(what) + " at cycle " + std::to_string(at) + " hit page " +
-                       std::to_string(geom.page_of(sl)) + " on lines " +
-                       std::to_string(geom.line_of(it->second)) + " and " +
-                       std::to_string(geom.line_of(sl)));
-                return;
+    // Each access is held against the first slot the group touched in its
+    // page; a group reports its first conflict only.
+    const auto check_groups = [&](std::vector<Use>& accesses, const char* what) {
+        for_each_cycle(accesses, [&](auto first, auto last, int) {
+            for (auto u = first + 1; u != last; ++u) {
+                const int sl = u->value;
+                auto seen = first;
+                while (geom.page_of(seen->value) != geom.page_of(sl)) ++seen;
+                if (geom.access_conflict(seen->value, sl)) {
+                    report(std::string(what) + " at cycle " + std::to_string(u->cycle) +
+                           " hit page " + std::to_string(geom.page_of(sl)) + " on lines " +
+                           std::to_string(geom.line_of(seen->value)) + " and " +
+                           std::to_string(geom.line_of(sl)));
+                    return;
+                }
             }
-        }
+        });
     };
-    for (const auto& [at, slots] : reads_at) check_group(at, slots, "reads");
-    for (const auto& [at, slots] : writes_at) check_group(at, slots, "writes");
+    check_groups(reads, "reads");
+    check_groups(writes, "writes");
 
     return problems;
 }

@@ -258,6 +258,9 @@ void read_model_field(Field& f, std::size_t key, KernelModel& m) {
                                 &m.geometry.lines};
             f.object(kGeometryKeys, "geometry", first(kGeometryKeys.size()),
                      [&](Field& g, std::size_t i) { *dst[i] = g.positive(); });
+            if (std::int64_t{m.geometry.banks} * m.geometry.lines > arch::kMaxSlots) {
+                throw Error("kernel model JSON: geometry holds more than kMaxSlots slots");
+            }
             return;
         }
         case kCaps: {
@@ -316,11 +319,22 @@ KernelModel from_json(json::Reader& in) {
         throw Error("kernel model JSON: per-node array size mismatch");
     }
     derive(m);
-    // What the solver indexes by or packs into a cycle: a vector-core op's
-    // configuration names one of config_keys (the makespan lower bound
-    // keeps per-configuration tallies), and an op fits the vector core.
+    // What the solver indexes by or packs into a cycle: every timing lies
+    // within arch::kMaxLatency (an op's is at least one cycle; the list
+    // scheduler's reservation window is sized from them), a vector-core
+    // op's configuration names one of config_keys (the makespan lower
+    // bound keeps per-configuration tallies), and an op fits the vector
+    // core.
+    const auto check_timing = [](const ModelNode& n, int cycles, const char* what) {
+        const int least = n.is_op ? 1 : 0;
+        if (cycles >= least && cycles <= arch::kMaxLatency) return;
+        throw Error(std::string("kernel model JSON: ") + (n.is_op ? "op " : "data ") + what +
+                    " outside [" + std::to_string(least) + ", kMaxLatency]");
+    };
     const int num_configs = static_cast<int>(m.config_keys.size());
     for (const ModelNode& n : m.nodes) {
+        check_timing(n, n.latency, "latency");
+        check_timing(n, n.duration, "duration");
         if (!n.is_op) continue;
         if (n.unit == Unit::VectorCore && (n.config < 0 || n.config >= num_configs)) {
             throw Error("kernel model JSON: config id out of range");

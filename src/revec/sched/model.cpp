@@ -69,19 +69,16 @@ Schedule extract_schedule(const model::KernelModel& km, const model::VarTable& m
 /// The heuristics read slack priorities (ALAP - ASAP) and ALAP order, both
 /// of which are invariant under the uniform shift a horizon change applies
 /// to every ALAP entry — so running them on `km` directly reproduces the
-/// historical critical-path-horizon lowering exactly. The port limits are
-/// always checked: the heuristics respect them by construction, and a
-/// stricter feasible schedule remains a valid incumbent for a relaxed
-/// exact model.
+/// historical critical-path-horizon lowering exactly. Every rung keeps the
+/// port limits by construction, so a schedule the checker passes meets
+/// them whether or not `km` enforces them: a stricter feasible schedule
+/// remains a valid incumbent for a relaxed exact model.
 std::optional<Schedule> heuristic_schedule(const model::KernelModel& km,
                                            obs::TraceBuffer* trace) {
     obs::SpanScope span(trace, obs::TraceLevel::Phase, "heuristic");
-    model::KernelModel checked = km;
-    checked.enforce_port_limits = true;
-
     std::int64_t rung_index = 0;
     for (const heur::ListOptions& rung : heur::ladder()) {
-        const heur::ListResult list = heur::priority_list_schedule(checked, rung);
+        const heur::ListResult list = heur::priority_list_schedule(km, rung);
         Schedule sched;
         sched.start = list.start;
         sched.slot.assign(static_cast<std::size_t>(km.num_nodes()), -1);
@@ -89,7 +86,7 @@ std::optional<Schedule> heuristic_schedule(const model::KernelModel& km,
         sched.status = cp::SolveStatus::HeuristicFallback;
         bool ok = true;
         if (km.memory_allocation) {
-            const heur::AllocResult alloc = heur::allocate_slots(checked, list.start);
+            const heur::AllocResult alloc = heur::allocate_slots(km, list.start);
             ok = alloc.ok;
             if (ok) {
                 sched.slot = alloc.slot;
@@ -97,8 +94,7 @@ std::optional<Schedule> heuristic_schedule(const model::KernelModel& km,
             }
         }
         if (ok) {
-            ok = model::check_schedule(checked, sched.start, sched.slot, sched.makespan)
-                     .empty();
+            ok = model::check_schedule(km, sched.start, sched.slot, sched.makespan).empty();
         }
         obs::instant(trace, obs::TraceLevel::Phase, "heur_rung", "rung", rung_index++,
                      "ok", ok ? 1 : 0);
@@ -151,6 +147,9 @@ model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions&
     int horizon = derive_horizon(spec, g);
     if (!options.fixed_starts.empty()) {
         // Slot-only mode: the horizon must cover the supplied schedule.
+        if (options.fixed_starts.size() != static_cast<std::size_t>(g.num_nodes())) {
+            throw Error("fixed_starts must supply one start per node");
+        }
         int fixed_end = 0;
         for (const ir::Node& node : g.nodes()) {
             const ir::NodeTiming t = ir::node_timing(spec, node);
@@ -208,19 +207,16 @@ Schedule schedule_model(const model::KernelModel& model_in, const ModelSolveOpti
 
     // An externally supplied incumbent (DESIGN §5k: an adapted near-cache
     // donor) may replace the heuristic as the warm seed — but only after
-    // it re-verifies clean against *this* model with the port limits
-    // enforced, and only when it is strictly better. Everything downstream
-    // (horizon raise, shared bound, anytime merge) then treats it exactly
-    // like a heuristic schedule.
+    // it re-verifies clean against *this* model, and only when it is
+    // strictly better. Everything downstream (horizon raise, shared bound,
+    // anytime merge) then treats it exactly like a heuristic schedule.
     if (options.incumbent.has_value() && options.warm_start &&
         model_in.fixed_starts.empty()) {
         const IncumbentSeed& seed = *options.incumbent;
         bool adopted = false;
         if (static_cast<int>(seed.start.size()) == model_in.num_nodes() &&
             (!heuristic.has_value() || seed.makespan < heuristic->makespan)) {
-            model::KernelModel checked = model_in;
-            checked.enforce_port_limits = true;
-            if (model::check_schedule(checked, seed.start, seed.slot, seed.makespan)
+            if (model::check_schedule(model_in, seed.start, seed.slot, seed.makespan)
                     .empty()) {
                 Schedule s;
                 s.start = seed.start;

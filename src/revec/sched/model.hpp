@@ -20,9 +20,9 @@ namespace revec::sched {
 /// An externally produced candidate schedule offered as a warm incumbent
 /// (DESIGN §5k): the svc reuse layer passes the adapted donor schedule
 /// here. schedule_model re-verifies it against the model being solved
-/// (model::check_schedule, port limits enforced) and adopts it only when
-/// clean and strictly better than its own heuristic — a rejected or
-/// inferior seed is silently dropped, never trusted.
+/// (model::check_schedule) and adopts it only when clean and strictly
+/// better than its own heuristic — a rejected or inferior seed is silently
+/// dropped, never trusted.
 struct IncumbentSeed {
     std::vector<int> start;
     std::vector<int> slot;

@@ -53,6 +53,34 @@ TEST(ArchSpec, ValidateRejectsZeroLatency) {
     EXPECT_THROW(s.validate(), Error);
 }
 
+// Every timing lies in [1, kMaxLatency] and the memory holds at most
+// kMaxSlots slots: the heuristics size per-cycle and per-slot tables from
+// them.
+TEST(ArchSpec, ValidateRejectsTimingsAndMemoryPastTheCaps) {
+    int ArchSpec::*const timings[] = {
+        &ArchSpec::vector_latency,      &ArchSpec::vector_duration,
+        &ArchSpec::scalar_latency,      &ArchSpec::scalar_duration,
+        &ArchSpec::index_merge_latency, &ArchSpec::index_merge_duration,
+    };
+    for (int ArchSpec::*const t : timings) {
+        for (const int bad : {-3, 0, kMaxLatency + 1, 1000000}) {
+            ArchSpec s;
+            s.*t = bad;
+            EXPECT_THROW(s.validate(), Error) << bad;
+        }
+        ArchSpec most;
+        most.*t = kMaxLatency;
+        EXPECT_NO_THROW(most.validate());
+    }
+    ArchSpec big;
+    big.memory.lines = kMaxSlots / big.memory.banks + 1;
+    EXPECT_THROW(big.validate(), Error);
+    big.memory.lines = 1 << 30;  // banks * lines overflows an int
+    EXPECT_THROW(big.validate(), Error);
+    big.memory.lines = kMaxSlots / big.memory.banks;
+    EXPECT_NO_THROW(big.validate());
+}
+
 TEST(ArchSpec, CustomConfigurationsValidate) {
     // Retargeting to a wider machine must be allowed.
     ArchSpec s;

@@ -56,6 +56,9 @@ TEST(SpecIo, EmptyArchIsEit) {
 TEST(SpecIo, InvalidValuesRejected) {
     EXPECT_THROW(spec_from_xml("<arch><vector lanes=\"0\"/></arch>"), Error);
     EXPECT_THROW(spec_from_xml("<arch><memory banks=\"14\"/></arch>"), Error);
+    EXPECT_THROW(spec_from_xml("<arch><scalar latency=\"-3\"/></arch>"), Error);
+    EXPECT_THROW(spec_from_xml("<arch><vector latency=\"1000000\"/></arch>"), Error);
+    EXPECT_THROW(spec_from_xml("<arch><memory lines=\"100000\"/></arch>"), Error);
     EXPECT_THROW(spec_from_xml("<machine/>"), Error);
     EXPECT_THROW(spec_from_xml("not xml"), Error);
 }

@@ -68,6 +68,19 @@ TEST_P(CheckerAgreesWithLegacy, OnHeuristicAndSabotagedSchedules) {
         expect_same_reports(g, bad, {}, "shifted_op", seed);
     }
 
+    // Sabotage 1b: shift the first op 10^9 cycles late, then 10^9 early.
+    // The checker stores uses, not the cycles between them, so the far
+    // start costs no more than a near one.
+    for (const int far : {1000000000, -1000000000}) {
+        sched::Schedule bad = h;
+        for (const ir::Node& node : g.nodes()) {
+            if (!node.is_op()) continue;
+            bad.start[static_cast<std::size_t>(node.id)] += far;
+            break;
+        }
+        expect_same_reports(g, bad, {}, far > 0 ? "far_late_op" : "far_early_op", seed);
+    }
+
     // Sabotage 2: collapse every vector-data slot onto slot 0 — slot-reuse
     // and simultaneous-access violations galore.
     {

@@ -330,6 +330,60 @@ TEST(ModelJsonRoundTrip, RejectsOpLanesOutsideTheVectorCore) {
     EXPECT_EQ(rejection(json::to_compact_string(full)), "");
 }
 
+// Timings bound the list scheduler's per-cycle window: an op's latency and
+// duration lie in [1, kMaxLatency], a data node's in [0, kMaxLatency].
+TEST(ModelJsonRoundTrip, RejectsLatencyOrDurationOutsideTheCap) {
+    const json::Value clean = json::parse(to_json(matmul_model()));
+    const auto with = [&](bool op, const char* key, double value) {
+        json::Value doc = clean;
+        for (json::Value& node : field(doc, "nodes").array) {
+            if (field(node, "op").str.empty() != op) {
+                field(node, key).number = value;
+                break;
+            }
+        }
+        return rejection(json::to_compact_string(doc));
+    };
+    for (const double bad : {-3.0, 0.0, 1025.0, 1000000.0}) {
+        EXPECT_EQ(with(true, "latency", bad),
+                  "kernel model JSON: op latency outside [1, kMaxLatency]")
+            << bad;
+    }
+    for (const double bad : {-2.0, 0.0, 1025.0}) {
+        EXPECT_EQ(with(true, "duration", bad),
+                  "kernel model JSON: op duration outside [1, kMaxLatency]")
+            << bad;
+    }
+    for (const double bad : {-1.0, 1025.0}) {
+        EXPECT_EQ(with(false, "latency", bad),
+                  "kernel model JSON: data latency outside [0, kMaxLatency]")
+            << bad;
+        EXPECT_EQ(with(false, "duration", bad),
+                  "kernel model JSON: data duration outside [0, kMaxLatency]")
+            << bad;
+    }
+    EXPECT_EQ(with(true, "latency", arch::kMaxLatency), "");
+    EXPECT_EQ(with(true, "duration", arch::kMaxLatency), "");
+    EXPECT_EQ(with(false, "latency", arch::kMaxLatency), "");
+}
+
+// The slot allocator sizes a table by the slot count: a geometry of more
+// than kMaxSlots slots (2^20 here, or one whose count overflows an int) is
+// refused.
+TEST(ModelJsonRoundTrip, RejectsAGeometryPastTheSlotCap) {
+    const json::Value clean = json::parse(to_json(matmul_model()));
+    for (const double lines : {65536.0, 2147483647.0}) {
+        json::Value doc = clean;
+        field(field(doc, "geometry"), "lines").number = lines;
+        EXPECT_EQ(rejection(json::to_compact_string(doc)),
+                  "kernel model JSON: geometry holds more than kMaxSlots slots")
+            << lines;
+    }
+    json::Value most = clean;
+    field(field(most, "geometry"), "lines").number = arch::kMaxSlots / 16;
+    EXPECT_EQ(rejection(json::to_compact_string(most)), "");
+}
+
 TEST(CanonicalHash, IgnoresRequestFieldOrder) {
     const KernelModel m = matmul_model();
     const std::uint64_t expected = canonical_hash(m);

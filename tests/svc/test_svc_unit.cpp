@@ -25,6 +25,7 @@
 #include "revec/svc/cache.hpp"
 #include "revec/svc/pool.hpp"
 #include "revec/svc/protocol.hpp"
+#include "revec/svc/service.hpp"
 
 namespace revec::svc {
 namespace {
@@ -295,6 +296,44 @@ TEST(SvcProtocol, ControlRequestCarryingABadModelIsRejected) {
         EXPECT_FALSE(ok.model.has_value()) << kind;
     }
     EXPECT_THROW(parse_request("{\"kind\":\"solve\",\"model\":5}"), Error);
+}
+
+// A model whose timings leave [1, kMaxLatency] (ops) or [0, kMaxLatency]
+// (data) is refused while the line is read, and the service answers
+// ok:false: a MATMUL with op latency -3 was once served ok:true, optimal.
+TEST(SvcProtocol, RefusesALatencyOrDurationOutsideTheCap) {
+    const model::KernelModel clean = matmul_model();
+    const int op = clean.ops.front();
+    const int data = clean.vdata.front();
+    struct Bad {
+        int node;
+        int latency;
+        int duration;
+    };
+    const Bad cases[] = {
+        {op, -3, 1},   {op, 0, 1},      {op, 1000000, 1}, {op, 7, 0},  {op, 7, -2},
+        {op, 7, 1025}, {data, -1, 0}, {data, 1025, 0},  {data, 0, -1},
+    };
+    Service service(Service::Config{});
+    for (const Bad& bad : cases) {
+        model::KernelModel km = clean;
+        km.nodes[static_cast<std::size_t>(bad.node)].latency = bad.latency;
+        km.nodes[static_cast<std::size_t>(bad.node)].duration = bad.duration;
+        Request req;
+        req.kind = RequestKind::Solve;
+        req.id = 1;
+        req.model = km;
+        const std::string line = serialize_request(req);
+        EXPECT_THROW(parse_request(line), Error) << bad.latency << " " << bad.duration;
+        const Response r = parse_response(service.handle_line(line));
+        EXPECT_FALSE(r.ok) << bad.latency << " " << bad.duration;
+        EXPECT_NE(r.error.find("outside ["), std::string::npos) << r.error;
+    }
+    Request fine;
+    fine.kind = RequestKind::Solve;
+    fine.id = 2;
+    fine.model = clean;
+    EXPECT_TRUE(parse_response(service.handle_line(serialize_request(fine))).ok);
 }
 
 // serialize_request copies the canonical text onto one line without a
