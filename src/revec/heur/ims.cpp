@@ -169,9 +169,4 @@ ImsResult iterative_modulo_schedule(const model::KernelModel& m, const ImsOption
     return result;
 }
 
-ImsResult iterative_modulo_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                    const ImsOptions& options) {
-    return iterative_modulo_schedule(model::lower_ir(spec, g), options);
-}
-
 }  // namespace revec::heur

@@ -14,14 +14,12 @@
 
 #include <vector>
 
-#include "revec/arch/spec.hpp"
-#include "revec/ir/graph.hpp"
 #include "revec/model/kernel_model.hpp"
 
 namespace revec::heur {
 
 struct ImsOptions {
-    /// First candidate II; pass pipeline::ii_lower_bound for a tight scan.
+    /// First candidate II; pass model::modulo_ii_lower_bound for a tight scan.
     int min_ii = 1;
 
     /// Give up beyond this initiation interval.
@@ -43,9 +41,5 @@ struct ImsResult {
 /// II is tried. Returns ok=false only when max_ii is exhausted. Priorities
 /// read m.asap/m.alap, so lower with the default horizon (critical path).
 ImsResult iterative_modulo_schedule(const model::KernelModel& m, const ImsOptions& options = {});
-
-/// Convenience wrapper: lower `g` with default options and schedule.
-ImsResult iterative_modulo_schedule(const arch::ArchSpec& spec, const ir::Graph& g,
-                                    const ImsOptions& options = {});
 
 }  // namespace revec::heur

@@ -68,17 +68,31 @@ namespace {
     throw Error("kernel model: " + what);
 }
 
+int ceil_div(int x, int k) { return (x + k - 1) / k; }
+
 /// Per-node timing: asap and alap (against `m.horizon`) by one
 /// topological walk over the derived succs, and the critical path.
-void derive_times(KernelModel& m) {
-    const auto n = m.nodes.size();
-    // Every start and bound below lies within |horizon| + the summed
-    // latencies of zero, so checking that sum once keeps the walk in int.
+/// Every start and bound derive_times computes lies within |horizon| + the
+/// summed latencies of zero, so checking that sum once keeps the walk in
+/// int.
+void check_reach(const KernelModel& m) {
     long long reach = std::llabs(static_cast<long long>(m.horizon)) + 1;
     for (const ModelNode& node : m.nodes) {
         reach += std::llabs(static_cast<long long>(node.latency));
     }
     if (reach > INT_MAX) underivable("latencies and horizon overflow an int");
+}
+
+/// modulo->max_stage against the horizon.
+void derive_max_stage(KernelModel& m) {
+    if (!m.modulo.has_value()) return;
+    if (m.modulo->ii <= 0) underivable("modulo ii must be positive");
+    m.modulo->max_stage = m.horizon / m.modulo->ii + 1;
+}
+
+void derive_times(KernelModel& m) {
+    const auto n = m.nodes.size();
+    check_reach(m);
 
     std::vector<int> indegree(n);
     std::vector<int> order;
@@ -184,18 +198,44 @@ void derive(KernelModel& m) {
     }
 
     derive_times(m);
-    if (m.modulo.has_value()) {
-        if (m.modulo->ii <= 0) underivable("modulo ii must be positive");
-        m.modulo->max_stage = m.horizon / m.modulo->ii + 1;
-    }
+    derive_max_stage(m);
 }
 
-KernelModel with_horizon(const KernelModel& m, int horizon) {
+KernelModel with_horizon(KernelModel m, int horizon) {
     REVEC_EXPECTS(horizon >= m.critical_path);
-    KernelModel out = m;
-    out.horizon = horizon;
-    derive(out);
-    return out;
+    // Each ALAP entry is the horizon minus the longest path from its node
+    // to the end, so a horizon change moves every entry by the delta.
+    const int delta = horizon - m.horizon;
+    m.horizon = horizon;
+    check_reach(m);
+    for (int& t : m.alap) t += delta;
+    derive_max_stage(m);
+    return m;
+}
+
+KernelModel with_modulo(KernelModel m, int horizon, ModuloWrap wrap) {
+    m.modulo = wrap;
+    return with_horizon(std::move(m), horizon);
+}
+
+int modulo_ii_lower_bound(const KernelModel& m) {
+    REVEC_EXPECTS(m.caps.vector_lanes > 0 && m.caps.scalar_units > 0 &&
+                  m.caps.index_merge_units > 0);
+    std::vector<int> lanes(m.config_keys.size(), 0);  // per configuration id
+    for (const int op : m.vector_ops) {
+        lanes[static_cast<std::size_t>(m.node(op).config)] += m.node(op).lanes;
+    }
+    int scalar_ops = 0;
+    int ix_ops = 0;
+    for (const int op : m.ops) {
+        const Unit unit = m.node(op).unit;
+        if (unit == Unit::Scalar) ++scalar_ops;
+        if (unit == Unit::IndexMerge) ++ix_ops;
+    }
+    int vec_bound = 0;
+    for (const int demand : lanes) vec_bound += ceil_div(demand, m.caps.vector_lanes);
+    return std::max({1, vec_bound, ceil_div(scalar_ops, m.caps.scalar_units),
+                     ceil_div(ix_ops, m.caps.index_merge_units)});
 }
 
 int modulo_reconfig_floor(const KernelModel& m) {
@@ -238,8 +278,6 @@ int resource_term(std::vector<Job> jobs, Busy busy) {
     }
     return best;
 }
-
-int ceil_div(int x, int k) { return (x + k - 1) / k; }
 
 /// ceil(sum of duration * lanes / capacity): the area form, lanes = 1 for
 /// the scalar and index/merge units.

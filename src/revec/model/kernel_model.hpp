@@ -202,18 +202,37 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                      const LowerOptions& options = {}, int horizon = -1,
                      std::optional<ModuloWrap> modulo = {});
 
-/// Copy of `m` with the horizon raised (or lowered) to `horizon` and
-/// derive()d again (ALAP and the modulo max_stage move with it), so the
-/// copy matches what lower_ir would have produced with this horizon,
-/// without needing the spec/graph. Requires horizon >= critical_path (ALAP
-/// would drop below ASAP otherwise).
-KernelModel with_horizon(const KernelModel& m, int horizon);
+/// `m` with the horizon raised (or lowered) to `horizon`: every ALAP entry
+/// moves by the horizon delta and the modulo max_stage is recomputed, so
+/// the result equals what derive() (and so lower_ir) gives at this horizon
+/// without re-deriving anything else. Requires horizon >= critical_path
+/// (ALAP would drop below ASAP otherwise); throws revec::Error where
+/// derive() would: `modulo->ii` <= 0, or a horizon whose longest path does
+/// not fit an int.
+KernelModel with_horizon(KernelModel m, int horizon);
+
+/// `m` with `wrap` attached at `horizon` (with_horizon): what
+/// lower_ir(spec, g, options, horizon, wrap) builds when `m` is that
+/// graph's lowering. The modulo scan builds every candidate II's model
+/// this way from one lowering.
+KernelModel with_modulo(KernelModel m, int horizon, ModuloWrap wrap);
+
+/// Resource lower bound on the initiation interval of any modulo kernel of
+/// `m`: a residue hosts one vector configuration of at most vector_lanes
+/// lanes, one issue per scalar unit and one per index/merge unit, so II is
+/// at least the sum over configurations of ceil(lanes / vector lanes), and
+/// at least the scalar and the index/merge op counts over their units.
+/// Requires every capacity positive (ArchSpec::validate's rule).
+int modulo_ii_lower_bound(const KernelModel& m);
 
 /// Lower bound on the cyclic configuration-change count R of any modulo
 /// kernel of `m`: every configuration forms at least one maximal block
 /// around the kernel, so with two or more configurations R is at least
 /// their number; with fewer it is 0. A reconfiguration-aware modulo model
-/// whose II or budget is below it is infeasible.
+/// whose II or budget is below it is infeasible. The actual II of any
+/// modulo kernel, II + R * caps.reconfig_cycles, is therefore at least
+/// modulo_ii_lower_bound(m) + modulo_reconfig_floor(m) * caps.reconfig_cycles
+/// (DESIGN §5m).
 int modulo_reconfig_floor(const KernelModel& m);
 
 /// The terms of makespan_lower_bound. With head = ASAP and tail = horizon

@@ -4,10 +4,10 @@
 #include <map>
 
 #include "revec/heur/ims.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/model/emit_cp.hpp"
 #include "revec/model/kernel_model.hpp"
 #include "revec/obs/trace.hpp"
-#include "revec/sched/schedule.hpp"
 #include "revec/support/assert.hpp"
 #include "revec/support/stopwatch.hpp"
 
@@ -20,54 +20,6 @@ using cp::IntVar;
 /// The II scan gives up beyond this initiation interval.
 constexpr int kMaxIi = 512;
 
-int ii_lower_bound_for(const model::KernelModel& m) {
-    // Each residue cycle hosts a single vector configuration with at most
-    // vector_lanes lanes, one scalar issue per scalar unit, and one
-    // index/merge issue per unit.
-    std::map<int, int> lane_demand;  // config id -> total lanes
-    int scalar_ops = 0;
-    int ix_ops = 0;
-    for (const int op : m.ops) {
-        const model::ModelNode& node = m.node(op);
-        if (node.lanes > 0) {
-            lane_demand[node.config] += node.lanes;
-        } else if (node.unit == model::Unit::Scalar) {
-            ++scalar_ops;
-        } else {
-            ++ix_ops;
-        }
-    }
-    int vec_bound = 0;
-    for (const auto& [config, demand] : lane_demand) {
-        vec_bound += (demand + m.caps.vector_lanes - 1) / m.caps.vector_lanes;
-    }
-    const int scalar_bound = (scalar_ops + m.caps.scalar_units - 1) / m.caps.scalar_units;
-    const int ix_bound = (ix_ops + m.caps.index_merge_units - 1) / m.caps.index_merge_units;
-    return std::max({1, vec_bound, scalar_bound, ix_bound});
-}
-
-int count_kernel_reconfigs_for(const model::KernelModel& m, const std::vector<int>& residue,
-                               int ii) {
-    REVEC_EXPECTS(ii > 0);
-    // Occupied vector residues, in cyclic order, with their configuration.
-    std::map<int, int> config_at;  // residue -> config id
-    for (const int op : m.vector_ops) {
-        const int r = residue[static_cast<std::size_t>(op)];
-        REVEC_EXPECTS(r >= 0 && r < ii);
-        const auto [it, inserted] = config_at.emplace(r, m.node(op).config);
-        REVEC_EXPECTS(inserted || it->second == m.node(op).config);
-    }
-    if (config_at.size() <= 1) return 0;
-    // Walk the occupied residues cyclically; nops hold the configuration.
-    int changes = 0;
-    int prev = config_at.rbegin()->second;  // wrap-around predecessor
-    for (const auto& [r, config] : config_at) {
-        if (config != prev) ++changes;
-        prev = config;
-    }
-    return changes;
-}
-
 /// One decision-problem solve for a candidate II. When `minimize_reconfigs`
 /// the model contains per-residue configuration variables and minimizes the
 /// cyclic change count R; otherwise it is a pure feasibility problem.
@@ -78,19 +30,17 @@ struct IiAttempt {
     IntVar reconfig_count;  // valid only when minimizing reconfigs
 };
 
-IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int horizon,
-                 bool minimize_reconfigs, int reconfig_budget, const Deadline& deadline,
-                 const cp::SolverConfig& solver) {
+IiAttempt try_ii(const model::KernelModel& base, int horizon, int ii, bool minimize_reconfigs,
+                 int reconfig_budget, const Deadline& deadline, const cp::SolverConfig& solver) {
     obs::TraceBuffer* const trace =
         solver.trace != nullptr ? solver.trace->main() : nullptr;
     obs::SpanScope span(trace, obs::TraceLevel::Phase, "try_ii", "ii", ii);
 
-    // Lower and emit once per candidate II (the wrap is part of the model);
+    // The scan's one lowering with this II's wrap attached, emitted once;
     // worker 0 searches this store and further portfolio workers clones of
     // it, so this table's handles index any worker's solution.
-    const model::KernelModel km =
-        model::lower_ir(spec, g, {}, horizon,
-                        model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget});
+    const model::KernelModel km = model::with_modulo(
+        base, horizon, model::ModuloWrap{ii, 0, minimize_reconfigs, reconfig_budget});
 
     cp::Store store;
     model::VarTable m = model::emit_cp(store, km);
@@ -118,13 +68,25 @@ IiAttempt try_ii(const arch::ArchSpec& spec, const ir::Graph& g, int ii, int hor
 
 }  // namespace
 
-int ii_lower_bound(const arch::ArchSpec& spec, const ir::Graph& g) {
-    return ii_lower_bound_for(model::lower_ir(spec, g));
-}
-
-int count_kernel_reconfigs(const arch::ArchSpec& spec, const ir::Graph& g,
-                           const std::vector<int>& residue, int ii) {
-    return count_kernel_reconfigs_for(model::lower_ir(spec, g), residue, ii);
+int count_kernel_reconfigs(const model::KernelModel& m, const std::vector<int>& residue, int ii) {
+    REVEC_EXPECTS(ii > 0);
+    // Occupied vector residues, in cyclic order, with their configuration.
+    std::map<int, int> config_at;  // residue -> config id
+    for (const int op : m.vector_ops) {
+        const int r = residue[static_cast<std::size_t>(op)];
+        REVEC_EXPECTS(r >= 0 && r < ii);
+        const auto [it, inserted] = config_at.emplace(r, m.node(op).config);
+        REVEC_EXPECTS(inserted || it->second == m.node(op).config);
+    }
+    if (config_at.size() <= 1) return 0;
+    // Walk the occupied residues cyclically; nops hold the configuration.
+    int changes = 0;
+    int prev = config_at.rbegin()->second;  // wrap-around predecessor
+    for (const auto& [r, config] : config_at) {
+        if (config != prev) ++changes;
+        prev = config;
+    }
+    return changes;
 }
 
 ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
@@ -138,16 +100,18 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
     obs::SpanScope modulo_span(trace, obs::TraceLevel::Phase, "modulo", "nodes",
                                g.num_nodes());
 
-    // One base lowering (no wrap) feeds the bound, the IMS warm start, and
-    // the reconfiguration counting; the per-II exact models are lowered
-    // inside try_ii with their wrap attached.
+    // One lowering (no wrap, critical-path horizon) feeds the bounds, the
+    // horizon, the IMS warm start and the reconfiguration counting; each
+    // candidate II's exact model is this one with its wrap attached.
     const model::KernelModel base = model::lower_ir(spec, g);
 
     ModuloResult best;
-    best.ii_lower_bound = ii_lower_bound_for(base);
+    best.ii_lower_bound = model::modulo_ii_lower_bound(base);
+    const int r_floor = model::modulo_reconfig_floor(base);
     // Generous flat-time horizon: a kernel under a tight II can stretch a
     // single iteration well past its standalone makespan.
-    const int horizon = 2 * sched::list_schedule(spec, g).makespan + 2 * spec.vector_latency;
+    const int horizon =
+        2 * heur::priority_list_schedule(base).makespan + 2 * spec.vector_latency;
 
     const auto extract = [&](const IiAttempt& attempt, int ii) {
         best.initial_ii = ii;
@@ -158,7 +122,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
             best.residue[i] = attempt.result.value_of(attempt.residue_vars[i]);
             best.stage[i] = attempt.result.value_of(attempt.stage_vars[i]);
         }
-        best.reconfigs = count_kernel_reconfigs_for(base, best.residue, ii);
+        best.reconfigs = count_kernel_reconfigs(base, best.residue, ii);
         best.actual_ii = ii + best.reconfigs * spec.reconfig_cycles;
         best.throughput = 1.0 / best.actual_ii;
     };
@@ -178,18 +142,24 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
         best.initial_ii = ims.ii;
         best.residue = ims.residue;
         best.stage = ims.stage;
-        best.reconfigs = count_kernel_reconfigs_for(base, best.residue, ims.ii);
+        best.reconfigs = count_kernel_reconfigs(base, best.residue, ims.ii);
         best.actual_ii = ims.ii + best.reconfigs * spec.reconfig_cycles;
         best.throughput = 1.0 / best.actual_ii;
         best.status = status;
     };
     if (options.heuristic_only) {
         if (ims.ok) {
-            // An IMS kernel at the resource lower bound is provably optimal
-            // in II (reconfigurations are post-processed either way).
-            extract_ims(!options.include_reconfigs && ims.ii == best.ii_lower_bound
-                            ? cp::SolveStatus::Optimal
-                            : cp::SolveStatus::HeuristicFallback);
+            // An IMS kernel at its lower bound is optimal: the initial II
+            // against the resource bound when reconfigurations are
+            // post-processed, the actual II against that bound plus the
+            // reconfiguration floor (DESIGN §5m) when they are part of the
+            // objective.
+            extract_ims(cp::SolveStatus::HeuristicFallback);
+            const bool at_bound =
+                options.include_reconfigs
+                    ? best.actual_ii <= best.ii_lower_bound + r_floor * spec.reconfig_cycles
+                    : ims.ii == best.ii_lower_bound;
+            if (at_bound) best.status = cp::SolveStatus::Optimal;
         } else {
             best.status = cp::SolveStatus::Timeout;
         }
@@ -209,7 +179,7 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 break;
             }
             const IiAttempt attempt =
-                try_ii(spec, g, ii, horizon, false, 0, deadline, options.solver);
+                try_ii(base, horizon, ii, false, 0, deadline, options.solver);
             best.absorb(attempt.result);
             if (attempt.result.has_solution()) {
                 extract(attempt, ii);
@@ -235,11 +205,11 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
 
     // Reconfiguration-aware: minimize II + R * reconfig_cycles. The IMS
     // kernel seeds the incumbent so the budget pruning bites from the
-    // first II on. No II is lowered or emitted whose R range is empty
-    // (below the floor), which the model would only declare infeasible.
+    // first II on. No II's model is built or emitted whose R range is
+    // empty (below the floor), which the model would only declare
+    // infeasible.
     // The resource bound already keeps II at or above the floor: every
     // configuration needs a residue of its own.
-    const int r_floor = model::modulo_reconfig_floor(base);
     int best_actual = INT32_MAX;
     bool best_is_ims = false;
     if (ims.ok) {
@@ -256,10 +226,13 @@ ModuloResult modulo_schedule(const ir::Graph& g, const ModuloOptions& options) {
                 ? g.num_nodes()
                 : std::max(0, (best_actual - 1 - ii) / std::max(1, spec.reconfig_cycles));
         // The budget only shrinks as II grows: once it is below the floor,
-        // no later II can beat the incumbent either.
+        // no later II can beat the incumbent either. At the first II this
+        // is the bound of DESIGN §5m: an incumbent whose actual II is
+        // modulo_ii_lower_bound + floor * reconfig_cycles ends the scan
+        // before any emission.
         if (budget < r_floor) break;
         const IiAttempt attempt =
-            try_ii(spec, g, ii, horizon, true, budget, deadline, options.solver);
+            try_ii(base, horizon, ii, true, budget, deadline, options.solver);
         best.absorb(attempt.result);
         if (!attempt.result.has_solution()) continue;
         const int r = attempt.result.value_of(attempt.reconfig_count);

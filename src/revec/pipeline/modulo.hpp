@@ -17,6 +17,7 @@
 #include "revec/cp/portfolio.hpp"
 #include "revec/cp/search.hpp"
 #include "revec/ir/graph.hpp"
+#include "revec/model/kernel_model.hpp"
 
 namespace revec::pipeline {
 
@@ -38,8 +39,10 @@ struct ModuloOptions {
     bool warm_start = true;
 
     /// Skip the exact per-II solves and return the IMS kernel directly
-    /// (status HeuristicFallback, or Optimal when its II matches the
-    /// resource lower bound).
+    /// (status HeuristicFallback, or Optimal when it meets its lower bound:
+    /// the II against model::modulo_ii_lower_bound, or with
+    /// include_reconfigs the actual II against that bound plus
+    /// model::modulo_reconfig_floor * reconfig_cycles).
     bool heuristic_only = false;
 };
 
@@ -47,7 +50,7 @@ struct ModuloOptions {
 /// of the scan (the scan is the unit of work the caller pays for, not one
 /// solve); its profile is empty unless SolverConfig::profile was set.
 struct ModuloResult : cp::SolveWork {
-    int ii_lower_bound = 0;   ///< resource-based minimum II
+    int ii_lower_bound = 0;   ///< model::modulo_ii_lower_bound
     int initial_ii = 0;       ///< feasible II of the core model
     int reconfigs = 0;        ///< configuration changes around the kernel
     int actual_ii = 0;        ///< initial_ii + reconfigs * reconfig_cycles
@@ -66,15 +69,10 @@ struct ModuloResult : cp::SolveWork {
     }
 };
 
-/// Resource-based lower bound on II (lane demand per configuration, the
-/// scalar unit, and the index/merge unit).
-int ii_lower_bound(const arch::ArchSpec& spec, const ir::Graph& g);
-
-/// Count configuration changes around a steady-state kernel given each
-/// vector-core op's residue. Empty residues keep the previous
+/// Count configuration changes around a steady-state kernel of `m` given
+/// each vector-core op's residue. Empty residues keep the previous
 /// configuration loaded; the count is cyclic (kernel repeats every II).
-int count_kernel_reconfigs(const arch::ArchSpec& spec, const ir::Graph& g,
-                           const std::vector<int>& residue, int ii);
+int count_kernel_reconfigs(const model::KernelModel& m, const std::vector<int>& residue, int ii);
 
 /// Solve the modulo scheduling problem, scanning II upward from the
 /// resource lower bound; the scan gives up beyond II 512.

@@ -7,7 +7,6 @@
 
 #include "revec/heur/alloc.hpp"
 #include "revec/heur/list.hpp"
-#include "revec/ir/analysis.hpp"
 #include "revec/ir/validate.hpp"
 #include "revec/model/check.hpp"
 #include "revec/model/emit_cp.hpp"
@@ -19,20 +18,31 @@ namespace revec::sched {
 
 namespace {
 
-int derive_horizon(const arch::ArchSpec& spec, const ir::Graph& g) {
-    const int cp_len = ir::critical_path_length(spec, g);
+/// The flat horizon of a model lowered at its critical path. Under unit
+/// durations the rung-0 list schedule is feasible, so its makespan is an
+/// upper bound; the padding keeps the memory allocation from turning a
+/// tight horizon into spurious UNSAT. Otherwise every op run back to back
+/// after the critical path fits. A slot-only model's horizon also covers
+/// its pinned schedule.
+int derive_horizon(const model::KernelModel& km, const arch::ArchSpec& spec) {
     const bool unit_durations = spec.vector_duration == 1 && spec.scalar_duration == 1 &&
                                 spec.index_merge_duration == 1;
+    int horizon = km.critical_path;
     if (unit_durations) {
-        // A greedy list schedule is feasible under unit durations, so its
-        // makespan is a valid upper bound; pad a little so the memory
-        // allocation never turns a tight horizon into spurious UNSAT.
-        const ListScheduleResult greedy = list_schedule(spec, g);
-        return std::max(cp_len, greedy.makespan) + 2 * spec.vector_latency;
+        horizon = std::max(horizon, heur::priority_list_schedule(km).makespan) +
+                  2 * spec.vector_latency;
+    } else {
+        for (const model::ModelNode& node : km.nodes) horizon += node.duration;
     }
-    int total = cp_len;
-    for (const ir::Node& n : g.nodes()) total += ir::node_timing(spec, n).duration;
-    return total;
+    if (!km.fixed_starts.empty()) {
+        int fixed_end = 0;
+        for (const model::ModelNode& node : km.nodes) {
+            fixed_end = std::max(
+                fixed_end, km.fixed_starts[static_cast<std::size_t>(node.id)] + node.latency);
+        }
+        horizon = std::max(horizon, fixed_end + 2);
+    }
+    return horizon;
 }
 
 /// Fill a Schedule (solution and solver work) from a solver result.
@@ -144,23 +154,13 @@ model::KernelModel lower_for_schedule(const ir::Graph& g, const ScheduleOptions&
         throw Error("num_slots exceeds the architecture's memory");
     }
 
-    int horizon = derive_horizon(spec, g);
-    if (!options.fixed_starts.empty()) {
-        // Slot-only mode: the horizon must cover the supplied schedule.
-        if (options.fixed_starts.size() != static_cast<std::size_t>(g.num_nodes())) {
-            throw Error("fixed_starts must supply one start per node");
-        }
-        int fixed_end = 0;
-        for (const ir::Node& node : g.nodes()) {
-            const ir::NodeTiming t = ir::node_timing(spec, node);
-            fixed_end = std::max(fixed_end,
-                                 options.fixed_starts[static_cast<std::size_t>(node.id)] +
-                                     t.latency);
-        }
-        horizon = std::max(horizon, fixed_end + 2);
+    if (!options.fixed_starts.empty() &&
+        options.fixed_starts.size() != static_cast<std::size_t>(g.num_nodes())) {
+        throw Error("fixed_starts must supply one start per node");
     }
-
-    return model::lower_ir(spec, g, options, horizon);
+    model::KernelModel km = model::lower_ir(spec, g, options);
+    const int horizon = derive_horizon(km, spec);
+    return model::with_horizon(std::move(km), horizon);
 }
 
 ModelSolveOptions model_solve_options(const ScheduleOptions& options) { return options; }

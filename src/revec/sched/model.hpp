@@ -85,12 +85,14 @@ struct ScheduleOptions : model::LowerOptions, ModelSolveOptions {
 /// schedule_model(lower_for_schedule(g, o), model_solve_options(o)).
 Schedule schedule_kernel(const ir::Graph& g, const ScheduleOptions& options = {});
 
-/// Lower `g` exactly as schedule_kernel does before solving: num_slots and
-/// the horizon resolved (greedy-derived default, slot-only fixed-starts
-/// extension), no heuristic-driven horizon raise — that happens inside
-/// schedule_model, which reproduces it bit-for-bit from the model alone.
-/// This is the model `revecc --dump-model` writes and the revecd
-/// differential replays.
+/// Lower `g` exactly as schedule_kernel does before solving: lowered once
+/// at the critical path, then moved (model::with_horizon) to the horizon
+/// the model itself yields (the rung-0 heur::priority_list_schedule
+/// makespan plus padding under unit durations, the summed durations
+/// otherwise, extended to cover fixed_starts), with num_slots resolved; no
+/// heuristic-driven horizon raise — that happens inside schedule_model,
+/// which reproduces it bit-for-bit from the model alone. This is the model
+/// `revecc --dump-model` writes and the revecd differential replays.
 model::KernelModel lower_for_schedule(const ir::Graph& g,
                                       const ScheduleOptions& options = {});
 

@@ -1,6 +1,5 @@
-// Schedule result types and the greedy list scheduler used to obtain an
-// initial makespan upper bound (and the single-iteration instruction
-// ordering consumed by the overlapped-execution pipeliner).
+// The schedule result type every scheduling entry point returns: start
+// cycles, memory slots, makespan, status and the solver work.
 #pragma once
 
 #include <vector>
@@ -40,17 +39,5 @@ struct Schedule : cp::SolveWork {
     }
     bool proven_optimal() const { return status == cp::SolveStatus::Optimal; }
 };
-
-/// Greedy resource-constrained list schedule (no memory allocation):
-/// dependency-ready operations issue in priority order each cycle,
-/// respecting lane capacity, the one-configuration-per-cycle rule, and the
-/// scalar / index-merge units. Used as the branch-and-bound upper bound and
-/// as a baseline. Returns start times per node and the makespan.
-struct ListScheduleResult {
-    std::vector<int> start;
-    int makespan = 0;
-};
-
-ListScheduleResult list_schedule(const arch::ArchSpec& spec, const ir::Graph& g);
 
 }  // namespace revec::sched

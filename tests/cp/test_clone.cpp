@@ -18,11 +18,10 @@
 #include "revec/apps/qrd.hpp"
 #include "revec/cp/search.hpp"
 #include "revec/cp/store.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/emit_cp.hpp"
-#include "revec/pipeline/modulo.hpp"
 #include "revec/sched/model.hpp"
-#include "revec/sched/schedule.hpp"
 #include "revec/support/assert.hpp"
 
 namespace revec::cp {
@@ -78,13 +77,13 @@ std::vector<Emitted> kernel_emissions() {
     }
     for (const auto& [name, ii_delta, budget] :
          {std::tuple{"qrd", 0, 14}, std::tuple{"arf", 1, 64}}) {
-        const ir::Graph g = kernel(name);
+        const model::KernelModel base = model::lower_ir(kSpec, kernel(name));
         const int horizon =
-            2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-        const model::ModuloWrap wrap{pipeline::ii_lower_bound(kSpec, g) + ii_delta, 0, true,
+            2 * heur::priority_list_schedule(base).makespan + 2 * kSpec.vector_latency;
+        const model::ModuloWrap wrap{model::modulo_ii_lower_bound(base) + ii_delta, 0, true,
                                      budget};
         out.push_back(emit(std::string(name) + "-table3",
-                           model::lower_ir(kSpec, g, {}, horizon, wrap), true));
+                           model::with_modulo(base, horizon, wrap), true));
     }
     return out;
 }

@@ -18,7 +18,7 @@
 #include "revec/apps/random_kernel.hpp"
 #include "revec/ir/analysis.hpp"
 #include "revec/ir/passes.hpp"
-#include "revec/pipeline/modulo.hpp"
+#include "revec/model/kernel_model.hpp"
 
 namespace revec::heur {
 namespace {
@@ -81,9 +81,10 @@ TEST(Ims, AppKernelsProduceValidKernels) {
         ir::merge_pipeline_ops(apps::build_matmul()), ir::merge_pipeline_ops(apps::build_qrd()),
         ir::merge_pipeline_ops(apps::build_arf()), ir::merge_pipeline_ops(apps::build_detect())};
     for (const ir::Graph& g : kernels) {
+        const model::KernelModel km = model::lower_ir(kSpec, g);
         ImsOptions opts;
-        opts.min_ii = pipeline::ii_lower_bound(kSpec, g);
-        const ImsResult r = iterative_modulo_schedule(kSpec, g, opts);
+        opts.min_ii = model::modulo_ii_lower_bound(km);
+        const ImsResult r = iterative_modulo_schedule(km, opts);
         expect_valid_kernel(g, r);
         EXPECT_GE(r.ii, opts.min_ii) << g.name();
     }
@@ -91,9 +92,10 @@ TEST(Ims, AppKernelsProduceValidKernels) {
 
 TEST(Ims, MatmulHitsTheResourceLowerBound) {
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_matmul());
+    const model::KernelModel km = model::lower_ir(kSpec, g);
     ImsOptions opts;
-    opts.min_ii = pipeline::ii_lower_bound(kSpec, g);
-    const ImsResult r = iterative_modulo_schedule(kSpec, g, opts);
+    opts.min_ii = model::modulo_ii_lower_bound(km);
+    const ImsResult r = iterative_modulo_schedule(km, opts);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.ii, opts.min_ii);
 }
@@ -103,9 +105,10 @@ TEST(Ims, RandomKernelsProduceValidKernels) {
         apps::RandomKernelOptions kopts;
         kopts.seed = seed;
         const ir::Graph g = ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
+        const model::KernelModel km = model::lower_ir(kSpec, g);
         ImsOptions opts;
-        opts.min_ii = pipeline::ii_lower_bound(kSpec, g);
-        const ImsResult r = iterative_modulo_schedule(kSpec, g, opts);
+        opts.min_ii = model::modulo_ii_lower_bound(km);
+        const ImsResult r = iterative_modulo_schedule(km, opts);
         expect_valid_kernel(g, r);
     }
 }
@@ -115,7 +118,7 @@ TEST(Ims, MaxIiExhaustionFailsCleanly) {
     ImsOptions opts;
     opts.min_ii = 1;
     opts.max_ii = 1;  // matmul's lane demand needs more than one residue
-    const ImsResult r = iterative_modulo_schedule(kSpec, g, opts);
+    const ImsResult r = iterative_modulo_schedule(model::lower_ir(kSpec, g), opts);
     EXPECT_FALSE(r.ok);
 }
 

@@ -9,11 +9,11 @@
 
 #include "revec/apps/qrd.hpp"
 #include "revec/cp/store.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/emit_cp.hpp"
 #include "revec/model/kernel_model.hpp"
 #include "revec/sched/model.hpp"
-#include "revec/sched/schedule.hpp"
 
 namespace revec::model {
 namespace {
@@ -37,7 +37,7 @@ TEST(EmitSize, QrdModuloAtTable3Optimum) {
     // (reconfigurations included) optimum.
     const ir::Graph g = ir::merge_pipeline_ops(apps::build_qrd());
     const int horizon =
-        2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
+        2 * heur::priority_list_schedule(lower_ir(kSpec, g)).makespan + 2 * kSpec.vector_latency;
     const Size s = emitted(lower_ir(kSpec, g, {}, horizon, ModuloWrap{18, 0, true, 14}));
     EXPECT_EQ(s.vars, 278u);
     EXPECT_EQ(s.props, 251u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <optional>
 #include <string>
@@ -450,7 +451,7 @@ TEST(CanonicalHash, PinsThePaperKernelsWireHashes) {
         std::size_t bytes;
     };
     const Golden goldens[] = {
-        {"matmul", [] { return apps::build_matmul(); }, 0x26d7b8df051a11b6ull, 7381},
+        {"matmul", [] { return apps::build_matmul(); }, 0x961498e4c5b6cd57ull, 7381},
         {"qrd", [] { return apps::build_qrd(); }, 0x667ee6fd34fa5879ull, 20126},
         {"arf", [] { return apps::build_arf(); }, 0x7ce635b185268a49ull, 13860},
     };
@@ -482,9 +483,48 @@ TEST(WithHorizon, RecomputesModuloMaxStage) {
     EXPECT_EQ(out.modulo->max_stage, horizon / 4 + 1);
 }
 
+/// `m` at `horizon` by a full derive().
+KernelModel derived_at(KernelModel m, int horizon) {
+    m.horizon = horizon;
+    derive(m);
+    return m;
+}
+
+TEST(WithHorizon, ShiftEqualsFullDeriveOnModuloModelsAndLargeHorizons) {
+    // The largest horizon derive() accepts: |horizon| + 1 + the summed
+    // latencies must fit an int.
+    const KernelModel flat = matmul_model();
+    int latencies = 0;
+    for (const ModelNode& node : flat.nodes) latencies += node.latency;
+    const int largest = INT_MAX - 1 - latencies;
+
+    for (const KernelModel& base : {flat, matmul_model(ModuloWrap{4, 0, false, 0}),
+                                    matmul_model(ModuloWrap{5, 0, true, 2})}) {
+        for (const int horizon :
+             {base.critical_path, base.critical_path + 13, 1 << 20, largest}) {
+            const KernelModel shifted = with_horizon(base, horizon);
+            EXPECT_TRUE(shifted == derived_at(base, horizon)) << horizon;
+            // Lowering back is the same shift the other way.
+            EXPECT_TRUE(with_horizon(shifted, base.horizon) == base) << horizon;
+        }
+    }
+}
+
 TEST(WithHorizon, RejectsHorizonBelowCriticalPath) {
-    const KernelModel base = matmul_model();
-    EXPECT_THROW(with_horizon(base, base.critical_path - 1), ContractViolation);
+    for (const KernelModel& base : {matmul_model(), matmul_model(ModuloWrap{4, 0, false, 0})}) {
+        EXPECT_THROW(with_horizon(base, base.critical_path - 1), ContractViolation);
+    }
+}
+
+TEST(WithHorizon, KeepsDeriveOverflowRefusal) {
+    for (const KernelModel& base : {matmul_model(), matmul_model(ModuloWrap{4, 0, false, 0})}) {
+        int latencies = 0;
+        for (const ModelNode& node : base.nodes) latencies += node.latency;
+        const int past = INT_MAX - latencies;  // one past the largest derivable
+        EXPECT_THROW(derived_at(base, past), Error);
+        EXPECT_THROW(with_horizon(base, past), Error);
+        EXPECT_THROW(with_horizon(base, INT_MAX), Error);
+    }
 }
 
 }  // namespace

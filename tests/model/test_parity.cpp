@@ -25,12 +25,10 @@
 #include "revec/apps/random_kernel.hpp"
 #include "revec/cp/search.hpp"
 #include "revec/cp/store.hpp"
-#include "revec/ir/analysis.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/model/emit_cp.hpp"
 #include "revec/model/kernel_model.hpp"
-#include "revec/pipeline/modulo.hpp"
-#include "revec/sched/schedule.hpp"
 #include "revec/support/assert.hpp"
 
 namespace revec::model {
@@ -54,8 +52,8 @@ ir::Graph kernel_by_name(const std::string& name) {
 /// The flat horizon (mirrors sched's derivation for the unit-duration EIT
 /// spec; the recorded trees depend on it).
 int horizon_for(const ir::Graph& g) {
-    const sched::ListScheduleResult greedy = sched::list_schedule(kSpec, g);
-    return std::max(ir::critical_path_length(kSpec, g), greedy.makespan) +
+    const KernelModel km = lower_ir(kSpec, g);
+    return std::max(km.critical_path, heur::priority_list_schedule(km).makespan) +
            2 * kSpec.vector_latency;
 }
 
@@ -221,10 +219,10 @@ void PrintTo(const ModuloCase& c, std::ostream* os) {
 /// Lower, emit and solve (or satisfy) one modulo case.
 Outcome run_modulo(const ModuloCase& c) {
     const ir::Graph g = kernel_by_name(c.kernel);
+    const KernelModel base = lower_ir(kSpec, g);
     const int horizon =
-        2 * sched::list_schedule(kSpec, g).makespan + 2 * kSpec.vector_latency;
-    const ModuloWrap wrap{pipeline::ii_lower_bound(kSpec, g) + c.ii_delta, 0, c.minimize,
-                          c.budget};
+        2 * heur::priority_list_schedule(base).makespan + 2 * kSpec.vector_latency;
+    const ModuloWrap wrap{modulo_ii_lower_bound(base) + c.ii_delta, 0, c.minimize, c.budget};
     cp::Store store;
     const VarTable vars = emit_cp(store, lower_ir(kSpec, g, {}, horizon, wrap));
 

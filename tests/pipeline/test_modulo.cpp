@@ -6,8 +6,11 @@
 
 #include "revec/apps/arf.hpp"
 #include "revec/apps/matmul.hpp"
+#include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/ir/analysis.hpp"
 #include "revec/ir/passes.hpp"
 
@@ -64,7 +67,7 @@ void expect_valid_modulo(const ir::Graph& g, const ModuloResult& r) {
 
 TEST(IiLowerBound, MatmulIsFour) {
     // 16 same-config dot products over 4 lanes = 4; 4 merges on one unit = 4.
-    EXPECT_EQ(ii_lower_bound(kSpec, apps::build_matmul()), 4);
+    EXPECT_EQ(model::modulo_ii_lower_bound(model::lower_ir(kSpec, apps::build_matmul())), 4);
 }
 
 TEST(IiLowerBound, CountsConfigsSeparately) {
@@ -76,7 +79,7 @@ TEST(IiLowerBound, CountsConfigsSeparately) {
         p.mark_output(dsl::v_mul(a, b));
     }
     // 2 adds (1 residue) + 2 muls (1 residue) = 2.
-    EXPECT_EQ(ii_lower_bound(kSpec, p.ir()), 2);
+    EXPECT_EQ(model::modulo_ii_lower_bound(model::lower_ir(kSpec, p.ir())), 2);
 }
 
 TEST(CountKernelReconfigs, UniformConfigIsZero) {
@@ -84,7 +87,7 @@ TEST(CountKernelReconfigs, UniformConfigIsZero) {
     const ModuloOptions opts;
     const ModuloResult r = modulo_schedule(g, opts);
     ASSERT_TRUE(r.feasible());
-    EXPECT_EQ(count_kernel_reconfigs(kSpec, g, r.residue, r.initial_ii), 0);
+    EXPECT_EQ(count_kernel_reconfigs(model::lower_ir(kSpec, g), r.residue, r.initial_ii), 0);
 }
 
 TEST(CountKernelReconfigs, CyclicCounting) {
@@ -101,7 +104,7 @@ TEST(CountKernelReconfigs, CyclicCounting) {
         if (!n.is_op()) continue;
         residue[static_cast<std::size_t>(n.id)] = n.op == "v_add" ? 0 : 2;
     }
-    EXPECT_EQ(count_kernel_reconfigs(kSpec, g, residue, 4), 2);
+    EXPECT_EQ(count_kernel_reconfigs(model::lower_ir(kSpec, g), residue, 4), 2);
 }
 
 TEST(ModuloExcluded, MatmulMatchesPaper) {
@@ -131,7 +134,7 @@ TEST(ModuloExcluded, ArfFindsKernel) {
     opts.timeout_ms = 60000;
     const ModuloResult r = modulo_schedule(g, opts);
     expect_valid_modulo(g, r);
-    EXPECT_GE(r.initial_ii, ii_lower_bound(kSpec, g));
+    EXPECT_GE(r.initial_ii, model::modulo_ii_lower_bound(model::lower_ir(kSpec, g)));
     EXPECT_GT(r.reconfigs, 0);  // muls and adds alternate somewhere
     EXPECT_EQ(r.actual_ii, r.initial_ii + r.reconfigs * kSpec.reconfig_cycles);
 }
@@ -192,6 +195,105 @@ TEST(Modulo, ScalarChainKernel) {
     expect_valid_modulo(p.ir(), r);
     EXPECT_EQ(r.initial_ii, 3);
     EXPECT_EQ(r.reconfigs, 0);  // no vector ops at all
+}
+
+// ----------------------------------------------------- one lowering ----
+
+/// The scan's flat-time horizon (modulo_schedule derives it the same way).
+int scan_horizon(const model::KernelModel& base) {
+    return 2 * heur::priority_list_schedule(base).makespan + 2 * kSpec.vector_latency;
+}
+
+TEST(ModuloScan, PerIiModelMatchesLowerIr) {
+    // Each candidate II's model is the scan's one lowering with the wrap
+    // attached; it must be the model lowering the graph again would build.
+    const struct {
+        ir::Graph g;
+        std::vector<model::ModuloWrap> wraps;
+    } cases[] = {
+        {ir::merge_pipeline_ops(apps::build_qrd()),
+         {model::ModuloWrap{18, 0, true, 14}, model::ModuloWrap{19, 0, false, 0}}},
+        {ir::merge_pipeline_ops(apps::build_matmul()), {model::ModuloWrap{4, 0, true, 3}}},
+    };
+    for (const auto& c : cases) {
+        const model::KernelModel base = model::lower_ir(kSpec, c.g);
+        const int horizon = scan_horizon(base);
+        for (const model::ModuloWrap& wrap : c.wraps) {
+            const model::KernelModel scan = model::with_modulo(base, horizon, wrap);
+            EXPECT_EQ(scan, model::lower_ir(kSpec, c.g, {}, horizon, wrap))
+                << c.g.name() << " II " << wrap.ii;
+            ASSERT_TRUE(scan.modulo.has_value());
+            EXPECT_EQ(scan.modulo->max_stage, horizon / wrap.ii + 1);
+        }
+    }
+}
+
+/// modulo_ii_lower_bound + modulo_reconfig_floor * reconfig_cycles: no
+/// modulo kernel of `m` has a smaller actual II (DESIGN §5m).
+int actual_ii_bound(const model::KernelModel& m) {
+    return model::modulo_ii_lower_bound(m) +
+           model::modulo_reconfig_floor(m) * m.caps.reconfig_cycles;
+}
+
+TEST(ModuloHeuristicOnly, MatmulWithReconfigsMeetsTheBound) {
+    // One configuration: the IMS kernel at II 4 meets the bound 4 + 0.
+    ModuloOptions opts;
+    opts.include_reconfigs = true;
+    opts.heuristic_only = true;
+    const ModuloResult r = modulo_schedule(apps::build_matmul(), opts);
+    expect_valid_modulo(apps::build_matmul(), r);
+    EXPECT_EQ(r.actual_ii, actual_ii_bound(model::lower_ir(kSpec, apps::build_matmul())));
+    EXPECT_EQ(r.status, cp::SolveStatus::Optimal);
+}
+
+TEST(ModuloHeuristicOnly, QrdWithReconfigsFallsBackAboveTheBound) {
+    // IMS reaches QRD's resource bound (II 18) but scatters its four
+    // configurations: 33 against a bound of 18 + 4.
+    const ir::Graph g = ir::merge_pipeline_ops(apps::build_qrd());
+    ModuloOptions opts;
+    opts.include_reconfigs = true;
+    opts.heuristic_only = true;
+    const ModuloResult r = modulo_schedule(g, opts);
+    expect_valid_modulo(g, r);
+    EXPECT_EQ(actual_ii_bound(model::lower_ir(kSpec, g)), 22);
+    EXPECT_EQ(r.actual_ii, 33);
+    EXPECT_EQ(r.status, cp::SolveStatus::HeuristicFallback);
+}
+
+TEST(ModuloBound, NeverExceedsAnOptimalScan) {
+    // Random kernels, matrix ops on and off: every proven reconfiguration-
+    // aware scan ends at or above the bound, counted both from the scan's
+    // R and from the kernel's residues, and every exclusion scan starts at
+    // or above the resource bound.
+    int proven = 0;
+    for (unsigned seed = 1; seed <= 40; ++seed) {
+        apps::RandomKernelOptions kopts;
+        kopts.seed = seed;
+        kopts.num_ops = 20 + static_cast<int>(seed % 3) * 5;
+        kopts.use_matrix = seed % 2 == 0;
+        const ir::Graph g = ir::merge_pipeline_ops(apps::build_random_kernel(kopts));
+        const model::KernelModel base = model::lower_ir(kSpec, g);
+
+        ModuloOptions excl;
+        excl.timeout_ms = 2000;
+        const ModuloResult e = modulo_schedule(g, excl);
+        if (e.feasible()) {
+            EXPECT_GE(e.initial_ii, model::modulo_ii_lower_bound(base)) << "seed " << seed;
+        }
+
+        ModuloOptions incl = excl;
+        incl.include_reconfigs = true;
+        const ModuloResult r = modulo_schedule(g, incl);
+        if (r.status != cp::SolveStatus::Optimal) continue;
+        ++proven;
+        EXPECT_GE(r.actual_ii, actual_ii_bound(base)) << "seed " << seed;
+        EXPECT_GE(r.initial_ii +
+                      count_kernel_reconfigs(base, r.residue, r.initial_ii) *
+                          kSpec.reconfig_cycles,
+                  actual_ii_bound(base))
+            << "seed " << seed;
+    }
+    EXPECT_GE(proven, 30);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include "revec/apps/matmul.hpp"
 #include "revec/apps/qrd.hpp"
 #include "revec/codegen/codegen.hpp"
-#include "revec/ir/analysis.hpp"
+#include "revec/heur/list.hpp"
 #include "revec/ir/passes.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/sched/verify.hpp"
@@ -57,10 +57,11 @@ TEST_P(ScheduleSweep, VerifiedAndSimulated) {
     const auto problems = verify_schedule(kSpec, g, s, opts);
     ASSERT_TRUE(problems.empty()) << kernel << " slots=" << slots << ": " << problems.front();
 
-    // The makespan never exceeds the greedy bound and never undercuts the
-    // critical path.
-    EXPECT_GE(s.makespan, ir::critical_path_length(kSpec, g));
-    EXPECT_LE(s.makespan, list_schedule(kSpec, g).makespan);
+    // The makespan never exceeds the greedy (rung-0 list schedule) bound
+    // and never undercuts the critical path.
+    const model::KernelModel km = model::lower_ir(kSpec, g);
+    EXPECT_GE(s.makespan, km.critical_path);
+    EXPECT_LE(s.makespan, heur::priority_list_schedule(km).makespan);
 
     if (inclusive) {  // executable machine code requires inclusive lifetimes
         const codegen::MachineProgram prog = codegen::generate_code(kSpec, g, s);
