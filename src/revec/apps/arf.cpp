@@ -1,6 +1,7 @@
 #include "revec/apps/arf.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "revec/dsl/ops.hpp"
@@ -64,7 +65,7 @@ ir::Graph build_arf(unsigned seed) {
     const dsl::Vector y1 = dsl::v_add(l7[1], input("b8_1"));
     p.mark_output(y0);
     p.mark_output(y1);
-    return p.ir();
+    return std::move(p).ir();
 }
 
 }  // namespace revec::apps

@@ -1,5 +1,7 @@
 #include "revec/apps/detect.hpp"
 
+#include <utility>
+
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
 #include "revec/support/rng.hpp"
@@ -39,7 +41,7 @@ ir::Graph build_detect(unsigned seed) {
     // Detection ordering by estimated-symbol energy (sorted detectors).
     const dsl::Vector ranking = dsl::post_sort(symbols);
     p.mark_output(ranking);
-    return p.ir();
+    return std::move(p).ir();
 }
 
 }  // namespace revec::apps

@@ -1,5 +1,7 @@
 #include "revec/apps/matmul.hpp"
 
+#include <utility>
+
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
 
@@ -22,7 +24,7 @@ ir::Graph build_matmul(const std::array<std::array<ir::Complex, ir::kVecLen>, 4>
         const dsl::Vector row = dsl::merge(scalars[0], scalars[1], scalars[2], scalars[3]);
         p.mark_output(row);
     }
-    return p.ir();
+    return std::move(p).ir();
 }
 
 }  // namespace revec::apps

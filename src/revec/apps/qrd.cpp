@@ -1,5 +1,7 @@
 #include "revec/apps/qrd.hpp"
 
+#include <utility>
+
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
 #include "revec/support/rng.hpp"
@@ -63,7 +65,7 @@ ir::Graph build_qrd(const QrdOptions& options) {
             bot[ju] = dsl::v_axpy(bot[ju], rkj, qb);
         }
     }
-    return p.ir();
+    return std::move(p).ir();
 }
 
 }  // namespace revec::apps

@@ -1,5 +1,6 @@
 #include "revec/apps/random_kernel.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "revec/dsl/ops.hpp"
@@ -104,7 +105,7 @@ ir::Graph build_random_kernel(const RandomKernelOptions& options) {
     p.mark_output(scalars.back());
 
     ir::validate_graph(p.ir());
-    return p.ir();
+    return std::move(p).ir();
 }
 
 }  // namespace revec::apps

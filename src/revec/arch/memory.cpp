@@ -1,7 +1,6 @@
 #include "revec/arch/memory.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -50,16 +49,19 @@ AccessCheck check_simultaneous_access(const MemoryGeometry& geom, std::span<cons
         return {false, os.str()};
     }
 
-    // Rule 3: per-bank port conflicts.
+    // Rule 3: per-bank port conflicts, in ascending slot order.
+    std::vector<char> bank_used(static_cast<std::size_t>(geom.banks));
     const auto bank_conflict = [&](const std::vector<int>& slots, const char* what) -> AccessCheck {
-        std::set<int> banks;
+        std::fill(bank_used.begin(), bank_used.end(), 0);
         for (const int s : slots) {
-            if (!banks.insert(geom.bank_of(s)).second) {
+            char& used = bank_used[static_cast<std::size_t>(geom.bank_of(s))];
+            if (used != 0) {
                 std::ostringstream os;
                 os << "two " << what << "s hit bank " << geom.bank_of(s)
                    << " in the same cycle (slot " << s << ")";
                 return {false, os.str()};
             }
+            used = 1;
         }
         return {};
     };

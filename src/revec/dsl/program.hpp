@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "revec/dsl/value.hpp"
@@ -32,7 +33,10 @@ public:
     void mark_output(const Matrix& m);
 
     /// The traced IR (validated). Call after building the whole program.
-    const ir::Graph& ir() const { return graph_; }
+    const ir::Graph& ir() const& { return graph_; }
+    /// The traced IR, handed over without a copy: `return std::move(p).ir();`
+    /// ends a kernel builder. The program is empty afterwards.
+    ir::Graph ir() && { return std::move(graph_); }
 
     // -- trace API used by the operation library (revec/dsl/ops.hpp) ---------
     /// Append an operation node consuming `args` (data node ids, operand

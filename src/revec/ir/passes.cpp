@@ -84,6 +84,15 @@ Graph merge_pipeline_ops(const Graph& g, PassStats* stats) {
         ++local.fused_post;
     }
 
+    // Nothing fuses: the input is the result. (The rebuild below would only
+    // re-add its nodes and edges, in the same order for any traced or loaded
+    // graph.)
+    if (pre_of.empty() && post_of.empty()) {
+        local.nodes_after = g.num_nodes();
+        if (stats != nullptr) *stats = local;
+        return g;
+    }
+
     // -- rebuild ---------------------------------------------------------------
     Graph out(g.name());
     std::vector<int> remap(static_cast<std::size_t>(g.num_nodes()), -1);

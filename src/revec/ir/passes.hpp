@@ -25,7 +25,8 @@ struct PassStats {
 };
 
 /// Fuse pre-processing ops into their (sole) core consumer and post-
-/// processing ops onto their core producer. Returns the rewritten graph;
+/// processing ops onto their core producer. Returns the rewritten graph,
+/// or a copy of `g` itself when nothing fuses (no node or edge is re-added);
 /// `stats`, when non-null, receives what was fused.
 Graph merge_pipeline_ops(const Graph& g, PassStats* stats = nullptr);
 

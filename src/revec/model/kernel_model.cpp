@@ -23,7 +23,7 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
                          spec.max_vector_writes_per_cycle,
                          spec.reconfig_cycles};
     m.num_slots = options.num_slots < 0 ? spec.memory.slots() : options.num_slots;
-    m.horizon = horizon < 0 ? ir::critical_path_length(spec, g) : horizon;
+    m.horizon = std::max(horizon, 0);  // the default is derive's critical path
     m.memory_allocation = options.memory_allocation;
     m.three_phase_search = options.three_phase_search;
     m.enforce_port_limits = options.enforce_port_limits;
@@ -59,7 +59,9 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
         }
     }
     derive(m);
-    return m;
+    if (horizon >= 0) return m;
+    const int critical_path = m.critical_path;
+    return with_horizon(std::move(m), critical_path);
 }
 
 namespace {

@@ -193,8 +193,10 @@ void derive(KernelModel& m);
 /// entry point expects.
 ///
 /// `horizon` is the exclusive bound on completions; -1 = the critical-path
-/// length. Consumers that need slack (ASAP/ALAP) against the critical path
-/// — the heuristic priority orders — must lower with the default.
+/// length, as derive() computes it from the lowered latencies (applied with
+/// with_horizon, so the IR is walked once). Consumers that need slack
+/// (ASAP/ALAP) against the critical path — the heuristic priority orders —
+/// must lower with the default.
 /// `modulo` wraps the problem onto II residues; its max_stage is
 /// recomputed from the horizon. The primary fields come from the graph and
 /// the spec, the rest from derive().

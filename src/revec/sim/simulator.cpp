@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "revec/dsl/eval.hpp"
 #include "revec/ir/analysis.hpp"
@@ -49,37 +48,37 @@ SimResult simulate(const arch::ArchSpec& spec, const ir::Graph& g,
 
     std::vector<PendingWrite> pending;
 
+    std::vector<int> landing_slots;  // one landing cycle's vector writes
     const auto commit_group = [&](int upto_cycle) {
         // Commit (and rule-check) all writes due strictly before upto_cycle.
-        // pending is kept in landing order, so they commit in that order.
-        std::map<int, std::vector<int>> slots_by_cycle;
-        for (const PendingWrite& w : pending) {
-            if (w.commit_cycle < upto_cycle && w.slot >= 0) {
-                slots_by_cycle[w.commit_cycle].push_back(w.slot);
+        // pending is kept in landing order, so they are a prefix of it and
+        // commit in that order, one run of equal landing cycles at a time.
+        const auto due = std::find_if(pending.begin(), pending.end(), [&](const PendingWrite& w) {
+            return w.commit_cycle >= upto_cycle;
+        });
+        for (auto run = pending.begin(); run != due;) {
+            const int cycle = run->commit_cycle;
+            landing_slots.clear();
+            for (; run != due && run->commit_cycle == cycle; ++run) {
+                if (run->slot >= 0) landing_slots.push_back(run->slot);
             }
-        }
-        for (const auto& [cycle, slots] : slots_by_cycle) {
+            if (landing_slots.empty()) continue;
             const arch::AccessCheck check = arch::check_simultaneous_access(
-                spec.memory, {}, slots,
+                spec.memory, {}, landing_slots,
                 {spec.max_vector_reads_per_cycle, spec.max_vector_writes_per_cycle});
             if (!check.ok) {
                 result.violations.push_back("write-back at cycle " + std::to_string(cycle) +
                                             ": " + check.reason);
             }
         }
-        auto it = pending.begin();
-        while (it != pending.end()) {
-            if (it->commit_cycle < upto_cycle) {
-                if (it->slot >= 0) {
-                    memory.write(it->slot, it->data_node, it->value);
-                } else {
-                    regs.write(it->data_node, it->value);
-                }
-                it = pending.erase(it);
+        for (auto it = pending.begin(); it != due; ++it) {
+            if (it->slot >= 0) {
+                memory.write(it->slot, it->data_node, it->value);
             } else {
-                ++it;
+                regs.write(it->data_node, it->value);
             }
         }
+        pending.erase(pending.begin(), due);
     };
 
     // Read a vector operand at cycle t, with forwarding from in-flight

@@ -172,6 +172,48 @@ TEST(AccessCheck, OutOfRangeSlotRejected) {
     EXPECT_NE(c.reason.find("out of range"), std::string::npos);
 }
 
+// The full text of every rule's reason, so a rewrite of the checker keeps
+// what the simulator and the checker's users print. Where several slots
+// break one rule, the reason names the first in ascending slot order.
+TEST(AccessCheck, PinsEveryReasonText) {
+    const MemoryGeometry g;
+    const std::vector<int> none;
+    EXPECT_EQ(check_simultaneous_access(g, std::vector<int>{3, 64}, none).reason,
+              "read slot 64 out of range [0, 64)");
+    EXPECT_EQ(check_simultaneous_access(g, none, std::vector<int>{-1}).reason,
+              "write slot -1 out of range [0, 64)");
+
+    std::vector<int> line0;
+    for (int b = 0; b < 9; ++b) line0.push_back(g.slot_at(b, 0));
+    EXPECT_EQ(check_simultaneous_access(g, line0, none).reason,
+              "9 reads exceed the limit of 8 per cycle");
+    line0.resize(5);
+    EXPECT_EQ(check_simultaneous_access(g, none, line0).reason,
+              "5 writes exceed the limit of 4 per cycle");
+
+    const MemoryGeometry g1{.banks = 4, .banks_per_page = 1, .lines = 4};
+    const std::vector<int> one_bank = {g1.slot_at(2, 3), g1.slot_at(2, 0)};
+    EXPECT_EQ(check_simultaneous_access(g1, one_bank, none).reason,
+              "two reads hit bank 2 in the same cycle (slot 14)");
+    EXPECT_EQ(check_simultaneous_access(g1, none, one_bank).reason,
+              "two writes hit bank 2 in the same cycle (slot 14)");
+    // Banks 1 and 2 both repeat; bank rules come before the page rule.
+    EXPECT_EQ(check_simultaneous_access(g, std::vector<int>{34, 18, 17, 2, 1}, none).reason,
+              "two reads hit bank 1 in the same cycle (slot 17)");
+
+    EXPECT_EQ(check_simultaneous_access(g, std::vector<int>{g.slot_at(1, 2), g.slot_at(0, 0)},
+                                        none)
+                  .reason,
+              "slots in page 0 accessed on lines 0 and 2 in the same cycle (would need a "
+              "descriptor reconfiguration)");
+    EXPECT_EQ(check_simultaneous_access(g, std::vector<int>{g.slot_at(5, 3)},
+                                        std::vector<int>{g.slot_at(6, 1)})
+                  .reason,
+              "slots in page 1 accessed on lines 1 and 3 in the same cycle (would need a "
+              "descriptor reconfiguration)");
+    EXPECT_EQ(check_simultaneous_access(g, line0, none).reason, "");
+}
+
 // The paper's Fig. 8: small memory with 3 slots per bank. Matrix A has two
 // vectors sharing a bank; B has two vectors in the same page on different
 // lines; C is conflict-free.

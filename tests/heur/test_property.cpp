@@ -1,12 +1,17 @@
 // Property: ANY schedule accepted by sched::verify — whether it came from
 // the heuristic ladder or from the exact CP solver — simulates with
 // bit-exact outputs and zero memory-access conflicts. Exercised on a
-// 25-instance random corpus plus the application kernels.
+// 25-instance random corpus plus the application kernels, and every
+// heuristic schedule the model checker passes over a 300-kernel pool.
 #include <gtest/gtest.h>
+
+#include <random>
+#include <string>
 
 #include "revec/apps/random_kernel.hpp"
 #include "revec/codegen/codegen.hpp"
 #include "revec/ir/passes.hpp"
+#include "revec/model/check.hpp"
 #include "revec/sched/model.hpp"
 #include "revec/sched/verify.hpp"
 #include "revec/sim/simulator.hpp"
@@ -63,6 +68,44 @@ TEST_P(VerifiedSchedulesSimulate, HeuristicAndExact) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus25, VerifiedSchedulesSimulate,
                          ::testing::Range(1u, 26u));
+
+// Checker implies simulator, heuristic only: 75 seeded kernels of 20-30
+// ops, each with fusable and matrix ops on and off. Every schedule that
+// model::check_schedule passes on the model it was solved on must simulate
+// with no access violation, matching outputs and the scheduled makespan.
+TEST(VerifiedHeuristicSchedulesSimulate, PoolOf300) {
+    std::mt19937_64 rng(20150207);
+    int checked = 0;
+    for (int i = 0; i < 75; ++i) {
+        const auto seed = static_cast<unsigned>(rng() & 0xffffffffu);
+        const int num_ops = 20 + static_cast<int>(rng() % 11);
+        for (const bool fusable : {false, true}) {
+            for (const bool matrix : {false, true}) {
+                const std::string name = "seed " + std::to_string(seed) + " ops " +
+                                         std::to_string(num_ops) +
+                                         (fusable ? " fusable" : "") + (matrix ? " matrix" : "");
+                const ir::Graph g = ir::merge_pipeline_ops(
+                    apps::build_random_kernel({seed, num_ops, matrix, fusable}));
+                sched::ScheduleOptions so;
+                so.heuristic_only = true;
+                const model::KernelModel km = sched::lower_for_schedule(g, so);
+                const sched::Schedule s = sched::schedule_model(km, sched::model_solve_options(so));
+                if (!s.feasible() ||
+                    !model::check_schedule(km, s.start, s.slot, s.makespan).empty()) {
+                    continue;
+                }
+                ++checked;
+                const sim::SimResult run =
+                    sim::simulate(kSpec, g, codegen::generate_code(kSpec, g, s));
+                EXPECT_TRUE(run.violations.empty()) << name << ": " << run.violations.front();
+                EXPECT_TRUE(run.outputs_match) << name << " max err " << run.max_output_error;
+                EXPECT_EQ(run.cycles, s.makespan) << name;
+            }
+        }
+    }
+    // The ladder's last rung always allocates on these sizes.
+    EXPECT_EQ(checked, 300);
+}
 
 }  // namespace
 }  // namespace revec::heur

@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "revec/apps/arf.hpp"
+#include "revec/apps/detect.hpp"
+#include "revec/apps/matmul.hpp"
+#include "revec/apps/qrd.hpp"
+#include "revec/apps/random_kernel.hpp"
 #include "revec/dsl/eval.hpp"
 #include "revec/dsl/ops.hpp"
 #include "revec/dsl/program.hpp"
 #include "revec/ir/analysis.hpp"
 #include "revec/ir/validate.hpp"
+#include "revec/ir/xml_io.hpp"
 
 namespace revec::ir {
 namespace {
@@ -281,6 +291,83 @@ TEST(Passes, LowerThenMergeComposes) {
     const Graph merged = merge_pipeline_ops(lowered);
     validate_graph(merged);
     expect_values_equal(p.ir(), merged);
+}
+
+/// `after` equals `before` field for field: name, every node (ids, kinds,
+/// op names, fusions, labels, immediates, output marks, input values), every
+/// preds and succs list in order, and the edge count.
+void expect_same_graph(const Graph& before, const Graph& after, const std::string& what) {
+    EXPECT_EQ(after.name(), before.name()) << what;
+    ASSERT_EQ(after.num_nodes(), before.num_nodes()) << what;
+    EXPECT_EQ(after.num_edges(), before.num_edges()) << what;
+    for (const Node& a : before.nodes()) {
+        const Node& b = after.node(a.id);
+        const std::string where = what + " node " + std::to_string(a.id);
+        EXPECT_EQ(b.id, a.id) << where;
+        EXPECT_EQ(b.cat, a.cat) << where;
+        EXPECT_EQ(b.op, a.op) << where;
+        EXPECT_EQ(b.pre_op, a.pre_op) << where;
+        EXPECT_EQ(b.pre_arg, a.pre_arg) << where;
+        EXPECT_EQ(b.post_op, a.post_op) << where;
+        EXPECT_EQ(b.label, a.label) << where;
+        EXPECT_EQ(b.imm, a.imm) << where;
+        EXPECT_EQ(b.is_output, a.is_output) << where;
+        ASSERT_EQ(b.input_value.has_value(), a.input_value.has_value()) << where;
+        if (a.input_value.has_value()) {
+            EXPECT_EQ(b.input_value->kind, a.input_value->kind) << where;
+            EXPECT_EQ(b.input_value->elems, a.input_value->elems) << where;
+        }
+        EXPECT_EQ(after.preds(a.id), before.preds(a.id)) << where;
+        EXPECT_EQ(after.succs(a.id), before.succs(a.id)) << where;
+    }
+}
+
+// When nothing fuses, the merge pass returns its input unchanged: the paper
+// kernels, the Fig. 3 XML read back, matrix-lowered forms and a few hundred
+// seeded random kernels with fusable and matrix ops on and off. Only the
+// graphs the pass reports nothing for are compared; the fused ones are the
+// other tests' business.
+TEST(MergePipelineOps, NoFusionResultIsTheInputGraph) {
+    std::vector<std::pair<std::string, Graph>> inputs;
+    inputs.emplace_back("matmul", apps::build_matmul());
+    inputs.emplace_back("qrd", apps::build_qrd());
+    inputs.emplace_back("arf", apps::build_arf());
+    inputs.emplace_back("detect", apps::build_detect());
+    inputs.emplace_back("fig3_matmul_ir.xml",
+                        from_xml_string(to_xml_string(apps::build_matmul())));
+    for (unsigned seed = 1; seed <= 80; ++seed) {
+        for (const bool fusable : {false, true}) {
+            for (const bool matrix : {false, true}) {
+                apps::RandomKernelOptions o;
+                o.seed = seed;
+                o.num_ops = 10 + static_cast<int>(seed % 41);
+                o.use_matrix = matrix;
+                o.use_fusable = fusable;
+                inputs.emplace_back("random(seed=" + std::to_string(seed) +
+                                        (fusable ? ", fusable" : "") +
+                                        (matrix ? ", matrix)" : ")"),
+                                    apps::build_random_kernel(o));
+            }
+        }
+    }
+    const std::size_t built = inputs.size();
+    for (std::size_t i = 0; i < built; ++i) {
+        inputs.emplace_back(inputs[i].first + " lowered", lower_matrix_ops(inputs[i].second));
+    }
+
+    int unfused = 0;
+    for (const auto& [name, g] : inputs) {
+        PassStats st;
+        const Graph merged = merge_pipeline_ops(g, &st);
+        if (st.fused_pre != 0 || st.fused_post != 0) continue;
+        ++unfused;
+        EXPECT_EQ(st.nodes_before, g.num_nodes()) << name;
+        EXPECT_EQ(st.nodes_after, g.num_nodes()) << name;
+        expect_same_graph(g, merged, name);
+    }
+    // MATMUL, the XML copy and every kernel without fusable ops are among
+    // them, so the comparison never runs on nothing.
+    EXPECT_GE(unfused, 2 + 2 * 160);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // An oracle for model::derive that does not go through it. Over the paper
-// kernels and a seeded random corpus, the derived fields lower_ir fills
-// equal what the IR itself says: ASAP/ALAP/critical path from the ir::
-// analyses, succs from the graph, edges in the graph's (src, succ) order,
-// and the id lists from the graph's node categories. The wire form carries
+// kernels and a seeded random corpus, merged and as traced, the derived
+// fields lower_ir fills equal what the IR itself says: ASAP/ALAP/critical
+// path (and so the default horizon) from the ir:: analyses, succs from the
+// graph, edges in the graph's (src, succ) order, and the id lists from the
+// graph's node categories. The wire form carries
 // the primary fields only, yet reads back to the same model field for field
 // under every lowering: default, paper lifetime rule, raised horizon and
 // modulo wrap. A dump written before the wire dropped its derived fields
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "revec/apps/arf.hpp"
@@ -36,14 +38,15 @@ struct Kernel {
 };
 
 /// MATMUL, QRD, ARF and DETECT, then random kernels of 12, 30 and 70 ops
-/// with and without matrix ops, all merged as every scheduler sees them.
+/// with and without matrix ops: each merged as every scheduler sees it,
+/// then as traced. MATMUL merged comes first.
 const std::vector<Kernel>& corpus() {
     static const std::vector<Kernel> kernels = [] {
-        std::vector<Kernel> out;
-        out.push_back({"matmul", ir::merge_pipeline_ops(apps::build_matmul())});
-        out.push_back({"qrd", ir::merge_pipeline_ops(apps::build_qrd())});
-        out.push_back({"arf", ir::merge_pipeline_ops(apps::build_arf())});
-        out.push_back({"detect", ir::merge_pipeline_ops(apps::build_detect())});
+        std::vector<Kernel> traced;
+        traced.push_back({"matmul", apps::build_matmul()});
+        traced.push_back({"qrd", apps::build_qrd()});
+        traced.push_back({"arf", apps::build_arf()});
+        traced.push_back({"detect", apps::build_detect()});
         for (unsigned seed = 1; seed <= 10; ++seed) {
             for (const int ops : {12, 30, 70}) {
                 for (const bool matrix : {false, true}) {
@@ -51,12 +54,15 @@ const std::vector<Kernel>& corpus() {
                     o.seed = seed;
                     o.num_ops = ops;
                     o.use_matrix = matrix;
-                    out.push_back({"random(seed=" + std::to_string(seed) + ", ops=" +
-                                       std::to_string(ops) + (matrix ? ", matrix)" : ")"),
-                                   ir::merge_pipeline_ops(apps::build_random_kernel(o))});
+                    traced.push_back({"random(seed=" + std::to_string(seed) + ", ops=" +
+                                          std::to_string(ops) + (matrix ? ", matrix)" : ")"),
+                                      apps::build_random_kernel(o)});
                 }
             }
         }
+        std::vector<Kernel> out;
+        for (const Kernel& k : traced) out.push_back({k.name, ir::merge_pipeline_ops(k.g)});
+        for (Kernel& k : traced) out.push_back({k.name + " unmerged", std::move(k.g)});
         return out;
     }();
     return kernels;
@@ -73,6 +79,11 @@ TEST(DeriveOracle, LoweredTimesMatchTheIrAnalyses) {
         const KernelModel raised = lower_ir(kSpec, k.g, {}, cp + 5);
         EXPECT_EQ(raised.critical_path, cp) << k.name;
         EXPECT_EQ(raised.alap, ir::alap_times(kSpec, k.g, cp + 5)) << k.name;
+        // The default horizon is derive's critical path, modulo wrap or not.
+        const KernelModel wrapped = lower_ir(kSpec, k.g, {}, -1, ModuloWrap{4, 0, true, 3});
+        EXPECT_EQ(wrapped.horizon, cp) << k.name;
+        EXPECT_EQ(wrapped.alap, m.alap) << k.name;
+        EXPECT_EQ(wrapped.modulo->max_stage, cp / 4 + 1) << k.name;
     }
 }
 
