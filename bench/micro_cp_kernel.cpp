@@ -186,13 +186,13 @@ std::vector<PinnedCounter> hole_heavy_counters(const cp::SolveResult& r) {
     return {{"nodes", r.stats.nodes, 254350},
             {"failures", r.stats.failures, 127160},
             {"restarts", r.stats.restarts, 7},
-            {"propagations", p.propagations, 5316336},
-            {"wakeups", p.wakeups, 11754911},
-            {"wakeups_filtered", p.wakeups_filtered, 19385998},
-            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 192073},
-            {"trail_saves", p.trail_saves, 1337453},
-            {"trail_snapshots", p.trail_snapshots, 720274},
-            {"trail_bytes", p.trail_bytes, 26785932}};
+            {"propagations", p.propagations, 5668320},
+            {"wakeups", p.wakeups, 11939885},
+            {"wakeups_filtered", p.wakeups_filtered, 19473099},
+            {"self_wakeups_suppressed", p.self_wakeups_suppressed, 212355},
+            {"trail_saves", p.trail_saves, 1337612},
+            {"trail_snapshots", p.trail_snapshots, 722269},
+            {"trail_bytes", p.trail_bytes, 26797272}};
 }
 
 /// Solve the hole-heavy probe, time kernel scheduling, print both, fill

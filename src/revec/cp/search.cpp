@@ -154,7 +154,6 @@ SolveResult solve(Store& store, const std::vector<Phase>& phases, IntVar objecti
     std::vector<Frame> frames;
 
     obs::TraceBuffer* const trace = options.trace;
-    store.set_trace(trace);
 
     XorShift jitter_rng(options.value_jitter_seed);
     XorShift* jitter = options.value_jitter_seed != 0 ? &jitter_rng : nullptr;

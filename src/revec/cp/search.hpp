@@ -15,6 +15,10 @@
 #include "revec/cp/var.hpp"
 #include "revec/support/stopwatch.hpp"
 
+namespace revec::obs {
+class TraceBuffer;
+}  // namespace revec::obs
+
 namespace revec::cp {
 
 /// Variable-selection heuristic within a phase.

@@ -6,7 +6,6 @@
 #include <map>
 #include <string_view>
 
-#include "revec/obs/trace.hpp"
 #include "revec/support/assert.hpp"
 
 namespace revec::cp {
@@ -27,31 +26,11 @@ std::int64_t snapshot_bytes(const Domain& d) {
     return 16 + (n > static_cast<std::int64_t>(Domain::kInlineIvs) ? n * 8 : 0);
 }
 
-/// Queue escalation tuning (see Store::pop_runnable). Ordinarily an episode
-/// (one propagate() call) drains in strict priority order — wakeups
-/// coalesce on the queued costlier propagators, which then run once against
-/// the settled cheap fixpoint. But an episode whose cheapest-first pop count
-/// reaches kEscalationPops while each popped propagator has run only ~once
-/// (pops*100 <= distinct propagators * kEscalationRerunPct) is creeping
-/// through a long spatial chain of one-shot bound nudges that one run of a
-/// waiting costlier propagator would collapse — or probing a doomed node
-/// only a global can refute. While that holds, after kStarvationLimit
-/// consecutive pops that bypassed a waiting costlier bucket, the costliest
-/// waiting bucket is interleaved once. A settle that keeps re-running the
-/// same few propagators (legitimate iterative convergence) fails the ratio
-/// test and drains strictly. Any drain order reaches the same fixpoint, so
-/// this only affects work, never the search tree.
-constexpr int kStarvationLimit = 1;
-constexpr std::int64_t kEscalationPops = 32;
-constexpr std::int64_t kEscalationRerunPct = 150;
-
 }  // namespace
 
 Store Store::clone() const {
     REVEC_EXPECTS(level_ == 0);  // no trail to copy: root state only
-    Store out(*this);
-    out.trace_ = nullptr;
-    return out;
+    return Store(*this);
 }
 
 IntVar Store::new_var(int lo, int hi) { return new_var(Domain(lo, hi)); }
@@ -163,42 +142,14 @@ void Store::schedule(int prop_id) {
 }
 
 int Store::pop_runnable() {
-    int cheapest = -1;
-    int costliest = -1;
-    for (int b = 0; b < kNumPriorities; ++b) {
-        if (queue_[static_cast<std::size_t>(b)].empty()) continue;
-        if (cheapest < 0) cheapest = b;
-        costliest = b;
+    // Cheapest first: waking watchers coalesce while a costlier propagator
+    // waits, so it runs once against the settled cheap fixpoint.
+    for (Bucket& b : queue_) {
+        if (b.empty()) continue;
+        --queued_count_;
+        return b.pop();
     }
-    if (cheapest < 0) return -1;
-    // Cheapest-first with escalation: episodes drain in strict priority
-    // order (waking watchers coalesce while a costlier propagator waits)
-    // unless chain-creep detection currently holds — a long episode of
-    // one-shot pops — in which case the costliest waiting bucket is
-    // interleaved every kStarvationLimit pops.
-    int pick = cheapest;
-    const bool creeping = organic_pops_ >= kEscalationPops &&
-                          organic_pops_ * 100 <= episode_distinct_ * kEscalationRerunPct;
-    if (cheapest == costliest) {
-        cheap_streak_ = 0;
-    } else if (creeping && cheap_streak_ >= kStarvationLimit) {
-        cheap_streak_ = 0;
-        pick = costliest;
-        ++stats_.starvation_runs;
-        obs::instant(trace_, obs::TraceLevel::Node, "escalation", "bucket", pick);
-    } else {
-        ++cheap_streak_;
-    }
-    --queued_count_;
-    const int id = queue_[static_cast<std::size_t>(pick)].pop();
-    if (pick == cheapest) {
-        ++organic_pops_;
-        if (prop_run_ep_[static_cast<std::size_t>(id)] != episode_) {
-            prop_run_ep_[static_cast<std::size_t>(id)] = episode_;
-            ++episode_distinct_;
-        }
-    }
-    return id;
+    return -1;
 }
 
 void Store::clear_queue() {
@@ -207,7 +158,6 @@ void Store::clear_queue() {
         b.clear();
     }
     queued_count_ = 0;
-    cheap_streak_ = 0;
 }
 
 bool Store::set_min(IntVar x, std::int64_t v) {
@@ -324,7 +274,6 @@ void Store::post(std::unique_ptr<Propagator> p, const std::vector<Watch>& watche
     prop_idem_.push_back(p->idempotent() ? 1 : 0);
     props_.push_back(std::move(p));
     queued_.push_back(0);
-    prop_run_ep_.push_back(0);
     if (profile_) prof_.resize(props_.size());
     const bool advised = props_.back()->advised();
     // Positions must fit Watcher::watch (signed, 32 - kNumEventKinds bits).
@@ -352,10 +301,6 @@ void Store::post(std::unique_ptr<Propagator> p, const std::vector<IntVar>& watch
 }
 
 bool Store::propagate() {
-    ++episode_;
-    cheap_streak_ = 0;
-    organic_pops_ = 0;
-    episode_distinct_ = 0;
     while (!failed_) {
         const int id = pop_runnable();
         if (id < 0) break;

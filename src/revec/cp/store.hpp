@@ -16,7 +16,6 @@
 
 #include <array>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "revec/cp/counters.hpp"
@@ -24,10 +23,6 @@
 #include "revec/cp/propagator.hpp"
 #include "revec/cp/var.hpp"
 #include "revec/support/assert.hpp"
-
-namespace revec::obs {
-class TraceBuffer;
-}  // namespace revec::obs
 
 namespace revec::cp {
 
@@ -42,7 +37,6 @@ struct PropagationStats {
     std::int64_t wakeups = 0;           ///< watcher notifications passing the mask
     std::int64_t wakeups_filtered = 0;  ///< notifications dropped by event masks
     std::int64_t self_wakeups_suppressed = 0;  ///< idempotent self-wakeups dropped
-    std::int64_t starvation_runs = 0;   ///< escalated runs of a bypassed costlier bucket
 
     /// Queue pushes per priority bucket and the high-water mark of the
     /// total queued-propagator count.
@@ -68,7 +62,6 @@ struct PropagationStats {
         f("wakeups", MergeRule::Sum, s.wakeups...);
         f("wakeups_filtered", MergeRule::Sum, s.wakeups_filtered...);
         f("self_wakeups_suppressed", MergeRule::Sum, s.self_wakeups_suppressed...);
-        f("starvation_runs", MergeRule::Sum, s.starvation_runs...);
         f("queue_pushes.unary", MergeRule::Sum, s.queue_pushes[0]...);
         f("queue_pushes.linear", MergeRule::Sum, s.queue_pushes[1]...);
         f("queue_pushes.global", MergeRule::Sum, s.queue_pushes[2]...);
@@ -112,7 +105,6 @@ public:
     /// walks exactly the tree solving this store would, so one emission
     /// serves any number of searches (portfolio workers). Reads
     /// this store only: several threads may clone one const store at once.
-    /// The trace attachment is not copied.
     Store clone() const;
 
     // -- variables -----------------------------------------------------------
@@ -184,12 +176,6 @@ public:
     const PropagationStats& stats() const { return stats_; }
 
     // -- observability ---------------------------------------------------------
-    /// Attach a trace buffer; the store emits Node-level instants into it
-    /// (currently "escalation" when a bypassed costlier bucket is
-    /// interleaved). nullptr (the default) disables emission — each event
-    /// site is then a single branch.
-    void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
-
     /// Start attributing per-propagator work (runs, domain changes,
     /// failures, wall time) to propagator classes. Adds a timer read per
     /// propagator execution; off by default.
@@ -302,11 +288,6 @@ private:
     std::vector<std::uint8_t> prop_idem_;    ///< cached idempotence per propagator
     std::array<Bucket, kNumPriorities> queue_;
     std::size_t queued_count_ = 0;
-    int cheap_streak_ = 0;      ///< pops that bypassed a waiting costlier bucket
-    std::uint32_t episode_ = 0; ///< propagate() episode id
-    std::int64_t organic_pops_ = 0;      ///< non-escalated pops this episode
-    std::int64_t episode_distinct_ = 0;  ///< distinct props organically popped
-    std::vector<std::uint32_t> prop_run_ep_;  ///< episode a prop last popped in
     std::vector<char> queued_;
     int running_ = -1;  ///< id of the propagator currently executing
 
@@ -328,7 +309,6 @@ private:
     };
     bool profile_ = false;
     std::vector<PropCounters> prof_;
-    obs::TraceBuffer* trace_ = nullptr;
 };
 
 }  // namespace revec::cp

@@ -55,7 +55,7 @@ options:
                      timelines), or a deterministic JSONL stream when F ends
                      in .jsonl
   --trace-level=L    off | phase (default with --trace) | node; node adds
-                     per-search-node and engine-escalation events
+                     per-search-node and failure events
   --metrics=F        write end-of-run metrics JSON to F (search counters,
                      engine counters, per-propagator-class profile)
   --help             this text

@@ -11,7 +11,7 @@ namespace {
 std::string at_node(const KernelModel& m, int id) {
     std::ostringstream os;
     const ModelNode& n = m.node(id);
-    os << "node " << id << " (" << n.cat;
+    os << "node " << id << " (" << ir::cat_name(n.cat);
     if (!n.op.empty()) os << " " << n.op;
     os << ")";
     return os.str();

@@ -83,7 +83,7 @@ std::string to_json(const KernelModel& m) {
     for (std::size_t i = 0; i < m.nodes.size(); ++i) {
         const ModelNode& n = m.nodes[i];
         os << "    {\"id\": " << n.id << ", \"cat\": ";
-        os.quoted(n.cat);
+        os.quoted(ir::cat_name(n.cat));
         os << ", \"op\": ";
         os.quoted(n.op);
         os << ", \"latency\": " << n.latency << ", \"duration\": " << n.duration
@@ -238,7 +238,7 @@ constexpr std::uint32_t kRequiredNodeKeys = first(kPersists);
 void read_node(Field& f, std::size_t key, ModelNode& n) {
     switch (static_cast<NodeKey>(key)) {
         case kId: n.id = f.integer(); return;
-        case kCat: n.cat = f.string(); return;
+        case kCat: n.cat = ir::cat_from_name(f.string()); return;
         case kOp: n.op = f.string(); return;
         case kLatency: n.latency = f.integer(); return;
         case kDuration: n.duration = f.integer(); return;
@@ -317,6 +317,11 @@ KernelModel from_json(json::Reader& in) {
                  [&](Field& f, std::size_t i) { read_model_field(f, i, m); });
     if (!m.fixed_starts.empty() && m.fixed_starts.size() != m.nodes.size()) {
         throw Error("kernel model JSON: per-node array size mismatch");
+    }
+    // The rule lower_for_schedule keeps, checked once the whole object is
+    // read: memory_allocation may come after num_slots.
+    if (m.memory_allocation && m.num_slots > m.geometry.slots()) {
+        throw Error("kernel model JSON: num_slots exceeds the geometry's slots");
     }
     derive(m);
     // What the solver indexes by or packs into a cycle: every timing lies

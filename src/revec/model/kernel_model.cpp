@@ -36,7 +36,7 @@ KernelModel lower_ir(const arch::ArchSpec& spec, const ir::Graph& g,
     for (const ir::Node& node : g.nodes()) {
         ModelNode& out = m.nodes[static_cast<std::size_t>(node.id)];
         out.id = node.id;
-        out.cat = std::string(ir::cat_name(node.cat));
+        out.cat = node.cat;
         out.op = node.op;
         const ir::NodeTiming t = ir::node_timing(spec, node);
         out.latency = t.latency;
@@ -136,9 +136,8 @@ void derive_times(KernelModel& m) {
 void derive(KernelModel& m) {
     const int n = m.num_nodes();
     for (ModelNode& node : m.nodes) {
-        const ir::NodeCat cat = ir::cat_from_name(node.cat);
-        node.is_op = ir::is_op_cat(cat);
-        node.is_vector_data = cat == ir::NodeCat::VectorData;
+        node.is_op = ir::is_op_cat(node.cat);
+        node.is_vector_data = node.cat == ir::NodeCat::VectorData;
         node.succs.clear();
         for (const int p : node.preds) {
             if (p < 0 || p >= n) underivable("preds id out of range");

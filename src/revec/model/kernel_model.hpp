@@ -43,7 +43,7 @@ struct ModelEdge {
 struct ModelNode {
     // Primary: lower_ir and from_json set these.
     int id = -1;
-    std::string cat;  ///< IR category name (ir::cat_name)
+    ir::NodeCat cat = ir::NodeCat::VectorData;  ///< named (ir::cat_name) on the wire only
     std::string op;   ///< operation name; empty for data nodes
     int latency = 0;
     int duration = 0;

@@ -10,8 +10,8 @@
 // the disabled path must stay in the solver's hot loops. Every event site
 // is a single branch on a nullptr buffer (`if (buf == nullptr) return;`);
 // levels refine that — Phase events (solve phases, solutions, bound
-// broadcasts, worker lifecycles) are rare, Node events (search nodes,
-// failures, engine escalations) are per-node. Writers are lock-free on the
+// broadcasts, worker lifecycles) are rare, Node events (search nodes and
+// failures) are per-node. Writers are lock-free on the
 // hot path: each TraceBuffer has exactly one writer thread at a time, and
 // the only synchronized operations are track registration on the sink and
 // the (rare) append of a fresh storage chunk. When a ring fills, new
@@ -45,7 +45,7 @@ namespace revec::obs {
 enum class TraceLevel : std::uint8_t {
     Off = 0,    ///< record nothing
     Phase = 1,  ///< solve phases, solutions, bounds, worker lifecycles
-    Node = 2,   ///< plus per-node search events and engine escalations
+    Node = 2,   ///< plus per-node search and failure events
 };
 
 const char* trace_level_name(TraceLevel level);

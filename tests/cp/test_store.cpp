@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -320,6 +321,64 @@ TEST(Store, AdviceNamesTheWatchThatFired) {
     s.pop_level();
     ASSERT_EQ(log.size(), 1u);
     EXPECT_EQ(log[0].first, 1);
+}
+
+/// Appends its tag to a shared log on every run and, when it has a `next`
+/// variable, lifts that variable's lower bound to one past its own: a chain
+/// of these nudges each next bound once per change.
+class ChainLink final : public Propagator {
+public:
+    ChainLink(int tag, Priority priority, IntVar x, IntVar next, std::vector<int>& log)
+        : tag_(tag), priority_(priority), x_(x), next_(next), log_(log) {}
+    bool propagate(Store& s) override {
+        log_.push_back(tag_);
+        return !next_.valid() || s.set_min(next_, std::int64_t{s.min(x_)} + 1);
+    }
+    std::unique_ptr<Propagator> clone() const override {
+        return std::make_unique<ChainLink>(*this);
+    }
+    Priority priority() const override { return priority_; }
+
+private:
+    int tag_;
+    Priority priority_;
+    IntVar x_;
+    IntVar next_;
+    std::vector<int>& log_;
+};
+
+TEST(Store, DrainsStrictlyCheapestFirst) {
+    // A 48-link chain of one-shot Unary and Linear nudges, and one Global
+    // that watches every variable: each cheaper bucket is drained before the
+    // Global runs, however long the chain creeps, and the Global runs once.
+    constexpr int kLinks = 48;
+    constexpr int kGlobal = -1;
+    Store s;
+    std::vector<IntVar> x;
+    for (int i = 0; i <= kLinks; ++i) x.push_back(s.new_var(0, 1000));
+    std::vector<int> log;
+    std::vector<int> want;  // the level episode's run order
+    for (std::size_t i = 0; i < kLinks; ++i) {
+        const Priority p = i % 2 == 0 ? Priority::Unary : Priority::Linear;
+        want.push_back(static_cast<int>(i));
+        s.post(std::make_unique<ChainLink>(want.back(), p, x[i], x[i + 1], log),
+               {Watch{x[i], kEventMin}});
+    }
+    want.push_back(kGlobal);
+    s.post(std::make_unique<ChainLink>(kGlobal, Priority::Global, x[0], IntVar(), log), x);
+    ASSERT_TRUE(s.propagate());  // every link queued at once
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log.back(), kGlobal);
+    EXPECT_EQ(std::count(log.begin(), log.end(), kGlobal), 1);
+
+    log.clear();
+    s.push_level();
+    ASSERT_TRUE(s.set_min(x[0], 100));  // wakes link 0 and the Global
+    ASSERT_TRUE(s.propagate());         // one link queued at a time
+    EXPECT_EQ(s.min(x[kLinks]), 100 + kLinks);
+    EXPECT_EQ(std::find(log.begin(), log.end(), kGlobal) - log.begin(), kLinks)
+        << "pops before the Global's first run";
+    EXPECT_EQ(log, want);
 }
 
 }  // namespace

@@ -298,6 +298,29 @@ TEST(ModelJsonRoundTrip, RejectsAnUnknownCat) {
     EXPECT_EQ(rejection(json::to_compact_string(doc)), "unknown node category 'vector_opp'");
 }
 
+TEST(ModelJsonRoundTrip, RejectsMoreSlotsThanTheMemoryHolds) {
+    // lower_for_schedule refuses num_slots past the memory when it allocates;
+    // a wire model must not get round that (a cold solve of one used to
+    // overflow the CP engine's span). The rule holds whichever of the two
+    // keys comes first.
+    const KernelModel m = matmul_model();
+    const double slots = m.geometry.slots();
+    json::Value doc = json::parse(to_json(m));
+    field(doc, "num_slots").number = 100000000;
+    EXPECT_EQ(rejection(json::to_compact_string(doc)),
+              "kernel model JSON: num_slots exceeds the geometry's slots");
+    std::rotate(doc.object.begin(), doc.object.begin() + 5, doc.object.end());
+    ASSERT_EQ(doc.object.front().first, "memory_allocation");
+    EXPECT_EQ(rejection(json::to_compact_string(doc)),
+              "kernel model JSON: num_slots exceeds the geometry's slots");
+
+    field(doc, "num_slots").number = slots;
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "");
+    field(doc, "num_slots").number = 100000000;
+    field(doc, "memory_allocation").boolean = false;  // no slot is assigned
+    EXPECT_EQ(rejection(json::to_compact_string(doc)), "");
+}
+
 TEST(ModelJsonRoundTrip, RejectsANonPositiveModuloIi) {
     const std::string wrapped = to_json(matmul_model(ModuloWrap{4, 0, false, 0}));
     const std::string ii = "\"ii\": 4";

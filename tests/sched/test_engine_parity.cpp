@@ -96,7 +96,7 @@ TEST(EngineParity, ColdSearchIsNodeIdenticalToo) {
     const ir::Graph g = kernel_by_name("matmul");
     expect_golden(g, options, {"matmul", 56, 29, 1, 11});
     const Schedule s = schedule_kernel(g, options);
-    EXPECT_EQ(s.prop_stats.propagations, 564);
+    EXPECT_EQ(s.prop_stats.propagations, 539);
     EXPECT_EQ(s.prop_stats.wakeups, 1039);
 }
 

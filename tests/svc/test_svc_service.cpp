@@ -359,6 +359,26 @@ TEST(SvcService, ModuloWrappedModelAnswersErrorAndServiceKeepsServing) {
     EXPECT_EQ(counter(service, "svc.req.errors"), 2);
 }
 
+TEST(SvcService, ModelClaimingMoreSlotsThanItsMemoryIsAParseError) {
+    // A cold solve of such a model used to fail a CP engine precondition;
+    // the model reader refuses it, so the request answers ok:false with
+    // the reader's message and the service keeps serving.
+    Service service(Service::Config{});
+    model::KernelModel huge = matmul_model();
+    huge.num_slots = 100000000;
+    const Response bad =
+        parse_response(service.handle_line(serialize_request(solve_request(huge, 1))));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("num_slots exceeds the geometry's slots"), std::string::npos)
+        << bad.error;
+    EXPECT_FALSE(bad.has_schedule());
+    EXPECT_EQ(counter(service, "svc.req.parse_errors"), 1);
+
+    const model::KernelModel km = matmul_model();
+    expect_verify_clean(
+        km, parse_response(service.handle_line(serialize_request(solve_request(km, 2)))));
+}
+
 TEST(SvcService, RidIsEchoedAndAssignedWhenAbsent) {
     Service service(Service::Config{});
     const model::KernelModel km = matmul_model();
